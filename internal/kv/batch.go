@@ -28,26 +28,14 @@ func (c *Cluster) ReadBatch(keys []string, lvl Level, cb func([]ReadResult)) {
 		cb(failedReads(keys, lvl, ErrUnavailable, 0))
 		return
 	}
-	done := false
-	var stopGuard func()
-	once := func(r []ReadResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
+	rt, op := c.newOp(lvl)
+	op.keys, op.brcb = keys, cb
 	size := msgOverhead
 	for _, k := range keys {
 		size += len(k)
 	}
-	c.net.Send(netsim.ClientID, coord,
-		clientBatchRead{ID: id, Keys: keys, Level: lvl, cb: once}, size)
-	stopGuard = c.armGuard(func() {
-		once(failedReads(keys, lvl, ErrTimeout, 2*c.cfg.Timeout))
-	})
+	c.net.Send(netsim.ClientID, coord, clientBatchRead{ID: id, Keys: keys, Level: lvl, rt: rt}, size)
+	c.armOp(rt)
 }
 
 // WriteBatch issues a multi-key mutation batch (puts and tombstones
@@ -64,26 +52,14 @@ func (c *Cluster) WriteBatch(ops []BatchOp, lvl Level, cb func([]WriteResult)) {
 		cb(failedWrites(ops, lvl, ErrUnavailable, 0))
 		return
 	}
-	done := false
-	var stopGuard func()
-	once := func(r []WriteResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
+	rt, op := c.newOp(lvl)
+	op.bops, op.bwcb = ops, cb
 	size := msgOverhead
-	for _, op := range ops {
-		size += len(op.Key) + len(op.Value)
+	for _, o := range ops {
+		size += len(o.Key) + len(o.Value)
 	}
-	c.net.Send(netsim.ClientID, coord,
-		clientBatchWrite{ID: id, Ops: ops, Level: lvl, cb: once}, size)
-	stopGuard = c.armGuard(func() {
-		once(failedWrites(ops, lvl, ErrTimeout, 2*c.cfg.Timeout))
-	})
+	c.net.Send(netsim.ClientID, coord, clientBatchWrite{ID: id, Ops: ops, Level: lvl, rt: rt}, size)
+	c.armOp(rt)
 }
 
 func failedReads(keys []string, lvl Level, err error, lat time.Duration) []ReadResult {
@@ -105,81 +81,87 @@ func failedWrites(ops []BatchOp, lvl Level, err error, lat time.Duration) []Writ
 // coordBatchRead admits a whole multi-key read with a single admission
 // cost, then fans out at most one request message per replica.
 func (n *Node) coordBatchRead(m clientBatchRead) {
-	n.coordWork(func() {
-		now := n.cluster.net.Now()
-		n.coordOps++ // one admission for the whole batch
-		n.cluster.hooks.batchStarted(now, len(m.Keys), 0)
+	p := newCoordExec(execBatchRead)
+	p.br = m
+	n.coordWork(p)
+}
 
-		bctx := &batchReadCtx{
-			id: m.ID, cb: m.cb,
-			items:   make([]*readCtx, len(m.Keys)),
-			results: make([]ReadResult, len(m.Keys)),
-			pending: len(m.Keys),
-		}
-		deliver := func(i int) func(ReadResult) {
-			return func(res ReadResult) {
-				bctx.results[i] = res
-				bctx.pending--
-				if bctx.pending == 0 && !bctx.delivered {
-					bctx.delivered = true
-					n.replyBatchRead(bctx.cb, bctx.results)
-				}
-			}
-		}
+// admitBatchRead plans and fans out a batch whose admission work is done.
+func (n *Node) admitBatchRead(m clientBatchRead) {
+	now := n.cluster.net.Now()
+	n.coordOps++ // one admission for the whole batch
+	n.cluster.hooks.batchStarted(now, len(m.Keys), 0)
 
-		var order []netsim.NodeID
-		perReplica := make(map[netsim.NodeID]*replicaBatchRead)
-		for i, key := range m.Keys {
-			n.cluster.hooks.readStarted(now, key)
-			if t := n.cluster.hot; t != nil {
-				t.observeRead(key, now)
-			}
-			replicas := n.routeReplicas(key)
-			req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
-			ctx := getReadCtx()
-			targets, ok := n.pickTargets(replicas, req, ctx.targets)
-			ctx.targets = targets
-			if !ok {
-				putReadCtx(ctx)
-				// Like the single-read path: unavailable admissions do
-				// not fire readCompleted, only the oracle failure count.
-				n.cluster.oracle.ReadFailed()
-				deliver(i)(ReadResult{Err: ErrUnavailable, Key: key, Level: m.Level})
-				continue
-			}
-			ctx.id, ctx.key, ctx.level, ctx.req = m.ID, key, m.Level, req
-			ctx.start = now
-			ctx.reply = deliver(i)
-			ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(key)
-			if req.perDC != nil {
-				ctx.ackDC = make(map[string]int, len(req.perDC))
-			}
-			bctx.items[i] = ctx
-			for _, t := range targets {
-				rb := perReplica[t]
-				if rb == nil {
-					rb = &replicaBatchRead{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
-					perReplica[t] = rb
-					order = append(order, t)
-				}
-				rb.Idxs = append(rb.Idxs, i)
-				rb.Keys = append(rb.Keys, key)
-			}
+	bctx := &batchReadCtx{
+		id: m.ID, rt: m.rt,
+		items:   make([]*readCtx, len(m.Keys)),
+		results: make([]ReadResult, len(m.Keys)),
+		pending: len(m.Keys),
+	}
+
+	var order []netsim.NodeID
+	perReplica := make(map[netsim.NodeID]*replicaBatchRead)
+	for i, key := range m.Keys {
+		n.cluster.hooks.readStarted(now, key)
+		if t := n.cluster.hot; t != nil {
+			t.observeRead(key, now)
 		}
-		if bctx.pending == 0 {
-			return // every item failed at admission; reply already sent
+		replicas := n.routeReplicas(key)
+		req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
+		ctx := getReadCtx()
+		targets, ok := n.pickTargets(replicas, req, ctx.targets)
+		ctx.targets = targets
+		if !ok {
+			putReadCtx(ctx)
+			// Like the single-read path: unavailable admissions do
+			// not fire readCompleted, only the oracle failure count.
+			n.cluster.oracle.ReadFailed()
+			n.batchReadDone(bctx, i, ReadResult{Err: ErrUnavailable, Key: key, Level: m.Level})
+			continue
 		}
-		n.batchReads[m.ID] = bctx
-		for _, t := range order {
+		ctx.id, ctx.key, ctx.level, ctx.req = m.ID, key, m.Level, req
+		ctx.start = now
+		ctx.batch, ctx.item = bctx, i
+		ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(key)
+		if req.perDC != nil {
+			ctx.ackDC = make(map[string]int, len(req.perDC))
+		}
+		bctx.items[i] = ctx
+		for _, t := range targets {
 			rb := perReplica[t]
-			size := msgOverhead
-			for _, k := range rb.Keys {
-				size += len(k)
+			if rb == nil {
+				rb = &replicaBatchRead{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
+				perReplica[t] = rb
+				order = append(order, t)
 			}
-			n.cluster.net.Send(n.id, t, rb, size)
+			rb.Idxs = append(rb.Idxs, i)
+			rb.Keys = append(rb.Keys, key)
 		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
-	})
+	}
+	if bctx.pending == 0 {
+		return // every item failed at admission; reply already sent
+	}
+	n.batchReads[m.ID] = bctx
+	for _, t := range order {
+		rb := perReplica[t]
+		size := msgOverhead
+		for _, k := range rb.Keys {
+			size += len(k)
+		}
+		n.cluster.net.Send(n.id, t, rb, size)
+	}
+	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
+}
+
+// batchReadDone records one item's client-visible result and ships the
+// batch's reply once every item has one.
+func (n *Node) batchReadDone(bctx *batchReadCtx, i int, res ReadResult) {
+	bctx.results[i] = res
+	bctx.pending--
+	if bctx.pending == 0 && !bctx.delivered {
+		bctx.delivered = true
+		n.replyBatchRead(bctx.rt, bctx.results)
+	}
 }
 
 // onBatchReadResp folds one replica's batched response into every item
@@ -236,101 +218,107 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 
 // replyBatchRead ships a whole batch's results to the client endpoint in
 // one message.
-func (n *Node) replyBatchRead(cb func([]ReadResult), res []ReadResult) {
+func (n *Node) replyBatchRead(rt opRoute, res []ReadResult) {
 	size := msgOverhead
 	for _, r := range res {
 		size += len(r.Value)
 	}
-	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchReadReply{cb: cb, res: res}, size)
+	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchReadReply{rt: rt, res: res}, size)
 }
 
 // coordBatchWrite admits a whole multi-key mutation batch with a single
 // admission cost, then sends each replica one message carrying every
 // cell it owns.
 func (n *Node) coordBatchWrite(m clientBatchWrite) {
-	n.coordWork(func() {
-		now := n.cluster.net.Now()
-		n.coordOps++ // one admission for the whole batch
-		n.cluster.hooks.batchStarted(now, 0, len(m.Ops))
+	p := newCoordExec(execBatchWrite)
+	p.bw = m
+	n.coordWork(p)
+}
 
-		bctx := &batchWriteCtx{
-			id: m.ID, cb: m.cb,
-			items:   make([]*writeCtx, len(m.Ops)),
-			results: make([]WriteResult, len(m.Ops)),
-			pending: len(m.Ops),
-		}
-		deliver := func(i int) func(WriteResult) {
-			return func(res WriteResult) {
-				bctx.results[i] = res
-				bctx.pending--
-				if bctx.pending == 0 && !bctx.delivered {
-					bctx.delivered = true
-					n.replyBatchWrite(bctx.cb, bctx.results)
-				}
-			}
-		}
+// admitBatchWrite versions and fans out a batch whose admission work is
+// done.
+func (n *Node) admitBatchWrite(m clientBatchWrite) {
+	now := n.cluster.net.Now()
+	n.coordOps++ // one admission for the whole batch
+	n.cluster.hooks.batchStarted(now, 0, len(m.Ops))
 
-		var order []netsim.NodeID
-		perReplica := make(map[netsim.NodeID]*replicaBatchWrite)
-		for i, op := range m.Ops {
-			replicas := n.routeReplicas(op.Key)
-			req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
-			if !n.routeReachable(replicas, req) {
-				deliver(i)(WriteResult{Err: ErrUnavailable, Key: op.Key, Level: m.Level})
+	bctx := &batchWriteCtx{
+		id: m.ID, rt: m.rt,
+		items:   make([]*writeCtx, len(m.Ops)),
+		results: make([]WriteResult, len(m.Ops)),
+		pending: len(m.Ops),
+	}
+
+	var order []netsim.NodeID
+	perReplica := make(map[netsim.NodeID]*replicaBatchWrite)
+	for i, op := range m.Ops {
+		replicas := n.routeReplicas(op.Key)
+		req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
+		if !n.routeReachable(replicas, req) {
+			n.batchWriteDone(bctx, i, WriteResult{Err: ErrUnavailable, Key: op.Key, Level: m.Level})
+			continue
+		}
+		version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
+		cell := storage.Cell{Version: version, Value: op.Value, Tombstone: op.Delete}
+		n.cluster.oracle.WriteStarted(op.Key, version, len(replicas), now)
+		n.cluster.hooks.writeStarted(now, op.Key, version, len(replicas))
+		if t := n.cluster.hot; t != nil {
+			t.observeWrite(op.Key, now)
+		}
+		n.cacheInvalidate(op.Key)
+		ctx := getWriteCtx()
+		ctx.id, ctx.key, ctx.level, ctx.req = m.ID, op.Key, m.Level, req
+		ctx.start = now
+		ctx.batch, ctx.item = bctx, i
+		ctx.version = version
+		ctx.replicas = len(replicas)
+		if req.perDC != nil {
+			ctx.ackDC = make(map[string]int, len(req.perDC))
+		}
+		bctx.items[i] = ctx
+		if n.gs != nil {
+			ctx.cell = cell
+			ctx.sent = append(ctx.sent[:0], replicas...)
+		}
+		for _, r := range replicas {
+			if n.routeDown(r) {
+				n.storeHint(r, op.Key, cell)
 				continue
 			}
-			version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
-			cell := storage.Cell{Version: version, Value: op.Value, Tombstone: op.Delete}
-			n.cluster.oracle.WriteStarted(op.Key, version, len(replicas), now)
-			n.cluster.hooks.writeStarted(now, op.Key, version, len(replicas))
-			if t := n.cluster.hot; t != nil {
-				t.observeWrite(op.Key, now)
-			}
-			n.cacheInvalidate(op.Key)
-			ctx := getWriteCtx()
-			ctx.id, ctx.key, ctx.level, ctx.req = m.ID, op.Key, m.Level, req
-			ctx.start = now
-			ctx.reply = deliver(i)
-			ctx.version = version
-			ctx.replicas = len(replicas)
-			if req.perDC != nil {
-				ctx.ackDC = make(map[string]int, len(req.perDC))
-			}
-			bctx.items[i] = ctx
-			if n.gs != nil {
-				ctx.cell = cell
-				ctx.sent = append(ctx.sent[:0], replicas...)
-			}
-			for _, r := range replicas {
-				if n.routeDown(r) {
-					n.storeHint(r, op.Key, cell)
-					continue
-				}
-				rb := perReplica[r]
-				if rb == nil {
-					rb = &replicaBatchWrite{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
-					perReplica[r] = rb
-					order = append(order, r)
-				}
-				rb.Idxs = append(rb.Idxs, i)
-				rb.Keys = append(rb.Keys, op.Key)
-				rb.Cells = append(rb.Cells, cell)
-			}
-		}
-		// The batch context lives until the timeout fires even when every
-		// item completed: late replica acks are the monitor's propagation
-		// signal, exactly as for single writes.
-		n.batchWrites[m.ID] = bctx
-		for _, r := range order {
 			rb := perReplica[r]
-			size := msgOverhead
-			for j := range rb.Keys {
-				size += len(rb.Keys[j]) + len(rb.Cells[j].Value)
+			if rb == nil {
+				rb = &replicaBatchWrite{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
+				perReplica[r] = rb
+				order = append(order, r)
 			}
-			n.cluster.net.Send(n.id, r, rb, size)
+			rb.Idxs = append(rb.Idxs, i)
+			rb.Keys = append(rb.Keys, op.Key)
+			rb.Cells = append(rb.Cells, cell)
 		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
-	})
+	}
+	// The batch context lives until the timeout fires even when every
+	// item completed: late replica acks are the monitor's propagation
+	// signal, exactly as for single writes.
+	n.batchWrites[m.ID] = bctx
+	for _, r := range order {
+		rb := perReplica[r]
+		size := msgOverhead
+		for j := range rb.Keys {
+			size += len(rb.Keys[j]) + len(rb.Cells[j].Value)
+		}
+		n.cluster.net.Send(n.id, r, rb, size)
+	}
+	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
+}
+
+// batchWriteDone is the write counterpart of batchReadDone.
+func (n *Node) batchWriteDone(bctx *batchWriteCtx, i int, res WriteResult) {
+	bctx.results[i] = res
+	bctx.pending--
+	if bctx.pending == 0 && !bctx.delivered {
+		bctx.delivered = true
+		n.replyBatchWrite(bctx.rt, bctx.results)
+	}
 }
 
 // onBatchWriteAck folds one replica's batched acknowledgement into every
@@ -349,8 +337,8 @@ func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 
 // replyBatchWrite ships a whole batch's results to the client endpoint
 // in one message.
-func (n *Node) replyBatchWrite(cb func([]WriteResult), res []WriteResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchWriteReply{cb: cb, res: res}, msgOverhead)
+func (n *Node) replyBatchWrite(rt opRoute, res []WriteResult) {
+	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchWriteReply{rt: rt, res: res}, msgOverhead)
 }
 
 // onReplicaBatchRead serves every item of a batched read in one work

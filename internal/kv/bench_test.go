@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/netsim"
+	"repro/internal/testutil"
 	"repro/internal/ycsb"
 )
 
@@ -76,5 +77,41 @@ func BenchmarkReplicaPlacement(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.cluster.Strategy().Replicas(keys[i%len(keys)])
+	}
+}
+
+// TestSimReadQuorumAllocs pins the allocation count of the simulated
+// QUORUM read BenchmarkKVReadQuorum times (netsim deliveries and sim
+// events included): the client-path merge must not put allocations back
+// on the path every experiment replays. The benchmark itself reports two
+// more, its own completion closure.
+func TestSimReadQuorumAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	topo := netsim.SingleDC(6)
+	cfg := kv.DefaultConfig()
+	cfg.Seed = 1
+	h := newHarness(topo, cfg)
+	const records = 1024
+	keys := make([]string, records)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	h.cluster.Preload(records, func(i uint64) string { return keys[i] }, make([]byte, 128))
+	i, done := 0, false
+	cb := func(kv.ReadResult) { done = true }
+	read := func() {
+		i++
+		done = false
+		h.cluster.Read(keys[i%records], kv.Quorum, cb)
+		for !done && h.eng.Step() {
+		}
+	}
+	for n := 0; n < 2000; n++ {
+		read() // warm pools and slabs
+	}
+	if got := testing.AllocsPerRun(2000, read); got > 0 {
+		t.Errorf("simulated QUORUM read: %.0f allocs/op, want 0", got)
 	}
 }

@@ -1,144 +1,165 @@
 package kv
 
 import (
-	"time"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// This file holds the pooled client-operation state. Issuing an
-// operation used to allocate a handful of closures (the once-gate, the
-// guard callback, the cancel wrapper); on a cache-served hot-key read
-// that plumbing was a third of the total cost. Ops now live in a slab on
-// the Cluster, message boxes carry a slab index + generation instead of
-// a callback closure, and the guard timer is armed through the
-// network's pre-bound-callback surface — so the steady-state client path
-// allocates nothing beyond the pooled message boxes.
-
-// callStopper is the optional zero-allocation guard surface of a
-// Network: arm cb(arg) after d with a value-typed cancelable handle.
-// netsim.Transport implements it over the sim engine; networks without
-// it fall back to the closure-based client path.
-type callStopper interface {
-	ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer
-}
-
-// Op kinds for guard timeouts.
-const (
-	opKindRead uint8 = iota
-	opKindWrite
-)
+// This file is the client path: every operation a client issues —
+// single-key or batch, under the simulator or the live engine — lives in
+// a slot of a slab on the Cluster until its reply or its guard ends it.
+// Messages carry the slot's index + generation (opRoute) instead of a
+// callback, and the guard timer is armed through the transport's
+// pre-bound-callback surface, so the steady-state client path allocates
+// nothing beyond the pooled message boxes.
 
 const noOp = int32(-1)
 
-// clientOp is one in-flight client operation: the result callback, the
-// guard timer, and enough of the request to synthesize a timeout result.
-// gen is bumped when the slot is recycled so a reply that lost the race
+// clientOp is one in-flight client operation: the result callback (the
+// non-nil one of the four says what kind of operation it is), the guard
+// timer, and enough of the request to synthesize a timeout result. gen
+// is bumped when the slot is recycled so a reply that lost the race
 // against the guard is dropped instead of completing a stranger's op.
 type clientOp struct {
 	gen      uint32
-	kind     uint8
 	lvl      Level
-	key      string
+	key      string    // Read, Write, Delete
+	keys     []string  // ReadBatch
+	bops     []BatchOp // WriteBatch
 	rcb      func(ReadResult)
 	wcb      func(WriteResult)
+	brcb     func([]ReadResult)
+	bwcb     func([]WriteResult)
 	guard    sim.Timer
 	nextFree int32
 }
 
-// allocOp takes a slot from the free list or grows the slab.
-func (c *Cluster) allocOp() uint32 {
-	if c.opFree != noOp {
-		idx := c.opFree
+// newOp takes a slot from the free list or grows the slab. The returned
+// pointer is good until the next newOp.
+func (c *Cluster) newOp(lvl Level) (opRoute, *clientOp) {
+	idx := c.opFree
+	if idx != noOp {
 		c.opFree = c.ops[idx].nextFree
-		return uint32(idx)
+	} else {
+		c.ops = append(c.ops, clientOp{})
+		idx = int32(len(c.ops) - 1)
 	}
-	c.ops = append(c.ops, clientOp{})
-	return uint32(len(c.ops) - 1)
+	op := &c.ops[idx]
+	op.lvl = lvl
+	return opRoute{op: uint32(idx), gen: op.gen}, op
 }
 
-// releaseOp recycles a slot; the generation bump invalidates any reply
-// or guard reference still in flight.
-func (c *Cluster) releaseOp(idx uint32) {
-	op := &c.ops[idx]
-	op.gen++
-	op.key = ""
-	op.rcb = nil
-	op.wcb = nil
-	op.guard = sim.Timer{}
-	op.nextFree = c.opFree
-	c.opFree = int32(idx)
+// armOp starts the client-side no-later-than timer of a sent operation:
+// twice the request timeout, so the callback fires even when the chosen
+// coordinator silently dies with the request.
+func (c *Cluster) armOp(rt opRoute) {
+	c.ops[rt.op].guard = c.net.ScheduleStopCall(2*c.cfg.Timeout, c.guardCb, rt.op)
 }
 
-// opCompleteRead finishes a slab-routed read: cancel the guard, recycle
-// the slot, then run the callback (which may immediately issue a new op
-// into the slot just freed — hence release-before-callback).
-func (c *Cluster) opCompleteRead(idx, gen uint32, res ReadResult) {
-	op := &c.ops[idx]
-	if op.gen != gen {
-		return // the guard already timed this op out and recycled the slot
+// takeOp ends the operation rt refers to: cancel the guard, recycle the
+// slot, hand back its contents. The slot is released before the caller
+// runs the callback, which may immediately issue a new op into it.
+// ok=false means the guard already timed the op out.
+func (c *Cluster) takeOp(rt opRoute) (op clientOp, ok bool) {
+	slot := &c.ops[rt.op]
+	if slot.gen != rt.gen {
+		return op, false
 	}
-	op.guard.Stop()
-	cb := op.rcb
-	c.releaseOp(idx)
-	cb(res)
-}
-
-// opCompleteWrite is the write counterpart of opCompleteRead.
-func (c *Cluster) opCompleteWrite(idx, gen uint32, res WriteResult) {
-	op := &c.ops[idx]
-	if op.gen != gen {
-		return
-	}
-	op.guard.Stop()
-	cb := op.wcb
-	c.releaseOp(idx)
-	cb(res)
+	slot.guard.Stop()
+	op = *slot
+	*slot = clientOp{gen: op.gen + 1, nextFree: c.opFree}
+	c.opFree = int32(rt.op)
+	return op, true
 }
 
 // guardFired is the pre-bound guard callback: completion always cancels
 // the guard first, so firing means the op is still in flight — fail it
 // with the client-side timeout.
 func (c *Cluster) guardFired(idx uint32) {
-	op := &c.ops[idx]
-	key, lvl := op.key, op.lvl
-	if op.kind == opKindRead {
-		cb := op.rcb
-		c.releaseOp(idx)
-		cb(ReadResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
+	op, _ := c.takeOp(opRoute{op: idx, gen: c.ops[idx].gen})
+	lat := 2 * c.cfg.Timeout
+	switch {
+	case op.rcb != nil:
+		op.rcb(ReadResult{Err: ErrTimeout, Key: op.key, Level: op.lvl, Latency: lat})
+	case op.wcb != nil:
+		op.wcb(WriteResult{Err: ErrTimeout, Key: op.key, Level: op.lvl, Latency: lat})
+	case op.brcb != nil:
+		op.brcb(failedReads(op.keys, op.lvl, ErrTimeout, lat))
+	default:
+		op.bwcb(failedWrites(op.bops, op.lvl, ErrTimeout, lat))
+	}
+}
+
+// handleClientReply completes operations when replies reach the client
+// endpoint. Pooled reply boxes are returned before the callback runs.
+func (c *Cluster) handleClientReply(_ netsim.NodeID, payload any) {
+	switch m := payload.(type) {
+	case *clientReadReply:
+		v := *m
+		*m = clientReadReply{}
+		clientReadReplyPool.Put(m)
+		if op, ok := c.takeOp(v.rt); ok {
+			op.rcb(v.res)
+		}
+	case *clientWriteReply:
+		v := *m
+		*m = clientWriteReply{}
+		clientWriteRplPool.Put(m)
+		if op, ok := c.takeOp(v.rt); ok {
+			op.wcb(v.res)
+		}
+	case clientBatchReadReply:
+		if op, ok := c.takeOp(m.rt); ok {
+			op.brcb(m.res)
+		}
+	case clientBatchWriteReply:
+		if op, ok := c.takeOp(m.rt); ok {
+			op.bwcb(m.res)
+		}
+	}
+}
+
+// Read issues an asynchronous read at the given consistency level; cb
+// runs when the client-side reply arrives, or with ErrTimeout when the
+// guard (armOp) fires first.
+func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
+	id := c.nextReqID()
+	coord := c.pickCoordinator()
+	if coord < 0 {
+		cb(ReadResult{Err: ErrUnavailable, Key: key, Level: lvl})
 		return
 	}
-	cb := op.wcb
-	c.releaseOp(idx)
-	cb(WriteResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-}
-
-// sendOpRead issues a slab-routed read to coord.
-func (c *Cluster) sendOpRead(id reqID, coord netsim.NodeID, key string, lvl Level, cb func(ReadResult)) {
-	idx := c.allocOp()
-	op := &c.ops[idx]
-	op.kind = opKindRead
-	op.key = key
-	op.lvl = lvl
-	op.rcb = cb
-	c.net.Send(netsim.ClientID, coord,
-		newClientRead(clientRead{ID: id, Key: key, Level: lvl, rt: readRoute{op: idx, opGen: op.gen}}),
+	rt, op := c.newOp(lvl)
+	op.key, op.rcb = key, cb
+	c.net.Send(netsim.ClientID, coord, newClientRead(clientRead{ID: id, Key: key, Level: lvl, rt: rt}),
 		msgOverhead+len(key))
-	op.guard = c.callStop.ScheduleStopCall(2*c.cfg.Timeout, c.guardCb, idx)
+	c.armOp(rt)
 }
 
-// sendOpWrite issues a slab-routed write (or tombstone) to coord.
-func (c *Cluster) sendOpWrite(id reqID, coord netsim.NodeID, key string, value []byte, lvl Level, tombstone bool, cb func(WriteResult)) {
-	idx := c.allocOp()
-	op := &c.ops[idx]
-	op.kind = opKindWrite
-	op.key = key
-	op.lvl = lvl
-	op.wcb = cb
+// Write issues an asynchronous write at the given consistency level; the
+// same client-side timeout guarantee as Read applies.
+func (c *Cluster) Write(key string, value []byte, lvl Level, cb func(WriteResult)) {
+	c.write(key, value, lvl, false, cb)
+}
+
+// Delete issues a tombstone write at the given consistency level:
+// Cassandra-style deletion, reconciled by last-write-wins like any other
+// mutation (so late replicas converge on the deletion too).
+func (c *Cluster) Delete(key string, lvl Level, cb func(WriteResult)) {
+	c.write(key, nil, lvl, true, cb)
+}
+
+func (c *Cluster) write(key string, value []byte, lvl Level, tombstone bool, cb func(WriteResult)) {
+	id := c.nextReqID()
+	coord := c.pickCoordinator()
+	if coord < 0 {
+		cb(WriteResult{Err: ErrUnavailable, Key: key, Level: lvl})
+		return
+	}
+	rt, op := c.newOp(lvl)
+	op.key, op.wcb = key, cb
 	c.net.Send(netsim.ClientID, coord,
-		newClientWrite(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone,
-			rt: writeRoute{op: idx, opGen: op.gen}}),
+		newClientWrite(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}),
 		msgOverhead+len(key)+len(value))
-	op.guard = c.callStop.ScheduleStopCall(2*c.cfg.Timeout, c.guardCb, idx)
+	c.armOp(rt)
 }

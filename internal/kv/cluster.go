@@ -9,25 +9,33 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/ring"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
 // Transport is what the store needs from its runtime: a clock, message
-// delivery between nodes, timer self-messages and deferred function
-// scheduling. It is the store's only seam to the outside world, and it
-// has three implementations: netsim.Transport delivers in-process over
-// the discrete-event engine (the zero-cost default every simulation
-// uses), the live engine delivers in-process over goroutines and wall
-// time, and the live mesh engine additionally carries messages between
-// OS processes over TCP using the MarshalMessage/UnmarshalMessage wire
-// hooks (wiremsg.go). Cluster code cannot tell them apart.
+// delivery between nodes, timer self-messages, deferred function
+// scheduling and a cancelable pre-bound-callback timer (the client
+// guards). It is the store's only seam to the outside world, and it has
+// two implementations over the same sim.Engine event queue:
+// netsim.Transport runs the queue in virtual time (the zero-cost default
+// every simulation uses); the live engine steps it against the wall
+// clock under a mutex, and in its mesh form additionally carries
+// messages between OS processes over TCP using the MarshalMessage/
+// UnmarshalMessage wire hooks (wiremsg.go). Cluster code cannot tell
+// them apart.
+//
+// The clock contract is the simulator's under both: Now() advances
+// between deliveries, never inside a handler and never backwards, so
+// every timestamp one handler takes is the same instant.
 type Transport interface {
 	Now() time.Duration
 	Send(from, to netsim.NodeID, payload any, size int)
 	SendLocal(id netsim.NodeID, payload any, delay time.Duration)
 	Register(id netsim.NodeID, h netsim.Handler)
 	Schedule(d time.Duration, fn func())
+	ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer
 }
 
 // Network is the historical name of the Transport seam.
@@ -37,14 +45,6 @@ type Network = Transport
 type failer interface {
 	Fail(id netsim.NodeID)
 	Recover(id netsim.NodeID)
-}
-
-// stopper is the optional cancelable-timer surface of a Network. Client
-// guard timers almost always outlive their operation; engines that
-// support cancellation reclaim them on completion instead of carrying
-// them to expiry as no-ops.
-type stopper interface {
-	ScheduleStop(d time.Duration, fn func()) func()
 }
 
 // CoordPolicy selects how clients pick coordinators.
@@ -300,20 +300,17 @@ type Cluster struct {
 	// hot-set tracker the per-node read caches consult. See hotcache.go.
 	hot *hotTracker
 
-	seq     uint64
-	nextID  reqID
-	down    map[netsim.NodeID]bool
-	rr      int
-	rng     *stats.Source
-	stopNet stopper // non-nil when net supports cancelable timers
+	seq    uint64
+	nextID reqID
+	down   map[netsim.NodeID]bool
+	rr     int
+	rng    *stats.Source
 
-	// Pooled client-op slab (clientop.go): non-nil callStop selects the
-	// zero-allocation client path; guardCb is the pre-bound timeout
-	// callback shared by every guard timer.
-	ops      []clientOp
-	opFree   int32
-	callStop callStopper
-	guardCb  func(uint32)
+	// Pooled client-op slab (clientop.go); guardCb is the pre-bound
+	// timeout callback shared by every guard timer.
+	ops     []clientOp
+	opFree  int32
+	guardCb func(uint32)
 }
 
 // New assembles a cluster over the given topology and network.
@@ -371,8 +368,6 @@ func New(topo *netsim.Topology, net Network, cfg Config) *Cluster {
 		down:    make(map[netsim.NodeID]bool),
 		rng:     stats.NewSource(cfg.Seed).Stream("kv.cluster"),
 	}
-	c.stopNet, _ = net.(stopper)
-	c.callStop, _ = net.(callStopper)
 	c.guardCb = c.guardFired
 	c.opFree = noOp
 	if cfg.HotCache {
@@ -550,143 +545,6 @@ func (c *Cluster) buildStrategy(members []netsim.NodeID) ring.Strategy {
 		panic(fmt.Sprintf("kv: RF %d exceeds cluster size %d", rf, len(members)))
 	}
 	return ring.NewSimpleStrategy(rg, rf)
-}
-
-// handleClientReply runs result callbacks when replies reach the client
-// endpoint. Pooled reply boxes are returned before the callback runs.
-func (c *Cluster) handleClientReply(_ netsim.NodeID, payload any) {
-	switch m := payload.(type) {
-	case *clientReadReply:
-		v := *m
-		*m = clientReadReply{}
-		clientReadReplyPool.Put(m)
-		if v.rt.cb != nil {
-			v.rt.cb(v.res)
-		} else {
-			c.opCompleteRead(v.rt.op, v.rt.opGen, v.res)
-		}
-	case *clientWriteReply:
-		v := *m
-		*m = clientWriteReply{}
-		clientWriteRplPool.Put(m)
-		if v.rt.cb != nil {
-			v.rt.cb(v.res)
-		} else {
-			c.opCompleteWrite(v.rt.op, v.rt.opGen, v.res)
-		}
-	case clientBatchReadReply:
-		m.cb(m.res)
-	case clientBatchWriteReply:
-		m.cb(m.res)
-	}
-}
-
-// Read issues an asynchronous read at the given consistency level; cb
-// runs when the client-side reply arrives. A client-side timer (twice the
-// request timeout) guarantees cb fires even when the chosen coordinator
-// silently dies with the request.
-func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
-	id := c.nextReqID()
-	coord := c.pickCoordinator()
-	if coord < 0 {
-		cb(ReadResult{Err: ErrUnavailable, Key: key, Level: lvl})
-		return
-	}
-	if c.callStop != nil {
-		c.sendOpRead(id, coord, key, lvl, cb)
-		return
-	}
-	done := false
-	var stopGuard func()
-	once := func(r ReadResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
-	c.net.Send(netsim.ClientID, coord, newClientRead(clientRead{ID: id, Key: key, Level: lvl, rt: readRoute{cb: once}}),
-		msgOverhead+len(key))
-	stopGuard = c.armGuard(func() {
-		once(ReadResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-	})
-}
-
-// Write issues an asynchronous write at the given consistency level; the
-// same client-side timeout guarantee as Read applies.
-func (c *Cluster) Write(key string, value []byte, lvl Level, cb func(WriteResult)) {
-	id := c.nextReqID()
-	coord := c.pickCoordinator()
-	if coord < 0 {
-		cb(WriteResult{Err: ErrUnavailable, Key: key, Level: lvl})
-		return
-	}
-	if c.callStop != nil {
-		c.sendOpWrite(id, coord, key, value, lvl, false, cb)
-		return
-	}
-	done := false
-	var stopGuard func()
-	once := func(r WriteResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
-	c.net.Send(netsim.ClientID, coord, newClientWrite(clientWrite{ID: id, Key: key, Value: value, Level: lvl, rt: writeRoute{cb: once}}),
-		msgOverhead+len(key)+len(value))
-	stopGuard = c.armGuard(func() {
-		once(WriteResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-	})
-}
-
-// Delete issues a tombstone write at the given consistency level:
-// Cassandra-style deletion, reconciled by last-write-wins like any other
-// mutation (so late replicas converge on the deletion too).
-func (c *Cluster) Delete(key string, lvl Level, cb func(WriteResult)) {
-	id := c.nextReqID()
-	coord := c.pickCoordinator()
-	if coord < 0 {
-		cb(WriteResult{Err: ErrUnavailable, Key: key, Level: lvl})
-		return
-	}
-	if c.callStop != nil {
-		c.sendOpWrite(id, coord, key, nil, lvl, true, cb)
-		return
-	}
-	done := false
-	var stopGuard func()
-	once := func(r WriteResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
-	c.net.Send(netsim.ClientID, coord,
-		newClientWrite(clientWrite{ID: id, Key: key, Level: lvl, rt: writeRoute{cb: once}, tombstone: true}),
-		msgOverhead+len(key))
-	stopGuard = c.armGuard(func() {
-		once(WriteResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-	})
-}
-
-// armGuard schedules the client-side no-later-than timer for an
-// operation, returning a cancel function (nil when the network cannot
-// cancel; the timer then fires as a no-op after completion).
-func (c *Cluster) armGuard(fn func()) func() {
-	if c.stopNet != nil {
-		return c.stopNet.ScheduleStop(2*c.cfg.Timeout, fn)
-	}
-	c.net.Schedule(2*c.cfg.Timeout, fn)
-	return nil
 }
 
 func (c *Cluster) nextReqID() reqID {

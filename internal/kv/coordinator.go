@@ -20,7 +20,9 @@ type readCtx struct {
 	level          Level
 	req            requirement
 	start          time.Duration
-	reply          func(ReadResult) // routes the result to the client (or batch collector)
+	rt             opRoute       // the issuing client op (single reads)
+	batch          *batchReadCtx // the collector this item reports to (batched reads)
+	item           int           // position in batch
 	visibleAtStart storage.Version
 	issuedAtStart  storage.Version
 
@@ -80,7 +82,9 @@ type writeCtx struct {
 	level     Level
 	req       requirement
 	start     time.Duration
-	reply     func(WriteResult) // routes the result to the client (or batch collector)
+	rt        opRoute        // the issuing client op (single writes)
+	batch     *batchWriteCtx // the collector this item reports to (batched writes)
+	item      int            // position in batch
 	version   storage.Version
 	replicas  int
 	ackCount  int
@@ -124,7 +128,7 @@ func putWriteCtx(ctx *writeCtx) {
 // sub-contexts sharing a single admission, request fan-out and timeout.
 type batchReadCtx struct {
 	id        reqID
-	cb        func([]ReadResult)
+	rt        opRoute
 	items     []*readCtx // nil for items that failed at admission
 	results   []ReadResult
 	pending   int // items whose client-visible result is still outstanding
@@ -136,7 +140,7 @@ type batchReadCtx struct {
 // monitor's propagation signal.
 type batchWriteCtx struct {
 	id        reqID
-	cb        func([]WriteResult)
+	rt        opRoute
 	items     []*writeCtx
 	results   []WriteResult
 	pending   int
@@ -150,45 +154,50 @@ func (n *Node) coordRead(m clientRead) {
 	if n.cacheServe(m) {
 		return
 	}
-	n.coordWork(func() {
-		now := n.cluster.net.Now()
-		n.coordOps++
-		n.cluster.hooks.readStarted(now, m.Key)
-		if t := n.cluster.hot; t != nil {
-			t.observeRead(m.Key, now)
-		}
+	p := newCoordExec(execRead)
+	p.cr = m
+	n.coordWork(p)
+}
 
-		replicas := n.routeReplicas(m.Key)
-		req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
-		ctx := getReadCtx()
-		targets, ok := n.pickTargets(replicas, req, ctx.targets)
-		ctx.targets = targets
-		if !ok {
-			putReadCtx(ctx)
-			n.replyRead(m.rt, ReadResult{
-				Err: ErrUnavailable, Key: m.Key, Level: m.Level,
-				Latency: 0,
-			})
-			n.cluster.oracle.ReadFailed()
-			return
-		}
+// admitRead plans and fans out a read whose admission work is done.
+func (n *Node) admitRead(m clientRead) {
+	now := n.cluster.net.Now()
+	n.coordOps++
+	n.cluster.hooks.readStarted(now, m.Key)
+	if t := n.cluster.hot; t != nil {
+		t.observeRead(m.Key, now)
+	}
 
-		ctx.id, ctx.key, ctx.level, ctx.req = m.ID, m.Key, m.Level, req
-		ctx.start = now
-		ctx.reply = func(res ReadResult) { n.replyRead(m.rt, res) }
-		ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(m.Key)
-		if req.perDC != nil {
-			ctx.ackDC = make(map[string]int, len(req.perDC))
-		}
-		n.reads[m.ID] = ctx
+	replicas := n.routeReplicas(m.Key)
+	req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
+	ctx := getReadCtx()
+	targets, ok := n.pickTargets(replicas, req, ctx.targets)
+	ctx.targets = targets
+	if !ok {
+		putReadCtx(ctx)
+		n.replyRead(m.rt, ReadResult{
+			Err: ErrUnavailable, Key: m.Key, Level: m.Level,
+			Latency: 0,
+		})
+		n.cluster.oracle.ReadFailed()
+		return
+	}
 
-		for i, t := range targets {
-			digest := n.cluster.cfg.DigestReads && i > 0
-			rr := newReplicaRead(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
-			n.cluster.net.Send(n.id, t, rr, msgOverhead+len(m.Key))
-		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
-	})
+	ctx.id, ctx.key, ctx.level, ctx.req = m.ID, m.Key, m.Level, req
+	ctx.start = now
+	ctx.rt = m.rt
+	ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(m.Key)
+	if req.perDC != nil {
+		ctx.ackDC = make(map[string]int, len(req.perDC))
+	}
+	n.reads[m.ID] = ctx
+
+	for i, t := range targets {
+		digest := n.cluster.cfg.DigestReads && i > 0
+		rr := newReplicaRead(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
+		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(m.Key))
+	}
+	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
 }
 
 // onReadResp folds one replica response into the read context.
@@ -287,7 +296,7 @@ func (n *Node) deliverRead(ctx *readCtx) {
 		n.cacheFill(ctx.key, ctx.bestData.Cell)
 	}
 	n.cluster.hooks.readCompleted(now, res)
-	ctx.reply(res)
+	n.readDone(ctx, res)
 }
 
 // finalizeRead performs read repair; callers discard the context.
@@ -342,56 +351,61 @@ func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
 
 // coordWrite admits a client write on this coordinator.
 func (n *Node) coordWrite(m clientWrite) {
-	n.coordWork(func() {
-		now := n.cluster.net.Now()
-		n.coordOps++
+	p := newCoordExec(execWrite)
+	p.cw = m
+	n.coordWork(p)
+}
 
-		replicas := n.routeReplicas(m.Key)
-		req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
-		if !n.routeReachable(replicas, req) {
-			n.replyWrite(m.rt, WriteResult{Err: ErrUnavailable, Key: m.Key, Level: m.Level})
-			return
-		}
+// admitWrite versions and fans out a write whose admission work is done.
+func (n *Node) admitWrite(m clientWrite) {
+	now := n.cluster.net.Now()
+	n.coordOps++
 
-		version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
-		cell := storage.Cell{Version: version, Value: m.Value, Tombstone: m.tombstone}
-		n.cluster.oracle.WriteStarted(m.Key, version, len(replicas), now)
-		n.cluster.hooks.writeStarted(now, m.Key, version, len(replicas))
-		if t := n.cluster.hot; t != nil {
-			t.observeWrite(m.Key, now)
-		}
-		n.cacheInvalidate(m.Key)
+	replicas := n.routeReplicas(m.Key)
+	req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
+	if !n.routeReachable(replicas, req) {
+		n.replyWrite(m.rt, WriteResult{Err: ErrUnavailable, Key: m.Key, Level: m.Level})
+		return
+	}
 
-		ctx := getWriteCtx()
-		ctx.id, ctx.key, ctx.level, ctx.req = m.ID, m.Key, m.Level, req
-		ctx.start = now
-		ctx.reply = func(res WriteResult) { n.replyWrite(m.rt, res) }
-		ctx.version = version
-		ctx.replicas = len(replicas)
-		if req.perDC != nil {
-			ctx.ackDC = make(map[string]int, len(req.perDC))
-		}
-		n.writes[m.ID] = ctx
+	version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
+	cell := storage.Cell{Version: version, Value: m.Value, Tombstone: m.tombstone}
+	n.cluster.oracle.WriteStarted(m.Key, version, len(replicas), now)
+	n.cluster.hooks.writeStarted(now, m.Key, version, len(replicas))
+	if t := n.cluster.hot; t != nil {
+		t.observeWrite(m.Key, now)
+	}
+	n.cacheInvalidate(m.Key)
 
-		// The coordinator always sends the mutation to every replica;
-		// the level only controls how many acknowledgements it blocks
-		// for. Down replicas get a hint instead.
-		if n.gs != nil {
-			// Retry state for wrong-owner re-plans: the cell to re-ship
-			// and the replicas already handled (sent or hinted).
-			ctx.cell = cell
-			ctx.sent = append(ctx.sent[:0], replicas...)
+	ctx := getWriteCtx()
+	ctx.id, ctx.key, ctx.level, ctx.req = m.ID, m.Key, m.Level, req
+	ctx.start = now
+	ctx.rt = m.rt
+	ctx.version = version
+	ctx.replicas = len(replicas)
+	if req.perDC != nil {
+		ctx.ackDC = make(map[string]int, len(req.perDC))
+	}
+	n.writes[m.ID] = ctx
+
+	// The coordinator always sends the mutation to every replica;
+	// the level only controls how many acknowledgements it blocks
+	// for. Down replicas get a hint instead.
+	if n.gs != nil {
+		// Retry state for wrong-owner re-plans: the cell to re-ship
+		// and the replicas already handled (sent or hinted).
+		ctx.cell = cell
+		ctx.sent = append(ctx.sent[:0], replicas...)
+	}
+	for _, r := range replicas {
+		if n.routeDown(r) {
+			n.storeHint(r, m.Key, cell)
+			continue
 		}
-		for _, r := range replicas {
-			if n.routeDown(r) {
-				n.storeHint(r, m.Key, cell)
-				continue
-			}
-			w := newReplicaWrite(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
-			n.cluster.net.Send(n.id, r, w, msgOverhead+len(m.Key)+len(m.Value))
-		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
-	})
+		w := newReplicaWrite(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
+		n.cluster.net.Send(n.id, r, w, msgOverhead+len(m.Key)+len(m.Value))
+	}
+	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
 }
 
 // onWriteAck folds one replica acknowledgement into the write context.
@@ -421,7 +435,7 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 			Latency: now - ctx.start, Acked: ctx.ackCount,
 		}
 		n.cluster.hooks.writeCompleted(now, res)
-		ctx.reply(res)
+		n.writeDone(ctx, res)
 	}
 }
 
@@ -480,7 +494,7 @@ func (n *Node) expireWrite(ctx *writeCtx) {
 		Latency: n.cluster.cfg.Timeout, Acked: ctx.ackCount,
 	}
 	n.cluster.hooks.writeCompleted(n.cluster.net.Now(), res)
-	ctx.reply(res)
+	n.writeDone(ctx, res)
 }
 
 // expireRead fails a still-undelivered read context with ErrTimeout and
@@ -495,20 +509,38 @@ func (n *Node) expireRead(ctx *readCtx) {
 		}
 		n.cluster.oracle.ReadFailed()
 		n.cluster.hooks.readCompleted(n.cluster.net.Now(), res)
-		ctx.reply(res)
+		n.readDone(ctx, res)
 	}
 	ctx.awaitData = false
 	n.finalizeRead(ctx)
 }
 
+// readDone routes a context's client-visible result: into its batch's
+// collector, or back to the client.
+func (n *Node) readDone(ctx *readCtx, res ReadResult) {
+	if ctx.batch != nil {
+		n.batchReadDone(ctx.batch, ctx.item, res)
+		return
+	}
+	n.replyRead(ctx.rt, res)
+}
+
+func (n *Node) writeDone(ctx *writeCtx, res WriteResult) {
+	if ctx.batch != nil {
+		n.batchWriteDone(ctx.batch, ctx.item, res)
+		return
+	}
+	n.replyWrite(ctx.rt, res)
+}
+
 // replyRead ships the result back to the client endpoint over the
 // network, so client-visible latency includes the return hop.
-func (n *Node) replyRead(rt readRoute, res ReadResult) {
+func (n *Node) replyRead(rt opRoute, res ReadResult) {
 	n.cluster.net.Send(n.id, netsim.ClientID, newClientReadReply(clientReadReply{rt: rt, res: res}),
 		msgOverhead+len(res.Value))
 }
 
-func (n *Node) replyWrite(rt writeRoute, res WriteResult) {
+func (n *Node) replyWrite(rt opRoute, res WriteResult) {
 	n.cluster.net.Send(n.id, netsim.ClientID, newClientWriteReply(clientWriteReply{rt: rt, res: res}), msgOverhead)
 }
 

@@ -18,21 +18,12 @@ const msgOverhead = 64
 // digestSize approximates a read digest (version + checksum) in bytes.
 const digestSize = 16
 
-// readRoute says how a read result finds its way back to the issuing
-// client: a direct callback, or — when cb is nil — a slot in the
-// cluster's pooled op slab (the zero-allocation path; opGen catches
-// replies that outlive a timed-out, recycled slot).
-type readRoute struct {
-	cb    func(ReadResult)
-	op    uint32
-	opGen uint32
-}
-
-// writeRoute is the write counterpart of readRoute.
-type writeRoute struct {
-	cb    func(WriteResult)
-	op    uint32
-	opGen uint32
+// opRoute says how a result finds its way back to the issuing client: a
+// slot in the cluster's pooled op slab (clientop.go); gen catches replies
+// that outlive a timed-out, recycled slot.
+type opRoute struct {
+	op  uint32
+	gen uint32
 }
 
 // clientRead enters the cluster from a client and is handled by the
@@ -41,7 +32,7 @@ type clientRead struct {
 	ID    reqID
 	Key   string
 	Level Level
-	rt    readRoute
+	rt    opRoute
 }
 
 // clientWrite is the write counterpart of clientRead; with tombstone set
@@ -52,18 +43,18 @@ type clientWrite struct {
 	Value     []byte
 	Level     Level
 	tombstone bool
-	rt        writeRoute
+	rt        opRoute
 }
 
 // clientReadReply carries the result back to the client endpoint.
 type clientReadReply struct {
-	rt  readRoute
+	rt  opRoute
 	res ReadResult
 }
 
 // clientWriteReply carries the result back to the client endpoint.
 type clientWriteReply struct {
-	rt  writeRoute
+	rt  opRoute
 	res WriteResult
 }
 
@@ -82,7 +73,7 @@ type clientBatchRead struct {
 	ID    reqID
 	Keys  []string
 	Level Level
-	cb    func([]ReadResult)
+	rt    opRoute
 }
 
 // clientBatchWrite is the write counterpart of clientBatchRead.
@@ -90,19 +81,19 @@ type clientBatchWrite struct {
 	ID    reqID
 	Ops   []BatchOp
 	Level Level
-	cb    func([]WriteResult)
+	rt    opRoute
 }
 
 // clientBatchReadReply carries a whole batch's results back to the
 // client endpoint in one message.
 type clientBatchReadReply struct {
-	cb  func([]ReadResult)
+	rt  opRoute
 	res []ReadResult
 }
 
 // clientBatchWriteReply is the write counterpart.
 type clientBatchWriteReply struct {
-	cb  func([]WriteResult)
+	rt  opRoute
 	res []WriteResult
 }
 

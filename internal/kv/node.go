@@ -10,11 +10,25 @@ import (
 )
 
 // work is a unit of node CPU/disk work waiting for an execution slot.
+// The per-operation units — serving a replica read, applying a replica
+// write — carry their request by value (rr, rw); everything else (batch
+// items, anti-entropy, streaming) sets fn.
 type work struct {
 	cost     time.Duration
 	enqueued time.Duration
+	kind     workKind
+	rr       replicaRead
+	rw       replicaWrite
 	fn       func()
 }
+
+type workKind uint8
+
+const (
+	workFn workKind = iota
+	workReplicaRead
+	workReplicaWrite
+)
 
 // stage is one of the node's SEDA thread pools. Cassandra runs reads and
 // mutations in separate stages; a replica whose mutation stage is backed
@@ -44,7 +58,7 @@ func (st *stage) qlen() int { return len(st.queue) - st.head }
 // (busyTime, done, dropped, peak) are experiment accounting and stay.
 func (st *stage) reset() {
 	for i := st.head; i < len(st.queue); i++ {
-		st.queue[i] = work{} // release the closures
+		st.queue[i] = work{} // release what the unit references
 	}
 	st.queue = st.queue[:0]
 	st.head = 0
@@ -213,17 +227,17 @@ func (n *Node) restart() storage.RecoverStats {
 	return rs
 }
 
-// dropWhileCrashed disposes a message delivered to a crashed node,
-// returning pooled boxes so the outage does not leak them. Only local
-// self-messages reach a crashed node (the transport drops network
-// traffic to down nodes), but every pooled type is handled for safety.
-func (n *Node) dropWhileCrashed(payload any) {
+// ReleaseMessage returns an undelivered message's pooled box (a no-op for
+// unpooled kinds): crashed nodes dispose of their self-messages through
+// it so an outage does not leak boxes, and a closing live engine empties
+// its queues through it.
+func ReleaseMessage(payload any) {
 	switch m := payload.(type) {
 	case *workDone:
 		*m = workDone{}
 		workDonePool.Put(m)
 	case *coordExec:
-		m.fn = nil
+		*m = coordExec{}
 		coordExecPool.Put(m)
 	case *coordTimeout:
 		coordTimeoutPool.Put(m)
@@ -233,6 +247,12 @@ func (n *Node) dropWhileCrashed(payload any) {
 	case *clientWrite:
 		*m = clientWrite{}
 		clientWritePool.Put(m)
+	case *clientReadReply:
+		*m = clientReadReply{}
+		clientReadReplyPool.Put(m)
+	case *clientWriteReply:
+		*m = clientWriteReply{}
+		clientWriteRplPool.Put(m)
 	case *replicaWrite:
 		*m = replicaWrite{}
 		replicaWritePool.Put(m)
@@ -260,18 +280,18 @@ func (n *Node) dropWhileCrashed(payload any) {
 	}
 }
 
-// submitRead enqueues read-stage work; submitWrite enqueues
-// mutation-stage work.
+// submitRead enqueues closure-carried read-stage work; submitWrite
+// enqueues mutation-stage work.
 func (n *Node) submitRead(cost time.Duration, fn func()) {
-	n.submit(&n.readStage, cost, fn)
+	n.submit(&n.readStage, work{cost: cost, fn: fn})
 }
 
 func (n *Node) submitWrite(cost time.Duration, fn func()) {
-	n.submit(&n.writeStage, cost, fn)
+	n.submit(&n.writeStage, work{cost: cost, fn: fn})
 }
 
-func (n *Node) submit(st *stage, cost time.Duration, fn func()) {
-	w := work{cost: cost, enqueued: n.cluster.net.Now(), fn: fn}
+func (n *Node) submit(st *stage, w work) {
+	w.enqueued = n.cluster.net.Now()
 	if st.busy >= st.conc {
 		st.queue = append(st.queue, w)
 		if q := st.qlen(); q > st.peak {
@@ -297,24 +317,46 @@ type workDone struct {
 	epoch uint32
 }
 
-// coordExec is the self-message completing coordinator admission work.
+// coordExec is the self-message completing coordinator admission work;
+// kind says which of the four client requests it carries.
 type coordExec struct {
-	fn    func()
+	kind  execKind
+	cr    clientRead
+	cw    clientWrite
+	br    clientBatchRead
+	bw    clientBatchWrite
 	epoch uint32
 }
 
+type execKind uint8
+
+const (
+	execRead execKind = iota
+	execWrite
+	execBatchRead
+	execBatchWrite
+)
+
 // coordWork models the request-stage overhead of coordinating an
-// operation: it delays the continuation by a sampled admission cost
-// without contending for read/mutation slots (Cassandra's request stage
-// is rarely the bottleneck).
-func (n *Node) coordWork(fn func()) {
+// operation: it delays the admission p carries by a sampled cost without
+// contending for read/mutation slots (Cassandra's request stage is
+// rarely the bottleneck).
+func (n *Node) coordWork(p *coordExec) {
 	cost := n.cluster.cfg.CoordOverhead.Sample(n.rng)
 	n.coordBusy += cost
-	n.cluster.net.SendLocal(n.id, newCoordExec(fn, n.epoch), cost)
+	p.epoch = n.epoch
+	n.cluster.net.SendLocal(n.id, p, cost)
 }
 
-func (n *Node) finishWork(st *stage, w work) {
-	w.fn()
+func (n *Node) finishWork(st *stage, w *work) {
+	switch w.kind {
+	case workReplicaRead:
+		n.serveReplicaRead(w.rr)
+	case workReplicaWrite:
+		n.applyReplicaWrite(w.rw)
+	default:
+		w.fn()
+	}
 	st.busy--
 	// The freed slot keeps scanning past shed work: a burst of expired
 	// items must not leave the slot idle until the next workDone — it
@@ -325,7 +367,7 @@ func (n *Node) finishWork(st *stage, w work) {
 	now := n.cluster.net.Now()
 	for st.head < len(st.queue) && st.busy < st.conc {
 		next := st.queue[st.head]
-		st.queue[st.head] = work{} // release the closure
+		st.queue[st.head] = work{} // release what the unit references
 		st.head++
 		if st.shed > 0 && now-next.enqueued > st.shed {
 			st.dropped++
@@ -374,23 +416,33 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 		// A dead process handles nothing. Only local self-messages get
 		// here (the transport drops network traffic to down nodes);
 		// their pooled boxes still need returning.
-		n.dropWhileCrashed(payload)
+		ReleaseMessage(payload)
 		return
 	}
 	switch m := payload.(type) {
 	case *workDone:
-		st, w, ep := m.st, m.w, m.epoch
+		v := *m
 		*m = workDone{}
 		workDonePool.Put(m)
-		if ep == n.epoch {
-			n.finishWork(st, w)
+		if v.epoch == n.epoch {
+			n.finishWork(v.st, &v.w)
 		}
 	case *coordExec:
-		fn, ep := m.fn, m.epoch
-		m.fn = nil
+		v := *m
+		*m = coordExec{}
 		coordExecPool.Put(m)
-		if ep == n.epoch {
-			fn()
+		if v.epoch != n.epoch {
+			return
+		}
+		switch v.kind {
+		case execRead:
+			n.admitRead(v.cr)
+		case execWrite:
+			n.admitWrite(v.cw)
+		case execBatchRead:
+			n.admitBatchRead(v.br)
+		case execBatchWrite:
+			n.admitBatchWrite(v.bw)
 		}
 
 	case *clientRead:
@@ -527,19 +579,22 @@ func (n *Node) onReplicaWrite(m replicaWrite) {
 		return
 	}
 	cost := n.cluster.cfg.WriteService.Sample(n.rng)
-	n.submitWrite(cost, func() {
-		n.repWrites++
-		if n.engine.Apply(m.Key, m.Cell) {
-			n.cluster.oracle.Applied(n.id, m.Cell.Version, n.cluster.net.Now())
-		}
-		n.cacheInvalidate(m.Key)
-		if m.Repair {
-			n.readRepairs++
-			return
-		}
-		ack := newReplicaWriteAck(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
-		n.cluster.net.Send(n.id, m.Coord, ack, msgOverhead)
-	})
+	n.submit(&n.writeStage, work{cost: cost, kind: workReplicaWrite, rw: m})
+}
+
+// applyReplicaWrite is the mutation-stage work of onReplicaWrite.
+func (n *Node) applyReplicaWrite(m replicaWrite) {
+	n.repWrites++
+	if n.engine.Apply(m.Key, m.Cell) {
+		n.cluster.oracle.Applied(n.id, m.Cell.Version, n.cluster.net.Now())
+	}
+	n.cacheInvalidate(m.Key)
+	if m.Repair {
+		n.readRepairs++
+		return
+	}
+	ack := newReplicaWriteAck(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
+	n.cluster.net.Send(n.id, m.Coord, ack, msgOverhead)
 }
 
 // onReplicaRead serves a read after read service time, unless this
@@ -551,24 +606,27 @@ func (n *Node) onReplicaRead(m replicaRead) {
 		return
 	}
 	cost := n.cluster.cfg.ReadService.Sample(n.rng)
-	n.submitRead(cost, func() {
-		n.repReads++
-		cell, ok := n.engine.Get(m.Key)
-		resp := newReplicaReadResp(replicaReadResp{
-			ID: m.ID, Key: m.Key, Cell: cell, Exists: ok,
-			Digest: m.Digest, From: n.id,
-		})
-		size := msgOverhead + digestSize
-		if !m.Digest {
-			size = msgOverhead + len(cell.Value)
-			// Full data responses carry the value; digests only the
-			// version. The coordinator re-fetches data when the digest
-			// turns out newer.
-		} else {
-			resp.Cell.Value = nil
-		}
-		n.cluster.net.Send(n.id, m.Coord, resp, size)
+	n.submit(&n.readStage, work{cost: cost, kind: workReplicaRead, rr: m})
+}
+
+// serveReplicaRead is the read-stage work of onReplicaRead.
+func (n *Node) serveReplicaRead(m replicaRead) {
+	n.repReads++
+	cell, ok := n.engine.Get(m.Key)
+	resp := newReplicaReadResp(replicaReadResp{
+		ID: m.ID, Key: m.Key, Cell: cell, Exists: ok,
+		Digest: m.Digest, From: n.id,
 	})
+	size := msgOverhead + digestSize
+	if !m.Digest {
+		size = msgOverhead + len(cell.Value)
+		// Full data responses carry the value; digests only the
+		// version. The coordinator re-fetches data when the digest
+		// turns out newer.
+	} else {
+		resp.Cell.Value = nil
+	}
+	n.cluster.net.Send(n.id, m.Coord, resp, size)
 }
 
 // storeHint buffers a write for a down replica, to be replayed when it

@@ -83,9 +83,9 @@ func newWorkDone(st *stage, w work, epoch uint32) *workDone {
 	return p
 }
 
-func newCoordExec(fn func(), epoch uint32) *coordExec {
+func newCoordExec(kind execKind) *coordExec {
 	p := coordExecPool.Get().(*coordExec)
-	p.fn, p.epoch = fn, epoch
+	p.kind = kind
 	return p
 }
 

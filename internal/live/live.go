@@ -1,23 +1,45 @@
 // Package live runs the same store nodes as the discrete-event simulator
-// but over wall-clock time and goroutines: message delivery uses real
-// timers, and a cluster-wide mutex serializes handler execution (node
-// logic is written for serialized delivery). It exists to demonstrate —
-// and race-test — that the adaptive middleware is engine-agnostic: the
-// monitor, controllers and tuners run unchanged against a live cluster.
+// but over wall-clock time and goroutines. A cluster-wide mutex
+// serializes handler execution (node logic is written for serialized
+// delivery), and everything that happens later — latency-sampled
+// deliveries, timer self-messages, scheduled functions, client guards —
+// is an entry of ONE time plane: an embedded sim.Engine event queue (the
+// simulator's slab heap, allocation-free, eagerly cancelable) that
+// whoever takes the engine lock steps up to the wall clock, with a single
+// runtime timer armed for the earliest entry so the queue also advances
+// while nobody is calling in.
+//
+// The clock contract is the simulator's: time advances between events,
+// not inside a handler. Now() is the queue's clock — read from the wall
+// once per lock acquisition and again every clockEvery run-queue
+// deliveries of a long drain, never decreasing — so all the timestamps
+// one handler takes agree, and a backward step of the host clock stalls
+// the engine's time instead of producing deadlines in the past.
+//
+// The package exists to demonstrate — and race-test — that the adaptive
+// middleware is engine-agnostic: the monitor, controllers and tuners run
+// unchanged against a live cluster, and (mesh.go) to serve it for real.
 package live
 
 import (
 	"sync"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// clockEvery bounds how many run-queue deliveries share one clock
+// reading: a pipeline's worth of operations drained under one lock
+// acquisition still sees time pass, at one wall-clock read per few
+// operations instead of several per operation.
+const clockEvery = 64
 
 // Engine implements kv.Transport over real time.
 type Engine struct {
 	mu       sync.Mutex
-	start    time.Time
 	topo     *netsim.Topology
 	rng      *stats.Source
 	handlers map[netsim.NodeID]netsim.Handler
@@ -25,52 +47,68 @@ type Engine struct {
 	down     map[netsim.NodeID]bool
 	closed   bool
 
-	// Serving mode (NewMesh). direct short-circuits zero-delay local
-	// deliveries onto runq — a FIFO the lock holder drains before
-	// releasing the lock — instead of paying a timer per message;
+	// The time plane. clock reads the wall (time since start for New,
+	// since the Unix epoch for NewMesh); tq holds every pending event
+	// and the engine clock; parked is the slab of messages waiting on a
+	// tq entry; timer is the one runtime timer, armed for armedAt.
+	clock    func() time.Duration
+	tq       *sim.Engine
+	parked   []parkedMsg
+	freeHead int32
+	parkedCb func(uint32) // pre-bound e.unpark, allocated once
+	timer    *time.Timer
+	armed    bool
+	armedAt  time.Duration
+
+	// runq is the zero-delay delivery FIFO the lock holder drains before
+	// releasing the lock. Serving mode (NewMesh) sets direct, which puts
+	// every in-process Send on it instead of sampling a network latency;
 	// localSet marks the nodes this process serves (nil: all of them)
 	// and mesh carries messages addressed to the rest over TCP.
+	runq     []queuedMsg
 	direct   bool
 	localSet []bool
-	runq     []queuedMsg
 	mesh     *mesh
-
-	// Direct-mode timer wheel (wheel.go): one runtime timer over a heap
-	// of pending events, entries recycled through dfree, guards staged
-	// in guards until drain end.
-	dheap  []*delayed
-	dfree  []*delayed
-	guards []*delayed
-	dseq   uint64
-	dtimer *time.Timer
-	darmed bool
-	dwhen  time.Duration
 
 	// Scale compresses sampled network latencies (0.1 runs a WAN
 	// topology ten times faster); 0 defaults to 1.
 	Scale float64
 }
 
-// queuedMsg is one run-queue entry of the direct delivery mode.
+// queuedMsg is one run-queue entry.
 type queuedMsg struct {
 	to, from netsim.NodeID
 	payload  any
 }
 
+// parkedMsg is one message waiting for its time-plane entry to fire.
+type parkedMsg struct {
+	queuedMsg
+	nextFree int32
+}
+
+const noSlot = int32(-1)
+
 // New returns a live engine over topo.
 func New(topo *netsim.Topology, seed uint64) *Engine {
-	return &Engine{
-		start:    time.Now(),
+	start := time.Now()
+	e := &Engine{
 		topo:     topo,
 		rng:      stats.NewSource(seed).Stream("live"),
 		handlers: make(map[netsim.NodeID]netsim.Handler),
 		down:     make(map[netsim.NodeID]bool),
+		clock:    func() time.Duration { return time.Since(start) },
+		tq:       sim.New(seed),
+		freeHead: noSlot,
 		Scale:    1,
 	}
+	e.parkedCb = e.unpark
+	return e
 }
 
-// Now reports time since engine start.
-func (e *Engine) Now() time.Duration { return time.Since(e.start) }
+// Now reports the engine clock. Like every Transport method it runs
+// under the engine lock.
+func (e *Engine) Now() time.Duration { return e.tq.Now() }
 
 // Register installs a node handler. It must run under the engine lock:
 // cluster construction happens inside Do, so this does not lock itself
@@ -92,59 +130,114 @@ func (e *Engine) isLocal(id netsim.NodeID) bool {
 	return e.localSet == nil || id < 0 || int(id) >= len(e.localSet) || e.localSet[id]
 }
 
+// lock takes the engine lock and steps the time plane up to the wall
+// clock: due events run (functions inline, messages onto the run queue)
+// before the caller does anything, and Now() holds still until the next
+// step. RunUntil ignores a reading behind the queue's clock, which is
+// the monotone clamp.
+func (e *Engine) lock() {
+	e.mu.Lock()
+	if !e.closed {
+		e.tq.RunUntil(e.clock())
+	}
+}
+
 // Do runs fn holding the engine lock; external drivers (workloads, tests)
 // use it to interact with cluster state safely.
 func (e *Engine) Do(fn func()) {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
 	fn()
 	e.drain()
 }
 
-// enqueue appends one direct-mode delivery to the run queue.
+// fire is the runtime timer's callback: taking the lock runs whatever is
+// due, the drain delivers it.
+func (e *Engine) fire() {
+	e.lock()
+	defer e.mu.Unlock()
+	e.armed = false
+	e.drain()
+}
+
+// enqueue appends one delivery to the run queue.
 func (e *Engine) enqueue(to, from netsim.NodeID, payload any) {
 	e.runq = append(e.runq, queuedMsg{to: to, from: from, payload: payload})
 }
 
 // drain runs queued deliveries until the run queue is empty (handlers
-// may enqueue more), then hands any staged peer frames to the mesh
-// writers. Every path that takes the engine lock drains before
-// releasing it, so handler execution stays serialized and
-// non-reentrant exactly as under timer delivery.
+// may enqueue more), re-arms the runtime timer for the earliest pending
+// event and hands any staged peer frames to the mesh writers. Every
+// path that takes the engine lock drains before releasing it, so handler
+// execution stays serialized and non-reentrant.
 func (e *Engine) drain() {
+	if e.closed {
+		e.discard()
+		return
+	}
 	for i := 0; i < len(e.runq); i++ {
 		q := e.runq[i]
 		e.runq[i] = queuedMsg{}
-		if e.closed || e.down[q.to] {
-			continue
+		if i%clockEvery == clockEvery-1 {
+			e.tq.RunUntil(e.clock())
 		}
-		if h, ok := e.handlers[q.to]; ok {
+		if h, ok := e.handlers[q.to]; ok && !e.down[q.to] {
 			h(q.from, q.payload)
+		} else {
+			kv.ReleaseMessage(q.payload)
 		}
 	}
 	e.runq = e.runq[:0]
-	if len(e.guards) > 0 {
-		e.flushGuards()
-	}
-	if len(e.dheap) > 0 {
-		e.rearm()
+	if next, ok := e.tq.NextAt(); ok && !(e.armed && e.armedAt <= next) {
+		if e.timer == nil {
+			e.timer = time.AfterFunc(next-e.tq.Now(), e.fire)
+		} else {
+			e.timer.Reset(next - e.tq.Now())
+		}
+		e.armed, e.armedAt = true, next
 	}
 	if e.mesh != nil {
 		e.mesh.flushLocked()
 	}
 }
 
+// scale applies the latency compression to a delay.
 func (e *Engine) scale(d time.Duration) time.Duration {
-	s := e.Scale
-	if s <= 0 {
-		s = 1
+	if d <= 0 {
+		return 0
 	}
-	return time.Duration(float64(d) * s)
+	if s := e.Scale; s > 0 {
+		return time.Duration(float64(d) * s)
+	}
+	return d
 }
 
-// Send delivers payload after a sampled network delay. The caller must
-// hold the engine lock (it always does: sends originate inside handlers
-// or Do blocks).
+// deliverAfter parks a message until the engine clock has advanced by
+// delay, then puts it on the run queue.
+func (e *Engine) deliverAfter(delay time.Duration, to, from netsim.NodeID, payload any) {
+	s := e.freeHead
+	if s != noSlot {
+		e.freeHead = e.parked[s].nextFree
+	} else {
+		e.parked = append(e.parked, parkedMsg{})
+		s = int32(len(e.parked) - 1)
+	}
+	e.parked[s].queuedMsg = queuedMsg{to: to, from: from, payload: payload}
+	e.tq.ScheduleCall(delay, e.parkedCb, uint32(s))
+}
+
+// unpark is the time-plane callback of every parked message.
+func (e *Engine) unpark(s uint32) {
+	p := &e.parked[s]
+	e.runq = append(e.runq, p.queuedMsg)
+	p.payload = nil
+	p.nextFree = e.freeHead
+	e.freeHead = int32(s)
+}
+
+// Send delivers payload after a sampled network delay (none in direct
+// mode). The caller must hold the engine lock (it always does: sends
+// originate inside handlers or Do blocks).
 func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
 	class := e.topo.Class(from, to)
 	e.meter.Count(class, size)
@@ -160,89 +253,28 @@ func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
 		e.enqueue(to, from, payload)
 		return
 	}
-	delay := e.scale(e.topo.Latency.Law(class).Sample(e.rng))
-	e.deliverAfter(delay, to, from, payload)
+	e.deliverAfter(e.scale(e.topo.Latency.Law(class).Sample(e.rng)), to, from, payload)
 }
 
-// SendLocal schedules a self-message (timer) on id.
+// SendLocal schedules a self-message (timer) on id; a zero delay goes
+// straight onto the run queue.
 func (e *Engine) SendLocal(id netsim.NodeID, payload any, delay time.Duration) {
-	if e.direct {
-		if delay <= 0 {
-			e.enqueue(id, id, payload)
-			return
-		}
-		d := e.newDelayed()
-		d.when = e.Now() + e.scale(delay)
-		d.to, d.from, d.payload = id, id, payload
-		e.pushDelayed(d)
+	if delay = e.scale(delay); delay == 0 {
+		e.enqueue(id, id, payload)
 		return
 	}
-	e.deliverAfter(e.scale(delay), id, id, payload)
-}
-
-func (e *Engine) deliverAfter(delay time.Duration, to, from netsim.NodeID, payload any) {
-	time.AfterFunc(delay, func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.closed || e.down[to] {
-			return
-		}
-		if h, ok := e.handlers[to]; ok {
-			h(from, payload)
-		}
-		e.drain()
-	})
+	e.deliverAfter(delay, id, id, payload)
 }
 
 // Schedule runs fn under the engine lock after delay.
-func (e *Engine) Schedule(d time.Duration, fn func()) {
-	if e.direct {
-		w := e.newDelayed()
-		w.when = e.Now() + e.scale(d)
-		w.fn = fn
-		e.pushDelayed(w)
-		return
-	}
-	time.AfterFunc(e.scale(d), func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.closed {
-			return
-		}
-		fn()
-		e.drain()
-	})
-}
+func (e *Engine) Schedule(d time.Duration, fn func()) { e.tq.Schedule(e.scale(d), fn) }
 
-// ScheduleStop schedules fn after delay and returns a stop function that
-// cancels the timer (same cancelable-guard contract as the simulated
-// transport). In direct mode both arming and canceling run under the
-// engine lock (they always do: guards are armed and stopped inside Do
-// blocks and handlers), and a guard canceled within the drain cycle
-// that armed it never touches the wheel at all.
-func (e *Engine) ScheduleStop(d time.Duration, fn func()) func() {
-	if e.direct {
-		w := e.newDelayed()
-		w.when = e.Now() + e.scale(d)
-		w.fn = fn
-		gen := w.gen
-		e.guards = append(e.guards, w)
-		return func() {
-			if w.gen == gen {
-				w.stopped = true
-			}
-		}
-	}
-	t := time.AfterFunc(e.scale(d), func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.closed {
-			return
-		}
-		fn()
-		e.drain()
-	})
-	return func() { t.Stop() }
+// ScheduleStopCall arms cb(arg) after d and returns the queue's
+// value-typed cancelable handle (same contract as the simulated
+// transport's; the client hot path arms one guard per operation through
+// it). Arming and stopping both run under the engine lock.
+func (e *Engine) ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer {
+	return e.tq.ScheduleCall(e.scale(d), cb, arg)
 }
 
 // Fail drops traffic to and from id (kv.Cluster's failure injection uses
@@ -260,15 +292,38 @@ func (e *Engine) Meter() netsim.TrafficMeter {
 	return e.meter.Snapshot()
 }
 
-// Close stops delivering; in-flight timers become no-ops. A mesh
-// engine additionally closes its peer connections and joins the
-// reader/writer goroutines.
+// discard empties a closed engine: queued and parked message boxes go
+// back to the store's pools, and the pending timers — with the closures
+// and operation slots they pin — are dropped with the queue. Handles
+// still held by callers stop against the orphaned queue, harmlessly.
+func (e *Engine) discard() {
+	for _, q := range e.runq {
+		kv.ReleaseMessage(q.payload)
+	}
+	for _, p := range e.parked {
+		kv.ReleaseMessage(p.payload)
+	}
+	e.runq, e.parked, e.freeHead = nil, nil, noSlot
+	if e.tq.Pending() > 0 {
+		e.tq = sim.New(0)
+	}
+}
+
+// Close stops delivering: pending work is discarded and anything sent or
+// scheduled afterwards is dropped by the next drain. A mesh engine
+// additionally closes its peer connections and joins the reader/writer
+// goroutines. Closing twice is a no-op.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	e.closed = true
-	if e.dtimer != nil {
-		e.dtimer.Stop()
+	if e.closed {
+		e.mu.Unlock()
+		return
 	}
+	e.closed = true
+	if e.timer != nil {
+		e.timer.Stop()
+	}
+	e.discard()
 	e.mu.Unlock()
 	if e.mesh != nil {
 		e.mesh.shutdown()

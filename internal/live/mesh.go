@@ -21,13 +21,13 @@ import (
 // self-messages never do (coordinator selection is pinned to local
 // nodes via kv.Config.Coordinators).
 //
-// Delivery within a process uses the direct run queue rather than
-// per-message timers: the thread holding the engine lock drains the
-// queue before releasing it, preserving the serialized handler contract
-// at a fraction of the cost. Outbound frames accumulate per peer while
-// the lock is held and are handed to a per-peer writer goroutine in one
-// batch at drain end — one wakeup and typically one syscall per
-// pipeline's worth of traffic.
+// Delivery within a process uses the direct run queue rather than the
+// time plane: the thread holding the engine lock drains the queue before
+// releasing it, preserving the serialized handler contract at a fraction
+// of the cost. Outbound frames accumulate per peer while the lock is
+// held and are handed to a per-peer writer goroutine in one batch at
+// drain end — one wakeup and typically one syscall per pipeline's worth
+// of traffic.
 
 // MeshConfig describes one process of a multi-process cluster.
 type MeshConfig struct {
@@ -46,15 +46,19 @@ type MeshConfig struct {
 }
 
 // NewMesh returns a serving-mode engine: direct in-process delivery,
-// wall-clock timers for real delays, and — when mc names peers — a TCP
+// the time plane for real delays, and — when mc names peers — a TCP
 // mesh to the processes serving the rest of the ring. The engine clock
 // runs from the Unix epoch rather than process start, so coordinators
 // in different processes issue comparable last-write-wins timestamps
-// (skew is bounded by host clock sync; ties break on the per-process
-// sequence, the usual wall-clock LWW contract).
+// (skew is bounded by host clock sync at boot; ties break on the
+// per-process sequence, the usual wall-clock LWW contract). The epoch
+// offset is read once and time then advances on the monotonic clock, so
+// a later step of the host's wall clock does not reach the store.
 func NewMesh(topo *netsim.Topology, seed uint64, mc MeshConfig) (*Engine, error) {
 	e := New(topo, seed)
-	e.start = time.Unix(0, 0)
+	start := time.Now()
+	epoch := time.Duration(start.UnixNano())
+	e.clock = func() time.Duration { return epoch + time.Since(start) }
 	e.direct = true
 	if len(mc.Local) > 0 {
 		e.localSet = make([]bool, topo.N())
@@ -286,14 +290,9 @@ func (m *mesh) readLoop(conn net.Conn) {
 // deliverBatch runs a batch of inbound peer messages through the run
 // queue under one lock acquisition.
 func (e *Engine) deliverBatch(batch []queuedMsg) {
-	e.mu.Lock()
+	e.lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	for _, q := range batch {
-		e.enqueue(q.to, q.from, q.payload)
-	}
+	e.runq = append(e.runq, batch...)
 	e.drain()
 }
 

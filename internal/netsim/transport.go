@@ -204,19 +204,11 @@ func (t *Transport) Now() time.Duration { return t.eng.Now() }
 // without owning the engine.
 func (t *Transport) Schedule(d time.Duration, fn func()) { t.eng.Schedule(d, fn) }
 
-// ScheduleStop schedules fn after d and returns a stop function that
-// cancels it. Guard timers that almost always get canceled (client-side
-// operation timeouts) use it so the event queue is not dominated by dead
-// timers waiting to fire as no-ops.
-func (t *Transport) ScheduleStop(d time.Duration, fn func()) func() {
-	tm := t.eng.Schedule(d, fn)
-	return func() { tm.Stop() }
-}
-
-// ScheduleStopCall is the allocation-free form of ScheduleStop: it arms
-// a pre-bound callback with a slab argument and hands back the engine's
-// value-typed timer instead of wrapping the cancel in a closure. The
-// client hot path (kv.Cluster) arms one guard per operation through it.
+// ScheduleStopCall arms a pre-bound callback with a slab argument after
+// d and hands back the engine's value-typed cancelable timer. Guard
+// timers that almost always get canceled (kv.Cluster arms one per client
+// operation) use it so the event queue is not dominated by dead timers
+// waiting to fire as no-ops, and arming one allocates nothing.
 func (t *Transport) ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer {
 	return t.eng.ScheduleCall(d, cb, arg)
 }

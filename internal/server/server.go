@@ -123,7 +123,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		delete(s.conns, nc)
 		s.mu.Unlock()
 	}()
-	c := &conn{srv: s}
+	c := &conn{srv: s, done: make(chan struct{}, 1)}
+	c.dispatch = c.issue
 	r := wire.NewRESPReader(nc)
 	w := wire.NewRESPWriter(nc)
 	for {
@@ -131,11 +132,11 @@ func (s *Server) serveConn(nc net.Conn) {
 		if err != nil {
 			return // client gone or protocol violation
 		}
-		c.ops = c.ops[:0]
+		c.n = 0
 		c.addOp(args)
 		// Keep consuming while fully-buffered pipelined commands remain,
 		// so the whole burst is dispatched before a single flush.
-		for len(c.ops) < maxBatch {
+		for c.n < maxBatch {
 			args, ok, err := r.TryReadCommand()
 			if err != nil {
 				return
@@ -173,7 +174,9 @@ const (
 )
 
 // op is one parsed command with its captured arguments and, after
-// execute, its results. The slice of ops is reused across batches.
+// execute, its results. Ops live in per-connection slots reused across
+// batches; done holds the slot's completion callbacks, bound once when
+// the slot is created so that dispatching a command allocates nothing.
 type op struct {
 	kind opKind
 	key  string
@@ -191,13 +194,32 @@ type op struct {
 	wr  repro.WriteResult
 	rrs []repro.ReadResult
 	wrs []repro.WriteResult
+
+	done completions
+}
+
+// completions are the callbacks the store completes an op through: each
+// records the result in its slot and counts the batch down.
+type completions struct {
+	read   func(repro.ReadResult)
+	write  func(repro.WriteResult)
+	reads  func([]repro.ReadResult)
+	writes func([]repro.WriteResult)
 }
 
 // conn is the per-connection state.
 type conn struct {
 	srv  *Server
-	ops  []op
+	ops  []*op // slots; the first n hold the current batch
+	n    int
 	quit bool
+
+	// Completion of the current batch: remaining counts its store
+	// operations still in flight, and the callback that takes it to zero
+	// signals done (buffered, so it never blocks under the engine lock).
+	remaining atomic.Int32
+	done      chan struct{}
+	dispatch  func()
 
 	// Per-connection consistency override (LEVEL SET / LEVEL RESET).
 	ovr        bool
@@ -209,11 +231,34 @@ type conn struct {
 	haveLast bool
 }
 
-// push appends a parsed op, stamping the current level override.
-func (c *conn) push(o op) *op {
+// push stores a parsed op in the batch's next slot, stamping the current
+// level override.
+func (c *conn) push(o op) {
+	if c.n == len(c.ops) {
+		c.ops = append(c.ops, c.newSlot())
+	}
+	slot := c.ops[c.n]
+	c.n++
 	o.useLvl, o.lvlR, o.lvlW = c.ovr, c.ovrR, c.ovrW
-	c.ops = append(c.ops, o)
-	return &c.ops[len(c.ops)-1]
+	o.done = slot.done
+	*slot = o
+}
+
+func (c *conn) newSlot() *op {
+	o := new(op)
+	o.done = completions{
+		read:   func(r repro.ReadResult) { o.rr = r; c.completed() },
+		write:  func(r repro.WriteResult) { o.wr = r; c.completed() },
+		reads:  func(rs []repro.ReadResult) { o.rrs = rs; c.completed() },
+		writes: func(rs []repro.WriteResult) { o.wrs = rs; c.completed() },
+	}
+	return o
+}
+
+func (c *conn) completed() {
+	if c.remaining.Add(-1) == 0 {
+		c.done <- struct{}{}
+	}
 }
 
 // addOp parses one command's arguments (views into the reader buffer —
@@ -341,85 +386,70 @@ func (c *conn) pushArity(cmd string) {
 // the completions arrive from peer frames and the guard timers bound
 // the wait.
 func (c *conn) execute() {
-	pending := int32(0)
-	for i := range c.ops {
-		switch c.ops[i].kind {
+	pending, needEngine := int32(0), false
+	for _, o := range c.ops[:c.n] {
+		switch o.kind {
 		case opGet:
-			if c.ops[i].key != "" {
+			if o.key != "" {
 				pending++
 			}
 		case opSet, opDel, opMGet, opMSet, opExists:
 			pending++
+		case opInfo, opLevelReport:
+			needEngine = true
 		}
 	}
-	needEngine := pending > 0
-	if !needEngine {
-		for i := range c.ops {
-			if k := c.ops[i].kind; k == opInfo || k == opLevelReport {
-				needEngine = true
-				break
-			}
-		}
-	}
-	if !needEngine {
+	if pending == 0 && !needEngine {
 		return
 	}
-	remaining := pending
-	var done chan struct{}
+	c.remaining.Store(pending)
+	c.srv.deploy.Engine.Do(c.dispatch)
 	if pending > 0 {
-		done = make(chan struct{})
+		<-c.done
 	}
-	dec := func() {
-		if atomic.AddInt32(&remaining, -1) == 0 {
-			close(done)
-		}
-	}
+}
+
+// issue hands the batch's operations to the store. It runs under the
+// engine lock (dispatch is the method value execute passes to Do, bound
+// once per connection).
+func (c *conn) issue() {
 	cl := c.srv.deploy.Cluster
-	c.srv.deploy.Engine.Do(func() {
-		for i := range c.ops {
-			o := &c.ops[i]
-			switch o.kind {
-			case opGet:
-				if o.key == "" {
-					continue // ECHO rides the opGet reply path, pre-resolved
-				}
-				cb := func(r repro.ReadResult) { o.rr = r; dec() }
-				if o.useLvl {
-					cl.Read(o.key, o.lvlR, cb)
-				} else {
-					c.srv.sess.Read(o.key, cb)
-				}
-			case opSet:
-				cb := func(r repro.WriteResult) { o.wr = r; dec() }
-				if o.useLvl {
-					cl.Write(o.key, o.val, o.lvlW, cb)
-				} else {
-					c.srv.sess.Write(o.key, o.val, cb)
-				}
-			case opDel, opMSet:
-				cb := func(rs []repro.WriteResult) { o.wrs = rs; dec() }
-				if o.useLvl {
-					cl.WriteBatch(o.puts, o.lvlW, cb)
-				} else {
-					c.srv.sess.BatchWrite(o.puts, cb)
-				}
-			case opMGet, opExists:
-				cb := func(rs []repro.ReadResult) { o.rrs = rs; dec() }
-				if o.useLvl {
-					cl.ReadBatch(o.keys, o.lvlR, cb)
-				} else {
-					c.srv.sess.BatchRead(o.keys, cb)
-				}
-			case opInfo:
-				o.val = c.srv.renderInfo(o.val[:0])
-			case opLevelReport:
-				r, w := c.effectiveLevels()
-				o.key, o.msg = r.String(), w.String()
+	sess := c.srv.sess
+	for _, o := range c.ops[:c.n] {
+		switch o.kind {
+		case opGet:
+			if o.key == "" {
+				continue // ECHO rides the opGet reply path, pre-resolved
 			}
+			if o.useLvl {
+				cl.Read(o.key, o.lvlR, o.done.read)
+			} else {
+				sess.Read(o.key, o.done.read)
+			}
+		case opSet:
+			if o.useLvl {
+				cl.Write(o.key, o.val, o.lvlW, o.done.write)
+			} else {
+				sess.Write(o.key, o.val, o.done.write)
+			}
+		case opDel, opMSet:
+			if o.useLvl {
+				cl.WriteBatch(o.puts, o.lvlW, o.done.writes)
+			} else {
+				sess.BatchWrite(o.puts, o.done.writes)
+			}
+		case opMGet, opExists:
+			if o.useLvl {
+				cl.ReadBatch(o.keys, o.lvlR, o.done.reads)
+			} else {
+				sess.BatchRead(o.keys, o.done.reads)
+			}
+		case opInfo:
+			o.val = c.srv.renderInfo(o.val[:0])
+		case opLevelReport:
+			r, w := c.effectiveLevels()
+			o.key, o.msg = r.String(), w.String()
 		}
-	})
-	if pending > 0 {
-		<-done
 	}
 }
 
@@ -440,8 +470,7 @@ func (c *conn) effectiveLevels() (repro.Level, repro.Level) {
 
 // reply renders the batch's replies in command order.
 func (c *conn) reply(w *wire.RESPWriter) {
-	for i := range c.ops {
-		o := &c.ops[i]
+	for _, o := range c.ops[:c.n] {
 		switch o.kind {
 		case opGet:
 			if o.key != "" {

@@ -122,3 +122,58 @@ func TestSimLiveWorkloadParity(t *testing.T) {
 	}
 	check("live", lm)
 }
+
+// TestSimServingCounterParity drives one operation sequence — single-key
+// and batch, reads, writes and deletes — through the simulator and
+// through a direct-mode serving deployment. Both run the one client path
+// (slab ops, value-carried admissions and stage work) over the same
+// event queue, so with the store quiescent between operations the work
+// they do must agree to the message: coordinated operations, replica
+// reads and replica writes (read repairs, seeded per node, included).
+func TestSimServingCounterParity(t *testing.T) {
+	topo := repro.SingleDC(3)
+	cfg := repro.ServingDefaults(topo)
+	cfg.Seed = 79
+	cfg.HintReplayInterval = 0 // lets the simulator's queue drain between operations
+
+	sim := repro.NewSim(topo, cfg)
+	serving, err := repro.NewServing(topo, cfg, repro.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serving.Close()
+
+	script := func(cli repro.Client, settle func()) {
+		ctx := context.Background()
+		for i := 0; i < 40; i++ {
+			key := fmt.Sprintf("user%02d", i%12)
+			switch {
+			case i%3 == 0:
+				cli.Put(ctx, key, []byte(fmt.Sprintf("v%d", i)))
+			case i%10 == 7:
+				cli.Delete(ctx, key)
+			default:
+				cli.Get(ctx, key)
+			}
+			settle()
+		}
+		cli.BatchPut(ctx, []repro.PutOp{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}, {Key: "user01", Delete: true}})
+		settle()
+		cli.BatchGet(ctx, []string{"a", "b", "user01", "ghost"})
+		settle()
+	}
+	script(sim.StaticClient(repro.Quorum, repro.Quorum), sim.Engine.Run)
+	script(serving.StaticClient(repro.Quorum, repro.Quorum), func() {})
+
+	su, lu := sim.Cluster.Usage(), sim.Cluster.Usage()
+	serving.Engine.Do(func() { lu = serving.Cluster.Usage() })
+	if su.CoordOps == 0 || su.ReplicaReads == 0 || su.ReplicaWrites == 0 {
+		t.Fatalf("script did no work: %+v", su)
+	}
+	if su.CoordOps != lu.CoordOps || su.ReplicaReads != lu.ReplicaReads ||
+		su.ReplicaWrites != lu.ReplicaWrites || su.ReadRepairs != lu.ReadRepairs {
+		t.Errorf("counters diverge:\n  sim:     coord=%d reads=%d writes=%d repairs=%d\n  serving: coord=%d reads=%d writes=%d repairs=%d",
+			su.CoordOps, su.ReplicaReads, su.ReplicaWrites, su.ReadRepairs,
+			lu.CoordOps, lu.ReplicaReads, lu.ReplicaWrites, lu.ReadRepairs)
+	}
+}

@@ -2,10 +2,12 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 
 	"repro"
+	"repro/internal/testutil"
 )
 
 // reservePort grabs an ephemeral localhost port. The tiny window between
@@ -143,5 +145,61 @@ func TestServingRejectsGossipMesh(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("gossip + mesh accepted; want an error")
+	}
+}
+
+// TestServingAllocBudget pins the allocation budget of a served
+// operation so it cannot creep back: on a single-process serving
+// deployment a QUORUM read or write issued through the session inside
+// Engine.Do — exactly what the RESP server does per command — runs on
+// pooled message boxes, slab client ops and value-carried stage work.
+// What remains is the store keeping the data: nothing for a read, the
+// oracle's ledger entry and the engines' cells for a write. The value
+// copy a caller makes before handing the store a buffer is in the bound.
+func TestServingAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	topo := repro.SingleDC(3)
+	d, err := repro.NewServing(topo, repro.ServingDefaults(topo), repro.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Engine.Close() })
+	sess := d.StaticSession(repro.Quorum, repro.Quorum)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	d.Preload(uint64(len(keys)), func(i uint64) string { return keys[i] }, make([]byte, 64))
+
+	var i, failed int
+	onRead := func(r repro.ReadResult) {
+		if r.Err != nil || !r.Exists {
+			failed++
+		}
+	}
+	onWrite := func(r repro.WriteResult) {
+		if r.Err != nil {
+			failed++
+		}
+	}
+	src := make([]byte, 64)
+	read := func() { i++; sess.Read(keys[i%len(keys)], onRead) }
+	write := func() { i++; sess.Write(keys[i%len(keys)], append([]byte(nil), src...), onWrite) }
+
+	// Warm the pools, the op slab and the time plane's slabs first.
+	for n := 0; n < 2000; n++ {
+		d.Engine.Do(read)
+		d.Engine.Do(write)
+	}
+	if got := testing.AllocsPerRun(2000, func() { d.Engine.Do(read) }); got > 2 {
+		t.Errorf("QUORUM read: %.0f allocs/op, budget 2", got)
+	}
+	if got := testing.AllocsPerRun(2000, func() { d.Engine.Do(write) }); got > 3 {
+		t.Errorf("QUORUM write: %.0f allocs/op, budget 3", got)
+	}
+	if failed != 0 {
+		t.Errorf("%d operations failed", failed)
 	}
 }
