@@ -25,9 +25,8 @@ import (
 const benchScale = 0.01
 
 // perfScale is the fixed scale of the perf-tracking benchmark
-// (BenchmarkExpAHarmony and cmd/benchreport): it stays at the original
-// 0.004 so wall-clock numbers remain comparable across PRs even when
-// benchScale moves.
+// (BenchmarkExpAHarmony): it stays at the original 0.004 so wall-clock
+// numbers remain comparable across PRs even when benchScale moves.
 const perfScale = 0.004
 
 // verbose mirrors -v: render the full experiment tables to stderr.

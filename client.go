@@ -111,8 +111,8 @@ type Future[T any] struct {
 	mu       sync.Mutex //repolint:allow simpure futures resolve from live-engine goroutines; the sim path never contends
 	resolved bool
 	res      T
-	done     chan struct{}
-	pump     func() bool   // sim backends: advance virtual time one event
+	done     chan struct{} // closed by the first resolve
+	be       backend       // how to wait for done
 	fail     func(error) T // builds the result for cancellation paths
 }
 
@@ -123,10 +123,6 @@ type (
 	BatchGetFuture = Future[[]ReadResult]
 	BatchPutFuture = Future[[]WriteResult]
 )
-
-func newFuture[T any](pump func() bool, fail func(error) T) *Future[T] {
-	return &Future[T]{done: make(chan struct{}), pump: pump, fail: fail}
-}
 
 // resolve publishes the result; the first resolution wins.
 func (f *Future[T]) resolve(v T) {
@@ -149,34 +145,14 @@ func (f *Future[T]) Ready() bool {
 
 // Wait blocks until the result is available or ctx is done; on
 // cancellation it returns a result carrying ctx.Err() while the store
-// finishes the operation in the background.
+// finishes the operation in the background. Should a simulation drain
+// without resolving — impossible while the store's client-side timeout
+// timer is pending, so purely a backstop — the result carries ErrTimeout.
 func (f *Future[T]) Wait(ctx context.Context) T {
-	if f.pump != nil {
-		// Simulated backend: single-threaded, so drive the engine here.
-		for {
-			f.mu.Lock() //repolint:allow simpure guards cross-goroutine resolution under the live engine
-			resolved, res := f.resolved, f.res
-			f.mu.Unlock() //repolint:allow simpure guards cross-goroutine resolution under the live engine
-			if resolved {
-				return res
-			}
-			if err := ctx.Err(); err != nil {
-				return f.fail(err)
-			}
-			if !f.pump() {
-				// The engine drained without resolving — impossible while
-				// the store's client-side timeout timer is pending, so
-				// this is purely a backstop.
-				return f.fail(ErrTimeout)
-			}
-		}
+	if err := f.be.await(ctx, f.done); err != nil {
+		return f.fail(err)
 	}
-	select {
-	case <-f.done:
-		return f.res
-	case <-ctx.Done():
-		return f.fail(ctx.Err())
-	}
+	return f.res // published before done was closed
 }
 
 // failedBatchReads builds per-item failure results for a whole batch.

@@ -146,7 +146,9 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	srv.Close()
-	deploy.Engine.Close()
+	if err := deploy.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "storeserve: closing the store:", err)
+	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err == nil {

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("batch get: %d results in %v\n", len(br), br[0].Latency)
 
 	// An adaptive client shared by concurrent goroutines.
-	acli, ctl := lv.HarmonyClient(0.10, 100*time.Millisecond)
+	acli, ctl := lv.HarmonyClient(0.10) // re-tuned every 100 ms
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	stale, total := 0, 0

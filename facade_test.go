@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -267,13 +268,77 @@ func TestLiveClient(t *testing.T) {
 		t.Fatal(d.Err)
 	}
 
-	acli, ctl := lv.HarmonyClient(0.1, 50*time.Millisecond)
+	// A non-default control period goes through AdaptiveSession.
+	sess, ctl := lv.AdaptiveSession(repro.NewHarmonyTuner(0.1, lv.Cluster.RF()), 50*time.Millisecond)
+	acli := lv.Client(sess)
 	acli.Put(ctx, "k2", []byte("x"))
 	if r := acli.Get(ctx, "k2"); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if ctl == nil {
 		t.Fatal("no controller")
+	}
+}
+
+// exportedMethods maps each exported method of typ to its signature with
+// the receiver dropped.
+func exportedMethods(typ reflect.Type) map[string]string {
+	out := make(map[string]string)
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		var in, res []reflect.Type
+		for j := 1; j < m.Type.NumIn(); j++ {
+			in = append(in, m.Type.In(j))
+		}
+		for j := 0; j < m.Type.NumOut(); j++ {
+			res = append(res, m.Type.Out(j))
+		}
+		out[m.Name] = reflect.FuncOf(in, res, m.Type.IsVariadic()).String()
+	}
+	return out
+}
+
+// TestSimLiveMethodSet pins the point of the shared deployment core: apart
+// from the backend-specific Run/Now (virtual time) and Close (engine and
+// storage), *Sim and *Live export the same methods with the same
+// signatures, so the facade cannot drift again.
+func TestSimLiveMethodSet(t *testing.T) {
+	own := map[string]bool{"Run": true, "Now": true, "Close": true}
+	sim := exportedMethods(reflect.TypeOf((*repro.Sim)(nil)))
+	live := exportedMethods(reflect.TypeOf((*repro.Live)(nil)))
+	if len(sim) < 20 {
+		t.Fatalf("only %d methods on *Sim: the core's methods are not promoted", len(sim))
+	}
+	for name, sig := range sim {
+		if own[name] {
+			continue
+		}
+		if lsig, ok := live[name]; !ok {
+			t.Errorf("*Sim has %s%s, *Live does not", name, sig[len("func"):])
+		} else if lsig != sig {
+			t.Errorf("%s: *Sim %s, *Live %s", name, sig, lsig)
+		}
+	}
+	for name, sig := range live {
+		if _, ok := sim[name]; !ok && !own[name] {
+			t.Errorf("*Live has %s%s, *Sim does not", name, sig[len("func"):])
+		}
+	}
+}
+
+// TestAdaptiveSessionDefaultInterval: a zero interval means the same
+// 100 ms control period on both backends.
+func TestAdaptiveSessionDefaultInterval(t *testing.T) {
+	topo := repro.SingleDC(3)
+	cfg := repro.Defaults(topo)
+	lv := repro.NewLive(topo, cfg, 0.1)
+	defer lv.Close()
+	_, simCtl := repro.NewSim(topo, cfg).AdaptiveSession(repro.NewStaticTuner(repro.One, repro.One), 0)
+	_, liveCtl := lv.AdaptiveSession(repro.NewStaticTuner(repro.One, repro.One), 0)
+	for name, ctl := range map[string]*repro.Controller{"sim": simCtl, "live": liveCtl} {
+		if ctl.Interval != 100*time.Millisecond {
+			t.Errorf("%s: AdaptiveSession(t, 0) interval = %v, want 100ms", name, ctl.Interval)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package suite assembles the full repolint analyzer set so the
-// cmd/repolint driver, the benchreport wall-time entry and the
-// repo-cleanliness meta-test all run exactly the same rules.
+// cmd/repolint driver and the repo-cleanliness meta-test run exactly
+// the same rules.
 package suite
 
 import (

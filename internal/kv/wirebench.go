@@ -12,8 +12,9 @@ import (
 // inter-process codec path — box a replica write, marshal it into a
 // frame, read the frame back, decode into a pooled box, recycle — and
 // returns the reusable buffer. The message set is unexported by design;
-// this hook exists so cmd/benchreport can track the per-message cost of
-// the TCP mesh alongside the other serving-layer numbers.
+// this hook exists so the repository benchmark's per-layer probes
+// (benchmark/probes.go, wire.frame_roundtrip_ns_per_msg) can track the
+// per-message cost of the TCP mesh.
 func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 	w := newReplicaWrite(replicaWrite{
 		ID:  reqID(seq),

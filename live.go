@@ -5,23 +5,17 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/autoscale"
-	"repro/internal/core"
-	"repro/internal/kv"
 	"repro/internal/live"
-	"repro/internal/monitor"
-	"repro/internal/ycsb"
 )
 
 // Live is a deployment of the same store over wall-clock time and
 // goroutines — the middleware running for real rather than simulated.
-// All client traffic goes through the unified Client API (Live.Client
-// and the session-flavored shorthands below); clients are safe for
-// concurrent use from many goroutines.
+// Its session, client, membership and introspection methods are the
+// embedded core's, shared with Sim; here they take the engine lock, so
+// they and the clients they return are safe from many goroutines.
 type Live struct {
-	Engine  *live.Engine
-	Cluster *kv.Cluster
-	Monitor *monitor.Monitor
+	deployment
+	Engine *live.Engine
 }
 
 // NewLive builds a live deployment on topo. latencyScale compresses the
@@ -32,289 +26,41 @@ func NewLive(topo *Topology, cfg Config, latencyScale float64) *Live {
 	if latencyScale > 0 {
 		eng.Scale = latencyScale
 	}
-	var cl *kv.Cluster
-	var mon *monitor.Monitor
-	eng.Do(func() {
-		cl = kv.New(topo, eng, cfg)
-		mon = monitor.New(cl.RF(), eng, monitor.DefaultOptions())
-		cl.AddHooks(mon.Hooks())
-	})
-	return &Live{Engine: eng, Cluster: cl, Monitor: mon}
+	return &Live{deployment: build(topo, cfg, eng, liveBackend{eng}), Engine: eng}
 }
 
-// Client wraps a session in the unified Client API. Operations may be
-// issued from any goroutine; the engine lock serializes store access.
-func (l *Live) Client(sess Session) Client { return &liveClient{live: l, sess: sess} }
-
-// StaticClient returns a client pinned to fixed levels.
-func (l *Live) StaticClient(read, write Level) Client {
-	return l.Client(l.StaticSession(read, write))
-}
-
-// HarmonyClient returns a client whose levels Harmony re-tunes to keep
-// the stale-read rate under alpha, with the controller driving it.
-func (l *Live) HarmonyClient(alpha float64, interval time.Duration) (Client, *Controller) {
-	sess, ctl := l.AdaptiveSession(NewHarmonyTuner(alpha, l.Cluster.RF()), interval)
-	return l.Client(sess), ctl
-}
-
-// HarmonyHotClient returns a client driven by the hot-key-aware Harmony
-// tuner (see Sim.HarmonyHotClient); requires Config.HotCache for the hot
-// set to populate.
-func (l *Live) HarmonyHotClient(alpha float64, interval time.Duration) (Client, *Controller) {
-	sess, ctl := l.AdaptiveSession(NewHarmonyHotTuner(alpha, l.Cluster), interval)
-	return l.Client(sess), ctl
-}
-
-// HotKeys reports the cluster's current hot set in sorted order (empty
-// without Config.HotCache).
-func (l *Live) HotKeys() []string {
-	var keys []string
-	l.Engine.Do(func() { keys = l.Cluster.HotKeys() })
-	return keys
-}
-
-// StaticSession returns a session pinned to fixed levels. Sessions must
-// be driven through Client (or inside Engine.Do): their methods assume
-// the engine lock is held.
-func (l *Live) StaticSession(read, write Level) Session {
-	return kv.StaticSession{Cluster: l.Cluster, ReadLevel: read, WriteLevel: write}
-}
-
-// AdaptiveSession starts a controller over the live monitor and returns
-// the adaptive session with its controller. Like StaticSession, the
-// session itself must be driven through Client.
-func (l *Live) AdaptiveSession(t Tuner, interval time.Duration) (Session, *Controller) {
-	var ctl *core.Controller
-	var sess Session
-	l.Engine.Do(func() {
-		ctl = core.NewController(l.Monitor, t, l.Engine, interval)
-		ctl.Start()
-		sess = ctl.Session(l.Cluster)
-	})
-	return sess, ctl
-}
-
-// Preload seeds records directly into the replicas.
-func (l *Live) Preload(n uint64, key func(uint64) string, value []byte) {
-	l.Engine.Do(func() { l.Cluster.Preload(n, key, value) })
-}
-
-// StaleRate reports the oracle's measured stale-read fraction so far.
-func (l *Live) StaleRate() float64 {
-	var r float64
-	l.Engine.Do(func() { r = l.Cluster.Oracle().StaleRate() })
-	return r
-}
-
-// Join adds topology node id to the live cluster (snapshot-streaming
-// bootstrap, placement flip, warming — see Sim.Join). The change
-// progresses on the engine's own goroutines; poll State to observe it.
-func (l *Live) Join(id NodeID) {
-	l.Engine.Do(func() { l.Cluster.Join(id) })
-}
-
-// Decommission removes member id from the live cluster after streaming
-// its ownership to the new owners.
-func (l *Live) Decommission(id NodeID) {
-	l.Engine.Do(func() { l.Cluster.Decommission(id) })
-}
-
-// Autoscale starts the cost-loop controller over the live cluster (see
-// Sim.Autoscale); the control loop runs on the engine's timers.
-func (l *Live) Autoscale(cfg AutoscaleConfig) *Autoscaler {
-	if cfg.Candidates == nil {
-		cfg.Candidates = l.Cluster.Topology().Nodes()
-	}
-	var ctl *autoscale.Controller
-	l.Engine.Do(func() {
-		ctl = autoscale.New(l.Cluster, l.Monitor, l.Engine, cfg)
-		ctl.Start()
-	})
-	return ctl
-}
-
-// Members returns the current ring members.
-func (l *Live) Members() []NodeID {
-	var m []NodeID
-	l.Engine.Do(func() { m = l.Cluster.Members() })
-	return m
-}
-
-// State reports a node's combined membership/failure state.
-func (l *Live) State(id NodeID) NodeState {
-	var s NodeState
-	l.Engine.Do(func() { s = l.Cluster.State(id) })
-	return s
-}
-
-// Close stops the engine (outstanding timers become no-ops) and
-// releases the cluster's storage resources (file-backed WALs).
-func (l *Live) Close() {
+// Close stops the engine (outstanding timers become no-ops) and closes
+// the cluster's storage, reporting the first error a file-backed WAL gave.
+func (l *Live) Close() (err error) {
 	l.Engine.Close()
-	l.Engine.Do(func() { l.Cluster.Close() })
+	l.Engine.Do(func() { err = l.Cluster.Close() })
+	return err
 }
 
-// liveClient implements Client over the wall-clock engine. Futures are
-// resolved by store callbacks running under the engine lock; waiting
-// goroutines block on a channel, so any number of client goroutines can
-// operate concurrently.
-type liveClient struct {
-	live *Live
-	sess Session
-}
+// liveBackend runs a deployment on the wall-clock engine; Do is the engine's.
+type liveBackend struct{ *live.Engine }
 
-func (c *liveClient) Session() Session { return c.sess }
-
-func (c *liveClient) Get(ctx context.Context, key string, opts ...OpOption) ReadResult {
-	return c.GetAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *liveClient) Put(ctx context.Context, key string, value []byte, opts ...OpOption) WriteResult {
-	return c.PutAsync(ctx, key, value, opts...).Wait(ctx)
-}
-
-func (c *liveClient) Delete(ctx context.Context, key string, opts ...OpOption) WriteResult {
-	return c.DeleteAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *liveClient) BatchGet(ctx context.Context, keys []string, opts ...OpOption) []ReadResult {
-	return c.BatchGetAsync(ctx, keys, opts...).Wait(ctx)
-}
-
-func (c *liveClient) BatchPut(ctx context.Context, ops []PutOp, opts ...OpOption) []WriteResult {
-	return c.BatchPutAsync(ctx, ops, opts...).Wait(ctx)
-}
-
-// armDeadline schedules a wall-clock deadline. It deliberately bypasses
-// the engine (whose timers are compressed by the latency scale): a
-// client deadline is a promise in real time, and resolving a future
-// touches no cluster state, so no engine lock is needed.
-func (c *liveClient) armDeadline(d time.Duration, fail func()) {
-	if d > 0 {
-		time.AfterFunc(d, fail) //repolint:allow determinism live client deadlines are wall-clock promises, deliberately unscaled
-	}
-}
-
-func (c *liveClient) GetAsync(ctx context.Context, key string, opts ...OpOption) *ReadFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) ReadResult { return ReadResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(ReadResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.Read(key, *o.level, f.resolve)
-		} else {
-			c.sess.Read(key, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(ReadResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *liveClient) PutAsync(ctx context.Context, key string, value []byte, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.Write(key, value, *o.level, f.resolve)
-		} else {
-			c.sess.Write(key, value, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *liveClient) DeleteAsync(ctx context.Context, key string, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.Delete(key, *o.level, f.resolve)
-		} else {
-			c.sess.Delete(key, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *liveClient) BatchGetAsync(ctx context.Context, keys []string, opts ...OpOption) *BatchGetFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) []ReadResult { return failedBatchReads(keys, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchReads(keys, ErrCanceled))
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.ReadBatch(keys, *o.level, f.resolve)
-		} else {
-			c.sess.BatchRead(keys, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchReads(keys, ErrDeadline)) })
-	return f
-}
-
-func (c *liveClient) BatchPutAsync(ctx context.Context, ops []PutOp, opts ...OpOption) *BatchPutFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) []WriteResult { return failedBatchWrites(ops, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchWrites(ops, ErrCanceled))
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.WriteBatch(ops, *o.level, f.resolve)
-		} else {
-			c.sess.BatchWrite(ops, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchWrites(ops, ErrDeadline)) })
-	return f
-}
-
-// Run drives a workload to completion over wall-clock time. The runner
-// issues and accounts operations entirely under the engine lock (Start
-// runs inside Do; completions run inside engine handlers), so the
-// session is driven exactly as in simulation.
-func (c *liveClient) Run(w Workload, o RunOptions) (*Metrics, error) {
-	var r *ycsb.Runner
-	var err error
-	done := make(chan struct{})
-	c.live.Engine.Do(func() {
-		r, err = ycsb.NewRunner(c.sess, w, c.live.Engine, c.live.Cluster.Config().Seed)
-		if err != nil {
-			return
-		}
-		applyRunOptions(r, o)
-		r.OnDone = func() { close(done) }
-		if !o.NoPreload {
-			c.live.Cluster.Preload(w.RecordCount, r.Keys, r.Value())
-		}
-		r.Start()
-	})
-	if err != nil {
-		return nil, err
-	}
+func (liveBackend) await(ctx context.Context, done <-chan struct{}) error {
 	select {
 	case <-done:
-	case <-time.After(10 * time.Minute): //repolint:allow determinism live-mode watchdog; the sim path never reaches this select
-		return nil, fmt.Errorf("repro: live workload did not finish within 10 minutes")
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	var m *Metrics
-	c.live.Engine.Do(func() { m = r.Metrics() })
-	return m, nil
+}
+
+// deadline deliberately bypasses the engine (whose timers are compressed
+// by the latency scale): a client deadline is a promise in real time, and
+// resolving a future touches no cluster state, so it needs no engine lock.
+func (liveBackend) deadline(d time.Duration, fail func()) {
+	time.AfterFunc(d, fail) //repolint:allow determinism live client deadlines are wall-clock promises, deliberately unscaled
+}
+
+func (liveBackend) awaitRun(done <-chan struct{}) error {
+	select {
+	case <-done:
+		return nil
+	case <-time.After(10 * time.Minute): //repolint:allow determinism live-mode watchdog; the sim backend never reaches this select
+		return fmt.Errorf("repro: live workload did not finish within 10 minutes")
+	}
 }

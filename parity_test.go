@@ -3,7 +3,9 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -47,36 +49,104 @@ func driveScript(t *testing.T, cli repro.Client) []string {
 	return log
 }
 
-// TestSimLiveParity drives the identical script through both backends
-// on the same topology, seed and levels. At QUORUM/QUORUM (R+W > RF)
-// every read is fresh, so the transcripts — values, existence, oracle
-// staleness verdicts, errors — must agree exactly, and both oracles
-// must account a zero stale rate.
+// parityModel fits a small behaviour model from a simulated run, for the
+// Behavior flavour of TestSimLiveParity.
+func parityModel(t *testing.T, topo *repro.Topology, cfg repro.Config) *repro.BehaviorModel {
+	t.Helper()
+	sim := repro.NewSim(topo, cfg)
+	col := sim.CollectTrace(0)
+	cli := sim.StaticClient(repro.One, repro.One)
+	for _, w := range []repro.Workload{repro.WorkloadC(200), repro.MixWorkload(100, 0.5, 0, 0.99)} {
+		if _, err := cli.Run(w, repro.RunOptions{Ops: 3000, Threads: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model, err := repro.BuildBehaviorModel(repro.BuildTimeline(col.Trace(), 50*time.Millisecond), repro.DefaultBehaviorOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// parityBackend is the facade surface TestSimLiveParity drives: the
+// deployment core, as both *Sim and *Live expose it.
+type parityBackend interface {
+	StaticClient(read, write repro.Level) repro.Client
+	HarmonyClient(alpha float64) (repro.Client, *repro.Controller)
+	HarmonyHotClient(alpha float64) (repro.Client, *repro.Controller)
+	BismarClient(dep repro.Deployment) (repro.Client, *repro.Controller)
+	BehaviorClient(m *repro.BehaviorModel) (repro.Client, *repro.Controller)
+	StaleRate() float64
+}
+
+// TestSimLiveParity drives the identical script through both backends on
+// the same topology and seed, once per session flavour. Every operation
+// must succeed on both. At QUORUM/QUORUM (R+W > RF) every read is fresh,
+// so the transcripts — values, existence, oracle staleness verdicts,
+// errors — must agree exactly and both oracles must account a zero stale
+// rate. Under a tuner the level in force, and so whether a read may be
+// stale, depends on control-loop timing the backends do not share: there
+// the transcripts must agree on every line the oracle flagged stale on
+// neither side, and the controller must have decided on both.
 func TestSimLiveParity(t *testing.T) {
 	topo := repro.SingleDC(4)
 	cfg := repro.Defaults(topo)
 	cfg.Seed = 77
-
-	sim := repro.NewSim(topo, cfg)
-	simLog := driveScript(t, sim.StaticClient(repro.Quorum, repro.Quorum))
-
-	lv := repro.NewLive(topo, cfg, 0.05) // latency-scaled 20× faster
-	defer lv.Close()
-	liveLog := driveScript(t, lv.StaticClient(repro.Quorum, repro.Quorum))
-
-	if len(simLog) != len(liveLog) {
-		t.Fatalf("transcript lengths differ: sim %d vs live %d", len(simLog), len(liveLog))
+	cfg.HotCache = true // lets the HarmonyHot flavour see a hot set
+	model := parityModel(t, topo, cfg)
+	dep := repro.Deployment{
+		Nodes: 4, RF: cfg.RF, Threads: 1, Concurrency: 4,
+		ReadServiceMean: time.Millisecond, WriteServiceMean: time.Millisecond,
+		CoordMean: 100 * time.Microsecond, ClientRTT: 400 * time.Microsecond,
+		ValueBytes: 16, DatasetBytes: 1 << 20, Pricing: repro.EC2Pricing2013(),
 	}
-	for i := range simLog {
-		if simLog[i] != liveLog[i] {
-			t.Errorf("transcript %d differs:\n  sim:  %s\n  live: %s", i, simLog[i], liveLog[i])
-		}
+
+	flavours := []struct {
+		name   string
+		client func(parityBackend) (repro.Client, *repro.Controller)
+	}{
+		{"static", func(b parityBackend) (repro.Client, *repro.Controller) {
+			return b.StaticClient(repro.Quorum, repro.Quorum), nil
+		}},
+		{"harmony", func(b parityBackend) (repro.Client, *repro.Controller) { return b.HarmonyClient(0.05) }},
+		{"harmonyhot", func(b parityBackend) (repro.Client, *repro.Controller) { return b.HarmonyHotClient(0.05) }},
+		{"bismar", func(b parityBackend) (repro.Client, *repro.Controller) { return b.BismarClient(dep) }},
+		{"behavior", func(b parityBackend) (repro.Client, *repro.Controller) { return b.BehaviorClient(model) }},
 	}
-	if sr := sim.StaleRate(); sr != 0 {
-		t.Errorf("sim oracle stale rate = %f, want 0 at quorum", sr)
-	}
-	if sr := lv.StaleRate(); sr != 0 {
-		t.Errorf("live oracle stale rate = %f, want 0 at quorum", sr)
+	for _, fl := range flavours {
+		t.Run(fl.name, func(t *testing.T) {
+			lv := repro.NewLive(topo, cfg, 0.05) // latency-scaled 20× faster
+			defer lv.Close()
+			drive := func(name string, b parityBackend) []string {
+				cli, ctl := fl.client(b)
+				log := driveScript(t, cli)
+				for _, line := range log {
+					if !strings.HasSuffix(line, "err=<nil>") {
+						t.Errorf("%s: %s", name, line)
+					}
+				}
+				if ctl == nil {
+					if sr := b.StaleRate(); sr != 0 {
+						t.Errorf("%s: oracle stale rate = %f, want 0 at quorum", name, sr)
+					}
+				} else if len(ctl.Journal()) == 0 {
+					t.Errorf("%s: controller never decided", name)
+				}
+				return log
+			}
+			simLog, liveLog := drive("sim", repro.NewSim(topo, cfg)), drive("live", lv)
+			if len(simLog) != len(liveLog) {
+				t.Fatalf("transcript lengths differ: sim %d vs live %d", len(simLog), len(liveLog))
+			}
+			for i := range simLog {
+				if strings.Contains(simLog[i]+liveLog[i], "stale=true") {
+					continue // only a tuner-chosen level can get here (checked above)
+				}
+				if simLog[i] != liveLog[i] {
+					t.Errorf("transcript %d differs:\n  sim:  %s\n  live: %s", i, simLog[i], liveLog[i])
+				}
+			}
+		})
 	}
 }
 

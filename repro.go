@@ -6,36 +6,55 @@
 // deterministic cluster simulator the evaluation runs on and a real-time
 // engine for live use.
 //
+// # One deployment core, two backends
+//
+// NewSim (a deterministic discrete-event simulation in virtual time) and
+// NewLive / NewServing (wall clock, goroutines, optionally a TCP mesh of
+// processes) build the same thing: a cluster of store nodes, the
+// monitoring module, and the adaptive middleware on top. Sim and Live
+// both embed one deployment core on which every session, client,
+// membership, autoscale and introspection method is written once. A
+// backend contributes only what genuinely differs: how to get exclusive
+// access to the store (a plain call; the engine lock), how a Future waits
+// (step virtual time on the caller's goroutine; block), how a client
+// deadline is armed (a virtual timer; an unscaled wall timer) and how
+// Client.Run awaits its workload runner. So *Sim and *Live export the
+// same methods with the same signatures — Sim adds Run and Now, Live adds
+// Close — and the paper's middleware (monitor → tuner → per-operation
+// level) sits unchanged on whichever engine runs the store.
+//
 // # The Client API
 //
-// Both backends — the discrete-event simulation (NewSim) and the
-// wall-clock deployment (NewLive) — serve the same unified Client
-// interface: Get, Put, Delete, BatchGet and BatchPut, each in a
-// blocking and a future-returning (*Async) form, all taking a
-// context.Context and per-operation options (WithLevel overrides the
-// session's consistency level, WithDeadline bounds the client-visible
-// wait). Multi-key batches are coordinated as true batches in the
-// store — one coordinator admission and at most one request message per
-// replica — so they amortize the per-operation overhead the paper's
-// cost model prices.
+// A deployment hands out clients: Get, Put, Delete, BatchGet and
+// BatchPut, each in a blocking and a future-returning (*Async) form, all
+// taking a context.Context and per-operation options (WithLevel
+// overrides the session's consistency level, WithDeadline bounds the
+// client-visible wait). Multi-key batches are coordinated as true
+// batches in the store — one coordinator admission and at most one
+// request message per replica — so they amortize the per-operation
+// overhead the paper's cost model prices.
 //
 //	topo := repro.G5KTwoSites(12)
-//	sim := repro.NewSim(topo, repro.Defaults(topo))
-//	cli, ctl := sim.HarmonyClient(0.05) // tolerate ≤5% stale reads
+//	sim := repro.NewSim(topo, repro.Defaults(topo)) // or NewLive(topo, cfg, scale)
+//	cli, ctl := sim.HarmonyClient(0.05)             // tolerate ≤5% stale reads
 //	cli.Put(ctx, "k", []byte("v"))
 //	res := cli.BatchGet(ctx, []string{"a", "b"}, repro.WithLevel(repro.Quorum))
 //	m, _ := cli.Run(repro.WorkloadB(1000), repro.RunOptions{Ops: 50000})
 //
 // Consistency levels are re-tuned behind the client by the controller
 // returned next to it: HarmonyClient bounds the stale-read rate,
-// BismarClient maximizes consistency-cost efficiency, BehaviorClient
-// follows a fitted application-behaviour model, and StaticClient pins
-// levels. Client.Run drives YCSB-style workloads (RunOptions.BatchSize
+// HarmonyHotClient does so per hot key, BismarClient maximizes
+// consistency-cost efficiency, BehaviorClient follows a fitted
+// application-behaviour model, and StaticClient pins levels. Each has a
+// *Session twin returning the bare session; AdaptiveSession runs any
+// Tuner at a chosen control period (the shorthands use the default,
+// 100 ms). Client.Run drives YCSB-style workloads (RunOptions.BatchSize
 // switches the driver to multi-key batches) through the same session
-// machinery on either backend.
+// machinery.
 //
-// See README.md for a walkthrough, examples/ for runnable programs and
-// internal/experiments for the paper's evaluation harness.
+// See README.md for a walkthrough, examples/ for runnable programs,
+// internal/experiments for the paper's evaluation harness and
+// benchmark/README.md for the one benchmark performance is measured with.
 package repro
 
 import (

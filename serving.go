@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/kv"
 	"repro/internal/live"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
 )
 
@@ -14,20 +12,17 @@ import (
 // nodes it owns, where its peer mesh listens, and where the peers are.
 // A single-process deployment leaves everything zero. See NewServing.
 type ServeConfig struct {
-	// Local lists the topology nodes this process serves; nil serves
-	// all of them. Client operations issued in this process are
-	// coordinated by these nodes only (client messages carry callbacks
-	// and cannot cross processes), so every serving process is a full
-	// coordinator for its share of the traffic.
+	// Local lists the topology nodes this process serves; nil serves all
+	// of them. Client operations issued in this process are coordinated by
+	// these nodes only (client messages carry callbacks and cannot cross
+	// processes), so every process fully coordinates its share of traffic.
 	Local []NodeID
 	// MeshListen is this process's peer-mesh listen address
 	// (host:port; empty in a single-process deployment).
 	MeshListen string
-	// Peers maps each remote node id to the mesh address of the
-	// process serving it.
+	// Peers maps each remote node id to its serving process's mesh address.
 	Peers map[NodeID]string
-	// DialTimeout bounds the wait for peer processes at startup
-	// (default 30s).
+	// DialTimeout bounds the wait for peers at startup (default 30s).
 	DialTimeout time.Duration
 }
 
@@ -56,14 +51,7 @@ func NewServing(topo *Topology, cfg Config, sc ServeConfig) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cl *kv.Cluster
-	var mon *monitor.Monitor
-	eng.Do(func() {
-		cl = kv.New(topo, eng, cfg)
-		mon = monitor.New(cl.RF(), eng, monitor.DefaultOptions())
-		cl.AddHooks(mon.Hooks())
-	})
-	return &Live{Engine: eng, Cluster: cl, Monitor: mon}, nil
+	return &Live{deployment: build(topo, cfg, eng, liveBackend{eng}), Engine: eng}, nil
 }
 
 // ServingDefaults returns a serving-tuned configuration: modeled

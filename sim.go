@@ -5,184 +5,29 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/autoscale"
-	"repro/internal/behavior"
-	"repro/internal/core"
-	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/ycsb"
 )
 
 // Sim is a fully wired simulated deployment: a deterministic
 // discrete-event engine, a cluster of store nodes over a modeled network,
 // and the Harmony monitoring module. All interaction happens in virtual
-// time; runs with the same seed are bit-reproducible. Client-facing
-// traffic goes through the unified Client API (Sim.Client and the
-// session-flavored shorthands below).
+// time; runs with the same seed are bit-reproducible. It is
+// single-threaded: blocking client calls and Future.Wait advance virtual
+// time on the caller's goroutine. Its session, client, membership and
+// introspection methods are the embedded core's, shared with Live.
 type Sim struct {
+	deployment
 	Engine    *sim.Engine
 	Transport *netsim.Transport
-	Cluster   *kv.Cluster
-	Monitor   *monitor.Monitor
-
-	controllers []*core.Controller
 }
 
 // NewSim builds a simulated deployment on topo.
 func NewSim(topo *Topology, cfg Config) *Sim {
 	eng := sim.New(cfg.Seed)
 	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	return &Sim{Engine: eng, Transport: tr, Cluster: cl, Monitor: mon}
+	return &Sim{deployment: build(topo, cfg, tr, simBackend{eng}), Engine: eng, Transport: tr}
 }
-
-// Client wraps a session in the unified Client API. The client is
-// single-threaded like the simulation itself: blocking calls and
-// Future.Wait advance virtual time on the caller's goroutine.
-func (s *Sim) Client(sess Session) Client { return &simClient{sim: s, sess: sess} }
-
-// StaticClient returns a client pinned to fixed levels.
-func (s *Sim) StaticClient(read, write Level) Client {
-	return s.Client(s.StaticSession(read, write))
-}
-
-// HarmonyClient returns a client whose levels Harmony re-tunes to keep
-// the stale-read rate under alpha, with the controller driving it.
-func (s *Sim) HarmonyClient(alpha float64) (Client, *Controller) {
-	sess, ctl := s.HarmonySession(alpha)
-	return s.Client(sess), ctl
-}
-
-// HarmonyHotClient returns a client driven by the hot-key-aware Harmony
-// tuner: the global per-key decision rules the tail while every key in
-// the cluster's current hot set (Config.HotCache) is pinned to its own
-// smallest safe level each control period.
-func (s *Sim) HarmonyHotClient(alpha float64) (Client, *Controller) {
-	sess, ctl := s.HarmonyHotSession(alpha)
-	return s.Client(sess), ctl
-}
-
-// BismarClient returns a client whose levels Bismar re-prices for
-// consistency-cost efficiency, with the controller driving it.
-func (s *Sim) BismarClient(dep Deployment) (Client, *Controller) {
-	sess, ctl := s.BismarSession(dep)
-	return s.Client(sess), ctl
-}
-
-// BehaviorClient returns a client driven by a fitted behaviour model's
-// runtime classifier, with the controller driving it.
-func (s *Sim) BehaviorClient(m *BehaviorModel) (Client, *Controller) {
-	sess, ctl := s.BehaviorSession(m)
-	return s.Client(sess), ctl
-}
-
-// StaticSession returns a session pinned to fixed levels.
-func (s *Sim) StaticSession(read, write Level) Session {
-	return kv.StaticSession{Cluster: s.Cluster, ReadLevel: read, WriteLevel: write}
-}
-
-// AdaptiveSession wires a tuner into a controller (re-evaluating every
-// interval; 0 means 100 ms of virtual time) and returns the adaptive
-// session with its controller. The controller starts on the first engine
-// step.
-func (s *Sim) AdaptiveSession(t Tuner, interval time.Duration) (Session, *Controller) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	ctl := core.NewController(s.Monitor, t, s.Transport, interval)
-	s.controllers = append(s.controllers, ctl)
-	ctl.Start()
-	return ctl.Session(s.Cluster), ctl
-}
-
-// HarmonySession is shorthand for AdaptiveSession(NewHarmonyTuner(alpha, RF)).
-func (s *Sim) HarmonySession(alpha float64) (Session, *Controller) {
-	return s.AdaptiveSession(NewHarmonyTuner(alpha, s.Cluster.RF()), 0)
-}
-
-// HarmonyHotSession is shorthand for
-// AdaptiveSession(NewHarmonyHotTuner(alpha, Cluster)).
-func (s *Sim) HarmonyHotSession(alpha float64) (Session, *Controller) {
-	return s.AdaptiveSession(NewHarmonyHotTuner(alpha, s.Cluster), 0)
-}
-
-// HotKeys reports the cluster's current hot set in sorted order (empty
-// without Config.HotCache).
-func (s *Sim) HotKeys() []string { return s.Cluster.HotKeys() }
-
-// BismarSession is shorthand for AdaptiveSession(NewBismarTuner(dep)).
-func (s *Sim) BismarSession(dep Deployment) (Session, *Controller) {
-	return s.AdaptiveSession(NewBismarTuner(dep), 0)
-}
-
-// BehaviorSession runs a fitted behaviour model's runtime classifier as
-// the tuner, wiring the classifier's feature hooks into the cluster.
-func (s *Sim) BehaviorSession(m *BehaviorModel) (Session, *Controller) {
-	rc := behavior.NewRuntimeClassifier(m, s.Cluster.RF())
-	s.Cluster.AddHooks(rc.Hooks())
-	return s.AdaptiveSession(rc, 0)
-}
-
-// CollectTrace records an access trace of everything the cluster serves
-// while the simulation runs (§III-C's collection step).
-func (s *Sim) CollectTrace(limit int) *behavior.Collector {
-	col := behavior.NewCollector(limit)
-	s.Cluster.AddHooks(col.Hooks())
-	return col
-}
-
-// Preload seeds records into every replica (the YCSB load phase).
-func (s *Sim) Preload(n uint64, key func(uint64) string, value []byte) {
-	s.Cluster.Preload(n, key, value)
-}
-
-// Join adds topology node id to the cluster: it bootstraps by snapshot
-// streaming the ranges it will own from current members, the placement
-// flips when streaming completes, and the node warms up before read
-// coordinators count it as fully live. Drive the simulation (Run) for
-// the change to make progress.
-func (s *Sim) Join(id NodeID) { s.Cluster.Join(id) }
-
-// Decommission removes member id: it streams its ownership to the new
-// owners, then leaves the ring. Drive the simulation for the change to
-// make progress.
-func (s *Sim) Decommission(id NodeID) { s.Cluster.Decommission(id) }
-
-// Members returns the current ring members.
-func (s *Sim) Members() []NodeID { return s.Cluster.Members() }
-
-// State reports a node's combined membership/failure state.
-func (s *Sim) State(id NodeID) NodeState { return s.Cluster.State(id) }
-
-// Autoscale starts the cost-loop controller: it samples the monitor
-// every cfg.Interval, feeds the observed workload to the provisioning
-// optimizer and enacts the recommended cluster size through
-// Join/Decommission — one membership change at a time, with hysteresis,
-// cooldown, an RF+FailureBudget floor and billing-boundary-aware
-// scale-down. Candidates defaults to every topology node. Inspect the
-// controller's Log for the decision journal; Stop it to freeze the
-// cluster size.
-func (s *Sim) Autoscale(cfg AutoscaleConfig) *Autoscaler {
-	if cfg.Candidates == nil {
-		cfg.Candidates = s.Cluster.Topology().Nodes()
-	}
-	ctl := autoscale.New(s.Cluster, s.Monitor, s.Transport, cfg)
-	ctl.Start()
-	return ctl
-}
-
-// ViewAgreement reports the fraction of reachable members whose gossip
-// view has applied the full membership-event log (always 1 when
-// Config.Gossip is off — atomic placement cannot disagree).
-func (s *Sim) ViewAgreement() float64 { return s.Cluster.ViewAgreement() }
-
-// MembershipConverged reports whether every reachable member's view
-// agrees with the enacted membership (ViewAgreement == 1).
-func (s *Sim) MembershipConverged() bool { return s.Cluster.MembershipConverged() }
 
 // Run advances virtual time by d.
 func (s *Sim) Run(d time.Duration) { s.Engine.RunFor(d) }
@@ -190,155 +35,32 @@ func (s *Sim) Run(d time.Duration) { s.Engine.RunFor(d) }
 // Now reports current virtual time.
 func (s *Sim) Now() time.Duration { return s.Engine.Now() }
 
-// StaleRate reports the oracle's measured stale-read fraction so far.
-func (s *Sim) StaleRate() float64 { return s.Cluster.Oracle().StaleRate() }
+// simBackend runs a deployment on the single-threaded discrete-event engine.
+type simBackend struct{ eng *sim.Engine }
 
-// simClient implements Client over the discrete-event engine.
-type simClient struct {
-	sim  *Sim
-	sess Session
+func (simBackend) Do(fn func()) { fn() }
+
+func (b simBackend) await(ctx context.Context, done <-chan struct{}) error {
+	for {
+		select {
+		case <-done:
+			return nil
+		default:
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !b.eng.Step() {
+			return ErrTimeout // drained (or stopped) with done still open
+		}
+	}
 }
 
-func (c *simClient) Session() Session { return c.sess }
+func (b simBackend) deadline(d time.Duration, fail func()) { b.eng.Schedule(d, fail) }
 
-func (c *simClient) pump() bool { return c.sim.Engine.Step() }
-
-// armDeadline schedules a virtual-time deadline that resolves the
-// operation with ErrDeadline if it fires first.
-func (c *simClient) armDeadline(d time.Duration, fail func()) {
-	if d > 0 {
-		c.sim.Transport.Schedule(d, fail)
+func (b simBackend) awaitRun(done <-chan struct{}) error {
+	if b.await(context.Background(), done) != nil {
+		return fmt.Errorf("repro: workload stalled with %d events pending", b.eng.Pending())
 	}
-}
-
-func (c *simClient) Get(ctx context.Context, key string, opts ...OpOption) ReadResult {
-	return c.GetAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *simClient) Put(ctx context.Context, key string, value []byte, opts ...OpOption) WriteResult {
-	return c.PutAsync(ctx, key, value, opts...).Wait(ctx)
-}
-
-func (c *simClient) Delete(ctx context.Context, key string, opts ...OpOption) WriteResult {
-	return c.DeleteAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *simClient) BatchGet(ctx context.Context, keys []string, opts ...OpOption) []ReadResult {
-	return c.BatchGetAsync(ctx, keys, opts...).Wait(ctx)
-}
-
-func (c *simClient) BatchPut(ctx context.Context, ops []PutOp, opts ...OpOption) []WriteResult {
-	return c.BatchPutAsync(ctx, ops, opts...).Wait(ctx)
-}
-
-func (c *simClient) GetAsync(ctx context.Context, key string, opts ...OpOption) *ReadFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) ReadResult { return ReadResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(ReadResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.Read(key, *o.level, f.resolve)
-	} else {
-		c.sess.Read(key, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(ReadResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *simClient) PutAsync(ctx context.Context, key string, value []byte, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.Write(key, value, *o.level, f.resolve)
-	} else {
-		c.sess.Write(key, value, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *simClient) DeleteAsync(ctx context.Context, key string, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.Delete(key, *o.level, f.resolve)
-	} else {
-		c.sess.Delete(key, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *simClient) BatchGetAsync(ctx context.Context, keys []string, opts ...OpOption) *BatchGetFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) []ReadResult { return failedBatchReads(keys, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchReads(keys, ErrCanceled))
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.ReadBatch(keys, *o.level, f.resolve)
-	} else {
-		c.sess.BatchRead(keys, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchReads(keys, ErrDeadline)) })
-	return f
-}
-
-func (c *simClient) BatchPutAsync(ctx context.Context, ops []PutOp, opts ...OpOption) *BatchPutFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) []WriteResult { return failedBatchWrites(ops, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchWrites(ops, ErrCanceled))
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.WriteBatch(ops, *o.level, f.resolve)
-	} else {
-		c.sess.BatchWrite(ops, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchWrites(ops, ErrDeadline)) })
-	return f
-}
-
-// Run drives a workload to completion in virtual time.
-func (c *simClient) Run(w Workload, o RunOptions) (*Metrics, error) {
-	r, err := ycsb.NewRunner(c.sess, w, c.sim.Transport, c.sim.Cluster.Config().Seed)
-	if err != nil {
-		return nil, err
-	}
-	applyRunOptions(r, o)
-	if !o.NoPreload {
-		c.sim.Preload(w.RecordCount, r.Keys, r.Value())
-	}
-	r.Start()
-	for !r.Finished() && c.sim.Engine.Step() {
-	}
-	if !r.Finished() {
-		return nil, fmt.Errorf("repro: workload stalled with %d events pending", c.sim.Engine.Pending())
-	}
-	return r.Metrics(), nil
-}
-
-// applyRunOptions maps RunOptions onto a runner.
-func applyRunOptions(r *ycsb.Runner, o RunOptions) {
-	if o.Ops > 0 {
-		r.OpCount = o.Ops
-	}
-	if o.Threads > 0 {
-		r.Threads = o.Threads
-	}
-	r.BatchSize = o.BatchSize
-	r.WarmupOps = o.WarmupOps
-	r.OpenLoopRate = o.OpenLoopRate
+	return nil
 }
