@@ -97,15 +97,17 @@ type Config struct {
 	// storage.Mem (default) keeps the volatile map; storage.LSM runs the
 	// durable WAL + LSM-lite engine, making Crash/Restart meaningful.
 	Engine storage.Kind
-	// WALSyncBytes is the LSM WAL fsync cadence: the log syncs once the
-	// un-fsynced tail reaches this many bytes (a crash loses at most
-	// that tail). 0 syncs every record.
+	// WALSyncBytes is the LSM WAL sync cadence: the log syncs once the
+	// unsynced tail reaches this many bytes (a crash loses at most that
+	// tail; on a file WAL the whole tail is one write + one fdatasync).
+	// 0 syncs every record.
 	WALSyncBytes int64
 	// MaxRuns triggers LSM size-tiered compaction; 0 defaults to 4.
 	MaxRuns int
 	// WALDir, when set, backs each node's WAL with a real file
-	// (wal-<node>.log) so the live engine pays real I/O for appends and
-	// fsyncs; empty keeps WALs as deterministic in-memory logs.
+	// (wal-<node>.log, one recycled segment: see storage.Options.Path) so
+	// the live engine pays real I/O for WAL syncs; empty keeps WALs as
+	// deterministic in-memory logs.
 	WALDir string
 
 	// Read path.

@@ -13,9 +13,9 @@ import (
 )
 
 // newLiveLSMCluster builds a live deployment on the LSM engine with
-// file-backed WALs in dir: every accepted mutation pays a real file
-// append, and the fsync cadence maps to real fdatasync calls — the WAL
-// and flush latencies of the model become actual I/O here.
+// file-backed WALs in dir: every sync window pays a real file write,
+// and the sync cadence maps to real fdatasync calls — the WAL and flush
+// latencies of the model become actual I/O here.
 func newLiveLSMCluster(seed uint64, dir string) (*Engine, *kv.Cluster) {
 	topo := netsim.SingleDC(4)
 	eng := New(topo, seed)
@@ -34,9 +34,9 @@ func newLiveLSMCluster(seed uint64, dir string) (*Engine, *kv.Cluster) {
 }
 
 // TestLiveLSMFileWALCrashRestart drives real file I/O through the live
-// engine: writes append and fsync per-node WAL files on disk, a crash
-// truncates the victim's file to its durable offset, and restart replays
-// it back to full state.
+// engine: writes land in and sync per-node WAL files on disk, a crash
+// drops the victim's unsynced tail, and restart replays the file's
+// durable prefix back to full state.
 func TestLiveLSMFileWALCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	eng, cl := newLiveLSMCluster(21, dir)

@@ -111,7 +111,7 @@ type Stats struct {
 	// LSM-only counters; zero for MemEngine.
 	WALAppends     uint64 // records appended to the WAL
 	WALBytes       uint64 // bytes appended to the WAL
-	WALSyncs       uint64 // fsync (durability) points
+	WALSyncs       uint64 // durability points: one write + one fdatasync each on the file WAL
 	LostRecords    uint64 // un-fsynced records dropped by crashes
 	Runs           int    // resident sorted runs
 	RunEntries     int    // entries across resident runs (superseded included)
@@ -155,16 +155,22 @@ type Options struct {
 	// FlushLimit is the memtable flush threshold in bytes; 0 disables
 	// flushing (the LSM engine then keeps everything in memtable + WAL).
 	FlushLimit int64
-	// SyncBytes is the LSM WAL fsync cadence: the log syncs once the
-	// un-fsynced tail reaches this many bytes. 0 syncs every record
-	// (nothing is ever lost to a crash).
+	// SyncBytes is the LSM WAL sync cadence: records gather in memory
+	// until the unsynced tail reaches this many bytes, then one sync
+	// makes them durable together (on the file WAL: one write and one
+	// fdatasync for the whole window). 0 syncs every record (nothing is
+	// ever lost to a crash).
 	SyncBytes int64
 	// MaxRuns triggers size-tiered compaction when the number of sorted
 	// runs reaches it; 0 defaults to 4.
 	MaxRuns int
 	// Path, when set, backs the LSM WAL with a real file (the live
 	// engine maps WAL latencies to real I/O this way); empty keeps the
-	// WAL as a deterministic in-memory byte log (simulation).
+	// WAL as a deterministic in-memory byte log (simulation). The file
+	// is one recycled segment: truncated at open, rewound (not cut) by
+	// every memtable flush, so it holds the size of the longest log one
+	// memtable generation wrote. It backs crash recovery within this
+	// process only; no later process reads it.
 	Path string
 }
 

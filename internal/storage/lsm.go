@@ -1,6 +1,9 @@
 package storage
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // runEntry is one key's cell inside an immutable sorted run.
 type runEntry struct {
@@ -15,11 +18,19 @@ type run struct {
 	bytes   int64
 }
 
-// find binary-searches the run for key.
+// find binary-searches the run for key: one three-way compare per step.
 func (r *run) find(key string) (Cell, bool) {
-	i := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].key >= key })
-	if i < len(r.entries) && r.entries[i].key == key {
-		return r.entries[i].cell, true
+	lo, hi := 0, len(r.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch cmp := strings.Compare(r.entries[mid].key, key); {
+		case cmp == 0:
+			return r.entries[mid].cell, true
+		case cmp < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
 	}
 	return Cell{}, false
 }
@@ -90,15 +101,21 @@ func (e *LSMEngine) Get(key string) (Cell, bool) {
 
 // Peek is Get without touching the read counters.
 func (e *LSMEngine) Peek(key string) (Cell, bool) {
-	if c, ok := e.mem[key]; ok {
-		return c, ok
+	c, ok, _ := e.lookup(key)
+	return c, ok
+}
+
+// lookup is the merge-read; inMem reports that the hit was the memtable's.
+func (e *LSMEngine) lookup(key string) (c Cell, ok, inMem bool) {
+	if c, ok = e.mem[key]; ok {
+		return c, true, true
 	}
 	for i := len(e.runs) - 1; i >= 0; i-- {
-		if c, ok := e.runs[i].find(key); ok {
-			return c, true
+		if c, ok = e.runs[i].find(key); ok {
+			return c, true, false
 		}
 	}
-	return Cell{}, false
+	return Cell{}, false, false
 }
 
 // Apply merges cell into the engine under last-write-wins: the accepted
@@ -107,7 +124,7 @@ func (e *LSMEngine) Apply(key string, c Cell) bool {
 	if !e.replaying {
 		e.stats.Writes++
 	}
-	old, exists := e.Peek(key)
+	old, exists, inMem := e.lookup(key)
 	if exists && !c.Version.After(old.Version) {
 		if !e.replaying {
 			e.stats.Rejected++
@@ -115,7 +132,6 @@ func (e *LSMEngine) Apply(key string, c Cell) bool {
 		return false
 	}
 	e.logRecord(key, c)
-	_, inMem := e.mem[key]
 	e.mem[key] = c
 	if !exists {
 		e.keys.add(key)
@@ -212,7 +228,7 @@ func (e *LSMEngine) Range(fn func(key string, c Cell) bool) {
 	}
 }
 
-// Flush seals the memtable into an immutable sorted run, truncates the
+// Flush seals the memtable into an immutable sorted run, rewinds the
 // WAL (the run is durable now) and triggers size-tiered compaction when
 // enough runs piled up.
 func (e *LSMEngine) Flush() {
@@ -250,34 +266,58 @@ func (e *LSMEngine) compact() {
 		return
 	}
 	var inBytes int64
-	total := 0
 	for i := range e.runs {
 		inBytes += e.runs[i].bytes
-		total += len(e.runs[i].entries)
 	}
-	winners := make(map[string]Cell, total)
-	for i := range e.runs { // oldest → newest; newer entries supersede
-		for _, ent := range e.runs[i].entries {
-			if old, ok := winners[ent.key]; !ok || ent.cell.Version.After(old.Version) {
-				winners[ent.key] = ent.cell
-			}
-		}
-	}
-	keys := make([]string, 0, len(winners))
-	for k := range winners {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	merged := run{entries: make([]runEntry, 0, len(keys))}
-	for _, k := range keys {
-		c := winners[k]
-		merged.entries = append(merged.entries, runEntry{key: k, cell: c})
-		merged.bytes += int64(c.Size())
-	}
+	merged := mergeRuns(e.runs)
 	e.runs = e.runs[:0]
 	e.runs = append(e.runs, merged)
 	e.stats.Compactions++
 	e.stats.CompactedBytes += uint64(inBytes)
+}
+
+// mergeRuns k-way merges sorted runs (oldest first) into one run holding
+// the winning cell per key: among entries of one key a later run's cell
+// replaces an earlier one's only when its version is strictly After. The
+// runs are few (MaxRuns), so each step scans the run heads linearly
+// rather than keeping a heap.
+func mergeRuns(runs []run) run {
+	total := 0
+	for i := range runs {
+		total += len(runs[i].entries)
+	}
+	merged := run{entries: make([]runEntry, 0, total)}
+	pos := make([]int, len(runs))
+	for {
+		// The smallest head key; on a tie the oldest run holds it first.
+		first := -1
+		for i := range runs {
+			if pos[i] == len(runs[i].entries) {
+				continue
+			}
+			if first < 0 || runs[i].entries[pos[i]].key < runs[first].entries[pos[first]].key {
+				first = i
+			}
+		}
+		if first < 0 {
+			return merged
+		}
+		win := runs[first].entries[pos[first]]
+		pos[first]++
+		for i := first + 1; i < len(runs); i++ {
+			if pos[i] == len(runs[i].entries) {
+				continue
+			}
+			if ent := &runs[i].entries[pos[i]]; ent.key == win.key {
+				if ent.cell.Version.After(win.cell.Version) {
+					win.cell = ent.cell
+				}
+				pos[i]++
+			}
+		}
+		merged.entries = append(merged.entries, win)
+		merged.bytes += int64(win.cell.Size())
+	}
 }
 
 // Crash kills the process: the memtable and the un-fsynced WAL tail are
@@ -330,7 +370,7 @@ func (e *LSMEngine) Recover() RecoverStats {
 	}
 
 	// Replay the durable WAL prefix through the normal apply path.
-	log := append([]byte(nil), e.wal.durable()...)
+	log := e.wal.durable()
 	e.wal.reset()
 	e.pendingRecs = 0
 	e.replaying = true

@@ -202,7 +202,7 @@ func TestLSMFileWAL(t *testing.T) {
 	e.Apply("a", Cell{Version: Version{Timestamp: 1, Seq: 1}, Value: []byte("x")})
 	e.sync()
 	e.Apply("b", Cell{Version: Version{Timestamp: 2, Seq: 2}, Value: []byte("y")})
-	e.Crash() // truncates the real file to the fsynced offset
+	e.Crash() // drops the tail the file never saw
 	rs := e.Recover()
 	if rs.WALRecords != 1 || rs.TornTail {
 		t.Fatalf("file WAL recovery: %+v", rs)

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,5 +120,70 @@ func TestEnginesAgreeAfterCrashRecovery(t *testing.T) {
 	lsm.Recover()
 	if got, want := snapshot(lsm), snapshot(mem); got != want {
 		t.Fatalf("post-recovery state diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// mergeRunsReference is the compaction merge as it was before the linear
+// k-way merge: every entry into a map of winners (oldest run first, a
+// later entry replacing the winner only when strictly After), then all
+// keys re-sorted. Kept as the oracle mergeRuns must equal.
+func mergeRunsReference(runs []run) run {
+	winners := make(map[string]Cell)
+	for i := range runs {
+		for _, ent := range runs[i].entries {
+			if old, ok := winners[ent.key]; !ok || ent.cell.Version.After(old.Version) {
+				winners[ent.key] = ent.cell
+			}
+		}
+	}
+	keys := make([]string, 0, len(winners))
+	for k := range winners {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	merged := run{entries: make([]runEntry, 0, len(keys))}
+	for _, k := range keys {
+		c := winners[k]
+		merged.entries = append(merged.entries, runEntry{key: k, cell: c})
+		merged.bytes += int64(c.Size())
+	}
+	return merged
+}
+
+// TestMergeRunsEqualsMapSortMerge: on 1–8 random sorted runs that
+// overwrite each other — version ties across runs, out-of-order versions
+// and tombstones included — the linear merge yields the reference's
+// entries and byte count exactly.
+func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 300}
+	if err := quick.Check(func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		universe := 1 + rng.IntN(40)
+		runs := make([]run, 1+rng.IntN(8))
+		for r := range runs {
+			for k := 0; k < universe; k++ { // ascending: the run comes out sorted
+				if rng.IntN(3) == 0 {
+					continue
+				}
+				c := Cell{
+					// Few distinct versions: ties and newer-in-older-run both occur.
+					Version: Version{Timestamp: time.Duration(rng.IntN(4)), Seq: uint64(rng.IntN(3))},
+					Value:   []byte(fmt.Sprintf("r%d-k%d", r, k)), // names its run: a wrong winner on a tie shows
+				}
+				if rng.IntN(5) == 0 {
+					c.Tombstone, c.Value = true, nil
+				}
+				runs[r].entries = append(runs[r].entries, runEntry{key: fmt.Sprintf("key%03d", k), cell: c})
+				runs[r].bytes += int64(c.Size())
+			}
+		}
+		got, want := mergeRuns(runs), mergeRunsReference(runs)
+		if got.bytes != want.bytes || !reflect.DeepEqual(got.entries, want.entries) {
+			t.Logf("seed %d:\n got %d bytes %+v\nwant %d bytes %+v", seed, got.bytes, got.entries, want.bytes, want.entries)
+			return false
+		}
+		return true
+	}, cfg); err != nil {
+		t.Error(err)
 	}
 }

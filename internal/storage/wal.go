@@ -10,11 +10,14 @@ import (
 )
 
 // The write-ahead log. Every accepted mutation is appended as one framed
-// record before it lands in the memtable; the fsynced prefix of the log
+// record before it lands in the memtable; the synced prefix of the log
 // is what survives a crash. Under simulation the log is a deterministic
-// in-memory byte buffer with an explicit durable watermark; under the
-// live engine it can be a real file, so appends and syncs map to real
-// I/O (NoKV's wal layering, sized for this repo).
+// in-memory byte buffer with an explicit durable watermark. Under the
+// live engine it can be one recycled file segment (NoKV's managed wal
+// segment, sized for this repo): records gather in memory, a sync is one
+// write at the watermark plus one fdatasync, and a memtable flush
+// rewinds the watermark to offset 0 so the next generation overwrites
+// blocks the file already owns.
 //
 // Record framing, after NoKV's manager:
 //
@@ -111,20 +114,20 @@ func decodeWALRecord(log []byte, off int) (key string, c Cell, n int, err error)
 }
 
 // walog is the byte-log substrate of the LSM engine's WAL: an in-memory
-// buffer under simulation, a real file under the live engine. Appends
-// buffer; sync moves the durable watermark; crash discards everything
-// past it.
+// buffer under simulation, a recycled file segment under the live
+// engine. Appends buffer; sync moves the durable watermark; crash
+// discards everything past it.
 type walog interface {
 	append(rec []byte)
 	sync()
 	unsynced() int64
-	// durable returns the fsynced prefix (what survives a crash). The
-	// returned slice is only valid until the next mutation.
+	// durable returns a copy of the synced prefix (what survives a
+	// crash); the caller owns it across later resets and appends.
 	durable() []byte
 	// reset discards the whole log (the memtable it covered was flushed
 	// to a durable run).
 	reset()
-	// crash discards the un-fsynced tail.
+	// crash discards the unsynced tail.
 	crash()
 	close() error
 }
@@ -138,17 +141,30 @@ type memWAL struct {
 func (w *memWAL) append(rec []byte) { w.buf = append(w.buf, rec...) }
 func (w *memWAL) sync()             { w.synced = len(w.buf) }
 func (w *memWAL) unsynced() int64   { return int64(len(w.buf) - w.synced) }
-func (w *memWAL) durable() []byte   { return w.buf[:w.synced] }
+func (w *memWAL) durable() []byte   { return append([]byte(nil), w.buf[:w.synced]...) }
 func (w *memWAL) reset()            { w.buf, w.synced = w.buf[:0], 0 }
 func (w *memWAL) crash()            { w.buf = w.buf[:w.synced] }
 func (w *memWAL) close() error      { return nil }
 
-// fileWAL backs the log with a real file: append writes, sync fsyncs,
-// crash truncates to the fsynced offset (what a power cut could leave).
+// fileWAL backs the log with one recycled file segment. The log is the
+// file's bytes [0, synced): the in-memory watermark defines it, not the
+// file length, because reset rewinds the watermark without truncating —
+// from the second memtable generation on, every sync overwrites blocks
+// the file already owns and the fdatasync has no size change to journal.
+// Past the watermark the file therefore holds stale records of earlier
+// generations with valid checksums. That is safe only because the file
+// is truncated at open and never read by a later process; a restart path
+// that re-reads it needs a generation stamp in the record header first.
+//
+// Records appended since the last sync wait in tail; a sync is one
+// write of tail at the watermark and one fdatasync, a crash drops tail
+// (what a power cut leaves of writes the device never saw). The file
+// holds its high-water mark: the longest log one memtable generation
+// wrote.
 type fileWAL struct {
-	f        *os.File
-	appended int64
-	synced   int64
+	f      *os.File
+	tail   []byte // appended, not yet written or synced; reused across syncs
+	synced int64  // durable watermark
 }
 
 func newFileWAL(path string) (*fileWAL, error) {
@@ -160,22 +176,20 @@ func newFileWAL(path string) (*fileWAL, error) {
 	return &fileWAL{f: f}, nil
 }
 
-func (w *fileWAL) append(rec []byte) {
-	n, err := w.f.WriteAt(rec, w.appended)
-	if err != nil {
-		panic(fmt.Sprintf("storage: wal append: %v", err))
-	}
-	w.appended += int64(n)
-}
+func (w *fileWAL) append(rec []byte) { w.tail = append(w.tail, rec...) }
 
 func (w *fileWAL) sync() {
-	if err := w.f.Sync(); err != nil {
+	if _, err := w.f.WriteAt(w.tail, w.synced); err != nil {
+		panic(fmt.Sprintf("storage: wal write: %v", err))
+	}
+	if err := fdatasync(w.f); err != nil {
 		panic(fmt.Sprintf("storage: wal sync: %v", err))
 	}
-	w.synced = w.appended
+	w.synced += int64(len(w.tail))
+	w.tail = w.tail[:0]
 }
 
-func (w *fileWAL) unsynced() int64 { return w.appended - w.synced }
+func (w *fileWAL) unsynced() int64 { return int64(len(w.tail)) }
 
 func (w *fileWAL) durable() []byte {
 	buf := make([]byte, w.synced)
@@ -185,20 +199,6 @@ func (w *fileWAL) durable() []byte {
 	return buf
 }
 
-func (w *fileWAL) reset() {
-	//repolint:allow simpure live-only file WAL; the sim engine runs on memWAL
-	if err := w.f.Truncate(0); err != nil {
-		panic(fmt.Sprintf("storage: wal truncate: %v", err))
-	}
-	w.appended, w.synced = 0, 0
-}
-
-func (w *fileWAL) crash() {
-	//repolint:allow simpure live-only file WAL; the sim engine runs on memWAL
-	if err := w.f.Truncate(w.synced); err != nil {
-		panic(fmt.Sprintf("storage: wal truncate: %v", err))
-	}
-	w.appended = w.synced
-}
-
+func (w *fileWAL) reset()       { w.tail, w.synced = w.tail[:0], 0 }
+func (w *fileWAL) crash()       { w.tail = w.tail[:0] }
 func (w *fileWAL) close() error { return w.f.Close() }

@@ -133,7 +133,7 @@ func Count(k int) Level { return kv.Count(k) }
 // WAL tail, and Cluster.Restart replays the rest before hinted handoff
 // and anti-entropy close the gap. Config.WALSyncBytes, Config.MaxRuns
 // and Config.WALDir tune it (a WALDir makes the live engine pay real
-// file I/O for WAL appends and fsyncs).
+// file I/O for WAL syncs: one write + one fdatasync per sync window).
 const (
 	EngineMem = storage.Mem
 	EngineLSM = storage.LSM
