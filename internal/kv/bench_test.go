@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/netsim"
+	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/ycsb"
 )
@@ -62,6 +63,32 @@ func BenchmarkKVReadQuorum(b *testing.B) {
 		if !done {
 			b.Fatal("read stalled")
 		}
+	}
+}
+
+// BenchmarkPreload measures the load phase every replay starts with, at
+// the node count and replication of the paper's Grid'5000 platform: one
+// iteration builds the cluster and loads 30 000 records of 1 KiB.
+func BenchmarkPreload(b *testing.B) {
+	const records = 30_000
+	keys := make([]string, records)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	value := make([]byte, 1024)
+	for _, engine := range []storage.Kind{storage.Mem, storage.LSM} {
+		b.Run(engine.String(), func(b *testing.B) {
+			topo := netsim.G5KTwoSites(84)
+			cfg := kv.DefaultConfig()
+			cfg.Engine = engine
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h := newHarness(topo, cfg)
+				b.StartTimer()
+				h.cluster.Preload(records, func(i uint64) string { return keys[i] }, value)
+			}
+		})
 	}
 }
 

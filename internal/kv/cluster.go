@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,6 +46,13 @@ type Network = Transport
 type failer interface {
 	Fail(id netsim.NodeID)
 	Recover(id netsim.NodeID)
+}
+
+// hoster is the optional surface of a Network that spans OS processes:
+// Remote reports that another process serves the node, so its actor here
+// is an idle twin that never receives a message.
+type hoster interface {
+	Remote(id netsim.NodeID) bool
 }
 
 // CoordPolicy selects how clients pick coordinators.
@@ -274,6 +282,9 @@ type Cluster struct {
 	strategy ring.Strategy
 	oracle   *Oracle
 	hooks    hookSet
+	// remote marks, by node id, the nodes another process serves; nil
+	// over a Network that cannot span processes (every simulation).
+	remote []bool
 
 	// Elastic membership: at most one Join/Decommission is in flight at
 	// a time; warming holds the replicas read coordinators deprioritize
@@ -403,6 +414,12 @@ func New(topo *netsim.Topology, net Network, cfg Config) *Cluster {
 		net.Register(id, n.Handle)
 	}
 	net.Register(netsim.ClientID, c.handleClientReply)
+	if h, ok := net.(hoster); ok {
+		c.remote = make([]bool, topo.N())
+		for id := range c.remote {
+			c.remote[id] = h.Remote(netsim.NodeID(id))
+		}
+	}
 
 	// Stagger background tasks so they do not synchronize.
 	for i, id := range c.order {
@@ -774,18 +791,72 @@ func (c *Cluster) AddHooks(h *Hooks) { c.hooks = append(c.hooks, h) }
 // Preload seeds n records directly into every replica's engine, bypassing
 // the network: the equivalent of YCSB's load phase followed by full
 // quiescence. Records get version timestamps of zero so every subsequent
-// write supersedes them, and the oracle ledgers them as fully propagated.
+// write supersedes them. It schedules nothing and sends nothing.
+//
+// The load runs in passes rather than record by record. The first places
+// every record: its key, its ring token and, per replica node, the list
+// of records that node holds. The second visits the nodes in ascending id
+// and applies each node's records in record order, so an engine sees the
+// Apply sequence a record-by-record load would give it, but is sized once
+// (storage.Engine.Reserve) and stays hot in cache while it fills. The
+// last ledgers the records in order: one every replica accepted is
+// ledgered as fully propagated — both oracle watermarks, a zero delay at
+// every replica rank and a zero propagation time, never in flight — and
+// one some replica refused (a load over newer data) as the started,
+// acknowledged and partly applied write it is, which stays in flight.
 func (c *Cluster) Preload(n uint64, key func(uint64) string, value []byte) {
 	now := c.net.Now()
-	for i := uint64(0); i < n; i++ {
-		k := key(i)
-		v := storage.Version{Timestamp: 0, Seq: c.nextSeq()}
-		replicas := c.strategy.Replicas(k)
+	first := c.seq + 1 // record i carries Seq first+i, as nextSeq would hand out
+	c.seq += n
+	version := func(i uint32) storage.Version {
+		return storage.Version{Timestamp: 0, Seq: first + uint64(i)}
+	}
+
+	keys := make([]string, n)
+	toks := make([]ring.Token, n)
+	held := make([][]uint32, c.topo.N()) // by node id: the records it replicates
+	share := int(n)*c.strategy.RF()/len(c.order) + 1
+	for _, id := range c.order {
+		held[id] = make([]uint32, 0, share+share/8) // an even share and the ring's imbalance
+	}
+	for i := range keys {
+		keys[i] = key(uint64(i))
+		toks[i] = ring.KeyToken(keys[i])
+		for _, r := range c.strategy.ReplicasAt(toks[i]) {
+			held[r] = append(held[r], uint32(i))
+		}
+	}
+
+	var refusedBy map[uint32][]netsim.NodeID // record: the replicas that kept newer data
+	for id, recs := range held {
+		if len(recs) == 0 {
+			continue
+		}
+		engine := c.nodes[netsim.NodeID(id)].engine
+		engine.Reserve(len(recs))
+		for _, i := range recs {
+			if !engine.ApplyAt(keys[i], toks[i], storage.Cell{Version: version(i), Value: value}) {
+				if refusedBy == nil {
+					refusedBy = make(map[uint32][]netsim.NodeID)
+				}
+				refusedBy[i] = append(refusedBy[i], netsim.NodeID(id))
+			}
+		}
+	}
+
+	c.oracle.reserve(len(keys))
+	for i := range keys {
+		k, v := keys[i], version(uint32(i))
+		replicas := c.strategy.ReplicasAt(toks[i])
+		refusers := refusedBy[uint32(i)]
+		if len(refusers) == 0 {
+			c.oracle.writeEverywhere(k, v, len(replicas))
+			continue
+		}
 		c.oracle.WriteStarted(k, v, len(replicas), now)
 		c.oracle.WriteVisible(k, v)
-		cell := storage.Cell{Version: v, Value: value}
 		for _, r := range replicas {
-			if c.nodes[r].engine.Apply(k, cell) {
+			if !slices.Contains(refusers, r) {
 				c.oracle.Applied(r, v, now)
 			}
 		}

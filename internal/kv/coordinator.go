@@ -426,6 +426,11 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 		ctx.ackDC[n.cluster.topo.DCOf(from)]++
 	}
 	n.cluster.hooks.writeAck(now, ctx.key, ctx.ackCount, now-ctx.start)
+	if n.cluster.remote != nil && n.cluster.remote[from] {
+		// A replica another process serves applies out of this oracle's
+		// sight; its acknowledgement is the only sign here that it did.
+		n.cluster.oracle.Applied(from, ctx.version, now)
+	}
 
 	if !ctx.completed && ctx.req.satisfiedCounts(ctx.ackCount, ctx.ackDC) {
 		ctx.completed = true

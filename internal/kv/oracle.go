@@ -19,6 +19,17 @@ import (
 //
 // The oracle is measurement infrastructure with global knowledge; nothing
 // in the adaptive tuners reads it.
+//
+// pending holds the writes that have not reached all their replicas yet:
+// an entry is made when a coordinator accepts the write and leaves when
+// the last replica applies it. In a multi-process deployment every
+// process has its own oracle, which ledgers the writes its own nodes
+// coordinate: the replicas it hosts report their applications directly,
+// and one another process serves counts as applied when its
+// acknowledgement reaches the coordinator (foldWriteAck) — so an entry
+// lives until the slowest replica has acknowledged, and one whose last
+// acknowledgement never arrives within the coordinator timeout stays. A
+// preloaded record never enters pending (writeEverywhere).
 type Oracle struct {
 	// latest carries both per-key high watermarks in one entry so the
 	// read-start snapshot (every single read) costs one map lookup.
@@ -106,6 +117,39 @@ func (o *Oracle) WriteVisible(key string, v storage.Version) {
 		l.visible = v
 		o.latest[key] = l
 	}
+}
+
+// reserve sizes the per-key ledger for n more keys while it is still
+// empty (the load phase of a fresh store).
+func (o *Oracle) reserve(n int) {
+	if len(o.latest) == 0 {
+		o.latest = make(map[string]latestVersions, n)
+	}
+}
+
+// writeEverywhere ledgers a write that all of its replicas applied the
+// instant it was accepted and acknowledged (a preloaded record). It
+// leaves the ledger exactly as WriteStarted, WriteVisible and one
+// Applied per replica at the same instant would — both watermarks, the
+// write count, a zero delay at every rank and a zero propagation time —
+// without the entry ever passing through pending.
+func (o *Oracle) writeEverywhere(key string, v storage.Version, replicas int) {
+	o.writes++
+	was := o.latest[key]
+	l := was
+	if v.After(l.issued) {
+		l.issued = v
+	}
+	if v.After(l.visible) {
+		l.visible = v
+	}
+	if l != was {
+		o.latest[key] = l
+	}
+	for rank := 0; rank < replicas && rank < len(o.rankDelays); rank++ {
+		o.rankDelays[rank].Record(0)
+	}
+	o.propagation.Record(0)
 }
 
 // Applied ledgers replica node applying version v of key at time now.

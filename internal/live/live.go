@@ -130,6 +130,10 @@ func (e *Engine) isLocal(id netsim.NodeID) bool {
 	return e.localSet == nil || id < 0 || int(id) >= len(e.localSet) || e.localSet[id]
 }
 
+// Remote reports that another process serves id (kv counts such a
+// replica's applications by its acknowledgements).
+func (e *Engine) Remote(id netsim.NodeID) bool { return !e.isLocal(id) }
+
 // lock takes the engine lock and steps the time plane up to the wall
 // clock: due events run (functions inline, messages onto the run queue)
 // before the caller does anything, and Now() holds still until the next

@@ -38,6 +38,15 @@ type Engine interface {
 	// Apply merges cell into the engine under last-write-wins and
 	// reports whether it became the resident version.
 	Apply(key string, c Cell) bool
+	// ApplyAt is Apply for a caller that has already placed the key on
+	// the ring: tok must be ring.KeyToken(key), which the engine would
+	// otherwise hash itself the first time it sees the key.
+	ApplyAt(key string, tok ring.Token, c Cell) bool
+	// Reserve is the sizing hint of a bulk load: the caller is about to
+	// apply n records, so the engine makes room for n more keys now
+	// instead of growing while they arrive. It changes no observable
+	// state.
+	Reserve(n int)
 	// Delete applies a tombstone with the given version.
 	Delete(key string, v Version) bool
 

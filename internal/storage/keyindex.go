@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ring"
@@ -21,9 +22,16 @@ type keyIndex struct {
 	sortedN int
 }
 
-func (x *keyIndex) add(k string) {
+// add appends a first-seen key; tok must be ring.KeyToken(k).
+func (x *keyIndex) add(k string, tok ring.Token) {
 	x.list = append(x.list, k)
-	x.toks = append(x.toks, ring.KeyToken(k))
+	x.toks = append(x.toks, tok)
+}
+
+// reserve makes room for n more keys without further growth.
+func (x *keyIndex) reserve(n int) {
+	x.list = slices.Grow(x.list, n)
+	x.toks = slices.Grow(x.toks, n)
 }
 
 func (x *keyIndex) count() int { return len(x.list) }

@@ -3,6 +3,8 @@ package storage
 import (
 	"sort"
 	"strings"
+
+	"repro/internal/ring"
 )
 
 // runEntry is one key's cell inside an immutable sorted run.
@@ -120,7 +122,16 @@ func (e *LSMEngine) lookup(key string) (c Cell, ok, inMem bool) {
 
 // Apply merges cell into the engine under last-write-wins: the accepted
 // cell is WAL-logged before it lands in the memtable.
-func (e *LSMEngine) Apply(key string, c Cell) bool {
+func (e *LSMEngine) Apply(key string, c Cell) bool { return e.apply(key, 0, false, c) }
+
+// ApplyAt is Apply with the key's ring token handed down.
+func (e *LSMEngine) ApplyAt(key string, tok ring.Token, c Cell) bool {
+	return e.apply(key, tok, true, c)
+}
+
+// apply is the one write path; tok is the key's token when placed is set
+// and hashed here, on first insertion only, when it is not.
+func (e *LSMEngine) apply(key string, tok ring.Token, placed bool, c Cell) bool {
 	if !e.replaying {
 		e.stats.Writes++
 	}
@@ -134,7 +145,10 @@ func (e *LSMEngine) Apply(key string, c Cell) bool {
 	e.logRecord(key, c)
 	e.mem[key] = c
 	if !exists {
-		e.keys.add(key)
+		if !placed {
+			tok = ring.KeyToken(key)
+		}
+		e.keys.add(key, tok)
 	}
 	delta := int64(c.Size())
 	if exists {
@@ -174,6 +188,16 @@ func (e *LSMEngine) sync() {
 	e.wal.sync()
 	e.stats.WALSyncs++
 	e.pendingRecs = 0
+}
+
+// Reserve sizes the key index for n more keys. The memtable is bounded
+// by FlushLimit and keeps its buckets across flushes, so it is sized only
+// when it never flushes and is still empty.
+func (e *LSMEngine) Reserve(n int) {
+	e.keys.reserve(n)
+	if e.opts.FlushLimit <= 0 && len(e.mem) == 0 {
+		e.mem = make(map[string]Cell, n)
+	}
 }
 
 // Delete applies a tombstone with the given version.
@@ -358,7 +382,7 @@ func (e *LSMEngine) Recover() RecoverStats {
 		rs.RunEntries += len(e.runs[i].entries)
 		for _, ent := range e.runs[i].entries {
 			if old, ok := winners[ent.key]; !ok {
-				e.keys.add(ent.key)
+				e.keys.add(ent.key, ring.KeyToken(ent.key))
 				winners[ent.key] = ent.cell
 			} else if ent.cell.Version.After(old.Version) {
 				winners[ent.key] = ent.cell

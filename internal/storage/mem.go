@@ -1,5 +1,7 @@
 package storage
 
+import "repro/internal/ring"
+
 // MemEngine is the volatile map engine: cells live in a flat map with
 // flush and size *accounting* only (nothing is written anywhere). It is
 // the original engine of the store and remains the default. Crash drops
@@ -37,7 +39,16 @@ func (e *MemEngine) Peek(key string) (Cell, bool) {
 
 // Apply merges cell into the engine under last-write-wins and reports
 // whether it became the resident version.
-func (e *MemEngine) Apply(key string, c Cell) bool {
+func (e *MemEngine) Apply(key string, c Cell) bool { return e.apply(key, 0, false, c) }
+
+// ApplyAt is Apply with the key's ring token handed down.
+func (e *MemEngine) ApplyAt(key string, tok ring.Token, c Cell) bool {
+	return e.apply(key, tok, true, c)
+}
+
+// apply is the one write path; tok is the key's token when placed is set
+// and hashed here, on first insertion only, when it is not.
+func (e *MemEngine) apply(key string, tok ring.Token, placed bool, c Cell) bool {
 	e.stats.Writes++
 	old, exists := e.cells[key]
 	if exists && !c.Version.After(old.Version) {
@@ -45,7 +56,10 @@ func (e *MemEngine) Apply(key string, c Cell) bool {
 		return false
 	}
 	if !exists {
-		e.keys.add(key)
+		if !placed {
+			tok = ring.KeyToken(key)
+		}
+		e.keys.add(key, tok)
 	}
 	e.cells[key] = c
 	delta := int64(c.Size())
@@ -58,6 +72,15 @@ func (e *MemEngine) Apply(key string, c Cell) bool {
 		e.Flush()
 	}
 	return true
+}
+
+// Reserve sizes the key index for n more keys and, while the engine is
+// still empty, the cell map too: a load of n records then grows nothing.
+func (e *MemEngine) Reserve(n int) {
+	e.keys.reserve(n)
+	if len(e.cells) == 0 {
+		e.cells = make(map[string]Cell, n)
+	}
 }
 
 // Delete applies a tombstone with the given version.

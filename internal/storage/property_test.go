@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // engineUnderTest builds each engine kind with settings that exercise
@@ -185,5 +188,48 @@ func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 		return true
 	}, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReserveAndApplyAtMatchApply: a sized engine fed tokens by its caller
+// ends exactly where an engine that grew and hashed on its own does —
+// cells, counters, insertion order and the token of every indexed key —
+// whether Reserve found the engine empty or already holding data.
+func TestReserveAndApplyAtMatchApply(t *testing.T) {
+	index := func(e Engine) *keyIndex {
+		if m, ok := e.(*MemEngine); ok {
+			return &m.keys
+		}
+		return &e.(*LSMEngine).keys
+	}
+	for _, eng := range engineUnderTest {
+		plain, sized := eng.build(), eng.build()
+		seq := uint64(0)
+		for round, n := range []int{0, 40, 25} {
+			sized.Reserve(n)
+			for i := 0; i < n; i++ {
+				seq++
+				// Overlapping rounds and an older resend: inserts,
+				// replacements and refusals all occur.
+				key := fmt.Sprintf("key%03d", (i*7+round*11)%60)
+				c := Cell{Version: Version{Timestamp: time.Duration(seq % 5), Seq: seq}, Value: []byte(key)}
+				if got, want := sized.ApplyAt(key, ring.KeyToken(key), c), plain.Apply(key, c); got != want {
+					t.Fatalf("%s: ApplyAt(%s) = %v, Apply = %v", eng.name, key, got, want)
+				}
+			}
+		}
+		if got, want := snapshot(sized), snapshot(plain); got != want {
+			t.Errorf("%s: cells differ:\n got %s\nwant %s", eng.name, got, want)
+		}
+		if got, want := sized.Stats(), plain.Stats(); got != want {
+			t.Errorf("%s: stats %+v, want %+v", eng.name, got, want)
+		}
+		if sized.Len() != plain.Len() || sized.Bytes() != plain.Bytes() {
+			t.Errorf("%s: Len/Bytes %d/%d, want %d/%d", eng.name, sized.Len(), sized.Bytes(), plain.Len(), plain.Bytes())
+		}
+		got, want := index(sized), index(plain)
+		if !slices.Equal(got.list, want.list) || !slices.Equal(got.toks, want.toks) {
+			t.Errorf("%s: key index differs:\n got %v %v\nwant %v %v", eng.name, got.list, got.toks, want.list, want.toks)
+		}
 	}
 }

@@ -173,14 +173,16 @@ func (ks *keyspace) Key(i uint64) string {
 			return k
 		}
 	}
-	b := make([]byte, 0, len(ks.w.KeyPrefix)+12)
-	b = append(b, ks.w.KeyPrefix...)
-	s := strconv.FormatUint(i, 10)
-	for pad := 12 - len(s); pad > 0; pad-- {
+	// Built in stack buffers (a longer prefix spills to the heap): the
+	// key string is the only allocation.
+	var buf [48]byte
+	var digits [20]byte
+	b := append(buf[:0], ks.w.KeyPrefix...)
+	d := strconv.AppendUint(digits[:0], i, 10)
+	for pad := 12 - len(d); pad > 0; pad-- {
 		b = append(b, '0')
 	}
-	b = append(b, s...)
-	k := string(b)
+	k := string(append(b, d...))
 	if ks.cache != nil && i < uint64(len(ks.cache)) {
 		ks.cache[i] = k
 	}

@@ -363,3 +363,45 @@ func TestRunnerBatchedRMWAndInserts(t *testing.T) {
 		t.Errorf("batched inserts: finished=%v inserts=%d", d.Finished(), d.Metrics().Inserts)
 	}
 }
+
+// TestKeyspaceKeyFormat pins the key layout (prefix + id zero-padded to
+// twelve digits, longer ids and prefixes unpadded and untruncated) and
+// that formatting a key allocates the string alone.
+func TestKeyspaceKeyFormat(t *testing.T) {
+	long := strings.Repeat("p", 60)
+	for _, tc := range []struct {
+		prefix string
+		id     uint64
+		want   string
+	}{
+		{"user", 0, "user000000000000"},
+		{"user", 42, "user000000000042"},
+		{"user", 999_999_999_999, "user999999999999"},
+		{"user", 1_234_567_890_123, "user1234567890123"},
+		{"user", 1<<64 - 1, "user18446744073709551615"},
+		{long, 7, long + "000000000007"},
+	} {
+		w := WorkloadA(10)
+		w.KeyPrefix = tc.prefix
+		if got := newKeyspace(w).Key(tc.id); got != tc.want {
+			t.Errorf("Key(%d) with prefix %q = %q, want %q", tc.id, tc.prefix, got, tc.want)
+		}
+	}
+	ks := newKeyspace(WorkloadA(10))
+	id := uint64(1000) // past the cache: every call formats
+	if got := testing.AllocsPerRun(100, func() { id++; _ = ks.Key(id) }); got != 1 {
+		t.Errorf("Key allocates %.0f times, want 1 (the string)", got)
+	}
+}
+
+var keySink string
+
+// BenchmarkKeyspaceKey measures formatting one record id as a key, past
+// the per-runner key cache (what the first touch of every record pays).
+func BenchmarkKeyspaceKey(b *testing.B) {
+	ks := newKeyspace(WorkloadA(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = ks.Key(uint64(i) + 1)
+	}
+}

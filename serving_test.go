@@ -24,12 +24,11 @@ func reservePort(t *testing.T) string {
 	return addr
 }
 
-// TestServingMeshTwoProcesses runs a 3-node cluster split across two
-// serving engines meshed over localhost TCP — the multi-process
-// deployment in miniature. Writes coordinated on one side must be
-// readable on the other at QUORUM: the write quorum's remote ack and the
-// read quorum's remote fetch both cross the mesh.
-func TestServingMeshTwoProcesses(t *testing.T) {
+// meshPair builds a 3-node cluster split across two serving engines
+// meshed over localhost TCP — the multi-process deployment in miniature:
+// side A serves node 0, side B nodes 1 and 2.
+func meshPair(t *testing.T) (da, db *repro.Live) {
+	t.Helper()
 	topo := repro.SingleDC(3)
 	cfg := repro.ServingDefaults(topo)
 	addrA, addrB := reservePort(t), reservePort(t)
@@ -38,8 +37,8 @@ func TestServingMeshTwoProcesses(t *testing.T) {
 		d   *repro.Live
 		err error
 	}
-	// Side A serves node 0. Its constructor blocks dialing side B, so it
-	// runs on its own goroutine while B constructs here.
+	// A's constructor blocks dialing side B, so it runs on its own
+	// goroutine while B constructs here.
 	aCh := make(chan result, 1)
 	go func() {
 		d, err := repro.NewServing(topo, cfg, repro.ServeConfig{
@@ -62,9 +61,15 @@ func TestServingMeshTwoProcesses(t *testing.T) {
 	if ra.err != nil {
 		t.Fatal(ra.err)
 	}
-	da := ra.d
-	t.Cleanup(func() { da.Engine.Close() })
+	t.Cleanup(func() { ra.d.Engine.Close() })
+	return ra.d, db
+}
 
+// TestServingMeshTwoProcesses: writes coordinated on one side of the mesh
+// must be readable on the other at QUORUM: the write quorum's remote ack
+// and the read quorum's remote fetch both cross the mesh.
+func TestServingMeshTwoProcesses(t *testing.T) {
+	da, db := meshPair(t)
 	ctx := context.Background()
 	ca := da.StaticClient(repro.Quorum, repro.Quorum)
 	cb := db.StaticClient(repro.Quorum, repro.Quorum)
@@ -109,6 +114,70 @@ func TestServingMeshTwoProcesses(t *testing.T) {
 	}
 	if r := ca.Get(ctx, "mesh-key"); r.Err != nil || r.Exists {
 		t.Fatalf("Get after delete via A: %+v", r)
+	}
+}
+
+// TestServingMeshLedgerDrains bounds the oracle's ledger of in-flight
+// writes in a multi-process deployment. A process hears of an application
+// on a replica it does not host only through that replica's
+// acknowledgement; counted, every write leaves the ledger once its last
+// replica has answered, where it used to stay for the life of the server.
+func TestServingMeshLedgerDrains(t *testing.T) {
+	da, db := meshPair(t)
+	ctx := context.Background()
+	ca := da.StaticClient(repro.Quorum, repro.Quorum)
+	cb := db.StaticClient(repro.Quorum, repro.Quorum)
+	key := func(i int) string { return fmt.Sprintf("ledger-%03d", i%500) }
+
+	// 10 000 QUORUM writes through A, whose coordinator (node 0) hosts
+	// one replica of three: singly and in batches, the third
+	// acknowledgement of each arriving after the client was answered.
+	for i := 0; i < 5000; i++ {
+		if r := ca.Put(ctx, key(i), []byte("single")); r.Err != nil {
+			t.Fatalf("Put %d: %v", i, r.Err)
+		}
+	}
+	for b := 0; b < 50; b++ {
+		puts := make([]repro.PutOp, 100)
+		for i := range puts {
+			puts[i] = repro.PutOp{Key: key(b*100 + i), Value: []byte("batched")}
+		}
+		for i, r := range ca.BatchPut(ctx, puts) {
+			if r.Err != nil {
+				t.Fatalf("BatchPut %d op %d: %v", b, i, r.Err)
+			}
+		}
+	}
+	// A few through B as well, then QUORUM reads of every key on both.
+	for i := 0; i < 100; i++ {
+		if r := cb.Put(ctx, key(i), []byte("via-b")); r.Err != nil {
+			t.Fatalf("Put via B %d: %v", i, r.Err)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		for _, c := range []repro.Client{ca, cb} {
+			if r := c.Get(ctx, key(i)); r.Err != nil || !r.Exists {
+				t.Fatalf("Get %s: %+v", key(i), r)
+			}
+		}
+	}
+
+	// Drain: the mesh is FIFO per peer, so once a write at ALL is
+	// answered every earlier acknowledgement has been folded.
+	for _, d := range []*repro.Live{da, db} {
+		if r := d.StaticClient(repro.Quorum, repro.All).Put(ctx, "ledger-drain", []byte("x")); r.Err != nil {
+			t.Fatalf("drain write: %v", r.Err)
+		}
+	}
+	for name, d := range map[string]*repro.Live{"A": da, "B": db} {
+		var inFlight int
+		d.Engine.Do(func() { inFlight = d.Cluster.Oracle().InFlight() })
+		if inFlight != 0 {
+			t.Errorf("process %s: %d writes still in flight after the drain, want 0", name, inFlight)
+		}
+		if rate := d.StaleRate(); rate != 0 {
+			t.Errorf("process %s: stale rate %g at QUORUM/QUORUM, want exactly 0", name, rate)
+		}
 	}
 }
 
