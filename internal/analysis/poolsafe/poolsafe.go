@@ -19,8 +19,12 @@
 //
 // Release wrappers (a function that Puts its parameter) and acquire
 // wrappers (a function returning a value it took from a pool) are
-// discovered per package, so the kv new*/release* helpers check the
-// same as direct pool.Get/Put calls.
+// discovered per package, so helpers check the same as direct
+// pool.Get/Put calls. Methods of a generic wrapper type count too — the
+// kv message boxes are box[T] with put (acquire) and take (release) —
+// and because take returns the message it copied out, a release is
+// recognized wherever the call stands: as a statement, on the right of
+// an assignment, or as an argument of another call.
 package poolsafe
 
 import (
@@ -70,7 +74,7 @@ func wrappers(pass *analysis.Pass) *wrapperSet {
 			}
 			sig := fn.Type().(*types.Signature)
 			// Acquire wrapper: calls (*sync.Pool).Get and returns a
-			// pointer — the kv new* constructors.
+			// pointer — the kv get*Ctx helpers and box[T].put.
 			if sig.Results().Len() >= 1 {
 				if _, ptr := sig.Results().At(0).Type().(*types.Pointer); ptr && callsPoolMethod(pass, fd.Body, "Get") {
 					w.acquire[fn] = true
@@ -85,11 +89,21 @@ func wrappers(pass *analysis.Pass) *wrapperSet {
 	return w
 }
 
+// callee resolves a call's static callee to its generic origin: a call
+// of box[replicaRead].take is a call of the box[T].take the wrapper maps
+// are keyed on (for a non-generic function Origin is the function).
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	if fn := analysis.Callee(info, call); fn != nil {
+		return fn.Origin()
+	}
+	return nil
+}
+
 func callsPoolMethod(pass *analysis.Pass, body *ast.BlockStmt, name string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := analysis.Callee(pass.TypesInfo, call); fn != nil && fn.Name() == name {
+			if fn := callee(pass.TypesInfo, call); fn != nil && fn.Name() == name {
 				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && analysis.IsSyncPool(sig.Recv().Type()) {
 					found = true
 				}
@@ -107,7 +121,7 @@ func putsParam(pass *analysis.Pass, fd *ast.FuncDecl, sig *types.Signature) (int
 		if !okc || len(call.Args) != 1 {
 			return true
 		}
-		fn := analysis.Callee(pass.TypesInfo, call)
+		fn := callee(pass.TypesInfo, call)
 		if fn == nil || fn.Name() != "Put" {
 			return true
 		}
@@ -234,16 +248,13 @@ func (c *checker) scanStmt(s ast.Stmt) {
 	case *ast.BlockStmt:
 		c.scanStmts(s.List)
 	case *ast.ExprStmt:
-		if v, pos, ok := c.releaseCall(s.X); ok {
-			c.release(v, pos)
-			return
-		}
 		c.checkUses(s.X)
 	case *ast.DeferStmt:
-		if v, pos, ok := c.releaseCall(s.Call); ok {
+		if v, idx, ok := c.releaseTarget(s.Call); ok {
+			c.checkOperands(s.Call, idx)
 			st := c.get(v)
 			if st.releasedAt != 0 || st.deferred {
-				c.reportf(pos, "%s is returned to its pool twice (deferred release duplicates an earlier one)", v.Name())
+				c.reportf(s.Call.Pos(), "%s is returned to its pool twice (deferred release duplicates an earlier one)", v.Name())
 			}
 			st.deferred = true
 			return
@@ -335,9 +346,9 @@ func (c *checker) loopBody(body *ast.BlockStmt, loopPos, loopEnd token.Pos) {
 	assigned := map[*types.Var]bool{}
 	for _, st := range body.List {
 		c.noteAssigned(st, assigned)
-		if v, pos, ok := c.releaseStmt(st); ok {
-			if (v.Pos() < loopPos || v.Pos() > loopEnd) && !assigned[v] {
-				c.reportf(pos, "%s is returned to its pool inside a loop without being reacquired: released once per iteration", v.Name())
+		for _, r := range c.releasesOf(st) {
+			if v := r.v; (v.Pos() < loopPos || v.Pos() > loopEnd) && !assigned[v] {
+				c.reportf(r.pos, "%s is returned to its pool inside a loop without being reacquired: released once per iteration", v.Name())
 			}
 		}
 		c.scanStmt(st)
@@ -364,23 +375,43 @@ func (c *checker) noteAssigned(s ast.Stmt, assigned map[*types.Var]bool) {
 	})
 }
 
-// releaseStmt unwraps an ExprStmt release at the top level of a block.
-func (c *checker) releaseStmt(s ast.Stmt) (*types.Var, token.Pos, bool) {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return nil, 0, false
+// releasesOf lists the release calls a statement at the top level of a
+// loop body makes each time it runs: the statement itself, the right
+// side of an assignment (v := box.take(m)), or an argument of another
+// call (handle(box.take(m))). Closure bodies run later, if at all.
+func (c *checker) releasesOf(s ast.Stmt) (out []releaseSite) {
+	var exprs []ast.Expr
+	switch s := s.(type) {
+	case *ast.ExprStmt:
+		exprs = []ast.Expr{s.X}
+	case *ast.AssignStmt:
+		exprs = s.Rhs
 	}
-	return c.releaseCall(es.X)
+	for _, e := range exprs {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if _, lit := n.(*ast.FuncLit); lit {
+				return false
+			}
+			if call, ok := n.(*ast.CallExpr); ok {
+				if v, _, ok := c.releaseTarget(call); ok {
+					out = append(out, releaseSite{v, call.Pos()})
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
-// releaseCall recognizes pool.Put(v) and releaseWrapper(v) calls,
-// returning the released variable.
-func (c *checker) releaseCall(e ast.Expr) (*types.Var, token.Pos, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil, 0, false
-	}
-	fn := analysis.Callee(c.pass.TypesInfo, call)
+type releaseSite struct {
+	v   *types.Var
+	pos token.Pos
+}
+
+// releaseTarget recognizes pool.Put(v) and releaseWrapper(v) calls,
+// returning the released variable and its argument position.
+func (c *checker) releaseTarget(call *ast.CallExpr) (*types.Var, int, bool) {
+	fn := callee(c.pass.TypesInfo, call)
 	if fn == nil {
 		return nil, 0, false
 	}
@@ -401,16 +432,19 @@ func (c *checker) releaseCall(e ast.Expr) (*types.Var, token.Pos, bool) {
 		return nil, 0, false
 	}
 	v, ok := c.pass.TypesInfo.ObjectOf(id).(*types.Var)
-	if !ok {
-		return nil, 0, false
-	}
-	// The other arguments are ordinary uses.
+	return v, argIdx, ok
+}
+
+// checkOperands checks everything a release call evaluates except the
+// released argument itself: the callee expression and the other
+// arguments are ordinary uses.
+func (c *checker) checkOperands(call *ast.CallExpr, released int) {
+	c.checkUses(call.Fun)
 	for i, a := range call.Args {
-		if i != argIdx {
+		if i != released {
 			c.checkUses(a)
 		}
 	}
-	return v, call.Pos(), true
 }
 
 func (c *checker) release(v *types.Var, pos token.Pos) {
@@ -436,7 +470,7 @@ func (c *checker) isAcquire(e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	fn := analysis.Callee(c.pass.TypesInfo, call)
+	fn := callee(c.pass.TypesInfo, call)
 	if fn == nil {
 		return false
 	}
@@ -451,22 +485,39 @@ func (c *checker) isAcquire(e ast.Expr) bool {
 	return false
 }
 
-// checkUses reports reads of released variables within e.
+// checkUses walks e in evaluation order, reporting reads of released
+// variables and recording the releases e itself performs — a release
+// call is an expression like any other and may stand anywhere in e.
 func (c *checker) checkUses(e ast.Expr) {
-	if e == nil {
-		return
+	if e != nil {
+		c.walk(e, true)
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := c.pass.TypesInfo.ObjectOf(id).(*types.Var)
-		if !ok {
-			return true
-		}
-		if st := c.state[v]; st != nil && st.releasedAt != 0 {
-			c.reportf(id.Pos(), "use of %s after it was returned to its pool at line %d", v.Name(), c.pass.Fset.Position(st.releasedAt).Line)
+}
+
+// walk is checkUses over any node; releases is unset inside closure
+// bodies, which run later (if at all): their reads are checked, their
+// releases are not the enclosing statement's.
+func (c *checker) walk(root ast.Node, releases bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			c.walk(n.Body, false)
+			return false
+		case *ast.CallExpr:
+			if !releases {
+				return true
+			}
+			if v, idx, ok := c.releaseTarget(n); ok {
+				c.checkOperands(n, idx)
+				c.release(v, n.Pos())
+				return false
+			}
+		case *ast.Ident:
+			if v, ok := c.pass.TypesInfo.ObjectOf(n).(*types.Var); ok {
+				if st := c.state[v]; st != nil && st.releasedAt != 0 {
+					c.reportf(n.Pos(), "use of %s after it was returned to its pool at line %d", v.Name(), c.pass.Fset.Position(st.releasedAt).Line)
+				}
+			}
 		}
 		return true
 	})

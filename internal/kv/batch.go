@@ -81,9 +81,7 @@ func failedWrites(ops []BatchOp, lvl Level, err error, lat time.Duration) []Writ
 // coordBatchRead admits a whole multi-key read with a single admission
 // cost, then fans out at most one request message per replica.
 func (n *Node) coordBatchRead(m clientBatchRead) {
-	p := newCoordExec(execBatchRead)
-	p.br = m
-	n.coordWork(p)
+	n.coordWork(coordExec{kind: execBatchRead, br: m})
 }
 
 // admitBatchRead plans and fans out a batch whose admission work is done.
@@ -150,7 +148,7 @@ func (n *Node) admitBatchRead(m clientBatchRead) {
 		}
 		n.cluster.net.Send(n.id, t, rb, size)
 	}
-	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
+	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID}), n.cluster.cfg.Timeout)
 }
 
 // batchReadDone records one item's client-visible result and ships the
@@ -230,9 +228,7 @@ func (n *Node) replyBatchRead(rt opRoute, res []ReadResult) {
 // admission cost, then sends each replica one message carrying every
 // cell it owns.
 func (n *Node) coordBatchWrite(m clientBatchWrite) {
-	p := newCoordExec(execBatchWrite)
-	p.bw = m
-	n.coordWork(p)
+	n.coordWork(coordExec{kind: execBatchWrite, bw: m})
 }
 
 // admitBatchWrite versions and fans out a batch whose admission work is
@@ -308,7 +304,7 @@ func (n *Node) admitBatchWrite(m clientBatchWrite) {
 		}
 		n.cluster.net.Send(n.id, r, rb, size)
 	}
-	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
+	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID, Write: true}), n.cluster.cfg.Timeout)
 }
 
 // batchWriteDone is the write counterpart of batchReadDone.

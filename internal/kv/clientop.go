@@ -95,16 +95,12 @@ func (c *Cluster) guardFired(idx uint32) {
 func (c *Cluster) handleClientReply(_ netsim.NodeID, payload any) {
 	switch m := payload.(type) {
 	case *clientReadReply:
-		v := *m
-		*m = clientReadReply{}
-		clientReadReplyPool.Put(m)
+		v := clientReadReplies.take(m)
 		if op, ok := c.takeOp(v.rt); ok {
 			op.rcb(v.res)
 		}
 	case *clientWriteReply:
-		v := *m
-		*m = clientWriteReply{}
-		clientWriteRplPool.Put(m)
+		v := clientWriteReplies.take(m)
 		if op, ok := c.takeOp(v.rt); ok {
 			op.wcb(v.res)
 		}
@@ -131,7 +127,7 @@ func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
 	}
 	rt, op := c.newOp(lvl)
 	op.key, op.rcb = key, cb
-	c.net.Send(netsim.ClientID, coord, newClientRead(clientRead{ID: id, Key: key, Level: lvl, rt: rt}),
+	c.net.Send(netsim.ClientID, coord, clientReads.put(clientRead{ID: id, Key: key, Level: lvl, rt: rt}),
 		msgOverhead+len(key))
 	c.armOp(rt)
 }
@@ -159,7 +155,7 @@ func (c *Cluster) write(key string, value []byte, lvl Level, tombstone bool, cb 
 	rt, op := c.newOp(lvl)
 	op.key, op.wcb = key, cb
 	c.net.Send(netsim.ClientID, coord,
-		newClientWrite(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}),
+		clientWrites.put(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}),
 		msgOverhead+len(key)+len(value))
 	c.armOp(rt)
 }

@@ -39,16 +39,13 @@ type Transport interface {
 	ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer
 }
 
-// Network is the historical name of the Transport seam.
-type Network = Transport
-
-// failer is the optional failure-injection surface of a Network.
+// failer is the optional failure-injection surface of a Transport.
 type failer interface {
 	Fail(id netsim.NodeID)
 	Recover(id netsim.NodeID)
 }
 
-// hoster is the optional surface of a Network that spans OS processes:
+// hoster is the optional surface of a Transport that spans OS processes:
 // Remote reports that another process serves the node, so its actor here
 // is an idle twin that never receives a message.
 type hoster interface {
@@ -168,20 +165,10 @@ type Config struct {
 	// GossipInterval is the probe period of each node (default 200 ms);
 	// an unanswered probe after half the interval raises a suspicion.
 	GossipInterval time.Duration
-	// GossipSuspicion is how long a suspicion may age before the
-	// suspector declares the target dead (default 4×GossipInterval);
-	// a refutation from the target in that window cancels it.
-	GossipSuspicion time.Duration
-	// GossipPiggyback caps the rumors piggybacked per message
-	// (default 6); each rumor rides at most GossipPiggyback messages.
-	GossipPiggyback int
 	// GossipRetryBudget caps wrong-owner re-plans per operation
 	// (default 2); the budget is charged against the client deadline —
 	// retries never extend the operation's timeout.
 	GossipRetryBudget int
-	// GossipRetryBackoff is the base backoff before a wrong-owner
-	// retry, doubling per retry (default 10 ms).
-	GossipRetryBackoff time.Duration
 
 	// Hot-key fast path (opt-in). With HotCache set the cluster tracks a
 	// windowed heavy-hitter profile of the coordinated traffic, promotes
@@ -192,10 +179,6 @@ type Config struct {
 	// messages. See hotcache.go. With HotCache unset nothing changes:
 	// no tracker, no cache, byte-identical transcripts.
 	HotCache bool
-	// HotCacheAlpha is the tolerated stale rate of cache hits: an entry
-	// is served only while P(newer write exists) ≤ α under the key's
-	// observed Poisson write rate (default 0.10).
-	HotCacheAlpha float64
 	// HotCacheMaxAge caps every entry's freshness bound regardless of
 	// how cold the key's writes are (default 100 ms).
 	HotCacheMaxAge time.Duration
@@ -205,11 +188,8 @@ type Config struct {
 	// hot-set re-evaluations (default 512).
 	HotSetEvalOps int
 	// HotPromoteShare is the windowed read share at which a key enters
-	// the hot set (default 0.01); HotDemoteShare is the share below
-	// which a hot key leaves (default HotPromoteShare/2). The gap is
-	// the promotion hysteresis.
+	// the hot set (default 0.01); a hot key leaves below half of it.
 	HotPromoteShare float64
-	HotDemoteShare  float64
 
 	// Fault handling.
 	// MutationShed drops replica mutations that waited in the mutation
@@ -219,7 +199,6 @@ type Config struct {
 	Timeout             time.Duration
 	DetectionDelay      time.Duration // failure-detector convergence time
 	HintReplayInterval  time.Duration
-	MaxHintsPerNode     int
 	AntiEntropyInterval time.Duration // 0 disables anti-entropy
 	AntiEntropySample   int           // keys sampled per round
 
@@ -252,7 +231,6 @@ func DefaultConfig() Config {
 		Timeout:             2 * time.Second,
 		DetectionDelay:      1 * time.Second,
 		HintReplayInterval:  5 * time.Second,
-		MaxHintsPerNode:     200_000,
 		AntiEntropyInterval: 0,
 		AntiEntropySample:   256,
 		Seed:                1,
@@ -268,14 +246,14 @@ func (cfg *Config) streamChunkBudget() int {
 	return 16 << 10
 }
 
-// Cluster is the replicated store: a set of node actors over a Network,
+// Cluster is the replicated store: a set of node actors over a Transport,
 // plus the client entry points. In simulation all methods must be called
 // from engine events (the simulation is single-threaded); live, the
 // engine serializes access.
 type Cluster struct {
 	cfg      Config
 	topo     *netsim.Topology
-	net      Network
+	net      Transport
 	nodes    map[netsim.NodeID]*Node
 	order    []netsim.NodeID // current ring members, ascending id
 	allNodes []netsim.NodeID // every node that ever had an actor (accounting)
@@ -283,7 +261,7 @@ type Cluster struct {
 	oracle   *Oracle
 	hooks    hookSet
 	// remote marks, by node id, the nodes another process serves; nil
-	// over a Network that cannot span processes (every simulation).
+	// over a Transport that cannot span processes (every simulation).
 	remote []bool
 
 	// Elastic membership: at most one Join/Decommission is in flight at
@@ -327,7 +305,7 @@ type Cluster struct {
 }
 
 // New assembles a cluster over the given topology and network.
-func New(topo *netsim.Topology, net Network, cfg Config) *Cluster {
+func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
@@ -338,23 +316,11 @@ func New(topo *netsim.Topology, net Network, cfg Config) *Cluster {
 		if cfg.GossipInterval <= 0 {
 			cfg.GossipInterval = 200 * time.Millisecond
 		}
-		if cfg.GossipSuspicion <= 0 {
-			cfg.GossipSuspicion = 4 * cfg.GossipInterval
-		}
-		if cfg.GossipPiggyback <= 0 {
-			cfg.GossipPiggyback = 6
-		}
 		if cfg.GossipRetryBudget <= 0 {
 			cfg.GossipRetryBudget = 2
 		}
-		if cfg.GossipRetryBackoff <= 0 {
-			cfg.GossipRetryBackoff = 10 * time.Millisecond
-		}
 	}
 	if cfg.HotCache {
-		if cfg.HotCacheAlpha <= 0 {
-			cfg.HotCacheAlpha = 0.10
-		}
 		if cfg.HotCacheMaxAge <= 0 {
 			cfg.HotCacheMaxAge = 100 * time.Millisecond
 		}
@@ -366,9 +332,6 @@ func New(topo *netsim.Topology, net Network, cfg Config) *Cluster {
 		}
 		if cfg.HotPromoteShare <= 0 {
 			cfg.HotPromoteShare = 0.01
-		}
-		if cfg.HotDemoteShare <= 0 {
-			cfg.HotDemoteShare = cfg.HotPromoteShare / 2
 		}
 	}
 	cfg.seedSource = stats.NewSource(cfg.Seed).Stream("kv")

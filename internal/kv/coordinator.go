@@ -154,9 +154,7 @@ func (n *Node) coordRead(m clientRead) {
 	if n.cacheServe(m) {
 		return
 	}
-	p := newCoordExec(execRead)
-	p.cr = m
-	n.coordWork(p)
+	n.coordWork(coordExec{kind: execRead, cr: m})
 }
 
 // admitRead plans and fans out a read whose admission work is done.
@@ -194,10 +192,10 @@ func (n *Node) admitRead(m clientRead) {
 
 	for i, t := range targets {
 		digest := n.cluster.cfg.DigestReads && i > 0
-		rr := newReplicaRead(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
+		rr := replicaReads.put(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
 		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(m.Key))
 	}
-	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
+	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID}), n.cluster.cfg.Timeout)
 }
 
 // onReadResp folds one replica response into the read context.
@@ -251,7 +249,7 @@ func (n *Node) tryCompleteRead(ctx *readCtx) {
 		if ctx.best.Digest {
 			// Freshest version known only by digest: fetch its data.
 			ctx.awaitData = true
-			rr := newReplicaRead(replicaRead{ID: ctx.id, Key: ctx.key, Digest: false, Coord: n.id, RingSeq: n.ringSeq()})
+			rr := replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: false, Coord: n.id, RingSeq: n.ringSeq()})
 			ctx.dropResp(ctx.best.From) // allow the refetch response in
 			ctx.ackTotal--
 			if ctx.ackDC != nil {
@@ -345,15 +343,13 @@ func (n *Node) finalizeRead(ctx *readCtx) {
 }
 
 func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
-	msg := newReplicaWrite(replicaWrite{Key: key, Cell: cell, Coord: n.id, Repair: true})
+	msg := replicaWrites.put(replicaWrite{Key: key, Cell: cell, Coord: n.id, Repair: true})
 	n.cluster.net.Send(n.id, to, msg, msgOverhead+len(key)+len(cell.Value))
 }
 
 // coordWrite admits a client write on this coordinator.
 func (n *Node) coordWrite(m clientWrite) {
-	p := newCoordExec(execWrite)
-	p.cw = m
-	n.coordWork(p)
+	n.coordWork(coordExec{kind: execWrite, cw: m})
 }
 
 // admitWrite versions and fans out a write whose admission work is done.
@@ -402,10 +398,10 @@ func (n *Node) admitWrite(m clientWrite) {
 			n.storeHint(r, m.Key, cell)
 			continue
 		}
-		w := newReplicaWrite(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
+		w := replicaWrites.put(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
 		n.cluster.net.Send(n.id, r, w, msgOverhead+len(m.Key)+len(m.Value))
 	}
-	n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
+	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID, Write: true}), n.cluster.cfg.Timeout)
 }
 
 // onWriteAck folds one replica acknowledgement into the write context.
@@ -541,12 +537,12 @@ func (n *Node) writeDone(ctx *writeCtx, res WriteResult) {
 // replyRead ships the result back to the client endpoint over the
 // network, so client-visible latency includes the return hop.
 func (n *Node) replyRead(rt opRoute, res ReadResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, newClientReadReply(clientReadReply{rt: rt, res: res}),
+	n.cluster.net.Send(n.id, netsim.ClientID, clientReadReplies.put(clientReadReply{rt: rt, res: res}),
 		msgOverhead+len(res.Value))
 }
 
 func (n *Node) replyWrite(rt opRoute, res WriteResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, newClientWriteReply(clientWriteReply{rt: rt, res: res}), msgOverhead)
+	n.cluster.net.Send(n.id, netsim.ClientID, clientWriteReplies.put(clientWriteReply{rt: rt, res: res}), msgOverhead)
 }
 
 // pickTargets selects which replicas a read contacts: enough to satisfy

@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"time"
+
 	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/ring"
@@ -11,11 +13,11 @@ import (
 // the deterministic scheduler: a gossipTick every GossipInterval probes
 // one peer (round-robin over a shuffled cycle) with piggybacked
 // liveness rumors; an unanswered probe after half the interval raises a
-// suspicion, and a suspicion that ages past GossipSuspicion unrefuted
-// becomes a death verdict. Ring knowledge — the prefix of the global
-// membership-flip log a node has applied — rides the same messages:
-// pings and acks carry the sender's ring sequence, and whichever side
-// is fresher ships the missing suffix.
+// suspicion, and a suspicion that ages past gossipSuspicionIntervals
+// probe periods unrefuted becomes a death verdict. Ring knowledge — the
+// prefix of the global membership-flip log a node has applied — rides
+// the same messages: pings and acks carry the sender's ring sequence,
+// and whichever side is fresher ships the missing suffix.
 //
 // Routing consequences: coordinators plan reads and writes on their
 // LOCAL ring (possibly stale), and a replica contacted for a range it
@@ -35,6 +37,20 @@ import (
 // gossipUpdateSize approximates one piggybacked rumor or ring event on
 // the wire in bytes.
 const gossipUpdateSize = 16
+
+// Protocol parameters no deployment, experiment or test ever varied.
+const (
+	// gossipPiggyback caps the rumors piggybacked per message; each
+	// rumor rides at most gossipPiggyback messages.
+	gossipPiggyback = 6
+	// gossipSuspicionIntervals is how many GossipIntervals a suspicion
+	// may age before the suspector declares the target dead; a
+	// refutation from the target in that window cancels it.
+	gossipSuspicionIntervals = 4
+	// gossipRetryBackoff is the base backoff before a wrong-owner retry,
+	// doubling per retry.
+	gossipRetryBackoff = 10 * time.Millisecond
+)
 
 // gossipState is a node's membership agent: its view, the placement
 // strategy derived from its ring prefix, the probe bookkeeping and the
@@ -62,7 +78,7 @@ type gossipState struct {
 func newGossipState(n *Node, members []netsim.NodeID, seq uint64) *gossipState {
 	c := n.cluster
 	return &gossipState{
-		view:     gossip.NewView(n.id, members, c.cfg.GossipPiggyback, seq),
+		view:     gossip.NewView(n.id, members, gossipPiggyback, seq),
 		strategy: c.buildStrategy(members),
 		rng:      c.cfg.seedSource.StreamN("kv.gossip", int(n.id)),
 	}
@@ -72,7 +88,7 @@ func newGossipState(n *Node, members []netsim.NodeID, seq uint64) *gossipState {
 // meters (the ResetGossipView hook).
 func (gs *gossipState) rewind(n *Node, members []netsim.NodeID, seq uint64) {
 	c := n.cluster
-	gs.view = gossip.NewView(n.id, members, c.cfg.GossipPiggyback, seq)
+	gs.view = gossip.NewView(n.id, members, gossipPiggyback, seq)
 	gs.strategy = c.buildStrategy(members)
 	gs.awaitSeq = 0
 }
@@ -198,7 +214,7 @@ func (n *Node) onGossipTick() {
 			RingSeq:      gs.view.RingSeq(),
 			TargetStatus: gs.view.StatusOf(peer),
 			TargetInc:    gs.view.Incarnation(peer),
-			Updates:      gs.view.Updates(c.cfg.GossipPiggyback),
+			Updates:      gs.view.Updates(gossipPiggyback),
 		}
 		c.net.Send(n.id, peer, ping, msgOverhead+gossipUpdateSize*len(ping.Updates))
 		gs.awaitSeq, gs.awaitTarget = gs.probeSeq, peer
@@ -238,7 +254,7 @@ func (n *Node) onGossipPing(m gossipPing) {
 		RingSeq:      gs.view.RingSeq(),
 		TargetStatus: gs.view.StatusOf(m.From),
 		TargetInc:    gs.view.Incarnation(m.From),
-		Updates:      gs.view.Updates(c.cfg.GossipPiggyback),
+		Updates:      gs.view.Updates(gossipPiggyback),
 		Events:       events,
 	}
 	c.net.Send(n.id, m.From, ack, msgOverhead+gossipUpdateSize*(len(ack.Updates)+len(ack.Events)))
@@ -291,7 +307,7 @@ func (n *Node) onGossipProbeTimeout(m gossipProbeTimeout) {
 		gs.suspicions++
 		n.cluster.net.SendLocal(n.id,
 			gossipSuspicionTimeout{Target: m.Target, Inc: upd.Incarnation, epoch: n.epoch},
-			n.cluster.cfg.GossipSuspicion)
+			gossipSuspicionIntervals*n.cluster.cfg.GossipInterval)
 	}
 }
 
@@ -412,7 +428,7 @@ func (n *Node) onNotOwner(m notOwner) {
 		minRetries = ctx.retries
 	}
 	gs.wrongOwnerRetries++
-	backoff := c.cfg.GossipRetryBackoff << (minRetries - 1)
+	backoff := gossipRetryBackoff << (minRetries - 1)
 	c.net.SendLocal(n.id, retry, backoff)
 }
 
@@ -454,7 +470,7 @@ func (n *Node) sendReadRetry(ctx *readCtx) {
 			continue
 		}
 		ctx.targets = append(ctx.targets, t)
-		rr := newReplicaRead(replicaRead{
+		rr := replicaReads.put(replicaRead{
 			ID: ctx.id, Key: ctx.key, Coord: n.id, RingSeq: n.ringSeq(),
 		})
 		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(ctx.key))
@@ -482,7 +498,7 @@ func (n *Node) sendWriteRetry(ctx *writeCtx) {
 			n.storeHint(r, ctx.key, ctx.cell)
 			continue
 		}
-		w := newReplicaWrite(replicaWrite{
+		w := replicaWrites.put(replicaWrite{
 			ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq(),
 		})
 		n.cluster.net.Send(n.id, r, w, msgOverhead+len(ctx.key)+len(ctx.cell.Value))

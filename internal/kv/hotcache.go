@@ -57,6 +57,11 @@ func CacheBound(alpha, lambda float64) time.Duration {
 	return math.MaxInt64
 }
 
+// hotCacheAlpha is the tolerated stale rate of cache hits: an entry is
+// served only while P(newer write exists) ≤ α under the key's observed
+// Poisson write rate.
+const hotCacheAlpha = 0.10
+
 // hotKey is the tracker's per-key control state.
 type hotKey struct {
 	lambda   float64       // windowed write rate estimate, writes/sec
@@ -94,12 +99,12 @@ type hotTracker struct {
 
 func newHotTracker(cfg *Config, now time.Duration) *hotTracker {
 	return &hotTracker{
-		alpha:        cfg.HotCacheAlpha,
+		alpha:        hotCacheAlpha,
 		maxAge:       cfg.HotCacheMaxAge,
 		size:         cfg.HotSetSize,
 		evalOps:      cfg.HotSetEvalOps,
 		promoteShare: cfg.HotPromoteShare,
-		demoteShare:  cfg.HotDemoteShare,
+		demoteShare:  cfg.HotPromoteShare / 2, // the gap is the promotion hysteresis
 		reads:        stats.NewHeavyHitters(4 * cfg.HotSetSize),
 		writes:       stats.NewHeavyHitters(4 * cfg.HotSetSize),
 		epoch:        now,

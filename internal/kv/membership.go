@@ -228,7 +228,7 @@ func (c *Cluster) startJoin(id netsim.NodeID) {
 	n.joinPending = len(peers)
 	n.streamsIn = make(map[netsim.NodeID]*streamIn, len(peers))
 	for _, p := range peers {
-		c.net.Send(id, p, newStreamRequest(streamRequest{Joiner: id, Ranges: owned}), msgOverhead)
+		c.net.Send(id, p, streamRequest{Joiner: id, Ranges: owned}, msgOverhead)
 	}
 }
 
@@ -752,15 +752,15 @@ func (n *Node) sendStream(to netsim.NodeID, chunks [][]byte, counts []int, cells
 			n.streamChunksOut++
 			n.streamedOutCells += uint64(cnt)
 			n.streamedOutBytes += uint64(len(data))
-			c.net.Send(n.id, to, newStreamChunk(streamChunk{From: n.id, Data: data, Count: cnt}),
+			c.net.Send(n.id, to, streamChunk{From: n.id, Data: data, Count: cnt},
 				msgOverhead+len(data))
 		})
 	}
 	nChunks := len(chunks)
 	n.submitRead(c.cfg.CoordOverhead.Sample(n.rng), func() {
-		c.net.Send(n.id, to, newStreamDone(streamDone{
+		c.net.Send(n.id, to, streamDone{
 			From: n.id, Chunks: nChunks, Cells: cells, Bytes: total, NeedAck: needAck,
-		}), msgOverhead)
+		}, msgOverhead)
 	})
 }
 
@@ -826,7 +826,7 @@ func (n *Node) streamProgress(peer netsim.NodeID, st *streamIn) {
 	delete(n.streamsIn, peer)
 	if st.ackTo >= 0 {
 		// Decommission handoff: tell the leaver this range landed.
-		n.cluster.net.Send(n.id, st.ackTo, newStreamAck(streamAck{From: n.id}), msgOverhead)
+		n.cluster.net.Send(n.id, st.ackTo, streamAck{From: n.id}, msgOverhead)
 		return
 	}
 	// Join bootstrap: one source down, flip when the last completes.

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/gossip"
@@ -8,6 +9,60 @@ import (
 	"repro/internal/ring"
 	"repro/internal/storage"
 )
+
+// This file defines every message a node or the client endpoint handles.
+// A message has one of three shapes:
+//
+//   - Pooled box (*T out of a box[T]): the kinds that travel once per
+//     replica per operation — client requests and replies, replica reads
+//     and writes and their acks. Every Send boxes its payload into an
+//     interface, and for these kinds that boxing dominated allocations,
+//     so senders put the value into a recycled box and the receiver takes
+//     it out again before dispatching: a box never outlives one delivery
+//     and the steady-state message path allocates nothing.
+//   - Plain value (T, or *T for the batch kinds): everything that travels
+//     per batch, per anti-entropy round, per gossip probe or per
+//     membership change. Each carries freshly built slices the in-flight
+//     message owns, next to which one boxing allocation is noise.
+//   - Self-message: a node's own timers and work completions (the tick
+//     kinds here; workDone, coordExec and coordTimeout are pooled boxes,
+//     the first two declared in node.go). They never leave the node.
+//
+// To add a kind: declare its struct here (with a `var xs = newBox[x]()`
+// line if it is pooled) and give it one dispatch line in Node.Handle. If
+// it crosses processes it also gets a field-list method (wire, see the
+// codec in wiremsg.go) and a kind constant with one dispatch line in
+// each of MarshalMessage and UnmarshalMessage.
+
+// box recycles the boxes of one pooled message kind. put and take are the
+// whole lifecycle: whoever receives a *T takes it exactly once and never
+// touches the pointer again (repolint's poolsafe analyzer checks that).
+// sync.Pool keeps this safe for the live engine too, where handlers run
+// on several goroutines.
+type box[T any] struct{ pool sync.Pool }
+
+// newBox gives the pool a New func, not put a nil check: put is on every
+// send and stays within the inlining budget only without the branch.
+func newBox[T any]() *box[T] {
+	return &box[T]{sync.Pool{New: func() any { return new(T) }}}
+}
+
+// put returns a box holding v.
+func (b *box[T]) put(v T) *T {
+	p := b.pool.Get().(*T)
+	*p = v
+	return p
+}
+
+// take copies the message out of its box and recycles the box, zeroed so
+// it pins nothing while it waits in the pool.
+func (b *box[T]) take(p *T) T {
+	v := *p
+	var zero T
+	*p = zero
+	b.pool.Put(p)
+	return v
+}
 
 // reqID identifies one client operation across the cluster.
 type reqID uint64
@@ -35,6 +90,8 @@ type clientRead struct {
 	rt    opRoute
 }
 
+var clientReads = newBox[clientRead]()
+
 // clientWrite is the write counterpart of clientRead; with tombstone set
 // it deletes the key instead of storing a value.
 type clientWrite struct {
@@ -46,17 +103,23 @@ type clientWrite struct {
 	rt        opRoute
 }
 
+var clientWrites = newBox[clientWrite]()
+
 // clientReadReply carries the result back to the client endpoint.
 type clientReadReply struct {
 	rt  opRoute
 	res ReadResult
 }
 
+var clientReadReplies = newBox[clientReadReply]()
+
 // clientWriteReply carries the result back to the client endpoint.
 type clientWriteReply struct {
 	rt  opRoute
 	res WriteResult
 }
+
+var clientWriteReplies = newBox[clientWriteReply]()
 
 // BatchOp is one item of a multi-key batch mutation. Delete issues a
 // tombstone for Key instead of storing Value.
@@ -112,6 +175,15 @@ type replicaBatchRead struct {
 	RingSeq uint64
 }
 
+func (m *replicaBatchRead) wire(c *wireCodec) *replicaBatchRead {
+	c.id(&m.ID)
+	c.ints(&m.Idxs)
+	c.strs(&m.Keys)
+	c.node(&m.Coord)
+	c.uvarint(&m.RingSeq)
+	return m
+}
+
 // batchReadItem is one replica's answer for one batch position.
 type batchReadItem struct {
 	Idx    int
@@ -126,6 +198,17 @@ type replicaBatchReadResp struct {
 	From  netsim.NodeID
 }
 
+func (m *replicaBatchReadResp) wire(c *wireCodec) *replicaBatchReadResp {
+	c.id(&m.ID)
+	for i := range wireList(c, &m.Items) {
+		c.int(&m.Items[i].Idx)
+		c.cell(&m.Items[i].Cell)
+		c.flag(&m.Items[i].Exists)
+	}
+	c.node(&m.From)
+	return m
+}
+
 // replicaBatchWrite carries every batch mutation a replica owns in one
 // message.
 type replicaBatchWrite struct {
@@ -137,11 +220,30 @@ type replicaBatchWrite struct {
 	RingSeq uint64 // see replicaBatchRead.RingSeq
 }
 
+func (m *replicaBatchWrite) wire(c *wireCodec) *replicaBatchWrite {
+	c.id(&m.ID)
+	c.ints(&m.Idxs)
+	c.strs(&m.Keys)
+	for i := range wireList(c, &m.Cells) {
+		c.cell(&m.Cells[i])
+	}
+	c.node(&m.Coord)
+	c.uvarint(&m.RingSeq)
+	return m
+}
+
 // replicaBatchWriteAck acknowledges all items of a replicaBatchWrite.
 type replicaBatchWriteAck struct {
 	ID   reqID
 	Idxs []int
 	From netsim.NodeID
+}
+
+func (m *replicaBatchWriteAck) wire(c *wireCodec) *replicaBatchWriteAck {
+	c.id(&m.ID)
+	c.ints(&m.Idxs)
+	c.node(&m.From)
+	return m
 }
 
 // replicaWrite asks a replica to apply a cell. Repair and hint replays
@@ -156,12 +258,35 @@ type replicaWrite struct {
 	RingSeq uint64 // see replicaBatchRead.RingSeq (coordinated writes only)
 }
 
+var replicaWrites = newBox[replicaWrite]()
+
+func (m *replicaWrite) wire(c *wireCodec) *replicaWrite {
+	c.id(&m.ID)
+	c.str(&m.Key)
+	c.cell(&m.Cell)
+	c.node(&m.Coord)
+	c.flag(&m.Repair)
+	c.flag(&m.Hint)
+	c.uvarint(&m.RingSeq)
+	return m
+}
+
 // replicaWriteAck acknowledges a replicaWrite to its coordinator.
 type replicaWriteAck struct {
 	ID      reqID
 	Key     string
 	Version storage.Version
 	From    netsim.NodeID
+}
+
+var replicaWriteAcks = newBox[replicaWriteAck]()
+
+func (m *replicaWriteAck) wire(c *wireCodec) *replicaWriteAck {
+	c.id(&m.ID)
+	c.str(&m.Key)
+	c.version(&m.Version)
+	c.node(&m.From)
+	return m
 }
 
 // replicaRead asks a replica for its resident cell; when Digest is set
@@ -174,6 +299,17 @@ type replicaRead struct {
 	RingSeq uint64 // see replicaBatchRead.RingSeq
 }
 
+var replicaReads = newBox[replicaRead]()
+
+func (m *replicaRead) wire(c *wireCodec) *replicaRead {
+	c.id(&m.ID)
+	c.str(&m.Key)
+	c.flag(&m.Digest)
+	c.node(&m.Coord)
+	c.uvarint(&m.RingSeq)
+	return m
+}
+
 // replicaReadResp answers a replicaRead.
 type replicaReadResp struct {
 	ID     reqID
@@ -184,12 +320,26 @@ type replicaReadResp struct {
 	From   netsim.NodeID
 }
 
+var replicaReadResps = newBox[replicaReadResp]()
+
+func (m *replicaReadResp) wire(c *wireCodec) *replicaReadResp {
+	c.id(&m.ID)
+	c.str(&m.Key)
+	c.cell(&m.Cell)
+	c.flag(&m.Exists)
+	c.flag(&m.Digest)
+	c.node(&m.From)
+	return m
+}
+
 // coordTimeout fires on the coordinator when a request exceeded the
 // cluster timeout.
 type coordTimeout struct {
 	ID    reqID
 	Write bool
 }
+
+var coordTimeouts = newBox[coordTimeout]()
 
 // aeTick triggers one anti-entropy round on a node. epoch ties the tick
 // chain to a node incarnation: ticks scheduled before a crash do not
@@ -208,6 +358,15 @@ type aeOffer struct {
 	From     netsim.NodeID
 }
 
+func (m *aeOffer) wire(c *wireCodec) *aeOffer {
+	c.strs(&m.Keys)
+	for i := range wireList(c, &m.Versions) {
+		c.version(&m.Versions[i])
+	}
+	c.node(&m.From)
+	return m
+}
+
 // aeReply answers an offer with cells newer on the responder and the list
 // of keys where the initiator was newer.
 type aeReply struct {
@@ -216,15 +375,35 @@ type aeReply struct {
 	From    netsim.NodeID
 }
 
+func (m *aeReply) wire(c *wireCodec) *aeReply {
+	c.aeCells(&m.Updates)
+	c.strs(&m.Want)
+	c.node(&m.From)
+	return m
+}
+
 // aePush closes the exchange: the initiator pushes the requested cells.
 type aePush struct {
 	Updates []aeCell
+}
+
+func (m *aePush) wire(c *wireCodec) *aePush {
+	c.aeCells(&m.Updates)
+	return m
 }
 
 // aeCell pairs a key with its cell for anti-entropy transfer.
 type aeCell struct {
 	Key  string
 	Cell storage.Cell
+}
+
+// aeCells walks the cell list aeReply and aePush both carry.
+func (c *wireCodec) aeCells(p *[]aeCell) {
+	for i := range wireList(c, p) {
+		c.str(&(*p)[i].Key)
+		c.cell(&(*p)[i].Cell)
+	}
 }
 
 // streamRequest asks a current member to snapshot-stream the ranges the
@@ -238,12 +417,28 @@ type streamRequest struct {
 	Ranges []ring.Range
 }
 
+func (m *streamRequest) wire(c *wireCodec) *streamRequest {
+	c.node(&m.Joiner)
+	for i := range wireList(c, &m.Ranges) {
+		c.uvarint((*uint64)(&m.Ranges[i].Start))
+		c.uvarint((*uint64)(&m.Ranges[i].End))
+	}
+	return m
+}
+
 // streamChunk carries framed cells (storage.EncodeCell records) of a
 // snapshot stream; Count is the number of cells in Data.
 type streamChunk struct {
 	From  netsim.NodeID
 	Data  []byte
 	Count int
+}
+
+func (m *streamChunk) wire(c *wireCodec) *streamChunk {
+	c.node(&m.From)
+	c.bytes(&m.Data)
+	c.int(&m.Count)
+	return m
 }
 
 // streamDone closes one snapshot stream, announcing its totals so the
@@ -257,15 +452,27 @@ type streamDone struct {
 	NeedAck bool
 }
 
+func (m *streamDone) wire(c *wireCodec) *streamDone {
+	c.node(&m.From)
+	c.int(&m.Chunks)
+	c.int(&m.Cells)
+	c.int(&m.Bytes)
+	c.flag(&m.NeedAck)
+	return m
+}
+
 // streamAck confirms a decommission handoff stream fully applied on the
 // new owner.
 type streamAck struct {
 	From netsim.NodeID
 }
 
-// Gossip protocol messages (Config.Gossip only). All are value types —
-// each carries freshly built slices owned by the in-flight message, so
-// none need pooling or dropWhileCrashed handling.
+func (m *streamAck) wire(c *wireCodec) *streamAck {
+	c.node(&m.From)
+	return m
+}
+
+// Gossip protocol messages (Config.Gossip only), all plain values.
 
 // gossipTick triggers one gossip round on a node: probe the next peer
 // with piggybacked rumors. epoch has the same crash-invalidaton

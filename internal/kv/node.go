@@ -234,49 +234,27 @@ func (n *Node) restart() storage.RecoverStats {
 func ReleaseMessage(payload any) {
 	switch m := payload.(type) {
 	case *workDone:
-		*m = workDone{}
-		workDonePool.Put(m)
+		workDones.take(m)
 	case *coordExec:
-		*m = coordExec{}
-		coordExecPool.Put(m)
+		coordExecs.take(m)
 	case *coordTimeout:
-		coordTimeoutPool.Put(m)
+		coordTimeouts.take(m)
 	case *clientRead:
-		*m = clientRead{}
-		clientReadPool.Put(m)
+		clientReads.take(m)
 	case *clientWrite:
-		*m = clientWrite{}
-		clientWritePool.Put(m)
+		clientWrites.take(m)
 	case *clientReadReply:
-		*m = clientReadReply{}
-		clientReadReplyPool.Put(m)
+		clientReadReplies.take(m)
 	case *clientWriteReply:
-		*m = clientWriteReply{}
-		clientWriteRplPool.Put(m)
+		clientWriteReplies.take(m)
 	case *replicaWrite:
-		*m = replicaWrite{}
-		replicaWritePool.Put(m)
+		replicaWrites.take(m)
 	case *replicaWriteAck:
-		*m = replicaWriteAck{}
-		replicaWriteAckPool.Put(m)
+		replicaWriteAcks.take(m)
 	case *replicaRead:
-		*m = replicaRead{}
-		replicaReadPool.Put(m)
+		replicaReads.take(m)
 	case *replicaReadResp:
-		*m = replicaReadResp{}
-		replicaReadRespPool.Put(m)
-	case *streamRequest:
-		*m = streamRequest{}
-		streamRequestPool.Put(m)
-	case *streamChunk:
-		*m = streamChunk{}
-		streamChunkPool.Put(m)
-	case *streamDone:
-		*m = streamDone{}
-		streamDonePool.Put(m)
-	case *streamAck:
-		*m = streamAck{}
-		streamAckPool.Put(m)
+		replicaReadResps.take(m)
 	}
 }
 
@@ -306,7 +284,7 @@ func (n *Node) run(st *stage, w work) {
 	st.busy++
 	st.busyTime += w.cost
 	st.done++
-	n.cluster.net.SendLocal(n.id, newWorkDone(st, w, n.epoch), w.cost)
+	n.cluster.net.SendLocal(n.id, workDones.put(workDone{st: st, w: w, epoch: n.epoch}), w.cost)
 }
 
 // workDone is the self-message marking completion of a work unit. epoch
@@ -316,6 +294,8 @@ type workDone struct {
 	w     work
 	epoch uint32
 }
+
+var workDones = newBox[workDone]()
 
 // coordExec is the self-message completing coordinator admission work;
 // kind says which of the four client requests it carries.
@@ -328,6 +308,8 @@ type coordExec struct {
 	epoch uint32
 }
 
+var coordExecs = newBox[coordExec]()
+
 type execKind uint8
 
 const (
@@ -338,14 +320,14 @@ const (
 )
 
 // coordWork models the request-stage overhead of coordinating an
-// operation: it delays the admission p carries by a sampled cost without
+// operation: it delays the admission e carries by a sampled cost without
 // contending for read/mutation slots (Cassandra's request stage is
 // rarely the bottleneck).
-func (n *Node) coordWork(p *coordExec) {
+func (n *Node) coordWork(e coordExec) {
 	cost := n.cluster.cfg.CoordOverhead.Sample(n.rng)
 	n.coordBusy += cost
-	p.epoch = n.epoch
-	n.cluster.net.SendLocal(n.id, p, cost)
+	e.epoch = n.epoch
+	n.cluster.net.SendLocal(n.id, coordExecs.put(e), cost)
 }
 
 func (n *Node) finishWork(st *stage, w *work) {
@@ -409,8 +391,8 @@ func (n *Node) DroppedMutations() uint64 { return n.writeStage.dropped }
 func (n *Node) CoordOps() uint64 { return n.coordOps }
 
 // Handle dispatches one message; it is the single entry point of the
-// actor. Pooled message boxes are copied out and returned to their pool
-// before dispatch, so a box never outlives one delivery.
+// actor. Pooled message boxes are taken (copied out and recycled) before
+// dispatch, so a box never outlives one delivery.
 func (n *Node) Handle(from netsim.NodeID, payload any) {
 	if n.crashed {
 		// A dead process handles nothing. Only local self-messages get
@@ -421,16 +403,12 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 	}
 	switch m := payload.(type) {
 	case *workDone:
-		v := *m
-		*m = workDone{}
-		workDonePool.Put(m)
+		v := workDones.take(m)
 		if v.epoch == n.epoch {
 			n.finishWork(v.st, &v.w)
 		}
 	case *coordExec:
-		v := *m
-		*m = coordExec{}
-		coordExecPool.Put(m)
+		v := coordExecs.take(m)
 		if v.epoch != n.epoch {
 			return
 		}
@@ -446,44 +424,24 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 		}
 
 	case *clientRead:
-		v := *m
-		*m = clientRead{}
-		clientReadPool.Put(m)
-		n.coordRead(v)
+		n.coordRead(clientReads.take(m))
 	case *clientWrite:
-		v := *m
-		*m = clientWrite{}
-		clientWritePool.Put(m)
-		n.coordWrite(v)
+		n.coordWrite(clientWrites.take(m))
 	case clientBatchRead:
 		n.coordBatchRead(m)
 	case clientBatchWrite:
 		n.coordBatchWrite(m)
 	case *coordTimeout:
-		v := *m
-		coordTimeoutPool.Put(m)
-		n.onTimeout(v)
+		n.onTimeout(coordTimeouts.take(m))
 
 	case *replicaWrite:
-		v := *m
-		*m = replicaWrite{}
-		replicaWritePool.Put(m)
-		n.onReplicaWrite(v)
+		n.onReplicaWrite(replicaWrites.take(m))
 	case *replicaWriteAck:
-		v := *m
-		*m = replicaWriteAck{}
-		replicaWriteAckPool.Put(m)
-		n.onWriteAck(v)
+		n.onWriteAck(replicaWriteAcks.take(m))
 	case *replicaRead:
-		v := *m
-		*m = replicaRead{}
-		replicaReadPool.Put(m)
-		n.onReplicaRead(v)
+		n.onReplicaRead(replicaReads.take(m))
 	case *replicaReadResp:
-		v := *m
-		*m = replicaReadResp{}
-		replicaReadRespPool.Put(m)
-		n.onReadResp(v)
+		n.onReadResp(replicaReadResps.take(m))
 	case *replicaBatchWrite:
 		n.onReplicaBatchWrite(*m)
 	case *replicaBatchWriteAck:
@@ -545,26 +503,14 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 	case notOwner:
 		n.onNotOwner(m)
 
-	case *streamRequest:
-		v := *m
-		*m = streamRequest{}
-		streamRequestPool.Put(m)
-		n.onStreamRequest(v)
-	case *streamChunk:
-		v := *m
-		*m = streamChunk{}
-		streamChunkPool.Put(m)
-		n.onStreamChunk(v)
-	case *streamDone:
-		v := *m
-		*m = streamDone{}
-		streamDonePool.Put(m)
-		n.onStreamDone(v)
-	case *streamAck:
-		v := *m
-		*m = streamAck{}
-		streamAckPool.Put(m)
-		n.onStreamAck(v)
+	case streamRequest:
+		n.onStreamRequest(m)
+	case streamChunk:
+		n.onStreamChunk(m)
+	case streamDone:
+		n.onStreamDone(m)
+	case streamAck:
+		n.onStreamAck(m)
 	}
 }
 
@@ -593,7 +539,7 @@ func (n *Node) applyReplicaWrite(m replicaWrite) {
 		n.readRepairs++
 		return
 	}
-	ack := newReplicaWriteAck(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
+	ack := replicaWriteAcks.put(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
 	n.cluster.net.Send(n.id, m.Coord, ack, msgOverhead)
 }
 
@@ -613,7 +559,7 @@ func (n *Node) onReplicaRead(m replicaRead) {
 func (n *Node) serveReplicaRead(m replicaRead) {
 	n.repReads++
 	cell, ok := n.engine.Get(m.Key)
-	resp := newReplicaReadResp(replicaReadResp{
+	resp := replicaReadResps.put(replicaReadResp{
 		ID: m.ID, Key: m.Key, Cell: cell, Exists: ok,
 		Digest: m.Digest, From: n.id,
 	})
@@ -629,10 +575,14 @@ func (n *Node) serveReplicaRead(m replicaRead) {
 	n.cluster.net.Send(n.id, m.Coord, resp, size)
 }
 
+// maxHintsPerNode bounds a node's hint buffer; hints past it are dropped
+// and left to read repair and anti-entropy.
+const maxHintsPerNode = 200_000
+
 // storeHint buffers a write for a down replica, to be replayed when it
 // recovers.
 func (n *Node) storeHint(target netsim.NodeID, key string, cell storage.Cell) {
-	if n.hintCount >= n.cluster.cfg.MaxHintsPerNode {
+	if n.hintCount >= maxHintsPerNode {
 		n.hintsDropped++
 		return
 	}
@@ -663,7 +613,7 @@ func (n *Node) replayHints() {
 			continue
 		}
 		for _, h := range entries {
-			msg := newReplicaWrite(replicaWrite{Key: h.key, Cell: h.cell, Coord: n.id, Repair: false, Hint: true})
+			msg := replicaWrites.put(replicaWrite{Key: h.key, Cell: h.cell, Coord: n.id, Repair: false, Hint: true})
 			n.cluster.net.Send(n.id, target, msg, msgOverhead+len(h.key)+len(h.cell.Value))
 			n.hintsReplayed++
 		}

@@ -16,7 +16,7 @@ import (
 // (benchmark/probes.go, wire.frame_roundtrip_ns_per_msg) can track the
 // per-message cost of the TCP mesh.
 func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
-	w := newReplicaWrite(replicaWrite{
+	w := replicaWrites.put(replicaWrite{
 		ID:  reqID(seq),
 		Key: "key:12345678",
 		Cell: storage.Cell{
@@ -42,7 +42,6 @@ func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 	if !ok {
 		return buf, errors.New("decoded payload is not a replica write")
 	}
-	*rw = replicaWrite{}
-	replicaWritePool.Put(rw)
+	replicaWrites.take(rw)
 	return buf, nil
 }

@@ -2,27 +2,27 @@ package kv
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/ring"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-// Cross-process marshal hooks for the replica-facing message set. A
+// Cross-process wire form of the replica-facing message set. A
 // multi-process deployment runs the full cluster actor set in every
 // process but serves only its local nodes; messages addressed to a node
 // owned by a peer process are encoded here, framed by internal/wire and
-// shipped over a TCP mesh (internal/live). Client messages (they carry
-// callbacks), self-messages (they carry engine-internal pointers) and
-// gossip messages (multi-process membership is static for now) never
-// cross a process boundary, so they have no wire form — MarshalMessage
-// reports them unencodable and the mesh treats sending one as a
-// programming error.
+// shipped over a TCP mesh (internal/live). Client messages (they route
+// replies through a process-local op slab), self-messages (they carry
+// engine-internal pointers) and gossip messages (multi-process
+// membership is static for now) never cross a process boundary, so they
+// have no wire form — MarshalMessage reports them unencodable and the
+// mesh treats sending one as a programming error.
 
 // Wire kinds of the cross-process message set. Values are part of the
-// peer protocol: append new kinds, never renumber.
+// peer protocol, as is the field order of each kind's wire method
+// (messages.go): append new kinds and new trailing fields, never
+// renumber or reorder — TestWireFramesGolden pins one frame per kind.
 const (
 	wireReplicaRead byte = iota + 1
 	wireReplicaReadResp
@@ -46,154 +46,47 @@ const (
 // the box returns to its pool once its fields are on the wire, exactly
 // as a local delivery recycles it in Handle.
 func MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) ([]byte, bool) {
-	kind := wireKindOf(payload)
-	if kind == 0 {
-		return buf, false
-	}
 	start := len(buf)
-	buf = wire.BeginFrame(buf, kind)
-	buf = wire.AppendVarint(buf, int64(from))
-	buf = wire.AppendVarint(buf, int64(to))
+	c := wireCodec{buf: buf}
 	switch m := payload.(type) {
 	case *replicaRead:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = wire.AppendString(buf, m.Key)
-		buf = wire.AppendBool(buf, m.Digest)
-		buf = wire.AppendVarint(buf, int64(m.Coord))
-		buf = wire.AppendUvarint(buf, m.RingSeq)
-		*m = replicaRead{}
-		replicaReadPool.Put(m)
+		m.wire(c.open(wireReplicaRead, from, to))
+		replicaReads.take(m)
 	case *replicaReadResp:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = wire.AppendString(buf, m.Key)
-		buf = appendWireCell(buf, m.Cell)
-		buf = wire.AppendBool(buf, m.Exists)
-		buf = wire.AppendBool(buf, m.Digest)
-		buf = wire.AppendVarint(buf, int64(m.From))
-		*m = replicaReadResp{}
-		replicaReadRespPool.Put(m)
+		m.wire(c.open(wireReplicaReadResp, from, to))
+		replicaReadResps.take(m)
 	case *replicaWrite:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = wire.AppendString(buf, m.Key)
-		buf = appendWireCell(buf, m.Cell)
-		buf = wire.AppendVarint(buf, int64(m.Coord))
-		buf = wire.AppendBool(buf, m.Repair)
-		buf = wire.AppendBool(buf, m.Hint)
-		buf = wire.AppendUvarint(buf, m.RingSeq)
-		*m = replicaWrite{}
-		replicaWritePool.Put(m)
+		m.wire(c.open(wireReplicaWrite, from, to))
+		replicaWrites.take(m)
 	case *replicaWriteAck:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = wire.AppendString(buf, m.Key)
-		buf = appendWireVersion(buf, m.Version)
-		buf = wire.AppendVarint(buf, int64(m.From))
-		*m = replicaWriteAck{}
-		replicaWriteAckPool.Put(m)
+		m.wire(c.open(wireReplicaWriteAck, from, to))
+		replicaWriteAcks.take(m)
 	case *replicaBatchRead:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = appendWireInts(buf, m.Idxs)
-		buf = appendWireStrings(buf, m.Keys)
-		buf = wire.AppendVarint(buf, int64(m.Coord))
-		buf = wire.AppendUvarint(buf, m.RingSeq)
+		m.wire(c.open(wireReplicaBatchRead, from, to))
 	case *replicaBatchReadResp:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = wire.AppendUvarint(buf, uint64(len(m.Items)))
-		for _, it := range m.Items {
-			buf = wire.AppendVarint(buf, int64(it.Idx))
-			buf = appendWireCell(buf, it.Cell)
-			buf = wire.AppendBool(buf, it.Exists)
-		}
-		buf = wire.AppendVarint(buf, int64(m.From))
+		m.wire(c.open(wireReplicaBatchReadResp, from, to))
 	case *replicaBatchWrite:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = appendWireInts(buf, m.Idxs)
-		buf = appendWireStrings(buf, m.Keys)
-		buf = wire.AppendUvarint(buf, uint64(len(m.Cells)))
-		for _, cell := range m.Cells {
-			buf = appendWireCell(buf, cell)
-		}
-		buf = wire.AppendVarint(buf, int64(m.Coord))
-		buf = wire.AppendUvarint(buf, m.RingSeq)
+		m.wire(c.open(wireReplicaBatchWrite, from, to))
 	case *replicaBatchWriteAck:
-		buf = wire.AppendUvarint(buf, uint64(m.ID))
-		buf = appendWireInts(buf, m.Idxs)
-		buf = wire.AppendVarint(buf, int64(m.From))
+		m.wire(c.open(wireReplicaBatchWriteAck, from, to))
 	case aeOffer:
-		buf = appendWireStrings(buf, m.Keys)
-		buf = wire.AppendUvarint(buf, uint64(len(m.Versions)))
-		for _, v := range m.Versions {
-			buf = appendWireVersion(buf, v)
-		}
-		buf = wire.AppendVarint(buf, int64(m.From))
+		m.wire(c.open(wireAeOffer, from, to))
 	case aeReply:
-		buf = appendWireAECells(buf, m.Updates)
-		buf = appendWireStrings(buf, m.Want)
-		buf = wire.AppendVarint(buf, int64(m.From))
+		m.wire(c.open(wireAeReply, from, to))
 	case aePush:
-		buf = appendWireAECells(buf, m.Updates)
-	case *streamRequest:
-		buf = wire.AppendVarint(buf, int64(m.Joiner))
-		buf = appendWireRanges(buf, m.Ranges)
-		*m = streamRequest{}
-		streamRequestPool.Put(m)
-	case *streamChunk:
-		buf = wire.AppendVarint(buf, int64(m.From))
-		buf = wire.AppendBytes(buf, m.Data)
-		buf = wire.AppendVarint(buf, int64(m.Count))
-		*m = streamChunk{}
-		streamChunkPool.Put(m)
-	case *streamDone:
-		buf = wire.AppendVarint(buf, int64(m.From))
-		buf = wire.AppendVarint(buf, int64(m.Chunks))
-		buf = wire.AppendVarint(buf, int64(m.Cells))
-		buf = wire.AppendVarint(buf, int64(m.Bytes))
-		buf = wire.AppendBool(buf, m.NeedAck)
-		*m = streamDone{}
-		streamDonePool.Put(m)
-	case *streamAck:
-		buf = wire.AppendVarint(buf, int64(m.From))
-		*m = streamAck{}
-		streamAckPool.Put(m)
+		m.wire(c.open(wireAePush, from, to))
+	case streamRequest:
+		m.wire(c.open(wireStreamRequest, from, to))
+	case streamChunk:
+		m.wire(c.open(wireStreamChunk, from, to))
+	case streamDone:
+		m.wire(c.open(wireStreamDone, from, to))
+	case streamAck:
+		m.wire(c.open(wireStreamAck, from, to))
+	default:
+		return buf, false
 	}
-	return wire.EndFrame(buf, start), true
-}
-
-// wireKindOf maps an encodable payload to its wire kind (0 for messages
-// with no wire form).
-func wireKindOf(payload any) byte {
-	switch payload.(type) {
-	case *replicaRead:
-		return wireReplicaRead
-	case *replicaReadResp:
-		return wireReplicaReadResp
-	case *replicaWrite:
-		return wireReplicaWrite
-	case *replicaWriteAck:
-		return wireReplicaWriteAck
-	case *replicaBatchRead:
-		return wireReplicaBatchRead
-	case *replicaBatchReadResp:
-		return wireReplicaBatchReadResp
-	case *replicaBatchWrite:
-		return wireReplicaBatchWrite
-	case *replicaBatchWriteAck:
-		return wireReplicaBatchWriteAck
-	case aeOffer:
-		return wireAeOffer
-	case aeReply:
-		return wireAeReply
-	case aePush:
-		return wireAePush
-	case *streamRequest:
-		return wireStreamRequest
-	case *streamChunk:
-		return wireStreamChunk
-	case *streamDone:
-		return wireStreamDone
-	case *streamAck:
-		return wireStreamAck
-	}
-	return 0
+	return wire.EndFrame(c.buf, start), true
 }
 
 // UnmarshalMessage decodes one frame body produced by MarshalMessage
@@ -201,300 +94,198 @@ func wireKindOf(payload any) byte {
 // values are copied out of body — the caller may reuse its read buffer
 // as soon as UnmarshalMessage returns.
 func UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload any, err error) {
-	c := wireCursor{data: body}
-	from = netsim.NodeID(c.varint())
-	to = netsim.NodeID(c.varint())
+	c := wireCodec{data: body, dec: true}
+	c.node(&from)
+	c.node(&to)
 	switch kind {
 	case wireReplicaRead:
-		payload = newReplicaRead(replicaRead{
-			ID:      reqID(c.uvarint()),
-			Key:     c.str(),
-			Digest:  c.boolv(),
-			Coord:   netsim.NodeID(c.varint()),
-			RingSeq: c.uvarint(),
-		})
+		payload = replicaReads.put(replicaRead{}).wire(&c)
 	case wireReplicaReadResp:
-		payload = newReplicaReadResp(replicaReadResp{
-			ID:     reqID(c.uvarint()),
-			Key:    c.str(),
-			Cell:   c.cell(),
-			Exists: c.boolv(),
-			Digest: c.boolv(),
-			From:   netsim.NodeID(c.varint()),
-		})
+		payload = replicaReadResps.put(replicaReadResp{}).wire(&c)
 	case wireReplicaWrite:
-		payload = newReplicaWrite(replicaWrite{
-			ID:      reqID(c.uvarint()),
-			Key:     c.str(),
-			Cell:    c.cell(),
-			Coord:   netsim.NodeID(c.varint()),
-			Repair:  c.boolv(),
-			Hint:    c.boolv(),
-			RingSeq: c.uvarint(),
-		})
+		payload = replicaWrites.put(replicaWrite{}).wire(&c)
 	case wireReplicaWriteAck:
-		payload = newReplicaWriteAck(replicaWriteAck{
-			ID:      reqID(c.uvarint()),
-			Key:     c.str(),
-			Version: c.version(),
-			From:    netsim.NodeID(c.varint()),
-		})
+		payload = replicaWriteAcks.put(replicaWriteAck{}).wire(&c)
 	case wireReplicaBatchRead:
-		payload = &replicaBatchRead{
-			ID:      reqID(c.uvarint()),
-			Idxs:    c.ints(),
-			Keys:    c.strings(),
-			Coord:   netsim.NodeID(c.varint()),
-			RingSeq: c.uvarint(),
-		}
+		payload = new(replicaBatchRead).wire(&c)
 	case wireReplicaBatchReadResp:
-		m := &replicaBatchReadResp{ID: reqID(c.uvarint())}
-		n := int(c.uvarint())
-		if n > 0 && !c.err {
-			m.Items = make([]batchReadItem, 0, n)
-			for i := 0; i < n && !c.err; i++ {
-				m.Items = append(m.Items, batchReadItem{
-					Idx:    int(c.varint()),
-					Cell:   c.cell(),
-					Exists: c.boolv(),
-				})
-			}
-		}
-		m.From = netsim.NodeID(c.varint())
-		payload = m
+		payload = new(replicaBatchReadResp).wire(&c)
 	case wireReplicaBatchWrite:
-		m := &replicaBatchWrite{
-			ID:   reqID(c.uvarint()),
-			Idxs: c.ints(),
-			Keys: c.strings(),
-		}
-		n := int(c.uvarint())
-		if n > 0 && !c.err {
-			m.Cells = make([]storage.Cell, 0, n)
-			for i := 0; i < n && !c.err; i++ {
-				m.Cells = append(m.Cells, c.cell())
-			}
-		}
-		m.Coord = netsim.NodeID(c.varint())
-		m.RingSeq = c.uvarint()
-		payload = m
+		payload = new(replicaBatchWrite).wire(&c)
 	case wireReplicaBatchWriteAck:
-		payload = &replicaBatchWriteAck{
-			ID:   reqID(c.uvarint()),
-			Idxs: c.ints(),
-			From: netsim.NodeID(c.varint()),
-		}
+		payload = new(replicaBatchWriteAck).wire(&c)
 	case wireAeOffer:
-		m := aeOffer{Keys: c.strings()}
-		n := int(c.uvarint())
-		if n > 0 && !c.err {
-			m.Versions = make([]storage.Version, 0, n)
-			for i := 0; i < n && !c.err; i++ {
-				m.Versions = append(m.Versions, c.version())
-			}
-		}
-		m.From = netsim.NodeID(c.varint())
-		payload = m
+		payload = *new(aeOffer).wire(&c)
 	case wireAeReply:
-		payload = aeReply{
-			Updates: c.aeCells(),
-			Want:    c.strings(),
-			From:    netsim.NodeID(c.varint()),
-		}
+		payload = *new(aeReply).wire(&c)
 	case wireAePush:
-		payload = aePush{Updates: c.aeCells()}
+		payload = *new(aePush).wire(&c)
 	case wireStreamRequest:
-		payload = newStreamRequest(streamRequest{
-			Joiner: netsim.NodeID(c.varint()),
-			Ranges: c.ranges(),
-		})
+		payload = *new(streamRequest).wire(&c)
 	case wireStreamChunk:
-		payload = newStreamChunk(streamChunk{
-			From:  netsim.NodeID(c.varint()),
-			Data:  append([]byte(nil), c.bytes()...),
-			Count: int(c.varint()),
-		})
+		payload = *new(streamChunk).wire(&c)
 	case wireStreamDone:
-		payload = newStreamDone(streamDone{
-			From:    netsim.NodeID(c.varint()),
-			Chunks:  int(c.varint()),
-			Cells:   int(c.varint()),
-			Bytes:   int(c.varint()),
-			NeedAck: c.boolv(),
-		})
+		payload = *new(streamDone).wire(&c)
 	case wireStreamAck:
-		payload = newStreamAck(streamAck{From: netsim.NodeID(c.varint())})
+		payload = *new(streamAck).wire(&c)
 	default:
 		return 0, 0, nil, fmt.Errorf("kv: unknown wire message kind %d", kind)
 	}
 	if c.err {
+		ReleaseMessage(payload)
 		return 0, 0, nil, fmt.Errorf("kv: truncated wire message kind %d", kind)
 	}
 	return from, to, payload, nil
 }
 
-// appendWireVersion encodes a storage version.
-func appendWireVersion(buf []byte, v storage.Version) []byte {
-	buf = wire.AppendVarint(buf, int64(v.Timestamp))
-	return wire.AppendUvarint(buf, v.Seq)
-}
-
-// appendWireCell encodes a storage cell.
-func appendWireCell(buf []byte, cell storage.Cell) []byte {
-	buf = appendWireVersion(buf, cell.Version)
-	buf = wire.AppendBool(buf, cell.Tombstone)
-	return wire.AppendBytes(buf, cell.Value)
-}
-
-// appendWireInts encodes an int slice.
-func appendWireInts(buf []byte, v []int) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(v)))
-	for _, x := range v {
-		buf = wire.AppendVarint(buf, int64(x))
-	}
-	return buf
-}
-
-// appendWireStrings encodes a string slice.
-func appendWireStrings(buf []byte, v []string) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(v)))
-	for _, s := range v {
-		buf = wire.AppendString(buf, s)
-	}
-	return buf
-}
-
-// appendWireRanges encodes a token-range list (streamRequest).
-func appendWireRanges(buf []byte, v []ring.Range) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(v)))
-	for _, r := range v {
-		buf = wire.AppendUvarint(buf, uint64(r.Start))
-		buf = wire.AppendUvarint(buf, uint64(r.End))
-	}
-	return buf
-}
-
-// appendWireAECells encodes an anti-entropy cell list.
-func appendWireAECells(buf []byte, v []aeCell) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(v)))
-	for _, u := range v {
-		buf = wire.AppendString(buf, u.Key)
-		buf = appendWireCell(buf, u.Cell)
-	}
-	return buf
-}
-
-// wireCursor walks a frame body; the first failed read latches err and
-// every later read returns zero values, so decoders check once at the
-// end instead of after every field.
-type wireCursor struct {
-	data []byte
+// wireCodec walks a message's field list in one of two directions. A
+// kind's wire method (messages.go) names each field once, in protocol
+// order, by handing the codec a pointer to it: encoding (dec unset)
+// appends the field to buf, decoding overwrites it with the next field
+// of data — so the two directions cannot disagree on order or form. The
+// method walks its receiver in place (a pooled kind decodes straight
+// into its box) and returns it, so each dispatch below is one expression.
+// The first failed read latches err and empties data, every later read
+// leaves its field zero, and the decoder checks once at the end instead
+// of after every field.
+//
+// The codec must stay on its caller's stack (it is made once per
+// message): field lists are called on concrete types only, never through
+// an interface or a func value, which would make it escape.
+type wireCodec struct {
+	buf  []byte // encoding: the frame under construction
+	data []byte // decoding: the unread rest of the frame body
+	dec  bool
 	err  bool
 }
 
-func (c *wireCursor) uvarint() uint64 {
+// open begins a frame of the given kind addressed from→to; the field
+// list walked next is the rest of its body.
+func (c *wireCodec) open(kind byte, from, to netsim.NodeID) *wireCodec {
+	c.buf = wire.BeginFrame(c.buf, kind)
+	c.node(&from)
+	c.node(&to)
+	return c
+}
+
+// fail latches the decode error; with nothing left unread every later
+// read fails too.
+func (c *wireCodec) fail() {
+	c.err = true
+	c.data = nil
+}
+
+// advance consumes the n bytes a wire primitive decoded, n == 0 being the
+// primitive's report of a truncated or malformed field.
+func (c *wireCodec) advance(n int) {
+	if n == 0 {
+		c.fail()
+		return
+	}
+	c.data = c.data[n:]
+}
+
+func (c *wireCodec) uvarint(p *uint64) {
+	if !c.dec {
+		c.buf = wire.AppendUvarint(c.buf, *p)
+		return
+	}
 	v, n := wire.Uvarint(c.data)
-	if n == 0 {
-		c.err = true
-		return 0
-	}
-	c.data = c.data[n:]
-	return v
+	*p = v
+	c.advance(n)
 }
 
-func (c *wireCursor) varint() int64 {
+func (c *wireCodec) varint(p *int64) {
+	if !c.dec {
+		c.buf = wire.AppendVarint(c.buf, *p)
+		return
+	}
 	v, n := wire.Varint(c.data)
-	if n == 0 {
-		c.err = true
-		return 0
-	}
-	c.data = c.data[n:]
-	return v
+	*p = v
+	c.advance(n)
 }
 
-func (c *wireCursor) boolv() bool {
+func (c *wireCodec) flag(p *bool) {
+	if !c.dec {
+		c.buf = wire.AppendBool(c.buf, *p)
+		return
+	}
 	v, n := wire.Bool(c.data)
-	if n == 0 {
-		c.err = true
-		return false
-	}
-	c.data = c.data[n:]
-	return v
+	*p = v
+	c.advance(n)
 }
 
-// bytes returns a view into the frame body (valid only while it is).
-func (c *wireCursor) bytes() []byte {
+// bytes copies a length-prefixed field out of the body; an empty field
+// decodes to nil.
+func (c *wireCodec) bytes(p *[]byte) {
+	if !c.dec {
+		c.buf = wire.AppendBytes(c.buf, *p)
+		return
+	}
 	v, n := wire.Bytes(c.data)
-	if n == 0 {
-		c.err = true
-		return nil
-	}
-	c.data = c.data[n:]
-	return v
+	*p = append([]byte(nil), v...)
+	c.advance(n)
 }
 
-// str copies a length-prefixed string out of the body.
-func (c *wireCursor) str() string { return string(c.bytes()) }
-
-func (c *wireCursor) version() storage.Version {
-	return storage.Version{Timestamp: time.Duration(c.varint()), Seq: c.uvarint()}
+func (c *wireCodec) str(p *string) {
+	if !c.dec {
+		c.buf = wire.AppendString(c.buf, *p)
+		return
+	}
+	v, n := wire.Bytes(c.data)
+	*p = string(v)
+	c.advance(n)
 }
 
-func (c *wireCursor) cell() storage.Cell {
-	cell := storage.Cell{Version: c.version(), Tombstone: c.boolv()}
-	if v := c.bytes(); len(v) > 0 {
-		cell.Value = append([]byte(nil), v...)
-	}
-	return cell
+func (c *wireCodec) id(p *reqID) { c.uvarint((*uint64)(p)) }
+
+func (c *wireCodec) int(p *int) {
+	v := int64(*p)
+	c.varint(&v)
+	*p = int(v)
 }
 
-func (c *wireCursor) ints() []int {
-	n := int(c.uvarint())
-	if n == 0 || c.err {
-		return nil
-	}
-	v := make([]int, 0, n)
-	for i := 0; i < n && !c.err; i++ {
-		v = append(v, int(c.varint()))
-	}
-	return v
+func (c *wireCodec) node(p *netsim.NodeID) { c.int((*int)(p)) }
+
+func (c *wireCodec) version(p *storage.Version) {
+	c.varint((*int64)(&p.Timestamp))
+	c.uvarint(&p.Seq)
 }
 
-func (c *wireCursor) strings() []string {
-	n := int(c.uvarint())
-	if n == 0 || c.err {
-		return nil
-	}
-	v := make([]string, 0, n)
-	for i := 0; i < n && !c.err; i++ {
-		v = append(v, c.str())
-	}
-	return v
+func (c *wireCodec) cell(p *storage.Cell) {
+	c.version(&p.Version)
+	c.flag(&p.Tombstone)
+	c.bytes(&p.Value)
 }
 
-func (c *wireCursor) ranges() []ring.Range {
-	n := int(c.uvarint())
-	if n == 0 || c.err {
-		return nil
+// wireList walks the count of a length-prefixed list and returns the
+// list for the caller to range over, walking each element. Decoding, it
+// makes the list — after refusing a count the body cannot hold: every
+// element encodes to at least one byte, so a larger count is corrupt,
+// and trusting it would let a six-byte frame demand any allocation.
+func wireList[T any](c *wireCodec, p *[]T) []T {
+	n := uint64(len(*p))
+	c.uvarint(&n)
+	if c.dec {
+		if n > uint64(len(c.data)) {
+			c.fail()
+			n = 0
+		}
+		if n > 0 {
+			*p = make([]T, n)
+		}
 	}
-	v := make([]ring.Range, 0, n)
-	for i := 0; i < n && !c.err; i++ {
-		v = append(v, ring.Range{
-			Start: ring.Token(c.uvarint()),
-			End:   ring.Token(c.uvarint()),
-		})
-	}
-	return v
+	return *p
 }
 
-func (c *wireCursor) aeCells() []aeCell {
-	n := int(c.uvarint())
-	if n == 0 || c.err {
-		return nil
+func (c *wireCodec) ints(p *[]int) {
+	for i := range wireList(c, p) {
+		c.int(&(*p)[i])
 	}
-	v := make([]aeCell, 0, n)
-	for i := 0; i < n && !c.err; i++ {
-		v = append(v, aeCell{Key: c.str(), Cell: c.cell()})
+}
+
+func (c *wireCodec) strs(p *[]string) {
+	for i := range wireList(c, p) {
+		c.str(&(*p)[i])
 	}
-	return v
 }
