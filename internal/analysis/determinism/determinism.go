@@ -202,13 +202,23 @@ func sortedAfter(pass *analysis.Pass, fnBody *ast.BlockStmt, pos token.Pos, v *t
 	return found
 }
 
+// schedulerEntry lists the scheduler and transport entry points, by
+// method name (sim.Engine, netsim.Transport, live.Engine and the
+// kv.Transport seam share them). Every one consumes an engine sequence
+// number, the tie-breaker among equal times, so the order of the calls is
+// the order of the events.
+var schedulerEntry = map[string]bool{
+	"Schedule": true, "ScheduleAt": true, "ScheduleCall": true, "ScheduleStopCall": true,
+	"Send": true, "SendLocal": true,
+}
+
 // orderSink classifies callees whose invocation order is observable:
 // scheduler and network entry points, and hash writes. Hash writes are
 // recognized by the receiver expression's type (hash.Hash et al. embed
 // Write from io.Writer, so the method's own package would say "io").
 func orderSink(pass *analysis.Pass, call *ast.CallExpr, fn *types.Func) string {
 	name := fn.Name()
-	if name == "Schedule" || name == "ScheduleCall" || name == "Send" {
+	if schedulerEntry[name] {
 		return fn.FullName()
 	}
 	if name == "Write" || name == "Sum" {

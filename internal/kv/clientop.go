@@ -53,7 +53,7 @@ func (c *Cluster) newOp(lvl Level) (opRoute, *clientOp) {
 // twice the request timeout, so the callback fires even when the chosen
 // coordinator silently dies with the request.
 func (c *Cluster) armOp(rt opRoute) {
-	c.ops[rt.op].guard = c.net.ScheduleStopCall(2*c.cfg.Timeout, c.guardCb, rt.op)
+	c.ops[rt.op].guard = c.net.ScheduleStopCall(2*c.cfg.Timeout, c.guardCb, uint64(rt.op))
 }
 
 // takeOp ends the operation rt refers to: cancel the guard, recycle the
@@ -75,8 +75,8 @@ func (c *Cluster) takeOp(rt opRoute) (op clientOp, ok bool) {
 // guardFired is the pre-bound guard callback: completion always cancels
 // the guard first, so firing means the op is still in flight — fail it
 // with the client-side timeout.
-func (c *Cluster) guardFired(idx uint32) {
-	op, _ := c.takeOp(opRoute{op: idx, gen: c.ops[idx].gen})
+func (c *Cluster) guardFired(idx uint64, _ any) {
+	op, _ := c.takeOp(opRoute{op: uint32(idx), gen: c.ops[idx].gen})
 	lat := 2 * c.cfg.Timeout
 	switch {
 	case op.rcb != nil:

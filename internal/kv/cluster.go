@@ -17,9 +17,12 @@ import (
 
 // Transport is what the store needs from its runtime: a clock, message
 // delivery between nodes, timer self-messages, deferred function
-// scheduling and a cancelable pre-bound-callback timer (the client
-// guards). It is the store's only seam to the outside world, and it has
-// two implementations over the same sim.Engine event queue:
+// scheduling and one cancelable timer, ScheduleStopCall, which takes the
+// queue's own callback form (sim.Callback, bound once) and an integer
+// argument and so allocates nothing — the client guards. It is the
+// store's only seam to the outside world, and it has two
+// implementations over the same sim.Engine event queue, in which a
+// message on its way is itself the queue entry:
 // netsim.Transport runs the queue in virtual time (the zero-cost default
 // every simulation uses); the live engine steps it against the wall
 // clock under a mutex, and in its mesh form additionally carries
@@ -36,7 +39,7 @@ type Transport interface {
 	SendLocal(id netsim.NodeID, payload any, delay time.Duration)
 	Register(id netsim.NodeID, h netsim.Handler)
 	Schedule(d time.Duration, fn func())
-	ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer
+	ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer
 }
 
 // failer is the optional failure-injection surface of a Transport.
@@ -301,7 +304,7 @@ type Cluster struct {
 	// timeout callback shared by every guard timer.
 	ops     []clientOp
 	opFree  int32
-	guardCb func(uint32)
+	guardCb sim.Callback
 }
 
 // New assembles a cluster over the given topology and network.

@@ -4,10 +4,12 @@
 // delivery), and everything that happens later — latency-sampled
 // deliveries, timer self-messages, scheduled functions, client guards —
 // is an entry of ONE time plane: an embedded sim.Engine event queue (the
-// simulator's slab heap, allocation-free, eagerly cancelable) that
+// simulator's slab and heaps, allocation-free, eagerly cancelable) that
 // whoever takes the engine lock steps up to the wall clock, with a single
 // runtime timer armed for the earliest entry so the queue also advances
-// while nobody is calling in.
+// while nobody is calling in. A waiting message is a queue entry and
+// nothing more — endpoints packed in the event's argument, the message
+// its payload — so this package keeps no slab of its own.
 //
 // The clock contract is the simulator's: time advances between events,
 // not inside a handler. Now() is the queue's clock — read from the wall
@@ -48,17 +50,15 @@ type Engine struct {
 	closed   bool
 
 	// The time plane. clock reads the wall (time since start for New,
-	// since the Unix epoch for NewMesh); tq holds every pending event
-	// and the engine clock; parked is the slab of messages waiting on a
-	// tq entry; timer is the one runtime timer, armed for armedAt.
-	clock    func() time.Duration
-	tq       *sim.Engine
-	parked   []parkedMsg
-	freeHead int32
-	parkedCb func(uint32) // pre-bound e.unpark, allocated once
-	timer    *time.Timer
-	armed    bool
-	armedAt  time.Duration
+	// since the Unix epoch for NewMesh); tq holds every pending event —
+	// the waiting messages included — and the engine clock; timer is the
+	// one runtime timer, armed for armedAt.
+	clock   func() time.Duration
+	tq      *sim.Engine
+	dueCb   sim.Callback // pre-bound e.due, allocated once
+	timer   *time.Timer
+	armed   bool
+	armedAt time.Duration
 
 	// runq is the zero-delay delivery FIFO the lock holder drains before
 	// releasing the lock. Serving mode (NewMesh) sets direct, which puts
@@ -81,14 +81,6 @@ type queuedMsg struct {
 	payload  any
 }
 
-// parkedMsg is one message waiting for its time-plane entry to fire.
-type parkedMsg struct {
-	queuedMsg
-	nextFree int32
-}
-
-const noSlot = int32(-1)
-
 // New returns a live engine over topo.
 func New(topo *netsim.Topology, seed uint64) *Engine {
 	start := time.Now()
@@ -99,10 +91,9 @@ func New(topo *netsim.Topology, seed uint64) *Engine {
 		down:     make(map[netsim.NodeID]bool),
 		clock:    func() time.Duration { return time.Since(start) },
 		tq:       sim.New(seed),
-		freeHead: noSlot,
 		Scale:    1,
 	}
-	e.parkedCb = e.unpark
+	e.dueCb = e.due
 	return e
 }
 
@@ -216,27 +207,17 @@ func (e *Engine) scale(d time.Duration) time.Duration {
 	return d
 }
 
-// deliverAfter parks a message until the engine clock has advanced by
-// delay, then puts it on the run queue.
+// deliverAfter queues a message on the time plane until the engine clock
+// has advanced by delay.
 func (e *Engine) deliverAfter(delay time.Duration, to, from netsim.NodeID, payload any) {
-	s := e.freeHead
-	if s != noSlot {
-		e.freeHead = e.parked[s].nextFree
-	} else {
-		e.parked = append(e.parked, parkedMsg{})
-		s = int32(len(e.parked) - 1)
-	}
-	e.parked[s].queuedMsg = queuedMsg{to: to, from: from, payload: payload}
-	e.tq.ScheduleCall(delay, e.parkedCb, uint32(s))
+	e.tq.ScheduleCall(delay, e.dueCb, netsim.Route(from, to, false), payload)
 }
 
-// unpark is the time-plane callback of every parked message.
-func (e *Engine) unpark(s uint32) {
-	p := &e.parked[s]
-	e.runq = append(e.runq, p.queuedMsg)
-	p.payload = nil
-	p.nextFree = e.freeHead
-	e.freeHead = int32(s)
+// due is the time-plane callback of every waiting message: it joins the
+// run queue behind what is already there.
+func (e *Engine) due(arg uint64, payload any) {
+	from, to, _ := netsim.Unroute(arg)
+	e.enqueue(to, from, payload)
 }
 
 // Send delivers payload after a sampled network delay (none in direct
@@ -277,8 +258,8 @@ func (e *Engine) Schedule(d time.Duration, fn func()) { e.tq.Schedule(e.scale(d)
 // value-typed cancelable handle (same contract as the simulated
 // transport's; the client hot path arms one guard per operation through
 // it). Arming and stopping both run under the engine lock.
-func (e *Engine) ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer {
-	return e.tq.ScheduleCall(e.scale(d), cb, arg)
+func (e *Engine) ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer {
+	return e.tq.ScheduleCall(e.scale(d), cb, arg, nil)
 }
 
 // Fail drops traffic to and from id (kv.Cluster's failure injection uses
@@ -296,18 +277,16 @@ func (e *Engine) Meter() netsim.TrafficMeter {
 	return e.meter.Snapshot()
 }
 
-// discard empties a closed engine: queued and parked message boxes go
-// back to the store's pools, and the pending timers — with the closures
-// and operation slots they pin — are dropped with the queue. Handles
-// still held by callers stop against the orphaned queue, harmlessly.
+// discard empties a closed engine: run-queue message boxes go back to
+// the store's pools, and the time plane — waiting messages (their boxes
+// are left to the collector), pending timers and the closures and
+// operation slots they pin — is dropped whole. Handles still held by
+// callers stop against the orphaned queue, harmlessly.
 func (e *Engine) discard() {
 	for _, q := range e.runq {
 		kv.ReleaseMessage(q.payload)
 	}
-	for _, p := range e.parked {
-		kv.ReleaseMessage(p.payload)
-	}
-	e.runq, e.parked, e.freeHead = nil, nil, noSlot
+	e.runq = nil
 	if e.tq.Pending() > 0 {
 		e.tq = sim.New(0)
 	}

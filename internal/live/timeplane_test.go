@@ -45,7 +45,10 @@ func newDirectEngine(t *testing.T, n int) (*Engine, *fakeClock, *[]string) {
 // (deadline, scheduling order); a scheduled function runs at once, a
 // timer message joins the run queue behind what is already there; and
 // whatever the lock holder enqueues itself comes after them. The wanted
-// orders are what the hand-written wheel this replaced produced.
+// orders are what the hand-written wheel this replaced produced. The
+// queue underneath keeps long and short delays in separate heaps (split
+// at 500 ms); the last case arms on both sides of the split, and twice
+// for one instant from either side, and wants plain time order.
 func TestDirectTimerOrder(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -53,6 +56,7 @@ func TestDirectTimerOrder(t *testing.T) {
 		arm  func(e *Engine, rec func(string)) // runs inside Do at t=0
 		at   time.Duration                     // the clock then jumps here
 		then func(e *Engine)                   // and this runs inside Do
+		at2  time.Duration                     // if set, the clock jumps again
 		want []string
 	}{
 		{
@@ -98,6 +102,21 @@ func TestDirectTimerOrder(t *testing.T) {
 			at:   10 * ms,
 			want: []string{"due"},
 		},
+		{
+			name: "long and short delays interleave in time order",
+			arm: func(e *Engine, rec func(string)) {
+				e.SendLocal(0, "2s", 2*time.Second)
+				e.SendLocal(1, "501ms", 501*ms)
+				e.SendLocal(0, "499ms", 499*ms)
+				e.SendLocal(1, "600ms armed at 0", 600*ms)
+				e.SendLocal(0, "500ms", 500*ms)
+				e.SendLocal(1, "10ms", 10*ms)
+			},
+			at:   200 * ms,
+			then: func(e *Engine) { e.SendLocal(0, "600ms armed at 200ms", 400*ms) },
+			at2:  2 * time.Second,
+			want: []string{"10ms", "499ms", "500ms", "501ms", "600ms armed at 0", "600ms armed at 200ms", "2s"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,6 +129,10 @@ func TestDirectTimerOrder(t *testing.T) {
 					tc.then(e)
 				}
 			})
+			if tc.at2 > 0 {
+				clk.set(tc.at2)
+				e.Do(func() {})
+			}
 			var got []string
 			e.Do(func() { got = append(got, *log...) })
 			if !reflect.DeepEqual(got, tc.want) {
@@ -124,8 +147,8 @@ func TestDirectTimerOrder(t *testing.T) {
 // that now lives in the slot.
 func TestStaleGuardHandleSparesNewTenant(t *testing.T) {
 	e, clk, _ := newDirectEngine(t, 1)
-	var fired []uint32
-	cb := func(arg uint32) { fired = append(fired, arg) }
+	var fired []uint64
+	cb := func(arg uint64, _ any) { fired = append(fired, arg) }
 	var stale bool
 	e.Do(func() {
 		old := e.ScheduleStopCall(10*time.Millisecond, cb, 1)
@@ -135,12 +158,12 @@ func TestStaleGuardHandleSparesNewTenant(t *testing.T) {
 		stale = old.Stop()
 	})
 	clk.set(20 * time.Millisecond)
-	var got []uint32
+	var got []uint64
 	e.Do(func() { got = append(got, fired...) })
 	if stale {
 		t.Error("Stop on a fired guard's handle reported a cancellation")
 	}
-	if !reflect.DeepEqual(got, []uint32{1, 2}) {
+	if !reflect.DeepEqual(got, []uint64{1, 2}) {
 		t.Errorf("fired = %v, want [1 2]: the stale handle canceled the slot's new tenant", got)
 	}
 }
@@ -250,7 +273,7 @@ func TestGuardSurvivingItsDrainTimesOut(t *testing.T) {
 }
 
 // TestCloseReleasesPendingWork closes an engine holding armed guards,
-// parked timer messages and scheduled functions: Close must empty the
+// waiting timer messages and scheduled functions: Close must empty the
 // time plane and stop the runtime timer (TestMain's leak check covers
 // the goroutine side), stay idempotent, and leave Do usable — with
 // whatever a closed engine is handed dropped at the next drain.
@@ -282,8 +305,8 @@ func TestCloseReleasesPendingWork(t *testing.T) {
 		if n := e.tq.Pending(); n != 0 {
 			t.Errorf("%d events pending on a closed engine", n)
 		}
-		if len(e.runq) != 0 || len(e.parked) != 0 {
-			t.Errorf("closed engine holds %d queued and %d parked messages", len(e.runq), len(e.parked))
+		if len(e.runq) != 0 {
+			t.Errorf("closed engine holds %d queued messages", len(e.runq))
 		}
 		if completed != 0 {
 			t.Errorf("%d callbacks ran on work discarded by Close", completed)

@@ -113,13 +113,75 @@ func TestTransportDropsToDownNode(t *testing.T) {
 func TestTransportFailsMidFlight(t *testing.T) {
 	eng := sim.New(1)
 	tr := NewTransport(eng, twoDCTopo())
-	delivered := false
-	tr.Register(4, func(NodeID, any) { delivered = true })
-	tr.Send(0, 4, "x", 10) // inter-region: tens of ms in flight
-	eng.Schedule(time.Millisecond, func() { tr.Fail(4) })
+	var got []any
+	tr.Register(4, func(_ NodeID, payload any) { got = append(got, payload) })
+	tr.Send(0, 4, "x", 10)        // inter-region: tens of ms in flight
+	tr.Send(4, 4, "loopback", 10) // a network message even to itself
+	tr.SendLocal(4, "timer", 50*time.Microsecond)
+	eng.Schedule(time.Microsecond, func() { tr.Fail(4) })
 	eng.Run()
-	if delivered {
-		t.Error("node that died mid-flight still received the message")
+	// The node's own timer is not network traffic: no down re-check, no
+	// meter. Both messages die with the node and are metered as dropped.
+	if len(got) != 1 || got[0] != "timer" {
+		t.Errorf("node that died mid-flight received %v, want only its own timer", got)
+	}
+	if m := tr.Meter(); m.Dropped != 2 || m.Messages[InterRegion] != 1 || m.Messages[Loopback] != 1 {
+		t.Errorf("meter = %+v, want both in-flight messages counted and dropped", m)
+	}
+}
+
+// TestRouteSurvivesPacking: an in-flight message's endpoints ride packed
+// in the engine event's integer argument; the client pseudo-node (-1) and
+// the largest id of a 256-node topology must come back out as they went
+// in, on every kind of send.
+func TestRouteSurvivesPacking(t *testing.T) {
+	const last = NodeID(255)
+	for _, c := range []struct {
+		from, to NodeID
+		local    bool
+	}{
+		{ClientID, last, false}, {last, ClientID, false}, {ClientID, ClientID, true},
+		{last, last, true}, {last, last, false}, {0, 0, false}, {0, last, false},
+	} {
+		if from, to, local := Unroute(Route(c.from, c.to, c.local)); from != c.from || to != c.to || local != c.local {
+			t.Errorf("Unroute(Route(%d, %d, %v)) = %d, %d, %v", c.from, c.to, c.local, from, to, local)
+		}
+	}
+
+	eng := sim.New(1)
+	topo := SingleDC(256)
+	tr := NewTransport(eng, topo)
+	type arrival struct {
+		at, from NodeID
+		payload  any
+	}
+	var got []arrival
+	for _, id := range []NodeID{ClientID, 0, last} {
+		id := id
+		tr.Register(id, func(from NodeID, payload any) { got = append(got, arrival{id, from, payload}) })
+	}
+	topo.Latency.IntraDC = Constant(time.Millisecond)
+	tr.Send(ClientID, last, "request", 10)
+	eng.Run()
+	tr.Send(last, ClientID, "reply", 10)
+	eng.Run()
+	tr.Send(0, last, "peer", 10)
+	eng.Run()
+	tr.SendLocal(last, "timer", time.Millisecond)
+	eng.Run()
+	tr.SendLocal(ClientID, "client timer", time.Millisecond)
+	eng.Run()
+	want := []arrival{
+		{last, ClientID, "request"}, {ClientID, last, "reply"}, {last, 0, "peer"},
+		{last, last, "timer"}, {ClientID, ClientID, "client timer"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("arrivals = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("arrival %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -12,24 +12,15 @@ import (
 // needs no locking.
 type Handler func(from NodeID, payload any)
 
-// delivery is one in-flight message parked in the transport's slab
-// between Send and its scheduled arrival. Slots are recycled through a
-// free list so the steady-state send→deliver cycle allocates nothing.
-type delivery struct {
-	from, to NodeID
-	payload  any
-	local    bool // self-message: skip the down re-check at arrival
-	nextFree int32
-}
-
-const noSlot = int32(-1)
-
 // Transport delivers messages between topology nodes over the
 // discrete-event engine, sampling per-class latency laws, applying
 // partitions, loss and node failures, and metering traffic for the cost
 // model. Handler and failure lookups are dense slices indexed by
 // NodeID+1 (ClientID is -1), and the partition/loss checks short-circuit
-// when nothing is configured.
+// when nothing is configured. An in-flight message is one engine event and
+// nothing else: its endpoints ride packed in the event's argument (Route),
+// the message is the event's payload, so the transport keeps no slab of
+// its own and a delivery touches one slot.
 type Transport struct {
 	eng   *sim.Engine
 	topo  *Topology
@@ -47,9 +38,7 @@ type Transport struct {
 	lossProb  float64
 	partition map[[2]NodeID]bool
 
-	slab      []delivery
-	freeHead  int32
-	deliverCb func(uint32) // pre-bound e.deliver, allocated once
+	deliverCb sim.Callback // pre-bound t.deliver, allocated once
 }
 
 // NewTransport wires a transport for topo over eng.
@@ -60,7 +49,6 @@ func NewTransport(eng *sim.Engine, topo *Topology) *Transport {
 		rng:      eng.RNG().Stream("netsim.transport"),
 		handlers: make([]Handler, topo.N()+1),
 		down:     make([]bool, topo.N()+1),
-		freeHead: noSlot,
 	}
 	t.deliverCb = t.deliver
 	return t
@@ -126,30 +114,26 @@ func (t *Transport) Partition(a, b []NodeID) {
 // Heal removes all partitions.
 func (t *Transport) Heal() { t.partition = nil }
 
-// park places one in-flight message into the slab and returns its slot.
-func (t *Transport) park(from, to NodeID, payload any, local bool) uint32 {
-	var s int32
-	if t.freeHead != noSlot {
-		s = t.freeHead
-		t.freeHead = t.slab[s].nextFree
-	} else {
-		t.slab = append(t.slab, delivery{})
-		s = int32(len(t.slab) - 1)
+// Route packs a message's endpoints into the one integer an engine event
+// carries: the dense indexes (NodeID+1, so ClientID is 0) of from and to,
+// and whether it is a self-message.
+func Route(from, to NodeID, local bool) uint64 {
+	arg := uint64(slot(from))<<32 | uint64(slot(to))<<1
+	if local {
+		arg |= 1
 	}
-	d := &t.slab[s]
-	d.from, d.to, d.payload, d.local = from, to, payload, local
-	return uint32(s)
+	return arg
 }
 
-// deliver hands a parked message to its destination handler; it is the
-// engine callback of every scheduled delivery.
-func (t *Transport) deliver(s uint32) {
-	d := &t.slab[s]
-	from, to, payload, local := d.from, d.to, d.payload, d.local
-	d.payload = nil
-	d.nextFree = t.freeHead
-	t.freeHead = int32(s)
+// Unroute is the inverse of Route.
+func Unroute(arg uint64) (from, to NodeID, local bool) {
+	return NodeID(arg>>32) - 1, NodeID(uint32(arg)>>1) - 1, arg&1 != 0
+}
 
+// deliver hands a message to its destination handler; it is the engine
+// callback of every scheduled delivery.
+func (t *Transport) deliver(arg uint64, payload any) {
+	from, to, local := Unroute(arg)
 	if !local && t.downN > 0 && t.down[slot(to)] {
 		// Re-check failure at delivery: a node that died mid-flight does
 		// not receive the message.
@@ -185,7 +169,7 @@ func (t *Transport) Send(from, to NodeID, payload any, size int) {
 	if bw := t.Bandwidth[class]; bw > 0 && size > 0 {
 		delay += time.Duration(float64(size) / bw * float64(time.Second))
 	}
-	t.eng.ScheduleCall(delay, t.deliverCb, t.park(from, to, payload, false))
+	t.eng.ScheduleCall(delay, t.deliverCb, Route(from, to, false), payload)
 }
 
 // SendLocal schedules a self-message on node id after delay, bypassing
@@ -193,7 +177,7 @@ func (t *Transport) Send(from, to NodeID, payload any, size int) {
 // logic uses; cancellation is expressed by the receiver ignoring stale
 // generations.
 func (t *Transport) SendLocal(id NodeID, payload any, delay time.Duration) {
-	t.eng.ScheduleCall(delay, t.deliverCb, t.park(id, id, payload, true))
+	t.eng.ScheduleCall(delay, t.deliverCb, Route(id, id, true), payload)
 }
 
 // Now reports the engine's virtual time.
@@ -209,6 +193,6 @@ func (t *Transport) Schedule(d time.Duration, fn func()) { t.eng.Schedule(d, fn)
 // timers that almost always get canceled (kv.Cluster arms one per client
 // operation) use it so the event queue is not dominated by dead timers
 // waiting to fire as no-ops, and arming one allocates nothing.
-func (t *Transport) ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer {
-	return t.eng.ScheduleCall(d, cb, arg)
+func (t *Transport) ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer {
+	return t.eng.ScheduleCall(d, cb, arg, nil)
 }

@@ -4,12 +4,28 @@
 // scheduling order, so a run is a pure function of the seed and the
 // initial event set.
 //
-// The scheduler is built for throughput: callbacks live in a value-typed
-// slab recycled through a free list, ordered by an index-based 4-ary heap
-// whose entries carry their own (time, seq) keys, so the steady-state
-// Schedule/fire cycle performs zero heap allocations and comparisons
-// never touch the slab. Timer handles stay valid across slot reuse via
-// generation counters.
+// The scheduler is built for throughput: events live in a value-typed
+// slab recycled through a free list and are ordered by index-based 4-ary
+// heaps whose entries carry their own (time, seq) keys, so the
+// steady-state Schedule/fire cycle performs zero heap allocations and
+// comparisons never touch the slab. Timer handles stay valid across slot
+// reuse via generation counters.
+//
+// There are two heaps, split by delay at scheduling time: an event
+// farAfter or more ahead is queued far, everything else near, and an
+// entry never migrates. A loaded store parks tens of thousands of
+// request timeouts seconds out while the messages and service completions
+// that make up nearly every push and pop are due within milliseconds; by
+// delay, the long timers stop deepening the heap the short events sift
+// through. Firing takes the smaller of the two tops by (time, seq), so
+// the order is that of a single queue whatever farAfter is: the split is
+// a cost heuristic, not behaviour, and nothing outside this file sees it.
+//
+// A slot holds one callback form, cb(arg, payload): wide enough for a
+// message delivery (the transports pack the endpoints into arg and hand
+// the message over as payload, so an in-flight message occupies this
+// slab and no second one), with Schedule's closure riding as the payload
+// of runFunc.
 package sim
 
 import (
@@ -19,16 +35,22 @@ import (
 	"repro/internal/stats"
 )
 
-// event is a callback slot in the engine's slab. Exactly one of fn or cb
-// is set: fn is the general closure form, cb+arg the allocation-free form
-// used by pooled delivery paths (netsim).
+// Callback is the one form an event's action takes.
+type Callback func(arg uint64, payload any)
+
+// runFunc is the Callback of Schedule and ScheduleAt: the closure is the
+// payload (a func value is pointer-shaped, so boxing it allocates nothing).
+func runFunc(_ uint64, fn any) { fn.(func())() }
+
+// event is a callback slot in the engine's slab.
 type event struct {
-	fn       func()
-	cb       func(uint32)
-	arg      uint32
+	cb       Callback
+	payload  any
+	arg      uint64
 	gen      uint32 // bumped on slot release; stale Timers see a mismatch
 	nextFree int32
-	pos      int32 // index of this slot's entry in the heap while queued
+	pos      int32 // index of this slot's entry in its heap while queued
+	heap     uint8 // which heap holds the entry while queued: near or far
 }
 
 // heapEntry is one queued event: the ordering key lives here so heap
@@ -46,7 +68,17 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-const noIndex = int32(-1)
+const (
+	noIndex = int32(-1)
+
+	// farAfter sorts events into the two heaps. Any value keeps the
+	// firing order; this one sits between the slowest sampled message or
+	// service delay (tens of milliseconds) and the shortest long timer
+	// (the store's 2 s request timeout).
+	farAfter = 500 * time.Millisecond
+
+	near, far = 0, 1
+)
 
 // Timer is a handle to a scheduled event that can be stopped before it
 // fires. The zero Timer is inert.
@@ -57,9 +89,9 @@ type Timer struct {
 }
 
 // Stop cancels the timer; it reports whether the callback had not yet run
-// (and now never will). The event is removed from the heap immediately:
-// a canceled guard timer far in the virtual future must not deepen the
-// heap every hot-path operation pays to push and pop.
+// (and now never will). The event is removed from its heap immediately:
+// a canceled guard timer must not deepen the heap until its deadline, and
+// Pending keeps counting only events that will fire.
 func (t Timer) Stop() bool {
 	e := t.eng
 	if e == nil {
@@ -69,7 +101,7 @@ func (t Timer) Stop() bool {
 	if ev.gen != t.gen {
 		return false
 	}
-	e.removeAt(ev.pos)
+	e.removeAt(ev.heap, ev.pos)
 	e.release(t.slot)
 	return true
 }
@@ -79,8 +111,8 @@ func (t Timer) Stop() bool {
 // calling Run.
 type Engine struct {
 	now      time.Duration
-	events   []event     // slab; heap entries index into it
-	heap     []heapEntry // 4-ary min-heap ordered by (at, seq)
+	events   []event        // slab; heap entries index into it
+	heaps    [2][]heapEntry // near and far 4-ary min-heaps ordered by (at, seq)
 	freeHead int32
 	seq      uint64
 	rng      *stats.Source
@@ -105,21 +137,34 @@ func (e *Engine) Events() uint64 { return e.fired }
 
 // Pending reports how many events are queued (stopped timers are
 // removed eagerly, so every pending event will fire).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heaps[near]) + len(e.heaps[far]) }
+
+// next picks the heap whose top fires first; ok=false when both are empty.
+func (e *Engine) next() (which uint8, ok bool) {
+	n, f := e.heaps[near], e.heaps[far]
+	if len(f) == 0 {
+		return near, len(n) > 0
+	}
+	if len(n) == 0 || f[0].before(n[0]) {
+		return far, true
+	}
+	return near, true
+}
 
 // NextAt reports the time of the earliest queued event (ok=false when the
 // queue is empty): what a wall-clock driver arms its one runtime timer
 // for between RunUntil calls.
 func (e *Engine) NextAt() (at time.Duration, ok bool) {
-	if len(e.heap) == 0 {
+	which, ok := e.next()
+	if !ok {
 		return 0, false
 	}
-	return e.heap[0].at, true
+	return e.heaps[which][0].at, true
 }
 
-// alloc takes a slot from the free list (or grows the slab) and queues it
-// at time t with the next sequence number.
-func (e *Engine) alloc(t time.Duration) int32 {
+// enqueue takes a slot from the free list (or grows the slab), fills it
+// and queues it at time t with the next sequence number.
+func (e *Engine) enqueue(t time.Duration, cb Callback, arg uint64, payload any) Timer {
 	var slot int32
 	if e.freeHead != noIndex {
 		slot = e.freeHead
@@ -128,61 +173,53 @@ func (e *Engine) alloc(t time.Duration) int32 {
 		e.events = append(e.events, event{})
 		slot = int32(len(e.events) - 1)
 	}
-	e.push(heapEntry{at: t, seq: e.seq, slot: slot})
+	which := uint8(near)
+	if t-e.now >= farAfter {
+		which = far
+	}
+	ev := &e.events[slot]
+	ev.cb, ev.arg, ev.payload, ev.heap = cb, arg, payload, which
+	h := append(e.heaps[which], heapEntry{})
+	e.heaps[which] = h
+	e.siftUp(h, int32(len(h)-1), heapEntry{at: t, seq: e.seq, slot: slot})
 	e.seq++
-	return slot
+	return Timer{eng: e, slot: slot, gen: ev.gen}
 }
 
-// release returns a popped slot to the free list and invalidates
+// release returns an unqueued slot to the free list and invalidates
 // outstanding Timer handles to it.
 func (e *Engine) release(slot int32) {
 	ev := &e.events[slot]
-	ev.fn = nil
 	ev.cb = nil
+	ev.payload = nil
 	ev.gen++
 	ev.nextFree = e.freeHead
 	e.freeHead = slot
 }
 
-// push inserts an entry into the 4-ary heap.
-func (e *Engine) push(en heapEntry) {
-	e.heap = append(e.heap, en)
-	e.siftUp(int32(len(e.heap)-1), en)
-}
-
-// pop removes and returns the minimum entry; the heap must be non-empty.
-func (e *Engine) pop() heapEntry {
-	h := e.heap
-	top := h[0]
-	last := h[len(h)-1]
-	e.heap = h[:len(h)-1]
-	if len(e.heap) > 0 {
-		e.siftDown(0, last)
-	}
-	return top
-}
-
-// removeAt deletes the entry at heap index i (an O(log n) unqueue used
-// by Timer.Stop), preserving the order of everything else.
-func (e *Engine) removeAt(i int32) {
-	h := e.heap
+// removeAt deletes and returns the entry at index i of one heap — index 0
+// is the pop of Step, any other the O(log n) unqueue of Timer.Stop —
+// preserving the order of everything else.
+func (e *Engine) removeAt(which uint8, i int32) heapEntry {
+	h := e.heaps[which]
 	n := int32(len(h) - 1)
-	last := h[n]
-	e.heap = h[:n]
+	gone, last := h[i], h[n]
+	h = h[:n]
+	e.heaps[which] = h
 	if i == n {
-		return
+		return gone
 	}
-	// The displaced last entry may belong above or below slot i.
-	if i > 0 && last.before(e.heap[(i-1)>>2]) {
-		e.siftUp(i, last)
+	// The displaced last entry may belong above or below index i.
+	if i > 0 && last.before(h[(i-1)>>2]) {
+		e.siftUp(h, i, last)
 	} else {
-		e.siftDown(i, last)
+		e.siftDown(h, i, last)
 	}
+	return gone
 }
 
-// siftUp places en at index i or above, keeping slot positions current.
-func (e *Engine) siftUp(i int32, en heapEntry) {
-	h := e.heap
+// siftUp places en at index i of h or above, keeping slot positions current.
+func (e *Engine) siftUp(h []heapEntry, i int32, en heapEntry) {
 	for i > 0 {
 		parent := (i - 1) >> 2
 		if !en.before(h[parent]) {
@@ -196,9 +233,8 @@ func (e *Engine) siftUp(i int32, en heapEntry) {
 	e.events[en.slot].pos = i
 }
 
-// siftDown places en at index i or below, keeping slot positions current.
-func (e *Engine) siftDown(i int32, en heapEntry) {
-	h := e.heap
+// siftDown places en at index i of h or below, keeping slot positions current.
+func (e *Engine) siftDown(h []heapEntry, i int32, en heapEntry) {
 	n := int32(len(h))
 	for {
 		first := i<<2 + 1
@@ -230,10 +266,7 @@ func (e *Engine) siftDown(i int32, en heapEntry) {
 // handle. A negative delay panics: the past is immutable in a
 // discrete-event world.
 func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: scheduling %v in the past", delay))
-	}
-	return e.ScheduleAt(e.now+delay, fn)
+	return e.ScheduleCall(delay, runFunc, 0, fn)
 }
 
 // ScheduleAt runs fn at absolute virtual time t.
@@ -241,44 +274,40 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	slot := e.alloc(t)
-	e.events[slot].fn = fn
-	return Timer{eng: e, slot: slot, gen: e.events[slot].gen}
+	return e.enqueue(t, runFunc, 0, fn)
 }
 
-// ScheduleCall runs cb(arg) after delay of virtual time. It is the
-// allocation-free variant of Schedule for hot paths that dispatch through
-// a pre-bound callback and a slab index instead of a fresh closure
-// (netsim's pooled message delivery).
-func (e *Engine) ScheduleCall(delay time.Duration, cb func(uint32), arg uint32) Timer {
+// ScheduleCall runs cb(arg, payload) after delay of virtual time. It is
+// the allocation-free form for hot paths that dispatch through a
+// pre-bound callback instead of a fresh closure: a transport's message
+// deliveries, the store's client guards.
+func (e *Engine) ScheduleCall(delay time.Duration, cb Callback, arg uint64, payload any) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: scheduling %v in the past", delay))
 	}
-	slot := e.alloc(e.now + delay)
-	ev := &e.events[slot]
-	ev.cb = cb
-	ev.arg = arg
-	return Timer{eng: e, slot: slot, gen: ev.gen}
+	return e.enqueue(e.now+delay, cb, arg, payload)
 }
 
 // Step fires the next event; it reports false when the queue is empty or
 // the engine is stopped.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 || e.stopped {
+	which, ok := e.next()
+	if !ok || e.stopped {
 		return false
 	}
-	en := e.pop()
+	e.fire(which)
+	return true
+}
+
+// fire pops the top of one heap and runs it at its time.
+func (e *Engine) fire(which uint8) {
+	en := e.removeAt(which, 0)
 	ev := &e.events[en.slot]
 	e.now = en.at
 	e.fired++
-	fn, cb, arg := ev.fn, ev.cb, ev.arg
+	cb, arg, payload := ev.cb, ev.arg, ev.payload
 	e.release(en.slot)
-	if cb != nil {
-		cb(arg)
-	} else {
-		fn()
-	}
-	return true
+	cb(arg, payload)
 }
 
 // Run fires events until the queue drains or Stop is called.
@@ -290,8 +319,12 @@ func (e *Engine) Run() {
 // RunUntil fires events with time ≤ t, then advances the clock to t.
 // Events scheduled for later remain queued.
 func (e *Engine) RunUntil(t time.Duration) {
-	for len(e.heap) > 0 && !e.stopped && e.heap[0].at <= t {
-		e.Step()
+	for !e.stopped {
+		which, ok := e.next()
+		if !ok || e.heaps[which][0].at > t {
+			break
+		}
+		e.fire(which)
 	}
 	if !e.stopped && e.now < t {
 		e.now = t

@@ -156,16 +156,20 @@ func TestZeroTimerInert(t *testing.T) {
 
 func TestScheduleCall(t *testing.T) {
 	e := New(1)
-	var got []uint32
-	cb := func(arg uint32) { got = append(got, arg) }
-	e.ScheduleCall(2*time.Millisecond, cb, 7)
-	e.ScheduleCall(time.Millisecond, cb, 3)
-	tm := e.ScheduleCall(3*time.Millisecond, cb, 9)
+	type call struct {
+		arg     uint64
+		payload any
+	}
+	var got []call
+	cb := func(arg uint64, payload any) { got = append(got, call{arg, payload}) }
+	e.ScheduleCall(2*time.Millisecond, cb, 7, "seven")
+	e.ScheduleCall(time.Millisecond, cb, 1<<63|3, nil)
+	tm := e.ScheduleCall(3*time.Millisecond, cb, 9, "nine")
 	if !tm.Stop() {
 		t.Error("ScheduleCall timer did not stop")
 	}
 	e.Run()
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
+	if len(got) != 2 || got[0] != (call{1<<63 | 3, nil}) || got[1] != (call{7, "seven"}) {
 		t.Errorf("ScheduleCall order/args wrong: %v", got)
 	}
 	if e.Now() != 2*time.Millisecond {
