@@ -6,8 +6,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for paper-vs-measured numbers. The cmd/ tools
-// run the same experiments at arbitrary scales with full tables.
+// and see EXPERIMENTS.md for paper-vs-measured numbers. cmd/paperbench
+// runs the same experiments at arbitrary scales with full tables.
 package repro_test
 
 import (
@@ -76,10 +76,11 @@ func BenchmarkFig1ModelValidation(b *testing.B) {
 	}
 }
 
-// benchExpA shares the §IV-A comparison between the two platforms.
-func benchExpA(b *testing.B, p experiments.Platform, tolerances []float64) {
+// benchExpA shares the §IV-A comparison between the two platforms, each
+// at the stale rates the paper tolerates on it (Platform.Tolerances).
+func benchExpA(b *testing.B, p experiments.Platform) {
 	for i := 0; i < b.N; i++ {
-		rows, table := experiments.RunExpA(p.Scaled(benchScale), tolerances, uint64(i+1))
+		rows, table := experiments.RunExpA(p.Scaled(benchScale), uint64(i+1))
 		render(b, table)
 		eventual, strong, harmony := rows[0], rows[1], rows[2]
 		b.ReportMetric(harmony.Throughput/strong.Throughput, "thrVsStrong")
@@ -94,12 +95,12 @@ func benchExpA(b *testing.B, p experiments.Platform, tolerances []float64) {
 // preset (paper: stale −~80% vs eventual, throughput up to +45% vs
 // strong).
 func BenchmarkExpA_Grid5000(b *testing.B) {
-	benchExpA(b, experiments.G5KHarmony(), []float64{0.20, 0.40})
+	benchExpA(b, experiments.G5KHarmony())
 }
 
 // BenchmarkExpA_EC2 regenerates §IV-A on the 20-VM EC2 preset.
 func BenchmarkExpA_EC2(b *testing.B) {
-	benchExpA(b, experiments.EC2Harmony(), []float64{0.40, 0.60})
+	benchExpA(b, experiments.EC2Harmony())
 }
 
 // BenchmarkExpB_CostPerLevel regenerates the §IV-B cost-vs-level table

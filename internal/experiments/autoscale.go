@@ -6,14 +6,12 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/harmony"
 	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/provision"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -51,14 +49,10 @@ type autoscaleVariant struct {
 	Auto bool
 }
 
-// AutoscalePhase is one phase's measurement.
+// AutoscalePhase is one phase's window and its node-time accounting,
+// billed once the decision log is complete.
 type AutoscalePhase struct {
-	Name        string
-	Members     int // at phase end
-	Ops         uint64
-	Throughput  float64
-	StaleRate   float64
-	AvgReadK    float64
+	window
 	NodeSeconds float64
 	Bill        cost.Bill // exact node-time integral + storage + billed traffic
 	Changes     int       // membership changes enacted during the phase
@@ -66,20 +60,12 @@ type AutoscalePhase struct {
 
 // AutoscaleOutcome is one variant's full measurement.
 type AutoscaleOutcome struct {
-	Variant       string
-	Phases        []AutoscalePhase
-	Decisions     []autoscale.Decision // empty for the static variants
-	TotalBill     cost.Bill            // instances billed in whole granularity units per lease
-	StaleRate     float64              // aggregate oracle stale fraction
-	Joins         uint64
-	Decommissions uint64
-	Usage         kv.Usage
-}
-
-// AutoscaleResult carries the study's outcomes plus the rendered table.
-type AutoscaleResult struct {
-	Outcomes []AutoscaleOutcome
-	Table    *Table
+	Variant   string
+	Phases    []AutoscalePhase
+	Decisions []autoscale.Decision // empty for the static variants
+	TotalBill cost.Bill            // instances billed in whole granularity units per lease
+	StaleRate float64              // aggregate oracle stale fraction
+	Usage     kv.Usage
 }
 
 // autoscaleThreadFrac scales the platform's client pressure per Bismar
@@ -90,7 +76,7 @@ var autoscaleThreadFrac = []float64{0.15, 0.5, 1.0, 0.18}
 // RunAutoscale runs the study on platform p: the topology is the
 // scale-up ceiling, RF+1 the floor. The three variants fan out over the
 // parallel driver.
-func RunAutoscale(p Platform, seed uint64) *AutoscaleResult {
+func RunAutoscale(p Platform, seed uint64) ([]AutoscaleOutcome, *Table) {
 	floor := p.RF + 1 // FailureBudget 1 throughout the study
 	variants := []autoscaleVariant{
 		{Name: "static-min", Size: floor},
@@ -107,12 +93,12 @@ func RunAutoscale(p Platform, seed uint64) *AutoscaleResult {
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
 			t.Add(out.Variant, ph.Name, fmt.Sprintf("%d", ph.Members),
-				fmt.Sprintf("%d", ph.Ops), fmt.Sprintf("%.0f", ph.Throughput),
-				pct(ph.StaleRate), fmt.Sprintf("%.2f", ph.AvgReadK),
+				fmt.Sprintf("%d", ph.Metrics.Ops), fmt.Sprintf("%.0f", ph.Metrics.Throughput()),
+				pct(ph.StaleRate()), fmt.Sprintf("%.2f", ph.AvgReadK),
 				fmt.Sprintf("%.1f", ph.NodeSeconds), fmt.Sprintf("$%.4f", ph.Bill.Total()))
 		}
 		t.Note("%s: total bill %s (granularity-aware instance billing), stale %s, %d joins / %d decommissions",
-			out.Variant, out.TotalBill, pct(out.StaleRate), out.Joins, out.Decommissions)
+			out.Variant, out.TotalBill, pct(out.StaleRate), out.Usage.Joins, out.Usage.Decommissions)
 	}
 	if auto := outcomes[2]; len(auto.Decisions) > 0 {
 		enacted := 0
@@ -126,59 +112,32 @@ func RunAutoscale(p Platform, seed uint64) *AutoscaleResult {
 		t.Note("autoscale controller: %d control periods, %d enacted; stale constraint α=%s",
 			len(auto.Decisions), enacted, pct(autoscaleAlpha))
 	}
-	return &AutoscaleResult{Outcomes: outcomes, Table: t}
-}
-
-// autoscalePhaseRaw is the in-run measurement of one phase, billed
-// after the decision log is complete.
-type autoscalePhaseRaw struct {
-	name       string
-	start, end time.Duration
-	ops        uint64
-	stale      float64
-	readK      float64
-	members    int
-	dcBytes    uint64
-	regBytes   uint64
+	return outcomes, t
 }
 
 // runAutoscaleVariant drives the four phases over one cluster, one
 // Harmony controller and (for the autoscale variant) one autoscale
 // controller.
 func runAutoscaleVariant(p Platform, v autoscaleVariant, seed uint64) AutoscaleOutcome {
-	if seed == 0 {
-		seed = 1
-	}
-	cfg := p.Config(seed)
-	initial := make([]netsim.NodeID, v.Size)
-	for i := range initial {
-		initial[i] = netsim.NodeID(i)
-	}
-	cfg.InitialMembers = initial
-	cfg.WarmupDuration = 300 * time.Millisecond
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 1024
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
+	initial := firstNodes(v.Size)
 	// Short monitoring window so the controller sees phase shifts at
 	// test scale.
-	mon := monitor.New(cl.RF(), tr, monitor.Options{
+	rg := newRig(p, seed, func(cfg *kv.Config) {
+		cfg.InitialMembers = initial
+		cfg.WarmupDuration = 300 * time.Millisecond
+		fastRepair(cfg, 1024)
+	}, &monitor.Options{
 		Window: time.Second, Slots: 10, RankAlpha: 0.2, TopKeys: 64, LatencyWindowOps: 50_000,
 	})
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(autoscaleAlpha, cl.RF()), tr, 100*time.Millisecond)
+	cl := rg.cl
+	rg.control(harmony.New(autoscaleAlpha, cl.RF()), 100*time.Millisecond)
 
 	granular := Pricing()
 	granular.BillingGranularity = time.Second // billed units at simulation scale
 
 	var asc *autoscale.Controller
 	if v.Auto {
-		asc = autoscale.New(cl, mon, tr, autoscale.Config{
+		asc = autoscale.New(cl, rg.mon, rg.tr, autoscale.Config{
 			NodeType: provision.NodeType{
 				Name:             "sim-node",
 				HourlyCost:       granular.InstanceHour,
@@ -191,145 +150,85 @@ func runAutoscaleVariant(p Platform, v autoscaleVariant, seed uint64) AutoscaleO
 				MaxStaleRate: autoscaleAlpha, FailureBudget: 1,
 			},
 			Pricing:     granular,
-			Candidates:  topo.Nodes(),
+			Candidates:  rg.topo.Nodes(),
 			Interval:    150 * time.Millisecond,
 			Cooldown:    900 * time.Millisecond,
 			UpStreak:    2,
 			DownStreak:  4,
 			Headroom:    0.15,
 			MaxNodes:    p.Nodes,
-			BaseLatency: topo.MeanLatency(0, netsim.NodeID(topo.N()-1)),
+			BaseLatency: rg.topo.MeanLatency(0, netsim.NodeID(rg.topo.N()-1)),
 		})
 	}
 
 	phases := BismarPhases(p, 1)
-	var maxRecords uint64
-	for _, ph := range phases {
-		if ph.Workload.RecordCount > maxRecords {
-			maxRecords = ph.Workload.RecordCount
-		}
-	}
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One},
-		ycsb.HeavyReadUpdate(maxRecords), tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(maxRecords, loader.Keys, loader.Value())
-	ctl.Start()
+	rg.preload(ycsb.HeavyReadUpdate(maxRecords(phases)))
+	rg.ctl.Start()
 	if asc != nil {
 		asc.Start()
 	}
 
 	out := AutoscaleOutcome{Variant: v.Name}
-	lastStale, lastFresh, _ := cl.Oracle().Counts()
-	var lastDC, lastRegion uint64
-	var raws []autoscalePhaseRaw
-
+	var wins []window
 	for i, ph := range phases {
-		w := ph.Workload
-		w.ValueSize = p.ValueBytes
-		threads := int(float64(p.Threads) * autoscaleThreadFrac[i%len(autoscaleThreadFrac)])
-		if threads < 8 {
-			threads = 8
+		ph.Workload.ValueSize = p.ValueBytes
+		ph.Threads = int(float64(p.Threads) * autoscaleThreadFrac[i%len(autoscaleThreadFrac)])
+		if ph.Threads < 8 {
+			ph.Threads = 8
 		}
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = ph.Ops
-		r.Threads = threads
-		start := eng.Now()
-		r.Start()
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: autoscale phase %q stalled", ph.Name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		m := tr.Meter()
-		dc, region := m.BilledBytes()
-		raw := autoscalePhaseRaw{
-			name:     ph.Name,
-			start:    start,
-			end:      end,
-			ops:      r.Metrics().Ops,
-			readK:    avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-			members:  len(cl.Members()),
-			dcBytes:  dc - lastDC,
-			regBytes: region - lastRegion,
-		}
-		if judged > 0 {
-			raw.stale = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh = stale, fresh
-		lastDC, lastRegion = dc, region
-		_ = failed
-		raws = append(raws, raw)
+		ph.Seed = rg.seed + uint64(i+1)*1000
+		wins = append(wins, rg.run(ph))
 	}
 	// Drain in-flight repair and membership work, then stop the loops.
-	eng.RunFor(2 * time.Second)
-	ctl.Stop()
+	rg.settle(2 * time.Second)
+	rg.ctl.Stop()
 	if asc != nil {
 		asc.Stop()
 		out.Decisions = asc.Log()
 	}
-	endTime := eng.Now()
+	endTime := rg.eng.Now()
+	total := rg.read()
+	stored := float64(total.Usage.StoredBytes)
 
 	// Node-time accounting: initial members lease from time zero; every
 	// enacted decision opens or closes a lease at its timestamp.
 	tl := newNodeTimeline(initial, out.Decisions, endTime)
 	smooth := Pricing().Smooth()
-	for _, raw := range raws {
-		ns := tl.nodeSeconds(raw.start, raw.end)
+	for _, win := range wins {
 		ph := AutoscalePhase{
-			Name:        raw.name,
-			Members:     raw.members,
-			Ops:         raw.ops,
-			StaleRate:   raw.stale,
-			AvgReadK:    raw.readK,
-			NodeSeconds: ns,
-			Changes:     tl.changesIn(raw.start, raw.end),
-		}
-		if d := raw.end - raw.start; d > 0 {
-			ph.Throughput = float64(raw.ops) / d.Seconds()
+			window:      win,
+			NodeSeconds: tl.nodeSeconds(win.Start, win.End),
+			Changes:     tl.changesIn(win.Start, win.End),
 		}
 		// Instance cost over the exact node-time integral, plus storage
 		// and the phase's billed traffic.
+		dc, region := win.Traffic.BilledBytes()
 		ph.Bill = smooth.BillFor(cost.Usage{
 			Nodes:            1,
-			Duration:         time.Duration(ns * float64(time.Second)),
-			StoredBytes:      float64(cl.Usage().StoredBytes),
-			InterDCBytes:     float64(raw.dcBytes),
-			InterRegionBytes: float64(raw.regBytes),
+			Duration:         time.Duration(ph.NodeSeconds * float64(time.Second)),
+			StoredBytes:      stored,
+			InterDCBytes:     float64(dc),
+			InterRegionBytes: float64(region),
 		})
 		// BillFor prorates storage by the usage duration; re-prorate to
 		// the phase duration instead of the node-time integral.
-		ph.Bill.Storage = (float64(cl.Usage().StoredBytes) / cost.GB) * smooth.StorageGBMonth *
-			((raw.end - raw.start).Hours() / cost.HoursPerMonth)
+		ph.Bill.Storage = (stored / cost.GB) * smooth.StorageGBMonth *
+			((win.End - win.Start).Hours() / cost.HoursPerMonth)
 		out.Phases = append(out.Phases, ph)
 	}
 
 	// Total bill: every lease billed in whole granularity units — the
 	// 2013-cloud convention the controller's boundary-aware scale-down
 	// respects.
-	finalMeter := tr.Meter()
-	totalDC, totalRegion := finalMeter.BilledBytes()
+	totalDC, totalRegion := total.Traffic.BilledBytes()
 	out.TotalBill = cost.Bill{
 		Instances: tl.granularInstanceCost(granular),
-		Storage: (float64(cl.Usage().StoredBytes) / cost.GB) * granular.StorageGBMonth *
-			(endTime.Hours() / cost.HoursPerMonth),
+		Storage:   (stored / cost.GB) * granular.StorageGBMonth * (endTime.Hours() / cost.HoursPerMonth),
 		Network: (float64(totalDC)/cost.GB)*granular.InterDCPerGB +
 			(float64(totalRegion)/cost.GB)*granular.InterRegionPerGB,
 	}
-	stale, fresh, _ := cl.Oracle().Counts()
-	if judged := stale + fresh; judged > 0 {
-		out.StaleRate = float64(stale) / float64(judged)
-	}
-	u := cl.Usage()
-	out.Joins, out.Decommissions = u.Joins, u.Decommissions
-	out.Usage = u
+	out.StaleRate = total.StaleRate()
+	out.Usage = total.Usage
 	return out
 }
 

@@ -1,62 +1,43 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/autoscale"
-	"repro/internal/netsim"
 )
-
-// autoscaleTestPlatform is an 8-node ceiling with a 4-node floor at
-// test scale; the phased thread fractions swing the offered load
-// between "fits the floor" and "needs the ceiling".
-func autoscaleTestPlatform() Platform {
-	p := Platform{
-		Name:       "g5k-autoscale-test",
-		Build:      func() *netsim.Topology { return netsim.G5KTwoSites(8) },
-		Nodes:      8,
-		RF:         3,
-		Threads:    112,
-		Records:    2_000,
-		Ops:        16_000,
-		ValueBytes: 256,
-	}
-	g5kProfile(&p)
-	return p
-}
 
 func TestAutoscaleStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := RunAutoscale(autoscaleTestPlatform(), 1)
-	if len(res.Outcomes) != 3 {
-		t.Fatalf("outcomes = %d", len(res.Outcomes))
+	outcomes, tbl := RunAutoscale(smallPlatform(t, "autoscale"), 1)
+	checkGolden(t, "autoscale", 1, tbl)
+	if len(outcomes) != 3 {
+		t.Fatalf("outcomes = %d", len(outcomes))
 	}
 	byName := map[string]AutoscaleOutcome{}
-	for _, out := range res.Outcomes {
+	for _, out := range outcomes {
 		byName[out.Variant] = out
 		if len(out.Phases) != 4 {
 			t.Fatalf("%s: %d phases, want 4", out.Variant, len(out.Phases))
 		}
 	}
-	if len(res.Table.Rows) != 3*4 {
-		t.Fatalf("rows = %d, want 3 variants × 4 phases", len(res.Table.Rows))
+	if len(tbl.Rows) != 3*4 {
+		t.Fatalf("rows = %d, want 3 variants × 4 phases", len(tbl.Rows))
 	}
 	min, peak, auto := byName["static-min"], byName["static-peak"], byName["autoscale"]
 
 	// Static deployments must not change membership.
-	if min.Joins+min.Decommissions+peak.Joins+peak.Decommissions != 0 {
+	if mu, pu := min.Usage, peak.Usage; mu.Joins+mu.Decommissions+pu.Joins+pu.Decommissions != 0 {
 		t.Fatalf("static variants changed membership: min %d/%d peak %d/%d",
-			min.Joins, min.Decommissions, peak.Joins, peak.Decommissions)
+			mu.Joins, mu.Decommissions, pu.Joins, pu.Decommissions)
 	}
 	// The controller must have both grown the cluster for the peak and
 	// shrunk it again when the load receded.
-	if auto.Joins == 0 {
+	if auto.Usage.Joins == 0 {
 		t.Error("autoscale never scaled up")
 	}
-	if auto.Decommissions == 0 {
+	if auto.Usage.Decommissions == 0 {
 		t.Error("autoscale never scaled down")
 	}
 	peakMembers := 0
@@ -84,9 +65,8 @@ func TestAutoscaleStudy(t *testing.T) {
 	// 3. and cheaper-than-peak must not come from undershooting work:
 	//    every variant ran the same phase operation counts.
 	for i := range auto.Phases {
-		if auto.Phases[i].Ops != peak.Phases[i].Ops {
-			t.Errorf("phase %d ops differ: autoscale %d vs static-peak %d",
-				i, auto.Phases[i].Ops, peak.Phases[i].Ops)
+		if a, p := auto.Phases[i].Metrics.Ops, peak.Phases[i].Metrics.Ops; a != p {
+			t.Errorf("phase %d ops differ: autoscale %d vs static-peak %d", i, a, p)
 		}
 	}
 
@@ -109,7 +89,7 @@ func TestAutoscaleDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	p := autoscaleTestPlatform()
+	p := smallPlatform(t, "autoscale")
 	format := func(ds []autoscale.Decision) []string {
 		var lines []string
 		for _, d := range ds {
@@ -128,20 +108,6 @@ func TestAutoscaleDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("decision logs diverge at %d:\n  a: %s\n  b: %s", i, a[i], b[i])
-		}
-	}
-}
-
-func TestAutoscaleRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	var b strings.Builder
-	RunAutoscale(autoscaleTestPlatform(), 7).Table.Render(&b)
-	s := b.String()
-	for _, want := range []string{"static-min", "static-peak", "autoscale", "peak/update-heavy", "total bill"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("render missing %q:\n%s", want, s)
 		}
 	}
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -44,16 +41,11 @@ type elasticityVariant struct {
 	Warm   bool
 }
 
-// elasticityPhase is one phase's measurement.
+// elasticityPhase is one phase's window and what it cost: node-hours at
+// the membership it ended on, storage, and the window's billed traffic.
 type elasticityPhase struct {
-	Name       string
-	Members    int
-	Ops        uint64
-	Throughput float64
-	StaleRate  float64
-	Failed     uint64
-	AvgReadK   float64
-	Bill       cost.Bill
+	window
+	Bill cost.Bill
 }
 
 // elasticityOutcome is one variant's full measurement.
@@ -64,16 +56,10 @@ type elasticityOutcome struct {
 	Usage       kv.Usage
 }
 
-// ElasticityResult carries the study's outcomes plus the rendered table.
-type ElasticityResult struct {
-	Outcomes []elasticityOutcome
-	Table    *Table
-}
-
 // RunElasticity runs the study on platform p (its topology must hold two
 // spare nodes: the cluster starts with p.Nodes-2 members) for all four
 // variants, fanned out over the parallel driver.
-func RunElasticity(p Platform, seed uint64) *ElasticityResult {
+func RunElasticity(p Platform, seed uint64) ([]elasticityOutcome, *Table) {
 	variants := []elasticityVariant{
 		{Name: "stream+warm", Stream: true, Warm: true},
 		{Name: "stream+cold", Stream: true, Warm: false},
@@ -90,8 +76,8 @@ func RunElasticity(p Platform, seed uint64) *ElasticityResult {
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
 			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Members),
-				fmt.Sprintf("%d", ph.Ops), fmt.Sprintf("%.0f", ph.Throughput),
-				pct(ph.StaleRate), fmt.Sprintf("%.2f", ph.AvgReadK),
+				fmt.Sprintf("%d", ph.Metrics.Ops), fmt.Sprintf("%.0f", ph.Metrics.Throughput()),
+				pct(ph.StaleRate()), fmt.Sprintf("%.2f", ph.AvgReadK),
 				fmt.Sprintf("$%.4f", ph.Bill.Total()))
 		}
 		u := out.Usage
@@ -101,15 +87,12 @@ func RunElasticity(p Platform, seed uint64) *ElasticityResult {
 	}
 	t.Note("convergence = Join call until the joiner holds ≥99%% of its owned keys; " +
 		"ae-only joiners enter empty and owe everything to anti-entropy")
-	return &ElasticityResult{Outcomes: outcomes, Table: t}
+	return outcomes, t
 }
 
 // runElasticityVariant drives the six phases over one cluster and one
 // Harmony controller (α=10%).
 func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elasticityOutcome {
-	if seed == 0 {
-		seed = 1
-	}
 	if p.Nodes < 5 {
 		panic("experiments: elasticity needs ≥5 topology nodes (two spares)")
 	}
@@ -117,39 +100,23 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 	joinerA := netsim.NodeID(members)
 	joinerB := netsim.NodeID(members + 1)
 
-	cfg := p.Config(seed)
-	initial := make([]netsim.NodeID, members)
-	for i := range initial {
-		initial[i] = netsim.NodeID(i)
-	}
-	cfg.InitialMembers = initial
-	cfg.DisableJoinStream = !v.Stream
-	if v.Warm {
-		cfg.WarmupDuration = 2 * time.Second
-	}
-	// Repair machinery fast enough that the ae-only ablation converges
-	// within the run (and the streaming variant's gap writes heal).
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 1024
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(0.10, cl.RF()), tr, 100*time.Millisecond)
+	rg := newRig(p, seed, func(cfg *kv.Config) {
+		cfg.InitialMembers = firstNodes(members)
+		cfg.DisableJoinStream = !v.Stream
+		if v.Warm {
+			cfg.WarmupDuration = 2 * time.Second
+		}
+		// Repair machinery fast enough that the ae-only ablation converges
+		// within the run (and the streaming variant's gap writes heal).
+		fastRepair(cfg, 1024)
+	}, nil)
+	cl, tr := rg.cl, rg.tr
+	rg.control(harmony.New(0.10, cl.RF()), 100*time.Millisecond)
 
 	w := ycsb.HeavyReadUpdate(p.Records)
 	w.ValueSize = p.ValueBytes
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	ctl.Start()
+	keys, _ := rg.preload(w)
+	rg.ctl.Start()
 
 	// Convergence probes: a scheduled self-rechecking timer per join, so
 	// coverage is sampled inside the event loop while the workload runs.
@@ -172,7 +139,7 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 			}
 			owned, present := 0, 0
 			for i := uint64(0); i < w.RecordCount; i++ {
-				k := loader.Keys(i)
+				k := keys(i)
 				for _, r := range cl.Strategy().Replicas(k) {
 					if r == id {
 						owned++
@@ -192,82 +159,42 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 		tr.Schedule(50*time.Millisecond, check)
 	}
 
-	phaseOps := p.Ops / 6
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-	lastStale, lastFresh, lastFailed := cl.Oracle().Counts()
-	var lastDC, lastRegion uint64
 	pricing := Pricing().Smooth()
-
-	runPhase := func(name string, i int, during func()) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		if during != nil {
-			during() // membership change lands while the phase's load runs
-		}
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: elasticity phase %q stalled", name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		m := tr.Meter()
-		dc, region := m.BilledBytes()
-		ph := elasticityPhase{
-			Name:     name,
-			Members:  len(cl.Members()),
-			Ops:      r.Metrics().Ops,
-			Failed:   failed - lastFailed,
-			AvgReadK: avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-			Bill: pricing.BillFor(cost.Usage{
-				Nodes:            len(cl.Members()),
-				Duration:         end - start,
-				StoredBytes:      float64(cl.Usage().StoredBytes),
-				InterDCBytes:     float64(dc - lastDC),
-				InterRegionBytes: float64(region - lastRegion),
-			}),
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh, lastFailed = stale, fresh, failed
-		lastDC, lastRegion = dc, region
-		out.Phases = append(out.Phases, ph)
+	// during, when set, is the membership change that lands while the
+	// phase's load runs.
+	load := func(name string, during func()) {
+		win := rg.run(rg.studyPhase(name, w, len(out.Phases), 6, during))
+		dc, region := win.Traffic.BilledBytes()
+		out.Phases = append(out.Phases, elasticityPhase{window: win, Bill: pricing.BillFor(cost.Usage{
+			Nodes:            win.Members,
+			Duration:         win.End - win.Start,
+			StoredBytes:      float64(win.Usage.StoredBytes),
+			InterDCBytes:     float64(dc),
+			InterRegionBytes: float64(region),
+		})})
 	}
 
-	runPhase("steady", 0, nil)
-	runPhase("join-1", 1, func() { cl.Join(joinerA); watchJoin(joinerA) })
-	eng.RunFor(3 * time.Second) // let the first change settle before the next
-	runPhase("join-2", 2, func() { cl.Join(joinerB); watchJoin(joinerB) })
-	eng.RunFor(3 * time.Second)
-	runPhase("scaled", 3, nil)
+	load("steady", nil)
+	load("join-1", func() { cl.Join(joinerA); watchJoin(joinerA) })
+	rg.settle(3 * time.Second) // let the first change settle before the next
+	load("join-2", func() { cl.Join(joinerB); watchJoin(joinerB) })
+	rg.settle(3 * time.Second)
+	load("scaled", nil)
 	// Decommission requires a settled (plainly live) node; on platforms
 	// with long streaming or warmup joinerB may still be converging.
 	for i := 0; i < 120 && cl.State(joinerB) != kv.StateLive; i++ {
-		eng.RunFor(500 * time.Millisecond)
+		rg.settle(500 * time.Millisecond)
 	}
-	runPhase("scale-down", 4, func() { cl.Decommission(joinerB) })
-	eng.RunFor(3 * time.Second)
-	runPhase("settled", 5, nil)
+	load("scale-down", func() { cl.Decommission(joinerB) })
+	rg.settle(3 * time.Second)
+	load("settled", nil)
 	// Drain until both probes resolved (the ae-only joiners may still be
 	// converging through anti-entropy after the workload finished).
 	for i := 0; i < 120 && len(convergedAt) < 2; i++ {
-		eng.RunFor(500 * time.Millisecond)
+		rg.settle(500 * time.Millisecond)
 	}
 
-	ctl.Stop()
+	rg.ctl.Stop()
 	for _, id := range []netsim.NodeID{joinerA, joinerB} {
 		d, ok := convergedAt[id]
 		if !ok {

@@ -1,41 +1,18 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/netsim"
-)
-
-// elasticityTestPlatform is a 3→5→4 deployment at test scale: the
-// topology holds five nodes, three of them founding members.
-func elasticityTestPlatform() Platform {
-	p := Platform{
-		Name:    "g5k-elasticity-test",
-		Build:   func() *netsim.Topology { return netsim.G5KTwoSites(5) },
-		Nodes:   5,
-		RF:      3,
-		Threads: 48,
-		Records: 2_000,
-		Ops:     12_000,
-
-		ValueBytes: 256,
-	}
-	g5kProfile(&p)
-	return p
-}
+import "testing"
 
 func TestElasticityStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := RunElasticity(elasticityTestPlatform(), 1)
-	tbl := res.Table
+	outcomes, tbl := RunElasticity(smallPlatform(t, "elasticity"), 1)
+	checkGolden(t, "elasticity", 1, tbl)
 	if len(tbl.Rows) != 4*6 {
 		t.Fatalf("rows = %d, want 4 variants × 6 phases", len(tbl.Rows))
 	}
 	byName := map[string]elasticityOutcome{}
-	for _, out := range res.Outcomes {
+	for _, out := range outcomes {
 		byName[out.Variant.Name] = out
 		// Every variant ends settled at members+1 = 4.
 		last := out.Phases[len(out.Phases)-1]
@@ -78,20 +55,9 @@ func TestElasticityStudy(t *testing.T) {
 	//    join phases where the joiner is still empty (the ablation, where
 	//    routing is the only protection).
 	joinStale := func(out elasticityOutcome) float64 {
-		return out.Phases[1].StaleRate + out.Phases[2].StaleRate
+		return out.Phases[1].StaleRate() + out.Phases[2].StaleRate()
 	}
 	if warm, cold := joinStale(byName["ae-only+warm"]), joinStale(byName["ae-only+cold"]); warm >= cold {
 		t.Errorf("join-phase stale rate: warm %.4f vs cold %.4f — warming must lower it", warm, cold)
-	}
-}
-
-func TestElasticityRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	var b strings.Builder
-	RunElasticity(elasticityTestPlatform(), 7).Table.Render(&b)
-	if !strings.Contains(b.String(), "stream+warm") || !strings.Contains(b.String(), "scale-down") {
-		t.Fatalf("render missing expected cells:\n%s", b.String())
 	}
 }

@@ -23,10 +23,10 @@ type ExpARow struct {
 }
 
 // RunExpA reproduces §IV-A on the given platform: static eventual (ONE)
-// and strong (read ALL) baselines against Harmony at each tolerated stale
-// rate. Writes run at level ONE throughout, the configuration Harmony
-// tunes reads against.
-func RunExpA(p Platform, tolerances []float64, seed uint64) ([]ExpARow, *Table) {
+// and strong (read ALL) baselines against Harmony at each of the
+// platform's tolerated stale rates (p.Tolerances). Writes run at level ONE
+// throughout, the configuration Harmony tunes reads against.
+func RunExpA(p Platform, seed uint64) ([]ExpARow, *Table) {
 	specs := []struct {
 		name  string
 		tuner core.Tuner
@@ -34,7 +34,7 @@ func RunExpA(p Platform, tolerances []float64, seed uint64) ([]ExpARow, *Table) 
 		{"eventual (ONE)", core.StaticTuner{Read: kv.One, Write: kv.One}},
 		{"strong (ALL)", core.StaticTuner{Read: kv.All, Write: kv.One}},
 	}
-	for _, a := range tolerances {
+	for _, a := range p.Tolerances {
 		specs = append(specs, struct {
 			name  string
 			tuner core.Tuner

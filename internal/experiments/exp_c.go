@@ -85,12 +85,11 @@ func RunExpC(p Platform, scale float64, seed uint64) ([]ExpCRow, *Table) {
 		tuner core.Tuner
 	}
 	approaches := []approach{}
-	for i, lvl := range symmetricLevels(p.RF) {
+	for _, lvl := range symmetricLevels(p.RF) {
 		approaches = append(approaches, approach{
 			name:  fmt.Sprintf("static %v", lvl),
 			tuner: core.StaticTuner{Read: lvl, Write: lvl},
 		})
-		_ = i
 	}
 	approaches = append(approaches, approach{"bismar", bismar.New(DeploymentFor(p))})
 

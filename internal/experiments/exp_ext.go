@@ -10,7 +10,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/power"
 	"repro/internal/provision"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
@@ -123,7 +122,9 @@ func simulatePlan(plan provision.Plan, w provision.Workload, c provision.Constra
 		Name:  "plan",
 		Build: func() *netsim.Topology { return netsim.EC2TwoAZ(plan.Nodes) },
 		Nodes: plan.Nodes, RF: c.RF,
-		Threads: 64,
+		// Open-loop arrivals draw from stream issued % Threads, so the
+		// stream count shapes the run like any other input.
+		Threads: 16,
 		Records: 20000, Ops: uint64(w.OpsPerSecond * 20), ValueBytes: 1024,
 		DatasetGB: 1, CrossDCFrac: 0.5,
 		ReadService:   stats.NewLogNormal(plan.Type.ReadServiceMean, 0.6),
@@ -131,25 +132,14 @@ func simulatePlan(plan provision.Plan, w provision.Workload, c provision.Constra
 		CoordOverhead: stats.NewLogNormal(200*time.Microsecond, 0.3),
 		Concurrency:   plan.Type.Concurrency,
 	}
-	cfg := p.Config(seed)
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	sess := kv.StaticSession{Cluster: cl,
+	rg := newRig(p, seed, nil, nil)
+	rg.sess = kv.StaticSession{Cluster: rg.cl,
 		ReadLevel: kv.Count(c.ReadLevel), WriteLevel: kv.Count(c.WriteLevel)}
-	wl := ycsb.Mix(p.Records, w.ReadFraction, ycsb.DistZipfian, 0.99)
-	r, err := ycsb.NewRunner(sess, wl, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	r.OpCount = p.Ops
-	r.OpenLoopRate = w.OpsPerSecond
-	cl.Preload(wl.RecordCount, r.Keys, r.Value())
-	r.Start()
-	for !r.Finished() && eng.Step() {
-	}
-	m := r.Metrics()
+	ph := Phase{Name: "plan", Workload: ycsb.Mix(p.Records, w.ReadFraction, ycsb.DistZipfian, 0.99),
+		Ops: p.Ops, Threads: p.Threads, Seed: rg.seed, Rate: w.OpsPerSecond}
+	runner := rg.newRunner(ph)
+	rg.load(runner)
+	m := rg.drive(runner, ph).Metrics
 	return m.Throughput(), m.StaleRate()
 }
 

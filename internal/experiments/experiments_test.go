@@ -13,7 +13,7 @@ func TestExpA_Grid5000Shape(t *testing.T) {
 		t.Skip("heavy experiment; skipped with -short")
 	}
 	p := G5KHarmony().Scaled(testScale)
-	rows, table := RunExpA(p, []float64{0.20, 0.40}, 3)
+	rows, table := RunExpA(p, 3)
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
@@ -25,7 +25,7 @@ func TestExpA_EC2Shape(t *testing.T) {
 		t.Skip("heavy experiment; skipped with -short")
 	}
 	p := EC2Harmony().Scaled(testScale)
-	rows, table := RunExpA(p, []float64{0.40, 0.60}, 3)
+	rows, table := RunExpA(p, 3)
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -45,25 +42,10 @@ type gossipVariant struct {
 	Gossip bool
 }
 
-// gossipPhase is one phase's measurement.
-type gossipPhase struct {
-	Name       string
-	Members    int
-	Ops        uint64
-	Throughput float64
-	StaleRate  float64
-	Failed     uint64
-	AvgReadK   float64
-	// Gossip meter deltas over the phase.
-	Suspicions      uint64
-	WrongOwner      uint64
-	NotOwnerReplies uint64
-}
-
 // gossipOutcome is one variant's full measurement.
 type gossipOutcome struct {
 	Variant gossipVariant
-	Phases  []gossipPhase
+	Phases  []window
 	// Converge is the time from the Join call until ViewAgreement
 	// returned to 1 (0 for the atomic variant; -1 if it never did).
 	Converge time.Duration
@@ -72,16 +54,10 @@ type gossipOutcome struct {
 	Usage         kv.Usage
 }
 
-// GossipResult carries the study's outcomes plus the rendered table.
-type GossipResult struct {
-	Outcomes []gossipOutcome
-	Table    *Table
-}
-
 // RunGossip runs the study on platform p (its topology must hold one
 // spare: the cluster starts with p.Nodes-1 members) for both variants,
 // fanned out over the parallel driver.
-func RunGossip(p Platform, seed uint64) *GossipResult {
+func RunGossip(p Platform, seed uint64) ([]gossipOutcome, *Table) {
 	variants := []gossipVariant{
 		{Name: "gossip", Gossip: true},
 		{Name: "atomic", Gossip: false},
@@ -97,10 +73,10 @@ func RunGossip(p Platform, seed uint64) *GossipResult {
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
 			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Members),
-				fmt.Sprintf("%d", ph.Ops), fmt.Sprintf("%.0f", ph.Throughput),
-				pct(ph.StaleRate), fmt.Sprintf("%.2f", ph.AvgReadK),
-				fmt.Sprintf("%d", ph.Suspicions), fmt.Sprintf("%d", ph.WrongOwner),
-				fmt.Sprintf("%d", ph.NotOwnerReplies))
+				fmt.Sprintf("%d", ph.Metrics.Ops), fmt.Sprintf("%.0f", ph.Metrics.Throughput()),
+				pct(ph.StaleRate()), fmt.Sprintf("%.2f", ph.AvgReadK),
+				fmt.Sprintf("%d", ph.Usage.GossipSuspicions), fmt.Sprintf("%d", ph.Usage.WrongOwnerRetries),
+				fmt.Sprintf("%d", ph.Usage.NotOwnerReplies))
 		}
 		u := out.Usage
 		t.Note("%s: views converged %v after the join; whole-run stale %s; "+
@@ -110,15 +86,12 @@ func RunGossip(p Platform, seed uint64) *GossipResult {
 	}
 	t.Note("convergence = Join call until every reachable view applied the full ring-event log; " +
 		"wrong-owner retries = coordinator re-plans after a notOwner refusal taught it the events it was missing")
-	return &GossipResult{Outcomes: outcomes, Table: t}
+	return outcomes, t
 }
 
 // runGossipVariant drives the six phases over one cluster and one
 // Harmony controller (α=10%).
 func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
-	if seed == 0 {
-		seed = 1
-	}
 	if p.Nodes < 5 {
 		panic("experiments: gossip needs ≥5 topology nodes (one spare)")
 	}
@@ -127,35 +100,19 @@ func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
 	stormNode := netsim.NodeID(1)
 	flapNode := netsim.NodeID(2)
 
-	cfg := p.Config(seed)
-	initial := make([]netsim.NodeID, members)
-	for i := range initial {
-		initial[i] = netsim.NodeID(i)
-	}
-	cfg.InitialMembers = initial
-	cfg.Gossip = v.Gossip
-	cfg.WarmupDuration = time.Second
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 1024
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(0.10, cl.RF()), tr, 100*time.Millisecond)
+	rg := newRig(p, seed, func(cfg *kv.Config) {
+		cfg.InitialMembers = firstNodes(members)
+		cfg.Gossip = v.Gossip
+		cfg.WarmupDuration = time.Second
+		fastRepair(cfg, 1024)
+	}, nil)
+	cl, tr := rg.cl, rg.tr
+	rg.control(harmony.New(0.10, cl.RF()), 100*time.Millisecond)
 
 	w := ycsb.HeavyReadUpdate(p.Records)
 	w.ValueSize = p.ValueBytes
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	ctl.Start()
+	rg.preload(w)
+	rg.ctl.Start()
 
 	out := gossipOutcome{Variant: v, Converge: -1}
 	// Convergence probe: once the join's placement flip lands, poll the
@@ -177,78 +134,33 @@ func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
 		tr.Schedule(25*time.Millisecond, check)
 	}
 
-	phaseOps := p.Ops / 6
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-	lastStale, lastFresh, lastFailed := cl.Oracle().Counts()
-	lastUsage := cl.Usage()
-
-	runPhase := func(name string, i int, during func()) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		if during != nil {
-			during() // the membership/liveness event lands under load
-		}
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: gossip phase %q stalled", name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		u := cl.Usage()
-		ph := gossipPhase{
-			Name:            name,
-			Members:         len(cl.Members()),
-			Ops:             r.Metrics().Ops,
-			Failed:          failed - lastFailed,
-			AvgReadK:        avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-			Suspicions:      u.GossipSuspicions - lastUsage.GossipSuspicions,
-			WrongOwner:      u.WrongOwnerRetries - lastUsage.WrongOwnerRetries,
-			NotOwnerReplies: u.NotOwnerReplies - lastUsage.NotOwnerReplies,
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh, lastFailed = stale, fresh, failed
-		lastUsage = u
-		out.Phases = append(out.Phases, ph)
+	// during, when set, is the membership or liveness event that lands
+	// under the phase's load.
+	load := func(name string, during func()) {
+		out.Phases = append(out.Phases, rg.run(rg.studyPhase(name, w, len(out.Phases), 6, during)))
 	}
 
-	runPhase("steady", 0, nil)
-	runPhase("join", 1, func() { cl.Join(joiner); watchJoin() })
-	eng.RunFor(3 * time.Second) // streaming + warmup + view convergence
-	runPhase("storm", 2, func() { cl.Fail(stormNode) })
-	eng.RunFor(2 * time.Second) // suspicions age into death verdicts
-	runPhase("heal", 3, func() { cl.Recover(stormNode) })
-	eng.RunFor(2 * time.Second) // refutation resurrects the node
-	runPhase("flap", 4, func() {
+	load("steady", nil)
+	load("join", func() { cl.Join(joiner); watchJoin() })
+	rg.settle(3 * time.Second) // streaming + warmup + view convergence
+	load("storm", func() { cl.Fail(stormNode) })
+	rg.settle(2 * time.Second) // suspicions age into death verdicts
+	load("heal", func() { cl.Recover(stormNode) })
+	rg.settle(2 * time.Second) // refutation resurrects the node
+	load("flap", func() {
 		cl.Fail(flapNode)
 		tr.Schedule(750*time.Millisecond, func() { cl.Recover(flapNode) })
 	})
-	eng.RunFor(2 * time.Second)
-	runPhase("settle", 5, nil)
+	rg.settle(2 * time.Second)
+	load("settle", nil)
 	// Drain: convergence probe, hint replay, refutations.
 	for i := 0; i < 40 && (out.Converge < 0 || cl.ViewAgreement() < 1); i++ {
-		eng.RunFor(250 * time.Millisecond)
+		rg.settle(250 * time.Millisecond)
 	}
 
-	ctl.Stop()
-	stale, fresh, _ := cl.Oracle().Counts()
-	if judged := stale + fresh; judged > 0 {
-		out.WholeRunStale = float64(stale) / float64(judged)
-	}
-	out.Usage = cl.Usage()
+	rg.ctl.Stop()
+	total := rg.read()
+	out.WholeRunStale = total.StaleRate()
+	out.Usage = total.Usage
 	return out
 }

@@ -2,47 +2,26 @@ package experiments
 
 import (
 	"os"
-	"strings"
 	"testing"
-
-	"repro/internal/netsim"
 )
-
-// gossipTestPlatform is a 5→6 single-site deployment at test scale: six
-// topology nodes, five founding members, one spare to join mid-run.
-func gossipTestPlatform() Platform {
-	p := Platform{
-		Name:    "g5k-gossip-test",
-		Build:   func() *netsim.Topology { return netsim.G5KTwoSites(6) },
-		Nodes:   6,
-		RF:      3,
-		Threads: 48,
-		Records: 2_000,
-		Ops:     12_000,
-
-		ValueBytes: 256,
-	}
-	g5kProfile(&p)
-	return p
-}
 
 func TestGossipStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := RunGossip(gossipTestPlatform(), 1)
-	tbl := res.Table
+	outcomes, tbl := RunGossip(smallPlatform(t, "gossip"), 1)
+	checkGolden(t, "gossip", 1, tbl)
 	if len(tbl.Rows) != 2*6 {
 		t.Fatalf("rows = %d, want 2 variants × 6 phases", len(tbl.Rows))
 	}
 	byName := map[string]gossipOutcome{}
-	for _, out := range res.Outcomes {
+	for _, out := range outcomes {
 		byName[out.Variant.Name] = out
 		if len(out.Phases) != 6 {
 			t.Fatalf("%s: phases = %d", out.Variant.Name, len(out.Phases))
 		}
 		for _, ph := range out.Phases {
-			if ph.Ops == 0 {
+			if ph.Metrics.Ops == 0 {
 				t.Errorf("%s/%s ran no ops", out.Variant.Name, ph.Name)
 			}
 		}
@@ -81,22 +60,4 @@ func TestGossipStudy(t *testing.T) {
 		t.Errorf("atomic variant leaked gossip activity: %+v", a.Usage)
 	}
 	tbl.Render(os.Stderr)
-}
-
-// TestGossipStudyDeterministic: the whole study — both variants, all
-// phases, every meter — renders byte-identically across runs with the
-// same seed.
-func TestGossipStudyDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	render := func() string {
-		var sb strings.Builder
-		RunGossip(gossipTestPlatform(), 7).Table.Render(&sb)
-		return sb.String()
-	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatalf("gossip study not deterministic:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
 }

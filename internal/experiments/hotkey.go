@@ -7,9 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
-	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
@@ -48,39 +45,13 @@ type hotKeyVariant struct {
 	PerLevel bool // hot-key-aware tuner pinning per-key read levels
 }
 
-// hotKeyPhase is one phase's measurement.
-type hotKeyPhase struct {
-	Name       string
-	Ops        uint64
-	Throughput float64
-	ReadP99    time.Duration
-	ReadMean   time.Duration
-	StaleRate  float64
-	// Per-operation network cost over the phase.
-	MsgsPerOp  float64
-	BytesPerOp float64
-	// Cache meter deltas over the phase.
-	Hits        uint64
-	Misses      uint64
-	Fills       uint64
-	Expired     uint64
-	StaleServed uint64
-	HotKeys     int
-}
-
 // hotKeyOutcome is one variant's full measurement.
 type hotKeyOutcome struct {
 	Variant hotKeyVariant
-	Phases  []hotKeyPhase
+	Phases  []window
 	// WholeRunStale is the oracle stale rate over all judged reads.
 	WholeRunStale float64
 	Usage         kv.Usage
-}
-
-// HotKeyResult carries the study's outcomes plus the rendered table.
-type HotKeyResult struct {
-	Outcomes []hotKeyOutcome
-	Table    *Table
 }
 
 // hotKeyAlpha is the staleness target every variant must hold — the
@@ -89,7 +60,7 @@ const hotKeyAlpha = 0.10
 
 // RunHotKey runs the study on platform p for all three variants, fanned
 // out over the parallel driver.
-func RunHotKey(p Platform, seed uint64) *HotKeyResult {
+func RunHotKey(p Platform, seed uint64) ([]hotKeyOutcome, *Table) {
 	variants := []hotKeyVariant{
 		{Name: "no-cache", Cache: false},
 		{Name: "cache", Cache: true},
@@ -105,12 +76,13 @@ func RunHotKey(p Platform, seed uint64) *HotKeyResult {
 		"hits", "misses", "expired", "stale-served", "hot keys")
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
-			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Ops),
-				fmt.Sprintf("%.0f", ph.Throughput), fmt.Sprintf("%v", ph.ReadP99),
-				pct(ph.StaleRate), fmt.Sprintf("%.1f", ph.MsgsPerOp),
-				fmt.Sprintf("%d", ph.Hits), fmt.Sprintf("%d", ph.Misses),
-				fmt.Sprintf("%d", ph.Expired), fmt.Sprintf("%d", ph.StaleServed),
-				fmt.Sprintf("%d", ph.HotKeys))
+			u := ph.Usage // cache meters over the window; HotKeysNow as it closed
+			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Metrics.Ops),
+				fmt.Sprintf("%.0f", ph.Metrics.Throughput()), fmt.Sprintf("%v", ph.Metrics.ReadLat.Quantile(0.99)),
+				pct(ph.StaleRate()), fmt.Sprintf("%.1f", msgsPerOp(ph)),
+				fmt.Sprintf("%d", u.CacheHits), fmt.Sprintf("%d", u.CacheMisses),
+				fmt.Sprintf("%d", u.CacheExpired), fmt.Sprintf("%d", u.CacheStaleServed),
+				fmt.Sprintf("%d", u.HotKeysNow))
 		}
 		u := out.Usage
 		t.Note("%s: whole-run stale %s; %d hits / %d misses / %d fills, "+
@@ -123,29 +95,32 @@ func RunHotKey(p Platform, seed uint64) *HotKeyResult {
 	}
 	t.Note("a hit answers in the coordinator with zero replica messages; the freshness bound " +
 		"−ln(1−α)/λ keeps the expected stale rate of hits under the same α=10%% Harmony tunes for")
-	return &HotKeyResult{Outcomes: outcomes, Table: t}
+	return outcomes, t
+}
+
+// msgsPerOp is the window's network cost: messages of every link class
+// per completed operation.
+func msgsPerOp(w window) float64 {
+	if w.Metrics.Ops == 0 {
+		return 0
+	}
+	var msgs uint64
+	for _, n := range w.Traffic.Messages {
+		msgs += n
+	}
+	return float64(msgs) / float64(w.Metrics.Ops)
 }
 
 // runHotKeyVariant drives the three phases over one cluster and one
 // controller (α=10%).
 func runHotKeyVariant(p Platform, v hotKeyVariant, seed uint64) hotKeyOutcome {
-	if seed == 0 {
-		seed = 1
-	}
-	cfg := p.Config(seed)
-	cfg.HotCache = v.Cache
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
+	rg := newRig(p, seed, func(cfg *kv.Config) { cfg.HotCache = v.Cache }, nil)
+	cl, tr := rg.cl, rg.tr
 	var tuner core.Tuner = harmony.New(hotKeyAlpha, cl.RF()).PerKey()
 	if v.PerLevel {
 		tuner = harmony.NewHot(hotKeyAlpha, cl)
 	}
-	ctl := core.NewController(mon, tuner, tr, 100*time.Millisecond)
+	rg.control(tuner, 100*time.Millisecond)
 
 	// Steady/burst keyspace plus the shifted one the middle phase rotates
 	// to; both are preloaded so phase runners never insert.
@@ -153,93 +128,26 @@ func runHotKeyVariant(p Platform, v hotKeyVariant, seed uint64) hotKeyOutcome {
 	w.ValueSize = p.ValueBytes
 	shifted := w
 	shifted.KeyPrefix = "shift"
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	shiftLoader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, shifted, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(shifted.RecordCount, shiftLoader.Keys, shiftLoader.Value())
-	ctl.Start()
+	keys, value := rg.preload(w)
+	rg.preload(shifted)
+	rg.ctl.Start()
 
 	// The burst target: the scrambled zipfian's rank-0 record — the most
 	// popular key of the steady keyspace, independent of the seed.
-	headKey := loader.Keys(stats.FNVHash64(0) % w.RecordCount)
+	headKey := keys(stats.FNVHash64(0) % w.RecordCount)
 
 	out := hotKeyOutcome{Variant: v}
-	phaseOps := p.Ops / 3
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-	lastStale, lastFresh, _ := cl.Oracle().Counts()
-	lastUsage := cl.Usage()
-	lastMeter := tr.Meter()
-
-	runPhase := func(name string, pw ycsb.Workload, i int, during func()) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), pw, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		if during != nil {
-			during() // the stress event lands under load
-		}
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: hot-key phase %q stalled", name))
-		}
-		end := eng.Now()
-		m := r.Metrics()
-		stale, fresh, _ := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		u := cl.Usage()
-		meter := tr.Meter()
-		delta := meter.Sub(lastMeter)
-		var msgs uint64
-		for _, n := range delta.Messages {
-			msgs += n
-		}
-		ph := hotKeyPhase{
-			Name:        name,
-			Ops:         m.Ops,
-			ReadP99:     m.ReadLat.Quantile(0.99),
-			ReadMean:    m.ReadLat.Mean(),
-			Hits:        u.CacheHits - lastUsage.CacheHits,
-			Misses:      u.CacheMisses - lastUsage.CacheMisses,
-			Fills:       u.CacheFills - lastUsage.CacheFills,
-			Expired:     u.CacheExpired - lastUsage.CacheExpired,
-			StaleServed: u.CacheStaleServed - lastUsage.CacheStaleServed,
-			HotKeys:     u.HotKeysNow,
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		if ph.Ops > 0 {
-			ph.MsgsPerOp = float64(msgs) / float64(ph.Ops)
-			ph.BytesPerOp = float64(delta.TotalBytes()) / float64(ph.Ops)
-		}
-		lastStale, lastFresh = stale, fresh
-		lastUsage = u
-		lastMeter = meter
-		out.Phases = append(out.Phases, ph)
+	// during, when set, is the stress event that lands under load.
+	load := func(name string, pw ycsb.Workload, during func()) {
+		out.Phases = append(out.Phases, rg.run(rg.studyPhase(name, pw, len(out.Phases), 3, during)))
 	}
 
-	runPhase("steady", w, 0, nil)
-	runPhase("shift", shifted, 1, nil)
+	load("steady", w, nil)
+	load("shift", shifted, nil)
 	// Let demotion hysteresis and the controller settle on the shifted
 	// hot set before the burst returns to the original keyspace.
-	eng.RunFor(time.Second)
-	runPhase("burst", w, 2, func() {
+	rg.settle(time.Second)
+	load("burst", w, func() {
 		// 400 writes to the head key, 2 ms apart: λ jumps to ~500/s and
 		// the freshness bound collapses under the read inter-arrival gap.
 		var fire func(left int)
@@ -247,18 +155,16 @@ func runHotKeyVariant(p Platform, v hotKeyVariant, seed uint64) hotKeyOutcome {
 			if left == 0 {
 				return
 			}
-			cl.Write(headKey, loader.Value(), kv.One, func(kv.WriteResult) {})
+			cl.Write(headKey, value, kv.One, func(kv.WriteResult) {})
 			tr.Schedule(2*time.Millisecond, func() { fire(left - 1) })
 		}
 		fire(400)
 	})
-	eng.RunFor(2 * time.Second) // drain read repair and hint replay
+	rg.settle(2 * time.Second) // drain read repair and hint replay
 
-	ctl.Stop()
-	stale, fresh, _ := cl.Oracle().Counts()
-	if judged := stale + fresh; judged > 0 {
-		out.WholeRunStale = float64(stale) / float64(judged)
-	}
-	out.Usage = cl.Usage()
+	rg.ctl.Stop()
+	total := rg.read()
+	out.WholeRunStale = total.StaleRate()
+	out.Usage = total.Usage
 	return out
 }

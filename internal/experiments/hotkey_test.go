@@ -2,54 +2,34 @@ package experiments
 
 import (
 	"os"
-	"strings"
 	"testing"
-
-	"repro/internal/netsim"
 )
-
-// hotKeyTestPlatform is a six-node single-RF3 deployment at test scale,
-// saturated enough that replica load shows up in read latency.
-func hotKeyTestPlatform() Platform {
-	p := Platform{
-		Name:    "g5k-hotkey-test",
-		Build:   func() *netsim.Topology { return netsim.G5KTwoSites(6) },
-		Nodes:   6,
-		RF:      3,
-		Threads: 96,
-		Records: 2_000,
-		Ops:     15_000,
-
-		ValueBytes: 256,
-	}
-	g5kProfile(&p)
-	return p
-}
 
 func TestHotKeyStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := RunHotKey(hotKeyTestPlatform(), 1)
-	if len(res.Table.Rows) != 3*3 {
-		t.Fatalf("rows = %d, want 3 variants × 3 phases", len(res.Table.Rows))
+	outcomes, tbl := RunHotKey(smallPlatform(t, "hotkey"), 1)
+	checkGolden(t, "hotkey", 1, tbl)
+	if len(tbl.Rows) != 3*3 {
+		t.Fatalf("rows = %d, want 3 variants × 3 phases", len(tbl.Rows))
 	}
 	byName := map[string]hotKeyOutcome{}
-	for _, out := range res.Outcomes {
+	for _, out := range outcomes {
 		byName[out.Variant.Name] = out
 		if len(out.Phases) != 3 {
 			t.Fatalf("%s: phases = %d", out.Variant.Name, len(out.Phases))
 		}
 		for _, ph := range out.Phases {
-			if ph.Ops == 0 {
+			if ph.Metrics.Ops == 0 {
 				t.Errorf("%s/%s ran no ops", out.Variant.Name, ph.Name)
 			}
 			// The headline guarantee: every phase — steady, hot-set
 			// shift, write burst on the head key — holds the same α the
 			// no-cache baseline tunes for.
-			if ph.StaleRate > hotKeyAlpha {
+			if ph.StaleRate() > hotKeyAlpha {
 				t.Errorf("%s/%s: stale %.3f breaches α=%.0f%%",
-					out.Variant.Name, ph.Name, ph.StaleRate, 100*hotKeyAlpha)
+					out.Variant.Name, ph.Name, ph.StaleRate(), 100*hotKeyAlpha)
 			}
 		}
 		if out.WholeRunStale > hotKeyAlpha {
@@ -87,13 +67,11 @@ func TestHotKeyStudy(t *testing.T) {
 	// Cache hits send no replica messages, so the plain cache variant's
 	// steady phase must be cheaper per operation than the baseline, and
 	// its read tail must improve with the shed replica load.
-	if cached.Phases[0].MsgsPerOp >= base.Phases[0].MsgsPerOp {
-		t.Errorf("cache: steady msgs/op %.2f not below no-cache %.2f",
-			cached.Phases[0].MsgsPerOp, base.Phases[0].MsgsPerOp)
+	if c, b := msgsPerOp(cached.Phases[0]), msgsPerOp(base.Phases[0]); c >= b {
+		t.Errorf("cache: steady msgs/op %.2f not below no-cache %.2f", c, b)
 	}
-	if cached.Phases[0].ReadP99 >= base.Phases[0].ReadP99 {
-		t.Errorf("cache: steady read p99 %v not below no-cache %v",
-			cached.Phases[0].ReadP99, base.Phases[0].ReadP99)
+	if c, b := cached.Phases[0].Metrics.ReadLat.Quantile(0.99), base.Phases[0].Metrics.ReadLat.Quantile(0.99); c >= b {
+		t.Errorf("cache: steady read p99 %v not below no-cache %v", c, b)
 	}
 	// Per-key levels spend latency on write-hot keys to buy consistency:
 	// the hot variant must serve fewer oracle-stale reads than the plain
@@ -102,22 +80,5 @@ func TestHotKeyStudy(t *testing.T) {
 		t.Errorf("cache+hot: whole-run stale %.3f not below plain cache %.3f",
 			hot.WholeRunStale, cached.WholeRunStale)
 	}
-	res.Table.Render(os.Stderr)
-}
-
-// TestHotKeyStudyDeterministic: the whole study — all variants, phases
-// and meters — renders byte-identically across runs with the same seed.
-func TestHotKeyStudyDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	render := func() string {
-		var sb strings.Builder
-		RunHotKey(hotKeyTestPlatform(), 7).Table.Render(&sb)
-		return sb.String()
-	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatalf("hot-key study not deterministic:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
+	tbl.Render(os.Stderr)
 }

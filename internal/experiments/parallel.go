@@ -17,12 +17,9 @@ import (
 // per-run by construction.
 
 // Workers reports the worker-pool width used for fan-out: GOMAXPROCS by
-// default, REPRO_WORKERS when set (tests force >1 on single-core boxes),
-// or 1 when REPRO_SEQUENTIAL is set (debugging, deterministic profiles).
+// default, REPRO_WORKERS when set (tests force >1 on single-core boxes;
+// 1 gives one worker for debugging and deterministic profiles).
 func Workers() int {
-	if os.Getenv("REPRO_SEQUENTIAL") != "" {
-		return 1
-	}
 	if s := os.Getenv("REPRO_WORKERS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
 			return n

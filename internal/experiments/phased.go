@@ -1,43 +1,22 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
-// Phase is one segment of a phased workload (access pattern changes over
-// the application's day — the dynamicity adaptive tuners exist for).
-type Phase struct {
-	Name     string
-	Workload ycsb.Workload
-	Ops      uint64
-}
-
-// PhaseOutcome is the per-phase measurement.
-type PhaseOutcome struct {
-	Name    string
-	Metrics *ycsb.Metrics
-}
-
 // PhasedResult aggregates a multi-phase run.
 type PhasedResult struct {
-	Phases       []PhaseOutcome
-	TotalOps     uint64
-	Elapsed      time.Duration
-	StaleReads   uint64
-	FreshReads   uint64
-	Traffic      netsim.TrafficMeter
-	Journal      []core.JournalEntry
-	LevelChanges int
-	AvgReadK     float64
+	TotalOps   uint64
+	Elapsed    time.Duration
+	StaleReads uint64
+	FreshReads uint64
+	Traffic    netsim.TrafficMeter
+	AvgReadK   float64
 }
 
 // Throughput reports aggregate operations per second.
@@ -74,62 +53,38 @@ func (r PhasedResult) CostPerMillionOps(p Platform, pricing cost.Pricing) float6
 // controller, so adaptive tuners carry their state across pattern
 // changes.
 func RunPhased(p Platform, tuner core.Tuner, phases []Phase, seed uint64) PhasedResult {
-	if seed == 0 {
-		seed = 1
-	}
-	cfg := p.Config(seed)
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, tuner, tr, 250*time.Millisecond)
+	rg := newRig(p, seed, nil, nil)
+	rg.control(tuner, 250*time.Millisecond)
 
-	// Preload once with the largest record space used by any phase.
-	var maxRecords uint64
-	for _, ph := range phases {
-		if ph.Workload.RecordCount > maxRecords {
-			maxRecords = ph.Workload.RecordCount
-		}
-	}
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One},
-		ycsb.HeavyReadUpdate(maxRecords), tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(maxRecords, loader.Keys, loader.Value())
-	ctl.Start()
+	// Preload once with the largest record space used by any phase, at
+	// the workload's default value size.
+	rg.preload(ycsb.HeavyReadUpdate(maxRecords(phases)))
+	rg.ctl.Start()
 
 	out := PhasedResult{}
-	meterStart := tr.Meter()
+	loaded := rg.mark.Traffic
 	for i, ph := range phases {
-		w := ph.Workload
-		w.ValueSize = p.ValueBytes
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = ph.Ops
-		r.Threads = p.Threads
-		r.Start()
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: phase %q stalled", ph.Name))
-		}
-		m := r.Metrics()
-		out.Phases = append(out.Phases, PhaseOutcome{Name: ph.Name, Metrics: m})
+		ph.Workload.ValueSize = p.ValueBytes
+		ph.Threads, ph.Seed = p.Threads, rg.seed+uint64(i)*1000
+		m := rg.run(ph).Metrics
 		out.TotalOps += m.Ops
 		out.Elapsed += m.Elapsed()
 		out.StaleReads += m.StaleReads
 		out.FreshReads += m.FreshReads
 	}
-	ctl.Stop()
-	final := tr.Meter()
-	out.Traffic = final.Sub(meterStart)
-	out.Journal = ctl.Journal()
-	out.LevelChanges = ctl.LevelChanges()
-	out.AvgReadK = avgReadK(out.Journal, eng.Now(), cl.RF())
+	rg.ctl.Stop()
+	out.Traffic = rg.mark.Traffic.Sub(loaded)
+	out.AvgReadK = avgReadK(rg.ctl.Journal(), 0, rg.eng.Now(), rg.cl.RF())
 	return out
+}
+
+// maxRecords is the largest record space any of the phases addresses.
+func maxRecords(phases []Phase) uint64 {
+	var n uint64
+	for _, ph := range phases {
+		if ph.Workload.RecordCount > n {
+			n = ph.Workload.RecordCount
+		}
+	}
+	return n
 }

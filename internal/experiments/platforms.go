@@ -12,7 +12,7 @@ import (
 // Platform bundles a paper evaluation platform: topology, node
 // performance profile, client pressure and workload sizing. Scale factors
 // shrink operation and record counts so benches finish quickly while the
-// topology, mixes and pressure stay paper-shaped; cmd tools run scale 1.
+// topology, mixes and pressure stay paper-shaped; scale 1 is the paper's.
 type Platform struct {
 	Name  string
 	Build func() *netsim.Topology
@@ -26,6 +26,9 @@ type Platform struct {
 	ValueBytes  int
 	DatasetGB   float64 // paper-scale logical dataset, for billing
 	CrossDCFrac float64
+	// Tolerances are the stale-read rates the paper has Harmony tolerate
+	// on this platform (§IV-A); set on the Harmony presets only.
+	Tolerances []float64
 
 	ReadService   netsim.Law
 	WriteService  netsim.Law
@@ -105,6 +108,7 @@ func EC2Harmony() Platform {
 		ValueBytes:  1024,
 		DatasetGB:   23.85,
 		CrossDCFrac: 0.5,
+		Tolerances:  []float64{0.40, 0.60},
 	}
 	ec2Profile(&p)
 	return p
@@ -124,6 +128,7 @@ func G5KHarmony() Platform {
 		ValueBytes:  1024,
 		DatasetGB:   14.3,
 		CrossDCFrac: 0.5,
+		Tolerances:  []float64{0.20, 0.40},
 	}
 	g5kProfile(&p)
 	return p
@@ -162,6 +167,25 @@ func G5KCost() Platform {
 		ValueBytes:  1024,
 		DatasetGB:   23.84,
 		CrossDCFrac: 0.5,
+	}
+	g5kProfile(&p)
+	return p
+}
+
+// smallG5K is a phase study's test-scale deployment: a two-site
+// Grid'5000-profile cluster big enough for the study's mechanism (crashes
+// and WAL replay, joins, a failure storm, a hot set) to matter and small
+// enough to run whole in a test. It is sized as it stands, never scaled.
+func smallG5K(study string, nodes, threads int, ops uint64) Platform {
+	p := Platform{
+		Name:       "g5k-" + study + "-test",
+		Build:      func() *netsim.Topology { return netsim.G5KTwoSites(nodes) },
+		Nodes:      nodes,
+		RF:         3,
+		Threads:    threads,
+		Records:    2_000,
+		Ops:        ops,
+		ValueBytes: 256,
 	}
 	g5kProfile(&p)
 	return p

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
-	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/ycsb"
 )
@@ -26,19 +22,11 @@ import (
 //	outage     — one replica crashed; its writes are hinted
 //	catch-up   — the replica restarted (WAL replayed) and converges
 //	converged  — after hint replay and anti-entropy settled
-type recoveryPhase struct {
-	Name       string
-	Ops        uint64
-	Throughput float64
-	StaleRate  float64
-	Failed     uint64
-	AvgReadK   float64
-}
 
 // recoveryOutcome is one engine variant's full measurement.
 type recoveryOutcome struct {
 	Engine  storage.Kind
-	Phases  []recoveryPhase
+	Phases  []window
 	Recover storage.RecoverStats
 	Usage   kv.Usage
 }
@@ -55,8 +43,8 @@ func RunRecovery(p Platform, seed uint64) *Table {
 		"engine", "phase", "ops", "throughput(op/s)", "stale", "failed", "avg read k")
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
-			t.Add(out.Engine.String(), ph.Name, fmt.Sprintf("%d", ph.Ops),
-				fmt.Sprintf("%.0f", ph.Throughput), pct(ph.StaleRate),
+			t.Add(out.Engine.String(), ph.Name, fmt.Sprintf("%d", ph.Metrics.Ops),
+				fmt.Sprintf("%.0f", ph.Metrics.Throughput()), pct(ph.StaleRate()),
 				fmt.Sprintf("%d", ph.Failed), fmt.Sprintf("%.2f", ph.AvgReadK))
 		}
 		rs := out.Recover
@@ -72,123 +60,38 @@ func RunRecovery(p Platform, seed uint64) *Table {
 // Harmony controller (α=10%), crashing and restarting the first replica
 // of the workload's first key between phases.
 func runRecoveryVariant(p Platform, kind storage.Kind, seed uint64) recoveryOutcome {
-	if seed == 0 {
-		seed = 1
-	}
-	cfg := p.Config(seed)
-	cfg.Engine = kind
-	// Sized so the LSM engine seals runs and pays real WAL-tail loss at
-	// experiment scale, and so the repair machinery runs fast enough for
-	// the catch-up phase to be visible.
-	cfg.FlushLimit = 64 << 10
-	cfg.WALSyncBytes = 4 << 10
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 512
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(0.10, cl.RF()), tr, 100*time.Millisecond)
+	rg := newRig(p, seed, func(cfg *kv.Config) {
+		cfg.Engine = kind
+		// Sized so the LSM engine seals runs and pays real WAL-tail loss
+		// at experiment scale, and so the repair machinery runs fast
+		// enough for the catch-up phase to be visible.
+		cfg.FlushLimit = 64 << 10
+		cfg.WALSyncBytes = 4 << 10
+		fastRepair(cfg, 512)
+	}, nil)
+	rg.control(harmony.New(0.10, rg.cl.RF()), 100*time.Millisecond)
 
 	w := ycsb.HeavyReadUpdate(p.Records)
 	w.ValueSize = p.ValueBytes
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	ctl.Start()
+	keys, _ := rg.preload(w)
+	rg.ctl.Start()
 
-	victim := cl.Strategy().Replicas(loader.Keys(0))[0]
-	phaseOps := p.Ops / 4
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-
+	victim := rg.cl.Strategy().Replicas(keys(0))[0]
 	out := recoveryOutcome{Engine: kind}
-	lastStale, lastFresh, lastFailed := cl.Oracle().Counts()
-
-	runPhase := func(name string, i int) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: recovery phase %q stalled", name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		ph := recoveryPhase{
-			Name:     name,
-			Ops:      r.Metrics().Ops,
-			Failed:   failed - lastFailed,
-			AvgReadK: avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh, lastFailed = stale, fresh, failed
-		out.Phases = append(out.Phases, ph)
+	load := func(name string) {
+		out.Phases = append(out.Phases, rg.run(rg.studyPhase(name, w, len(out.Phases), 4, nil)))
 	}
 
-	runPhase("steady", 0)
-	cl.Crash(victim)
-	eng.RunFor(2 * cfg.DetectionDelay) // detector converges; hints arm
-	runPhase("outage", 1)
-	out.Recover = cl.Restart(victim)
-	runPhase("catch-up", 2)
-	eng.RunFor(5 * time.Second) // hint replay + anti-entropy settle
-	runPhase("converged", 3)
+	load("steady")
+	rg.cl.Crash(victim)
+	rg.settle(2 * repairDetection) // detector converges; hints arm
+	load("outage")
+	out.Recover = rg.cl.Restart(victim)
+	load("catch-up")
+	rg.settle(5 * time.Second) // hint replay + anti-entropy settle
+	load("converged")
 
-	ctl.Stop()
-	out.Usage = cl.Usage()
+	rg.ctl.Stop()
+	out.Usage = rg.cl.Usage()
 	return out
-}
-
-// avgReadKWindow time-weights the read level held across [start, end):
-// the decision in force at start counts from start, and each journal
-// entry counts until the next entry or the window's end.
-func avgReadKWindow(journal []core.JournalEntry, start, end time.Duration, rf int) float64 {
-	if end <= start {
-		return 0
-	}
-	var weighted, total float64
-	for i, e := range journal {
-		from := e.At
-		if from < start {
-			from = start
-		}
-		until := end
-		if i+1 < len(journal) && journal[i+1].At < end {
-			until = journal[i+1].At
-		}
-		if until <= from {
-			continue
-		}
-		span := (until - from).Seconds()
-		weighted += span * float64(e.Decision.ReadLevel.Replicas(rf))
-		total += span
-	}
-	if total == 0 {
-		if len(journal) == 0 {
-			return 0
-		}
-		return float64(journal[len(journal)-1].Decision.ReadLevel.Replicas(rf))
-	}
-	return weighted / total
 }

@@ -2,36 +2,17 @@ package experiments
 
 import (
 	"os"
-	"strings"
 	"testing"
 
-	"repro/internal/netsim"
 	"repro/internal/storage"
 )
-
-// recoveryTestPlatform is a small G5K-profile deployment: big enough for
-// crashes, hints and WAL replay to matter, small enough for the suite.
-func recoveryTestPlatform() Platform {
-	p := Platform{
-		Name:    "g5k-recovery-test",
-		Build:   func() *netsim.Topology { return netsim.G5KTwoSites(12) },
-		Nodes:   12,
-		RF:      3,
-		Threads: 64,
-		Records: 2_000,
-		Ops:     12_000,
-
-		ValueBytes: 256,
-	}
-	g5kProfile(&p)
-	return p
-}
 
 func TestRecoveryStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tbl := RunRecovery(recoveryTestPlatform(), 1)
+	tbl := RunRecovery(smallPlatform(t, "recovery"), 1)
+	checkGolden(t, "recovery", 1, tbl)
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d, want 2 engines × 4 phases", len(tbl.Rows))
 	}
@@ -55,7 +36,7 @@ func TestRecoveryVariantMeasuresRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	p := recoveryTestPlatform()
+	p := smallPlatform(t, "recovery")
 
 	mem := runRecoveryVariant(p, storage.Mem, 1)
 	if mem.Recover.WALRecords != 0 || mem.Recover.RunEntries != 0 || mem.Recover.Keys != 0 {
@@ -77,28 +58,12 @@ func TestRecoveryVariantMeasuresRecovery(t *testing.T) {
 			t.Fatalf("%v phases = %d", out.Engine, len(out.Phases))
 		}
 		for _, ph := range out.Phases {
-			if ph.Ops == 0 {
+			if ph.Metrics.Ops == 0 {
 				t.Fatalf("%v phase %s ran no ops", out.Engine, ph.Name)
 			}
-			if ph.StaleRate < 0 || ph.StaleRate > 1 {
-				t.Fatalf("%v phase %s stale rate %f", out.Engine, ph.Name, ph.StaleRate)
+			if ph.StaleRate() < 0 || ph.StaleRate() > 1 {
+				t.Fatalf("%v phase %s stale rate %f", out.Engine, ph.Name, ph.StaleRate())
 			}
 		}
-	}
-}
-
-// TestRecoveryStudyDeterministic: the rendered table is a pure function
-// of the seed, whatever the worker-pool width.
-func TestRecoveryStudyDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	render := func() string {
-		var b strings.Builder
-		RunRecovery(recoveryTestPlatform(), 7).Render(&b)
-		return b.String()
-	}
-	if render() != render() {
-		t.Fatal("recovery study not deterministic across runs")
 	}
 }

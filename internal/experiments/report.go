@@ -1,10 +1,3 @@
-// Package experiments reproduces every result of the paper's evaluation
-// (§IV): the Harmony performance/staleness comparison on the EC2 and
-// Grid'5000 platforms (Exp A), the consistency-vs-monetary-cost study and
-// the Bismar evaluation (Exp B), the Figure-1 model validation, and the
-// ablations DESIGN.md calls out. Each experiment builds its platform
-// preset, drives the scaled workload in virtual time and prints the same
-// rows the paper reports.
 package experiments
 
 import (

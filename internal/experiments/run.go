@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -55,92 +53,45 @@ func Run(spec RunSpec) RunResult {
 		w = ycsb.HeavyReadUpdate(p.Records)
 		w.ValueSize = p.ValueBytes
 	}
-	cfg := p.Config(spec.Seed)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	eng := sim.New(spec.Seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-
-	mopts := monitor.DefaultOptions()
-	if spec.MonitorOpts != nil {
-		mopts = *spec.MonitorOpts
-	}
-	mon := monitor.New(cl.RF(), tr, mopts)
-	cl.AddHooks(mon.Hooks())
+	rg := newRig(p, spec.Seed, spec.Mutate, spec.MonitorOpts)
 	interval := spec.Interval
 	if interval <= 0 {
 		// Re-evaluate often relative to run length so scaled-down runs
 		// still exercise the control loop many times.
 		interval = 250 * time.Millisecond
 	}
-	ctl := core.NewController(mon, spec.Tuner, tr, interval)
-
-	sess := ctl.Session(cl)
+	rg.control(spec.Tuner, interval)
 	if spec.Wrap != nil {
-		sess = spec.Wrap(sess, cl, tr)
+		rg.sess = spec.Wrap(rg.sess, rg.cl, rg.tr)
 	}
-	runner, err := ycsb.NewRunner(sess, w, tr, spec.Seed)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	runner.OpCount = p.Ops
-	runner.Threads = p.Threads
 	warm := spec.WarmupPc
 	if warm <= 0 {
 		warm = 0.1
 	}
-	runner.WarmupOps = uint64(float64(p.Ops) * warm)
+	ph := Phase{Name: "run", Workload: w, Ops: p.Ops, Threads: p.Threads, Seed: spec.Seed,
+		Warmup: uint64(float64(p.Ops) * warm)}
+	// The runner that drives the load also loads the records: a loader
+	// of its own would build the keyspace (a zeta sum over every record,
+	// every key formatted) a second time.
+	runner := rg.newRunner(ph)
+	rg.load(runner)
+	rg.ctl.Start()
+	win := rg.drive(runner, ph)
+	rg.ctl.Stop()
 
-	cl.Preload(w.RecordCount, runner.Keys, runner.Value())
-	ctl.Start()
-	runner.Start()
-	for !runner.Finished() && eng.Step() {
-	}
-	if !runner.Finished() {
-		panic("experiments: workload stalled before completion")
-	}
-	ctl.Stop()
-
-	res := RunResult{
+	total := rg.read()
+	return RunResult{
 		Spec:         spec,
-		Metrics:      runner.Metrics(),
-		Journal:      ctl.Journal(),
-		LevelChanges: ctl.LevelChanges(),
-		Usage:        cl.Usage(),
-		Traffic:      tr.Meter(),
-		Cluster:      cl,
-		Monitor:      mon,
-		Events:       eng.Events(),
+		Metrics:      win.Metrics,
+		Journal:      rg.ctl.Journal(),
+		LevelChanges: rg.ctl.LevelChanges(),
+		AvgReadK:     win.AvgReadK,
+		Usage:        total.Usage,
+		Traffic:      total.Traffic,
+		Cluster:      rg.cl,
+		Monitor:      rg.mon,
+		Events:       rg.eng.Events(),
 	}
-	res.AvgReadK = avgReadK(res.Journal, runner.Metrics().End, cl.RF())
-	return res
-}
-
-// avgReadK time-weights the read level held across the run.
-func avgReadK(journal []core.JournalEntry, end time.Duration, rf int) float64 {
-	if len(journal) == 0 {
-		return 0
-	}
-	var weighted, total float64
-	for i, e := range journal {
-		until := end
-		if i+1 < len(journal) {
-			until = journal[i+1].At
-		}
-		if until <= e.At {
-			continue
-		}
-		span := (until - e.At).Seconds()
-		weighted += span * float64(e.Decision.ReadLevel.Replicas(rf))
-		total += span
-	}
-	if total == 0 {
-		return float64(journal[len(journal)-1].Decision.ReadLevel.Replicas(rf))
-	}
-	return weighted / total
 }
 
 // BillAtPaperScale extrapolates a measured run to the paper's operation

@@ -18,16 +18,16 @@ func TestAvgReadKTimeWeighting(t *testing.T) {
 		{At: time.Second, Decision: core.Decision{ReadLevel: kv.Quorum}}, // k=2 at RF 3
 	}
 	// 1 s at k=1, 3 s at k=2 → (1·1 + 3·2)/4 = 1.75.
-	got := avgReadK(journal, 4*time.Second, 3)
+	got := avgReadK(journal, 0, 4*time.Second, 3)
 	if math.Abs(got-1.75) > 1e-9 {
 		t.Errorf("avg read k = %f, want 1.75", got)
 	}
-	if avgReadK(nil, time.Second, 3) != 0 {
+	if avgReadK(nil, 0, time.Second, 3) != 0 {
 		t.Error("empty journal must yield 0")
 	}
 	// Journal entry after the end: falls back to the last decision.
 	late := []core.JournalEntry{{At: 10 * time.Second, Decision: core.Decision{ReadLevel: kv.All}}}
-	if got := avgReadK(late, time.Second, 3); got != 3 {
+	if got := avgReadK(late, 0, time.Second, 3); got != 3 {
 		t.Errorf("late journal avg = %f", got)
 	}
 }
