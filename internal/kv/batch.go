@@ -148,7 +148,7 @@ func (n *Node) admitBatchRead(m clientBatchRead) {
 		}
 		n.cluster.net.Send(n.id, t, rb, size)
 	}
-	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID}), n.cluster.cfg.Timeout)
+	bctx.timer = n.armTimeout(m.ID, false)
 }
 
 // batchReadDone records one item's client-visible result and ships the
@@ -212,6 +212,7 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 		}
 	}
 	delete(n.batchReads, m.ID) // every item finalized before the timeout
+	bctx.timer.Stop()
 }
 
 // replyBatchRead ships a whole batch's results to the client endpoint in
@@ -272,6 +273,7 @@ func (n *Node) admitBatchWrite(m clientBatchWrite) {
 			ctx.ackDC = make(map[string]int, len(req.perDC))
 		}
 		bctx.items[i] = ctx
+		bctx.open++
 		if n.gs != nil {
 			ctx.cell = cell
 			ctx.sent = append(ctx.sent[:0], replicas...)
@@ -290,11 +292,12 @@ func (n *Node) admitBatchWrite(m clientBatchWrite) {
 			rb.Idxs = append(rb.Idxs, i)
 			rb.Keys = append(rb.Keys, op.Key)
 			rb.Cells = append(rb.Cells, cell)
+			ctx.shipped++
 		}
 	}
-	// The batch context lives until the timeout fires even when every
-	// item completed: late replica acks are the monitor's propagation
-	// signal, exactly as for single writes.
+	// The batch context outlives the client reply: late replica acks are
+	// the monitor's propagation signal, exactly as for single writes. It
+	// retires with its last item (onBatchWriteAck) or at the timeout.
 	n.batchWrites[m.ID] = bctx
 	for _, r := range order {
 		rb := perReplica[r]
@@ -304,7 +307,7 @@ func (n *Node) admitBatchWrite(m clientBatchWrite) {
 		}
 		n.cluster.net.Send(n.id, r, rb, size)
 	}
-	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID, Write: true}), n.cluster.cfg.Timeout)
+	bctx.timer = n.armTimeout(m.ID, true)
 }
 
 // batchWriteDone is the write counterpart of batchReadDone.
@@ -318,16 +321,28 @@ func (n *Node) batchWriteDone(bctx *batchWriteCtx, i int, res WriteResult) {
 }
 
 // onBatchWriteAck folds one replica's batched acknowledgement into every
-// item it covers.
+// item it covers, retiring the items it settles and the batch with its
+// last one (an item settles only once answered, so the reply is out).
 func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 	bctx, ok := n.batchWrites[m.ID]
 	if !ok {
 		return
 	}
 	for _, idx := range m.Idxs {
-		if ctx := bctx.items[idx]; ctx != nil {
-			n.foldWriteAck(ctx, m.From)
+		ctx := bctx.items[idx]
+		if ctx == nil {
+			continue
 		}
+		n.foldWriteAck(ctx, m.From)
+		if ctx.settled() {
+			bctx.items[idx] = nil
+			bctx.open--
+			putWriteCtx(ctx)
+		}
+	}
+	if bctx.open == 0 {
+		delete(n.batchWrites, m.ID)
+		bctx.timer.Stop()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -23,6 +24,7 @@ type readCtx struct {
 	rt             opRoute       // the issuing client op (single reads)
 	batch          *batchReadCtx // the collector this item reports to (batched reads)
 	item           int           // position in batch
+	timer          sim.Timer     // the request timeout (single reads; a batch holds its own)
 	visibleAtStart storage.Version
 	issuedAtStart  storage.Version
 
@@ -73,9 +75,13 @@ func (ctx *readCtx) dropTarget(from netsim.NodeID) {
 	}
 }
 
-// writeCtx tracks one coordinated write; it lives until the timeout event
-// fires so that post-completion replica acks are still observed (they are
-// the monitor's propagation-time signal).
+// writeCtx tracks one coordinated write. It outlives the client reply so
+// that post-completion replica acks are still observed (they are the
+// monitor's propagation-time signal) and retires at the last one: once
+// the client has been answered and every mutation actually shipped has
+// been acknowledged, nothing can reach the context any more. A mutation
+// that is shed, lost or refused as notOwner never acks, so its context
+// stays until the timeout fires.
 type writeCtx struct {
 	id        reqID
 	key       string
@@ -85,8 +91,10 @@ type writeCtx struct {
 	rt        opRoute        // the issuing client op (single writes)
 	batch     *batchWriteCtx // the collector this item reports to (batched writes)
 	item      int            // position in batch
+	timer     sim.Timer      // the request timeout (single writes; a batch holds its own)
 	version   storage.Version
 	replicas  int
+	shipped   int // mutations sent to live replicas (hinted ones never ack)
 	ackCount  int
 	ackDC     map[string]int // per-DC tallies; nil unless req.perDC is set
 	completed bool
@@ -101,7 +109,8 @@ type writeCtx struct {
 // Context pools: one read and one write context per operation was the
 // largest remaining steady-state allocation of the coordinator path.
 // Contexts are returned once they can no longer be referenced — when they
-// leave the coordinator's tracking maps after finalization or timeout.
+// leave the coordinator's tracking maps at the last response, the last
+// ack or the timeout.
 var (
 	readCtxPool  = sync.Pool{New: func() any { return new(readCtx) }}
 	writeCtxPool = sync.Pool{New: func() any { return new(writeCtx) }}
@@ -129,6 +138,7 @@ func putWriteCtx(ctx *writeCtx) {
 type batchReadCtx struct {
 	id        reqID
 	rt        opRoute
+	timer     sim.Timer
 	items     []*readCtx // nil for items that failed at admission
 	results   []ReadResult
 	pending   int // items whose client-visible result is still outstanding
@@ -136,14 +146,17 @@ type batchReadCtx struct {
 }
 
 // batchWriteCtx is the write counterpart of batchReadCtx. Like writeCtx
-// it lives until the timeout event so late replica acks still feed the
-// monitor's propagation signal.
+// it outlives the client reply so late replica acks still feed the
+// monitor's propagation signal; an item retires at its last ack and the
+// batch with its last item.
 type batchWriteCtx struct {
 	id        reqID
 	rt        opRoute
-	items     []*writeCtx
+	timer     sim.Timer
+	items     []*writeCtx // nil for items that failed at admission or retired
 	results   []WriteResult
 	pending   int
+	open      int // items not yet retired
 	delivered bool
 }
 
@@ -195,7 +208,7 @@ func (n *Node) admitRead(m clientRead) {
 		rr := replicaReads.put(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
 		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(m.Key))
 	}
-	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID}), n.cluster.cfg.Timeout)
+	ctx.timer = n.armTimeout(m.ID, false)
 }
 
 // onReadResp folds one replica response into the read context.
@@ -235,6 +248,7 @@ func (n *Node) onReadResp(m replicaReadResp) {
 
 	if len(ctx.responses) >= len(ctx.targets) && !ctx.awaitData && ctx.delivered {
 		delete(n.reads, ctx.id)
+		ctx.timer.Stop()
 		n.finalizeRead(ctx)
 		putReadCtx(ctx)
 	}
@@ -400,8 +414,9 @@ func (n *Node) admitWrite(m clientWrite) {
 		}
 		w := replicaWrites.put(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
 		n.cluster.net.Send(n.id, r, w, msgOverhead+len(m.Key)+len(m.Value))
+		ctx.shipped++
 	}
-	n.cluster.net.SendLocal(n.id, coordTimeouts.put(coordTimeout{ID: m.ID, Write: true}), n.cluster.cfg.Timeout)
+	ctx.timer = n.armTimeout(m.ID, true)
 }
 
 // onWriteAck folds one replica acknowledgement into the write context.
@@ -411,6 +426,17 @@ func (n *Node) onWriteAck(m replicaWriteAck) {
 		return
 	}
 	n.foldWriteAck(ctx, m.From)
+	if ctx.settled() {
+		delete(n.writes, m.ID)
+		ctx.timer.Stop()
+		putWriteCtx(ctx)
+	}
+}
+
+// settled reports that nothing can reach the context any more: the
+// client has its answer and every shipped mutation was acknowledged.
+func (ctx *writeCtx) settled() bool {
+	return ctx.completed && ctx.ackCount == ctx.shipped
 }
 
 // foldWriteAck counts one replica acknowledgement toward ctx and
@@ -440,14 +466,30 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 	}
 }
 
-// onTimeout fires for both reads and writes, single and batched;
-// contexts still incomplete fail with ErrTimeout, completed ones are
-// finalized. The timeout is the last reference to a context, so it also
-// returns contexts to their pools.
-func (n *Node) onTimeout(m coordTimeout) {
-	if m.Write {
-		if bctx, ok := n.batchWrites[m.ID]; ok {
-			delete(n.batchWrites, m.ID)
+// armTimeout starts the request timeout of a coordinated request: one
+// cancelable timer whose argument packs the request and its direction.
+// Whoever retires the context first stops it.
+func (n *Node) armTimeout(id reqID, write bool) sim.Timer {
+	arg := uint64(id) << 1
+	if write {
+		arg |= 1
+	}
+	return n.cluster.net.ScheduleStopCall(n.cluster.cfg.Timeout, n.timeoutCb, arg)
+}
+
+// timeoutFired is the pre-bound timeout callback, for both reads and
+// writes, single and batched: contexts still incomplete fail with
+// ErrTimeout, completed ones are finalized. A context still in its map
+// when the timer fires has no other reference left, so it returns to
+// its pool here.
+func (n *Node) timeoutFired(arg uint64, _ any) {
+	if n.crashed {
+		return // a dead process handles nothing
+	}
+	id, write := reqID(arg>>1), arg&1 != 0
+	if write {
+		if bctx, ok := n.batchWrites[id]; ok {
+			delete(n.batchWrites, id)
 			for _, ctx := range bctx.items {
 				if ctx != nil {
 					n.expireWrite(ctx)
@@ -456,17 +498,17 @@ func (n *Node) onTimeout(m coordTimeout) {
 			}
 			return
 		}
-		ctx, ok := n.writes[m.ID]
+		ctx, ok := n.writes[id]
 		if !ok {
 			return
 		}
-		delete(n.writes, m.ID)
+		delete(n.writes, id)
 		n.expireWrite(ctx)
 		putWriteCtx(ctx)
 		return
 	}
-	if bctx, ok := n.batchReads[m.ID]; ok {
-		delete(n.batchReads, m.ID)
+	if bctx, ok := n.batchReads[id]; ok {
+		delete(n.batchReads, id)
 		for _, ctx := range bctx.items {
 			if ctx != nil {
 				n.expireRead(ctx)
@@ -475,11 +517,11 @@ func (n *Node) onTimeout(m coordTimeout) {
 		}
 		return
 	}
-	ctx, ok := n.reads[m.ID]
+	ctx, ok := n.reads[id]
 	if !ok {
 		return
 	}
-	delete(n.reads, m.ID)
+	delete(n.reads, id)
 	n.expireRead(ctx)
 	putReadCtx(ctx)
 }

@@ -502,6 +502,7 @@ func (n *Node) sendWriteRetry(ctx *writeCtx) {
 			ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq(),
 		})
 		n.cluster.net.Send(n.id, r, w, msgOverhead+len(ctx.key)+len(ctx.cell.Value))
+		ctx.shipped++
 	}
 }
 
@@ -576,6 +577,7 @@ func (n *Node) retryBatchWrite(m gossipRetry) {
 			rb.Idxs = append(rb.Idxs, i)
 			rb.Keys = append(rb.Keys, ctx.key)
 			rb.Cells = append(rb.Cells, ctx.cell)
+			ctx.shipped++
 		}
 	}
 	for _, r := range order {

@@ -24,9 +24,10 @@ import (
 //     per batch, per anti-entropy round, per gossip probe or per
 //     membership change. Each carries freshly built slices the in-flight
 //     message owns, next to which one boxing allocation is noise.
-//   - Self-message: a node's own timers and work completions (the tick
-//     kinds here; workDone, coordExec and coordTimeout are pooled boxes,
-//     the first two declared in node.go). They never leave the node.
+//   - Self-message: a node's own ticks and work completions (the tick
+//     kinds here; workDone and coordExec are pooled boxes, declared in
+//     node.go). They never leave the node. A request's timeout is not a
+//     message: it is a cancelable timer its context holds (armTimeout).
 //
 // To add a kind: declare its struct here (with a `var xs = newBox[x]()`
 // line if it is pooled) and give it one dispatch line in Node.Handle. If
@@ -331,15 +332,6 @@ func (m *replicaReadResp) wire(c *wireCodec) *replicaReadResp {
 	c.node(&m.From)
 	return m
 }
-
-// coordTimeout fires on the coordinator when a request exceeded the
-// cluster timeout.
-type coordTimeout struct {
-	ID    reqID
-	Write bool
-}
-
-var coordTimeouts = newBox[coordTimeout]()
 
 // aeTick triggers one anti-entropy round on a node. epoch ties the tick
 // chain to a node incarnation: ticks scheduled before a crash do not

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -118,11 +119,14 @@ type Node struct {
 	coordOps    uint64
 	readRepairs uint64
 
-	// Coordinator state.
+	// Coordinator state: the contexts of the requests in flight, each
+	// holding its armed request timeout; timeoutCb is timeoutFired bound
+	// once, so arming one allocates nothing.
 	reads       map[reqID]*readCtx
 	writes      map[reqID]*writeCtx
 	batchReads  map[reqID]*batchReadCtx
 	batchWrites map[reqID]*batchWriteCtx
+	timeoutCb   sim.Callback
 
 	// Gossip membership agent (Config.Gossip only; nil otherwise). It
 	// survives crashes — real systems persist their membership view and
@@ -164,6 +168,7 @@ func newNode(id netsim.NodeID, c *Cluster) *Node {
 		batchWrites: make(map[reqID]*batchWriteCtx),
 		hints:       make(map[netsim.NodeID][]hintEntry),
 	}
+	n.timeoutCb = n.timeoutFired
 	n.readStage.conc = c.cfg.Concurrency
 	n.writeStage.conc = c.cfg.Concurrency
 	n.writeStage.shed = c.cfg.MutationShed
@@ -180,14 +185,28 @@ func (n *Node) Engine() storage.Engine { return n.engine }
 // every piece of actor state that lives in process memory — queued and
 // running stage work, coordinator contexts, buffered hints — is lost.
 // Dropped contexts are not returned to their pools (in-flight events may
-// still reference them; the GC reclaims them), and the timeout events
-// still heading here find empty maps and no-op.
+// still reference them; the GC reclaims them), and their request
+// timeouts are canceled with them.
 func (n *Node) crash() {
 	n.crashed = true
 	n.epoch++
 	n.engine.Crash()
 	n.readStage.reset()
 	n.writeStage.reset()
+	// Stop consumes no engine sequence number and the callbacks never
+	// run, so the map order these loops visit in reaches no result.
+	for _, ctx := range n.reads {
+		ctx.timer.Stop()
+	}
+	for _, ctx := range n.writes {
+		ctx.timer.Stop()
+	}
+	for _, bctx := range n.batchReads {
+		bctx.timer.Stop()
+	}
+	for _, bctx := range n.batchWrites {
+		bctx.timer.Stop()
+	}
 	n.reads = make(map[reqID]*readCtx)
 	n.writes = make(map[reqID]*writeCtx)
 	n.batchReads = make(map[reqID]*batchReadCtx)
@@ -237,8 +256,6 @@ func ReleaseMessage(payload any) {
 		workDones.take(m)
 	case *coordExec:
 		coordExecs.take(m)
-	case *coordTimeout:
-		coordTimeouts.take(m)
 	case *clientRead:
 		clientReads.take(m)
 	case *clientWrite:
@@ -431,8 +448,6 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 		n.coordBatchRead(m)
 	case clientBatchWrite:
 		n.coordBatchWrite(m)
-	case *coordTimeout:
-		n.onTimeout(coordTimeouts.take(m))
 
 	case *replicaWrite:
 		n.onReplicaWrite(replicaWrites.take(m))

@@ -6,30 +6,30 @@ import (
 )
 
 // The shape of the queue under a loaded replay (three sim-harmony
-// replays, 10.9 M events): some 40 000 entries, of which about 850 are
-// messages and service completions due within 30 ms — resident 3 ms on
-// average — and the rest request timeouts armed 2 s out; one timeout is
-// armed, and one expires, per 14 short events.
+// replays, 10.1 M events, counted at every pop): about 1 000 messages and
+// service completions due within 30 ms — resident 3 ms on average — and
+// about 2 000 timers parked 2 s and 4 s out, a request timeout and a
+// client guard per operation in flight. An operation fires 11 short
+// events, arms its two timers and stops them when it ends: of 600 000
+// timers armed per replay a few hundred to a few thousand ever fire.
 const (
-	benchTimeouts  = 40000
+	benchNear      = 1000
+	benchNearMean  = 3 * time.Millisecond
+	benchFar       = 2000
 	benchTimeout   = 2 * time.Second
-	benchNear      = 850
-	benchNearPerTO = 14
-	// benchNearMean makes benchNearPerTO cycles over benchNear standing
-	// events advance the clock by the gap between two timeouts, so the
-	// standing counts hold in steady state.
-	benchNearMean = benchTimeout / benchTimeouts * benchNear / benchNearPerTO
+	benchNearPerOp = 11
 )
 
 // BenchmarkEngineSchedule measures the steady-state Schedule/Step cycle
 // at the measured shape: each iteration schedules one short event
 // (uniform up to twice benchNearMean) and fires the earliest; every
-// benchNearPerTO-th also arms a timeout and fires one more, which in
-// steady state is a timeout expiring. The fast path must not allocate
-// per event.
+// benchNearPerOp-th is also an operation ending and the next starting —
+// the oldest request timeout and client guard stopped, two new ones
+// armed. The fast path must not allocate per event.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := New(1)
 	fn := func() {}
+	cb := func(uint64, any) {}
 	x := uint64(1)
 	short := func() time.Duration { // xorshift: cheap and fixed
 		x ^= x << 13
@@ -40,36 +40,35 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for i := 0; i < benchNear; i++ {
 		e.Schedule(short(), fn)
 	}
-	// Warm-up: one timeout's worth of virtual time, no expiry yet, fills
-	// the standing timeouts the way a run does — each armed 2 s ahead of
-	// a clock that has moved on since.
-	for i := 0; i < benchTimeouts*benchNearPerTO; i++ {
-		e.Schedule(short(), fn)
-		if i%benchNearPerTO == 0 {
-			e.Schedule(benchTimeout, fn)
-		}
-		e.Step()
+	var timers [benchFar]Timer
+	for i := 0; i < benchFar; i += 2 {
+		timers[i] = e.ScheduleCall(benchTimeout, cb, 0, nil)
+		timers[i+1] = e.ScheduleCall(2*benchTimeout, cb, 0, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	op := 0
 	for i := 0; i < b.N; i++ {
 		e.Schedule(short(), fn)
-		if i%benchNearPerTO == 0 {
-			e.Schedule(benchTimeout, fn)
-			e.Step()
+		if i%benchNearPerOp == 0 {
+			timers[op].Stop()
+			timers[op+1].Stop()
+			timers[op] = e.ScheduleCall(benchTimeout, cb, 0, nil)
+			timers[op+1] = e.ScheduleCall(2*benchTimeout, cb, 0, nil)
+			op = (op + 2) % benchFar
 		}
 		e.Step()
 	}
 }
 
-// BenchmarkEngineFarChurn measures the client guard pattern over the
-// same standing timeouts: armed at twice the timeout, stopped when its
+// BenchmarkEngineFarChurn measures the far heap's side of that cycle
+// alone: a client guard armed at twice the timeout and stopped when its
 // operation completes, 400 operations (the replay's client threads) in
-// flight.
+// flight over the standing timers.
 func BenchmarkEngineFarChurn(b *testing.B) {
 	e := New(1)
-	for i := 0; i < benchTimeouts; i++ {
-		e.Schedule(benchTimeout+time.Duration(i)*benchTimeout/benchTimeouts, func() {})
+	for i := 0; i < benchFar; i++ {
+		e.Schedule(benchTimeout+time.Duration(i)*benchTimeout/benchFar, func() {})
 	}
 	cb := func(uint64, any) {}
 	var guards [400]Timer

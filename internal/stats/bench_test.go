@@ -50,14 +50,33 @@ func BenchmarkRateEstimatorAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkHeavyHittersObserve feeds the monitor's 128-entry sketch the
+// two streams that bound what it sees: zipf is YCSB's key popularity
+// over 100 000 keys (hot keys hit, the long tail misses and evicts);
+// allmiss cycles 1 024 keys round-robin so every observation evicts.
 func BenchmarkHeavyHittersObserve(b *testing.B) {
-	h := NewHeavyHitters(128)
-	keys := make([]string, 1024)
+	keys := make([]string, 100_000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(keys[i%len(keys)])
-	}
+	b.Run("zipf", func(b *testing.B) {
+		h := NewHeavyHitters(128)
+		z := NewZipfian(uint64(len(keys)), ZipfTheta)
+		src := NewSource(1)
+		stream := make([]uint32, 1<<16) // drawn ahead: the loop times Observe only
+		for i := range stream {
+			stream[i] = uint32(z.Next(src))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Observe(keys[stream[i%len(stream)]])
+		}
+	})
+	b.Run("allmiss", func(b *testing.B) {
+		h := NewHeavyHitters(128)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Observe(keys[i%1024])
+		}
+	})
 }

@@ -11,15 +11,20 @@ import (
 // monitor uses it to learn which keys absorb most writes and reads, the
 // input of the per-key stale-rate refinement.
 //
-// Entries live in a dense slice with a map index over it: the hit path is
-// one map lookup and an increment, and the eviction path is a linear scan
-// of the (cache-resident, pointer-light) slice rather than a map
-// iteration — on skewed workloads the miss path runs once per unseen key
-// and dominated monitor overhead when it walked the map.
+// Entries live in stable slots of a dense slice with a map index over
+// it, and a binary min-heap of slot numbers orders them by (count, seq):
+// a hit is one map lookup, an increment and a sift down; a miss on a
+// full sketch evicts the heap's root. seq is unique, so the order is
+// total and the evicted slot is the one a scan of the slice for its
+// minimum would find — the heap changes what a miss costs (128 entries
+// compared per unseen key, which dominated monitor overhead on skewed
+// workloads), never which key leaves.
 type HeavyHitters struct {
 	capacity int
 	idx      map[string]int32
 	entries  []hhEntry
+	heap     []int32 // slot numbers, min (count, seq) at the root
+	pos      []int32 // slot → its index in heap
 	total    uint64
 	seq      uint64
 }
@@ -40,6 +45,8 @@ func NewHeavyHitters(capacity int) *HeavyHitters {
 		capacity: capacity,
 		idx:      make(map[string]int32, capacity),
 		entries:  make([]hhEntry, 0, capacity),
+		heap:     make([]int32, 0, capacity),
+		pos:      make([]int32, 0, capacity),
 	}
 }
 
@@ -48,30 +55,73 @@ func (h *HeavyHitters) Observe(key string) {
 	h.total++
 	if i, ok := h.idx[key]; ok {
 		h.entries[i].count++
+		h.siftDown(int(h.pos[i]))
 		return
 	}
 	h.seq++
-	if len(h.entries) < h.capacity {
-		h.idx[key] = int32(len(h.entries))
+	if n := len(h.entries); n < h.capacity {
+		h.idx[key] = int32(n)
 		h.entries = append(h.entries, hhEntry{key: key, count: 1, seq: h.seq})
+		h.heap = append(h.heap, int32(n))
+		h.pos = append(h.pos, int32(n))
+		h.siftUp(n)
 		return
 	}
 	// Evict the minimum-count key (oldest wins ties, which keeps the
-	// scan free of string comparisons and the result deterministic);
+	// order free of string comparisons and the result deterministic);
 	// the newcomer inherits its count as the standard space-saving
 	// overestimation.
-	min := 0
-	for i := 1; i < len(h.entries); i++ {
-		e, m := &h.entries[i], &h.entries[min]
-		if e.count < m.count || (e.count == m.count && e.seq < m.seq) {
-			min = i
-		}
-	}
+	min := h.heap[0]
 	old := &h.entries[min]
 	delete(h.idx, old.key)
 	minCount := old.count
 	*old = hhEntry{key: key, count: minCount + 1, err: minCount, seq: h.seq}
-	h.idx[key] = int32(min)
+	h.idx[key] = min
+	h.siftDown(0)
+}
+
+// less orders two slots by (count, seq).
+func (h *HeavyHitters) less(a, b int32) bool {
+	x, y := &h.entries[a], &h.entries[b]
+	return x.count < y.count || (x.count == y.count && x.seq < y.seq)
+}
+
+// siftDown restores the heap below index i after its slot's count grew.
+func (h *HeavyHitters) siftDown(i int) {
+	heap, slot := h.heap, h.heap[i]
+	for {
+		c := 2*i + 1
+		if c >= len(heap) {
+			break
+		}
+		if c+1 < len(heap) && h.less(heap[c+1], heap[c]) {
+			c++
+		}
+		if !h.less(heap[c], slot) {
+			break
+		}
+		heap[i] = heap[c]
+		h.pos[heap[i]] = int32(i)
+		i = c
+	}
+	heap[i] = slot
+	h.pos[slot] = int32(i)
+}
+
+// siftUp restores the heap above index i after a slot was appended.
+func (h *HeavyHitters) siftUp(i int) {
+	heap, slot := h.heap, h.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(slot, heap[p]) {
+			break
+		}
+		heap[i] = heap[p]
+		h.pos[heap[i]] = int32(i)
+		i = p
+	}
+	heap[i] = slot
+	h.pos[slot] = int32(i)
 }
 
 // Total reports the stream length observed.
@@ -107,6 +157,8 @@ func (h *HeavyHitters) Top(n int) []KeyCount {
 func (h *HeavyHitters) Reset() {
 	clear(h.idx)
 	h.entries = h.entries[:0]
+	h.heap = h.heap[:0]
+	h.pos = h.pos[:0]
 	h.total = 0
 }
 

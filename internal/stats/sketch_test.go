@@ -83,6 +83,98 @@ func TestHeavyHittersReset(t *testing.T) {
 	}
 }
 
+// observeReference is Observe as it was before the heap: the eviction
+// victim found by scanning every entry for the minimum (count, seq). It
+// never touches heap or pos, so a sketch fed only through it is the
+// reference the heap-backed Observe must match slot for slot.
+func (h *HeavyHitters) observeReference(key string) {
+	h.total++
+	if i, ok := h.idx[key]; ok {
+		h.entries[i].count++
+		return
+	}
+	h.seq++
+	if len(h.entries) < h.capacity {
+		h.idx[key] = int32(len(h.entries))
+		h.entries = append(h.entries, hhEntry{key: key, count: 1, seq: h.seq})
+		return
+	}
+	min := 0
+	for i := 1; i < len(h.entries); i++ {
+		e, m := &h.entries[i], &h.entries[min]
+		if e.count < m.count || (e.count == m.count && e.seq < m.seq) {
+			min = i
+		}
+	}
+	old := &h.entries[min]
+	delete(h.idx, old.key)
+	minCount := old.count
+	*old = hhEntry{key: key, count: minCount + 1, err: minCount, seq: h.seq}
+	h.idx[key] = int32(min)
+}
+
+// checkHeap verifies the heap order and the pos back-index.
+func (h *HeavyHitters) checkHeap(t *testing.T) {
+	t.Helper()
+	if len(h.heap) != len(h.entries) || len(h.pos) != len(h.entries) {
+		t.Fatalf("heap %d / pos %d entries for %d slots", len(h.heap), len(h.pos), len(h.entries))
+	}
+	for i, slot := range h.heap {
+		if h.pos[slot] != int32(i) {
+			t.Fatalf("pos[%d] = %d, slot sits at heap[%d]", slot, h.pos[slot], i)
+		}
+		if i > 0 && h.less(slot, h.heap[(i-1)/2]) {
+			t.Fatalf("heap[%d] orders before its parent", i)
+		}
+	}
+}
+
+func TestHeavyHittersMatchesScan(t *testing.T) {
+	const ops = 200_000
+	for _, capacity := range []int{1, 2, 7, 128} {
+		for _, space := range []uint64{3, 50, 1000, 100_000} {
+			t.Run(fmt.Sprintf("cap%d/keys%d", capacity, space), func(t *testing.T) {
+				keys := make([]string, space)
+				for i := range keys {
+					keys[i] = fmt.Sprintf("k%d", i)
+				}
+				got, want := NewHeavyHitters(capacity), NewHeavyHitters(capacity)
+				src := NewSource(uint64(capacity)*1_000_003 + space)
+				z := NewZipfian(space, ZipfTheta)
+				// Two lives of the same pair: Reset must leave a sketch
+				// that keeps matching (seq runs on, the heap starts empty).
+				for life := 0; life < 2; life++ {
+					for i := 0; i < ops; i++ {
+						k := z.Next(src)
+						if src.IntN(4) == 0 { // a quarter uniform: cold keys keep arriving
+							k = src.Uint64N(space)
+						}
+						got.Observe(keys[k])
+						want.observeReference(keys[k])
+						if i%997 != 0 && i < ops-1000 {
+							continue
+						}
+						if len(got.entries) != len(want.entries) {
+							t.Fatalf("life %d op %d: %d entries, scan has %d", life, i, len(got.entries), len(want.entries))
+						}
+						for s := range want.entries {
+							if got.entries[s] != want.entries[s] {
+								t.Fatalf("life %d op %d slot %d: %+v, scan has %+v", life, i, s, got.entries[s], want.entries[s])
+							}
+						}
+						got.checkHeap(t)
+					}
+					if got.Total() != want.Total() {
+						t.Fatalf("life %d: total %d, scan has %d", life, got.Total(), want.Total())
+					}
+					got.Reset()
+					want.Reset()
+				}
+			})
+		}
+	}
+}
+
 func TestDistinctCounterAccuracy(t *testing.T) {
 	for _, n := range []int{100, 1000, 20000} {
 		d := NewDistinctCounter(16)
