@@ -4,7 +4,8 @@
 // delivery), and everything that happens later — latency-sampled
 // deliveries, timer self-messages, scheduled functions, client guards —
 // is an entry of ONE time plane: an embedded sim.Engine event queue (the
-// simulator's slab and heaps, allocation-free, eagerly cancelable) that
+// simulator's slab, its timing wheel for what is due soon and its heap
+// for the timeouts seconds out; allocation-free, eagerly cancelable) that
 // whoever takes the engine lock steps up to the wall clock, with a single
 // runtime timer armed for the earliest entry so the queue also advances
 // while nobody is calling in. A waiting message is a queue entry and

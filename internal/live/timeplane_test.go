@@ -46,9 +46,10 @@ func newDirectEngine(t *testing.T, n int) (*Engine, *fakeClock, *[]string) {
 // timer message joins the run queue behind what is already there; and
 // whatever the lock holder enqueues itself comes after them. The wanted
 // orders are what the hand-written wheel this replaced produced. The
-// queue underneath keeps long and short delays in separate heaps (split
-// at 500 ms); the last case arms on both sides of the split, and twice
-// for one instant from either side, and wants plain time order.
+// queue underneath keeps short delays on a timing wheel and long ones in
+// a heap (split at 500 ms); the last case arms on both sides of the
+// split, and twice for one instant from either side, and wants plain
+// time order.
 func TestDirectTimerOrder(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {

@@ -84,16 +84,52 @@ func BenchmarkEngineFarChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScheduleStop measures the Schedule+Stop cycle (timer
-// churn: armed and canceled before firing, the request-timeout pattern).
+// BenchmarkEngineScheduleStop measures the Schedule+Stop cycle, a timer
+// armed and canceled before it fires, on either queue: near is a link and
+// an unlink on the wheel (1 µs ahead), far a push and a removal on the
+// heap (the 2 s request timeout, which is what the store arms and stops
+// for every operation).
 func BenchmarkEngineScheduleStop(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		delay time.Duration
+	}{{"near", time.Microsecond}, {"far", benchTimeout}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := New(1)
+			fn := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := e.Schedule(bc.delay, fn)
+				t.Stop()
+				e.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkEngineIdle measures the queue at the serving shape, where the
+// wall clock drives it (live.Engine's lock and unlock, once per batch):
+// nothing near, a request timeout standing for each of benchFar
+// operations in flight; each iteration moves the clock 1 µs with nothing
+// due, asks for the next deadline, and ends the oldest operation and
+// starts another — one timeout stopped, one armed.
+func BenchmarkEngineIdle(b *testing.B) {
 	e := New(1)
-	fn := func() {}
+	cb := func(uint64, any) {}
+	var timers [benchFar]Timer
+	for i := range timers {
+		timers[i] = e.ScheduleCall(benchTimeout, cb, 0, nil)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := e.Schedule(time.Microsecond, fn)
-		t.Stop()
-		e.Step()
+		e.RunUntil(e.Now() + time.Microsecond)
+		if _, ok := e.NextAt(); !ok {
+			b.Fatal("standing timers gone")
+		}
+		tm := &timers[i%benchFar]
+		tm.Stop()
+		*tm = e.ScheduleCall(benchTimeout, cb, 0, nil)
 	}
 }

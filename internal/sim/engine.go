@@ -5,21 +5,37 @@
 // initial event set.
 //
 // The scheduler is built for throughput: events live in a value-typed
-// slab recycled through a free list and are ordered by index-based 4-ary
-// heaps whose entries carry their own (time, seq) keys, so the
-// steady-state Schedule/fire cycle performs zero heap allocations and
-// comparisons never touch the slab. Timer handles stay valid across slot
-// reuse via generation counters.
+// slab recycled through a free list, one cache line each, and the
+// steady-state Schedule/fire cycle performs zero heap allocations. Timer
+// handles stay valid across slot reuse via generation counters.
 //
-// There are two heaps, split by delay at scheduling time: an event
-// farAfter or more ahead is queued far, everything else near, and an
-// entry never migrates. A loaded store parks tens of thousands of
-// request timeouts seconds out while the messages and service completions
-// that make up nearly every push and pop are due within milliseconds; by
-// delay, the long timers stop deepening the heap the short events sift
-// through. Firing takes the smaller of the two tops by (time, seq), so
-// the order is that of a single queue whatever farAfter is: the split is
-// a cost heuristic, not behaviour, and nothing outside this file sees it.
+// There are two queues over the one slab, split by delay at scheduling
+// time: an event farAfter or more ahead is queued far, everything else
+// near, and an entry never migrates. Firing takes the earlier of the two
+// fronts by (time, seq), so the order is that of a single queue whatever
+// farAfter is: the split is a cost heuristic, not behaviour, and nothing
+// outside this file sees it.
+//
+// The near queue is a timing wheel. The messages and service completions
+// that make up nearly every push and pop of a loaded store are due within
+// milliseconds, about a thousand of them pending at once, and all of them
+// inside [now, now+farAfter) — dense in time and bounded, so wheelSlots
+// buckets of slotWidth cover them without a lap: the events pending at
+// any instant occupy distinct slots. A slot is a list threaded through
+// the slab, sorted by (time, seq); a new event carries the newest seq, so
+// it links at the tail unless an event already there is due strictly
+// later. A two-level occupancy bitmap finds the next occupied slot in a
+// few word operations. Schedule, fire and Stop are O(1) and compare no
+// keys beyond the slot's own few entries.
+//
+// The far queue is an index-based 4-ary heap whose entries carry their
+// own (time, seq) keys. A loaded store arms a request timeout and a
+// client guard seconds out for every operation — 600 000 per replay, a
+// thousand or two standing — and stops nearly all of them long before
+// they are due. Stop is O(log 1 000) there against O(1) on the wheel, but
+// nothing ever pops through them, and a wheel reaching 4 s at this slot
+// width would be eight times the memory for events that almost never
+// fire.
 //
 // A slot holds one callback form, cb(arg, payload): wide enough for a
 // message delivery (the transports pack the endpoints into arg and hand
@@ -30,6 +46,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/stats"
@@ -44,20 +61,25 @@ func runFunc(_ uint64, fn any) { fn.(func())() }
 
 // event is a callback slot in the engine's slab.
 type event struct {
-	cb       Callback
-	payload  any
-	arg      uint64
-	gen      uint32 // bumped on slot release; stale Timers see a mismatch
-	nextFree int32
-	pos      int32 // index of this slot's entry in its heap while queued
-	heap     uint8 // which heap holds the entry while queued: near or far
+	cb      Callback
+	payload any
+	arg     uint64
+	at      time.Duration
+	seq     uint64 // tie-breaker: FIFO among equal times
+	gen     uint32 // bumped on slot release; stale Timers see a mismatch
+	// Queued near, next and prev link the wheel slot's list: next is
+	// noIndex at the tail, and the head's prev is the tail. Queued far,
+	// prev is the index of this slot's entry in the heap. Free, next is
+	// the next free slot.
+	next, prev int32
+	far        bool // which queue holds the event while queued
 }
 
-// heapEntry is one queued event: the ordering key lives here so heap
+// heapEntry is one event queued far: the ordering key lives here so heap
 // comparisons stay within the (compact, cache-resident) heap array.
 type heapEntry struct {
 	at   time.Duration
-	seq  uint64 // tie-breaker: FIFO among equal times
+	seq  uint64
 	slot int32
 }
 
@@ -71,13 +93,29 @@ func (a heapEntry) before(b heapEntry) bool {
 const (
 	noIndex = int32(-1)
 
-	// farAfter sorts events into the two heaps. Any value keeps the
-	// firing order; this one sits between the slowest sampled message or
-	// service delay (tens of milliseconds) and the shortest long timer
-	// (the store's 2 s request timeout).
+	// farAfter sorts events into the two queues. Any value the wheel spans
+	// keeps the firing order; this one sits between the slowest sampled
+	// message or service delay (tens of milliseconds) and the shortest
+	// long timer (the store's 2 s request timeout).
 	farAfter = 500 * time.Millisecond
 
-	near, far = 0, 1
+	// The wheel: wheelSlots slots of slotWidth (16.384 µs) each, 536.9 ms
+	// around. Half the near events of a loaded replay are due within a
+	// millisecond, so slots fill: a link there finds its slot occupied
+	// three times in four, and walks back past one event on average (44
+	// at most) to its place.
+	slotShift  = 14
+	slotWidth  = time.Duration(1) << slotShift
+	wheelSlots = 1 << 15
+	wheelMask  = wheelSlots - 1
+	wheelSpan  = wheelSlots * slotWidth
+	occWords   = wheelSlots >> 6 // one occupancy bit per slot
+	sumWords   = occWords >> 6   // one summary bit per occupancy word
+
+	// The near events pending at any instant lie in [now, now+farAfter):
+	// at most farAfter/slotWidth + 2 consecutive slots, which must not
+	// lap. A negative constant does not convert.
+	_ = uint64(wheelSpan - farAfter - slotWidth - 1)
 )
 
 // Timer is a handle to a scheduled event that can be stopped before it
@@ -89,9 +127,9 @@ type Timer struct {
 }
 
 // Stop cancels the timer; it reports whether the callback had not yet run
-// (and now never will). The event is removed from its heap immediately:
-// a canceled guard timer must not deepen the heap until its deadline, and
-// Pending keeps counting only events that will fire.
+// (and now never will). The event is unqueued immediately: a canceled
+// guard timer must not deepen the heap until its deadline, and Pending
+// keeps counting only events that will fire.
 func (t Timer) Stop() bool {
 	e := t.eng
 	if e == nil {
@@ -101,7 +139,11 @@ func (t Timer) Stop() bool {
 	if ev.gen != t.gen {
 		return false
 	}
-	e.removeAt(ev.heap, ev.pos)
+	if ev.far {
+		e.removeAt(ev.prev)
+	} else {
+		e.unlink(t.slot, ev)
+	}
 	e.release(t.slot)
 	return true
 }
@@ -111,13 +153,23 @@ func (t Timer) Stop() bool {
 // calling Run.
 type Engine struct {
 	now      time.Duration
-	events   []event        // slab; heap entries index into it
-	heaps    [2][]heapEntry // near and far 4-ary min-heaps ordered by (at, seq)
+	events   []event     // slab; both queues index into it
+	far      []heapEntry // 4-ary min-heap ordered by (at, seq)
 	freeHead int32
 	seq      uint64
 	rng      *stats.Source
 	stopped  bool
 	fired    uint64
+
+	// The wheel. While it holds events, slot(now) ≤ scan ≤ the slot of
+	// the earliest of them, counted in slots since time zero: the pending
+	// events then lie less than a lap ahead of scan, so the first occupied
+	// slot at or after scan, going around, holds the earliest.
+	nearN int
+	scan  int64
+	sum   [sumWords]uint64  // bit w: occ[w] != 0
+	occ   [occWords]uint64  // bit i: heads[i] != 0
+	heads [wheelSlots]int32 // slab slot of each list's head, plus one: zero is empty
 }
 
 // New returns an engine whose randomness derives entirely from seed.
@@ -137,29 +189,59 @@ func (e *Engine) Events() uint64 { return e.fired }
 
 // Pending reports how many events are queued (stopped timers are
 // removed eagerly, so every pending event will fire).
-func (e *Engine) Pending() int { return len(e.heaps[near]) + len(e.heaps[far]) }
+func (e *Engine) Pending() int { return e.nearN + len(e.far) }
 
-// next picks the heap whose top fires first; ok=false when both are empty.
-func (e *Engine) next() (which uint8, ok bool) {
-	n, f := e.heaps[near], e.heaps[far]
-	if len(f) == 0 {
-		return near, len(n) > 0
+// next reports the slab slot and the time of the event that fires first,
+// noIndex when nothing is queued, and advances scan to the wheel's
+// earliest event. With the wheel empty — a serving engine's queue between
+// batches — it reads the far heap's top and no slab slot.
+func (e *Engine) next() (slot int32, at time.Duration) {
+	if e.nearN == 0 {
+		if len(e.far) == 0 {
+			return noIndex, 0
+		}
+		return e.far[0].slot, e.far[0].at
 	}
-	if len(n) == 0 || f[0].before(n[0]) {
-		return far, true
+	h := e.heads[e.scan&wheelMask]
+	if h == 0 {
+		i := e.occupiedFrom(uint32(e.scan & wheelMask))
+		e.scan += int64(i-uint32(e.scan)) & wheelMask
+		h = e.heads[i]
 	}
-	return near, true
+	ev := &e.events[h-1]
+	if len(e.far) > 0 {
+		if f := &e.far[0]; f.at < ev.at || f.at == ev.at && f.seq < ev.seq {
+			return f.slot, f.at
+		}
+	}
+	return h - 1, ev.at
+}
+
+// occupiedFrom returns the first occupied wheel slot at or after i, going
+// around. The wheel must not be empty.
+func (e *Engine) occupiedFrom(i uint32) uint32 {
+	w := i >> 6
+	if b := e.occ[w] >> (i & 63); b != 0 {
+		return i + uint32(bits.TrailingZeros64(b))
+	}
+	// The next non-zero word after w; all the way around, w itself.
+	w = (w + 1) & (occWords - 1)
+	s := w >> 6
+	b := e.sum[s] >> (w & 63) << (w & 63)
+	for b == 0 {
+		s = (s + 1) & (sumWords - 1)
+		b = e.sum[s]
+	}
+	w = s<<6 + uint32(bits.TrailingZeros64(b))
+	return w<<6 + uint32(bits.TrailingZeros64(e.occ[w]))
 }
 
 // NextAt reports the time of the earliest queued event (ok=false when the
 // queue is empty): what a wall-clock driver arms its one runtime timer
 // for between RunUntil calls.
 func (e *Engine) NextAt() (at time.Duration, ok bool) {
-	which, ok := e.next()
-	if !ok {
-		return 0, false
-	}
-	return e.heaps[which][0].at, true
+	slot, at := e.next()
+	return at, slot != noIndex
 }
 
 // enqueue takes a slot from the free list (or grows the slab), fills it
@@ -168,21 +250,22 @@ func (e *Engine) enqueue(t time.Duration, cb Callback, arg uint64, payload any) 
 	var slot int32
 	if e.freeHead != noIndex {
 		slot = e.freeHead
-		e.freeHead = e.events[slot].nextFree
+		e.freeHead = e.events[slot].next
 	} else {
 		e.events = append(e.events, event{})
 		slot = int32(len(e.events) - 1)
 	}
-	which := uint8(near)
-	if t-e.now >= farAfter {
-		which = far
-	}
 	ev := &e.events[slot]
-	ev.cb, ev.arg, ev.payload, ev.heap = cb, arg, payload, which
-	h := append(e.heaps[which], heapEntry{})
-	e.heaps[which] = h
-	e.siftUp(h, int32(len(h)-1), heapEntry{at: t, seq: e.seq, slot: slot})
+	ev.cb, ev.arg, ev.payload = cb, arg, payload
+	ev.at, ev.seq = t, e.seq
 	e.seq++
+	ev.far = t-e.now >= farAfter
+	if ev.far {
+		e.far = append(e.far, heapEntry{})
+		e.siftUp(int32(len(e.far)-1), heapEntry{at: t, seq: ev.seq, slot: slot})
+	} else {
+		e.link(slot, ev)
+	}
 	return Timer{eng: e, slot: slot, gen: ev.gen}
 }
 
@@ -193,48 +276,117 @@ func (e *Engine) release(slot int32) {
 	ev.cb = nil
 	ev.payload = nil
 	ev.gen++
-	ev.nextFree = e.freeHead
+	ev.next = e.freeHead
 	e.freeHead = slot
 }
 
-// removeAt deletes and returns the entry at index i of one heap — index 0
-// is the pop of Step, any other the O(log n) unqueue of Timer.Stop —
+// link queues the event ev, in slab slot `slot`, on the wheel. It holds
+// the newest seq, so its place in the slot's list is behind every event
+// not due strictly later: the walk back from the tail passes none in an
+// equal-instant burst.
+func (e *Engine) link(slot int32, ev *event) {
+	s := int64(ev.at >> slotShift)
+	if e.nearN == 0 || s < e.scan {
+		e.scan = s
+	}
+	e.nearN++
+	i := s & wheelMask
+	h := e.heads[i] - 1
+	if h == noIndex {
+		ev.next, ev.prev = noIndex, slot
+		e.heads[i] = slot + 1
+		e.occ[i>>6] |= 1 << (i & 63)
+		e.sum[i>>12] |= 1 << (i >> 6 & 63)
+		return
+	}
+	head := &e.events[h]
+	tail := head.prev
+	p := tail
+	for e.events[p].at > ev.at {
+		if p == h { // due before the head: the new head
+			ev.next, ev.prev = h, tail
+			head.prev = slot
+			e.heads[i] = slot + 1
+			return
+		}
+		p = e.events[p].prev
+	}
+	ev.prev = p
+	if p == tail {
+		ev.next = noIndex
+		head.prev = slot
+	} else {
+		ev.next = e.events[p].next
+		e.events[ev.next].prev = slot
+	}
+	e.events[p].next = slot
+}
+
+// unlink takes the event ev, in slab slot `slot`, off the wheel.
+func (e *Engine) unlink(slot int32, ev *event) {
+	e.nearN--
+	i := int64(ev.at>>slotShift) & wheelMask
+	h := e.heads[i] - 1
+	switch {
+	case slot != h:
+		e.events[ev.prev].next = ev.next
+		if ev.next == noIndex {
+			e.events[h].prev = ev.prev
+		} else {
+			e.events[ev.next].prev = ev.prev
+		}
+	case ev.next != noIndex:
+		e.events[ev.next].prev = ev.prev // the tail
+		e.heads[i] = ev.next + 1
+	default:
+		e.heads[i] = 0
+		w := i >> 6
+		if e.occ[w] &^= 1 << (i & 63); e.occ[w] == 0 {
+			e.sum[w>>6] &^= 1 << (w & 63)
+		}
+	}
+}
+
+// removeAt deletes the entry at index i of the far heap — index 0 is the
+// pop of a firing, any other the O(log n) unqueue of Timer.Stop —
 // preserving the order of everything else.
-func (e *Engine) removeAt(which uint8, i int32) heapEntry {
-	h := e.heaps[which]
+func (e *Engine) removeAt(i int32) {
+	h := e.far
 	n := int32(len(h) - 1)
-	gone, last := h[i], h[n]
-	h = h[:n]
-	e.heaps[which] = h
+	last := h[n]
+	e.far = h[:n]
 	if i == n {
-		return gone
+		return
 	}
 	// The displaced last entry may belong above or below index i.
 	if i > 0 && last.before(h[(i-1)>>2]) {
-		e.siftUp(h, i, last)
+		e.siftUp(i, last)
 	} else {
-		e.siftDown(h, i, last)
+		e.siftDown(i, last)
 	}
-	return gone
 }
 
-// siftUp places en at index i of h or above, keeping slot positions current.
-func (e *Engine) siftUp(h []heapEntry, i int32, en heapEntry) {
+// siftUp places en at index i of the far heap or above, keeping slot
+// positions current.
+func (e *Engine) siftUp(i int32, en heapEntry) {
+	h := e.far
 	for i > 0 {
 		parent := (i - 1) >> 2
 		if !en.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		e.events[h[i].slot].pos = i
+		e.events[h[i].slot].prev = i
 		i = parent
 	}
 	h[i] = en
-	e.events[en.slot].pos = i
+	e.events[en.slot].prev = i
 }
 
-// siftDown places en at index i of h or below, keeping slot positions current.
-func (e *Engine) siftDown(h []heapEntry, i int32, en heapEntry) {
+// siftDown places en at index i of the far heap or below, keeping slot
+// positions current.
+func (e *Engine) siftDown(i int32, en heapEntry) {
+	h := e.far
 	n := int32(len(h))
 	for {
 		first := i<<2 + 1
@@ -255,11 +407,11 @@ func (e *Engine) siftDown(h []heapEntry, i int32, en heapEntry) {
 			break
 		}
 		h[i] = h[best]
-		e.events[h[i].slot].pos = i
+		e.events[h[i].slot].prev = i
 		i = best
 	}
 	h[i] = en
-	e.events[en.slot].pos = i
+	e.events[en.slot].prev = i
 }
 
 // Schedule runs fn after delay of virtual time and returns a stoppable
@@ -291,22 +443,26 @@ func (e *Engine) ScheduleCall(delay time.Duration, cb Callback, arg uint64, payl
 // Step fires the next event; it reports false when the queue is empty or
 // the engine is stopped.
 func (e *Engine) Step() bool {
-	which, ok := e.next()
-	if !ok || e.stopped {
+	slot, _ := e.next()
+	if slot == noIndex || e.stopped {
 		return false
 	}
-	e.fire(which)
+	e.fire(slot)
 	return true
 }
 
-// fire pops the top of one heap and runs it at its time.
-func (e *Engine) fire(which uint8) {
-	en := e.removeAt(which, 0)
-	ev := &e.events[en.slot]
-	e.now = en.at
+// fire unqueues the event next() chose and runs it at its time.
+func (e *Engine) fire(slot int32) {
+	ev := &e.events[slot]
+	if ev.far {
+		e.removeAt(ev.prev)
+	} else {
+		e.unlink(slot, ev)
+	}
+	e.now = ev.at
 	e.fired++
 	cb, arg, payload := ev.cb, ev.arg, ev.payload
-	e.release(en.slot)
+	e.release(slot)
 	cb(arg, payload)
 }
 
@@ -320,11 +476,11 @@ func (e *Engine) Run() {
 // Events scheduled for later remain queued.
 func (e *Engine) RunUntil(t time.Duration) {
 	for !e.stopped {
-		which, ok := e.next()
-		if !ok || e.heaps[which][0].at > t {
+		slot, at := e.next()
+		if slot == noIndex || at > t {
 			break
 		}
-		e.fire(which)
+		e.fire(slot)
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
