@@ -42,7 +42,7 @@ func main() {
 	topoName := flag.String("topology", "single", "topology: g5k, ec2, single, geo")
 	nodes := flag.Int("nodes", 3, "node count")
 	rf := flag.Int("rf", 3, "replication factor")
-	level := flag.String("level", "QUORUM", "consistency level (see storesim) or 'harmony:<alpha>'")
+	level := flag.String("level", "QUORUM", "consistency level (ONE, TWO, THREE, QUORUM, ALL, LOCAL_QUORUM, EACH_QUORUM, K(n)) or 'harmony:<alpha>'")
 	interval := flag.Duration("interval", 2*time.Second, "adaptive tuner re-decision interval")
 	engine := flag.String("engine", "mem", "storage engine: mem or lsm")
 	seed := flag.Uint64("seed", 1, "cluster seed (identical across all processes)")

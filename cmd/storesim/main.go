@@ -2,15 +2,10 @@
 // through the unified Client API: pick a topology, replication factor,
 // consistency level (or an adaptive tuner), a workload mix and an
 // optional multi-key batch size, and get throughput, latency, staleness,
-// resource usage and the priced bill. The -join and -decommission flags
-// turn the run into an elasticity scenario: a spare node joins the ring
-// mid-run via snapshot-streaming bootstrap, and a member streams its
-// ownership out and leaves, with the workload running throughout. With
-// -gossip the membership is disseminated through SWIM-style gossip
-// (per-node views, suspicion, wrong-owner fallback) instead of flipping
-// atomically, and -suspect <node> fails that node mid-run so the
-// per-peer detectors suspect and condemn it, then recovers it so the
-// refutation handshake resurrects it in every view.
+// resource usage and the priced bill. It is one steady run; scenarios —
+// membership changes, failures, autoscaling, an application's day — are
+// studies of cmd/paperbench, each replayed on the experiments rig under
+// a pinned table.
 package main
 
 import (
@@ -38,32 +33,10 @@ func main() {
 	zipf := flag.Bool("zipf", true, "scrambled-zipfian key popularity (false: uniform; skew set by -theta)")
 	hotcache := flag.Bool("hotcache", false, "hot-key fast path: deterministic hot-set tracker + freshness-bounded coordinator read cache")
 	engine := flag.String("engine", "mem", "storage engine: mem (volatile map) or lsm (WAL + sorted runs)")
-	join := flag.Bool("join", false, "mid-run, a spare node joins the ring (snapshot-streaming bootstrap + warming)")
-	decom := flag.Bool("decommission", false, "mid-run, the highest member streams its ownership out and leaves")
-	autoscaleOn := flag.Bool("autoscale", false, "start at the RF+1 provisioning floor and let the cost-loop controller size the cluster from the observed load")
 	gossipOn := flag.Bool("gossip", false, "disseminate membership through SWIM gossip: per-node views, suspicion, wrong-owner fallback (instead of atomic placement)")
-	suspect := flag.Int("suspect", -1, "mid-run, fail this node so every peer's gossip detector suspects it and declares it dead, then recover it to show refutation (requires -gossip)")
 	flag.Parse()
 
-	if *autoscaleOn && (*join || *decom) {
-		fmt.Fprintln(os.Stderr, "-autoscale drives membership itself; drop -join/-decommission")
-		os.Exit(2)
-	}
-	if *suspect >= 0 && !*gossipOn {
-		fmt.Fprintln(os.Stderr, "-suspect demonstrates the gossip failure detector; add -gossip")
-		os.Exit(2)
-	}
-	if *suspect >= 0 && (*join || *decom || *autoscaleOn) {
-		fmt.Fprintln(os.Stderr, "-suspect segments the run itself; drop -join/-decommission/-autoscale")
-		os.Exit(2)
-	}
-
-	// An elasticity scenario needs a spare topology node to join.
-	topoNodes := *nodes
-	if *join {
-		topoNodes++
-	}
-	topo, err := repro.ParseTopology(*topoName, topoNodes)
+	topo, err := repro.ParseTopology(*topoName, *nodes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -72,51 +45,6 @@ func main() {
 	cfg := repro.Defaults(topo)
 	cfg.RF = *rf
 	cfg.Seed = *seed
-	// Derive the member set from the topology actually built (geo rounds
-	// the node count to whole regions): with -join the last topology node
-	// is the spare that joins mid-run.
-	memberCount := topo.N()
-	if *join {
-		memberCount = topo.N() - 1
-		members := make([]repro.NodeID, memberCount)
-		for i := range members {
-			members[i] = repro.NodeID(i)
-		}
-		cfg.InitialMembers = members
-	}
-	if *join || *decom {
-		cfg.WarmupDuration = 2 * time.Second
-		cfg.AntiEntropyInterval = 500 * time.Millisecond
-	}
-	if *autoscaleOn {
-		// Start at the provisioning floor (RF + one tolerated failure)
-		// and let the controller grow into the rest of the topology.
-		memberCount = *rf + 1
-		if memberCount > topo.N() {
-			memberCount = topo.N()
-		}
-		members := make([]repro.NodeID, memberCount)
-		for i := range members {
-			members[i] = repro.NodeID(i)
-		}
-		cfg.InitialMembers = members
-		cfg.WarmupDuration = time.Second
-		cfg.AntiEntropyInterval = 500 * time.Millisecond
-	}
-	if memberCount < *rf {
-		fmt.Fprintf(os.Stderr, "only %d members for RF %d\n", memberCount, *rf)
-		os.Exit(2)
-	}
-	// With -join the decommission happens after the join, so membership
-	// never drops below the (already validated) starting count.
-	if *decom && !*join && memberCount-1 < *rf {
-		fmt.Fprintf(os.Stderr, "decommission would drop below RF (%d members, RF %d)\n", memberCount, *rf)
-		os.Exit(2)
-	}
-	if *suspect >= 0 && *suspect >= memberCount {
-		fmt.Fprintf(os.Stderr, "-suspect %d is not a member (members 0..%d)\n", *suspect, memberCount-1)
-		os.Exit(2)
-	}
 	cfg.Gossip = *gossipOn
 	cfg.HotCache = *hotcache
 	if cfg.Engine, err = repro.ParseEngine(*engine); err != nil {
@@ -138,111 +66,16 @@ func main() {
 		cli = sim.StaticClient(spec.Level, spec.Level)
 	}
 
-	// The cost loop: observed workload → provision.Optimize →
-	// Join/Decommission. The node model mirrors the store's configured
-	// service profile; billing is per-second so scale-down never waits
-	// for an hour boundary inside a short run.
-	var asc *repro.Autoscaler
-	if *autoscaleOn {
-		// Derive a failure budget and read level the replication factor
-		// can actually carry — RF−FailureBudget must cover the level, or
-		// every plan is "level unreachable" and the controller holds
-		// forever.
-		failures := 1
-		if *rf < 2 {
-			failures = 0
-		}
-		readLevel := *rf - failures
-		if readLevel > 2 {
-			readLevel = 2
-		}
-		if readLevel < 1 {
-			readLevel = 1
-		}
-		asc = sim.Autoscale(repro.AutoscaleConfig{
-			NodeType: repro.NodeType{
-				Name:             "sim-node",
-				HourlyCost:       experiments.Pricing().InstanceHour,
-				Concurrency:      cfg.Concurrency,
-				ReadServiceMean:  cfg.ReadService.Mean(),
-				WriteServiceMean: cfg.WriteService.Mean(),
-			},
-			Constraints: repro.ProvisionConstraints{
-				RF: *rf, ReadLevel: readLevel, WriteLevel: 1,
-				MaxStaleRate: 0.10, FailureBudget: failures,
-			},
-			Pricing:  experiments.Pricing().PerSecond(),
-			Interval: 200 * time.Millisecond,
-			Cooldown: time.Second,
-		})
-	}
-
-	// Segment the run around the membership changes: join at ~1/3,
-	// decommission at ~2/3, workload running in every segment.
-	type segment struct {
-		label  string
-		ops    uint64
-		before func()
-	}
-	var segments []segment
-	victim := repro.NodeID(memberCount - 1)
-	spare := repro.NodeID(memberCount)
-	switch {
-	case *join && *decom:
-		segments = []segment{
-			{"steady", *ops / 3, nil},
-			{"after join", *ops / 3, func() { sim.Join(spare) }},
-			{"after decommission", *ops - 2*(*ops/3), func() { sim.Decommission(victim) }},
-		}
-	case *join:
-		segments = []segment{
-			{"steady", *ops / 2, nil},
-			{"after join", *ops - *ops/2, func() { sim.Join(spare) }},
-		}
-	case *decom:
-		segments = []segment{
-			{"steady", *ops / 2, nil},
-			{"after decommission", *ops - *ops/2, func() { sim.Decommission(victim) }},
-		}
-	case *suspect >= 0:
-		target := repro.NodeID(*suspect)
-		segments = []segment{
-			{"steady", *ops / 3, nil},
-			{"suspected", *ops / 3, func() { sim.Cluster.Fail(target) }},
-			{"refuted", *ops - 2*(*ops/3), func() { sim.Cluster.Recover(target) }},
-		}
-	default:
-		segments = []segment{{"steady", *ops, nil}}
-	}
-
 	dist := repro.DistZipfian
 	if !*zipf {
 		dist = repro.DistUniform
 	}
 	w := repro.MixWorkload(*records, *readProp, dist, *theta)
 	start := time.Now()
-	var m *repro.Metrics
-	var totalOps uint64
-	var virtual time.Duration
-	for i, seg := range segments {
-		if seg.before != nil {
-			seg.before()
-			sim.Run(5 * time.Second) // streaming, flip and warmup progress
-		}
-		var err error
-		m, err = cli.Run(w, repro.RunOptions{
-			Ops: seg.ops, Threads: *threads, BatchSize: *batch, NoPreload: i > 0,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		totalOps += m.Ops
-		virtual += m.Elapsed()
-		if len(segments) > 1 {
-			fmt.Printf("%-18s %d members, %8.0f ops/s, stale %.2f%%\n",
-				seg.label+":", len(sim.Members()), m.Throughput(), 100*m.StaleRate())
-		}
+	m, err := cli.Run(w, repro.RunOptions{Ops: *ops, Threads: *threads, BatchSize: *batch})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	popularity := fmt.Sprintf("zipf θ=%.2f", *theta)
@@ -250,22 +83,18 @@ func main() {
 		popularity = "uniform"
 	}
 	fmt.Printf("workload: %d ops (%.0f%% reads, %s) on %d nodes RF %d, level %s, batch %d\n",
-		totalOps, 100**readProp, popularity, len(sim.Members()), *rf, *level, *batch)
+		m.Ops, 100**readProp, popularity, len(sim.Members()), *rf, *level, *batch)
 	fmt.Printf("virtual duration %v (wall %v, %d events)\n",
-		virtual.Round(time.Millisecond), time.Since(start).Round(time.Millisecond), sim.Engine.Events())
-	fmt.Printf("throughput  %.0f ops/s\n", float64(totalOps)/virtual.Seconds())
+		m.Elapsed().Round(time.Millisecond), time.Since(start).Round(time.Millisecond), sim.Engine.Events())
+	fmt.Printf("throughput  %.0f ops/s\n", m.Throughput())
 	fmt.Printf("stale reads %.2f%% (oracle ground truth, whole run)\n", 100*sim.StaleRate())
 	fmt.Printf("read  lat   %s\n", m.ReadLat.String())
 	fmt.Printf("write lat   %s\n", m.WriteLat.String())
-	fmt.Printf("errors      timeouts=%d unavailable=%d (last segment)\n", m.Timeouts, m.Unavailable)
+	fmt.Printf("errors      timeouts=%d unavailable=%d\n", m.Timeouts, m.Unavailable)
 
 	u := sim.Cluster.Usage()
 	fmt.Printf("usage       replicaReads=%d replicaWrites=%d coordOps=%d repairs=%d droppedMutations=%d\n",
 		u.ReplicaReads, u.ReplicaWrites, u.CoordOps, u.ReadRepairs, u.DroppedMuts)
-	if u.Joins > 0 || u.Decommissions > 0 {
-		fmt.Printf("membership  joins=%d decommissions=%d streamed %d cells / %d KiB in %d chunks\n",
-			u.Joins, u.Decommissions, u.StreamedCells, u.StreamedBytes>>10, u.StreamChunks)
-	}
 	if *hotcache {
 		served := u.CacheHits + u.CacheMisses
 		hitShare := 0.0
@@ -286,31 +115,13 @@ func main() {
 	interDC, interRegion := meter.BilledBytes()
 	bill := experiments.Pricing().Smooth().BillFor(repro.Usage{
 		Nodes:            len(sim.Members()),
-		Duration:         virtual,
+		Duration:         m.Elapsed(),
 		StoredBytes:      float64(u.StoredBytes),
 		InterDCBytes:     float64(interDC),
 		InterRegionBytes: float64(interRegion),
 	})
-	fmt.Printf("bill        %s ($%.4f per M ops)\n", bill, bill.Total()/float64(totalOps)*1e6)
+	fmt.Printf("bill        %s ($%.4f per M ops)\n", bill, bill.Total()/float64(m.Ops)*1e6)
 	if ctl != nil {
 		fmt.Printf("adaptive    %d decisions, %d level changes\n", len(ctl.Journal()), ctl.LevelChanges())
-	}
-	if asc != nil {
-		asc.Stop()
-		log := asc.Log()
-		enacted := 0
-		for _, d := range log {
-			if d.Action.Enacted() {
-				enacted++
-			}
-		}
-		fmt.Printf("autoscale   %d control periods, %d enacted, final members %d\n",
-			len(log), enacted, len(sim.Members()))
-		for _, d := range log {
-			if d.Action.Enacted() || d.Action == repro.AutoscaleDeferBoundary {
-				fmt.Printf("  @%-8v %-16s node=%-3d members=%d target=%d  %s\n",
-					d.At.Round(time.Millisecond), d.Action, d.Node, d.Members, d.Target, d.Reason)
-			}
-		}
 	}
 }

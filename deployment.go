@@ -72,25 +72,28 @@ func (d *deployment) StaticClient(read, write Level) Client {
 // HarmonyClient returns a client whose levels Harmony re-tunes to keep
 // the stale-read rate under alpha, with the controller driving it.
 func (d *deployment) HarmonyClient(alpha float64) (Client, *Controller) {
-	return d.clientFor(d.HarmonySession(alpha))
+	return d.clientFor(d.AdaptiveSession(NewHarmonyTuner(alpha, d.Cluster.RF()), 0))
 }
 
 // HarmonyHotClient is HarmonyClient with the hot-key-aware tuner (see
 // NewHarmonyHotTuner; the hot set needs Config.HotCache to populate).
 func (d *deployment) HarmonyHotClient(alpha float64) (Client, *Controller) {
-	return d.clientFor(d.HarmonyHotSession(alpha))
+	return d.clientFor(d.AdaptiveSession(NewHarmonyHotTuner(alpha, d.Cluster), 0))
 }
 
 // BismarClient returns a client whose levels Bismar re-prices for
 // consistency-cost efficiency, with the controller driving it.
 func (d *deployment) BismarClient(dep Deployment) (Client, *Controller) {
-	return d.clientFor(d.BismarSession(dep))
+	return d.clientFor(d.AdaptiveSession(NewBismarTuner(dep), 0))
 }
 
 // BehaviorClient returns a client driven by a fitted behaviour model's
-// runtime classifier, with the controller driving it.
+// runtime classifier — its feature hooks wired into the cluster — with
+// the controller driving it.
 func (d *deployment) BehaviorClient(m *BehaviorModel) (Client, *Controller) {
-	return d.clientFor(d.BehaviorSession(m))
+	rc := behavior.NewRuntimeClassifier(m, d.Cluster.RF())
+	d.be.Do(func() { d.Cluster.AddHooks(rc.Hooks()) })
+	return d.clientFor(d.AdaptiveSession(rc, 0))
 }
 
 // StaticSession returns a session pinned to fixed levels. Sessions assume
@@ -113,29 +116,6 @@ func (d *deployment) AdaptiveSession(t Tuner, interval time.Duration) (sess Sess
 	return sess, ctl
 }
 
-// HarmonySession is AdaptiveSession(NewHarmonyTuner(alpha, RF), 0).
-func (d *deployment) HarmonySession(alpha float64) (Session, *Controller) {
-	return d.AdaptiveSession(NewHarmonyTuner(alpha, d.Cluster.RF()), 0)
-}
-
-// HarmonyHotSession is AdaptiveSession(NewHarmonyHotTuner(alpha, Cluster), 0).
-func (d *deployment) HarmonyHotSession(alpha float64) (Session, *Controller) {
-	return d.AdaptiveSession(NewHarmonyHotTuner(alpha, d.Cluster), 0)
-}
-
-// BismarSession is AdaptiveSession(NewBismarTuner(dep), 0).
-func (d *deployment) BismarSession(dep Deployment) (Session, *Controller) {
-	return d.AdaptiveSession(NewBismarTuner(dep), 0)
-}
-
-// BehaviorSession runs a fitted behaviour model's runtime classifier as
-// the tuner, wiring the classifier's feature hooks into the cluster.
-func (d *deployment) BehaviorSession(m *BehaviorModel) (Session, *Controller) {
-	rc := behavior.NewRuntimeClassifier(m, d.Cluster.RF())
-	d.be.Do(func() { d.Cluster.AddHooks(rc.Hooks()) })
-	return d.AdaptiveSession(rc, 0)
-}
-
 // CollectTrace records an access trace of everything the cluster serves
 // from now on (§III-C's collection step).
 func (d *deployment) CollectTrace(limit int) *behavior.Collector {
@@ -152,12 +132,20 @@ func (d *deployment) Preload(n uint64, key func(uint64) string, value []byte) {
 // Join adds topology node id to the cluster: it bootstraps by snapshot
 // streaming the ranges it will own, the placement flips when streaming
 // completes, and the node warms up before read coordinators count it
-// fully live. It progresses as the deployment runs; poll State.
-func (d *deployment) Join(id NodeID) { d.be.Do(func() { d.Cluster.Join(id) }) }
+// fully live. It progresses as the deployment runs; poll State. A
+// request the cluster cannot start — a current member, a node outside
+// the topology, another change in flight — returns the reason.
+func (d *deployment) Join(id NodeID) error {
+	return query(d, func() error { return d.Cluster.Join(id) })
+}
 
 // Decommission removes member id: it streams its ownership to the new
-// owners, then leaves the ring.
-func (d *deployment) Decommission(id NodeID) { d.be.Do(func() { d.Cluster.Decommission(id) }) }
+// owners, then leaves the ring. It is refused, with the reason, for a
+// node that is not a settled live member, survivors that could not carry
+// the replication factor, or another change in flight.
+func (d *deployment) Decommission(id NodeID) error {
+	return query(d, func() error { return d.Cluster.Decommission(id) })
+}
 
 // Members returns the current ring members.
 func (d *deployment) Members() []NodeID { return query(d, d.Cluster.Members) }

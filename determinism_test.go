@@ -113,6 +113,14 @@ func determinismScenario(seed uint64) []string {
 	return log
 }
 
+// started panics on a refused membership change: the transcripts pin
+// runs in which every Join and Decommission starts.
+func started(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // hashTranscript hashes the pinned portion of the transcript: every
 // op-by-op result plus the stale-rate, usage and meter accounting. The
 // "engine ..." line is excluded — fired-event counts may legitimately
@@ -333,7 +341,7 @@ func membershipDeterminismScenario(seed uint64, lsm bool) []string {
 		}
 		switch round {
 		case 1:
-			s.Join(4)
+			started(s.Join(4))
 			record("join node=4")
 		case 3:
 			s.Cluster.Crash(1)
@@ -343,7 +351,7 @@ func membershipDeterminismScenario(seed uint64, lsm bool) []string {
 			record("restart node=1 runs=%d walRecords=%d torn=%v keys=%d",
 				rs.RunsLoaded, rs.WALRecords, rs.TornTail, rs.Keys)
 		case 5:
-			s.Decommission(0)
+			started(s.Decommission(0))
 			record("decommission node=0")
 		}
 		s.Run(300 * time.Millisecond)
@@ -458,7 +466,7 @@ func gossipDeterminismScenario(seed uint64, lsm bool) []string {
 		}
 		switch round {
 		case 1:
-			s.Join(4)
+			started(s.Join(4))
 			record("join node=4")
 		case 2:
 			s.Cluster.Crash(2) // gossip state survives, probe timers re-arm at restart
@@ -474,7 +482,7 @@ func gossipDeterminismScenario(seed uint64, lsm bool) []string {
 			s.Cluster.Recover(1)
 			record("recover node=1")
 		case 6:
-			s.Decommission(0)
+			started(s.Decommission(0))
 			record("decommission node=0")
 		}
 		s.Run(300 * time.Millisecond)
@@ -610,7 +618,7 @@ func hotCacheDeterminismScenario(seed uint64, lsm bool) []string {
 		}
 		switch round {
 		case 2:
-			s.Join(4)
+			started(s.Join(4))
 			record("join node=4")
 		case 4:
 			s.Cluster.Crash(1) // volatile state — including the cache — is lost
@@ -620,7 +628,7 @@ func hotCacheDeterminismScenario(seed uint64, lsm bool) []string {
 			record("restart node=1 runs=%d walRecords=%d torn=%v keys=%d",
 				rs.RunsLoaded, rs.WALRecords, rs.TornTail, rs.Keys)
 		case 6:
-			s.Decommission(0)
+			started(s.Decommission(0))
 			record("decommission node=0")
 		}
 		s.Run(300 * time.Millisecond)

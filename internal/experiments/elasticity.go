@@ -175,9 +175,9 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 	}
 
 	load("steady", nil)
-	load("join-1", func() { cl.Join(joinerA); watchJoin(joinerA) })
+	load("join-1", func() { must(cl.Join(joinerA)); watchJoin(joinerA) })
 	rg.settle(3 * time.Second) // let the first change settle before the next
-	load("join-2", func() { cl.Join(joinerB); watchJoin(joinerB) })
+	load("join-2", func() { must(cl.Join(joinerB)); watchJoin(joinerB) })
 	rg.settle(3 * time.Second)
 	load("scaled", nil)
 	// Decommission requires a settled (plainly live) node; on platforms
@@ -185,7 +185,7 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 	for i := 0; i < 120 && cl.State(joinerB) != kv.StateLive; i++ {
 		rg.settle(500 * time.Millisecond)
 	}
-	load("scale-down", func() { cl.Decommission(joinerB) })
+	load("scale-down", func() { must(cl.Decommission(joinerB)) })
 	rg.settle(3 * time.Second)
 	load("settled", nil)
 	// Drain until both probes resolved (the ae-only joiners may still be

@@ -141,7 +141,7 @@ func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
 	}
 
 	load("steady", nil)
-	load("join", func() { cl.Join(joiner); watchJoin() })
+	load("join", func() { must(cl.Join(joiner)); watchJoin() })
 	rg.settle(3 * time.Second) // streaming + warmup + view convergence
 	load("storm", func() { cl.Fail(stormNode) })
 	rg.settle(2 * time.Second) // suspicions age into death verdicts

@@ -176,6 +176,14 @@ func (r *rig) studyPhase(name string, w ycsb.Workload, i, n int, during func()) 
 // would fire the events due now ahead of the next phase's first.
 func (r *rig) settle(d time.Duration) { r.eng.RunFor(d) }
 
+// must panics when the cluster refuses a script's membership change:
+// like a stall, that is a bug in the script.
+func must(err error) {
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+}
+
 // counters is one reading of everything a window differences.
 type counters struct {
 	Stale, Fresh, Failed uint64 // the oracle's verdicts on reads

@@ -137,6 +137,11 @@ var Studies = []Study{
 			_, t := RunHotKey(p, seed)
 			return []*Table{t}
 		}},
+	{"behavior", "Behaviour model (§III-C): a day traced, clustered into states and replayed under the runtime classifier",
+		small("behavior", 12, 96, 29_000), func(p Platform, _ float64, seed uint64) []*Table {
+			_, t := RunBehavior(p, seed)
+			return []*Table{t}
+		}},
 	{"storage", "Storage cost (PR 10): pricing durability I/O, in the tuner and in engine provisioning",
 		[]Preset{ec2Cost, g5kCost}, func(p Platform, scale float64, seed uint64) []*Table {
 			_, t := RunStorageCost(p, scale, seed)

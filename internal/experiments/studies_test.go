@@ -27,8 +27,8 @@ func smallPlatform(t *testing.T, study string) Platform {
 // a pure function of (study, platform, scale, seed), whatever the
 // worker-pool width and whatever harness the study's script stands on.
 // The values were computed on commit 43609a9, before the studies moved
-// onto the rig; the other five seed-1 values are listed in
-// EXPERIMENTS.md.
+// onto the rig — behavior's on the commit that added it (PR 24); the
+// other five seed-1 values are listed in EXPERIMENTS.md.
 var goldenTables = map[string]string{
 	"recovery/1":     "e590f25f0d071278410f5e4b77053bf255e98ad2297278a803ec32757dc88ac8",
 	"recovery/7":     "efc61ae8ae4b839478f9448b3b96fa0df703c9a19bd269007f531ae9188ce7cb",
@@ -40,6 +40,8 @@ var goldenTables = map[string]string{
 	"hotkey/7":       "e12c52515e8d2315a6ed8afffd174efe7dfbf78ad3fd3baafac85c4ce22d1990",
 	"autoscale/1":    "2da767d7452a9f924f75ebd6e78d92276a4e173bc07461696c348abd3c44282f",
 	"autoscale/7":    "4303ca4c117bbd92ba71b302a29f4d289facae579b61b312f5d723f74b7e5ac3",
+	"behavior/1":     "015a8e578bf15af17ad162b37dd820f747a394ef9ce63b9b3399e8c04d8d3a9d",
+	"behavior/7":     "40bee873faca16ce3f49799cc7512773f935d2ee5a8b09f3de266259f15dbae4",
 	"bismar/7":       "aaf3ec38c46d9c4544342ddd2489e8f6b4867f27422ea42e3d8bb43fcb940d56",
 	"harmony/7":      "f02ebf991cf0b10f95603917a2ecdabb5eb491e5a1c763efda32c8d07a571b1a",
 	"storage/7":      "46a1bbcd52f95fa9f5926481bc86eddea856fc521dcc618b485db90e017e77e3",
@@ -66,14 +68,14 @@ func checkGolden(t *testing.T, study string, seed uint64, tables ...*Table) {
 // TestStudyTablesGolden replays the seed-7 entries of goldenTables
 // through the registry. The seed-1 entries are checked where that run
 // already happens: TestRecoveryStudyShape, TestElasticityStudy,
-// TestGossipStudy, TestHotKeyStudy and TestAutoscaleStudy hash the table
-// whose outcomes they assert on.
+// TestGossipStudy, TestHotKeyStudy, TestAutoscaleStudy and
+// TestBehaviorStudy hash the table whose outcomes they assert on.
 func TestStudyTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiments; skipped with -short")
 	}
 	for _, study := range []string{"recovery", "elasticity", "gossip", "hotkey", "autoscale",
-		"bismar", "harmony", "storage", "provisioning", "freshness"} {
+		"behavior", "bismar", "harmony", "storage", "provisioning", "freshness"} {
 		s, err := FindStudy(study)
 		if err != nil {
 			t.Fatal(err)

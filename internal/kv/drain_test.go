@@ -66,7 +66,9 @@ func TestMembershipSettledNeverLiesDuringQueuedJoin(t *testing.T) {
 	eng, c := newDrainHarness(t, 200*time.Millisecond)
 	eng.RunFor(50 * time.Millisecond)
 
-	c.Join(3) // in flight...
+	if err := c.Join(3); err != nil { // in flight...
+		t.Fatal(err)
+	}
 	if err := c.TryJoin(4); err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestGossipJoinConvergesViews(t *testing.T) {
 		t.Fatal("founding cluster must start converged")
 	}
 
-	h.cluster.Join(3)
+	h.join(3)
 	h.eng.RunFor(300 * time.Millisecond) // streaming
 	h.waitConverged(t, 5*time.Second)
 	if !h.cluster.MembershipConverged() {
@@ -142,7 +142,7 @@ func staleRingSetup(t *testing.T, seed uint64) (h *harness, key string, joiner, 
 			t.Fatal(w.Err)
 		}
 	}
-	h.cluster.Join(joiner)
+	h.join(joiner)
 	h.eng.RunFor(300 * time.Millisecond)
 	h.waitConverged(t, 5*time.Second)
 
@@ -264,7 +264,7 @@ func TestGossipRetryBudgetExhaustionFailsLoudly(t *testing.T) {
 			t.Fatal(w.Err)
 		}
 	}
-	h.cluster.Join(3)
+	h.join(3)
 	h.eng.RunFor(300 * time.Millisecond)
 	h.waitConverged(t, 5*time.Second)
 	for _, m := range h.cluster.Members() {

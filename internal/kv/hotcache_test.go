@@ -153,7 +153,7 @@ func TestHotCacheRingEviction(t *testing.T) {
 	}
 	preJoin := h.cluster.Usage()
 
-	h.cluster.Join(3)
+	h.join(3)
 	h.eng.RunFor(300 * time.Millisecond) // streaming + placement flip
 	h.waitConverged(t, 5*time.Second)
 	postJoin := h.cluster.Usage()

@@ -34,7 +34,7 @@ import (
 //	           registered so in-flight operations drain cleanly.
 //
 // One membership change runs at a time; a second Join/Decommission
-// before the first flipped panics. Failure of a stream peer mid-change
+// before the first flipped is refused. Failure of a stream peer mid-change
 // cannot wedge the cluster: a guard timer forces the flip after
 // 5×Timeout and the normal repair machinery converges the stragglers.
 
@@ -145,16 +145,18 @@ func (c *Cluster) State(id netsim.NodeID) NodeState {
 // placement flip and the node enter warming (see the package comment
 // above). A node that was decommissioned earlier rejoins as a fresh
 // empty machine. Joining a current member, a node outside the topology,
-// or while another membership change is in flight panics; TryJoin is
-// the non-panicking, queueing variant automation should drive.
-func (c *Cluster) Join(id netsim.NodeID) {
+// or while another membership change is in flight returns an error and
+// changes nothing; TryJoin is the queueing variant automation should
+// drive.
+func (c *Cluster) Join(id netsim.NodeID) error {
 	if err := c.validateJoin(id); err != nil {
-		panic("kv: " + err.Error())
+		return err
 	}
 	if c.pending != nil {
-		panic(fmt.Sprintf("kv: Join(%d) while a membership change is in flight", id))
+		return fmt.Errorf("Join(%d): a membership change is in flight", id)
 	}
 	c.startJoin(id)
+	return nil
 }
 
 // validateJoin reports why a Join cannot be issued, or nil.
@@ -237,23 +239,23 @@ func (c *Cluster) startJoin(id netsim.NodeID) {
 // post-removal placement; once the targets acknowledge, the placement
 // flips and the node leaves the ring (its actor drains in-flight work
 // but coordinates nothing new). Decommissioning below the replication
-// factor, a non-live node, or during another membership change panics;
-// TryDecommission is the non-panicking, queueing variant automation
-// should drive.
-func (c *Cluster) Decommission(id netsim.NodeID) {
-	if c.pending != nil {
-		panic(fmt.Sprintf("kv: Decommission(%d) while a membership change is in flight", id))
+// factor, a non-live node, or during another membership change returns
+// an error and changes nothing; TryDecommission is the queueing variant
+// automation should drive.
+func (c *Cluster) Decommission(id netsim.NodeID) error {
+	if err := c.validateDecommission(id); err != nil {
+		return err
 	}
-	n := c.mustBeLive(id, "Decommission")
-	if n.phase != phaseLive {
-		panic(fmt.Sprintf("kv: Decommission(%d) on a %v node; wait for it to settle", id, c.State(id)))
+	if c.pending != nil {
+		return fmt.Errorf("Decommission(%d): a membership change is in flight", id)
 	}
 	c.startDecommission(id)
+	return nil
 }
 
 // validateDecommission reports why a Decommission cannot be issued, or
-// nil. It mirrors Decommission's panic conditions plus the
-// under-replication guard buildStrategy would otherwise panic on.
+// nil: the node is not a settled live member, or the survivors could not
+// carry the replication factor (buildStrategy would panic on that).
 func (c *Cluster) validateDecommission(id netsim.NodeID) error {
 	n, ok := c.nodes[id]
 	switch {
@@ -296,9 +298,8 @@ func (c *Cluster) startDecommission(id netsim.NodeID) {
 			rest = append(rest, m)
 		}
 	}
-	// buildStrategy panics when the survivors cannot carry the
-	// replication factor (total or per-DC) — the under-provisioning
-	// guard for scale-down.
+	// validateDecommission has checked that the survivors carry the
+	// replication factor (total and per-DC), so buildStrategy cannot panic.
 	c.membershipGen++
 	c.pending = &membershipChange{join: false, id: id, gen: c.membershipGen, next: c.buildStrategy(rest)}
 	n.phase = phaseLeaving
@@ -307,8 +308,8 @@ func (c *Cluster) startDecommission(id netsim.NodeID) {
 }
 
 // A membership change issued while another is still in flight must not
-// race the placement flip. Join/Decommission keep the loud contract —
-// they panic — while TryJoin/TryDecommission queue the request
+// race the placement flip. Join/Decommission refuse it with an error,
+// while TryJoin/TryDecommission queue the request
 // deterministically: FIFO, at most one queued change per node, drained
 // one at a time once the cluster settles (previous change flipped and
 // every warming window elapsed). Queued requests are re-validated at
@@ -339,7 +340,7 @@ func (c *Cluster) membershipIdle() bool {
 	return c.pending == nil && len(c.warming) == 0
 }
 
-// TryJoin is Join without panics: an invalid request returns an error,
+// TryJoin is Join that queues: an invalid request returns an error,
 // and a valid one arriving while the cluster is unsettled is queued
 // (see queuedChange above). Returning nil means the join was started or
 // deterministically queued.
@@ -358,7 +359,7 @@ func (c *Cluster) TryJoin(id netsim.NodeID) error {
 	return nil
 }
 
-// TryDecommission is Decommission without panics, queueing like TryJoin.
+// TryDecommission is Decommission that queues like TryJoin.
 func (c *Cluster) TryDecommission(id netsim.NodeID) error {
 	if err := c.validateDecommission(id); err != nil {
 		return err

@@ -41,7 +41,7 @@ func TestRangeStreamReadsMovedFractionOnly(t *testing.T) {
 					fullWalk, nKeys*cfg.RF, cfg.RF, nKeys)
 			}
 
-			h.cluster.Join(8)
+			h.join(8)
 			h.eng.RunFor(2 * time.Second)
 			if s := h.cluster.State(8); s != kv.StateLive {
 				t.Fatalf("joiner state = %v, want live", s)
@@ -99,7 +99,7 @@ func TestJoinEmptyStoreNoopStream(t *testing.T) {
 	h := newHarness(netsim.SingleDC(5), cfg)
 	h.eng.Run()
 
-	h.cluster.Join(3)
+	h.join(3)
 	h.eng.RunFor(2 * time.Second)
 	if s := h.cluster.State(3); s != kv.StateLive {
 		t.Fatalf("joiner state = %v, want live", s)

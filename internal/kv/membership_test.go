@@ -53,7 +53,7 @@ func TestJoinStreamsDataAndFlipsPlacement(t *testing.T) {
 			if got := len(h.cluster.Members()); got != 3 {
 				t.Fatalf("members = %d before join", got)
 			}
-			h.cluster.Join(3)
+			h.join(3)
 			if s := h.cluster.State(3); s != kv.StateBootstrapping {
 				t.Fatalf("state during streaming = %v", s)
 			}
@@ -118,7 +118,7 @@ func TestJoinAblationSkipsStreaming(t *testing.T) {
 		}
 	}
 	h.eng.Run()
-	h.cluster.Join(3)
+	h.join(3)
 	if s := h.cluster.State(3); s != kv.StateWarming {
 		t.Fatalf("ablation join should flip immediately into warming, got %v", s)
 	}
@@ -149,7 +149,7 @@ func TestDecommissionHandsOffOwnership(t *testing.T) {
 	}
 	h.eng.Run()
 
-	h.cluster.Decommission(3)
+	h.decommission(3)
 	if s := h.cluster.State(3); s != kv.StateLeaving {
 		t.Fatalf("state during handoff = %v", s)
 	}
@@ -195,9 +195,9 @@ func TestRejoinAfterDecommission(t *testing.T) {
 			t.Fatal(w.Err)
 		}
 	}
-	h.cluster.Decommission(3)
+	h.decommission(3)
 	h.eng.RunFor(2 * time.Second)
-	h.cluster.Join(3)
+	h.join(3)
 	h.eng.RunFor(2 * time.Second)
 	if s := h.cluster.State(3); s != kv.StateLive {
 		t.Fatalf("rejoined state = %v", s)
@@ -265,36 +265,47 @@ func TestWarmingStillServesQuorumWhenNeeded(t *testing.T) {
 	}
 }
 
-// TestMembershipContract pins the panics: no concurrent changes, no
+// TestMembershipContract pins the refusals: no concurrent changes, no
 // joining members, no leaving below the replication factor, and no
-// decommission of unsettled nodes.
+// decommission of unsettled nodes — each an error that changes nothing.
 func TestMembershipContract(t *testing.T) {
 	cfg := elasticConfig(27)
 	h := newHarness(netsim.SingleDC(5), cfg)
 	h.eng.Run()
 
-	mustPanic(t, "Join of a member", func() { h.cluster.Join(0) })
-	mustPanic(t, "Join outside the topology", func() { h.cluster.Join(9) })
-	mustPanic(t, "Decommission below RF", func() { h.cluster.Decommission(2) })
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s was accepted", what)
+		}
+		if got := len(h.cluster.Members()); got != 3 {
+			t.Fatalf("%s was refused (%v) but left %d members", what, err, got)
+		}
+	}
+	refused("Join of a member", h.cluster.Join(0))
+	refused("Join outside the topology", h.cluster.Join(9))
+	refused("Decommission below RF", h.cluster.Decommission(2))
 	mustPanic(t, "Fail of a non-member", func() { h.cluster.Fail(4) })
 
-	h.cluster.Join(3)
-	mustPanic(t, "concurrent Join", func() { h.cluster.Join(4) })
-	mustPanic(t, "Decommission during Join", func() { h.cluster.Decommission(0) })
+	h.join(3)
+	refused("concurrent Join", h.cluster.Join(4))
+	refused("Decommission during Join", h.cluster.Decommission(0))
 	h.eng.RunFor(200 * time.Millisecond) // streaming done; node is warming
-	mustPanic(t, "Decommission of a warming node", func() { h.cluster.Decommission(3) })
+	if err := h.cluster.Decommission(3); err == nil {
+		t.Fatal("Decommission of a warming node was accepted")
+	}
 	h.eng.RunFor(time.Second)
 	if s := h.cluster.State(3); s != kv.StateLive {
 		t.Fatalf("state = %v", s)
 	}
 
 	// Sequential changes are fine once the previous one settled.
-	h.cluster.Join(4)
+	h.join(4)
 	h.eng.RunFor(2 * time.Second)
 	if got := len(h.cluster.Members()); got != 5 {
 		t.Fatalf("members = %d", got)
 	}
-	h.cluster.Decommission(4)
+	h.decommission(4)
 	h.eng.RunFor(2 * time.Second)
 	if got := len(h.cluster.Members()); got != 4 {
 		t.Fatalf("members = %d after decommission", got)
@@ -329,12 +340,12 @@ func TestStaleGuardDoesNotFlipNextChange(t *testing.T) {
 		}
 	}
 
-	h.cluster.Join(3) // no data yet: completes instantly; its stale guard fires at t≈0.5s
+	h.join(3) // no data yet: completes instantly; its stale guard fires at t≈0.5s
 	runUntil(200 * time.Millisecond)
 	if s := h.cluster.State(3); s != kv.StateLive {
 		t.Fatalf("first join did not settle: %v", s)
 	}
-	h.cluster.Decommission(3) // still no data: instant
+	h.decommission(3) // still no data: instant
 	if s := h.cluster.State(3); s != kv.StateDecommissioned {
 		t.Fatalf("empty decommission should be instant: %v", s)
 	}
@@ -350,7 +361,7 @@ func TestStaleGuardDoesNotFlipNextChange(t *testing.T) {
 	// Re-join: now there is data to stream, one 50 ms chunk per key
 	// through single read slots, so bootstrap streaming spans the first
 	// join's stale guard at t≈0.5s.
-	h.cluster.Join(3)
+	h.join(3)
 	runUntil(550 * time.Millisecond)
 	if s := h.cluster.State(3); s != kv.StateBootstrapping {
 		t.Fatalf("placement flipped prematurely (stale guard): state = %v", s)
@@ -385,9 +396,9 @@ func TestRestartOfDecommissionedStaysDecommissioned(t *testing.T) {
 		}
 	}
 	// InitialMembers is {0,1,2} plus RF 3, so grow to 4 first.
-	h.cluster.Join(3)
+	h.join(3)
 	h.eng.RunFor(2 * time.Second)
-	h.cluster.Decommission(3)
+	h.decommission(3)
 	h.cluster.Crash(3) // mid-handoff; the wedge guard completes the decommission
 	h.eng.RunFor(3 * time.Second)
 	if s := h.cluster.State(3); s != kv.StateCrashed {
@@ -415,7 +426,7 @@ func TestJoinSurvivesStreamSourceFailure(t *testing.T) {
 		}
 	}
 	h.eng.Run()
-	h.cluster.Join(3)
+	h.join(3)
 	h.cluster.Fail(0) // a stream source dies before its chunks leave
 	h.eng.RunFor(15 * time.Second)
 	if s := h.cluster.State(3); s != kv.StateLive {

@@ -32,7 +32,7 @@ func queueScenario(t *testing.T, seed uint64) ([]netsim.NodeID, kv.Usage) {
 	h.eng.Run()
 
 	// A join is in flight; overlapping requests must queue, not race.
-	h.cluster.Join(4)
+	h.join(4)
 	if h.cluster.MembershipSettled() {
 		t.Fatal("cluster reports settled with a join in flight")
 	}
@@ -125,7 +125,7 @@ func TestQueuedChangeDroppedWhenInvalidated(t *testing.T) {
 	}
 	h.eng.Run()
 
-	h.cluster.Join(4)
+	h.join(4)
 	if err := h.cluster.TryDecommission(3); err != nil {
 		t.Fatalf("TryDecommission(3): %v", err)
 	}

@@ -25,6 +25,20 @@ func newHarness(topo *netsim.Topology, cfg kv.Config) *harness {
 	return &harness{eng: eng, topo: topo, tr: tr, cluster: cl}
 }
 
+// join and decommission start a membership change the test knows to be
+// valid; a refusal is a broken test and panics.
+func (h *harness) join(id netsim.NodeID) {
+	if err := h.cluster.Join(id); err != nil {
+		panic(err)
+	}
+}
+
+func (h *harness) decommission(id netsim.NodeID) {
+	if err := h.cluster.Decommission(id); err != nil {
+		panic(err)
+	}
+}
+
 // runYCSB loads records and drives a workload to completion, returning
 // the metrics.
 func (h *harness) runYCSB(t testing.TB, w ycsb.Workload, sess kv.Session, ops uint64, threads int) *ycsb.Metrics {

@@ -150,7 +150,7 @@ func BenchmarkSnapshotStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += records {
 		dst := NewMemEngine(0)
-		it := src.Snapshot()
+		it := src.SnapshotRanges(fullRing)
 		for {
 			k, c, ok := it.Next()
 			if !ok {

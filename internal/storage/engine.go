@@ -71,19 +71,15 @@ type Engine interface {
 	// Range calls fn for every resident cell in unspecified order until
 	// fn returns false. Mutating the engine during Range is not allowed.
 	Range(fn func(key string, c Cell) bool)
-	// Snapshot returns a point-in-time iterator over the resident cells
-	// in sorted key order (the snapshot-streaming source for bootstrap
-	// and rejoin). The LSM engine seals its memtable first, so the
-	// snapshot is exactly its immutable sorted runs; the mem engine
-	// copies its cells out. Mutations after the call do not appear.
-	Snapshot() SnapshotIter
-	// SnapshotRanges is Snapshot restricted to the given token arcs:
-	// only resident cells whose key token (ring.KeyToken) falls inside
-	// one of the ranges appear, still in sorted key order. The list must
-	// follow ring's ordering invariant (ascending by end token, at most
-	// one wrapping arc and that one first — the shape ring.Diff emits).
-	// The LSM engine seals its memtable first exactly like Snapshot; an
-	// empty range set yields an empty snapshot.
+	// SnapshotRanges returns a point-in-time iterator over the resident
+	// cells whose key token (ring.KeyToken) falls inside one of the given
+	// arcs, in sorted key order — the snapshot-streaming source for
+	// bootstrap and rejoin. The list must follow ring's ordering
+	// invariant (ascending by end token, at most one wrapping arc and
+	// that one first — the shape ring.Diff emits); an empty range set
+	// yields an empty snapshot. The LSM engine seals its memtable first;
+	// the mem engine copies its cells out. Mutations after the call do
+	// not appear.
 	SnapshotRanges(ranges []ring.Range) SnapshotIter
 
 	// Stats reports the engine's operation and durability counters.

@@ -1,18 +1,19 @@
 package storage
 
-// Snapshot streaming: an engine exposes its resident cells as a
-// point-in-time iterator in sorted key order, and the wire codec frames
-// cells with the WAL's length+CRC record format so a stream can be
-// chunked, sized for the traffic meter, and verified on arrival. This is
+// Snapshot streaming: an engine exposes the resident cells of a set of
+// token ranges as a point-in-time iterator in sorted key order, and the
+// wire codec frames cells with the WAL's length+CRC record format so a
+// stream can be chunked, sized for the traffic meter, and verified on
+// arrival. This is
 // the mechanism behind bootstrap/rejoin streaming at the store layer
 // (Cassandra's bootstrap and repair streaming): the sender walks a
 // consistent snapshot, the receiver applies each framed cell through the
 // normal last-write-wins path, so a stream is idempotent and can overlap
 // hints and anti-entropy without conflict.
 //
-// SnapshotRanges is the range-addressed form: the key index remembers
-// each key's ring token, so membership streams ask for exactly the
-// moved arcs (ring.Diff) and the engine walks only those cells.
+// The key index remembers each key's ring token, so membership streams
+// ask for exactly the moved arcs (ring.Diff) and the engine walks only
+// those cells.
 
 import "repro/internal/ring"
 
@@ -21,10 +22,6 @@ import "repro/internal/ring"
 // exhausted. Mutations made after the snapshot was taken do not appear.
 type SnapshotIter interface {
 	Next() (key string, c Cell, ok bool)
-	// Remaining reports an upper bound on the cells the iterator has
-	// left (exact for the mem engine; for the LSM engine superseded run
-	// entries that will be skipped are still counted).
-	Remaining() int
 }
 
 // memSnapshot is a materialized snapshot (cells copied at snapshot time).
@@ -42,16 +39,16 @@ func (s *memSnapshot) Next() (string, Cell, bool) {
 	return e.key, e.cell, true
 }
 
-func (s *memSnapshot) Remaining() int { return len(s.entries) - s.pos }
-
-// Snapshot returns a point-in-time iterator over the mem engine's
-// resident cells: the cells are copied out under the sorted key index,
-// so later mutations do not leak into the stream.
-func (e *MemEngine) Snapshot() SnapshotIter {
-	keys := e.keys.sortedKeys()
-	entries := make([]runEntry, 0, len(keys))
-	for _, k := range keys {
-		if c, ok := e.cells[k]; ok {
+// snapshotRanges materializes, in sorted key order, the cells peek holds
+// for the keys of idx whose tokens fall inside one of the ranges.
+func snapshotRanges(idx *keyIndex, peek func(string) (Cell, bool), ranges []ring.Range) SnapshotIter {
+	keys, toks := idx.sortedView()
+	var entries []runEntry
+	for i, k := range keys {
+		if !ring.RangesContain(ranges, toks[i]) {
+			continue
+		}
+		if c, ok := peek(k); ok {
 			entries = append(entries, runEntry{key: k, cell: c})
 		}
 	}
@@ -60,101 +57,21 @@ func (e *MemEngine) Snapshot() SnapshotIter {
 
 // SnapshotRanges returns a point-in-time iterator restricted to the
 // given token ranges: only resident cells whose key tokens fall inside
-// one of the arcs appear, still in sorted key order. An empty range set
-// yields an empty snapshot.
+// one of the arcs appear, in sorted key order. The cells are copied out
+// under the sorted key index, so later mutations do not leak into the
+// stream. An empty range set yields an empty snapshot.
 func (e *MemEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
-	keys, toks := e.keys.sortedView()
-	var entries []runEntry
-	for i, k := range keys {
-		if !ring.RangesContain(ranges, toks[i]) {
-			continue
-		}
-		if c, ok := e.cells[k]; ok {
-			entries = append(entries, runEntry{key: k, cell: c})
-		}
-	}
-	return &memSnapshot{entries: entries}
-}
-
-// lsmSnapshot merge-iterates a captured set of immutable sorted runs,
-// oldest first in the slice, newest-run-wins per key.
-type lsmSnapshot struct {
-	runs      []run // immutable; compaction replaces the engine's slice, not the runs
-	pos       []int
-	remaining int
-}
-
-func (s *lsmSnapshot) Next() (string, Cell, bool) {
-	// Find the smallest resident key across runs; among equal keys the
-	// newest run (highest index) wins and the older entries are skipped.
-	best := -1
-	for i := range s.runs {
-		if s.pos[i] >= len(s.runs[i].entries) {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		bk, ik := s.runs[best].entries[s.pos[best]].key, s.runs[i].entries[s.pos[i]].key
-		if ik <= bk {
-			// i > best in slice order means i is the newer run; on key
-			// ties the newer run supersedes.
-			best = i
-		}
-	}
-	if best < 0 {
-		return "", Cell{}, false
-	}
-	ent := s.runs[best].entries[s.pos[best]]
-	// Advance every run past this key (superseded duplicates drop out).
-	for i := range s.runs {
-		for s.pos[i] < len(s.runs[i].entries) && s.runs[i].entries[s.pos[i]].key == ent.key {
-			s.pos[i]++
-			s.remaining--
-		}
-	}
-	return ent.key, ent.cell, true
-}
-
-func (s *lsmSnapshot) Remaining() int { return s.remaining }
-
-// Snapshot returns a point-in-time iterator over the LSM engine's
-// resident cells. The memtable is sealed into a run first (Cassandra
-// flushes before streaming), so the snapshot is exactly the immutable
-// sorted runs at this instant: later writes land in a fresh memtable and
-// later flushes append new runs, neither of which the captured run set
-// references.
-func (e *LSMEngine) Snapshot() SnapshotIter {
-	e.Flush()
-	runs := append([]run(nil), e.runs...)
-	s := &lsmSnapshot{runs: runs, pos: make([]int, len(runs))}
-	for i := range runs {
-		s.remaining += len(runs[i].entries)
-	}
-	return s
+	return snapshotRanges(&e.keys, e.Peek, ranges)
 }
 
 // SnapshotRanges returns a point-in-time iterator restricted to the
-// given token ranges. The memtable is sealed first exactly like
-// Snapshot (so range- and full snapshots have identical flush side
-// effects); matching cells are then materialized through the key index
-// and Peek, which reads the same newest-run-wins view the merge
-// iterator would. An empty range set yields an empty snapshot (but
-// still flushes).
+// given token ranges. The memtable is sealed into a run first
+// (Cassandra flushes before streaming); matching cells are then
+// materialized through the key index and Peek's newest-run-wins view.
+// An empty range set yields an empty snapshot (but still flushes).
 func (e *LSMEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
 	e.Flush()
-	keys, toks := e.keys.sortedView()
-	var entries []runEntry
-	for i, k := range keys {
-		if !ring.RangesContain(ranges, toks[i]) {
-			continue
-		}
-		if c, ok := e.Peek(k); ok {
-			entries = append(entries, runEntry{key: k, cell: c})
-		}
-	}
-	return &memSnapshot{entries: entries}
+	return snapshotRanges(&e.keys, e.Peek, ranges)
 }
 
 // EncodeCell appends the framed wire encoding of one (key, cell) pair to

@@ -23,6 +23,21 @@ func rangeTestEngines() []struct {
 	}
 }
 
+// fullRing is the one arc that covers every token.
+var fullRing = []ring.Range{{Start: 0, End: 0}}
+
+// scanAll is the snapshot tests' reference: every resident cell in
+// sorted key order through Scan, a path that shares no code with
+// SnapshotRanges' token filter.
+func scanAll(e Engine) []runEntry {
+	var out []runEntry
+	e.Scan("", "", func(k string, c Cell) bool {
+		out = append(out, runEntry{key: k, cell: c})
+		return true
+	})
+	return out
+}
+
 func drain(it SnapshotIter) []runEntry {
 	var out []runEntry
 	for {
@@ -35,9 +50,9 @@ func drain(it SnapshotIter) []runEntry {
 }
 
 // TestSnapshotRangesMatchesFilteredFull pins the equivalence contract:
-// for any range set, SnapshotRanges yields exactly the full snapshot's
-// cells whose tokens fall in the ranges, in the same (sorted key)
-// order — including tombstones and across LSM runs with superseded
+// for any range set, SnapshotRanges yields exactly the full sorted
+// scan's cells whose tokens fall in the ranges, in the same (sorted
+// key) order — including tombstones and across LSM runs with superseded
 // versions.
 func TestSnapshotRangesMatchesFilteredFull(t *testing.T) {
 	ids := make([]netsim.NodeID, 8)
@@ -60,7 +75,7 @@ func TestSnapshotRangesMatchesFilteredFull(t *testing.T) {
 			}
 			for _, owner := range ids {
 				ranges := r.Ranges(owner)
-				full := drain(e.Snapshot())
+				full := scanAll(e)
 				var want []runEntry
 				for _, ent := range full {
 					if ring.RangesContain(ranges, ring.KeyToken(ent.key)) {
@@ -110,7 +125,7 @@ func TestSnapshotRangesEmptyAndWrap(t *testing.T) {
 			}
 			inWrap := drain(e.SnapshotRanges([]ring.Range{wrap}))
 			rest := drain(e.SnapshotRanges([]ring.Range{{Start: 42, End: mid}}))
-			full := drain(e.Snapshot())
+			full := scanAll(e)
 			if len(inWrap)+len(rest) != len(full) {
 				t.Fatalf("wrap %d + rest %d != full %d", len(inWrap), len(rest), len(full))
 			}
@@ -127,14 +142,13 @@ func TestSnapshotRangesEmptyAndWrap(t *testing.T) {
 }
 
 // TestSnapshotRangesPointInTime pins that a range snapshot does not see
-// mutations applied after it was taken (same contract as Snapshot).
+// mutations applied after it was taken.
 func TestSnapshotRangesPointInTime(t *testing.T) {
 	for _, tc := range rangeTestEngines() {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.mk()
 			fillEngine(e, 50, 1)
-			all := []ring.Range{{Start: 0, End: 0}} // full ring
-			it := e.SnapshotRanges(all)
+			it := e.SnapshotRanges(fullRing)
 			e.Apply("snap00000", Cell{Version: Version{Timestamp: 1 << 40, Seq: 1 << 40}, Value: []byte("late")})
 			e.Apply("zzz-late", Cell{Version: Version{Timestamp: 1 << 40, Seq: 1 << 41}, Value: []byte("late")})
 			got := drain(it)
@@ -151,9 +165,9 @@ func TestSnapshotRangesPointInTime(t *testing.T) {
 }
 
 // TestSnapshotRangesLSMFlushSideEffect pins that SnapshotRanges seals
-// the LSM memtable exactly like Snapshot — even for an empty range set
-// — so the range-addressed stream path keeps flush behavior (and the
-// determinism transcripts that depend on it) identical.
+// the LSM memtable even for an empty range set: the stream path's flush
+// behavior, and the determinism transcripts that depend on it, do not
+// vary with what a source happens to own.
 func TestSnapshotRangesLSMFlushSideEffect(t *testing.T) {
 	e := NewLSMEngine(Options{FlushLimit: 1 << 20, SyncBytes: 0, MaxRuns: 16})
 	fillEngine(e, 40, 1)

@@ -15,10 +15,10 @@ func fillEngine(e Engine, n int, seqBase uint64) {
 	}
 }
 
-// TestSnapshotSortedAndComplete pins that both engines' snapshots visit
-// every resident cell exactly once in sorted key order — including
-// tombstones, and for the LSM engine across memtable + multiple runs
-// with superseded versions.
+// TestSnapshotSortedAndComplete pins that both engines' full-ring
+// snapshots visit every resident cell exactly once in sorted key order,
+// the cells a sorted Scan yields — including tombstones, and for the LSM
+// engine across memtable + multiple runs with superseded versions.
 func TestSnapshotSortedAndComplete(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -40,20 +40,20 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 			}
 			e.Delete("snap00004", Version{Timestamp: 5000, Seq: 5000})
 
-			it := e.Snapshot()
+			want := scanAll(e)
 			var prev string
 			count := 0
-			for {
-				k, c, ok := it.Next()
-				if !ok {
-					break
+			for _, ent := range drain(e.SnapshotRanges(fullRing)) {
+				k, c := ent.key, ent.cell
+				if count >= len(want) || want[count].key != k || want[count].cell.Version != c.Version {
+					t.Fatalf("snapshot cell %d = %q@%v, the sorted scan disagrees", count, k, c.Version)
 				}
 				if count > 0 && k <= prev {
 					t.Fatalf("snapshot out of order: %q after %q", k, prev)
 				}
-				want, wok := e.Peek(k)
-				if !wok || want.Version != c.Version || want.Tombstone != c.Tombstone {
-					t.Fatalf("snapshot cell %q = %+v, resident %+v (ok=%v)", k, c, want, wok)
+				res, ok := e.Peek(k)
+				if !ok || res.Version != c.Version || res.Tombstone != c.Tombstone {
+					t.Fatalf("snapshot cell %q = %+v, resident %+v (ok=%v)", k, c, res, ok)
 				}
 				prev = k
 				count++
@@ -66,7 +66,7 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 }
 
 // TestSnapshotIsolation pins the point-in-time property: mutations made
-// after Snapshot() do not appear in the iteration.
+// after SnapshotRanges do not appear in the iteration.
 func TestSnapshotIsolation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -78,7 +78,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.mk()
 			fillEngine(e, 50, 1)
-			it := e.Snapshot()
+			it := e.SnapshotRanges(fullRing)
 			// Mutate after the snapshot: a new key and a newer version.
 			e.Apply("zzz-late", Cell{Version: Version{Timestamp: 9999, Seq: 9999}, Value: []byte("late")})
 			e.Apply("snap00000", Cell{Version: Version{Timestamp: 9999, Seq: 9998}, Value: []byte("late")})
@@ -112,7 +112,7 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	newer := Cell{Version: Version{Timestamp: 1 << 40, Seq: 1 << 40}, Value: []byte("kept")}
 	dst.Apply("snap00001", newer)
 
-	it := src.Snapshot()
+	it := src.SnapshotRanges(fullRing)
 	var chunk []byte
 	total, applied := 0, 0
 	flush := func() {

@@ -45,12 +45,12 @@
 // returned next to it: HarmonyClient bounds the stale-read rate,
 // HarmonyHotClient does so per hot key, BismarClient maximizes
 // consistency-cost efficiency, BehaviorClient follows a fitted
-// application-behaviour model, and StaticClient pins levels. Each has a
-// *Session twin returning the bare session; AdaptiveSession runs any
-// Tuner at a chosen control period (the shorthands use the default,
-// 100 ms). Client.Run drives YCSB-style workloads (RunOptions.BatchSize
-// switches the driver to multi-key batches) through the same session
-// machinery.
+// application-behaviour model, and StaticClient pins levels.
+// AdaptiveSession runs any Tuner at a chosen control period and returns
+// the bare session (the shorthands use the default, 100 ms;
+// Client.Session is the session behind any client). Client.Run drives
+// YCSB-style workloads (RunOptions.BatchSize switches the driver to
+// multi-key batches) through the same session machinery.
 //
 // See README.md for a walkthrough, examples/ for runnable programs,
 // internal/experiments for the paper's evaluation harness and
@@ -301,12 +301,3 @@ func BuildBehaviorModel(tl Timeline, opts BehaviorOptions) (*BehaviorModel, erro
 
 // DefaultBehaviorOptions explores 2..6 states with the generic rules.
 func DefaultBehaviorOptions() BehaviorOptions { return behavior.DefaultOptions() }
-
-// Trace and model persistence for the offline workflow (collect one day,
-// model later, ship the model to the runtime classifier).
-var (
-	// ReadTrace parses a JSON trace written by Trace.WriteTo.
-	ReadTrace = behavior.ReadTrace
-	// ReadBehaviorModel parses a JSON model written by Model.WriteTo.
-	ReadBehaviorModel = behavior.ReadModel
-)
