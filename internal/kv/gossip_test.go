@@ -1,6 +1,8 @@
 package kv_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -183,44 +185,66 @@ func containsID(list []netsim.NodeID, id netsim.NodeID) bool {
 	return false
 }
 
+// readLine and writeLine are one result's transcript line.
+func readLine(r kv.ReadResult) string {
+	return fmt.Sprintf("get %s err=%v val=%q lat=%v ver=%v", r.Key, r.Err, r.Value, r.Latency, r.Version)
+}
+
+func writeLine(w kv.WriteResult) string {
+	return fmt.Sprintf("put %s err=%v lat=%v ver=%v acked=%d", w.Key, w.Err, w.Latency, w.Version, w.Acked)
+}
+
 // TestStaleRingNotOwnerFallback: coordinators on a maximally stale
 // (pre-join) ring still meet quorum within the deadline for every
 // operation shape — the displaced replica's notOwner refusal advances
-// their ring and the retry contacts the true owners.
+// their ring and the retry contacts the true owners. Each case's
+// transcript (every result, then Usage and the transport meter after a
+// one-second drain) is pinned by hash: these are the only pins on the
+// batched wrong-owner paths, which the atomic-path transcripts of the
+// root determinism tests never reach.
 func TestStaleRingNotOwnerFallback(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(t *testing.T, h *harness, key string)
+		want string
+		run  func(t *testing.T, h *harness, key string) []string
 	}{
-		{"read", func(t *testing.T, h *harness, key string) {
+		{"read", "1217240fdc2ebe9d612501ea829f5675b3b638f2df97cca96ad0a8fff687d329", func(t *testing.T, h *harness, key string) []string {
 			r := h.read(key, kv.Quorum)
 			if r.Err != nil || string(r.Value) != "v0" {
 				t.Fatalf("stale-ring read: err=%v value=%q", r.Err, r.Value)
 			}
+			return []string{readLine(r)}
 		}},
-		{"write", func(t *testing.T, h *harness, key string) {
-			if w := h.write(key, []byte("v1"), kv.Quorum); w.Err != nil {
+		{"write", "011678f4254cf0ec06a56ef858dadaa5a1313527d9c901472245bb82c23da304", func(t *testing.T, h *harness, key string) []string {
+			w := h.write(key, []byte("v1"), kv.Quorum)
+			if w.Err != nil {
 				t.Fatalf("stale-ring write: %v", w.Err)
 			}
+			return []string{writeLine(w)}
 		}},
 		// All-level: quorum target selection may skip the displaced
 		// replica entirely; All guarantees the stale coordinator contacts
 		// it and gets refused.
-		{"batch-read", func(t *testing.T, h *harness, key string) {
-			res := h.batchRead([]string{key, gkey(0), gkey(1)}, kv.All)
-			for _, r := range res {
+		{"batch-read", "aeca122de126cddd0e60bb4e26ff8d18584f028a97ddf5bf06aebe77b72ee012", func(t *testing.T, h *harness, key string) []string {
+			var lines []string
+			for _, r := range h.batchRead([]string{key, gkey(0), gkey(1)}, kv.All) {
 				if r.Err != nil || !r.Exists {
 					t.Fatalf("stale-ring batch read %s: err=%v exists=%v", r.Key, r.Err, r.Exists)
 				}
+				lines = append(lines, readLine(r))
 			}
+			return lines
 		}},
-		{"batch-write", func(t *testing.T, h *harness, key string) {
+		{"batch-write", "9925484680778ce3efd8880411efbf149c05e0af09d1954f8d9f1f03fbb1dbfe", func(t *testing.T, h *harness, key string) []string {
+			var lines []string
 			ops := []kv.BatchOp{{Key: key, Value: []byte("v1")}, {Key: gkey(0), Value: []byte("v1")}}
 			for _, w := range h.batchWrite(ops, kv.Quorum) {
 				if w.Err != nil {
 					t.Fatalf("stale-ring batch write %s: %v", w.Key, w.Err)
 				}
+				lines = append(lines, writeLine(w))
 			}
+			return lines
 		}},
 	}
 	for ci, tc := range cases {
@@ -230,8 +254,9 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 			// Repeat the op: coordinator choice is random, and a stale
 			// coordinator converges the moment it is taught — several
 			// attempts guarantee at least one exercised the fallback.
+			var lines []string
 			for i := 0; i < 10; i++ {
-				tc.run(t, h, key)
+				lines = append(lines, tc.run(t, h, key)...)
 			}
 			u := h.cluster.Usage()
 			if u.NotOwnerReplies == before.NotOwnerReplies {
@@ -240,12 +265,25 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 			if u.WrongOwnerRetries == before.WrongOwnerRetries {
 				t.Error("no wrong-owner retry ran")
 			}
+			h.eng.RunFor(time.Second)
 			if tc.name == "write" || tc.name == "batch-write" {
 				// The retry must have shipped the cell to the new owner.
-				h.eng.RunFor(time.Second)
 				if _, ok := h.cluster.Node(joiner).Engine().Get(key); !ok {
 					t.Error("retried write never reached the new owner")
 				}
+			}
+			m := h.tr.Meter()
+			lines = append(lines, fmt.Sprintf("usage %+v", h.cluster.Usage()),
+				fmt.Sprintf("meter msgs=%v bytes=%v dropped=%d", m.Messages, m.Bytes, m.Dropped))
+			sum := sha256.New()
+			for _, l := range lines {
+				sum.Write([]byte(l + "\n"))
+			}
+			if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {
+				for _, l := range lines {
+					t.Log(l)
+				}
+				t.Errorf("transcript hash = %s, want %s", got, tc.want)
 			}
 		})
 	}
