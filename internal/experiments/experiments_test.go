@@ -12,12 +12,14 @@ func TestExpA_Grid5000Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	p := G5KHarmony().Scaled(testScale)
-	rows, table := RunExpA(p, 3)
+	// The run `paperbench harmony` makes at test scale, so the golden
+	// table is pinned here instead of replayed by TestStudyTablesGolden.
+	rows, table := RunExpA(G5KHarmony().Scaled(testScale), 7)
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
 	assertExpAShape(t, rows)
+	checkGolden(t, "harmony", 7, table)
 }
 
 func TestExpA_EC2Shape(t *testing.T) {
@@ -119,8 +121,10 @@ func TestExpCBismarShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	p := G5KCost().Scaled(testScale)
-	rows, table := RunExpC(p, testScale, 3)
+	// The run `paperbench bismar` makes at test scale (RunExpC scales the
+	// platform itself), so the golden table is pinned here instead of
+	// replayed by TestStudyTablesGolden.
+	rows, table := RunExpC(G5KCost(), testScale, 7)
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
@@ -151,4 +155,5 @@ func TestExpCBismarShape(t *testing.T) {
 	if oneRow.StaleRate <= bismarRow.StaleRate {
 		t.Errorf("static ONE should be staler than bismar")
 	}
+	checkGolden(t, "bismar", 7, table)
 }

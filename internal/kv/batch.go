@@ -4,14 +4,17 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/storage"
 )
 
 // Batched multi-key coordination. A batch pays one coordinator admission
-// and sends at most one request message per replica — the per-item
-// machinery (level requirements, ack folding, read repair, staleness
-// judgment, monitor hooks) is shared with the single-key path through
-// readCtx/writeCtx.
+// and sends at most one request message per replica. Every item is a
+// readCtx/writeCtx, and everything per item is the single-key path's own
+// code: openRead/openWrite admit it, askReplicas/shipWrite address it
+// (into the batch's per-replica grouping, reqFor, instead of one message
+// per replica each), foldRead and foldWriteAck fold the answers, and
+// the wrong-owner retry re-plans it through replanRead/shipWrite. What is
+// the batch's own is the collector: one admission, one timeout, one
+// reply.
 
 // ReadBatch issues a multi-key read as one coordinated batch instead of
 // len(keys) independent operations. Results arrive together, in key
@@ -78,16 +81,12 @@ func failedWrites(ops []BatchOp, lvl Level, err error, lat time.Duration) []Writ
 	return out
 }
 
-// coordBatchRead admits a whole multi-key read with a single admission
-// cost, then fans out at most one request message per replica.
-func (n *Node) coordBatchRead(m clientBatchRead) {
-	n.coordWork(coordExec{kind: execBatchRead, br: m})
-}
-
-// admitBatchRead plans and fans out a batch whose admission work is done.
+// admitBatchRead plans and fans out a batch whose admission work is done:
+// one admission for the whole batch, then at most one request message
+// per replica.
 func (n *Node) admitBatchRead(m clientBatchRead) {
 	now := n.cluster.net.Now()
-	n.coordOps++ // one admission for the whole batch
+	n.coordOps++
 	n.cluster.hooks.batchStarted(now, len(m.Keys), 0)
 
 	bctx := &batchReadCtx{
@@ -96,58 +95,21 @@ func (n *Node) admitBatchRead(m clientBatchRead) {
 		results: make([]ReadResult, len(m.Keys)),
 		pending: len(m.Keys),
 	}
-
-	var order []netsim.NodeID
-	perReplica := make(map[netsim.NodeID]*replicaBatchRead)
+	reqs := make([]replicaReq, 0, 8)
 	for i, key := range m.Keys {
-		n.cluster.hooks.readStarted(now, key)
-		if t := n.cluster.hot; t != nil {
-			t.observeRead(key, now)
-		}
-		replicas := n.routeReplicas(key)
-		req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
 		ctx := getReadCtx()
-		targets, ok := n.pickTargets(replicas, req, ctx.targets)
-		ctx.targets = targets
-		if !ok {
-			putReadCtx(ctx)
-			// Like the single-read path: unavailable admissions do
-			// not fire readCompleted, only the oracle failure count.
-			n.cluster.oracle.ReadFailed()
-			n.batchReadDone(bctx, i, ReadResult{Err: ErrUnavailable, Key: key, Level: m.Level})
+		ctx.id, ctx.key, ctx.level, ctx.batch, ctx.item = m.ID, key, m.Level, bctx, i
+		if !n.openRead(ctx, now) {
 			continue
 		}
-		ctx.id, ctx.key, ctx.level, ctx.req = m.ID, key, m.Level, req
-		ctx.start = now
-		ctx.batch, ctx.item = bctx, i
-		ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(key)
-		if req.perDC != nil {
-			ctx.ackDC = make(map[string]int, len(req.perDC))
-		}
 		bctx.items[i] = ctx
-		for _, t := range targets {
-			rb := perReplica[t]
-			if rb == nil {
-				rb = &replicaBatchRead{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
-				perReplica[t] = rb
-				order = append(order, t)
-			}
-			rb.Idxs = append(rb.Idxs, i)
-			rb.Keys = append(rb.Keys, key)
-		}
+		reqs = n.askReplicas(ctx, ctx.targets, false, reqs)
 	}
 	if bctx.pending == 0 {
 		return // every item failed at admission; reply already sent
 	}
 	n.batchReads[m.ID] = bctx
-	for _, t := range order {
-		rb := perReplica[t]
-		size := msgOverhead
-		for _, k := range rb.Keys {
-			size += len(k)
-		}
-		n.cluster.net.Send(n.id, t, rb, size)
-	}
+	n.sendReqs(reqs)
 	bctx.timer = n.armTimeout(m.ID, false)
 }
 
@@ -163,7 +125,8 @@ func (n *Node) batchReadDone(bctx *batchReadCtx, i int, res ReadResult) {
 }
 
 // onBatchReadResp folds one replica's batched response into every item
-// it answers for.
+// it answers for. Batched responses always carry data, so completion
+// never waits on a digest refetch.
 func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 	bctx, ok := n.batchReads[m.ID]
 	if !ok {
@@ -174,33 +137,8 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 		if ctx == nil {
 			continue // failed at admission or already finalized
 		}
-		if ctx.findResp(m.From) >= 0 {
-			continue
-		}
-		resp := replicaReadResp{
-			ID: m.ID, Key: ctx.key, Cell: it.Cell, Exists: it.Exists, From: m.From,
-		}
-		ctx.responses = append(ctx.responses, resp)
-		ctx.ackTotal++
-		if ctx.ackDC != nil {
-			ctx.ackDC[n.cluster.topo.DCOf(m.From)]++
-		}
-		if resp.Exists {
-			if !ctx.haveBest || resp.Cell.Version.After(ctx.best.Cell.Version) {
-				ctx.best = resp
-				ctx.haveBest = true
-			}
-			if !ctx.haveData || resp.Cell.Version.After(ctx.bestData.Cell.Version) {
-				ctx.bestData = resp
-				ctx.haveData = true
-			}
-		}
-		// Batched responses always carry data, so completion never waits
-		// on a digest refetch.
-		if !ctx.completed && ctx.req.satisfiedCounts(ctx.ackTotal, ctx.ackDC) {
-			n.tryCompleteRead(ctx)
-		}
-		if len(ctx.responses) >= len(ctx.targets) && ctx.delivered {
+		resp := replicaReadResp{ID: m.ID, Key: ctx.key, Cell: it.Cell, Exists: it.Exists, From: m.From}
+		if n.foldRead(ctx, resp) && ctx.finished() {
 			bctx.items[it.Idx] = nil
 			n.finalizeRead(ctx)
 			putReadCtx(ctx)
@@ -225,18 +163,12 @@ func (n *Node) replyBatchRead(rt opRoute, res []ReadResult) {
 	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchReadReply{rt: rt, res: res}, size)
 }
 
-// coordBatchWrite admits a whole multi-key mutation batch with a single
-// admission cost, then sends each replica one message carrying every
-// cell it owns.
-func (n *Node) coordBatchWrite(m clientBatchWrite) {
-	n.coordWork(coordExec{kind: execBatchWrite, bw: m})
-}
-
 // admitBatchWrite versions and fans out a batch whose admission work is
-// done.
+// done: one admission, then each replica gets one message carrying every
+// cell it owns.
 func (n *Node) admitBatchWrite(m clientBatchWrite) {
 	now := n.cluster.net.Now()
-	n.coordOps++ // one admission for the whole batch
+	n.coordOps++
 	n.cluster.hooks.batchStarted(now, 0, len(m.Ops))
 
 	bctx := &batchWriteCtx{
@@ -245,69 +177,73 @@ func (n *Node) admitBatchWrite(m clientBatchWrite) {
 		results: make([]WriteResult, len(m.Ops)),
 		pending: len(m.Ops),
 	}
-
-	var order []netsim.NodeID
-	perReplica := make(map[netsim.NodeID]*replicaBatchWrite)
+	reqs := make([]replicaReq, 0, 8)
 	for i, op := range m.Ops {
-		replicas := n.routeReplicas(op.Key)
-		req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
-		if !n.routeReachable(replicas, req) {
-			n.batchWriteDone(bctx, i, WriteResult{Err: ErrUnavailable, Key: op.Key, Level: m.Level})
-			continue
-		}
-		version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
-		cell := storage.Cell{Version: version, Value: op.Value, Tombstone: op.Delete}
-		n.cluster.oracle.WriteStarted(op.Key, version, len(replicas), now)
-		n.cluster.hooks.writeStarted(now, op.Key, version, len(replicas))
-		if t := n.cluster.hot; t != nil {
-			t.observeWrite(op.Key, now)
-		}
-		n.cacheInvalidate(op.Key)
 		ctx := getWriteCtx()
-		ctx.id, ctx.key, ctx.level, ctx.req = m.ID, op.Key, m.Level, req
-		ctx.start = now
-		ctx.batch, ctx.item = bctx, i
-		ctx.version = version
-		ctx.replicas = len(replicas)
-		if req.perDC != nil {
-			ctx.ackDC = make(map[string]int, len(req.perDC))
+		ctx.id, ctx.key, ctx.level, ctx.batch, ctx.item = m.ID, op.Key, m.Level, bctx, i
+		replicas, ok := n.openWrite(ctx, op.Value, op.Delete, now)
+		if !ok {
+			continue
 		}
 		bctx.items[i] = ctx
 		bctx.open++
-		if n.gs != nil {
-			ctx.cell = cell
-			ctx.sent = append(ctx.sent[:0], replicas...)
-		}
-		for _, r := range replicas {
-			if n.routeDown(r) {
-				n.storeHint(r, op.Key, cell)
-				continue
-			}
-			rb := perReplica[r]
-			if rb == nil {
-				rb = &replicaBatchWrite{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
-				perReplica[r] = rb
-				order = append(order, r)
-			}
-			rb.Idxs = append(rb.Idxs, i)
-			rb.Keys = append(rb.Keys, op.Key)
-			rb.Cells = append(rb.Cells, cell)
-			ctx.shipped++
-		}
+		reqs = n.shipWrite(ctx, replicas, reqs)
+	}
+	if bctx.open == 0 {
+		return // every item failed at admission; reply already sent
 	}
 	// The batch context outlives the client reply: late replica acks are
 	// the monitor's propagation signal, exactly as for single writes. It
 	// retires with its last item (onBatchWriteAck) or at the timeout.
 	n.batchWrites[m.ID] = bctx
-	for _, r := range order {
-		rb := perReplica[r]
-		size := msgOverhead
-		for j := range rb.Keys {
-			size += len(rb.Keys[j]) + len(rb.Cells[j].Value)
-		}
-		n.cluster.net.Send(n.id, r, rb, size)
-	}
+	n.sendReqs(reqs)
 	bctx.timer = n.armTimeout(m.ID, true)
+}
+
+// replicaReq is one replica's share of a batch: the one request message
+// that carries every item the replica serves.
+type replicaReq struct {
+	to    netsim.NodeID
+	read  *replicaBatchRead
+	write *replicaBatchWrite
+}
+
+// reqFor returns reqs with the request to replica to, created on first
+// use: a batch's replica requests in first-use order, one per replica. A
+// replica-sized scan needs no map, and a slice returned rather than
+// stored stays on the stack of the admission or retry that builds it.
+func (n *Node) reqFor(reqs []replicaReq, to netsim.NodeID, id reqID, write bool) ([]replicaReq, *replicaReq) {
+	for i := range reqs {
+		if reqs[i].to == to {
+			return reqs, &reqs[i]
+		}
+	}
+	r := replicaReq{to: to}
+	if write {
+		r.write = &replicaBatchWrite{ID: id, Coord: n.id, RingSeq: n.ringSeq()}
+	} else {
+		r.read = &replicaBatchRead{ID: id, Coord: n.id, RingSeq: n.ringSeq()}
+	}
+	reqs = append(reqs, r)
+	return reqs, &reqs[len(reqs)-1]
+}
+
+// sendReqs sends a batch's grouped replica requests in first-use order.
+func (n *Node) sendReqs(reqs []replicaReq) {
+	for _, r := range reqs {
+		size := msgOverhead
+		if w := r.write; w != nil {
+			for j := range w.Keys {
+				size += len(w.Keys[j]) + len(w.Cells[j].Value)
+			}
+			n.cluster.net.Send(n.id, r.to, w, size)
+			continue
+		}
+		for _, k := range r.read.Keys {
+			size += len(k)
+		}
+		n.cluster.net.Send(n.id, r.to, r.read, size)
+	}
 }
 
 // batchWriteDone is the write counterpart of batchReadDone.
@@ -353,31 +289,14 @@ func (n *Node) replyBatchWrite(rt opRoute, res []WriteResult) {
 }
 
 // onReplicaBatchRead serves every item of a batched read in one work
-// unit (summed service time) and answers with one message. Under gossip
-// it first splits off items for ranges this replica's strictly newer
-// ring no longer assigns to it and refuses them in one notOwner.
+// unit (summed service time) and answers with one message, after
+// refuseForeign split off the items this replica no longer owns.
 func (n *Node) onReplicaBatchRead(m replicaBatchRead) {
-	if n.gs != nil && n.gs.view.RingSeq() > m.RingSeq {
-		var refIdxs []int
-		var refKeys []string
-		kept := 0
-		for j, key := range m.Keys {
-			if !containsNode(n.gs.strategy.Replicas(key), n.id) {
-				refIdxs = append(refIdxs, m.Idxs[j])
-				refKeys = append(refKeys, key)
-				continue
-			}
-			m.Idxs[kept], m.Keys[kept] = m.Idxs[j], key
-			kept++
-		}
-		if len(refIdxs) > 0 {
-			n.refuseBatch(m.ID, m.Coord, false, m.RingSeq, refIdxs, refKeys)
-		}
-		if kept == 0 {
-			return
-		}
-		m.Idxs, m.Keys = m.Idxs[:kept], m.Keys[:kept]
+	kept := n.refuseForeign(m.ID, m.Coord, false, m.RingSeq, m.Idxs, m.Keys, nil)
+	if kept == 0 {
+		return
 	}
+	m.Idxs, m.Keys = m.Idxs[:kept], m.Keys[:kept]
 	var cost time.Duration
 	for range m.Idxs {
 		cost += n.cluster.cfg.ReadService.Sample(n.rng)
@@ -397,31 +316,14 @@ func (n *Node) onReplicaBatchRead(m replicaBatchRead) {
 }
 
 // onReplicaBatchWrite applies every cell of a batched mutation in one
-// work unit and acknowledges them with one message, refusing items this
-// replica's strictly newer ring assigns elsewhere (same split as
-// onReplicaBatchRead).
+// work unit and acknowledges them with one message, after the same
+// split as onReplicaBatchRead.
 func (n *Node) onReplicaBatchWrite(m replicaBatchWrite) {
-	if n.gs != nil && n.gs.view.RingSeq() > m.RingSeq {
-		var refIdxs []int
-		var refKeys []string
-		kept := 0
-		for j, key := range m.Keys {
-			if !containsNode(n.gs.strategy.Replicas(key), n.id) {
-				refIdxs = append(refIdxs, m.Idxs[j])
-				refKeys = append(refKeys, key)
-				continue
-			}
-			m.Idxs[kept], m.Keys[kept], m.Cells[kept] = m.Idxs[j], key, m.Cells[j]
-			kept++
-		}
-		if len(refIdxs) > 0 {
-			n.refuseBatch(m.ID, m.Coord, true, m.RingSeq, refIdxs, refKeys)
-		}
-		if kept == 0 {
-			return
-		}
-		m.Idxs, m.Keys, m.Cells = m.Idxs[:kept], m.Keys[:kept], m.Cells[:kept]
+	kept := n.refuseForeign(m.ID, m.Coord, true, m.RingSeq, m.Idxs, m.Keys, m.Cells)
+	if kept == 0 {
+		return
 	}
+	m.Idxs, m.Keys, m.Cells = m.Idxs[:kept], m.Keys[:kept], m.Cells[:kept]
 	var cost time.Duration
 	for range m.Idxs {
 		cost += n.cluster.cfg.WriteService.Sample(n.rng)

@@ -200,6 +200,13 @@ func TestBatchUnavailableWhenLevelUnreachable(t *testing.T) {
 			t.Errorf("write item %d: err = %v, want unavailable", i, w.Err)
 		}
 	}
+	// A batch whose every item failed admission has nothing left to wait
+	// for: its context must not outlive the reply (nor arm a timeout).
+	for _, id := range h.cluster.Members() {
+		if c := h.cluster.Node(id).CoordContexts(); c != 0 {
+			t.Errorf("node %d tracks %d contexts after an all-unavailable batch", id, c)
+		}
+	}
 }
 
 func TestBatchEmptyAndSingleItem(t *testing.T) {

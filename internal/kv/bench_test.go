@@ -107,38 +107,120 @@ func BenchmarkReplicaPlacement(b *testing.B) {
 	}
 }
 
+// allocRecords is the preloaded store every allocation pin measures on.
+const allocRecords = 1024
+
+// allocHarness builds the cluster of the allocation pins: SingleDC(6),
+// DefaultConfig seed 1, allocRecords records of 128 bytes.
+func allocHarness(t *testing.T) (*harness, []string) {
+	t.Helper()
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	cfg := kv.DefaultConfig()
+	cfg.Seed = 1
+	h := newHarness(netsim.SingleDC(6), cfg)
+	keys := make([]string, allocRecords)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	h.cluster.Preload(allocRecords, func(i uint64) string { return keys[i] }, make([]byte, 128))
+	return h, keys
+}
+
+// allocsPerOp runs op 2000 times to warm pools and slabs, then measures
+// it over 2000 more.
+func allocsPerOp(op func()) float64 {
+	for n := 0; n < 2000; n++ {
+		op()
+	}
+	return testing.AllocsPerRun(2000, op)
+}
+
 // TestSimReadQuorumAllocs pins the allocation count of the simulated
 // QUORUM read BenchmarkKVReadQuorum times (netsim deliveries and sim
 // events included): the client-path merge must not put allocations back
 // on the path every experiment replays. The benchmark itself reports two
 // more, its own completion closure.
 func TestSimReadQuorumAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	topo := netsim.SingleDC(6)
-	cfg := kv.DefaultConfig()
-	cfg.Seed = 1
-	h := newHarness(topo, cfg)
-	const records = 1024
-	keys := make([]string, records)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("user%012d", i)
-	}
-	h.cluster.Preload(records, func(i uint64) string { return keys[i] }, make([]byte, 128))
+	h, keys := allocHarness(t)
 	i, done := 0, false
 	cb := func(kv.ReadResult) { done = true }
-	read := func() {
+	got := allocsPerOp(func() {
 		i++
 		done = false
-		h.cluster.Read(keys[i%records], kv.Quorum, cb)
+		h.cluster.Read(keys[i%allocRecords], kv.Quorum, cb)
 		for !done && h.eng.Step() {
 		}
-	}
-	for n := 0; n < 2000; n++ {
-		read() // warm pools and slabs
-	}
-	if got := testing.AllocsPerRun(2000, read); got > 0 {
+	})
+	if got > 0 {
 		t.Errorf("simulated QUORUM read: %.0f allocs/op, want 0", got)
 	}
+}
+
+// TestSimWriteQuorumAllocs is the write counterpart: a QUORUM write,
+// shipped to every replica and retired at its last ack, allocates
+// nothing either.
+func TestSimWriteQuorumAllocs(t *testing.T) {
+	h, keys := allocHarness(t)
+	value := make([]byte, 128)
+	i, done := 0, false
+	cb := func(kv.WriteResult) { done = true }
+	got := allocsPerOp(func() {
+		i++
+		done = false
+		h.cluster.Write(keys[i%allocRecords], value, kv.Quorum, cb)
+		for !done && h.eng.Step() {
+		}
+	})
+	if got > 0 {
+		t.Errorf("simulated QUORUM write: %.0f allocs/op, want 0", got)
+	}
+}
+
+// TestSimBatchAllocs bounds the allocations of a 16-key QUORUM batch,
+// read and write. Batches allocate per batch by design (their collector,
+// result slices and one request message per replica, see messages.go).
+// The bounds are the counts measured before admission and the
+// wrong-owner retry shared one per-replica grouping (34 and 61 since):
+// the grouping, a slice returned rather than stored, stays on the stack.
+func TestSimBatchAllocs(t *testing.T) {
+	const batch = 16
+	t.Run("read", func(t *testing.T) {
+		h, keys := allocHarness(t)
+		i, done := 0, false
+		cb := func([]kv.ReadResult) { done = true }
+		got := allocsPerOp(func() {
+			i++
+			done = false
+			off := (i * batch) % allocRecords
+			h.cluster.ReadBatch(keys[off:off+batch], kv.Quorum, cb)
+			for !done && h.eng.Step() {
+			}
+		})
+		if got > 36 {
+			t.Errorf("16-key QUORUM ReadBatch: %.0f allocs/op, want ≤ 36", got)
+		}
+	})
+	t.Run("write", func(t *testing.T) {
+		h, keys := allocHarness(t)
+		ops := make([]kv.BatchOp, batch)
+		value := make([]byte, 128)
+		i, done := 0, false
+		cb := func([]kv.WriteResult) { done = true }
+		got := allocsPerOp(func() {
+			i++
+			done = false
+			off := (i * batch) % allocRecords
+			for j := range ops {
+				ops[j] = kv.BatchOp{Key: keys[off+j], Value: value}
+			}
+			h.cluster.WriteBatch(ops, kv.Quorum, cb)
+			for !done && h.eng.Step() {
+			}
+		})
+		if got > 64 {
+			t.Errorf("16-key QUORUM WriteBatch: %.0f allocs/op, want ≤ 64", got)
+		}
+	})
 }

@@ -583,27 +583,6 @@ func (c *Cluster) serving(id netsim.NodeID) bool {
 	return ok && (n.phase == phaseLive || n.phase == phaseWarming || n.phase == phaseLeaving)
 }
 
-// levelReachable reports whether enough replicas are live to possibly
-// satisfy req. The per-DC tally is only built for per-DC requirements.
-func (c *Cluster) levelReachable(replicas []netsim.NodeID, req requirement) bool {
-	if req.perDC == nil {
-		alive := 0
-		for _, r := range replicas {
-			if !c.isDown(r) {
-				alive++
-			}
-		}
-		return alive >= req.total
-	}
-	alive := make(map[string]int, len(req.perDC))
-	for _, r := range replicas {
-		if !c.isDown(r) {
-			alive[c.topo.DCOf(r)]++
-		}
-	}
-	return req.satisfiedCounts(0, alive)
-}
-
 func (c *Cluster) isDown(id netsim.NodeID) bool { return len(c.down) != 0 && c.down[id] }
 
 // engineOptions assembles the storage options of one node.

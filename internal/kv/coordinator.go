@@ -93,14 +93,14 @@ type writeCtx struct {
 	item      int            // position in batch
 	timer     sim.Timer      // the request timeout (single writes; a batch holds its own)
 	version   storage.Version
-	replicas  int
 	shipped   int // mutations sent to live replicas (hinted ones never ack)
 	ackCount  int
 	ackDC     map[string]int // per-DC tallies; nil unless req.perDC is set
 	completed bool
 
-	// Gossip-mode retry state: the cell being written, the replicas (or
-	// hint targets) already shipped to, and the re-plans consumed.
+	// What shipWrite works from, at admission and at every wrong-owner
+	// retry alike: the cell being written and the replicas it was already
+	// sent or hinted to. retries counts the re-plans consumed.
 	cell    storage.Cell
 	sent    []netsim.NodeID
 	retries int
@@ -174,51 +174,100 @@ func (n *Node) coordRead(m clientRead) {
 func (n *Node) admitRead(m clientRead) {
 	now := n.cluster.net.Now()
 	n.coordOps++
-	n.cluster.hooks.readStarted(now, m.Key)
-	if t := n.cluster.hot; t != nil {
-		t.observeRead(m.Key, now)
-	}
-
-	replicas := n.routeReplicas(m.Key)
-	req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
 	ctx := getReadCtx()
-	targets, ok := n.pickTargets(replicas, req, ctx.targets)
-	ctx.targets = targets
-	if !ok {
-		putReadCtx(ctx)
-		n.replyRead(m.rt, ReadResult{
-			Err: ErrUnavailable, Key: m.Key, Level: m.Level,
-			Latency: 0,
-		})
-		n.cluster.oracle.ReadFailed()
+	ctx.id, ctx.key, ctx.level, ctx.rt = m.ID, m.Key, m.Level, m.rt
+	if !n.openRead(ctx, now) {
 		return
 	}
-
-	ctx.id, ctx.key, ctx.level, ctx.req = m.ID, m.Key, m.Level, req
-	ctx.start = now
-	ctx.rt = m.rt
-	ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(m.Key)
-	if req.perDC != nil {
-		ctx.ackDC = make(map[string]int, len(req.perDC))
-	}
 	n.reads[m.ID] = ctx
-
-	for i, t := range targets {
-		digest := n.cluster.cfg.DigestReads && i > 0
-		rr := replicaReads.put(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
-		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(m.Key))
-	}
+	n.askReplicas(ctx, ctx.targets, n.cluster.cfg.DigestReads, nil)
 	ctx.timer = n.armTimeout(m.ID, false)
+}
+
+// openRead admits one read, single or a batch item: hooks, hot-set
+// observation, placement, the level's requirement, the target pick and
+// the oracle's snapshot of the key. ctx arrives with its identity and
+// route set. An item whose level is unreachable is answered
+// ErrUnavailable — without readCompleted, only the oracle's failure
+// count — and its context released; openRead then reports false.
+func (n *Node) openRead(ctx *readCtx, now time.Duration) bool {
+	n.cluster.hooks.readStarted(now, ctx.key)
+	if t := n.cluster.hot; t != nil {
+		t.observeRead(ctx.key, now)
+	}
+	replicas := n.routeReplicas(ctx.key)
+	ctx.req = ctx.level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
+	targets, ok := n.pickTargets(replicas, ctx.req, ctx.targets)
+	ctx.targets = targets
+	if !ok {
+		n.readDone(ctx, ReadResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
+		n.cluster.oracle.ReadFailed()
+		putReadCtx(ctx)
+		return false
+	}
+	ctx.start = now
+	ctx.visibleAtStart, ctx.issuedAtStart = n.cluster.oracle.Latest(ctx.key)
+	if ctx.req.perDC != nil {
+		ctx.ackDC = make(map[string]int, len(ctx.req.perDC))
+	}
+	return true
+}
+
+// askReplicas sends ctx's read to each replica in to: a single read as
+// one replicaRead per replica (a digest past the first when digest is
+// set), a batch item into reqs, its batch's per-replica grouping.
+func (n *Node) askReplicas(ctx *readCtx, to []netsim.NodeID, digest bool, reqs []replicaReq) []replicaReq {
+	for i, t := range to {
+		if ctx.batch != nil {
+			var r *replicaReq
+			reqs, r = n.reqFor(reqs, t, ctx.id, false)
+			r.read.Idxs = append(r.read.Idxs, ctx.item)
+			r.read.Keys = append(r.read.Keys, ctx.key)
+			continue
+		}
+		rr := replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: digest && i > 0, Coord: n.id, RingSeq: n.ringSeq()})
+		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(ctx.key))
+	}
+	return reqs
+}
+
+// replanRead re-picks ctx's targets on this node's advanced ring (a
+// wrong-owner retry) and contacts the ones the plan lacked, with full
+// data reads: the retry path never digest-fetches.
+func (n *Node) replanRead(ctx *readCtx, reqs []replicaReq) []replicaReq {
+	desired, ok := n.pickTargets(n.routeReplicas(ctx.key), ctx.req, nil)
+	if !ok {
+		return reqs // still unreachable under the new ring; the timeout speaks
+	}
+	planned := len(ctx.targets)
+	for _, t := range desired {
+		if !containsNode(ctx.targets, t) {
+			ctx.targets = append(ctx.targets, t)
+		}
+	}
+	return n.askReplicas(ctx, ctx.targets[planned:], false, reqs)
 }
 
 // onReadResp folds one replica response into the read context.
 func (n *Node) onReadResp(m replicaReadResp) {
 	ctx, ok := n.reads[m.ID]
-	if !ok {
+	if !ok || !n.foldRead(ctx, m) {
 		return
 	}
+	if ctx.finished() {
+		delete(n.reads, ctx.id)
+		ctx.timer.Stop()
+		n.finalizeRead(ctx)
+		putReadCtx(ctx)
+	}
+}
+
+// foldRead folds one replica's answer into ctx — single read or batch
+// item — and completes the client-visible read once the level is
+// satisfied. It reports false for a replica that already answered.
+func (n *Node) foldRead(ctx *readCtx, m replicaReadResp) bool {
 	if ctx.findResp(m.From) >= 0 {
-		return
+		return false
 	}
 	ctx.responses = append(ctx.responses, m)
 	ctx.ackTotal++
@@ -245,13 +294,13 @@ func (n *Node) onReadResp(m replicaReadResp) {
 		ctx.awaitData = false
 		n.deliverRead(ctx)
 	}
+	return true
+}
 
-	if len(ctx.responses) >= len(ctx.targets) && !ctx.awaitData && ctx.delivered {
-		delete(n.reads, ctx.id)
-		ctx.timer.Stop()
-		n.finalizeRead(ctx)
-		putReadCtx(ctx)
-	}
+// finished reports that ctx can retire: every target answered, no data
+// refetch is outstanding and the client has its result.
+func (ctx *readCtx) finished() bool {
+	return len(ctx.responses) >= len(ctx.targets) && !ctx.awaitData && ctx.delivered
 }
 
 // tryCompleteRead completes the client-visible read once the level is
@@ -361,62 +410,83 @@ func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
 	n.cluster.net.Send(n.id, to, msg, msgOverhead+len(key)+len(cell.Value))
 }
 
-// coordWrite admits a client write on this coordinator.
-func (n *Node) coordWrite(m clientWrite) {
-	n.coordWork(coordExec{kind: execWrite, cw: m})
-}
-
 // admitWrite versions and fans out a write whose admission work is done.
 func (n *Node) admitWrite(m clientWrite) {
 	now := n.cluster.net.Now()
 	n.coordOps++
-
-	replicas := n.routeReplicas(m.Key)
-	req := m.Level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
-	if !n.routeReachable(replicas, req) {
-		n.replyWrite(m.rt, WriteResult{Err: ErrUnavailable, Key: m.Key, Level: m.Level})
+	ctx := getWriteCtx()
+	ctx.id, ctx.key, ctx.level, ctx.rt = m.ID, m.Key, m.Level, m.rt
+	replicas, ok := n.openWrite(ctx, m.Value, m.tombstone, now)
+	if !ok {
 		return
+	}
+	n.writes[m.ID] = ctx
+	n.shipWrite(ctx, replicas, nil)
+	ctx.timer = n.armTimeout(m.ID, true)
+}
+
+// openWrite admits one write, single or a batch item: placement, the
+// level's requirement and its reachability, versioning, the oracle's
+// ledger, hooks, hot-set observation and cache invalidation. ctx arrives
+// with its identity and route set. It returns the key's replicas, or
+// answers an unreachable item ErrUnavailable, releases its context and
+// reports false.
+func (n *Node) openWrite(ctx *writeCtx, value []byte, tombstone bool, now time.Duration) ([]netsim.NodeID, bool) {
+	replicas := n.routeReplicas(ctx.key)
+	ctx.req = ctx.level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
+	if !n.routeReachable(replicas, ctx.req) {
+		n.writeDone(ctx, WriteResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
+		putWriteCtx(ctx)
+		return nil, false
 	}
 
 	version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
-	cell := storage.Cell{Version: version, Value: m.Value, Tombstone: m.tombstone}
-	n.cluster.oracle.WriteStarted(m.Key, version, len(replicas), now)
-	n.cluster.hooks.writeStarted(now, m.Key, version, len(replicas))
+	n.cluster.oracle.WriteStarted(ctx.key, version, len(replicas), now)
+	n.cluster.hooks.writeStarted(now, ctx.key, version, len(replicas))
 	if t := n.cluster.hot; t != nil {
-		t.observeWrite(m.Key, now)
+		t.observeWrite(ctx.key, now)
 	}
-	n.cacheInvalidate(m.Key)
+	n.cacheInvalidate(ctx.key)
 
-	ctx := getWriteCtx()
-	ctx.id, ctx.key, ctx.level, ctx.req = m.ID, m.Key, m.Level, req
 	ctx.start = now
-	ctx.rt = m.rt
 	ctx.version = version
-	ctx.replicas = len(replicas)
-	if req.perDC != nil {
-		ctx.ackDC = make(map[string]int, len(req.perDC))
+	ctx.cell = storage.Cell{Version: version, Value: value, Tombstone: tombstone}
+	if ctx.req.perDC != nil {
+		ctx.ackDC = make(map[string]int, len(ctx.req.perDC))
 	}
-	n.writes[m.ID] = ctx
+	return replicas, true
+}
 
-	// The coordinator always sends the mutation to every replica;
-	// the level only controls how many acknowledgements it blocks
-	// for. Down replicas get a hint instead.
-	if n.gs != nil {
-		// Retry state for wrong-owner re-plans: the cell to re-ship
-		// and the replicas already handled (sent or hinted).
-		ctx.cell = cell
-		ctx.sent = append(ctx.sent[:0], replicas...)
-	}
+// shipWrite sends ctx's cell to every replica in replicas not yet in
+// ctx.sent and hints the ones that are down: the coordinator always
+// sends the mutation to every replica, and the level only controls how
+// many acknowledgements it blocks for. Admission ships to the key's
+// replicas, a wrong-owner retry to the owners the advanced ring added.
+// A single write sends one replicaWrite per replica, a batch item's
+// mutations join reqs, its batch's per-replica grouping.
+func (n *Node) shipWrite(ctx *writeCtx, replicas []netsim.NodeID, reqs []replicaReq) []replicaReq {
 	for _, r := range replicas {
-		if n.routeDown(r) {
-			n.storeHint(r, m.Key, cell)
+		if containsNode(ctx.sent, r) {
 			continue
 		}
-		w := replicaWrites.put(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
-		n.cluster.net.Send(n.id, r, w, msgOverhead+len(m.Key)+len(m.Value))
+		ctx.sent = append(ctx.sent, r)
+		if n.routeDown(r) {
+			n.storeHint(r, ctx.key, ctx.cell)
+			continue
+		}
 		ctx.shipped++
+		if ctx.batch != nil {
+			var q *replicaReq
+			reqs, q = n.reqFor(reqs, r, ctx.id, true)
+			q.write.Idxs = append(q.write.Idxs, ctx.item)
+			q.write.Keys = append(q.write.Keys, ctx.key)
+			q.write.Cells = append(q.write.Cells, ctx.cell)
+			continue
+		}
+		w := replicaWrites.put(replicaWrite{ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq()})
+		n.cluster.net.Send(n.id, r, w, msgOverhead+len(ctx.key)+len(ctx.cell.Value))
 	}
-	ctx.timer = n.armTimeout(m.ID, true)
+	return reqs
 }
 
 // onWriteAck folds one replica acknowledgement into the write context.

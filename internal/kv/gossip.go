@@ -7,6 +7,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/ring"
 	"repro/internal/stats"
+	"repro/internal/storage"
 )
 
 // Gossip membership (Config.Gossip). Each node runs a SWIM agent over
@@ -132,12 +133,10 @@ func (n *Node) routeDown(id netsim.NodeID) bool {
 	return n.cluster.isDown(id)
 }
 
-// routeReachable is levelReachable against this node's local liveness
-// view (the gossip-mode admission check).
+// routeReachable reports whether enough replicas are routable — not
+// routeDown — to possibly satisfy req: the admission check of a write.
+// The per-DC tally is only built for per-DC requirements.
 func (n *Node) routeReachable(replicas []netsim.NodeID, req requirement) bool {
-	if n.gs == nil {
-		return n.cluster.levelReachable(replicas, req)
-	}
 	if req.perDC == nil {
 		alive := 0
 		for _, r := range replicas {
@@ -323,38 +322,72 @@ func (n *Node) onGossipSuspicionTimeout(m gossipSuspicionTimeout) {
 	}
 }
 
-// refuseRead answers a single-key read for a range we no longer own.
-func (n *Node) refuseRead(m replicaRead) {
-	gs := n.gs
-	gs.notOwnerReplies++
-	ev := n.eventsForCoord(m.RingSeq)
-	n.cluster.net.Send(n.id, m.Coord, notOwner{
-		ID: m.ID, From: n.id, Key: m.Key, Events: ev,
-	}, msgOverhead+len(m.Key)+gossipUpdateSize*len(ev))
-}
-
-// refuseWrite is the write counterpart of refuseRead.
-func (n *Node) refuseWrite(m replicaWrite) {
-	gs := n.gs
-	gs.notOwnerReplies++
-	ev := n.eventsForCoord(m.RingSeq)
-	n.cluster.net.Send(n.id, m.Coord, notOwner{
-		ID: m.ID, From: n.id, Write: true, Key: m.Key, Events: ev,
-	}, msgOverhead+len(m.Key)+gossipUpdateSize*len(ev))
-}
-
-// refuseBatch refuses the listed items of a batched request.
-func (n *Node) refuseBatch(id reqID, coord netsim.NodeID, write bool, coordSeq uint64, idxs []int, keys []string) {
-	gs := n.gs
-	gs.notOwnerReplies++
-	ev := n.eventsForCoord(coordSeq)
-	size := msgOverhead + gossipUpdateSize*len(ev)
-	for _, k := range keys {
+// refuse sends a coordinator the notOwner m — single-key (Key set) or
+// batched (Batch, Idxs and Keys set) — stamped with this replica's id
+// and the ring events a coordinator at prefix coordSeq is missing.
+func (n *Node) refuse(m notOwner, coord netsim.NodeID, coordSeq uint64) {
+	n.gs.notOwnerReplies++
+	m.From = n.id
+	m.Events = n.eventsForCoord(coordSeq)
+	size := msgOverhead + len(m.Key) + gossipUpdateSize*len(m.Events)
+	for _, k := range m.Keys {
 		size += len(k)
 	}
-	n.cluster.net.Send(n.id, coord, notOwner{
-		ID: id, From: n.id, Write: write, Batch: true, Idxs: idxs, Keys: keys, Events: ev,
-	}, size)
+	n.cluster.net.Send(n.id, coord, m, size)
+}
+
+// refuseForeign is the replica-side split of a batched request, made
+// before any stage work: under gossip, when this replica's ring is
+// strictly newer than the coordinator's, the items for ranges it no
+// longer owns are refused in one notOwner and the rest compacted to the
+// front of idxs, keys and (writes only) cells. It returns how many items
+// remain to serve.
+func (n *Node) refuseForeign(id reqID, coord netsim.NodeID, write bool, coordSeq uint64,
+	idxs []int, keys []string, cells []storage.Cell) int {
+	if n.gs == nil || n.gs.view.RingSeq() <= coordSeq {
+		return len(idxs)
+	}
+	var refIdxs []int
+	var refKeys []string
+	kept := 0
+	for j, key := range keys {
+		if n.refusesKey(key, coordSeq) {
+			refIdxs = append(refIdxs, idxs[j])
+			refKeys = append(refKeys, key)
+			continue
+		}
+		idxs[kept], keys[kept] = idxs[j], key
+		if cells != nil {
+			cells[kept] = cells[j]
+		}
+		kept++
+	}
+	if len(refIdxs) > 0 {
+		n.refuse(notOwner{ID: id, Write: write, Batch: true, Idxs: refIdxs, Keys: refKeys}, coord, coordSeq)
+	}
+	return kept
+}
+
+// spendRetry charges one wrong-owner re-plan to a read, unless its
+// budget is spent or its client already has the answer. The refuser
+// will never respond, so it leaves the plan.
+func (ctx *readCtx) spendRetry(budget int, refuser netsim.NodeID) bool {
+	if ctx.delivered || ctx.retries >= budget {
+		return false
+	}
+	ctx.retries++
+	ctx.dropTarget(refuser)
+	return true
+}
+
+// spendRetry charges one wrong-owner re-plan to a write, unless its
+// budget is spent.
+func (ctx *writeCtx) spendRetry(budget int) bool {
+	if ctx.retries >= budget {
+		return false
+	}
+	ctx.retries++
+	return true
 }
 
 // onNotOwner merges a refusal's ring events into the coordinator's view
@@ -369,63 +402,39 @@ func (n *Node) onNotOwner(m notOwner) {
 	c := n.cluster
 	n.applyRingEvents(m.Events)
 
+	budget := c.cfg.GossipRetryBudget
 	retry := gossipRetry{ID: m.ID, Write: m.Write, Batch: m.Batch, epoch: n.epoch}
-	var minRetries int
+	minRetries := budget + 1 // the fewest retries a re-planned item has spent; none yet
 	switch {
 	case m.Batch && m.Write:
-		bctx, ok := n.batchWrites[m.ID]
-		if !ok {
-			return
-		}
-		for _, i := range m.Idxs {
-			ctx := bctx.items[i]
-			if ctx == nil || ctx.retries >= c.cfg.GossipRetryBudget {
-				continue
+		if bctx, ok := n.batchWrites[m.ID]; ok {
+			for _, i := range m.Idxs {
+				if ctx := bctx.items[i]; ctx != nil && ctx.spendRetry(budget) {
+					minRetries = min(minRetries, ctx.retries)
+					retry.Idxs = append(retry.Idxs, i)
+				}
 			}
-			ctx.retries++
-			if len(retry.Idxs) == 0 || ctx.retries < minRetries {
-				minRetries = ctx.retries
-			}
-			retry.Idxs = append(retry.Idxs, i)
-		}
-		if len(retry.Idxs) == 0 {
-			return
 		}
 	case m.Batch:
-		bctx, ok := n.batchReads[m.ID]
-		if !ok {
-			return
-		}
-		for _, i := range m.Idxs {
-			ctx := bctx.items[i]
-			if ctx == nil || ctx.delivered || ctx.retries >= c.cfg.GossipRetryBudget {
-				continue
+		if bctx, ok := n.batchReads[m.ID]; ok {
+			for _, i := range m.Idxs {
+				if ctx := bctx.items[i]; ctx != nil && ctx.spendRetry(budget, m.From) {
+					minRetries = min(minRetries, ctx.retries)
+					retry.Idxs = append(retry.Idxs, i)
+				}
 			}
-			ctx.retries++
-			ctx.dropTarget(m.From) // the refuser will never respond
-			if len(retry.Idxs) == 0 || ctx.retries < minRetries {
-				minRetries = ctx.retries
-			}
-			retry.Idxs = append(retry.Idxs, i)
-		}
-		if len(retry.Idxs) == 0 {
-			return
 		}
 	case m.Write:
-		ctx, ok := n.writes[m.ID]
-		if !ok || ctx.retries >= c.cfg.GossipRetryBudget {
-			return
+		if ctx, ok := n.writes[m.ID]; ok && ctx.spendRetry(budget) {
+			minRetries = min(minRetries, ctx.retries)
 		}
-		ctx.retries++
-		minRetries = ctx.retries
 	default:
-		ctx, ok := n.reads[m.ID]
-		if !ok || ctx.delivered || ctx.retries >= c.cfg.GossipRetryBudget {
-			return
+		if ctx, ok := n.reads[m.ID]; ok && ctx.spendRetry(budget, m.From) {
+			minRetries = min(minRetries, ctx.retries)
 		}
-		ctx.retries++
-		ctx.dropTarget(m.From)
-		minRetries = ctx.retries
+	}
+	if minRetries > budget {
+		return // nothing left to re-plan
 	}
 	gs.wrongOwnerRetries++
 	backoff := gossipRetryBackoff << (minRetries - 1)
@@ -434,158 +443,41 @@ func (n *Node) onNotOwner(m notOwner) {
 
 // onGossipRetry re-plans an operation against the coordinator's
 // advanced ring: reads contact the owners the original plan missed,
-// writes ship the cell to replicas not yet sent to (or hint them).
+// writes ship the cell to replicas not yet sent to (or hint them). A
+// batch's re-planned items share one message per replica.
 func (n *Node) onGossipRetry(m gossipRetry) {
 	switch {
 	case m.Batch && m.Write:
-		n.retryBatchWrite(m)
-	case m.Batch:
-		n.retryBatchRead(m)
-	case m.Write:
-		n.retryWrite(m)
-	default:
-		n.retryRead(m)
-	}
-}
-
-func (n *Node) retryRead(m gossipRetry) {
-	ctx, ok := n.reads[m.ID]
-	if !ok || ctx.delivered {
-		return
-	}
-	n.sendReadRetry(ctx)
-}
-
-// sendReadRetry re-picks read targets under the local ring and contacts
-// the ones not already in the plan (full data reads — the retry path
-// never digest-fetches).
-func (n *Node) sendReadRetry(ctx *readCtx) {
-	replicas := n.routeReplicas(ctx.key)
-	desired, ok := n.pickTargets(replicas, ctx.req, nil)
-	if !ok {
-		return // still unreachable under the new ring; the timeout speaks
-	}
-	for _, t := range desired {
-		if containsNode(ctx.targets, t) {
-			continue
-		}
-		ctx.targets = append(ctx.targets, t)
-		rr := replicaReads.put(replicaRead{
-			ID: ctx.id, Key: ctx.key, Coord: n.id, RingSeq: n.ringSeq(),
-		})
-		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(ctx.key))
-	}
-}
-
-func (n *Node) retryWrite(m gossipRetry) {
-	ctx, ok := n.writes[m.ID]
-	if !ok {
-		return
-	}
-	n.sendWriteRetry(ctx)
-}
-
-// sendWriteRetry ships the cell to the owners the advanced ring added;
-// replicas already sent to (including the refuser) are skipped, down
-// ones get a hint.
-func (n *Node) sendWriteRetry(ctx *writeCtx) {
-	for _, r := range n.routeReplicas(ctx.key) {
-		if containsNode(ctx.sent, r) {
-			continue
-		}
-		ctx.sent = append(ctx.sent, r)
-		if n.routeDown(r) {
-			n.storeHint(r, ctx.key, ctx.cell)
-			continue
-		}
-		w := replicaWrites.put(replicaWrite{
-			ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq(),
-		})
-		n.cluster.net.Send(n.id, r, w, msgOverhead+len(ctx.key)+len(ctx.cell.Value))
-		ctx.shipped++
-	}
-}
-
-func (n *Node) retryBatchRead(m gossipRetry) {
-	bctx, ok := n.batchReads[m.ID]
-	if !ok {
-		return
-	}
-	var order []netsim.NodeID
-	perReplica := make(map[netsim.NodeID]*replicaBatchRead)
-	for _, i := range m.Idxs {
-		ctx := bctx.items[i]
-		if ctx == nil || ctx.delivered {
-			continue
-		}
-		desired, ok := n.pickTargets(n.routeReplicas(ctx.key), ctx.req, nil)
+		bctx, ok := n.batchWrites[m.ID]
 		if !ok {
-			continue
+			return
 		}
-		for _, t := range desired {
-			if containsNode(ctx.targets, t) {
-				continue
+		reqs := make([]replicaReq, 0, 8)
+		for _, i := range m.Idxs {
+			if ctx := bctx.items[i]; ctx != nil {
+				reqs = n.shipWrite(ctx, n.routeReplicas(ctx.key), reqs)
 			}
-			ctx.targets = append(ctx.targets, t)
-			rb := perReplica[t]
-			if rb == nil {
-				rb = &replicaBatchRead{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
-				perReplica[t] = rb
-				order = append(order, t)
+		}
+		n.sendReqs(reqs)
+	case m.Batch:
+		bctx, ok := n.batchReads[m.ID]
+		if !ok {
+			return
+		}
+		reqs := make([]replicaReq, 0, 8)
+		for _, i := range m.Idxs {
+			if ctx := bctx.items[i]; ctx != nil && !ctx.delivered {
+				reqs = n.replanRead(ctx, reqs)
 			}
-			rb.Idxs = append(rb.Idxs, i)
-			rb.Keys = append(rb.Keys, ctx.key)
 		}
-	}
-	for _, t := range order {
-		rb := perReplica[t]
-		size := msgOverhead
-		for _, k := range rb.Keys {
-			size += len(k)
+		n.sendReqs(reqs)
+	case m.Write:
+		if ctx, ok := n.writes[m.ID]; ok {
+			n.shipWrite(ctx, n.routeReplicas(ctx.key), nil)
 		}
-		n.cluster.net.Send(n.id, t, rb, size)
-	}
-}
-
-func (n *Node) retryBatchWrite(m gossipRetry) {
-	bctx, ok := n.batchWrites[m.ID]
-	if !ok {
-		return
-	}
-	var order []netsim.NodeID
-	perReplica := make(map[netsim.NodeID]*replicaBatchWrite)
-	for _, i := range m.Idxs {
-		ctx := bctx.items[i]
-		if ctx == nil {
-			continue
+	default:
+		if ctx, ok := n.reads[m.ID]; ok && !ctx.delivered {
+			n.replanRead(ctx, nil)
 		}
-		for _, r := range n.routeReplicas(ctx.key) {
-			if containsNode(ctx.sent, r) {
-				continue
-			}
-			ctx.sent = append(ctx.sent, r)
-			if n.routeDown(r) {
-				n.storeHint(r, ctx.key, ctx.cell)
-				continue
-			}
-			rb := perReplica[r]
-			if rb == nil {
-				rb = &replicaBatchWrite{ID: m.ID, Coord: n.id, RingSeq: n.ringSeq()}
-				perReplica[r] = rb
-				order = append(order, r)
-			}
-			rb.Idxs = append(rb.Idxs, i)
-			rb.Keys = append(rb.Keys, ctx.key)
-			rb.Cells = append(rb.Cells, ctx.cell)
-			ctx.shipped++
-		}
-	}
-	for _, r := range order {
-		rb := perReplica[r]
-		size := msgOverhead
-		for j := range rb.Keys {
-			size += len(rb.Keys[j]) + len(rb.Cells[j].Value)
-		}
-		n.cluster.net.Send(n.id, r, rb, size)
 	}
 }

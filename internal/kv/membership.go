@@ -616,7 +616,6 @@ func (n *Node) onStreamRequest(m streamRequest) {
 	if p == nil || !p.join || p.id != m.Joiner {
 		return // the join already flipped (guard timer) or was superseded
 	}
-	budget := c.cfg.streamChunkBudget()
 	// Filtering preserves ring's sorted range order, so SnapshotRanges
 	// yields the same sorted-key cell sequence the full walk produced.
 	var mine []ring.Range
@@ -625,10 +624,7 @@ func (n *Node) onStreamRequest(m streamRequest) {
 			mine = append(mine, r)
 		}
 	}
-	var chunks [][]byte
-	var counts []int
-	var buf []byte
-	count, cells := 0, 0
+	out := chunker{budget: c.cfg.streamChunkBudget()}
 	it := n.engine.SnapshotRanges(mine)
 	for {
 		k, cell, ok := it.Next()
@@ -636,18 +632,9 @@ func (n *Node) onStreamRequest(m streamRequest) {
 			break
 		}
 		n.streamSnapshotCells++
-		buf = storage.EncodeCell(buf, k, cell)
-		count++
-		cells++
-		if len(buf) >= budget {
-			chunks, counts = append(chunks, buf), append(counts, count)
-			buf, count = nil, 0
-		}
+		out.add(k, cell)
 	}
-	if count > 0 {
-		chunks, counts = append(chunks, buf), append(counts, count)
-	}
-	n.sendStream(m.Joiner, chunks, counts, cells, false)
+	n.sendStream(m.Joiner, &out, false)
 }
 
 // startDecommissionStream streams every key the leaver owns to the nodes
@@ -693,14 +680,7 @@ func (n *Node) startDecommissionStream() {
 		}
 		return nil
 	}
-	type outStream struct {
-		chunks [][]byte
-		counts []int
-		buf    []byte
-		count  int
-		cells  int
-	}
-	perTarget := make(map[netsim.NodeID]*outStream)
+	perTarget := make(map[netsim.NodeID]*chunker)
 	var order []netsim.NodeID
 	it := n.engine.SnapshotRanges(owned)
 	for {
@@ -710,19 +690,13 @@ func (n *Node) startDecommissionStream() {
 		}
 		n.streamSnapshotCells++
 		for _, t := range targetsFor(ring.KeyToken(k)) {
-			os := perTarget[t]
-			if os == nil {
-				os = &outStream{}
-				perTarget[t] = os
+			out := perTarget[t]
+			if out == nil {
+				out = &chunker{budget: budget}
+				perTarget[t] = out
 				order = append(order, t)
 			}
-			os.buf = storage.EncodeCell(os.buf, k, cell)
-			os.count++
-			os.cells++
-			if len(os.buf) >= budget {
-				os.chunks, os.counts = append(os.chunks, os.buf), append(os.counts, os.count)
-				os.buf, os.count = nil, 0
-			}
+			out.add(k, cell)
 		}
 	}
 	if len(order) == 0 {
@@ -731,11 +705,37 @@ func (n *Node) startDecommissionStream() {
 	}
 	n.decomPending = len(order)
 	for _, t := range order {
-		os := perTarget[t]
-		if os.count > 0 {
-			os.chunks, os.counts = append(os.chunks, os.buf), append(os.counts, os.count)
-		}
-		n.sendStream(t, os.chunks, os.counts, os.cells, true)
+		n.sendStream(t, perTarget[t], true)
+	}
+}
+
+// chunker frames one snapshot stream's cells (storage.EncodeCell
+// records) into chunks of the stream chunk budget, for the join and the
+// decommission streams alike.
+type chunker struct {
+	budget int
+	chunks [][]byte
+	counts []int // cells per chunk
+	buf    []byte
+	count  int
+	cells  int
+}
+
+// add frames one cell, closing the chunk once it reaches the budget.
+func (ch *chunker) add(key string, cell storage.Cell) {
+	ch.buf = storage.EncodeCell(ch.buf, key, cell)
+	ch.count++
+	ch.cells++
+	if len(ch.buf) >= ch.budget {
+		ch.flush()
+	}
+}
+
+// flush closes the open chunk, if it holds any cell.
+func (ch *chunker) flush() {
+	if ch.count > 0 {
+		ch.chunks, ch.counts = append(ch.chunks, ch.buf), append(ch.counts, ch.count)
+		ch.buf, ch.count = nil, 0
 	}
 }
 
@@ -743,11 +743,12 @@ func (n *Node) startDecommissionStream() {
 // receiver, one read-stage work unit per chunk (paced by the node's
 // service capacity). needAck marks decommission streams, whose receiver
 // acknowledges completion back to the sender.
-func (n *Node) sendStream(to netsim.NodeID, chunks [][]byte, counts []int, cells int, needAck bool) {
+func (n *Node) sendStream(to netsim.NodeID, out *chunker, needAck bool) {
 	c := n.cluster
+	out.flush()
 	total := 0
-	for i := range chunks {
-		data, cnt := chunks[i], counts[i]
+	for i := range out.chunks {
+		data, cnt := out.chunks[i], out.counts[i]
 		total += len(data)
 		n.submitRead(c.cfg.ReadService.Sample(n.rng), func() {
 			n.streamChunksOut++
@@ -757,7 +758,7 @@ func (n *Node) sendStream(to netsim.NodeID, chunks [][]byte, counts []int, cells
 				msgOverhead+len(data))
 		})
 	}
-	nChunks := len(chunks)
+	nChunks, cells := len(out.chunks), out.cells
 	n.submitRead(c.cfg.CoordOverhead.Sample(n.rng), func() {
 		c.net.Send(n.id, to, streamDone{
 			From: n.id, Chunks: nChunks, Cells: cells, Bytes: total, NeedAck: needAck,

@@ -443,11 +443,11 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 	case *clientRead:
 		n.coordRead(clientReads.take(m))
 	case *clientWrite:
-		n.coordWrite(clientWrites.take(m))
+		n.coordWork(coordExec{kind: execWrite, cw: clientWrites.take(m)})
 	case clientBatchRead:
-		n.coordBatchRead(m)
+		n.coordWork(coordExec{kind: execBatchRead, br: m})
 	case clientBatchWrite:
-		n.coordBatchWrite(m)
+		n.coordWork(coordExec{kind: execBatchWrite, bw: m})
 
 	case *replicaWrite:
 		n.onReplicaWrite(replicaWrites.take(m))
@@ -536,7 +536,7 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 // convergence machinery and applies wherever it lands.
 func (n *Node) onReplicaWrite(m replicaWrite) {
 	if !m.Repair && !m.Hint && n.refusesKey(m.Key, m.RingSeq) {
-		n.refuseWrite(m)
+		n.refuse(notOwner{ID: m.ID, Write: true, Key: m.Key}, m.Coord, m.RingSeq)
 		return
 	}
 	cost := n.cluster.cfg.WriteService.Sample(n.rng)
@@ -563,7 +563,7 @@ func (n *Node) applyReplicaWrite(m replicaWrite) {
 // ownership check is cheap and happens before any stage work).
 func (n *Node) onReplicaRead(m replicaRead) {
 	if n.refusesKey(m.Key, m.RingSeq) {
-		n.refuseRead(m)
+		n.refuse(notOwner{ID: m.ID, Key: m.Key}, m.Coord, m.RingSeq)
 		return
 	}
 	cost := n.cluster.cfg.ReadService.Sample(n.rng)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # run_local_cluster.sh — boot a 3-process storeserve cluster on localhost,
-# smoke-test cross-coordinator SET/GET/MGET/DEL, and tear it down.
+# smoke-test cross-coordinator SET/GET/MSET/MGET/DEL, and tear it down.
 #
 # Each process constructs the same 3-node ring (same topology/seed) and
 # serves one node; replica traffic crosses the TCP mesh. Client commands
@@ -97,5 +97,18 @@ want=$(printf '1) a\n2) b\n3) c')
 # Deletes propagate as tombstones.
 expect "(integer) 1" 1 DEL smoke
 expect "(nil)" 2 GET smoke
+
+# Batched writes cross processes as one multi-item replica message per
+# replica: MSET through one coordinator, MGET through another, then a
+# three-key DEL whose tombstones the other two coordinators read back.
+expect OK 2 MSET mk4 d mk5 e mk6 f
+got=$(cli 0 MGET mk4 mk5 mk6)
+want=$(printf '1) d\n2) e\n3) f')
+[ "$got" = "$want" ] || fail "MGET via node 0: '$got', want '$want'"
+expect "(integer) 3" 1 DEL mk4 mk5 mk6
+for k in mk4 mk5 mk6; do
+  expect "(nil)" 0 GET "$k"
+  expect "(nil)" 2 GET "$k"
+done
 
 echo "local cluster smoke: OK (3 processes, base port $BASE)"
