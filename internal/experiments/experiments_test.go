@@ -12,8 +12,8 @@ func TestExpA_Grid5000Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	// The run `paperbench harmony` makes at test scale, so the golden
-	// table is pinned here instead of replayed by TestStudyTablesGolden.
+	// The run `paperbench harmony` makes at test scale; the golden hash
+	// pins that it stays the run TestStudyTablesGolden replays.
 	rows, table := RunExpA(G5KHarmony().Scaled(testScale), 7)
 	if testing.Verbose() {
 		table.Render(os.Stderr)
@@ -122,8 +122,8 @@ func TestExpCBismarShape(t *testing.T) {
 		t.Skip("heavy experiment; skipped with -short")
 	}
 	// The run `paperbench bismar` makes at test scale (RunExpC scales the
-	// platform itself), so the golden table is pinned here instead of
-	// replayed by TestStudyTablesGolden.
+	// platform itself); the golden hash pins that it stays the run
+	// TestStudyTablesGolden replays.
 	rows, table := RunExpC(G5KCost(), testScale, 7)
 	if testing.Verbose() {
 		table.Render(os.Stderr)

@@ -66,18 +66,18 @@ func checkGolden(t *testing.T, study string, seed uint64, tables ...*Table) {
 }
 
 // TestStudyTablesGolden replays the seed-7 entries of goldenTables
-// through the registry. The other entries are checked where that run
+// through the registry. The seed-1 entries are checked where that run
 // already happens: TestRecoveryStudyShape, TestElasticityStudy,
 // TestGossipStudy, TestHotKeyStudy, TestAutoscaleStudy and
-// TestBehaviorStudy hash the seed-1 table whose outcomes they assert on,
-// TestExpA_Grid5000Shape and TestExpCBismarShape the seed-7 harmony and
-// bismar tables.
+// TestBehaviorStudy hash the table whose outcomes they assert on.
+// TestExpA_Grid5000Shape and TestExpCBismarShape also hash the seed-7
+// harmony and bismar tables, which pins that they run what the study does.
 func TestStudyTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiments; skipped with -short")
 	}
 	for _, study := range []string{"recovery", "elasticity", "gossip", "hotkey", "autoscale",
-		"behavior", "storage", "provisioning", "freshness"} {
+		"behavior", "bismar", "harmony", "storage", "provisioning", "freshness"} {
 		s, err := FindStudy(study)
 		if err != nil {
 			t.Fatal(err)
