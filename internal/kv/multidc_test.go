@@ -1,6 +1,9 @@
 package kv_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -72,6 +75,78 @@ func TestLocalQuorumReadYourWritesWithinDC(t *testing.T) {
 			t.Fatalf("iteration %d: LOCAL_QUORUM read-your-writes violated (v=%v, got %v)",
 				i, w.Version, r.Version)
 		}
+	}
+}
+
+// TestMultiDCJoinDecommission pins elastic membership under per-DC
+// placement: with PerDC 2+2 and three founders per DC, a join in the
+// first DC and a decommission in the second each stream and flip, every
+// key stays readable at ALL, and a second decommission that would leave
+// the second DC below its replica count is refused and changes nothing.
+// The transcript (reads, Usage, transport meter, final placement) is
+// pinned by hash.
+func TestMultiDCJoinDecommission(t *testing.T) {
+	topo := netsim.G5KTwoSites(8)
+	dc1, dc2 := topo.NodesInDC(topo.DCOf(0)), topo.NodesInDC(topo.DCOf(7))
+	cfg := quietConfig(34)
+	cfg.RF = 0
+	cfg.PerDC = map[string]int{topo.DCOf(0): 2, topo.DCOf(7): 2}
+	cfg.InitialMembers = append(append([]netsim.NodeID(nil), dc1[:3]...), dc2[:3]...)
+	h := newHarness(topo, cfg)
+
+	var lines []string
+	for i := 0; i < 60; i++ {
+		w := h.write(mkey(i), []byte("payload"), kv.All)
+		if w.Err != nil {
+			t.Fatal(w.Err)
+		}
+		lines = append(lines, writeLine(w))
+	}
+	settle := func(step string) {
+		h.eng.Run()
+		if !h.cluster.MembershipSettled() {
+			t.Fatalf("%s: membership not settled", step)
+		}
+	}
+	h.join(dc1[3])
+	settle("join")
+	h.decommission(dc2[0])
+	settle("decommission")
+	if got := len(h.cluster.Members()); got != 6 {
+		t.Fatalf("members = %d after join and decommission, want 6", got)
+	}
+	if u := h.cluster.Usage(); u.Joins != 1 || u.Decommissions != 1 || u.StreamedCells == 0 {
+		t.Fatalf("membership accounting: %+v", u)
+	}
+
+	before := h.cluster.Members()
+	if err := h.cluster.Decommission(dc2[1]); err == nil {
+		t.Fatal("decommission below the DC's replica count was accepted")
+	}
+	if after := h.cluster.Members(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refused decommission changed members: %v -> %v", before, after)
+	}
+
+	for i := 0; i < 60; i++ {
+		r := h.read(mkey(i), kv.All)
+		if r.Err != nil || !r.Exists || r.Stale {
+			t.Fatalf("read %s at ALL after membership changes: %+v", mkey(i), r)
+		}
+		lines = append(lines, readLine(r))
+	}
+	m := h.tr.Meter()
+	lines = append(lines, fmt.Sprintf("usage %+v", h.cluster.Usage()),
+		fmt.Sprintf("meter msgs=%v bytes=%v dropped=%d", m.Messages, m.Bytes, m.Dropped))
+	for _, rp := range h.cluster.Strategy().Ranges() {
+		lines = append(lines, fmt.Sprintf("range %v", rp))
+	}
+	sum := sha256.New()
+	for _, l := range lines {
+		sum.Write([]byte(l + "\n"))
+	}
+	const want = "72c6a11aebca2b697cac9e1f215914ad59c3a60611b1195c47c8249c954d74ec"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Errorf("transcript hash = %s, want %s", got, want)
 	}
 }
 
