@@ -7,14 +7,13 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// The client half of storeserve: a one-shot RESP command runner (-cli)
-// and a pipelined load generator (-bench), so clusters can be smoked
-// and measured on hosts without redis-cli or redis-benchmark.
+// The client half of storeserve: a one-shot RESP command runner (-cli),
+// so clusters can be smoked on hosts without redis-cli. Load generation
+// and performance numbers live in benchmark/.
 
 // runCLI sends one command and prints the reply, redis-cli style.
 func runCLI(addr string, args []string) int {
@@ -116,121 +115,4 @@ func readLine(r *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("malformed reply line")
 	}
 	return line[:len(line)-2], nil
-}
-
-// skipReply consumes one reply, reporting only whether it was an error.
-func skipReply(r *bufio.Reader) (bool, error) {
-	t, err := r.ReadByte()
-	if err != nil {
-		return false, err
-	}
-	line, err := readLine(r)
-	if err != nil {
-		return false, err
-	}
-	switch t {
-	case '+', ':':
-		return false, nil
-	case '-':
-		return true, nil
-	case '$':
-		n, err := strconv.Atoi(line)
-		if err != nil {
-			return false, err
-		}
-		if n >= 0 {
-			if _, err := r.Discard(n + 2); err != nil {
-				return false, err
-			}
-		}
-		return false, nil
-	case '*':
-		n, err := strconv.Atoi(line)
-		if err != nil {
-			return false, err
-		}
-		anyErr := false
-		for i := 0; i < n; i++ {
-			e, err := skipReply(r)
-			if err != nil {
-				return false, err
-			}
-			anyErr = anyErr || e
-		}
-		return anyErr, nil
-	}
-	return false, fmt.Errorf("bad reply type %q", t)
-}
-
-// runBench drives a SET phase then a GET phase, each ops commands deep
-// with `pipeline` commands in flight, and reports ops/s.
-func runBench(addr string, ops, pipeline, valueSize, keys int) int {
-	if pipeline < 1 {
-		pipeline = 1
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer conn.Close()
-	w := wire.NewRESPWriter(conn)
-	r := bufio.NewReaderSize(conn, 1<<16)
-	value := make([]byte, valueSize)
-	for i := range value {
-		value[i] = 'x'
-	}
-	var key []byte
-	phase := func(name string, encode func(i int)) bool {
-		start := time.Now()
-		errs := 0
-		for sent := 0; sent < ops; {
-			batch := pipeline
-			if ops-sent < batch {
-				batch = ops - sent
-			}
-			for i := 0; i < batch; i++ {
-				encode(sent + i)
-			}
-			if err := w.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return false
-			}
-			for i := 0; i < batch; i++ {
-				isErr, err := skipReply(r)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return false
-				}
-				if isErr {
-					errs++
-				}
-			}
-			sent += batch
-		}
-		el := time.Since(start)
-		fmt.Printf("%s: %d ops in %v = %.0f ops/s (pipeline %d, errors %d)\n",
-			name, ops, el.Round(time.Millisecond), float64(ops)/el.Seconds(), pipeline, errs)
-		return errs == 0
-	}
-	makeKey := func(i int) []byte {
-		key = key[:0]
-		key = append(key, "key:"...)
-		return strconv.AppendInt(key, int64(i%keys), 10)
-	}
-	okSet := phase("SET", func(i int) {
-		w.Array(3)
-		w.BulkString("SET")
-		w.Bulk(makeKey(i))
-		w.Bulk(value)
-	})
-	okGet := phase("GET", func(i int) {
-		w.Array(2)
-		w.BulkString("GET")
-		w.Bulk(makeKey(i))
-	})
-	if okSet && okGet {
-		return 0
-	}
-	return 1
 }

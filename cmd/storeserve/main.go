@@ -11,11 +11,9 @@
 // Every process must be started with the same topology, node count,
 // replication factor and seed (they all compute the identical ring).
 //
-// Because the container may not have redis-cli or redis-benchmark, the
-// binary doubles as both:
+// On hosts without redis-cli the binary doubles as a one-shot client:
 //
-//	storeserve -cli -addr localhost:6380 SET k v   # one-shot client
-//	storeserve -bench -addr localhost:6380         # pipelined loadgen
+//	storeserve -cli -addr localhost:6380 SET k v
 package main
 
 import (
@@ -48,12 +46,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "cluster seed (identical across all processes)")
 	hotcache := flag.Bool("hotcache", false, "hot-key coordinator read cache")
 	cliMode := flag.Bool("cli", false, "act as a one-shot RESP client: storeserve -cli -addr host:port CMD [args...]")
-	benchMode := flag.Bool("bench", false, "act as a pipelined RESP load generator against -addr")
-	addr := flag.String("addr", "localhost:6380", "server address for -cli/-bench")
-	benchOps := flag.Int("ops", 200000, "-bench: operations per phase")
-	pipeline := flag.Int("pipeline", 64, "-bench: commands in flight per batch")
-	valueSize := flag.Int("value", 64, "-bench: value size in bytes")
-	benchKeys := flag.Int("keys", 10000, "-bench: key space size")
+	addr := flag.String("addr", "localhost:6380", "-cli: server address")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (stopped on shutdown)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on shutdown")
 	flag.Parse()
@@ -71,9 +64,6 @@ func main() {
 
 	if *cliMode {
 		os.Exit(runCLI(*addr, flag.Args()))
-	}
-	if *benchMode {
-		os.Exit(runBench(*addr, *benchOps, *pipeline, *valueSize, *benchKeys))
 	}
 
 	// Serving trades heap headroom for throughput: the request path

@@ -2,19 +2,32 @@ package experiments
 
 import (
 	"os"
+	"sync"
 	"testing"
 )
 
 // Test scales keep the suite fast while preserving topology and pressure.
 const testScale = 0.008
 
+// The package's two costliest seed-7 replays are each needed twice: a
+// shape test asserts on the rows and TestStudyTablesGolden hashes the
+// table. Each runs once per test binary, for whichever test asks first.
+var (
+	harmonySeed7 = sync.OnceValues(func() ([]ExpARow, *Table) {
+		return RunExpA(G5KHarmony().Scaled(testScale), 7)
+	})
+	bismarSeed7 = sync.OnceValues(func() ([]ExpCRow, *Table) {
+		return RunExpC(G5KCost(), testScale, 7)
+	})
+)
+
 func TestExpA_Grid5000Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped with -short")
 	}
-	// The run `paperbench harmony` makes at test scale; the golden hash
-	// pins that it stays the run TestStudyTablesGolden replays.
-	rows, table := RunExpA(G5KHarmony().Scaled(testScale), 7)
+	// The run `paperbench harmony` makes at test scale, shared with
+	// TestStudyTablesGolden.
+	rows, table := harmonySeed7()
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
@@ -122,9 +135,8 @@ func TestExpCBismarShape(t *testing.T) {
 		t.Skip("heavy experiment; skipped with -short")
 	}
 	// The run `paperbench bismar` makes at test scale (RunExpC scales the
-	// platform itself); the golden hash pins that it stays the run
-	// TestStudyTablesGolden replays.
-	rows, table := RunExpC(G5KCost(), testScale, 7)
+	// platform itself), shared with TestStudyTablesGolden.
+	rows, table := bismarSeed7()
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}

@@ -65,13 +65,25 @@ func checkGolden(t *testing.T, study string, seed uint64, tables ...*Table) {
 	}
 }
 
+// sharedSeed7 names the studies whose seed-7 run a shape test shares
+// (harmonySeed7, bismarSeed7): the platform the shared run uses, which
+// must be the study's default preset, and its table.
+var sharedSeed7 = map[string]struct {
+	platform string
+	table    func() *Table
+}{
+	"harmony": {G5KHarmony().Name, func() *Table { _, t := harmonySeed7(); return t }},
+	"bismar":  {G5KCost().Name, func() *Table { _, t := bismarSeed7(); return t }},
+}
+
 // TestStudyTablesGolden replays the seed-7 entries of goldenTables
-// through the registry. The seed-1 entries are checked where that run
-// already happens: TestRecoveryStudyShape, TestElasticityStudy,
+// through the registry, except that harmony and bismar read the run
+// their shape tests share. The seed-1 entries are checked where that
+// run already happens: TestRecoveryStudyShape, TestElasticityStudy,
 // TestGossipStudy, TestHotKeyStudy, TestAutoscaleStudy and
 // TestBehaviorStudy hash the table whose outcomes they assert on.
 // TestExpA_Grid5000Shape and TestExpCBismarShape also hash the seed-7
-// harmony and bismar tables, which pins that they run what the study does.
+// harmony and bismar tables.
 func TestStudyTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiments; skipped with -short")
@@ -86,6 +98,13 @@ func TestStudyTablesGolden(t *testing.T) {
 			p, err := s.Platform("")
 			if err != nil {
 				t.Fatal(err)
+			}
+			if shared, ok := sharedSeed7[study]; ok {
+				if p.Name != shared.platform {
+					t.Fatalf("default preset %s, but the shared run uses %s", p.Name, shared.platform)
+				}
+				checkGolden(t, study, 7, shared.table())
+				return
 			}
 			checkGolden(t, study, 7, s.Run(p, testScale, 7)...)
 		})

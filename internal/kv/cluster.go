@@ -285,10 +285,11 @@ type Cluster struct {
 
 	// Gossip membership (Config.Gossip): the global append-only log of
 	// membership flips. Each node's ring knowledge is a contiguous
-	// prefix of this log (see internal/gossip); founders records the
-	// birth member set so test hooks can rebuild a view at any prefix.
+	// prefix of this log (see internal/gossip); rings[seq] is the
+	// placement after the first seq flips, so a view routes on the one
+	// its prefix names (len(rings) == len(ringEvents)+1).
 	ringEvents []gossip.RingEvent
-	founders   []netsim.NodeID
+	rings      []placement
 
 	// Hot-key fast path (Config.HotCache; nil otherwise): the shared
 	// hot-set tracker the per-node read caches consult. See hotcache.go.
@@ -370,7 +371,9 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 	}
 	c.strategy = c.buildStrategy(members)
 	c.oracle = NewOracle(c.strategy.RF())
-	c.founders = append([]netsim.NodeID(nil), members...)
+	if cfg.Gossip {
+		c.rings = []placement{{members: append([]netsim.NodeID(nil), members...), strategy: c.strategy}}
+	}
 
 	for _, id := range members {
 		n := newNode(id, c)
@@ -397,7 +400,7 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 			net.SendLocal(id, hintTick{}, cfg.HintReplayInterval*time.Duration(i+1)/time.Duration(len(c.order)))
 		}
 		if cfg.Gossip {
-			n.gs = newGossipState(n, members, 0)
+			n.gs = newGossipState(n, 0)
 			net.SendLocal(id, gossipTick{epoch: n.epoch},
 				cfg.GossipInterval*time.Duration(i+1)/time.Duration(len(c.order)))
 		}
@@ -405,15 +408,26 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 	return c
 }
 
-// appendRingEvent logs one membership flip to the global ring-event
-// log; per-node views learn it through gossip (plus the introducer
-// fast-path in finishJoin/finishDecommission).
+// placement is the ring as one ring-event prefix leaves it: the member
+// set and the strategy built over it. Every view at that prefix shares
+// it.
+type placement struct {
+	members  []netsim.NodeID
+	strategy ring.Strategy
+}
+
+// appendRingEvent logs one membership flip to the global ring-event log
+// and, beside it, the placement the flip leaves: the caller has already
+// adopted it as c.strategy and updated c.order. Per-node views learn the
+// flip through gossip (plus the introducer fast-path in
+// finishJoin/finishDecommission).
 func (c *Cluster) appendRingEvent(join bool, id netsim.NodeID) {
 	c.ringEvents = append(c.ringEvents, gossip.RingEvent{
 		Seq:  uint64(len(c.ringEvents)) + 1,
 		Join: join,
 		Node: id,
 	})
+	c.rings = append(c.rings, placement{members: c.Members(), strategy: c.strategy})
 }
 
 // eventsSince returns the ring-event suffix after prefix seq. The slice
@@ -423,27 +437,6 @@ func (c *Cluster) eventsSince(seq uint64) []gossip.RingEvent {
 		return nil
 	}
 	return c.ringEvents[seq:]
-}
-
-// membersAt reconstructs the ring member set at ring-event prefix seq
-// (founders plus the first seq flips) — the test/bench hook behind
-// ResetGossipView.
-func (c *Cluster) membersAt(seq uint64) []netsim.NodeID {
-	members := append([]netsim.NodeID(nil), c.founders...)
-	for _, ev := range c.ringEvents[:seq] {
-		if ev.Join {
-			members = append(members, ev.Node)
-		} else {
-			for i, m := range members {
-				if m == ev.Node {
-					members = append(members[:i], members[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	return members
 }
 
 // ResetGossipView rewinds node id's membership view to ring-event
@@ -464,7 +457,7 @@ func (c *Cluster) ResetGossipView(id netsim.NodeID, seq uint64) {
 	// rewind (not a fresh state) keeps the dissemination meters — a
 	// bench that rewinds views every iteration still accumulates its
 	// retry counts.
-	n.gs.rewind(n, c.membersAt(seq), seq)
+	n.gs.rewind(n, seq)
 }
 
 // GossipStatus reports viewer's current liveness claim about subject
@@ -514,9 +507,9 @@ func (c *Cluster) ViewAgreement() float64 {
 func (c *Cluster) MembershipConverged() bool { return c.ViewAgreement() == 1 }
 
 // buildStrategy assembles the configured placement strategy over the
-// given member set. New uses it at birth; Join/Decommission use it to
-// preview the post-change placement (which keys move) before the live
-// strategy is updated incrementally at the flip.
+// given member set. New uses it at birth; Join/Decommission build the
+// post-change placement with it up front — to plan which keys move —
+// and adopt that same strategy at the flip.
 func (c *Cluster) buildStrategy(members []netsim.NodeID) ring.Strategy {
 	rg := ring.New(members, c.cfg.VNodes, c.cfg.Seed)
 	if len(c.cfg.PerDC) > 0 {

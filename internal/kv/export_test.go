@@ -1,6 +1,10 @@
 package kv
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/ring"
+)
 
 // White-box probes for the black-box tests of package kv_test.
 
@@ -15,3 +19,12 @@ func (n *Node) OccupyWriteStage(d time.Duration) { n.submitWrite(d, func() {}) }
 
 // HintCount reports the hints the node buffers for down replicas.
 func (n *Node) HintCount() int { return n.hintCount }
+
+// RouteStrategy reports the placement the node routes on: its gossip
+// view's under Config.Gossip, the cluster's otherwise.
+func (n *Node) RouteStrategy() ring.Strategy {
+	if n.gs != nil {
+		return n.gs.strategy
+	}
+	return n.cluster.strategy
+}

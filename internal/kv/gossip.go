@@ -54,8 +54,8 @@ const (
 )
 
 // gossipState is a node's membership agent: its view, the placement
-// strategy derived from its ring prefix, the probe bookkeeping and the
-// dissemination meters.
+// strategy its ring prefix names (shared with every view at that
+// prefix), the probe bookkeeping and the dissemination meters.
 type gossipState struct {
 	view     *gossip.View
 	strategy ring.Strategy
@@ -74,23 +74,20 @@ type gossipState struct {
 	warmViolations    uint64
 }
 
-// newGossipState builds a node's agent over the given ring member set,
-// anchored at ring-event prefix seq.
-func newGossipState(n *Node, members []netsim.NodeID, seq uint64) *gossipState {
-	c := n.cluster
-	return &gossipState{
-		view:     gossip.NewView(n.id, members, gossipPiggyback, seq),
-		strategy: c.buildStrategy(members),
-		rng:      c.cfg.seedSource.StreamN("kv.gossip", int(n.id)),
-	}
+// newGossipState builds a node's agent anchored at ring-event prefix
+// seq.
+func newGossipState(n *Node, seq uint64) *gossipState {
+	gs := &gossipState{rng: n.cluster.cfg.seedSource.StreamN("kv.gossip", int(n.id))}
+	gs.rewind(n, seq)
+	return gs
 }
 
 // rewind resets the agent's view and ring to prefix seq, keeping the
 // meters (the ResetGossipView hook).
-func (gs *gossipState) rewind(n *Node, members []netsim.NodeID, seq uint64) {
-	c := n.cluster
-	gs.view = gossip.NewView(n.id, members, gossipPiggyback, seq)
-	gs.strategy = c.buildStrategy(members)
+func (gs *gossipState) rewind(n *Node, seq uint64) {
+	p := n.cluster.rings[seq]
+	gs.view = gossip.NewView(n.id, p.members, gossipPiggyback, seq)
+	gs.strategy = p.strategy
 	gs.awaitSeq = 0
 }
 
@@ -179,21 +176,17 @@ func (n *Node) eventsForCoord(from uint64) []gossip.RingEvent {
 }
 
 // applyRingEvents merges a ring-event suffix into this node's view and
-// placement. Events already applied (the sender's suffix started behind
-// us) are skipped by the view's dense-sequence gate.
+// routes on the placement of the prefix it reaches. Events already
+// applied (the sender's suffix started behind us) are skipped by the
+// view's dense-sequence gate.
 func (n *Node) applyRingEvents(events []gossip.RingEvent) {
 	gs := n.gs
 	for _, ev := range events {
-		if !gs.view.ApplyRingEvent(ev) {
-			continue
-		}
-		gs.eventsApplied++
-		if ev.Join {
-			gs.strategy.AddNode(ev.Node)
-		} else {
-			gs.strategy.RemoveNode(ev.Node)
+		if gs.view.ApplyRingEvent(ev) {
+			gs.eventsApplied++
 		}
 	}
+	gs.strategy = n.cluster.rings[gs.view.RingSeq()].strategy
 }
 
 // onGossipTick runs one probe round and re-arms the tick chain.

@@ -13,7 +13,7 @@ import (
 )
 
 // gossipConfig is quietConfig with SWIM membership dissemination on and
-// three founders of a five-node topology.
+// three founding members of a five-node topology.
 func gossipConfig(seed uint64) kv.Config {
 	cfg := quietConfig(seed)
 	cfg.InitialMembers = []netsim.NodeID{0, 1, 2}
@@ -70,6 +70,27 @@ func TestGossipJoinConvergesViews(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		if r := h.read(gkey(i), kv.Quorum); r.Err != nil || !r.Exists {
 			t.Fatalf("key %s after join: err=%v exists=%v", gkey(i), r.Err, r.Exists)
+		}
+	}
+
+	// Views at one ring-event prefix share one placement: converged
+	// views route on the cluster's own, rewound ones on the founding one.
+	members := h.cluster.Members()
+	for _, m := range members {
+		if h.cluster.Node(m).RouteStrategy() != h.cluster.Strategy() {
+			t.Fatalf("converged node %d routes on its own copy of the placement", m)
+		}
+	}
+	for _, m := range members {
+		h.cluster.ResetGossipView(m, 0)
+	}
+	founding := h.cluster.Node(members[0]).RouteStrategy()
+	if founding == h.cluster.Strategy() {
+		t.Fatal("a view rewound to prefix 0 routes on the post-join placement")
+	}
+	for _, m := range members[1:] {
+		if h.cluster.Node(m).RouteStrategy() != founding {
+			t.Fatalf("rewound node %d routes on its own copy of the founding placement", m)
 		}
 	}
 }

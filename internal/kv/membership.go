@@ -103,7 +103,7 @@ type membershipChange struct {
 	join bool
 	id   netsim.NodeID
 	gen  uint64
-	next ring.Strategy // post-change placement preview (streams route by it)
+	next ring.Strategy // post-change placement: streams route by it, the flip adopts it
 }
 
 // Members returns the current ring members in ascending id order.
@@ -439,10 +439,9 @@ func (c *Cluster) armMembershipGuard(p *membershipChange) {
 	})
 }
 
-// finishJoin flips the placement: the live strategy incorporates the
-// joiner incrementally (moving only the affected arc of the placement
-// table), the node joins the coordinator rotation and its background
-// chains start. With WarmupDuration set it warms first.
+// finishJoin flips the placement: the cluster adopts the post-join
+// strategy startJoin built, the node joins the coordinator rotation and
+// its background chains start. With WarmupDuration set it warms first.
 func (c *Cluster) finishJoin(id netsim.NodeID) {
 	p := c.pending
 	if p == nil || !p.join || p.id != id {
@@ -450,7 +449,7 @@ func (c *Cluster) finishJoin(id netsim.NodeID) {
 	}
 	c.pending = nil
 	c.joins++
-	c.strategy.AddNode(id)
+	c.strategy = p.next
 	c.insertMember(id)
 	n := c.nodes[id]
 	n.streamsIn = nil
@@ -465,7 +464,7 @@ func (c *Cluster) finishJoin(id netsim.NodeID) {
 		// here; everyone else hears it through gossip or a wrong-owner
 		// refusal — joins become visible gradually.
 		c.appendRingEvent(true, id)
-		n.gs = newGossipState(n, c.Members(), uint64(len(c.ringEvents)))
+		n.gs = newGossipState(n, uint64(len(c.ringEvents)))
 		c.net.SendLocal(id, gossipTick{epoch: n.epoch}, c.cfg.GossipInterval)
 		c.seedIntroducer(id)
 	}
@@ -473,8 +472,8 @@ func (c *Cluster) finishJoin(id netsim.NodeID) {
 	c.drainMembershipQueue()
 }
 
-// finishDecommission flips the placement: the leaver's vnodes come off
-// the ring (placement recomputed incrementally), it leaves the
+// finishDecommission flips the placement: the cluster adopts the
+// post-removal strategy startDecommission built, the leaver leaves the
 // coordinator rotation, and its actor lingers only to drain.
 func (c *Cluster) finishDecommission(id netsim.NodeID) {
 	p := c.pending
@@ -483,7 +482,7 @@ func (c *Cluster) finishDecommission(id netsim.NodeID) {
 	}
 	c.pending = nil
 	c.decommissions++
-	c.strategy.RemoveNode(id)
+	c.strategy = p.next
 	c.removeMember(id)
 	n := c.nodes[id]
 	n.phase = phaseDecommissioned

@@ -79,10 +79,11 @@ func TestLocalQuorumReadYourWritesWithinDC(t *testing.T) {
 }
 
 // TestMultiDCJoinDecommission pins elastic membership under per-DC
-// placement: with PerDC 2+2 and three founders per DC, a join in the
-// first DC and a decommission in the second each stream and flip, every
-// key stays readable at ALL, and a second decommission that would leave
-// the second DC below its replica count is refused and changes nothing.
+// placement: with PerDC 2+2 and three founding members per DC, a join
+// in the first DC and a decommission in the second each stream and
+// flip, every key stays readable at ALL, and a second decommission that
+// would leave the second DC below its replica count is refused and
+// changes nothing.
 // The transcript (reads, Usage, transport meter, final placement) is
 // pinned by hash.
 func TestMultiDCJoinDecommission(t *testing.T) {

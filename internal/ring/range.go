@@ -54,8 +54,8 @@ func RangesContain(rs []Range, t Token) bool {
 
 // arcs returns the distinct arc boundaries of the ring ascending, with
 // the primary owner of each boundary's arc. Vnodes tied on a token
-// collapse into one boundary owned by the lowest node id (vnodeLess
-// order): the later duplicates own empty arcs, which are no arcs.
+// collapse into one boundary owned by the lowest node id (ring order):
+// the later duplicates own empty arcs, which are no arcs.
 func (r *Ring) arcs() (bounds []Token, owners []netsim.NodeID) {
 	bounds = make([]Token, 0, len(r.vnodes))
 	owners = make([]netsim.NodeID, 0, len(r.vnodes))
@@ -118,32 +118,6 @@ type Movement struct {
 	New   []netsim.NodeID
 }
 
-// Gained returns the nodes that acquire the arc (in New's preference
-// order); Lost returns the nodes that give it up.
-func (m Movement) Gained() []netsim.NodeID { return nodesMinus(m.New, m.Old) }
-
-// Lost returns the nodes that stop replicating the arc.
-func (m Movement) Lost() []netsim.NodeID { return nodesMinus(m.Old, m.New) }
-
-func nodesMinus(a, b []netsim.NodeID) []netsim.NodeID {
-	var out []netsim.NodeID
-	for _, n := range a {
-		if !nodesHave(b, n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func nodesHave(ns []netsim.NodeID, id netsim.NodeID) bool {
-	for _, n := range ns {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
 func nodesEqual(a, b []netsim.NodeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -163,11 +137,6 @@ func nodesEqual(a, b []netsim.NodeID) bool {
 // and Old/New describe all of its keys at once. Adjacent sub-arcs with
 // identical movements coalesce. Output follows the package ordering
 // invariant (ascending by End, wrapping arc first).
-//
-// When both strategies are SimpleStrategy and the change is a single
-// node joining or leaving, only the affected arc — starts whose
-// first-RF clockwise walk reaches the changed node's vnodes — is
-// compared; everything outside it is provably unchanged.
 func Diff(old, next Strategy) []Movement {
 	op, np := old.Ranges(), next.Ranges()
 	// A side with no ring contributes no boundaries: every arc of the
@@ -206,12 +175,8 @@ func Diff(old, next Strategy) []Movement {
 	}
 	bounds = dedup
 
-	unaffected := diffMask(old, next)
 	var out []Movement
 	for j, tok := range bounds {
-		if unaffected != nil && unaffected(tok) {
-			continue
-		}
 		co, cn := old.ReplicasAt(tok), next.ReplicasAt(tok)
 		if nodesEqual(co, cn) {
 			continue
@@ -226,42 +191,4 @@ func Diff(old, next Strategy) []Movement {
 		out = append(out, mv)
 	}
 	return out
-}
-
-// diffMask returns a predicate reporting tokens provably unchanged by
-// the membership delta, or nil when every sub-arc must be compared.
-// The fast path applies to a SimpleStrategy pair differing by exactly
-// one node: a start's first-RF walk that completes before reaching any
-// of the changed node's vnodes visits identical vnodes under both
-// rings, so its replica list cannot differ — precisely the complement
-// of affectedStarts, evaluated on the ring that contains the node.
-func diffMask(old, next Strategy) func(Token) bool {
-	so, ok := old.(*SimpleStrategy)
-	if !ok {
-		return nil
-	}
-	sn, ok := next.(*SimpleStrategy)
-	if !ok || so.Factor != sn.Factor {
-		return nil
-	}
-	added := nodesMinus(sn.Ring.nodes, so.Ring.nodes)
-	removed := nodesMinus(so.Ring.nodes, sn.Ring.nodes)
-	if len(added)+len(removed) != 1 {
-		return nil
-	}
-	host := sn.Ring
-	id := netsim.NodeID(-1)
-	if len(added) == 1 {
-		id = added[0]
-	} else {
-		host, id = so.Ring, removed[0]
-	}
-	var positions []int
-	for i := range host.vnodes {
-		if host.vnodes[i].node == id {
-			positions = append(positions, i)
-		}
-	}
-	mark := host.affectedStarts(positions, sn.Factor)
-	return func(t Token) bool { return !mark[host.search(t)] }
 }

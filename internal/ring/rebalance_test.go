@@ -16,105 +16,57 @@ func sampleKeys(n int) []string {
 	return keys
 }
 
-// TestAddNodeMatchesFreshBuild pins the incremental-equals-fresh
-// property: a ring grown via AddNode is bit-identical to one built by
-// New over the final member list, and the incrementally maintained
-// placement table answers exactly like a freshly built strategy.
-func TestAddNodeMatchesFreshBuild(t *testing.T) {
-	const vn, seed, rf = 16, 7, 3
-	grown := NewSimpleStrategy(New(nodeIDs(6), vn, seed), rf)
-	grown.AddNode(6)
-	grown.AddNode(7)
-	grown.RemoveNode(2)
-
-	want := []netsim.NodeID{0, 1, 3, 4, 5, 6, 7}
-	fresh := NewSimpleStrategy(New(want, vn, seed), rf)
-
-	if got := grown.Ring.VNodes(); got != fresh.Ring.VNodes() {
-		t.Fatalf("vnode count %d != fresh %d", got, fresh.Ring.VNodes())
-	}
-	for i := range grown.Ring.vnodes {
-		if grown.Ring.vnodes[i] != fresh.Ring.vnodes[i] {
-			t.Fatalf("vnode %d: %+v != fresh %+v", i, grown.Ring.vnodes[i], fresh.Ring.vnodes[i])
-		}
-	}
-	for _, k := range sampleKeys(2000) {
-		a, b := grown.Replicas(k), fresh.Replicas(k)
-		if len(a) != len(b) {
-			t.Fatalf("key %s: %v != fresh %v", k, a, b)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("key %s: %v != fresh %v", k, a, b)
-			}
-		}
-	}
-}
-
-// TestRebalancedTablesMatchWalk verifies, after every membership change,
-// that each strategy's placement table agrees entry-for-entry with a
-// fresh ring walk — the incremental recompute is a pure cache update.
+// TestRebalancedTablesMatchWalk verifies, for the member set after each
+// step of a membership-change sequence, that the placement table built for it
+// agrees entry-for-entry with a fresh ring walk — the table is a pure
+// cache of the walk.
 func TestRebalancedTablesMatchWalk(t *testing.T) {
-	s := NewSimpleStrategy(New(nodeIDs(8), 32, 11), 3)
-	check := func(step string) {
-		t.Helper()
-		want := placements(s.Ring, s.pick)
-		if len(want) != len(s.table) {
-			t.Fatalf("%s: table has %d entries, walk %d", step, len(s.table), len(want))
-		}
-		for i := range want {
-			if len(want[i]) != len(s.table[i]) {
-				t.Fatalf("%s: entry %d: table %v vs walk %v", step, i, s.table[i], want[i])
-			}
-			for j := range want[i] {
-				if want[i][j] != s.table[i][j] {
-					t.Fatalf("%s: entry %d: table %v vs walk %v", step, i, s.table[i], want[i])
-				}
-			}
-		}
-	}
-	ops := []struct {
-		name   string
-		mutate func()
+	steps := []struct {
+		name    string
+		members []netsim.NodeID
 	}{
-		{"add-8", func() { s.AddNode(8) }},
-		{"add-9", func() { s.AddNode(9) }},
-		{"remove-0", func() { s.RemoveNode(0) }},
-		{"remove-9", func() { s.RemoveNode(9) }},
-		{"add-10", func() { s.AddNode(10) }},
-		{"remove-3", func() { s.RemoveNode(3) }},
+		{"initial", nodeIDs(8)},
+		{"add-8", nodeIDs(9)},
+		{"add-9", nodeIDs(10)},
+		{"remove-0", nodeIDs(10)[1:]},
+		{"remove-9", nodeIDs(9)[1:]},
+		{"add-10", append(nodeIDs(9)[1:], 10)},
+		{"remove-3", []netsim.NodeID{1, 2, 4, 5, 6, 7, 8, 10}},
 	}
-	check("initial")
-	for _, op := range ops {
-		op.mutate()
-		check(op.name)
+	for _, step := range steps {
+		s := NewSimpleStrategy(New(step.members, 32, 11), 3)
+		for i := range s.Ring.vnodes {
+			var walk []netsim.NodeID
+			s.Ring.walkFrom(i, map[netsim.NodeID]bool{}, func(n netsim.NodeID) bool {
+				walk = append(walk, n)
+				return len(walk) < s.Factor
+			})
+			if !nodesEqual(walk, s.table[i]) {
+				t.Fatalf("%s: entry %d: table %v vs walk %v", step.name, i, s.table[i], walk)
+			}
+		}
 	}
 }
 
-// TestAddNodeOwnershipDelta pins consistent hashing's rebalance bound:
-// adding one node to an N-node ring moves only about 1/(N+1) of primary
-// ownership (within vnode-variance slack), and removing it again
-// restores the original placement exactly.
-func TestAddNodeOwnershipDelta(t *testing.T) {
+// TestJoinOwnershipDelta pins consistent hashing's rebalance bound: the
+// placement over N+1 nodes moves only about 1/(N+1) of primary
+// ownership from the one over N (within vnode-variance slack), and only
+// to the new node.
+func TestJoinOwnershipDelta(t *testing.T) {
 	const n = 8
-	s := NewSimpleStrategy(New(nodeIDs(n), 64, 3), 3)
+	before := NewSimpleStrategy(New(nodeIDs(n), 64, 3), 3)
+	after := NewSimpleStrategy(New(nodeIDs(n+1), 64, 3), 3)
 	keys := sampleKeys(20000)
 
-	before := make([]netsim.NodeID, len(keys))
-	for i, k := range keys {
-		before[i] = s.Replicas(k)[0]
-	}
-
-	s.AddNode(n)
 	moved := 0
-	for i, k := range keys {
-		now := s.Replicas(k)[0]
-		if now != before[i] {
+	for _, k := range keys {
+		was, now := before.Replicas(k)[0], after.Replicas(k)[0]
+		if now != was {
 			moved++
 			if now != n {
 				// Primary ownership may only move TO the new node; any
 				// other movement breaks minimal rebalancing.
-				t.Fatalf("key %s moved %d -> %d (not the new node)", k, before[i], now)
+				t.Fatalf("key %s moved %d -> %d (not the new node)", k, was, now)
 			}
 		}
 	}
@@ -126,99 +78,65 @@ func TestAddNodeOwnershipDelta(t *testing.T) {
 	if frac < ideal/3 {
 		t.Errorf("add moved only %.1f%% of primaries, want ≈%.1f%%", 100*frac, 100*ideal)
 	}
-
-	s.RemoveNode(n)
-	for i, k := range keys {
-		if got := s.Replicas(k)[0]; got != before[i] {
-			t.Fatalf("key %s: primary %d after add+remove, originally %d", k, got, before[i])
-		}
-	}
 }
 
-// TestRebalanceDeterminism pins that the same membership-change sequence
-// on the same seed produces identical placement, run to run.
+// TestRebalanceDeterminism pins that a placement is a function of the
+// member set alone: the same members listed in any order build the same
+// ring and answer every key identically.
 func TestRebalanceDeterminism(t *testing.T) {
-	build := func() *SimpleStrategy {
-		s := NewSimpleStrategy(New(nodeIDs(5), 16, 42), 3)
-		s.AddNode(5)
-		s.RemoveNode(1)
-		s.AddNode(6)
-		return s
+	a := NewSimpleStrategy(New([]netsim.NodeID{0, 2, 3, 4, 5, 6}, 16, 42), 3)
+	b := NewSimpleStrategy(New([]netsim.NodeID{6, 0, 5, 2, 4, 3}, 16, 42), 3)
+	for i := range a.Ring.vnodes {
+		if a.Ring.vnodes[i] != b.Ring.vnodes[i] {
+			t.Fatalf("vnode %d: %+v vs %+v for the same member set", i, a.Ring.vnodes[i], b.Ring.vnodes[i])
+		}
 	}
-	a, b := build(), build()
 	for _, k := range sampleKeys(1000) {
-		ra, rb := a.Replicas(k), b.Replicas(k)
-		for j := range ra {
-			if ra[j] != rb[j] {
-				t.Fatalf("key %s: %v vs %v across identical runs", k, ra, rb)
-			}
+		if ra, rb := a.Replicas(k), b.Replicas(k); !nodesEqual(ra, rb) {
+			t.Fatalf("key %s: %v vs %v for the same member set", k, ra, rb)
 		}
 	}
 }
 
-// TestNetworkTopologyRebalance verifies the multi-DC strategy maintains
-// per-DC quotas across joins and removals.
+// TestNetworkTopologyRemovePanicsWhenThin pins the under-provisioning
+// guard a removal meets: the placement over the survivors of a removal
+// that leaves a DC below its replica quota cannot be built.
+func TestNetworkTopologyRemovePanicsWhenThin(t *testing.T) {
+	topo := netsim.NewTopology()
+	ids := topo.AddDC("dc1", "r", 2)
+	perDC := map[string]int{"dc1": 2}
+	NewNetworkTopologyStrategy(New(ids, 8, 1), topo, perDC)
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic building a placement below the DC quota")
+		}
+	}()
+	NewNetworkTopologyStrategy(New(ids[1:], 8, 1), topo, perDC)
+}
+
+// TestNetworkTopologyRebalance verifies the multi-DC strategy meets its
+// per-DC quotas over the member sets of a join and a removal.
 func TestNetworkTopologyRebalance(t *testing.T) {
 	topo := netsim.NewTopology()
-	ids1 := topo.AddDC("dc1", "r", 4)
-	topo.AddDC("dc2", "r", 4)
-	extra := topo.AddNode("dc1-extra", "dc1", "r")
+	dc1 := topo.AddDC("dc1", "r", 4)
+	dc2 := topo.AddDC("dc2", "r", 4)
 
-	members := append(append([]netsim.NodeID(nil), ids1[:3]...), topo.NodesInDC("dc2")[:3]...)
-	r := New(members, 16, 9)
-	s := NewNetworkTopologyStrategy(r, topo, map[string]int{"dc1": 2, "dc2": 2})
-
-	checkQuotas := func(step string) {
-		t.Helper()
+	initial := append(append([]netsim.NodeID(nil), dc1[:3]...), dc2[:3]...)
+	joined := append(append([]netsim.NodeID(nil), initial...), dc1[3])
+	removed := joined[1:]
+	for _, step := range []struct {
+		name    string
+		members []netsim.NodeID
+	}{{"initial", initial}, {"after add", joined}, {"after remove", removed}} {
+		s := NewNetworkTopologyStrategy(New(step.members, 16, 9), topo, map[string]int{"dc1": 2, "dc2": 2})
 		for _, k := range sampleKeys(500) {
 			perDC := map[string]int{}
 			for _, n := range s.Replicas(k) {
 				perDC[topo.DCOf(n)]++
 			}
 			if perDC["dc1"] != 2 || perDC["dc2"] != 2 {
-				t.Fatalf("%s: quotas %v for key %s", step, perDC, k)
+				t.Fatalf("%s: quotas %v for key %s", step.name, perDC, k)
 			}
 		}
 	}
-	checkQuotas("initial")
-	s.AddNode(extra)
-	checkQuotas("after add")
-	s.RemoveNode(ids1[0])
-	checkQuotas("after remove")
-}
-
-// TestNetworkTopologyRemovePanicsWhenThin pins the under-provisioning
-// guard on removal.
-func TestNetworkTopologyRemovePanicsWhenThin(t *testing.T) {
-	topo := netsim.NewTopology()
-	ids := topo.AddDC("dc1", "r", 2)
-	r := New(ids, 8, 1)
-	s := NewNetworkTopologyStrategy(r, topo, map[string]int{"dc1": 2})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic removing below DC quota")
-		}
-	}()
-	s.RemoveNode(ids[0])
-}
-
-// TestAddExistingAndRemoveMissingPanic pins the membership contract.
-func TestAddExistingAndRemoveMissingPanic(t *testing.T) {
-	r := New(nodeIDs(3), 8, 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AddNode of a member should panic")
-			}
-		}()
-		r.AddNode(1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RemoveNode of a non-member should panic")
-			}
-		}()
-		r.RemoveNode(9)
-	}()
 }

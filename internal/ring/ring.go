@@ -3,13 +3,12 @@
 // distinct nodes clockwise) and NetworkTopologyStrategy (per-datacenter
 // replica counts), mirroring Cassandra's partitioners.
 //
-// The ring is mutable: AddNode and RemoveNode splice a node's virtual
-// nodes in or out, moving only the ~1/N of key ownership adjacent to the
-// new tokens (consistent hashing's rebalance guarantee). Tokens are a
-// pure function of (node, vnode index, seed), so a ring grown
-// incrementally is bit-identical to one built fresh from the final
-// member list — the property membership changes in the deterministic
-// simulator rely on.
+// A ring and its placement are immutable values, built once per member
+// set. Tokens are a pure function of (node, vnode index, seed), so the
+// placement after a membership change is simply the one built over the
+// new member set; adding a node moves only the ~1/N of key ownership
+// adjacent to its tokens (consistent hashing's rebalance guarantee), and
+// Diff names exactly the arcs that moved.
 package ring
 
 import (
@@ -45,37 +44,11 @@ type vnode struct {
 	node  netsim.NodeID
 }
 
-// Ring is a token ring with virtual nodes. It is immutable under
-// lookups; AddNode/RemoveNode mutate it between operations (the
-// simulator's membership changes run on the event loop, serialized with
-// every lookup).
+// Ring is a token ring with virtual nodes, immutable once built: a
+// membership change builds a new ring over the new member set.
 type Ring struct {
 	vnodes []vnode
 	nodes  []netsim.NodeID
-
-	vnodesPerNode int
-	seed          uint64
-}
-
-// nodeTokens derives the vnode tokens of one node, sorted ascending.
-// The derivation matches New exactly, so incremental membership changes
-// reproduce the fresh-build ring bit for bit.
-func nodeTokens(n netsim.NodeID, vnodesPerNode int, seed uint64) []vnode {
-	out := make([]vnode, 0, vnodesPerNode)
-	for v := 0; v < vnodesPerNode; v++ {
-		tok := Token(stats.FNVHash64(seed ^ stats.FNVHash64(uint64(n)<<20|uint64(v))))
-		out = append(out, vnode{token: tok, node: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].token < out[j].token })
-	return out
-}
-
-// vnodeLess is the ring ordering: by token, ties broken by node id.
-func vnodeLess(a, b vnode) bool {
-	if a.token != b.token {
-		return a.token < b.token
-	}
-	return a.node < b.node
 }
 
 // New builds a ring for the given nodes with vnodesPerNode virtual nodes
@@ -86,11 +59,7 @@ func New(nodes []netsim.NodeID, vnodesPerNode int, seed uint64) *Ring {
 	if vnodesPerNode <= 0 {
 		vnodesPerNode = 1
 	}
-	r := &Ring{
-		nodes:         append([]netsim.NodeID(nil), nodes...),
-		vnodesPerNode: vnodesPerNode,
-		seed:          seed,
-	}
+	r := &Ring{nodes: append([]netsim.NodeID(nil), nodes...)}
 	r.vnodes = make([]vnode, 0, len(nodes)*vnodesPerNode)
 	for _, n := range nodes {
 		for v := 0; v < vnodesPerNode; v++ {
@@ -98,82 +67,19 @@ func New(nodes []netsim.NodeID, vnodesPerNode int, seed uint64) *Ring {
 			r.vnodes = append(r.vnodes, vnode{token: tok, node: n})
 		}
 	}
-	sort.Slice(r.vnodes, func(i, j int) bool { return vnodeLess(r.vnodes[i], r.vnodes[j]) })
+	// Ring order: by token, ties broken by node id.
+	sort.Slice(r.vnodes, func(i, j int) bool {
+		a, b := r.vnodes[i], r.vnodes[j]
+		if a.token != b.token {
+			return a.token < b.token
+		}
+		return a.node < b.node
+	})
 	return r
-}
-
-// Has reports whether id is a ring member.
-func (r *Ring) Has(id netsim.NodeID) bool {
-	for _, n := range r.nodes {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
-
-// AddNode splices id's virtual nodes into the ring and returns their
-// post-insert indices in ascending order. Only keys whose token now
-// lands on (or walks through) one of the new vnodes change owners —
-// about 1/N of the ring. Adding a present node panics.
-func (r *Ring) AddNode(id netsim.NodeID) []int {
-	if r.Has(id) {
-		panic(fmt.Sprintf("ring: AddNode(%d): already a member", id))
-	}
-	add := nodeTokens(id, r.vnodesPerNode, r.seed)
-	merged := make([]vnode, 0, len(r.vnodes)+len(add))
-	positions := make([]int, 0, len(add))
-	i, j := 0, 0
-	for i < len(r.vnodes) || j < len(add) {
-		if j >= len(add) || (i < len(r.vnodes) && vnodeLess(r.vnodes[i], add[j])) {
-			merged = append(merged, r.vnodes[i])
-			i++
-		} else {
-			positions = append(positions, len(merged))
-			merged = append(merged, add[j])
-			j++
-		}
-	}
-	r.vnodes = merged
-	r.nodes = append(r.nodes, id)
-	return positions
-}
-
-// RemoveNode splices id's virtual nodes out of the ring and returns
-// their pre-removal indices in ascending order. Keys the node owned fall
-// to the next distinct node clockwise; nothing else moves. Removing a
-// non-member panics.
-func (r *Ring) RemoveNode(id netsim.NodeID) []int {
-	if !r.Has(id) {
-		panic(fmt.Sprintf("ring: RemoveNode(%d): not a member", id))
-	}
-	var positions []int
-	kept := r.vnodes[:0]
-	for i := range r.vnodes {
-		if r.vnodes[i].node == id {
-			positions = append(positions, i)
-			continue
-		}
-		kept = append(kept, r.vnodes[i])
-	}
-	r.vnodes = kept
-	for i, n := range r.nodes {
-		if n == id {
-			r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-			break
-		}
-	}
-	return positions
 }
 
 // Nodes returns the ring members. Callers must not mutate the slice.
 func (r *Ring) Nodes() []netsim.NodeID { return r.nodes }
-
-// N reports the number of distinct nodes on the ring.
-func (r *Ring) N() int { return len(r.nodes) }
-
-// VNodes reports the number of virtual nodes on the ring.
-func (r *Ring) VNodes() int { return len(r.vnodes) }
 
 // search returns the index of the first vnode with token ≥ t (wrapping).
 func (r *Ring) search(t Token) int {
@@ -202,55 +108,10 @@ func (r *Ring) walkFrom(start int, seen map[netsim.NodeID]bool, visit func(netsi
 	}
 }
 
-// Walk visits distinct nodes clockwise from the key's token until visit
-// returns false or all nodes have been seen.
-func (r *Ring) Walk(key string, visit func(netsim.NodeID) bool) {
-	if len(r.vnodes) == 0 {
-		return
-	}
-	r.walkFrom(r.search(KeyToken(key)), make(map[netsim.NodeID]bool, len(r.nodes)), visit)
-}
-
-// Primary returns the first node clockwise from the key's token.
-func (r *Ring) Primary(key string) netsim.NodeID {
-	var p netsim.NodeID = -1
-	r.Walk(key, func(n netsim.NodeID) bool { p = n; return false })
-	return p
-}
-
-// affectedStarts reports which start vnodes' placement walks could reach
-// any of the changed positions before completing: walking
-// counter-clockwise from each changed position, a start is affected
-// until the arc between it and the changed position already contains
-// `need` distinct nodes (its walk would have ended before the change).
-// The changed positions themselves are always marked. Distinct-node
-// counts are monotone in the arc length, so the backward scan stops at
-// the first unaffected start.
-func (r *Ring) affectedStarts(changed []int, need int) []bool {
-	mark := make([]bool, len(r.vnodes))
-	if need > len(r.nodes) {
-		need = len(r.nodes)
-	}
-	seen := make(map[netsim.NodeID]bool, need)
-	for _, p := range changed {
-		mark[p] = true
-		clear(seen)
-		for step := 1; step < len(r.vnodes); step++ {
-			i := (p - step + len(r.vnodes)) % len(r.vnodes)
-			seen[r.vnodes[i].node] = true
-			if len(seen) >= need {
-				break // the walk from i completes inside the arc
-			}
-			mark[i] = true
-		}
-	}
-	return mark
-}
-
 // Strategy chooses the replica set of a key. Implementations must be
 // deterministic: the same key always maps to the same ordered replica
-// list. AddNode/RemoveNode apply a membership change to the underlying
-// ring and bring the placement tables up to date.
+// list. A strategy is immutable once built; a membership change builds a
+// new one over the new member set.
 type Strategy interface {
 	// Replicas returns the replica nodes of key in preference order
 	// (the first entry is the primary). Replicas(key) is exactly
@@ -266,20 +127,14 @@ type Strategy interface {
 	Ranges() []RangePlacement
 	// RF reports the total replication factor.
 	RF() int
-	// AddNode adds a node to the ring and updates placement.
-	AddNode(id netsim.NodeID)
-	// RemoveNode removes a node from the ring and updates placement.
-	RemoveNode(id netsim.NodeID)
 }
 
-// The ring mutates only between operations, so a key's replica set
-// depends only on the vnode its token lands on. Both strategies
-// therefore precompute the replica list of every start vnode and answer
-// Replicas with a shared table lookup: zero walking and zero allocation
-// per operation. Callers must not mutate the returned slice. Membership
-// changes recompute the table incrementally (SimpleStrategy touches only
-// the ~RF/N affected arc; NetworkTopologyStrategy rebuilds, since its
-// quota-constrained walks have no local bound).
+// A placement is built once per member set and never changes, so a
+// key's replica set depends only on the vnode its token lands on. Both
+// strategies therefore precompute the replica list of every start vnode
+// at construction and answer Replicas with a shared table lookup: zero
+// walking and zero allocation per operation. Callers must not mutate the
+// returned slice.
 
 // SimpleStrategy places replicas on the first RF distinct nodes clockwise
 // from the key's token, ignoring topology.
@@ -287,7 +142,7 @@ type SimpleStrategy struct {
 	Ring   *Ring
 	Factor int
 
-	table [][]netsim.NodeID // lazily built per-vnode replica lists
+	table [][]netsim.NodeID // per-vnode replica lists; nil when zero-constructed
 }
 
 // placements precomputes one replica list per start vnode using pick to
@@ -308,19 +163,6 @@ func placements(r *Ring, pick func(walk []netsim.NodeID) []netsim.NodeID) [][]ne
 	return table
 }
 
-// recomputeEntry rebuilds the table entry of one start vnode.
-func recomputeEntry(r *Ring, table [][]netsim.NodeID, start int,
-	walk []netsim.NodeID, seen map[netsim.NodeID]bool,
-	pick func(walk []netsim.NodeID) []netsim.NodeID) {
-	walk = walk[:0]
-	clear(seen)
-	r.walkFrom(start, seen, func(n netsim.NodeID) bool {
-		walk = append(walk, n)
-		return true
-	})
-	table[start] = pick(walk)
-}
-
 // NewSimpleStrategy builds the strategy with its placement table.
 func NewSimpleStrategy(r *Ring, factor int) *SimpleStrategy {
 	s := &SimpleStrategy{Ring: r, Factor: factor}
@@ -335,62 +177,6 @@ func (s *SimpleStrategy) pick(walk []netsim.NodeID) []netsim.NodeID {
 		n = len(walk)
 	}
 	return append([]netsim.NodeID(nil), walk[:n]...)
-}
-
-// AddNode implements Strategy: the new node's vnodes are spliced in and
-// only the affected arc of the placement table — starts whose first-RF
-// walk reaches a new vnode — is recomputed.
-func (s *SimpleStrategy) AddNode(id netsim.NodeID) {
-	positions := s.Ring.AddNode(id)
-	if s.table == nil {
-		return // walking fallback: nothing cached
-	}
-	// Splice placeholder entries so the table stays parallel to vnodes.
-	for _, p := range positions {
-		s.table = append(s.table, nil)
-		copy(s.table[p+1:], s.table[p:])
-		s.table[p] = nil
-	}
-	s.recomputeAffected(positions)
-}
-
-// RemoveNode implements Strategy: the node's vnodes are spliced out, the
-// matching table entries dropped, and exactly the entries that listed
-// the node as a replica are recomputed (an entry without the node walks
-// the same surviving vnodes in the same order, so it cannot change).
-func (s *SimpleStrategy) RemoveNode(id netsim.NodeID) {
-	positions := s.Ring.RemoveNode(id)
-	if s.table == nil {
-		return
-	}
-	for k := len(positions) - 1; k >= 0; k-- {
-		p := positions[k]
-		s.table = append(s.table[:p], s.table[p+1:]...)
-	}
-	walk := make([]netsim.NodeID, 0, len(s.Ring.nodes))
-	seen := make(map[netsim.NodeID]bool, len(s.Ring.nodes))
-	for start, reps := range s.table {
-		for _, rep := range reps {
-			if rep == id {
-				recomputeEntry(s.Ring, s.table, start, walk, seen, s.pick)
-				break
-			}
-		}
-	}
-}
-
-// recomputeAffected rebuilds the table entries whose walk could have
-// changed.
-func (s *SimpleStrategy) recomputeAffected(positions []int) {
-	need := s.Factor
-	affected := s.Ring.affectedStarts(positions, need)
-	walk := make([]netsim.NodeID, 0, len(s.Ring.nodes))
-	seen := make(map[netsim.NodeID]bool, len(s.Ring.nodes))
-	for start, hit := range affected {
-		if hit {
-			recomputeEntry(s.Ring, s.table, start, walk, seen, s.pick)
-		}
-	}
 }
 
 // Replicas implements Strategy.
@@ -428,12 +214,11 @@ func (s *SimpleStrategy) RF() int { return s.Factor }
 // datacenter: it walks the ring clockwise and takes nodes whose DC still
 // has unfilled quota, Cassandra's multi-DC placement.
 type NetworkTopologyStrategy struct {
-	Ring    *Ring
-	Topo    *netsim.Topology
-	PerDC   map[string]int
-	factor  int
-	factSet bool
-	table   [][]netsim.NodeID
+	Ring   *Ring
+	Topo   *netsim.Topology
+	PerDC  map[string]int
+	factor int
+	table  [][]netsim.NodeID
 }
 
 // NewNetworkTopologyStrategy builds the strategy; perDC maps datacenter
@@ -453,14 +238,7 @@ func NewNetworkTopologyStrategy(r *Ring, topo *netsim.Topology, perDC map[string
 		}
 		total += n
 	}
-	s := &NetworkTopologyStrategy{Ring: r, Topo: topo, PerDC: perDC, factor: total, factSet: true}
-	s.rebuild()
-	return s
-}
-
-// rebuild recomputes the whole placement table (quota-constrained walks
-// have no locally bounded affected arc, so membership changes rebuild).
-func (s *NetworkTopologyStrategy) rebuild() {
+	s := &NetworkTopologyStrategy{Ring: r, Topo: topo, PerDC: perDC, factor: total}
 	need := make(map[string]int, len(s.PerDC))
 	s.table = placements(s.Ring, func(walk []netsim.NodeID) []netsim.NodeID {
 		for dc, n := range s.PerDC {
@@ -478,31 +256,7 @@ func (s *NetworkTopologyStrategy) rebuild() {
 		}
 		return out
 	})
-}
-
-// AddNode implements Strategy.
-func (s *NetworkTopologyStrategy) AddNode(id netsim.NodeID) {
-	s.Ring.AddNode(id)
-	s.rebuild()
-}
-
-// RemoveNode implements Strategy. Removing a node that leaves a DC with
-// fewer members than its replica quota panics, mirroring the
-// constructor's under-provisioning check.
-func (s *NetworkTopologyStrategy) RemoveNode(id netsim.NodeID) {
-	dc := s.Topo.DCOf(id)
-	members := 0
-	for _, n := range s.Ring.Nodes() {
-		if n != id && s.Topo.DCOf(n) == dc {
-			members++
-		}
-	}
-	if members < s.PerDC[dc] {
-		panic(fmt.Sprintf("ring: removing %d leaves DC %q under-provisioned (%d < %d)",
-			id, dc, members, s.PerDC[dc]))
-	}
-	s.Ring.RemoveNode(id)
-	s.rebuild()
+	return s
 }
 
 // Replicas implements Strategy.

@@ -109,10 +109,12 @@ func TestRingSeedChangesPlacement(t *testing.T) {
 	}
 }
 
+// TestWalkVisitsAllNodesOnce pins the clockwise walk placement tables
+// are built from: it visits every member exactly once.
 func TestWalkVisitsAllNodesOnce(t *testing.T) {
 	r := New(nodeIDs(6), 8, 1)
 	var visited []netsim.NodeID
-	r.Walk("somekey", func(n netsim.NodeID) bool {
+	r.walkFrom(r.search(KeyToken("somekey")), map[netsim.NodeID]bool{}, func(n netsim.NodeID) bool {
 		visited = append(visited, n)
 		return true
 	})
@@ -128,12 +130,17 @@ func TestWalkVisitsAllNodesOnce(t *testing.T) {
 	}
 }
 
+// TestPrimaryIsFirstWalkNode pins that a key's primary replica is the
+// first node clockwise from its token.
 func TestPrimaryIsFirstWalkNode(t *testing.T) {
 	r := New(nodeIDs(6), 8, 1)
-	var first netsim.NodeID = -1
-	r.Walk("k", func(n netsim.NodeID) bool { first = n; return false })
-	if p := r.Primary("k"); p != first {
-		t.Errorf("primary %d != first walk node %d", p, first)
+	s := NewSimpleStrategy(r, 3)
+	for _, k := range sampleKeys(200) {
+		var first netsim.NodeID = -1
+		r.walkFrom(r.search(KeyToken(k)), map[netsim.NodeID]bool{}, func(n netsim.NodeID) bool { first = n; return false })
+		if p := s.Replicas(k)[0]; p != first {
+			t.Fatalf("key %s: primary %d != first walk node %d", k, p, first)
+		}
 	}
 }
 
