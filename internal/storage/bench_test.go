@@ -59,34 +59,40 @@ func BenchmarkFileWALApply(b *testing.B) {
 	}
 }
 
-// BenchmarkLSMCompact measures one size-tiered merge in the steady-state
-// shape of serve-write-durable: the previous compaction's 40 000-entry
-// run under three fresh 3 500-entry memtable runs that overwrite it.
-func BenchmarkLSMCompact(b *testing.B) {
+// durableRuns builds the runs one serve-write-durable replica holds
+// just before a compaction: the previous compaction's 40 000-entry run
+// under three fresh 3 500-entry memtable runs that overwrite it, 256 B
+// values. seq is the last version stamped.
+func durableRuns() (runs []run, seq uint64) {
 	const records = 40_000
 	val := make([]byte, 256)
 	rng := rand.New(rand.NewPCG(3, 4))
-	var seq uint64
 	cell := func() Cell {
 		seq++
 		return Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val}
 	}
-	runs := make([]run, 4)
-	add := func(r *run, key string) {
-		c := cell()
-		r.entries = append(r.entries, runEntry{key: key, cell: c})
-		r.bytes += int64(c.Size())
-	}
+	entries := make([][]runEntry, 4)
 	for i := 0; i < records; i++ {
-		add(&runs[0], fmt.Sprintf("user%08d", i))
+		entries[0] = append(entries[0], runEntry{key: fmt.Sprintf("user%08d", i), cell: cell()})
 	}
-	for r := 1; r < len(runs); r++ {
+	for r := 1; r < len(entries); r++ {
 		picks := rng.Perm(records)[:3500]
 		sort.Ints(picks) // run 0 is in key order, so index order is key order
 		for _, i := range picks {
-			add(&runs[r], runs[0].entries[i].key)
+			entries[r] = append(entries[r], runEntry{key: entries[0][i].key, cell: cell()})
 		}
 	}
+	runs = make([]run, len(entries))
+	for r := range entries {
+		runs[r] = sealRun(entries[r])
+	}
+	return runs, seq
+}
+
+// BenchmarkLSMCompact measures one size-tiered merge of durableRuns,
+// sealing the merged run's index included.
+func BenchmarkLSMCompact(b *testing.B) {
+	runs, _ := durableRuns()
 	e := NewLSMEngine(Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,8 +100,59 @@ func BenchmarkLSMCompact(b *testing.B) {
 		e.runs = append(e.runs[:0], runs...) // runs are immutable: every merge reads the same input
 		e.compact()
 	}
-	if len(e.runs) != 1 || len(e.runs[0].entries) != records {
+	if len(e.runs) != 1 || len(e.runs[0].entries) != len(runs[0].entries) {
 		b.Fatalf("compaction left %d runs, %d entries", len(e.runs), len(e.runs[0].entries))
+	}
+}
+
+// BenchmarkLSMGet measures Get at serve-write-durable's steady shape:
+// durableRuns under a memtable half way to its flush (1 750 overwrites).
+// hit-oldest reads keys only the compacted run holds, so every layer is
+// probed; hit-newest keys the newest run holds and the memtable does not;
+// miss keys of the same length that no layer holds.
+func BenchmarkLSMGet(b *testing.B) {
+	runs, seq := durableRuns()
+	e := NewLSMEngine(Options{})
+	e.runs = runs
+	val := make([]byte, 256)
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, i := range rng.Perm(len(runs[0].entries))[:1750] {
+		seq++
+		e.Apply(runs[0].entries[i].key, Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val})
+	}
+	// Versions are unique, so a run's entry is the resident cell exactly
+	// when no layer above it holds the key.
+	resident := func(ent runEntry) bool {
+		c, _ := e.Peek(ent.key)
+		return c.Version == ent.cell.Version
+	}
+	var oldest, newest, miss []string
+	for _, ent := range runs[0].entries {
+		if resident(ent) {
+			oldest = append(oldest, ent.key)
+		}
+	}
+	for _, ent := range runs[len(runs)-1].entries {
+		if resident(ent) {
+			newest = append(newest, ent.key)
+		}
+	}
+	for i := range oldest {
+		miss = append(miss, fmt.Sprintf("user%08d", len(runs[0].entries)+i))
+	}
+	for _, bc := range []struct {
+		name string
+		keys []string
+		hit  bool
+	}{{"hit-oldest", oldest, true}, {"hit-newest", newest, true}, {"miss", miss, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := e.Get(bc.keys[i%len(bc.keys)]); ok != bc.hit {
+					b.Fatalf("Get(%s) ok=%v", bc.keys[i%len(bc.keys)], ok)
+				}
+			}
+		})
 	}
 }
 

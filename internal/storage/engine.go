@@ -12,9 +12,10 @@
 //     Crash loses everything; Recover starts empty.
 //   - LSMEngine: a durable LSM-lite — append-only WAL, an in-memory
 //     memtable that flushes to immutable sorted runs, merge-reads across
-//     runs with tombstone handling, and size-tiered compaction. Crash
-//     loses only the un-fsynced WAL tail; Recover reloads the runs and
-//     replays the durable WAL prefix.
+//     runs with tombstone handling, and size-tiered compaction. Each run
+//     answers point lookups through a hash index built once when it is
+//     sealed. Crash loses only the un-fsynced WAL tail; Recover reloads
+//     the runs and replays the durable WAL prefix.
 package storage
 
 import "repro/internal/ring"

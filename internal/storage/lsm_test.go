@@ -3,8 +3,12 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // lsmOpts returns small-scale options that force flushes and compaction.
@@ -215,5 +219,85 @@ func TestLSMFileWAL(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// sortedFind is the binary search over a run's sorted entries that point
+// lookups used before runs had a hash index: the reference run.find must
+// agree with.
+func sortedFind(entries []runEntry, key string) (Cell, bool) {
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].key >= key })
+	if i < len(entries) && entries[i].key == key {
+		return entries[i].cell, true
+	}
+	return Cell{}, false
+}
+
+// TestRunIndexMatchesSortedSearch: a sealed run's hash index answers what
+// a binary search over its entries answers. Every present key returns its
+// own cell; absent keys below, between and above the entries miss. Sizes
+// cover 0, 1, 2^k and 2^k+1 entries. The chain cases pick every key to
+// share one or two home slots at the table's end, so hits and misses walk
+// one probe chain that wraps past the last slot. A find whose probe ends
+// at the table's last slot instead of wrapping to slot 0 passes every
+// other test in the package and fails the chain cases.
+func TestRunIndexMatchesSortedSearch(t *testing.T) {
+	check := func(t *testing.T, present, absent []string) run {
+		t.Helper()
+		sort.Strings(present)
+		entries := make([]runEntry, len(present))
+		for i, k := range present {
+			entries[i] = runEntry{key: k, cell: Cell{Version: Version{Seq: uint64(i + 1)}, Value: []byte(k)}}
+		}
+		r := sealRun(entries)
+		for _, k := range append(append([]string(nil), present...), absent...) {
+			got, gok := r.find(k, ring.KeyToken(k))
+			want, wok := sortedFind(entries, k)
+			if gok != wok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d entries, key %q: index %+v %v, sorted search %+v %v", len(entries), k, got, gok, want, wok)
+			}
+		}
+		return r
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025} {
+		var present, absent []string
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("k%05d", 2*i+1)
+			present = append(present, k)
+			absent = append(absent, fmt.Sprintf("k%05d", 2*i), k+"\x00") // between, and just above each
+		}
+		absent = append(absent, "", "a", "k", fmt.Sprintf("k%05d", 2*n+2), "z") // below and above all
+		t.Run(fmt.Sprintf("sorted/%d", n), func(t *testing.T) { check(t, present, absent) })
+	}
+	for _, n := range []int{2, 4, 5, 9, 17} {
+		shape := sealRun(make([]runEntry, n)) // a table sized for n entries
+		last := len(shape.slots) - 1
+		for _, homes := range [][]int{{last}, {last - 1, last}} {
+			// n keys homed round-robin on homes, then two absent keys
+			// homed on each, which must walk the chain to its empty end.
+			var present, absent []string
+			for i := 0; len(present)+len(absent) < n+2*len(homes); i++ {
+				k := fmt.Sprintf("c%06d", i)
+				if picked := len(present) + len(absent); shape.home(ring.KeyToken(k)) != homes[picked%len(homes)] {
+					continue
+				}
+				if len(present) < n {
+					present = append(present, k)
+				} else {
+					absent = append(absent, k)
+				}
+			}
+			t.Run(fmt.Sprintf("chain/%d/homes=%d", n, len(homes)), func(t *testing.T) {
+				r := check(t, present, absent)
+				// The chain is n occupied slots from the first home,
+				// wrapping past the last slot, then an empty one.
+				mask := len(r.slots) - 1
+				for j := 0; j <= n; j++ {
+					if occupied := r.slots[(homes[0]+j)&mask] != 0; occupied != (j < n) {
+						t.Fatalf("slot %d after home %d: occupied=%v; slots %v", j, homes[0], occupied, r.slots)
+					}
+				}
+			})
+		}
 	}
 }

@@ -98,7 +98,8 @@ func TestApplyCommutativeIdempotentAcrossEngines(t *testing.T) {
 
 // TestEnginesAgreeAfterCrashRecovery: with per-record sync the LSM
 // engine must come back from a crash holding exactly what a never-crashed
-// engine holds.
+// engine holds, and after a flush, a compaction and each recovery, keys
+// it never held — below, between and above the resident ones — must miss.
 func TestEnginesAgreeAfterCrashRecovery(t *testing.T) {
 	mem := NewMemEngine(0)
 	lsm := NewLSMEngine(Options{FlushLimit: 300, SyncBytes: 0, MaxRuns: 3})
@@ -112,18 +113,36 @@ func TestEnginesAgreeAfterCrashRecovery(t *testing.T) {
 		mem.Apply(k, c)
 		lsm.Apply(k, c)
 	}
+	absent := []string{"", "a", "k", "k1\x00", "k10a", "k4x", "k99", "z"}
+	agree := func(stage string) {
+		t.Helper()
+		if got, want := snapshot(lsm), snapshot(mem); got != want {
+			t.Fatalf("%s: state diverged:\n got %s\nwant %s", stage, got, want)
+		}
+		for _, k := range absent {
+			if c, ok := lsm.Get(k); ok {
+				t.Fatalf("%s: absent key %q read %+v", stage, k, c)
+			}
+		}
+	}
 	for i := 0; i < 50; i++ {
 		write(fmt.Sprintf("k%d", i%11), fmt.Sprintf("v%d", i), i%7 == 6)
-		if i == 25 {
+		switch {
+		case i%12 == 11: // the third flush compacts
+			lsm.Flush()
+			agree(fmt.Sprintf("flush after write %d", i))
+		case i == 25:
 			lsm.Crash()
 			lsm.Recover()
+			agree("mid-run recovery")
 		}
+	}
+	if st := lsm.Stats(); st.Compactions == 0 || st.Runs < 2 {
+		t.Fatalf("sequence left no compacted run under a newer one: %+v", st)
 	}
 	lsm.Crash()
 	lsm.Recover()
-	if got, want := snapshot(lsm), snapshot(mem); got != want {
-		t.Fatalf("post-recovery state diverged:\n got %s\nwant %s", got, want)
-	}
+	agree("post-recovery")
 }
 
 // mergeRunsReference is the compaction merge as it was before the linear
@@ -144,19 +163,17 @@ func mergeRunsReference(runs []run) run {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	merged := run{entries: make([]runEntry, 0, len(keys))}
+	merged := make([]runEntry, 0, len(keys))
 	for _, k := range keys {
-		c := winners[k]
-		merged.entries = append(merged.entries, runEntry{key: k, cell: c})
-		merged.bytes += int64(c.Size())
+		merged = append(merged, runEntry{key: k, cell: winners[k]})
 	}
-	return merged
+	return sealRun(merged)
 }
 
 // TestMergeRunsEqualsMapSortMerge: on 1–8 random sorted runs that
 // overwrite each other — version ties across runs, out-of-order versions
 // and tombstones included — the linear merge yields the reference's
-// entries and byte count exactly.
+// entries, byte count and index exactly.
 func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(func(seed uint64) bool {
@@ -164,6 +181,7 @@ func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 		universe := 1 + rng.IntN(40)
 		runs := make([]run, 1+rng.IntN(8))
 		for r := range runs {
+			var entries []runEntry
 			for k := 0; k < universe; k++ { // ascending: the run comes out sorted
 				if rng.IntN(3) == 0 {
 					continue
@@ -176,12 +194,12 @@ func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 				if rng.IntN(5) == 0 {
 					c.Tombstone, c.Value = true, nil
 				}
-				runs[r].entries = append(runs[r].entries, runEntry{key: fmt.Sprintf("key%03d", k), cell: c})
-				runs[r].bytes += int64(c.Size())
+				entries = append(entries, runEntry{key: fmt.Sprintf("key%03d", k), cell: c})
 			}
+			runs[r] = sealRun(entries)
 		}
 		got, want := mergeRuns(runs), mergeRunsReference(runs)
-		if got.bytes != want.bytes || !reflect.DeepEqual(got.entries, want.entries) {
+		if !reflect.DeepEqual(got, want) {
 			t.Logf("seed %d:\n got %d bytes %+v\nwant %d bytes %+v", seed, got.bytes, got.entries, want.bytes, want.entries)
 			return false
 		}

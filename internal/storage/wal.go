@@ -101,6 +101,9 @@ func decodeWALRecord(log []byte, off int) (key string, c Cell, n int, err error)
 	p = p[keyLen:]
 	c.Version.Timestamp = time.Duration(binary.BigEndian.Uint64(p))
 	c.Version.Seq = binary.BigEndian.Uint64(p[8:])
+	if p[16] > 1 { // appendWALRecord writes 0 or 1; nothing else re-encodes
+		return "", Cell{}, 0, errCorruptRecord
+	}
 	c.Tombstone = p[16] == 1
 	valLen := int(binary.BigEndian.Uint32(p[17:]))
 	p = p[21:]
