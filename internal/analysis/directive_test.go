@@ -50,14 +50,14 @@ func TestDirectiveParsing(t *testing.T) {
 }
 
 func TestDirectiveFields(t *testing.T) {
-	ds, _ := parseOne(t, "//repolint:allow simpure live-only file WAL; the sim engine runs on memWAL")
+	ds, _ := parseOne(t, "//repolint:allow simpure live-only file WAL; the sim engine runs on memSegment")
 	if len(ds) != 1 {
 		t.Fatalf("got %d directives, want 1", len(ds))
 	}
 	if ds[0].rule != "simpure" {
 		t.Errorf("rule = %q, want simpure", ds[0].rule)
 	}
-	if ds[0].reason != "live-only file WAL; the sim engine runs on memWAL" {
+	if ds[0].reason != "live-only file WAL; the sim engine runs on memSegment" {
 		t.Errorf("reason = %q", ds[0].reason)
 	}
 	if ds[0].line != 3 {

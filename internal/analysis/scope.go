@@ -87,12 +87,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgFunc reports whether fn is the package-level function or method
-// pkgPath.name.
-func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // PkgPathOf returns the defining package path of fn, or "".
 func PkgPathOf(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {

@@ -61,9 +61,6 @@ func NewView(self netsim.NodeID, members []netsim.NodeID, budget int, ringSeq ui
 	return v
 }
 
-// Self reports the view's owner.
-func (v *View) Self() netsim.NodeID { return v.self }
-
 // RingSeq reports the ring-event prefix this view has applied.
 func (v *View) RingSeq() uint64 { return v.ringSeq }
 
@@ -96,17 +93,6 @@ func (v *View) Members() []netsim.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// AliveCount reports how many members the view believes alive.
-func (v *View) AliveCount() int {
-	n := 0
-	for _, e := range v.entries {
-		if e.status == Alive {
-			n++
-		}
-	}
-	return n
 }
 
 // Apply merges one rumor into the view by SWIM precedence and reports

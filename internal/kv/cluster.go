@@ -55,20 +55,6 @@ type hoster interface {
 	Remote(id netsim.NodeID) bool
 }
 
-// CoordPolicy selects how clients pick coordinators.
-type CoordPolicy int
-
-// Coordinator policies.
-const (
-	// CoordRoundRobin rotates through live nodes (YCSB's default
-	// client behaviour with a node list).
-	CoordRoundRobin CoordPolicy = iota
-	// CoordRandom picks a uniformly random live node per operation.
-	CoordRandom
-	// CoordLocalDC rotates through live nodes of Config.CoordDC only.
-	CoordLocalDC
-)
-
 // TargetPolicy selects which replicas serve a read.
 type TargetPolicy int
 
@@ -124,14 +110,13 @@ type Config struct {
 	GlobalRepairChance float64
 	ReadTargets        TargetPolicy
 
-	// Client routing.
-	Coordinator CoordPolicy
-	CoordDC     string // for CoordLocalDC
-	// Coordinators, when set, restricts coordinator selection to these
-	// nodes. A multi-process deployment needs it: client messages carry
-	// callbacks, so every operation must be coordinated by a node living
-	// in the issuing process — each serving process pins Coordinators to
-	// its local node set. nil keeps the policy over all ring members.
+	// Client routing: clients rotate through the live Coordinators
+	// (YCSB's default client behaviour with a node list), all ring
+	// members when it is nil. One DC's nodes (topo.NodesInDC) route
+	// locally. A multi-process deployment needs it: client messages
+	// carry callbacks, so every operation must be coordinated by a node
+	// living in the issuing process — each serving process pins
+	// Coordinators to its local node set.
 	Coordinators []netsim.NodeID
 
 	// Elastic membership.
@@ -228,7 +213,6 @@ func DefaultConfig() Config {
 		ReadRepair:          true,
 		GlobalRepairChance:  0.1,
 		ReadTargets:         TargetClosest,
-		Coordinator:         CoordRoundRobin,
 		StreamChunkBytes:    16 << 10,
 		MutationShed:        2 * time.Second,
 		Timeout:             2 * time.Second,
@@ -299,7 +283,6 @@ type Cluster struct {
 	nextID reqID
 	down   map[netsim.NodeID]bool
 	rr     int
-	rng    *stats.Source
 
 	// Pooled client-op slab (clientop.go); guardCb is the pre-bound
 	// timeout callback shared by every guard timer.
@@ -346,7 +329,6 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 		nodes:   make(map[netsim.NodeID]*Node, topo.N()),
 		warming: make(map[netsim.NodeID]bool),
 		down:    make(map[netsim.NodeID]bool),
-		rng:     stats.NewSource(cfg.Seed).Stream("kv.cluster"),
 	}
 	c.guardCb = c.guardFired
 	c.opFree = noOp
@@ -535,26 +517,15 @@ func (c *Cluster) nextSeq() uint64 {
 	return c.seq
 }
 
-// pickCoordinator returns the next coordinator per policy, or -1 when no
-// node is live.
+// pickCoordinator returns the next coordinator in rotation, or -1 when
+// no candidate is live.
 func (c *Cluster) pickCoordinator() netsim.NodeID {
 	candidates := c.order
 	if len(c.cfg.Coordinators) > 0 {
 		candidates = c.cfg.Coordinators
-	} else if c.cfg.Coordinator == CoordLocalDC && c.cfg.CoordDC != "" {
-		candidates = c.topo.NodesInDC(c.cfg.CoordDC)
 	}
 	n := len(candidates)
 	if n == 0 {
-		return -1
-	}
-	if c.cfg.Coordinator == CoordRandom {
-		for tries := 0; tries < n*2; tries++ {
-			id := candidates[c.rng.IntN(n)]
-			if !c.down[id] && c.serving(id) {
-				return id
-			}
-		}
 		return -1
 	}
 	for tries := 0; tries < n; tries++ {
@@ -569,8 +540,8 @@ func (c *Cluster) pickCoordinator() netsim.NodeID {
 
 // serving reports whether id is a ring member able to coordinate client
 // operations (live, warming or streaming out — not bootstrapping, not
-// decommissioned, not absent). CoordLocalDC candidates come straight
-// from the topology, so non-members must be filtered here.
+// decommissioned, not absent). Config.Coordinators may name any
+// topology node, so non-members must be filtered here.
 func (c *Cluster) serving(id netsim.NodeID) bool {
 	n, ok := c.nodes[id]
 	return ok && (n.phase == phaseLive || n.phase == phaseWarming || n.phase == phaseLeaving)

@@ -354,13 +354,12 @@ func TestPreloadVisibleEverywhere(t *testing.T) {
 func TestCoordinatorLocalDCPolicy(t *testing.T) {
 	topo := netsim.G5KTwoSites(6)
 	cfg := quietConfig(11)
-	cfg.Coordinator = kv.CoordLocalDC
-	cfg.CoordDC = topo.DCOf(0)
+	cfg.Coordinators = topo.NodesInDC(topo.DCOf(0))
 	h := newHarness(topo, cfg)
 	for i := 0; i < 30; i++ {
 		h.write(fmt.Sprintf("k%d", i), []byte("v"), kv.One)
 	}
-	local := h.cluster.Topology().NodesInDC(cfg.CoordDC)
+	local := h.cluster.Topology().NodesInDC(topo.DCOf(0))
 	localSet := map[netsim.NodeID]bool{}
 	for _, id := range local {
 		localSet[id] = true
@@ -372,6 +371,6 @@ func TestCoordinatorLocalDCPolicy(t *testing.T) {
 		}
 	}
 	if remoteCoord != 0 {
-		t.Errorf("remote-DC nodes coordinated %d ops under CoordLocalDC", remoteCoord)
+		t.Errorf("remote-DC nodes coordinated %d ops with local-DC coordinators", remoteCoord)
 	}
 }

@@ -179,7 +179,6 @@ func TestCrashRecoveryCatchUp(t *testing.T) {
 // restarted node serves fresh traffic.
 func TestCrashDropsInFlightCoordination(t *testing.T) {
 	cfg := quietConfig(14)
-	cfg.Coordinator = kv.CoordRoundRobin
 	h := newHarness(netsim.SingleDC(3), cfg)
 	if w := h.write("warm", []byte("v"), kv.All); w.Err != nil {
 		t.Fatal(w.Err)

@@ -34,7 +34,7 @@ func TestRangeStreamReadsMovedFractionOnly(t *testing.T) {
 
 			fullWalk := 0
 			for _, id := range h.cluster.Members() {
-				fullWalk += h.cluster.Node(id).Engine().Len()
+				fullWalk += h.cluster.Node(id).Engine().KeyCount()
 			}
 			if fullWalk != nKeys*cfg.RF {
 				t.Fatalf("baseline store holds %d cells, want %d (RF %d × %d keys)",

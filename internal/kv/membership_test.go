@@ -122,7 +122,7 @@ func TestJoinAblationSkipsStreaming(t *testing.T) {
 	if s := h.cluster.State(3); s != kv.StateWarming {
 		t.Fatalf("ablation join should flip immediately into warming, got %v", s)
 	}
-	if n := h.cluster.Node(3).Engine().Len(); n != 0 {
+	if n := h.cluster.Node(3).Engine().KeyCount(); n != 0 {
 		t.Fatalf("ablation joiner holds %d cells, want 0", n)
 	}
 	if u := h.cluster.Usage(); u.StreamedCells != 0 {

@@ -18,8 +18,7 @@ func multiDCHarness(seed uint64, localDC string) *harness {
 	cfg := quietConfig(seed)
 	cfg.RF = 0
 	cfg.PerDC = map[string]int{topo.DCOf(0): 2, topo.DCOf(netsim.NodeID(topo.N() - 1)): 2}
-	cfg.Coordinator = kv.CoordLocalDC
-	cfg.CoordDC = localDC
+	cfg.Coordinators = topo.NodesInDC(localDC)
 	return newHarness(topo, cfg)
 }
 

@@ -204,21 +204,6 @@ func TestTransportPartitionAndHeal(t *testing.T) {
 	}
 }
 
-func TestTransportLoss(t *testing.T) {
-	eng := sim.New(1)
-	tr := NewTransport(eng, twoDCTopo())
-	got := 0
-	tr.Register(1, func(NodeID, any) { got++ })
-	tr.SetLossProbability(0.5)
-	for i := 0; i < 1000; i++ {
-		tr.Send(0, 1, i, 10)
-	}
-	eng.Run()
-	if got < 350 || got > 650 {
-		t.Errorf("loss rate off: delivered %d/1000 at p=0.5", got)
-	}
-}
-
 func TestSendLocalBypassesNetwork(t *testing.T) {
 	eng := sim.New(1)
 	tr := NewTransport(eng, twoDCTopo())
@@ -238,22 +223,6 @@ func TestSendLocalBypassesNetwork(t *testing.T) {
 	m := tr.Meter()
 	if m.TotalBytes() != 0 {
 		t.Error("SendLocal metered as traffic")
-	}
-}
-
-func TestBandwidthAddsSerializationDelay(t *testing.T) {
-	eng := sim.New(1)
-	topo := twoDCTopo()
-	topo.Latency.IntraDC = Constant(time.Millisecond)
-	tr := NewTransport(eng, topo)
-	tr.Bandwidth[IntraDC] = 1 << 20 // 1 MiB/s
-	var at time.Duration
-	tr.Register(1, func(NodeID, any) { at = eng.Now() })
-	tr.Send(0, 1, "big", 1<<20)
-	eng.Run()
-	want := time.Millisecond + time.Second
-	if at < want-time.Millisecond || at > want+time.Millisecond {
-		t.Errorf("delivery at %v, want ≈%v", at, want)
 	}
 }
 

@@ -14,9 +14,9 @@ type Handler func(from NodeID, payload any)
 
 // Transport delivers messages between topology nodes over the
 // discrete-event engine, sampling per-class latency laws, applying
-// partitions, loss and node failures, and metering traffic for the cost
+// partitions and node failures, and metering traffic for the cost
 // model. Handler and failure lookups are dense slices indexed by
-// NodeID+1 (ClientID is -1), and the partition/loss checks short-circuit
+// NodeID+1 (ClientID is -1), and the partition check short-circuits
 // when nothing is configured. An in-flight message is one engine event and
 // nothing else: its endpoints ride packed in the event's argument (Route),
 // the message is the event's payload, so the transport keeps no slab of
@@ -31,11 +31,6 @@ type Transport struct {
 	down     []bool    // indexed by NodeID+1
 	downN    int       // number of nodes marked down
 
-	// Bandwidth in bytes/second per class; zero means unlimited. The
-	// transfer time size/bandwidth is added to the sampled latency.
-	Bandwidth [4]float64
-
-	lossProb  float64
 	partition map[[2]NodeID]bool
 
 	deliverCb sim.Callback // pre-bound t.deliver, allocated once
@@ -72,10 +67,6 @@ func (t *Transport) Topology() *Topology { return t.topo }
 // Meter returns a snapshot of the traffic meter.
 func (t *Transport) Meter() TrafficMeter { return t.meter.Snapshot() }
 
-// SetLossProbability makes every non-loopback message independently drop
-// with probability p.
-func (t *Transport) SetLossProbability(p float64) { t.lossProb = p }
-
 // Fail marks a node down: messages to and from it are dropped until
 // Recover. The node's local timers keep firing (its clock is alive, its
 // network is not), which models a network-isolated rather than crashed
@@ -94,9 +85,6 @@ func (t *Transport) Recover(id NodeID) {
 		t.downN--
 	}
 }
-
-// Down reports whether id is marked failed.
-func (t *Transport) Down(id NodeID) bool { return t.down[slot(id)] }
 
 // Partition blocks traffic between every pair in a × b (both ways).
 func (t *Transport) Partition(a, b []NodeID) {
@@ -148,7 +136,7 @@ func (t *Transport) deliver(arg uint64, payload any) {
 }
 
 // Send delivers payload from → to after a sampled network delay. size is
-// the wire size in bytes, used for metering and serialization delay.
+// the wire size in bytes, used for metering.
 // Messages to unregistered or failed endpoints are counted as dropped.
 func (t *Transport) Send(from, to NodeID, payload any, size int) {
 	class := t.topo.Class(from, to)
@@ -161,14 +149,7 @@ func (t *Transport) Send(from, to NodeID, payload any, size int) {
 		t.meter.Dropped++
 		return
 	}
-	if class != Loopback && t.lossProb > 0 && t.rng.Float64() < t.lossProb {
-		t.meter.Dropped++
-		return
-	}
 	delay := t.topo.Latency.Law(class).Sample(t.rng)
-	if bw := t.Bandwidth[class]; bw > 0 && size > 0 {
-		delay += time.Duration(float64(size) / bw * float64(time.Second))
-	}
 	t.eng.ScheduleCall(delay, t.deliverCb, Route(from, to, false), payload)
 }
 

@@ -218,8 +218,8 @@ func BenchmarkSnapshotStream(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if dst.Len() != records {
-			b.Fatalf("streamed %d of %d cells", dst.Len(), records)
+		if dst.KeyCount() != records {
+			b.Fatalf("streamed %d of %d cells", dst.KeyCount(), records)
 		}
 	}
 }

@@ -16,6 +16,9 @@
 //     answers point lookups through a hash index built once when it is
 //     sealed. Crash loses only the un-fsynced WAL tail; Recover reloads
 //     the runs and replays the durable WAL prefix.
+//
+// The WAL is one code path over a segment, a file live and a byte slice
+// in simulation. Engine holds what the store calls, plus Flush.
 package storage
 
 import "repro/internal/ring"
@@ -48,30 +51,17 @@ type Engine interface {
 	// instead of growing while they arrive. It changes no observable
 	// state.
 	Reserve(n int)
-	// Delete applies a tombstone with the given version.
-	Delete(key string, v Version) bool
 
-	// Len reports the number of resident keys (tombstones included).
-	Len() int
 	// Bytes reports the live data size in bytes (resident cells only,
 	// superseded versions in older runs excluded).
 	Bytes() int64
-	// KeyCount reports the number of distinct keys ever inserted (map
-	// iteration order is nondeterministic in Go, so deterministic
-	// sampling goes through the insertion-ordered key list instead).
+	// KeyCount reports the number of distinct resident keys, tombstones
+	// included (map iteration order is nondeterministic in Go, so
+	// deterministic sampling goes through the insertion-ordered key list
+	// instead).
 	KeyCount() int
 	// KeyAt returns the i-th key in insertion order.
 	KeyAt(i int) string
-	// Keys returns all resident keys in sorted order. Callers must not
-	// mutate the returned slice.
-	Keys() []string
-	// Scan calls fn for resident cells with from <= key < to in sorted
-	// key order until fn returns false; empty bounds are unbounded.
-	// Tombstones are included.
-	Scan(from, to string, fn func(key string, c Cell) bool)
-	// Range calls fn for every resident cell in unspecified order until
-	// fn returns false. Mutating the engine during Range is not allowed.
-	Range(fn func(key string, c Cell) bool)
 	// SnapshotRanges returns a point-in-time iterator over the resident
 	// cells whose key token (ring.KeyToken) falls inside one of the given
 	// arcs, in sorted key order — the snapshot-streaming source for
@@ -170,13 +160,13 @@ type Options struct {
 	// MaxRuns triggers size-tiered compaction when the number of sorted
 	// runs reaches it; 0 defaults to 4.
 	MaxRuns int
-	// Path, when set, backs the LSM WAL with a real file (the live
-	// engine maps WAL latencies to real I/O this way); empty keeps the
-	// WAL as a deterministic in-memory byte log (simulation). The file
-	// is one recycled segment: truncated at open, rewound (not cut) by
+	// Path, when set, puts the LSM WAL's segment in a real file (the
+	// live engine maps WAL latencies to real I/O this way); empty keeps
+	// it in memory (simulation). Either way the log runs the same code:
+	// one recycled segment, truncated at open, rewound (not cut) by
 	// every memtable flush, so it holds the size of the longest log one
-	// memtable generation wrote. It backs crash recovery within this
-	// process only; no later process reads it.
+	// memtable generation wrote. The file backs crash recovery within
+	// this process only; no later process reads it.
 	Path string
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -104,7 +105,7 @@ func TestApplyOrderIndependenceProperty(t *testing.T) {
 func TestTombstone(t *testing.T) {
 	e := NewMemEngine(0)
 	e.Apply("k", Cell{Version: v(1, 1), Value: []byte("x")})
-	if !e.Delete("k", v(2, 2)) {
+	if !e.Apply("k", Cell{Version: v(2, 2), Tombstone: true}) {
 		t.Fatal("delete rejected")
 	}
 	got, ok := e.Get("k")
@@ -164,16 +165,25 @@ func TestKeyListInsertionOrder(t *testing.T) {
 			t.Errorf("KeyAt(%d) = %s, want %s", i, e.KeyAt(i), k)
 		}
 	}
-	sorted := e.Keys()
-	if sorted[0] != "a" || sorted[1] != "b" || sorted[2] != "c" {
-		t.Errorf("Keys() = %v", sorted)
+	if got := fmt.Sprint(drainKeys(e.SnapshotRanges(fullRing))); got != "[a b c]" {
+		t.Errorf("full-ring snapshot keys = %s", got)
 	}
 }
 
-// TestKeysIncrementalSort pins the incremental sorted-view maintenance:
-// interleaved inserts and Keys() calls must always see the full sorted
-// key set, exercising the initial-sort, merge and cached (no new keys)
-// paths.
+// drainKeys lists the keys a snapshot yields, in its order.
+func drainKeys(it SnapshotIter) []string {
+	var keys []string
+	for _, ent := range drain(it) {
+		keys = append(keys, ent.key)
+	}
+	return keys
+}
+
+// TestKeysIncrementalSort pins the sorted order of full-ring snapshots
+// as the key set grows: interleaved inserts and SnapshotRanges calls
+// must always see the full sorted key set, after the first keys, after
+// a repeat call with no new keys, and after inserts that land before,
+// between and after the keys already held.
 func TestKeysIncrementalSort(t *testing.T) {
 	e := NewMemEngine(0)
 	var want []string
@@ -189,39 +199,18 @@ func TestKeysIncrementalSort(t *testing.T) {
 		t.Helper()
 		sorted := append([]string(nil), want...)
 		sort.Strings(sorted)
-		got := e.Keys()
-		if len(got) != len(sorted) {
-			t.Fatalf("Keys() len = %d, want %d", len(got), len(sorted))
-		}
-		for i := range got {
-			if got[i] != sorted[i] {
-				t.Fatalf("Keys()[%d] = %s, want %s (full: %v)", i, got[i], sorted[i], got)
-			}
+		if got := drainKeys(e.SnapshotRanges(fullRing)); !slices.Equal(got, sorted) {
+			t.Fatalf("snapshot keys = %v, want %v", got, sorted)
 		}
 	}
 	insert("m", "c", "x")
 	check()
-	check() // cached path: no new keys
+	check() // no new keys
 	insert("a", "q")
 	e.Apply("c", Cell{Version: v(2, 99)}) // overwrite: no new key
 	check()
 	insert("b")
 	check()
-}
-
-func TestRangeEarlyStop(t *testing.T) {
-	e := NewMemEngine(0)
-	for i := 0; i < 10; i++ {
-		e.Apply(fmt.Sprintf("k%d", i), Cell{Version: v(1, uint64(i+1))})
-	}
-	n := 0
-	e.Range(func(string, Cell) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Errorf("range visited %d", n)
-	}
 }
 
 func TestPeekDoesNotCountAsRead(t *testing.T) {

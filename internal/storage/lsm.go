@@ -95,7 +95,7 @@ func (r *run) find(key string, tok ring.Token) (Cell, bool) {
 // still loses — the property that keeps replica application commutative.
 type LSMEngine struct {
 	opts Options
-	wal  walog
+	wal  wal
 	mem  map[string]Cell
 	runs []run // oldest first
 	keys keyIndex
@@ -109,25 +109,19 @@ type LSMEngine struct {
 	stats       Stats
 }
 
-// NewLSMEngine builds an LSM engine from opts. A file-backed WAL is used
-// when opts.Path is set (panics on I/O errors: storage engines run under
-// deterministic drivers with no error channel, and a broken WAL file is
-// fatal to the node anyway).
+// NewLSMEngine builds an LSM engine from opts. The WAL lies in a file
+// segment when opts.Path is set, in a memory one otherwise (panics on I/O
+// errors: storage engines run under deterministic drivers with no error
+// channel, and a broken WAL file is fatal to the node anyway).
 func NewLSMEngine(opts Options) *LSMEngine {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 4
 	}
-	e := &LSMEngine{opts: opts, mem: make(map[string]Cell)}
-	if opts.Path != "" {
-		w, err := newFileWAL(opts.Path)
-		if err != nil {
-			panic(err.Error())
-		}
-		e.wal = w
-	} else {
-		e.wal = &memWAL{}
+	seg, err := openSegment(opts.Path)
+	if err != nil {
+		panic(err.Error())
 	}
-	return e
+	return &LSMEngine{opts: opts, wal: wal{seg: seg}, mem: make(map[string]Cell)}
 }
 
 // Get returns the resident cell for key via merge-read.
@@ -212,7 +206,7 @@ func (e *LSMEngine) apply(key string, tok ring.Token, placed bool, c Cell) bool 
 }
 
 // logRecord appends the cell to the WAL and syncs per the cadence. The
-// encode buffer is engine-owned scratch (both logs copy the record out
+// encode buffer is engine-owned scratch (the log copies the record out
 // before returning), so the steady-state append allocates nothing.
 func (e *LSMEngine) logRecord(key string, c Cell) {
 	e.scratch = appendWALRecord(e.scratch[:0], key, c)
@@ -245,14 +239,6 @@ func (e *LSMEngine) Reserve(n int) {
 	}
 }
 
-// Delete applies a tombstone with the given version.
-func (e *LSMEngine) Delete(key string, v Version) bool {
-	return e.Apply(key, Cell{Version: v, Tombstone: true})
-}
-
-// Len reports the number of resident keys (tombstones included).
-func (e *LSMEngine) Len() int { return e.keys.count() }
-
 // Bytes reports the live (resident) data size in bytes.
 func (e *LSMEngine) Bytes() int64 { return e.totalBytes }
 
@@ -272,30 +258,6 @@ func (e *LSMEngine) KeyCount() int { return e.keys.count() }
 // KeyAt returns the i-th key in insertion order (post-recovery the order
 // is rebuild order: run entries oldest-run-first, then WAL replay).
 func (e *LSMEngine) KeyAt(i int) string { return e.keys.at(i) }
-
-// Keys returns all resident keys in sorted order. Callers must not
-// mutate the returned slice.
-func (e *LSMEngine) Keys() []string { return e.keys.sortedKeys() }
-
-// Scan visits resident cells with from <= key < to in sorted order,
-// merge-reading each key (tombstones included).
-func (e *LSMEngine) Scan(from, to string, fn func(key string, c Cell) bool) {
-	scanSorted(e.keys.sortedKeys(), from, to, e.Peek, fn)
-}
-
-// Range calls fn for every resident cell in unspecified order until fn
-// returns false.
-func (e *LSMEngine) Range(fn func(key string, c Cell) bool) {
-	for _, k := range e.keys.list {
-		c, ok := e.Peek(k)
-		if !ok {
-			continue
-		}
-		if !fn(k, c) {
-			return
-		}
-	}
-}
 
 // Flush seals the memtable into an immutable sorted run, rewinds the
 // WAL (the run is durable now) and triggers size-tiered compaction when
@@ -459,5 +421,5 @@ func (e *LSMEngine) Recover() RecoverStats {
 	return rs
 }
 
-// Close releases the WAL file (no-op for the in-memory log).
-func (e *LSMEngine) Close() error { return e.wal.close() }
+// Close releases the WAL's segment (a no-op in memory).
+func (e *LSMEngine) Close() error { return e.wal.seg.Close() }

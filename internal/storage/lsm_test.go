@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func TestLSMTombstoneThroughCompaction(t *testing.T) {
 	e := NewLSMEngine(Options{FlushLimit: 0, MaxRuns: 2})
 	e.Apply("k", Cell{Version: Version{Timestamp: 1, Seq: 1}, Value: []byte("x")})
 	e.Flush()
-	e.Delete("k", Version{Timestamp: 2, Seq: 2})
+	e.Apply("k", Cell{Version: Version{Timestamp: 2, Seq: 2}, Tombstone: true})
 	e.Flush() // two runs → compaction merges them
 	if e.Stats().Compactions == 0 {
 		t.Fatal("expected compaction")
@@ -140,8 +141,8 @@ func TestLSMCrashLosesOnlyUnsyncedTail(t *testing.T) {
 	if _, ok := e.Get("lost"); ok {
 		t.Fatal("un-fsynced record survived the crash")
 	}
-	if rs.Keys != 2 || e.Len() != 2 {
-		t.Fatalf("post-recovery keys = %d / %d", rs.Keys, e.Len())
+	if rs.Keys != 2 || e.KeyCount() != 2 {
+		t.Fatalf("post-recovery keys = %d / %d", rs.Keys, e.KeyCount())
 	}
 }
 
@@ -150,21 +151,15 @@ func TestLSMRecoverRebuildsAccounting(t *testing.T) {
 	var seq uint64
 	fill(e, 30, &seq)
 	wantBytes := e.Bytes()
-	wantKeys := append([]string(nil), e.Keys()...)
+	wantKeys := sortedKeys(e)
 
 	e.Crash()
 	e.Recover()
 	if e.Bytes() != wantBytes {
 		t.Fatalf("Bytes() after recovery = %d, want %d", e.Bytes(), wantBytes)
 	}
-	got := e.Keys()
-	if len(got) != len(wantKeys) {
-		t.Fatalf("Keys() len = %d, want %d", len(got), len(wantKeys))
-	}
-	for i := range got {
-		if got[i] != wantKeys[i] {
-			t.Fatalf("Keys()[%d] = %s, want %s", i, got[i], wantKeys[i])
-		}
+	if got := sortedKeys(e); !slices.Equal(got, wantKeys) {
+		t.Fatalf("keys after recovery = %v, want %v", got, wantKeys)
 	}
 	// Everything was synced (SyncBytes 0): nothing may be lost.
 	for i := 0; i < 30; i++ {
@@ -181,18 +176,17 @@ func TestLSMScanOrderedWithTombstones(t *testing.T) {
 		e.Apply(k, Cell{Version: Version{Timestamp: 1, Seq: uint64(i + 1)}, Value: []byte(k)})
 	}
 	e.Flush()
-	e.Delete("b", Version{Timestamp: 2, Seq: 9})
+	e.Apply("b", Cell{Version: Version{Timestamp: 2, Seq: 9}, Tombstone: true})
 	var seen []string
 	tombs := 0
-	e.Scan("a", "d", func(k string, c Cell) bool {
-		seen = append(seen, k)
-		if c.Tombstone {
+	for _, ent := range drain(e.SnapshotRanges(fullRing)) {
+		seen = append(seen, ent.key)
+		if ent.cell.Tombstone {
 			tombs++
 		}
-		return true
-	})
-	if fmt.Sprint(seen) != "[a b c]" {
-		t.Fatalf("scan order = %v", seen)
+	}
+	if fmt.Sprint(seen) != "[a b c d]" {
+		t.Fatalf("snapshot order = %v", seen)
 	}
 	if tombs != 1 {
 		t.Fatalf("tombstones seen = %d", tombs)

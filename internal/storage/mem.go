@@ -83,14 +83,6 @@ func (e *MemEngine) Reserve(n int) {
 	}
 }
 
-// Delete applies a tombstone with the given version.
-func (e *MemEngine) Delete(key string, v Version) bool {
-	return e.Apply(key, Cell{Version: v, Tombstone: true})
-}
-
-// Len reports the number of resident keys (tombstones included).
-func (e *MemEngine) Len() int { return len(e.cells) }
-
 // Bytes reports the live data size in bytes.
 func (e *MemEngine) Bytes() int64 { return e.totalBytes }
 
@@ -102,26 +94,6 @@ func (e *MemEngine) KeyCount() int { return e.keys.count() }
 
 // KeyAt returns the i-th key in insertion order.
 func (e *MemEngine) KeyAt(i int) string { return e.keys.at(i) }
-
-// Keys returns all resident keys in sorted order; used by tests and
-// full-scan anti-entropy on small stores. Callers must not mutate the
-// returned slice.
-func (e *MemEngine) Keys() []string { return e.keys.sortedKeys() }
-
-// Scan visits resident cells with from <= key < to in sorted order.
-func (e *MemEngine) Scan(from, to string, fn func(key string, c Cell) bool) {
-	scanSorted(e.keys.sortedKeys(), from, to, e.Peek, fn)
-}
-
-// Range calls fn for every key in unspecified order until fn returns
-// false. Mutating the engine during Range is not allowed.
-func (e *MemEngine) Range(fn func(key string, c Cell) bool) {
-	for k, c := range e.cells {
-		if !fn(k, c) {
-			return
-		}
-	}
-}
 
 // Flush accounts one memtable flush (no data moves anywhere).
 func (e *MemEngine) Flush() {

@@ -25,20 +25,20 @@ var engineUnderTest = []struct {
 }
 
 // snapshot captures the full observable state: every key's resident cell
-// via Scan (sorted, tombstones included).
+// via scanAll (sorted, tombstones included).
 func snapshot(e Engine) string {
 	out := ""
-	e.Scan("", "", func(k string, c Cell) bool {
-		out += fmt.Sprintf("%s=%v:%q:%v;", k, c.Version, c.Value, c.Tombstone)
-		return true
-	})
+	for _, ent := range scanAll(e) {
+		c := ent.cell
+		out += fmt.Sprintf("%s=%v:%q:%v;", ent.key, c.Version, c.Value, c.Tombstone)
+	}
 	return out
 }
 
 // TestApplyCommutativeIdempotentAcrossEngines is the replica-application
 // property the repair paths rely on, asserted for BOTH engines: applying
 // any permutation of a write set — with duplicated (idempotence) and
-// tombstone entries — converges every engine to the identical Get/Scan
+// tombstone entries — converges every engine to the identical resident
 // state, and the two engines agree with each other.
 func TestApplyCommutativeIdempotentAcrossEngines(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
@@ -242,8 +242,8 @@ func TestReserveAndApplyAtMatchApply(t *testing.T) {
 		if got, want := sized.Stats(), plain.Stats(); got != want {
 			t.Errorf("%s: stats %+v, want %+v", eng.name, got, want)
 		}
-		if sized.Len() != plain.Len() || sized.Bytes() != plain.Bytes() {
-			t.Errorf("%s: Len/Bytes %d/%d, want %d/%d", eng.name, sized.Len(), sized.Bytes(), plain.Len(), plain.Bytes())
+		if sized.KeyCount() != plain.KeyCount() || sized.Bytes() != plain.Bytes() {
+			t.Errorf("%s: KeyCount/Bytes %d/%d, want %d/%d", eng.name, sized.KeyCount(), sized.Bytes(), plain.KeyCount(), plain.Bytes())
 		}
 		got, want := index(sized), index(plain)
 		if !slices.Equal(got.list, want.list) || !slices.Equal(got.toks, want.toks) {

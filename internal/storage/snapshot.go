@@ -15,7 +15,12 @@ package storage
 // ask for exactly the moved arcs (ring.Diff) and the engine walks only
 // those cells.
 
-import "repro/internal/ring"
+import (
+	"slices"
+	"strings"
+
+	"repro/internal/ring"
+)
 
 // SnapshotIter walks a consistent point-in-time snapshot of an engine in
 // sorted key order. Next returns ok=false when the snapshot is
@@ -40,26 +45,26 @@ func (s *memSnapshot) Next() (string, Cell, bool) {
 }
 
 // snapshotRanges materializes, in sorted key order, the cells peek holds
-// for the keys of idx whose tokens fall inside one of the ranges.
+// for the keys of idx whose tokens fall inside one of the ranges: the
+// selected entries alone are sorted, never the whole keyspace.
 func snapshotRanges(idx *keyIndex, peek func(string) (Cell, bool), ranges []ring.Range) SnapshotIter {
-	keys, toks := idx.sortedView()
 	var entries []runEntry
-	for i, k := range keys {
-		if !ring.RangesContain(ranges, toks[i]) {
+	for i, k := range idx.list {
+		if !ring.RangesContain(ranges, idx.toks[i]) {
 			continue
 		}
 		if c, ok := peek(k); ok {
 			entries = append(entries, runEntry{key: k, cell: c})
 		}
 	}
+	slices.SortFunc(entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
 	return &memSnapshot{entries: entries}
 }
 
 // SnapshotRanges returns a point-in-time iterator restricted to the
 // given token ranges: only resident cells whose key tokens fall inside
 // one of the arcs appear, in sorted key order. The cells are copied out
-// under the sorted key index, so later mutations do not leak into the
-// stream. An empty range set yields an empty snapshot.
+// at the call, so later mutations do not leak into the stream. An empty range set yields an empty snapshot.
 func (e *MemEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
 	return snapshotRanges(&e.keys, e.Peek, ranges)
 }

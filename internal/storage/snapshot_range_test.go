@@ -27,15 +27,28 @@ func rangeTestEngines() []struct {
 var fullRing = []ring.Range{{Start: 0, End: 0}}
 
 // scanAll is the snapshot tests' reference: every resident cell in
-// sorted key order through Scan, a path that shares no code with
-// SnapshotRanges' token filter.
+// sorted key order, read key by key through KeyAt and Peek and sorted
+// here, a path that shares no code with SnapshotRanges.
 func scanAll(e Engine) []runEntry {
-	var out []runEntry
-	e.Scan("", "", func(k string, c Cell) bool {
-		out = append(out, runEntry{key: k, cell: c})
-		return true
-	})
+	out := make([]runEntry, 0, e.KeyCount())
+	for i := 0; i < e.KeyCount(); i++ {
+		k := e.KeyAt(i)
+		if c, ok := e.Peek(k); ok {
+			out = append(out, runEntry{key: k, cell: c})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
+}
+
+// sortedKeys lists the engine's keys, a KeyAt walk sorted here.
+func sortedKeys(e Engine) []string {
+	keys := make([]string, e.KeyCount())
+	for i := range keys {
+		keys[i] = e.KeyAt(i)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func drain(it SnapshotIter) []runEntry {
@@ -71,7 +84,7 @@ func TestSnapshotRangesMatchesFilteredFull(t *testing.T) {
 				})
 			}
 			for i := 3; i < 300; i += 31 {
-				e.Delete(fmt.Sprintf("snap%05d", i), Version{Timestamp: time.Duration(5000 + i), Seq: 5000 + uint64(i)})
+				e.Apply(fmt.Sprintf("snap%05d", i), Cell{Version: Version{Timestamp: time.Duration(5000 + i), Seq: 5000 + uint64(i)}, Tombstone: true})
 			}
 			for _, owner := range ids {
 				ranges := r.Ranges(owner)
@@ -114,8 +127,8 @@ func TestSnapshotRangesEmptyAndWrap(t *testing.T) {
 			// token (FNV tokens of short sequential keys cluster, so a
 			// fixed constant could land outside the cluster).
 			var toks []ring.Token
-			for _, k := range e.Keys() {
-				toks = append(toks, ring.KeyToken(k))
+			for i := 0; i < e.KeyCount(); i++ {
+				toks = append(toks, ring.KeyToken(e.KeyAt(i)))
 			}
 			sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
 			mid := toks[len(toks)/2]
@@ -219,13 +232,13 @@ func TestSnapshotRangesCrashReplayRemaining(t *testing.T) {
 	sent := apply(owned[:half])
 
 	src.Crash()
-	if rs := src.Recover(); rs.WALRecords == 0 && src.Len() == 0 {
+	if rs := src.Recover(); rs.WALRecords == 0 && src.KeyCount() == 0 {
 		t.Fatal("recovery lost the durable store")
 	}
 	resent := apply(owned[half:])
 
 	want := drain(src.SnapshotRanges(owned))
-	if got := dst.Len(); got != len(want) {
+	if got := dst.KeyCount(); got != len(want) {
 		t.Fatalf("receiver has %d cells after replay, want %d", got, len(want))
 	}
 	if sent+resent != len(want) {

@@ -17,7 +17,7 @@ func fillEngine(e Engine, n int, seqBase uint64) {
 
 // TestSnapshotSortedAndComplete pins that both engines' full-ring
 // snapshots visit every resident cell exactly once in sorted key order,
-// the cells a sorted Scan yields — including tombstones, and for the LSM
+// the cells the sorted reference scan yields — including tombstones, and for the LSM
 // engine across memtable + multiple runs with superseded versions.
 func TestSnapshotSortedAndComplete(t *testing.T) {
 	for _, tc := range []struct {
@@ -38,7 +38,7 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 					Value:   []byte("newer"),
 				})
 			}
-			e.Delete("snap00004", Version{Timestamp: 5000, Seq: 5000})
+			e.Apply("snap00004", Cell{Version: Version{Timestamp: 5000, Seq: 5000}, Tombstone: true})
 
 			want := scanAll(e)
 			var prev string
@@ -58,8 +58,8 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 				prev = k
 				count++
 			}
-			if count != e.Len() {
-				t.Fatalf("snapshot visited %d cells, engine holds %d", count, e.Len())
+			if count != e.KeyCount() {
+				t.Fatalf("snapshot visited %d cells, engine holds %d", count, e.KeyCount())
 			}
 		})
 	}
@@ -104,7 +104,7 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestSnapshotStreamRoundTrip(t *testing.T) {
 	src := NewLSMEngine(Options{FlushLimit: 1024, SyncBytes: 0, MaxRuns: 4})
 	fillEngine(src, 200, 1)
-	src.Delete("snap00013", Version{Timestamp: 7777, Seq: 7777})
+	src.Apply("snap00013", Cell{Version: Version{Timestamp: 7777, Seq: 7777}, Tombstone: true})
 
 	dst := NewMemEngine(0)
 	// Seed the receiver with one newer cell: streaming must not clobber it
@@ -136,8 +136,8 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	}
 	flush()
 
-	if total != src.Len() {
-		t.Fatalf("streamed %d cells, source holds %d", total, src.Len())
+	if total != src.KeyCount() {
+		t.Fatalf("streamed %d cells, source holds %d", total, src.KeyCount())
 	}
 	if applied != total-1 {
 		t.Fatalf("applied %d of %d (exactly the pre-seeded newer cell should be rejected)", applied, total)
@@ -145,16 +145,15 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	if got, _ := dst.Peek("snap00001"); got.Version != newer.Version {
 		t.Fatal("stream clobbered a newer resident cell")
 	}
-	src.Range(func(k string, c Cell) bool {
-		if k == "snap00001" {
-			return true
+	for _, ent := range scanAll(src) {
+		if ent.key == "snap00001" {
+			continue
 		}
-		got, ok := dst.Peek(k)
-		if !ok || got.Version != c.Version || got.Tombstone != c.Tombstone {
-			t.Fatalf("receiver diverges at %q: %+v vs %+v (ok=%v)", k, got, c, ok)
+		got, ok := dst.Peek(ent.key)
+		if !ok || got.Version != ent.cell.Version || got.Tombstone != ent.cell.Tombstone {
+			t.Fatalf("receiver diverges at %q: %+v vs %+v (ok=%v)", ent.key, got, ent.cell, ok)
 		}
-		return true
-	})
+	}
 }
 
 // TestApplyEncodedTornChunk pins that a truncated chunk applies its

@@ -5,19 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"time"
 )
 
 // The write-ahead log. Every accepted mutation is appended as one framed
 // record before it lands in the memtable; the synced prefix of the log
-// is what survives a crash. Under simulation the log is a deterministic
-// in-memory byte buffer with an explicit durable watermark. Under the
-// live engine it can be one recycled file segment (NoKV's managed wal
-// segment, sized for this repo): records gather in memory, a sync is one
-// write at the watermark plus one fdatasync, and a memtable flush
-// rewinds the watermark to offset 0 so the next generation overwrites
-// blocks the file already owns.
+// is what survives a crash. The log lies in one recycled segment (NoKV's
+// managed wal segment, sized for this repo), a file under the live engine
+// and a byte slice under simulation: records gather in memory, a sync is
+// one write at the watermark plus one segment sync (fdatasync on a file),
+// and a memtable flush rewinds the watermark to offset 0 so the next
+// generation overwrites blocks the segment already owns.
 //
 // Record framing, after NoKV's manager:
 //
@@ -116,92 +116,106 @@ func decodeWALRecord(log []byte, off int) (key string, c Cell, n int, err error)
 	return key, c, total, nil
 }
 
-// walog is the byte-log substrate of the LSM engine's WAL: an in-memory
-// buffer under simulation, a recycled file segment under the live
-// engine. Appends buffer; sync moves the durable watermark; crash
-// discards everything past it.
-type walog interface {
-	append(rec []byte)
-	sync()
-	unsynced() int64
-	// durable returns a copy of the synced prefix (what survives a
-	// crash); the caller owns it across later resets and appends.
-	durable() []byte
-	// reset discards the whole log (the memtable it covered was flushed
-	// to a durable run).
-	reset()
-	// crash discards the unsynced tail.
-	crash()
-	close() error
+// segment is the byte store under the WAL: fileSegment live, memSegment
+// in simulation, so a sim Crash/Recover runs the live code.
+type segment interface {
+	WriteAt(p []byte, off int64) (int, error)
+	ReadAt(p []byte, off int64) (int, error)
+	// sync makes every byte written so far durable.
+	sync() error
+	Close() error
 }
 
-// memWAL is the deterministic in-memory log used under simulation.
-type memWAL struct {
-	buf    []byte
-	synced int
-}
-
-func (w *memWAL) append(rec []byte) { w.buf = append(w.buf, rec...) }
-func (w *memWAL) sync()             { w.synced = len(w.buf) }
-func (w *memWAL) unsynced() int64   { return int64(len(w.buf) - w.synced) }
-func (w *memWAL) durable() []byte   { return append([]byte(nil), w.buf[:w.synced]...) }
-func (w *memWAL) reset()            { w.buf, w.synced = w.buf[:0], 0 }
-func (w *memWAL) crash()            { w.buf = w.buf[:w.synced] }
-func (w *memWAL) close() error      { return nil }
-
-// fileWAL backs the log with one recycled file segment. The log is the
-// file's bytes [0, synced): the in-memory watermark defines it, not the
-// file length, because reset rewinds the watermark without truncating —
-// from the second memtable generation on, every sync overwrites blocks
-// the file already owns and the fdatasync has no size change to journal.
-// Past the watermark the file therefore holds stale records of earlier
-// generations with valid checksums. That is safe only because the file
-// is truncated at open and never read by a later process; a restart path
-// that re-reads it needs a generation stamp in the record header first.
-//
-// Records appended since the last sync wait in tail; a sync is one
-// write of tail at the watermark and one fdatasync, a crash drops tail
-// (what a power cut leaves of writes the device never saw). The file
-// holds its high-water mark: the longest log one memtable generation
-// wrote.
-type fileWAL struct {
-	f      *os.File
-	tail   []byte // appended, not yet written or synced; reused across syncs
-	synced int64  // durable watermark
-}
-
-func newFileWAL(path string) (*fileWAL, error) {
-	//repolint:allow simpure live-only file WAL; the sim engine runs on memWAL
+// openSegment opens the WAL's segment: the file at path, truncated, or a
+// fresh in-memory one when path is empty.
+func openSegment(path string) (segment, error) {
+	if path == "" {
+		return &memSegment{}, nil
+	}
+	//repolint:allow simpure live-only file WAL; the sim engine runs on memSegment
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: wal: %w", err)
 	}
-	return &fileWAL{f: f}, nil
+	return fileSegment{f}, nil
 }
 
-func (w *fileWAL) append(rec []byte) { w.tail = append(w.tail, rec...) }
+// fileSegment is a WAL file, synced with fdatasync.
+type fileSegment struct{ *os.File }
 
-func (w *fileWAL) sync() {
-	if _, err := w.f.WriteAt(w.tail, w.synced); err != nil {
+func (s fileSegment) sync() error { return fdatasync(s.File) }
+
+// memSegment is an in-memory segment whose writes are durable at once.
+type memSegment struct{ buf []byte }
+
+func (s *memSegment) WriteAt(p []byte, off int64) (int, error) {
+	if int(off)+len(p) > len(s.buf) {
+		s.buf = append(s.buf[:off], p...)
+		return len(p), nil
+	}
+	return copy(s.buf[off:], p), nil
+}
+
+func (s *memSegment) ReadAt(p []byte, off int64) (int, error) {
+	if n := copy(p, s.buf[off:]); n < len(p) {
+		return n, io.EOF
+	}
+	return len(p), nil
+}
+
+func (s *memSegment) sync() error  { return nil }
+func (s *memSegment) Close() error { return nil }
+
+// wal is the log over one recycled segment. The log is the segment's
+// bytes [0, synced): the in-memory watermark alone defines it, not the
+// segment's length, because reset rewinds the watermark without
+// truncating — from the second memtable generation on, every sync
+// overwrites blocks the segment already owns and a file's fdatasync has
+// no size change to journal. Past the watermark the segment therefore
+// holds stale records of earlier generations with valid checksums. That
+// is safe only because a file segment is truncated at open and never read
+// by a later process; a restart path that re-reads it needs a generation
+// stamp in the record header first.
+//
+// Records appended since the last sync wait in tail; a sync is one
+// write of tail at the watermark and one segment sync, a crash drops
+// tail (what a power cut leaves of writes the device never saw). The
+// segment holds its high-water mark: the longest log one memtable
+// generation wrote.
+type wal struct {
+	seg    segment
+	tail   []byte // appended, not yet written or synced; reused across syncs
+	synced int64  // durable watermark
+}
+
+func (w *wal) append(rec []byte) { w.tail = append(w.tail, rec...) }
+
+func (w *wal) sync() {
+	if _, err := w.seg.WriteAt(w.tail, w.synced); err != nil {
 		panic(fmt.Sprintf("storage: wal write: %v", err))
 	}
-	if err := fdatasync(w.f); err != nil {
+	if err := w.seg.sync(); err != nil {
 		panic(fmt.Sprintf("storage: wal sync: %v", err))
 	}
 	w.synced += int64(len(w.tail))
 	w.tail = w.tail[:0]
 }
 
-func (w *fileWAL) unsynced() int64 { return int64(len(w.tail)) }
+func (w *wal) unsynced() int64 { return int64(len(w.tail)) }
 
-func (w *fileWAL) durable() []byte {
+// durable returns a copy of the synced prefix (what survives a crash);
+// the caller owns it across later resets and appends.
+func (w *wal) durable() []byte {
 	buf := make([]byte, w.synced)
-	if _, err := w.f.ReadAt(buf, 0); err != nil {
+	if _, err := w.seg.ReadAt(buf, 0); err != nil {
 		panic(fmt.Sprintf("storage: wal read: %v", err))
 	}
 	return buf
 }
 
-func (w *fileWAL) reset()       { w.tail, w.synced = w.tail[:0], 0 }
-func (w *fileWAL) crash()       { w.tail = w.tail[:0] }
-func (w *fileWAL) close() error { return w.f.Close() }
+// reset discards the whole log (the memtable it covered was flushed to a
+// durable run).
+func (w *wal) reset() { w.tail, w.synced = w.tail[:0], 0 }
+
+// crash discards the unsynced tail.
+func (w *wal) crash() { w.tail = w.tail[:0] }

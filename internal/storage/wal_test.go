@@ -25,9 +25,9 @@ func fileEngine(t *testing.T, o Options) (*LSMEngine, string) {
 	return e, o.Path
 }
 
-// forEachWAL runs fn once per log substrate: the sim's in-memory buffer
-// and the live engine's recycled file segment, each build on a file of
-// its own.
+// forEachWAL runs fn once per segment under the one WAL: the sim's
+// memory segment and the live engine's file segment, each build on a
+// file of its own.
 func forEachWAL(t *testing.T, fn func(t *testing.T, build func(Options) *LSMEngine)) {
 	t.Run("mem", func(t *testing.T) { fn(t, NewLSMEngine) })
 	t.Run("file", func(t *testing.T) {
@@ -40,32 +40,19 @@ func forEachWAL(t *testing.T, fn func(t *testing.T, build func(Options) *LSMEngi
 
 // tearLog cuts the durable log n bytes short: what the disk holds after
 // a crash that kept only part of the final record.
-func tearLog(w walog, n int) {
-	switch w := w.(type) {
-	case *memWAL:
-		w.buf = w.buf[:len(w.buf)-n]
-		w.synced = len(w.buf)
-	case *fileWAL:
-		w.synced -= int64(n)
-	}
-}
+func tearLog(w *wal, n int) { w.synced -= int64(n) }
 
 // flipLogByte damages the byte back bytes before the end of the durable
 // log.
-func flipLogByte(t *testing.T, w walog, back int) {
-	switch w := w.(type) {
-	case *memWAL:
-		w.buf[w.synced-back] ^= 0xff
-	case *fileWAL:
-		var b [1]byte
-		off := w.synced - int64(back)
-		if _, err := w.f.ReadAt(b[:], off); err != nil {
-			t.Fatal(err)
-		}
-		b[0] ^= 0xff
-		if _, err := w.f.WriteAt(b[:], off); err != nil {
-			t.Fatal(err)
-		}
+func flipLogByte(t *testing.T, w *wal, back int) {
+	var b [1]byte
+	off := w.synced - int64(back)
+	if _, err := w.seg.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := w.seg.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -212,14 +199,13 @@ func testWALReplayEveryBoundary(t *testing.T, build func(Options) *LSMEngine) {
 		if rs.WALRecords > applied {
 			t.Fatalf("cut %d: replayed %d records, appended only %d", cut, rs.WALRecords, applied)
 		}
-		if e.Len() != want.Len() {
-			t.Fatalf("cut %d: %d keys recovered, want %d", cut, e.Len(), want.Len())
+		if e.KeyCount() != want.KeyCount() {
+			t.Fatalf("cut %d: %d keys recovered, want %d", cut, e.KeyCount(), want.KeyCount())
 		}
-		for _, k := range want.Keys() {
-			wc, _ := want.Peek(k)
-			gc, ok := e.Peek(k)
-			if !ok || gc.Version != wc.Version || string(gc.Value) != string(wc.Value) || gc.Tombstone != wc.Tombstone {
-				t.Fatalf("cut %d key %s: got %+v ok=%v want %+v", cut, k, gc, ok, wc)
+		for _, w := range scanAll(want) {
+			gc, ok := e.Peek(w.key)
+			if !ok || gc.Version != w.cell.Version || string(gc.Value) != string(w.cell.Value) || gc.Tombstone != w.cell.Tombstone {
+				t.Fatalf("cut %d key %s: got %+v ok=%v want %+v", cut, w.key, gc, ok, w.cell)
 			}
 		}
 	}
@@ -240,7 +226,7 @@ func testWALReplayTornFinalRecord(t *testing.T, build func(Options) *LSMEngine) 
 	// Tear the final record: chop half of it off, then pretend the torn
 	// state is what the disk held.
 	last := len(appendWALRecord(nil, set[len(set)-1].key, set[len(set)-1].cell))
-	tearLog(e.wal, last/2)
+	tearLog(&e.wal, last/2)
 
 	e.Crash()
 	rs := e.Recover()
@@ -256,7 +242,7 @@ func testWALReplayTornFinalRecord(t *testing.T, build func(Options) *LSMEngine) 
 	for _, w := range set {
 		e2.Apply(w.key, w.cell)
 	}
-	flipLogByte(t, e2.wal, walCRCBytes+2)
+	flipLogByte(t, &e2.wal, walCRCBytes+2)
 	e2.Crash()
 	rs2 := e2.Recover()
 	if !rs2.TornTail {
@@ -302,8 +288,7 @@ func TestFileWALGenerationIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.wal.(*fileWAL)
-	if key, _, _, err := decodeWALRecord(disk, int(w.synced)); err != nil || key != "gen1-03" {
+	if key, _, _, err := decodeWALRecord(disk, int(e.wal.synced)); err != nil || key != "gen1-03" {
 		t.Fatalf("expected the stale record gen1-03 past the watermark, got %q, %v", key, err)
 	}
 
@@ -315,8 +300,8 @@ func TestFileWALGenerationIsolation(t *testing.T) {
 	if lost := e.Stats().LostRecords; lost != 2 {
 		t.Fatalf("lost records = %d, want 2", lost)
 	}
-	if e.Len() != 15 {
-		t.Fatalf("%d keys after recovery, want 12 flushed + 3 replayed", e.Len())
+	if e.KeyCount() != 15 {
+		t.Fatalf("%d keys after recovery, want 12 flushed + 3 replayed", e.KeyCount())
 	}
 	for _, k := range []string{"gen2-03", "gen2-04"} {
 		if _, ok := e.Peek(k); ok {
@@ -329,11 +314,19 @@ func TestFileWALGenerationIsolation(t *testing.T) {
 // through a mem-backed and a file-backed engine: every counter (appends,
 // bytes, syncs, lost records, flushes, compactions) and the resident
 // state must agree, i.e. buffering records until the sync did not move
-// the sync cadence or what a crash loses.
+// the sync cadence or what a crash loses. The two durable logs must be
+// byte-equal after every write, so across every flush's reset, and
+// after every crash and recovery.
 func TestFileWALSameCountsAsMemWAL(t *testing.T) {
 	opts := Options{FlushLimit: 2048, SyncBytes: 300, MaxRuns: 3}
 	mem := NewLSMEngine(opts)
 	file, _ := fileEngine(t, opts)
+	sameLog := func(stage string, i int) {
+		t.Helper()
+		if m, f := mem.wal.durable(), file.wal.durable(); !bytes.Equal(m, f) {
+			t.Fatalf("write %d, %s: durable logs differ: mem %d bytes, file %d bytes", i, stage, len(m), len(f))
+		}
+	}
 	for i := 0; i < 600; i++ {
 		seq := uint64(i + 1)
 		c := Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Tombstone: i%11 == 10}
@@ -344,12 +337,15 @@ func TestFileWALSameCountsAsMemWAL(t *testing.T) {
 		if mem.Apply(key, c) != file.Apply(key, c) {
 			t.Fatalf("write %d: engines disagree on acceptance", i)
 		}
+		sameLog("apply", i)
 		if i%97 == 96 {
 			mem.Crash()
 			file.Crash()
+			sameLog("crash", i)
 			if mr, fr := mem.Recover(), file.Recover(); mr != fr {
 				t.Fatalf("write %d: recover stats diverged:\n mem  %+v\n file %+v", i, mr, fr)
 			}
+			sameLog("recover", i)
 		}
 	}
 	ms, fs := mem.Stats(), file.Stats()

@@ -132,8 +132,9 @@ func Count(k int) Level { return kv.Count(k) }
 // the durable WAL + LSM-lite engine: a crash loses only the un-fsynced
 // WAL tail, and Cluster.Restart replays the rest before hinted handoff
 // and anti-entropy close the gap. Config.WALSyncBytes, Config.MaxRuns
-// and Config.WALDir tune it (a WALDir makes the live engine pay real
-// file I/O for WAL syncs: one write + one fdatasync per sync window).
+// and Config.WALDir tune it. The WAL runs the same code in memory and on
+// a file; a WALDir makes the live engine pay real file I/O for WAL syncs
+// (one write + one fdatasync per sync window).
 const (
 	EngineMem = storage.Mem
 	EngineLSM = storage.LSM
