@@ -10,7 +10,8 @@
 // Two more time one Harmony replay, the unit of work every table
 // repeats: BenchmarkExpAHarmony at the scale the performance history was
 // recorded at, BenchmarkSimHarmonyReplay at the shape the repository
-// benchmark's sim-harmony workload times.
+// benchmark's sim-harmony workload times. BenchmarkServingOps times the
+// serve path under the RESP server: the store, engine and transport.
 package repro_test
 
 import (
@@ -72,6 +73,57 @@ func BenchmarkSimHarmonyReplay(b *testing.B) {
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(ops)/secs, "ops/s")
+	}
+}
+
+// BenchmarkServingOps issues QUORUM reads or writes 16 to an Engine.Do
+// on TestServingAllocBudget's single-process serving deployment, as the
+// RESP server does with a pipeline of 16 commands (each operation
+// completes inside its Do); ns/op is per operation. A write copies its
+// value first, as the server does. What to profile when the serve path
+// is the target (scripts/microbench.sh has the recipe).
+func BenchmarkServingOps(b *testing.B) {
+	const depth = 16
+	for _, name := range []string{"read", "write"} {
+		b.Run(name, func(b *testing.B) {
+			d, sess, keys := newServedStore(b)
+			value := make([]byte, 64)
+			var i, k, done, failed int
+			onRead := func(r repro.ReadResult) {
+				if done++; r.Err != nil || !r.Exists {
+					failed++
+				}
+			}
+			onWrite := func(r repro.WriteResult) {
+				if done++; r.Err != nil {
+					failed++
+				}
+			}
+			batch := func() {
+				for j := 0; j < k; j++ {
+					i++
+					if key := keys[i%len(keys)]; name == "read" {
+						sess.Read(key, onRead)
+					} else {
+						sess.Write(key, append([]byte(nil), value...), onWrite)
+					}
+				}
+			}
+			k = depth
+			for n := 0; n < 2000; n += k {
+				d.Engine.Do(batch) // warm the pools, the op slab and the time plane
+			}
+			done = 0
+			b.ResetTimer()
+			for n := 0; n < b.N; n += k {
+				k = min(depth, b.N-n)
+				d.Engine.Do(batch)
+			}
+			b.StopTimer()
+			if done != b.N || failed != 0 {
+				b.Fatalf("%d of %d operations completed, %d failed", done, b.N, failed)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // work is a unit of node CPU/disk work waiting for an execution slot.
 // The per-operation units — serving a replica read, applying a replica
 // write — carry their request by value (rr, rw); everything else (batch
-// items, anti-entropy, streaming) sets fn.
+// items, anti-entropy, streaming) sets fn. A unit of zero modelled cost
+// (ServingDefaults) that finds a free slot runs as a call, holding none.
 type work struct {
 	cost     time.Duration
 	enqueued time.Duration
@@ -38,7 +39,7 @@ const (
 // heavy load. shed, when positive, drops work that waited longer than the
 // threshold (Cassandra's dropped-mutation load shedding). The queue is a
 // head-indexed deque so dequeuing does not reslice away reusable
-// capacity.
+// capacity; it is empty while busy < conc, so a call overtakes nothing.
 type stage struct {
 	busy     int
 	conc     int
@@ -286,6 +287,11 @@ func (n *Node) submitWrite(cost time.Duration, fn func()) {
 }
 
 func (n *Node) submit(st *stage, w work) {
+	if w.cost == 0 && st.busy < st.conc {
+		st.done++
+		n.perform(&w)
+		return
+	}
 	w.enqueued = n.cluster.net.Now()
 	if st.busy >= st.conc {
 		st.queue = append(st.queue, w)
@@ -339,15 +345,32 @@ const (
 // coordWork models the request-stage overhead of coordinating an
 // operation: it delays the admission e carries by a sampled cost without
 // contending for read/mutation slots (Cassandra's request stage is
-// rarely the bottleneck).
+// rarely the bottleneck). A zero sample admits at once.
 func (n *Node) coordWork(e coordExec) {
 	cost := n.cluster.cfg.CoordOverhead.Sample(n.rng)
 	n.coordBusy += cost
+	if cost == 0 {
+		n.admit(&e)
+		return
+	}
 	e.epoch = n.epoch
 	n.cluster.net.SendLocal(n.id, coordExecs.put(e), cost)
 }
 
-func (n *Node) finishWork(st *stage, w *work) {
+func (n *Node) admit(e *coordExec) {
+	switch e.kind {
+	case execRead:
+		n.admitRead(e.cr)
+	case execWrite:
+		n.admitWrite(e.cw)
+	case execBatchRead:
+		n.admitBatchRead(e.br)
+	case execBatchWrite:
+		n.admitBatchWrite(e.bw)
+	}
+}
+
+func (n *Node) perform(w *work) {
 	switch w.kind {
 	case workReplicaRead:
 		n.serveReplicaRead(w.rr)
@@ -356,6 +379,10 @@ func (n *Node) finishWork(st *stage, w *work) {
 	default:
 		w.fn()
 	}
+}
+
+func (n *Node) finishWork(st *stage, w *work) {
+	n.perform(w)
 	st.busy--
 	// The freed slot keeps scanning past shed work: a burst of expired
 	// items must not leave the slot idle until the next workDone — it
@@ -420,24 +447,12 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 	}
 	switch m := payload.(type) {
 	case *workDone:
-		v := workDones.take(m)
-		if v.epoch == n.epoch {
+		if v := workDones.take(m); v.epoch == n.epoch {
 			n.finishWork(v.st, &v.w)
 		}
 	case *coordExec:
-		v := coordExecs.take(m)
-		if v.epoch != n.epoch {
-			return
-		}
-		switch v.kind {
-		case execRead:
-			n.admitRead(v.cr)
-		case execWrite:
-			n.admitWrite(v.cw)
-		case execBatchRead:
-			n.admitBatchRead(v.br)
-		case execBatchWrite:
-			n.admitBatchWrite(v.bw)
+		if v := coordExecs.take(m); v.epoch == n.epoch {
+			n.admit(&v)
 		}
 
 	case *clientRead:

@@ -45,9 +45,9 @@ type Engine struct {
 	mu       sync.Mutex
 	topo     *netsim.Topology
 	rng      *stats.Source
-	handlers map[netsim.NodeID]netsim.Handler
+	handlers []netsim.Handler // indexed by NodeID+1, as in netsim.Transport
+	down     []bool           // indexed like handlers, always as long
 	meter    netsim.TrafficMeter
-	down     map[netsim.NodeID]bool
 	closed   bool
 
 	// The time plane. clock reads the wall (time since start for New,
@@ -88,8 +88,8 @@ func New(topo *netsim.Topology, seed uint64) *Engine {
 	e := &Engine{
 		topo:     topo,
 		rng:      stats.NewSource(seed).Stream("live"),
-		handlers: make(map[netsim.NodeID]netsim.Handler),
-		down:     make(map[netsim.NodeID]bool),
+		handlers: make([]netsim.Handler, topo.N()+1),
+		down:     make([]bool, topo.N()+1),
 		clock:    func() time.Duration { return time.Since(start) },
 		tq:       sim.New(seed),
 		Scale:    1,
@@ -113,7 +113,16 @@ func (e *Engine) Register(id netsim.NodeID, h netsim.Handler) {
 	if !e.isLocal(id) {
 		return
 	}
-	e.handlers[id] = h
+	e.handlers[e.grow(id)] = h
+}
+
+// grow extends handlers and down to reach id (ClientID or above).
+func (e *Engine) grow(id netsim.NodeID) int {
+	for int(id)+1 >= len(e.handlers) {
+		e.handlers = append(e.handlers, nil)
+		e.down = append(e.down, false)
+	}
+	return int(id) + 1
 }
 
 // isLocal reports whether this process serves id (the client endpoint
@@ -177,8 +186,9 @@ func (e *Engine) drain() {
 		if i%clockEvery == clockEvery-1 {
 			e.tq.RunUntil(e.clock())
 		}
-		if h, ok := e.handlers[q.to]; ok && !e.down[q.to] {
-			h(q.from, q.payload)
+		// A peer frame can name any id: bound it before indexing.
+		if i := uint(q.to + 1); i < uint(len(e.handlers)) && e.handlers[i] != nil && !e.down[i] {
+			e.handlers[i](q.from, q.payload)
 		} else {
 			kv.ReleaseMessage(q.payload)
 		}
@@ -231,7 +241,7 @@ func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
 		e.mesh.send(from, to, payload)
 		return
 	}
-	if e.down[from] || e.down[to] {
+	if e.down[from+1] || e.down[to+1] {
 		e.meter.Dropped++
 		return
 	}
@@ -266,10 +276,10 @@ func (e *Engine) ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) 
 // Fail drops traffic to and from id (kv.Cluster's failure injection uses
 // it through the failer interface). Like all cluster interactions it must
 // run under the engine lock (inside Do or a handler).
-func (e *Engine) Fail(id netsim.NodeID) { e.down[id] = true }
+func (e *Engine) Fail(id netsim.NodeID) { e.down[e.grow(id)] = true }
 
 // Recover reverses Fail; same locking contract as Fail.
-func (e *Engine) Recover(id netsim.NodeID) { delete(e.down, id) }
+func (e *Engine) Recover(id netsim.NodeID) { e.down[e.grow(id)] = false }
 
 // Meter snapshots the traffic meter.
 func (e *Engine) Meter() netsim.TrafficMeter {

@@ -143,6 +143,31 @@ func TestDirectTimerOrder(t *testing.T) {
 	}
 }
 
+// TestDirectEndpointTables: handlers and failure flags are slices indexed
+// by NodeID+1. A delivery to an id the table does not reach — a peer
+// frame can name any id — is dropped, not a panic; Fail and Recover take
+// ids past the table; a failed node neither receives nor sends until it
+// recovers.
+func TestDirectEndpointTables(t *testing.T) {
+	e, _, log := newDirectEngine(t, 3)
+	e.deliverBatch([]queuedMsg{{to: 1 << 40, payload: "far"}, {to: -7, payload: "negative"}, {to: 2, payload: "ok"}})
+	e.Do(func() {
+		e.Fail(9)
+		e.Recover(9)
+		e.Fail(1)
+		e.Send(0, 1, "to-failed", 0)
+		e.Send(1, 2, "from-failed", 0)
+		e.SendLocal(1, "timer-on-failed", 0)
+	})
+	e.Do(func() {
+		e.Recover(1)
+		e.Send(0, 1, "recovered", 0)
+	})
+	if want := []string{"ok", "recovered"}; !reflect.DeepEqual(*log, want) {
+		t.Errorf("delivered %v, want %v", *log, want)
+	}
+}
+
 // TestStaleGuardHandleSparesNewTenant: a guard's slot is recycled when
 // it fires; stopping the old handle afterwards must not cancel the guard
 // that now lives in the slot.

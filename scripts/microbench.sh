@@ -17,6 +17,16 @@
 #   go test -run '^$' -bench SimHarmonyReplay -benchtime 3x -cpu 1 \
 #     -cpuprofile /tmp/cpu.prof -o /tmp/repro.test .
 #   go tool pprof -top /tmp/repro.test /tmp/cpu.prof
+#
+# The serve workloads time the store under the RESP server, which the
+# repository benchmark cannot profile; BenchmarkServingOps (root package)
+# issues QUORUM reads or writes 16 to an Engine.Do on a single-process
+# serving deployment, the store's share of that path. Compare two commits
+# with `scripts/microbench.sh ServingOps .`; profile one with
+#   go test -run '^$' -bench 'ServingOps/read' -benchtime 2000000x -cpu 1 \
+#     -cpuprofile /tmp/serve.prof -o /tmp/repro.test .
+#   go tool pprof -top /tmp/repro.test /tmp/serve.prof
+# (ServingOps/write for writes).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -57,7 +57,9 @@ func NewServing(topo *Topology, cfg Config, sc ServeConfig) (*Live, error) {
 // ServingDefaults returns a serving-tuned configuration: modeled
 // service-time laws are zeroed (a serving node's cost is the real CPU
 // it burns, not a sampled delay), so the request path is bounded by
-// actual work rather than simulated Cassandra latencies.
+// actual work rather than simulated Cassandra latencies. With nothing to
+// wait out, a coordinator's admission and a replica's stage work run as
+// calls instead of as self-messages.
 func ServingDefaults(topo *Topology) Config {
 	cfg := Defaults(topo)
 	cfg.ReadService = netsim.Constant(0)

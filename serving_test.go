@@ -217,30 +217,39 @@ func TestServingRejectsGossipMesh(t *testing.T) {
 	}
 }
 
+// newServedStore boots a single-process serving deployment with 256 keys
+// of 64 bytes preloaded, and returns it with a QUORUM session and the
+// keys: the store the RESP server drives, without the server.
+func newServedStore(tb testing.TB) (*repro.Live, repro.Session, []string) {
+	tb.Helper()
+	topo := repro.SingleDC(3)
+	d, err := repro.NewServing(topo, repro.ServingDefaults(topo), repro.ServeConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Engine.Close() })
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	d.Preload(uint64(len(keys)), func(i uint64) string { return keys[i] }, make([]byte, 64))
+	return d, d.StaticSession(repro.Quorum, repro.Quorum), keys
+}
+
 // TestServingAllocBudget pins the allocation budget of a served
 // operation so it cannot creep back: on a single-process serving
 // deployment a QUORUM read or write issued through the session inside
 // Engine.Do — exactly what the RESP server does per command — runs on
-// pooled message boxes, slab client ops and value-carried stage work.
-// What remains is the store keeping the data: nothing for a read, the
+// pooled message boxes and slab client ops, and its admission and
+// replica stage work, whose modelled cost is zero, run as calls. What
+// remains is the store keeping the data: nothing for a read, the
 // oracle's ledger entry and the engines' cells for a write. The value
 // copy a caller makes before handing the store a buffer is in the bound.
 func TestServingAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	topo := repro.SingleDC(3)
-	d, err := repro.NewServing(topo, repro.ServingDefaults(topo), repro.ServeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Engine.Close() })
-	sess := d.StaticSession(repro.Quorum, repro.Quorum)
-	keys := make([]string, 256)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("user%012d", i)
-	}
-	d.Preload(uint64(len(keys)), func(i uint64) string { return keys[i] }, make([]byte, 64))
+	d, sess, keys := newServedStore(t)
 
 	var i, failed int
 	onRead := func(r repro.ReadResult) {
