@@ -5,7 +5,7 @@
 //
 // The invariants themselves (see the sibling packages determinism,
 // poolsafe, simpure and errflow) encode conventions this repo otherwise
-// enforces only by review: bit-reproducible simulations, sync.Pool
+// enforces only by review: bit-reproducible simulations, the pooled
 // message lifecycle, the sim/live split, and error propagation on the
 // consistent-prefix recovery paths.
 //

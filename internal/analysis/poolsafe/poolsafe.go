@@ -1,9 +1,12 @@
-// Package poolsafe checks the sync.Pool message lifecycle the hot path
+// Package poolsafe checks the pooled message lifecycle the hot path
 // depends on: a pooled value must be released exactly once, never used
 // after release, and never retained past its delivery.
 //
 // PR2 made every per-replica message a pooled box: senders take a box,
 // receivers copy the value out and return the box before dispatching.
+// The boxes, and the coordinator contexts, recycle through free lists a
+// cluster owns (slices of pointers, popped to acquire and pushed to
+// release); a sync.Pool is checked the same way.
 // Violations are memory-safety bugs of the worst kind — a box reused
 // while an alias is still live corrupts an unrelated in-flight message,
 // and the symptom appears far from the cause. The analyzer is
@@ -17,14 +20,15 @@
 //     into a field/map/global and *then* released by the same function
 //     (the retained alias outlives the release).
 //
-// Release wrappers (a function that Puts its parameter) and acquire
-// wrappers (a function returning a value it took from a pool) are
-// discovered per package, so helpers check the same as direct
-// pool.Get/Put calls. Methods of a generic wrapper type count too — the
-// kv message boxes are box[T] with put (acquire) and take (release) —
-// and because take returns the message it copied out, a release is
-// recognized wherever the call stands: as a statement, on the right of
-// an assignment, or as an argument of another call.
+// Release wrappers (a function that Puts its parameter, or resets it and
+// pushes it onto a free list) and acquire wrappers (a function returning
+// a value it took from a pool or popped off a free list) are discovered
+// per package, so helpers check the same as direct pool.Get/Put calls.
+// Methods of a generic wrapper type count too — the kv message boxes are
+// box[T] with put (acquire) and take (release) — and because take
+// returns the message it copied out, a release is recognized wherever
+// the call stands: as a statement, on the right of an assignment, or as
+// an argument of another call.
 package poolsafe
 
 import (
@@ -37,7 +41,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "poolsafe",
-	Doc: "flag use-after-release, double-release and escapes of sync.Pool-managed values: " +
+	Doc: "flag use-after-release, double-release and escapes of pooled values (free lists, sync.Pool): " +
 		"a pooled box must be released exactly once and never retained past its delivery",
 	Run: run,
 }
@@ -73,15 +77,20 @@ func wrappers(pass *analysis.Pass) *wrapperSet {
 				continue
 			}
 			sig := fn.Type().(*types.Signature)
-			// Acquire wrapper: calls (*sync.Pool).Get and returns a
-			// pointer — the kv get*Ctx helpers and box[T].put.
+			// Acquire wrapper: returns a pointer it took from a pool, by
+			// (*sync.Pool).Get or off a free list of that pointer type —
+			// the kv box[T].put and the cluster's get*Ctx helpers.
 			if sig.Results().Len() >= 1 {
-				if _, ptr := sig.Results().At(0).Type().(*types.Pointer); ptr && callsPoolMethod(pass, fd.Body, "Get") {
+				if ptr, ok := sig.Results().At(0).Type().(*types.Pointer); ok &&
+					(callsPoolMethod(pass, fd.Body, "Get") || popsFreeList(pass, fd.Body, ptr)) {
 					w.acquire[fn] = true
 				}
 			}
-			// Release wrapper: Puts one of its parameters.
+			// Release wrapper: Puts one of its parameters, or resets one
+			// and pushes it onto a free list — box[T].take, put*Ctx.
 			if idx, ok := putsParam(pass, fd, sig); ok {
+				w.release[fn] = idx
+			} else if idx, ok := pushesParam(pass, fd, sig); ok {
 				w.release[fn] = idx
 			}
 		}
@@ -141,6 +150,79 @@ func putsParam(pass *analysis.Pass, fd *ast.FuncDecl, sig *types.Signature) (int
 		return true
 	})
 	return idx, ok
+}
+
+// A free list is a slice of pointers whose top is the next value handed
+// out: popped with `p = l[n]; l = l[:n]`, pushed with `l = append(l, p)`.
+func isFreeList(t types.Type, ptr types.Type) bool {
+	if t == nil {
+		return false
+	}
+	s, ok := t.Underlying().(*types.Slice)
+	return ok && types.Identical(s.Elem(), ptr)
+}
+
+// popsFreeList reports whether body pops a free list of ptr: it reads an
+// element of one and assigns one a shorter slice of itself.
+func popsFreeList(pass *analysis.Pass, body *ast.BlockStmt, ptr types.Type) bool {
+	read, shrunk := false, false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IndexExpr:
+			read = read || isFreeList(pass.TypesInfo.TypeOf(n.X), ptr)
+		case *ast.AssignStmt:
+			for _, rhs := range n.Rhs {
+				if s, ok := ast.Unparen(rhs).(*ast.SliceExpr); ok && isFreeList(pass.TypesInfo.TypeOf(s.X), ptr) {
+					shrunk = true
+				}
+			}
+		}
+		return !(read && shrunk)
+	})
+	return read && shrunk
+}
+
+// pushesParam finds a pointer parameter the function recycles: it
+// overwrites the pointee (`*p = ...`, the reset that keeps a waiting
+// value from pinning anything) and appends p to a free list. Both are
+// needed: appending alone is how any slice of pointers grows, an
+// ownership transfer, not a release.
+func pushesParam(pass *analysis.Pass, fd *ast.FuncDecl, sig *types.Signature) (int, bool) {
+	reset := map[types.Object]bool{}
+	pushed := map[types.Object]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if star, ok := ast.Unparen(lhs).(*ast.StarExpr); ok {
+					if id, ok := ast.Unparen(star.X).(*ast.Ident); ok {
+						reset[pass.TypesInfo.ObjectOf(id)] = true
+					}
+				}
+			}
+		case *ast.CallExpr:
+			fun, ok := ast.Unparen(n.Fun).(*ast.Ident)
+			if !ok || len(n.Args) != 2 {
+				return true
+			}
+			if _, builtin := pass.TypesInfo.Uses[fun].(*types.Builtin); !builtin || fun.Name != "append" {
+				return true
+			}
+			if id, ok := ast.Unparen(n.Args[1]).(*ast.Ident); ok {
+				if obj := pass.TypesInfo.ObjectOf(id); obj != nil && isFreeList(pass.TypesInfo.TypeOf(n.Args[0]), obj.Type()) {
+					pushed[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	for i := 0; i < sig.Params().Len(); i++ {
+		p := sig.Params().At(i)
+		if _, ptr := p.Type().(*types.Pointer); ptr && reset[p] && pushed[p] {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // varState tracks one variable through the linear scan.

@@ -1,19 +1,21 @@
 package pool
 
 // A miniature of the kv message boxes (kv/messages.go): one generic
-// wrapper type whose put is the acquire and whose take — copy out, zero,
-// recycle — is the release. A call site names an instantiated method
-// (box[msg].take), not the generic one the analyzer finds declared, and
-// take returns the message, so the release stands on the right of an
-// assignment or inside another call's arguments, never alone.
+// wrapper type over a free list whose put — pop a box, fill it — is the
+// acquire and whose take — copy out, zero, push — is the release. A call
+// site names an instantiated method (box[msg].take), not the generic one
+// the analyzer finds declared, and take returns the message, so the
+// release stands on the right of an assignment or inside another call's
+// arguments, never alone.
 
-import "sync"
-
-type box[T any] struct{ pool sync.Pool }
+type box[T any] struct{ free []*T }
 
 func (b *box[T]) put(v T) *T {
-	p, _ := b.pool.Get().(*T)
-	if p == nil {
+	var p *T
+	if n := len(b.free) - 1; n >= 0 {
+		p = b.free[n]
+		b.free = b.free[:n]
+	} else {
 		p = new(T)
 	}
 	*p = v
@@ -24,7 +26,7 @@ func (b *box[T]) take(p *T) T {
 	v := *p
 	var zero T
 	*p = zero
-	b.pool.Put(p)
+	b.free = append(b.free, p)
 	return v
 }
 

@@ -8,25 +8,29 @@ package pool
 // recycling a box the map still points to. These cases pin that the
 // analyzer would catch each of them if entries ever became pooled.
 
-import "sync"
-
 type entry struct {
 	key string
 	val []byte
 	seq uint64
 }
 
-var entryPool = sync.Pool{New: func() any { return new(entry) }}
+var freeEntries []*entry
 
 func newEntry(key string) *entry {
-	e := entryPool.Get().(*entry)
+	var e *entry
+	if n := len(freeEntries) - 1; n >= 0 {
+		e = freeEntries[n]
+		freeEntries = freeEntries[:n]
+	} else {
+		e = new(entry)
+	}
 	e.key = key
 	return e
 }
 
 func releaseEntry(e *entry) {
-	e.key, e.val, e.seq = "", nil, 0
-	entryPool.Put(e)
+	*e = entry{}
+	freeEntries = append(freeEntries, e)
 }
 
 type cache struct {

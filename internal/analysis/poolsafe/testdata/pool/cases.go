@@ -1,5 +1,7 @@
 package pool
 
+import "sync"
+
 type holder struct{ last *msg }
 
 // Round trip: acquire, fill, release once. Clean.
@@ -33,7 +35,9 @@ func deferAfterRelease(key string) {
 	defer releaseMsg(m) // want `deferred release duplicates an earlier one`
 }
 
-// Direct pool calls check the same as the wrappers.
+// A sync.Pool's own Get and Put check the same as the wrappers.
+var msgPool = sync.Pool{New: func() any { return new(msg) }}
+
 func direct(key string) {
 	m := msgPool.Get().(*msg)
 	m.key = key
@@ -100,4 +104,11 @@ func mayRelease(key string, early bool) string {
 // Returning an acquired box hands ownership to the caller. Clean.
 func handoff(key string) *msg {
 	return newMsg(key)
+}
+
+// Handing a box to a slice that keeps it is no release either. Clean.
+func registerThenUse(key string) string {
+	m := newMsg(key)
+	register(m)
+	return m.key
 }

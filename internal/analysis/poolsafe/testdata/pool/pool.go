@@ -1,26 +1,36 @@
 // Package pool exercises the poolsafe lifecycle rules against a
-// miniature of the kv message pools: a pooled box type, an acquire
-// wrapper (newMsg) and a release wrapper (releaseMsg), both discovered
-// by the analyzer rather than hard-coded.
+// miniature of the kv free lists: an acquire wrapper (newMsg) that pops
+// a box off a free list and a release wrapper (releaseMsg) that resets a
+// box and pushes it back, both discovered by the analyzer rather than
+// hard-coded.
 package pool
-
-import "sync"
 
 type msg struct {
 	key string
 	val []byte
 }
 
-var msgPool = sync.Pool{New: func() any { return new(msg) }}
+var freeMsgs []*msg
 
 func newMsg(key string) *msg {
-	m := msgPool.Get().(*msg)
+	var m *msg
+	if n := len(freeMsgs) - 1; n >= 0 {
+		m = freeMsgs[n]
+		freeMsgs = freeMsgs[:n]
+	} else {
+		m = new(msg)
+	}
 	m.key = key
 	return m
 }
 
 func releaseMsg(m *msg) {
-	m.key = ""
-	m.val = nil
-	msgPool.Put(m)
+	*m = msg{}
+	freeMsgs = append(freeMsgs, m)
 }
+
+// register appends without resetting: an ownership transfer into a
+// slice of pointers, not a release.
+var registry []*msg
+
+func register(m *msg) { registry = append(registry, m) }

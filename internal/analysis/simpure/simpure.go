@@ -1,13 +1,13 @@
 // Package simpure checks the sim/live split: deterministic simulation
 // packages must not spawn goroutines, perform real network or file
-// I/O, or use sync primitives other than sync.Pool.
+// I/O, or use sync primitives.
 //
 // Under the discrete-event engine there is exactly one goroutine;
 // concurrency is *modeled* by scheduling events, never by the runtime.
 // A stray `go` statement or mutex doesn't just risk a data race — it
 // silently breaks replay, because goroutine interleaving is invisible
-// to the transcript. sync.Pool is the single blessed exception (PR2's
-// message pools), safe because pooled boxes never cross a delivery.
+// to the transcript. That includes sync.Pool: the message boxes a
+// single-threaded cluster recycles are its own free lists.
 // internal/live and cmd/ are exempt by scope: wall-clock concurrency
 // is their whole job.
 package simpure
@@ -22,7 +22,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "simpure",
-	Doc: "forbid go statements, real net/os I/O and sync primitives (except sync.Pool) " +
+	Doc: "forbid go statements, real net/os I/O and sync primitives " +
 		"in deterministic sim packages; sim concurrency must go through the scheduler",
 	Run: run,
 }
@@ -78,8 +78,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-// checkSyncUse flags any reference into sync or sync/atomic except the
-// sync.Pool type and its methods.
+// checkSyncUse flags any reference into sync or sync/atomic.
 func checkSyncUse(pass *analysis.Pass, id *ast.Ident) {
 	obj := pass.TypesInfo.Uses[id]
 	if obj == nil || obj.Pkg() == nil {
@@ -89,31 +88,10 @@ func checkSyncUse(pass *analysis.Pass, id *ast.Ident) {
 	if path != "sync" && path != "sync/atomic" {
 		return
 	}
-	if path == "sync" && syncPoolObject(obj) {
-		return
-	}
 	// Skip the package-qualifier ident itself ("sync" in sync.Mutex);
 	// the selected name carries the report.
 	if _, isPkg := obj.(*types.PkgName); isPkg {
 		return
 	}
-	pass.Reportf(id.Pos(), "%s.%s in deterministic sim package: the single-goroutine sim needs no locking; only sync.Pool is blessed (message pools)", path, obj.Name())
-}
-
-// syncPoolObject reports whether obj is sync.Pool itself, one of its
-// fields (New), or one of its methods (Get, Put).
-func syncPoolObject(obj types.Object) bool {
-	if obj.Name() == "Pool" {
-		return true
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return analysis.IsSyncPool(sig.Recv().Type())
-		}
-	}
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		// Pool's New field, reached as pool.New = ...
-		return true
-	}
-	return false
+	pass.Reportf(id.Pos(), "%s.%s in deterministic sim package: the single-goroutine sim needs no locking", path, obj.Name())
 }

@@ -1,5 +1,5 @@
 // Package syncuse exercises the sync rule: the single-goroutine sim
-// needs no locking, and only sync.Pool is blessed.
+// needs no locking, and no sync.Pool either.
 package syncuse
 
 import (
@@ -19,11 +19,12 @@ func bump() {
 
 type box struct{ n int }
 
-var boxes = sync.Pool{New: func() any { return new(box) }}
+var boxes = sync.Pool{New: func() any { return new(box) }} // want `sync\.Pool in deterministic sim package` `sync\.New in deterministic sim package`
 
-// sync.Pool and its methods are the blessed exception (message pools).
+// A sim package recycles through its own free lists; sync.Pool is a
+// sync primitive like any other.
 func roundTrip() {
-	b := boxes.Get().(*box)
+	b := boxes.Get().(*box) // want `sync\.Get in deterministic sim package`
 	b.n++
-	boxes.Put(b)
+	boxes.Put(b) // want `sync\.Put in deterministic sim package`
 }

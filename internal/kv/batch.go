@@ -97,7 +97,7 @@ func (n *Node) admitBatchRead(m clientBatchRead) {
 	}
 	reqs := make([]replicaReq, 0, 8)
 	for i, key := range m.Keys {
-		ctx := getReadCtx()
+		ctx := n.cluster.getReadCtx()
 		ctx.id, ctx.key, ctx.level, ctx.batch, ctx.item = m.ID, key, m.Level, bctx, i
 		if !n.openRead(ctx, now) {
 			continue
@@ -141,7 +141,7 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 		if n.foldRead(ctx, resp) && ctx.finished() {
 			bctx.items[it.Idx] = nil
 			n.finalizeRead(ctx)
-			putReadCtx(ctx)
+			n.cluster.putReadCtx(ctx)
 		}
 	}
 	for _, ctx := range bctx.items {
@@ -179,7 +179,7 @@ func (n *Node) admitBatchWrite(m clientBatchWrite) {
 	}
 	reqs := make([]replicaReq, 0, 8)
 	for i, op := range m.Ops {
-		ctx := getWriteCtx()
+		ctx := n.cluster.getWriteCtx()
 		ctx.id, ctx.key, ctx.level, ctx.batch, ctx.item = m.ID, op.Key, m.Level, bctx, i
 		replicas, ok := n.openWrite(ctx, op.Value, op.Delete, now)
 		if !ok {
@@ -273,7 +273,7 @@ func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 		if ctx.settled() {
 			bctx.items[idx] = nil
 			bctx.open--
-			putWriteCtx(ctx)
+			n.cluster.putWriteCtx(ctx)
 		}
 	}
 	if bctx.open == 0 {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/netsim"
 	"repro/internal/storage"
-	"repro/internal/testutil"
 	"repro/internal/ycsb"
 )
 
@@ -114,9 +113,6 @@ const allocRecords = 1024
 // DefaultConfig seed 1, allocRecords records of 128 bytes.
 func allocHarness(t *testing.T) (*harness, []string) {
 	t.Helper()
-	if testutil.RaceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	cfg := kv.DefaultConfig()
 	cfg.Seed = 1
 	h := newHarness(netsim.SingleDC(6), cfg)

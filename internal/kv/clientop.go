@@ -95,12 +95,12 @@ func (c *Cluster) guardFired(idx uint64, _ any) {
 func (c *Cluster) handleClientReply(_ netsim.NodeID, payload any) {
 	switch m := payload.(type) {
 	case *clientReadReply:
-		v := clientReadReplies.take(m)
+		v := c.clientReadReplies.take(m)
 		if op, ok := c.takeOp(v.rt); ok {
 			op.rcb(v.res)
 		}
 	case *clientWriteReply:
-		v := clientWriteReplies.take(m)
+		v := c.clientWriteReplies.take(m)
 		if op, ok := c.takeOp(v.rt); ok {
 			op.wcb(v.res)
 		}
@@ -127,7 +127,7 @@ func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
 	}
 	rt, op := c.newOp(lvl)
 	op.key, op.rcb = key, cb
-	c.net.Send(netsim.ClientID, coord, clientReads.put(clientRead{ID: id, Key: key, Level: lvl, rt: rt}),
+	c.net.Send(netsim.ClientID, coord, c.clientReads.put(clientRead{ID: id, Key: key, Level: lvl, rt: rt}),
 		msgOverhead+len(key))
 	c.armOp(rt)
 }
@@ -155,7 +155,7 @@ func (c *Cluster) write(key string, value []byte, lvl Level, tombstone bool, cb 
 	rt, op := c.newOp(lvl)
 	op.key, op.wcb = key, cb
 	c.net.Send(netsim.ClientID, coord,
-		clientWrites.put(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}),
+		c.clientWrites.put(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}),
 		msgOverhead+len(key)+len(value))
 	c.armOp(rt)
 }

@@ -26,9 +26,9 @@ import (
 // netsim.Transport runs the queue in virtual time (the zero-cost default
 // every simulation uses); the live engine steps it against the wall
 // clock under a mutex, and in its mesh form additionally carries
-// messages between OS processes over TCP using the MarshalMessage/
-// UnmarshalMessage wire hooks (wiremsg.go). Cluster code cannot tell
-// them apart.
+// messages between OS processes over TCP using the cluster's
+// MarshalMessage/UnmarshalMessage wire hooks (wiremsg.go). Cluster code
+// cannot tell them apart.
 //
 // The clock contract is the simulator's under both: Now() advances
 // between deliveries, never inside a handler and never backwards, so
@@ -53,6 +53,14 @@ type failer interface {
 // is an idle twin that never receives a message.
 type hoster interface {
 	Remote(id netsim.NodeID) bool
+}
+
+// carrier is the optional surface of a Transport that handles payloads
+// outside the cluster's handlers: it encodes and decodes mesh frames and
+// returns undelivered messages, and so needs the cluster whose boxes
+// they travel in (MarshalMessage, UnmarshalMessage, ReleaseMessage).
+type carrier interface {
+	Carry(c *Cluster)
 }
 
 // TargetPolicy selects which replicas serve a read.
@@ -289,6 +297,10 @@ type Cluster struct {
 	ops     []clientOp
 	opFree  int32
 	guardCb sim.Callback
+
+	// The pooled message boxes and coordinator context free lists
+	// (messages.go); the mesh codec (wiremsg.go) fills and empties them.
+	boxes
 }
 
 // New assembles a cluster over the given topology and network.
@@ -370,6 +382,9 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 		for id := range c.remote {
 			c.remote[id] = h.Remote(netsim.NodeID(id))
 		}
+	}
+	if cr, ok := net.(carrier); ok {
+		cr.Carry(c)
 	}
 
 	// Stagger background tasks so they do not synchronize.

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/netsim"
@@ -106,31 +105,44 @@ type writeCtx struct {
 	retries int
 }
 
-// Context pools: one read and one write context per operation was the
-// largest remaining steady-state allocation of the coordinator path.
-// Contexts are returned once they can no longer be referenced — when they
-// leave the coordinator's tracking maps at the last response, the last
-// ack or the timeout.
-var (
-	readCtxPool  = sync.Pool{New: func() any { return new(readCtx) }}
-	writeCtxPool = sync.Pool{New: func() any { return new(writeCtx) }}
-)
+// Context free lists (boxes, messages.go): one read and one write context
+// per operation was the largest remaining steady-state allocation of the
+// coordinator path. Contexts are returned once they can no longer be
+// referenced — when they leave the coordinator's tracking maps at the
+// last response, the last ack or the timeout — reset but keeping their
+// slices' capacity.
 
-func getReadCtx() *readCtx { return readCtxPool.Get().(*readCtx) }
+func (b *boxes) getReadCtx() *readCtx {
+	n := len(b.readCtxs) - 1
+	if n < 0 {
+		return new(readCtx)
+	}
+	ctx := b.readCtxs[n]
+	b.readCtxs = b.readCtxs[:n]
+	return ctx
+}
 
-func putReadCtx(ctx *readCtx) {
+func (b *boxes) putReadCtx(ctx *readCtx) {
 	for i := range ctx.responses {
 		ctx.responses[i] = replicaReadResp{}
 	}
 	*ctx = readCtx{targets: ctx.targets[:0], responses: ctx.responses[:0]}
-	readCtxPool.Put(ctx)
+	b.readCtxs = append(b.readCtxs, ctx)
 }
 
-func getWriteCtx() *writeCtx { return writeCtxPool.Get().(*writeCtx) }
+func (b *boxes) getWriteCtx() *writeCtx {
+	n := len(b.writeCtxs) - 1
+	if n < 0 {
+		return new(writeCtx)
+	}
+	ctx := b.writeCtxs[n]
+	b.writeCtxs = b.writeCtxs[:n]
+	return ctx
+}
 
-func putWriteCtx(ctx *writeCtx) {
+func (b *boxes) putWriteCtx(ctx *writeCtx) {
 	*ctx = writeCtx{sent: ctx.sent[:0]}
-	writeCtxPool.Put(ctx)
+	b.writeCtxs = append(b.writeCtxs, ctx)
 }
 
 // batchReadCtx tracks one coordinated multi-key read: per-item readCtx
@@ -174,7 +186,7 @@ func (n *Node) coordRead(m clientRead) {
 func (n *Node) admitRead(m clientRead) {
 	now := n.cluster.net.Now()
 	n.coordOps++
-	ctx := getReadCtx()
+	ctx := n.cluster.getReadCtx()
 	ctx.id, ctx.key, ctx.level, ctx.rt = m.ID, m.Key, m.Level, m.rt
 	if !n.openRead(ctx, now) {
 		return
@@ -202,7 +214,7 @@ func (n *Node) openRead(ctx *readCtx, now time.Duration) bool {
 	if !ok {
 		n.readDone(ctx, ReadResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
 		n.cluster.oracle.ReadFailed()
-		putReadCtx(ctx)
+		n.cluster.putReadCtx(ctx)
 		return false
 	}
 	ctx.start = now
@@ -225,7 +237,7 @@ func (n *Node) askReplicas(ctx *readCtx, to []netsim.NodeID, digest bool, reqs [
 			r.read.Keys = append(r.read.Keys, ctx.key)
 			continue
 		}
-		rr := replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: digest && i > 0, Coord: n.id, RingSeq: n.ringSeq()})
+		rr := n.cluster.replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: digest && i > 0, Coord: n.id, RingSeq: n.ringSeq()})
 		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(ctx.key))
 	}
 	return reqs
@@ -258,7 +270,7 @@ func (n *Node) onReadResp(m replicaReadResp) {
 		delete(n.reads, ctx.id)
 		ctx.timer.Stop()
 		n.finalizeRead(ctx)
-		putReadCtx(ctx)
+		n.cluster.putReadCtx(ctx)
 	}
 }
 
@@ -312,7 +324,7 @@ func (n *Node) tryCompleteRead(ctx *readCtx) {
 		if ctx.best.Digest {
 			// Freshest version known only by digest: fetch its data.
 			ctx.awaitData = true
-			rr := replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: false, Coord: n.id, RingSeq: n.ringSeq()})
+			rr := n.cluster.replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: false, Coord: n.id, RingSeq: n.ringSeq()})
 			ctx.dropResp(ctx.best.From) // allow the refetch response in
 			ctx.ackTotal--
 			if ctx.ackDC != nil {
@@ -406,7 +418,7 @@ func (n *Node) finalizeRead(ctx *readCtx) {
 }
 
 func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
-	msg := replicaWrites.put(replicaWrite{Key: key, Cell: cell, Coord: n.id, Repair: true})
+	msg := n.cluster.replicaWrites.put(replicaWrite{Key: key, Cell: cell, Coord: n.id, Repair: true})
 	n.cluster.net.Send(n.id, to, msg, msgOverhead+len(key)+len(cell.Value))
 }
 
@@ -414,7 +426,7 @@ func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
 func (n *Node) admitWrite(m clientWrite) {
 	now := n.cluster.net.Now()
 	n.coordOps++
-	ctx := getWriteCtx()
+	ctx := n.cluster.getWriteCtx()
 	ctx.id, ctx.key, ctx.level, ctx.rt = m.ID, m.Key, m.Level, m.rt
 	replicas, ok := n.openWrite(ctx, m.Value, m.tombstone, now)
 	if !ok {
@@ -436,7 +448,7 @@ func (n *Node) openWrite(ctx *writeCtx, value []byte, tombstone bool, now time.D
 	ctx.req = ctx.level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
 	if !n.routeReachable(replicas, ctx.req) {
 		n.writeDone(ctx, WriteResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
-		putWriteCtx(ctx)
+		n.cluster.putWriteCtx(ctx)
 		return nil, false
 	}
 
@@ -483,7 +495,7 @@ func (n *Node) shipWrite(ctx *writeCtx, replicas []netsim.NodeID, reqs []replica
 			q.write.Cells = append(q.write.Cells, ctx.cell)
 			continue
 		}
-		w := replicaWrites.put(replicaWrite{ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq()})
+		w := n.cluster.replicaWrites.put(replicaWrite{ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq()})
 		n.cluster.net.Send(n.id, r, w, msgOverhead+len(ctx.key)+len(ctx.cell.Value))
 	}
 	return reqs
@@ -499,7 +511,7 @@ func (n *Node) onWriteAck(m replicaWriteAck) {
 	if ctx.settled() {
 		delete(n.writes, m.ID)
 		ctx.timer.Stop()
-		putWriteCtx(ctx)
+		n.cluster.putWriteCtx(ctx)
 	}
 }
 
@@ -551,7 +563,7 @@ func (n *Node) armTimeout(id reqID, write bool) sim.Timer {
 // writes, single and batched: contexts still incomplete fail with
 // ErrTimeout, completed ones are finalized. A context still in its map
 // when the timer fires has no other reference left, so it returns to
-// its pool here.
+// its free list here.
 func (n *Node) timeoutFired(arg uint64, _ any) {
 	if n.crashed {
 		return // a dead process handles nothing
@@ -563,7 +575,7 @@ func (n *Node) timeoutFired(arg uint64, _ any) {
 			for _, ctx := range bctx.items {
 				if ctx != nil {
 					n.expireWrite(ctx)
-					putWriteCtx(ctx)
+					n.cluster.putWriteCtx(ctx)
 				}
 			}
 			return
@@ -574,7 +586,7 @@ func (n *Node) timeoutFired(arg uint64, _ any) {
 		}
 		delete(n.writes, id)
 		n.expireWrite(ctx)
-		putWriteCtx(ctx)
+		n.cluster.putWriteCtx(ctx)
 		return
 	}
 	if bctx, ok := n.batchReads[id]; ok {
@@ -582,7 +594,7 @@ func (n *Node) timeoutFired(arg uint64, _ any) {
 		for _, ctx := range bctx.items {
 			if ctx != nil {
 				n.expireRead(ctx)
-				putReadCtx(ctx)
+				n.cluster.putReadCtx(ctx)
 			}
 		}
 		return
@@ -593,7 +605,7 @@ func (n *Node) timeoutFired(arg uint64, _ any) {
 	}
 	delete(n.reads, id)
 	n.expireRead(ctx)
-	putReadCtx(ctx)
+	n.cluster.putReadCtx(ctx)
 }
 
 // expireWrite fails a still-incomplete write context with ErrTimeout.
@@ -649,12 +661,12 @@ func (n *Node) writeDone(ctx *writeCtx, res WriteResult) {
 // replyRead ships the result back to the client endpoint over the
 // network, so client-visible latency includes the return hop.
 func (n *Node) replyRead(rt opRoute, res ReadResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, clientReadReplies.put(clientReadReply{rt: rt, res: res}),
+	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientReadReplies.put(clientReadReply{rt: rt, res: res}),
 		msgOverhead+len(res.Value))
 }
 
 func (n *Node) replyWrite(rt opRoute, res WriteResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, clientWriteReplies.put(clientWriteReply{rt: rt, res: res}), msgOverhead)
+	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientWriteReplies.put(clientWriteReply{rt: rt, res: res}), msgOverhead)
 }
 
 // pickTargets selects which replicas a read contacts: enough to satisfy

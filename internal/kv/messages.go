@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/gossip"
@@ -19,7 +18,10 @@ import (
 //     interface, and for these kinds that boxing dominated allocations,
 //     so senders put the value into a recycled box and the receiver takes
 //     it out again before dispatching: a box never outlives one delivery
-//     and the steady-state message path allocates nothing.
+//     and the steady-state message path allocates nothing. The boxes are
+//     the cluster's own (boxes, below), touched only under the cluster's
+//     serialisation: the simulator's one goroutine, or the live engine's
+//     lock, under which the mesh also decodes inbound frames.
 //   - Plain value (T, or *T for the batch kinds): everything that travels
 //     per batch, per anti-entropy round, per gossip probe or per
 //     membership change. Each carries freshly built slices the in-flight
@@ -29,40 +31,63 @@ import (
 //     node.go). They never leave the node. A request's timeout is not a
 //     message: it is a cancelable timer its context holds (armTimeout).
 //
-// To add a kind: declare its struct here (with a `var xs = newBox[x]()`
-// line if it is pooled) and give it one dispatch line in Node.Handle. If
-// it crosses processes it also gets a field-list method (wire, see the
-// codec in wiremsg.go) and a kind constant with one dispatch line in
-// each of MarshalMessage and UnmarshalMessage.
+// To add a kind: declare its struct here (with a box[x] field in boxes if
+// it is pooled) and give it one dispatch line in Node.Handle. If it
+// crosses processes it also gets a field-list method (wire, see the codec
+// in wiremsg.go) and a kind constant with one dispatch line in each of
+// MarshalMessage and UnmarshalMessage.
 
-// box recycles the boxes of one pooled message kind. put and take are the
-// whole lifecycle: whoever receives a *T takes it exactly once and never
-// touches the pointer again (repolint's poolsafe analyzer checks that).
-// sync.Pool keeps this safe for the live engine too, where handlers run
-// on several goroutines.
-type box[T any] struct{ pool sync.Pool }
-
-// newBox gives the pool a New func, not put a nil check: put is on every
-// send and stays within the inlining budget only without the branch.
-func newBox[T any]() *box[T] {
-	return &box[T]{sync.Pool{New: func() any { return new(T) }}}
-}
+// box recycles the boxes of one pooled message kind through a LIFO free
+// list. put and take are the whole lifecycle: whoever receives a *T takes
+// it exactly once and never touches the pointer again (repolint's
+// poolsafe analyzer checks that). A box belongs to one cluster and is
+// used only under that cluster's serialisation, so the list needs no
+// lock; it never shrinks, and so holds at most the peak number of its
+// kind ever in flight at once.
+type box[T any] struct{ free []*T }
 
 // put returns a box holding v.
 func (b *box[T]) put(v T) *T {
-	p := b.pool.Get().(*T)
+	var p *T
+	if n := len(b.free) - 1; n >= 0 {
+		p = b.free[n]
+		b.free = b.free[:n]
+	} else {
+		p = new(T)
+	}
 	*p = v
 	return p
 }
 
 // take copies the message out of its box and recycles the box, zeroed so
-// it pins nothing while it waits in the pool.
+// it pins nothing while it waits on the free list.
 func (b *box[T]) take(p *T) T {
 	v := *p
 	var zero T
 	*p = zero
-	b.pool.Put(p)
+	b.free = append(b.free, p)
 	return v
+}
+
+// boxes is a cluster's recycling: one box per pooled message kind and the
+// free lists of the coordinator contexts (coordinator.go). Its exported
+// methods, the mesh codec (wiremsg.go) and ReleaseMessage (node.go), are
+// the Cluster's, which embeds it; WireBenchRoundTrip owns a set of its
+// own.
+type boxes struct {
+	clientReads        box[clientRead]
+	clientWrites       box[clientWrite]
+	clientReadReplies  box[clientReadReply]
+	clientWriteReplies box[clientWriteReply]
+	replicaWrites      box[replicaWrite]
+	replicaWriteAcks   box[replicaWriteAck]
+	replicaReads       box[replicaRead]
+	replicaReadResps   box[replicaReadResp]
+	workDones          box[workDone]
+	coordExecs         box[coordExec]
+
+	readCtxs  []*readCtx
+	writeCtxs []*writeCtx
 }
 
 // reqID identifies one client operation across the cluster.
@@ -91,8 +116,6 @@ type clientRead struct {
 	rt    opRoute
 }
 
-var clientReads = newBox[clientRead]()
-
 // clientWrite is the write counterpart of clientRead; with tombstone set
 // it deletes the key instead of storing a value.
 type clientWrite struct {
@@ -104,23 +127,17 @@ type clientWrite struct {
 	rt        opRoute
 }
 
-var clientWrites = newBox[clientWrite]()
-
 // clientReadReply carries the result back to the client endpoint.
 type clientReadReply struct {
 	rt  opRoute
 	res ReadResult
 }
 
-var clientReadReplies = newBox[clientReadReply]()
-
 // clientWriteReply carries the result back to the client endpoint.
 type clientWriteReply struct {
 	rt  opRoute
 	res WriteResult
 }
-
-var clientWriteReplies = newBox[clientWriteReply]()
 
 // BatchOp is one item of a multi-key batch mutation. Delete issues a
 // tombstone for Key instead of storing Value.
@@ -259,8 +276,6 @@ type replicaWrite struct {
 	RingSeq uint64 // see replicaBatchRead.RingSeq (coordinated writes only)
 }
 
-var replicaWrites = newBox[replicaWrite]()
-
 func (m *replicaWrite) wire(c *wireCodec) *replicaWrite {
 	c.id(&m.ID)
 	c.str(&m.Key)
@@ -280,8 +295,6 @@ type replicaWriteAck struct {
 	From    netsim.NodeID
 }
 
-var replicaWriteAcks = newBox[replicaWriteAck]()
-
 func (m *replicaWriteAck) wire(c *wireCodec) *replicaWriteAck {
 	c.id(&m.ID)
 	c.str(&m.Key)
@@ -299,8 +312,6 @@ type replicaRead struct {
 	Coord   netsim.NodeID
 	RingSeq uint64 // see replicaBatchRead.RingSeq
 }
-
-var replicaReads = newBox[replicaRead]()
 
 func (m *replicaRead) wire(c *wireCodec) *replicaRead {
 	c.id(&m.ID)
@@ -320,8 +331,6 @@ type replicaReadResp struct {
 	Digest bool
 	From   netsim.NodeID
 }
-
-var replicaReadResps = newBox[replicaReadResp]()
 
 func (m *replicaReadResp) wire(c *wireCodec) *replicaReadResp {
 	c.id(&m.ID)

@@ -185,8 +185,8 @@ func (n *Node) Engine() storage.Engine { return n.engine }
 // crash kills the node process: the engine drops its volatile state, and
 // every piece of actor state that lives in process memory — queued and
 // running stage work, coordinator contexts, buffered hints — is lost.
-// Dropped contexts are not returned to their pools (in-flight events may
-// still reference them; the GC reclaims them), and their request
+// Dropped contexts are not returned to their free lists (in-flight events
+// may still reference them; the GC reclaims them), and their request
 // timeouts are canceled with them.
 func (n *Node) crash() {
 	n.crashed = true
@@ -247,32 +247,32 @@ func (n *Node) restart() storage.RecoverStats {
 	return rs
 }
 
-// ReleaseMessage returns an undelivered message's pooled box (a no-op for
-// unpooled kinds): crashed nodes dispose of their self-messages through
-// it so an outage does not leak boxes, and a closing live engine empties
-// its queues through it.
-func ReleaseMessage(payload any) {
+// ReleaseMessage returns an undelivered message's pooled box to the
+// cluster's free list (a no-op for unpooled kinds): crashed nodes dispose
+// of their self-messages through it so an outage does not leak boxes, and
+// the live engine returns what it drops or discards through it.
+func (b *boxes) ReleaseMessage(payload any) {
 	switch m := payload.(type) {
 	case *workDone:
-		workDones.take(m)
+		b.workDones.take(m)
 	case *coordExec:
-		coordExecs.take(m)
+		b.coordExecs.take(m)
 	case *clientRead:
-		clientReads.take(m)
+		b.clientReads.take(m)
 	case *clientWrite:
-		clientWrites.take(m)
+		b.clientWrites.take(m)
 	case *clientReadReply:
-		clientReadReplies.take(m)
+		b.clientReadReplies.take(m)
 	case *clientWriteReply:
-		clientWriteReplies.take(m)
+		b.clientWriteReplies.take(m)
 	case *replicaWrite:
-		replicaWrites.take(m)
+		b.replicaWrites.take(m)
 	case *replicaWriteAck:
-		replicaWriteAcks.take(m)
+		b.replicaWriteAcks.take(m)
 	case *replicaRead:
-		replicaReads.take(m)
+		b.replicaReads.take(m)
 	case *replicaReadResp:
-		replicaReadResps.take(m)
+		b.replicaReadResps.take(m)
 	}
 }
 
@@ -307,7 +307,7 @@ func (n *Node) run(st *stage, w work) {
 	st.busy++
 	st.busyTime += w.cost
 	st.done++
-	n.cluster.net.SendLocal(n.id, workDones.put(workDone{st: st, w: w, epoch: n.epoch}), w.cost)
+	n.cluster.net.SendLocal(n.id, n.cluster.workDones.put(workDone{st: st, w: w, epoch: n.epoch}), w.cost)
 }
 
 // workDone is the self-message marking completion of a work unit. epoch
@@ -317,8 +317,6 @@ type workDone struct {
 	w     work
 	epoch uint32
 }
-
-var workDones = newBox[workDone]()
 
 // coordExec is the self-message completing coordinator admission work;
 // kind says which of the four client requests it carries.
@@ -330,8 +328,6 @@ type coordExec struct {
 	bw    clientBatchWrite
 	epoch uint32
 }
-
-var coordExecs = newBox[coordExec]()
 
 type execKind uint8
 
@@ -354,7 +350,7 @@ func (n *Node) coordWork(e coordExec) {
 		return
 	}
 	e.epoch = n.epoch
-	n.cluster.net.SendLocal(n.id, coordExecs.put(e), cost)
+	n.cluster.net.SendLocal(n.id, n.cluster.coordExecs.put(e), cost)
 }
 
 func (n *Node) admit(e *coordExec) {
@@ -442,36 +438,36 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 		// A dead process handles nothing. Only local self-messages get
 		// here (the transport drops network traffic to down nodes);
 		// their pooled boxes still need returning.
-		ReleaseMessage(payload)
+		n.cluster.ReleaseMessage(payload)
 		return
 	}
 	switch m := payload.(type) {
 	case *workDone:
-		if v := workDones.take(m); v.epoch == n.epoch {
+		if v := n.cluster.workDones.take(m); v.epoch == n.epoch {
 			n.finishWork(v.st, &v.w)
 		}
 	case *coordExec:
-		if v := coordExecs.take(m); v.epoch == n.epoch {
+		if v := n.cluster.coordExecs.take(m); v.epoch == n.epoch {
 			n.admit(&v)
 		}
 
 	case *clientRead:
-		n.coordRead(clientReads.take(m))
+		n.coordRead(n.cluster.clientReads.take(m))
 	case *clientWrite:
-		n.coordWork(coordExec{kind: execWrite, cw: clientWrites.take(m)})
+		n.coordWork(coordExec{kind: execWrite, cw: n.cluster.clientWrites.take(m)})
 	case clientBatchRead:
 		n.coordWork(coordExec{kind: execBatchRead, br: m})
 	case clientBatchWrite:
 		n.coordWork(coordExec{kind: execBatchWrite, bw: m})
 
 	case *replicaWrite:
-		n.onReplicaWrite(replicaWrites.take(m))
+		n.onReplicaWrite(n.cluster.replicaWrites.take(m))
 	case *replicaWriteAck:
-		n.onWriteAck(replicaWriteAcks.take(m))
+		n.onWriteAck(n.cluster.replicaWriteAcks.take(m))
 	case *replicaRead:
-		n.onReplicaRead(replicaReads.take(m))
+		n.onReplicaRead(n.cluster.replicaReads.take(m))
 	case *replicaReadResp:
-		n.onReadResp(replicaReadResps.take(m))
+		n.onReadResp(n.cluster.replicaReadResps.take(m))
 	case *replicaBatchWrite:
 		n.onReplicaBatchWrite(*m)
 	case *replicaBatchWriteAck:
@@ -569,7 +565,7 @@ func (n *Node) applyReplicaWrite(m replicaWrite) {
 		n.readRepairs++
 		return
 	}
-	ack := replicaWriteAcks.put(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
+	ack := n.cluster.replicaWriteAcks.put(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
 	n.cluster.net.Send(n.id, m.Coord, ack, msgOverhead)
 }
 
@@ -589,7 +585,7 @@ func (n *Node) onReplicaRead(m replicaRead) {
 func (n *Node) serveReplicaRead(m replicaRead) {
 	n.repReads++
 	cell, ok := n.engine.Get(m.Key)
-	resp := replicaReadResps.put(replicaReadResp{
+	resp := n.cluster.replicaReadResps.put(replicaReadResp{
 		ID: m.ID, Key: m.Key, Cell: cell, Exists: ok,
 		Digest: m.Digest, From: n.id,
 	})
@@ -643,7 +639,7 @@ func (n *Node) replayHints() {
 			continue
 		}
 		for _, h := range entries {
-			msg := replicaWrites.put(replicaWrite{Key: h.key, Cell: h.cell, Coord: n.id, Repair: false, Hint: true})
+			msg := n.cluster.replicaWrites.put(replicaWrite{Key: h.key, Cell: h.cell, Coord: n.id, Repair: false, Hint: true})
 			n.cluster.net.Send(n.id, target, msg, msgOverhead+len(h.key)+len(h.cell.Value))
 			n.hintsReplayed++
 		}

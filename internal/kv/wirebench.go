@@ -8,15 +8,21 @@ import (
 	"repro/internal/wire"
 )
 
+// wireBenchBoxes are the probe's own boxes: WireBenchRoundTrip runs
+// outside any cluster, so it recycles through these instead.
+var wireBenchBoxes boxes
+
 // WireBenchRoundTrip drives one representative message through the full
 // inter-process codec path — box a replica write, marshal it into a
 // frame, read the frame back, decode into a pooled box, recycle — and
 // returns the reusable buffer. The message set is unexported by design;
 // this hook exists so the repository benchmark's per-layer probes
 // (benchmark/probes.go, wire.frame_roundtrip_ns_per_msg) can track the
-// per-message cost of the TCP mesh.
+// per-message cost of the TCP mesh. Its boxes are unsynchronised: call
+// it from one goroutine at a time.
 func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
-	w := replicaWrites.put(replicaWrite{
+	b := &wireBenchBoxes
+	w := b.replicaWrites.put(replicaWrite{
 		ID:  reqID(seq),
 		Key: "key:12345678",
 		Cell: storage.Cell{
@@ -26,7 +32,7 @@ func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 		Coord:   1,
 		RingSeq: 3,
 	})
-	buf, ok := MarshalMessage(buf[:0], 1, 2, w)
+	buf, ok := b.MarshalMessage(buf[:0], 1, 2, w)
 	if !ok {
 		return buf, errors.New("replica write has no wire form")
 	}
@@ -34,7 +40,7 @@ func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	_, _, payload, err := UnmarshalMessage(kind, body)
+	_, _, payload, err := b.UnmarshalMessage(kind, body)
 	if err != nil {
 		return buf, err
 	}
@@ -42,6 +48,6 @@ func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 	if !ok {
 		return buf, errors.New("decoded payload is not a replica write")
 	}
-	replicaWrites.take(rw)
+	b.replicaWrites.take(rw)
 	return buf, nil
 }

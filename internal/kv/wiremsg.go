@@ -43,24 +43,25 @@ const (
 
 // MarshalMessage appends one framed message to buf and reports whether
 // payload has a wire form. Encodable pooled message boxes are consumed:
-// the box returns to its pool once its fields are on the wire, exactly
-// as a local delivery recycles it in Handle.
-func MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) ([]byte, bool) {
+// the box returns to the cluster's free list once its fields are on the
+// wire, exactly as a local delivery recycles it in Handle. Like every
+// codec entry point it runs under the cluster's serialisation.
+func (b *boxes) MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) ([]byte, bool) {
 	start := len(buf)
 	c := wireCodec{buf: buf}
 	switch m := payload.(type) {
 	case *replicaRead:
 		m.wire(c.open(wireReplicaRead, from, to))
-		replicaReads.take(m)
+		b.replicaReads.take(m)
 	case *replicaReadResp:
 		m.wire(c.open(wireReplicaReadResp, from, to))
-		replicaReadResps.take(m)
+		b.replicaReadResps.take(m)
 	case *replicaWrite:
 		m.wire(c.open(wireReplicaWrite, from, to))
-		replicaWrites.take(m)
+		b.replicaWrites.take(m)
 	case *replicaWriteAck:
 		m.wire(c.open(wireReplicaWriteAck, from, to))
-		replicaWriteAcks.take(m)
+		b.replicaWriteAcks.take(m)
 	case *replicaBatchRead:
 		m.wire(c.open(wireReplicaBatchRead, from, to))
 	case *replicaBatchReadResp:
@@ -90,22 +91,22 @@ func MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) ([]byte, bo
 }
 
 // UnmarshalMessage decodes one frame body produced by MarshalMessage
-// into the pooled box (or value) Node.Handle dispatches on. Keys and
-// values are copied out of body — the caller may reuse its read buffer
-// as soon as UnmarshalMessage returns.
-func UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload any, err error) {
+// into the cluster's pooled box (or a value) Node.Handle dispatches on.
+// Keys and values are copied out of body — the caller may reuse its read
+// buffer as soon as UnmarshalMessage returns.
+func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload any, err error) {
 	c := wireCodec{data: body, dec: true}
 	c.node(&from)
 	c.node(&to)
 	switch kind {
 	case wireReplicaRead:
-		payload = replicaReads.put(replicaRead{}).wire(&c)
+		payload = b.replicaReads.put(replicaRead{}).wire(&c)
 	case wireReplicaReadResp:
-		payload = replicaReadResps.put(replicaReadResp{}).wire(&c)
+		payload = b.replicaReadResps.put(replicaReadResp{}).wire(&c)
 	case wireReplicaWrite:
-		payload = replicaWrites.put(replicaWrite{}).wire(&c)
+		payload = b.replicaWrites.put(replicaWrite{}).wire(&c)
 	case wireReplicaWriteAck:
-		payload = replicaWriteAcks.put(replicaWriteAck{}).wire(&c)
+		payload = b.replicaWriteAcks.put(replicaWriteAck{}).wire(&c)
 	case wireReplicaBatchRead:
 		payload = new(replicaBatchRead).wire(&c)
 	case wireReplicaBatchReadResp:
@@ -132,7 +133,7 @@ func UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload a
 		return 0, 0, nil, fmt.Errorf("kv: unknown wire message kind %d", kind)
 	}
 	if c.err {
-		ReleaseMessage(payload)
+		b.ReleaseMessage(payload)
 		return 0, 0, nil, fmt.Errorf("kv: truncated wire message kind %d", kind)
 	}
 	return from, to, payload, nil

@@ -13,10 +13,13 @@ import (
 	"repro/internal/wire"
 )
 
+// testBoxes are the codec tests' own boxes, as a cluster owns its set.
+var testBoxes boxes
+
 // roundTrip marshals payload as a frame, reads it back and decodes it.
 func roundTrip(t *testing.T, from, to netsim.NodeID, payload any) any {
 	t.Helper()
-	buf, ok := MarshalMessage(nil, from, to, payload)
+	buf, ok := testBoxes.MarshalMessage(nil, from, to, payload)
 	if !ok {
 		t.Fatalf("MarshalMessage(%T): no wire form", payload)
 	}
@@ -24,7 +27,7 @@ func roundTrip(t *testing.T, from, to netsim.NodeID, payload any) any {
 	if err != nil || n != len(buf) {
 		t.Fatalf("ReadFrame: n=%d err=%v", n, err)
 	}
-	gotFrom, gotTo, decoded, err := UnmarshalMessage(kind, body)
+	gotFrom, gotTo, decoded, err := testBoxes.UnmarshalMessage(kind, body)
 	if err != nil {
 		t.Fatalf("UnmarshalMessage: %v", err)
 	}
@@ -59,13 +62,13 @@ func wireCases() []wireCase {
 	cell := testCell(12345, "value-bytes")
 	tomb := testCell(999, "")
 	return []wireCase{
-		{"replicaRead", replicaReads.put(replicaRead{ID: 42, Key: "k1", Digest: true, Coord: 3, RingSeq: 9}),
+		{"replicaRead", testBoxes.replicaReads.put(replicaRead{ID: 42, Key: "k1", Digest: true, Coord: 3, RingSeq: 9}),
 			"0000000f010106162a026b3101060922312f60"},
-		{"replicaReadResp", replicaReadResps.put(replicaReadResp{ID: 42, Key: "k1", Cell: cell, Exists: true, Digest: false, From: 2}),
+		{"replicaReadResp", testBoxes.replicaReadResps.put(replicaReadResp{ID: 42, Key: "k1", Cell: cell, Exists: true, Digest: false, From: 2}),
 			"00000020010206162a026b31f2c00107000b76616c75652d6279746573010004139ae62f"},
-		{"replicaWrite", replicaWrites.put(replicaWrite{ID: 7, Key: "k2", Cell: tomb, Coord: 1, Repair: true, Hint: true, RingSeq: 4}),
+		{"replicaWrite", testBoxes.replicaWrites.put(replicaWrite{ID: 7, Key: "k2", Cell: tomb, Coord: 1, Repair: true, Hint: true, RingSeq: 4}),
 			"000000150103061607026b32ce0f0701000201010447d38623"},
-		{"replicaWriteAck", replicaWriteAcks.put(replicaWriteAck{ID: 7, Key: "k2", Version: cell.Version, From: 5}),
+		{"replicaWriteAck", testBoxes.replicaWriteAcks.put(replicaWriteAck{ID: 7, Key: "k2", Version: cell.Version, From: 5}),
 			"000000110104061607026b32f2c001070a1f49b34c"},
 		{"replicaBatchRead", &replicaBatchRead{ID: 8, Idxs: []int{0, 2}, Keys: []string{"a", "b"}, Coord: 0, RingSeq: 2},
 			"0000001301050616080200040201610162000276479b57"},
@@ -110,7 +113,7 @@ func TestWireMessageRoundTrips(t *testing.T) {
 			if got := deref(decoded); !reflect.DeepEqual(got, want) {
 				t.Fatalf("decoded %+v, want %+v", got, want)
 			}
-			ReleaseMessage(decoded)
+			testBoxes.ReleaseMessage(decoded)
 		})
 	}
 }
@@ -122,7 +125,7 @@ func TestWireMessageRoundTrips(t *testing.T) {
 // must decode the other's frames for a 3-process cluster to roll.
 func TestWireFramesGolden(t *testing.T) {
 	for _, tc := range wireCases() {
-		buf, ok := MarshalMessage(nil, 3, 11, tc.payload)
+		buf, ok := testBoxes.MarshalMessage(nil, 3, 11, tc.payload)
 		if !ok {
 			t.Fatalf("%s: no wire form", tc.name)
 		}
@@ -139,7 +142,7 @@ func TestWireMessageNoForm(t *testing.T) {
 	for _, payload := range []any{
 		&clientRead{}, &clientWrite{}, gossipTick{}, aeTick{}, hintTick{}, &workDone{},
 	} {
-		if _, ok := MarshalMessage(nil, 0, 1, payload); ok {
+		if _, ok := testBoxes.MarshalMessage(nil, 0, 1, payload); ok {
 			t.Fatalf("MarshalMessage(%T) claimed a wire form", payload)
 		}
 	}
@@ -147,19 +150,19 @@ func TestWireMessageNoForm(t *testing.T) {
 
 func TestWireMessageCorrupt(t *testing.T) {
 	for _, tc := range wireCases() {
-		buf, _ := MarshalMessage(nil, 0, 1, tc.payload)
+		buf, _ := testBoxes.MarshalMessage(nil, 0, 1, tc.payload)
 		kind, body, _, err := wire.ReadFrame(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Truncated bodies must decode to an error, never panic.
 		for cut := 0; cut < len(body); cut++ {
-			if _, _, _, err := UnmarshalMessage(kind, append([]byte(nil), body[:cut]...)); err == nil {
+			if _, _, _, err := testBoxes.UnmarshalMessage(kind, append([]byte(nil), body[:cut]...)); err == nil {
 				t.Fatalf("%s: truncated body (%d of %d bytes) decoded cleanly", tc.name, cut, len(body))
 			}
 		}
 	}
-	if _, _, _, err := UnmarshalMessage(200, []byte{0, 2}); err == nil {
+	if _, _, _, err := testBoxes.UnmarshalMessage(200, []byte{0, 2}); err == nil {
 		t.Fatal("unknown kind decoded cleanly")
 	}
 }
@@ -183,7 +186,7 @@ func TestWireDecodeBomb(t *testing.T) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, _, err := UnmarshalMessage(kind, body)
+		_, _, _, err := testBoxes.UnmarshalMessage(kind, body)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s kind %d: over-count decoded cleanly", name, kind)
@@ -222,7 +225,7 @@ func TestWireDecodeBomb(t *testing.T) {
 // the round-trip table); and every decoded payload is released.
 func FuzzUnmarshalMessage(f *testing.F) {
 	for _, tc := range wireCases() {
-		buf, _ := MarshalMessage(nil, 3, 11, tc.payload)
+		buf, _ := testBoxes.MarshalMessage(nil, 3, 11, tc.payload)
 		kind, body, _, err := wire.ReadFrame(buf)
 		if err != nil {
 			f.Fatal(err)
@@ -232,12 +235,12 @@ func FuzzUnmarshalMessage(f *testing.F) {
 	f.Add(wireReplicaBatchWriteAck, bombBody(1<<62))
 	f.Add(wireReplicaBatchWriteAck, bombBody(1<<40))
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
-		from, to, payload, err := UnmarshalMessage(kind, body)
+		from, to, payload, err := testBoxes.UnmarshalMessage(kind, body)
 		if err != nil {
 			return
 		}
 		want := deref(payload) // marshalling consumes a pooled payload
-		buf, ok := MarshalMessage(nil, from, to, payload)
+		buf, ok := testBoxes.MarshalMessage(nil, from, to, payload)
 		if !ok {
 			t.Fatalf("decoded %T has no wire form", payload)
 		}
@@ -245,14 +248,14 @@ func FuzzUnmarshalMessage(f *testing.F) {
 		if err != nil || kind2 != kind {
 			t.Fatalf("re-marshalled frame: kind %d (want %d), err %v", kind2, kind, err)
 		}
-		from2, to2, again, err := UnmarshalMessage(kind2, body2)
+		from2, to2, again, err := testBoxes.UnmarshalMessage(kind2, body2)
 		if err != nil {
 			t.Fatalf("re-marshalled frame does not decode: %v", err)
 		}
 		if got := deref(again); from2 != from || to2 != to || !reflect.DeepEqual(got, want) {
 			t.Fatalf("re-decoded %d->%d %+v, want %d->%d %+v", from2, to2, got, from, to, want)
 		}
-		ReleaseMessage(again)
+		testBoxes.ReleaseMessage(again)
 	})
 }
 
@@ -267,13 +270,13 @@ func BenchmarkWireRoundTripLoopback(b *testing.B) {
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := replicaWrites.put(replicaWrite{
+		w := testBoxes.replicaWrites.put(replicaWrite{
 			ID: reqID(i), Key: "key:12345678",
 			Cell:  storage.Cell{Version: storage.Version{Timestamp: time.Duration(i), Seq: 1}, Value: value},
 			Coord: 1, RingSeq: 3,
 		})
 		var ok bool
-		buf, ok = MarshalMessage(buf[:0], 1, 2, w)
+		buf, ok = testBoxes.MarshalMessage(buf[:0], 1, 2, w)
 		if !ok {
 			b.Fatal("no wire form")
 		}
@@ -281,10 +284,10 @@ func BenchmarkWireRoundTripLoopback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, payload, err := UnmarshalMessage(kind, body)
+		_, _, payload, err := testBoxes.UnmarshalMessage(kind, body)
 		if err != nil {
 			b.Fatal(err)
 		}
-		replicaWrites.take(payload.(*replicaWrite))
+		testBoxes.replicaWrites.take(payload.(*replicaWrite))
 	}
 }

@@ -71,6 +71,11 @@ type Engine struct {
 	localSet []bool
 	mesh     *mesh
 
+	// cluster is the store built on this engine (Carry): payloads are
+	// its pooled boxes, so the engine returns what it does not deliver,
+	// and encodes and decodes mesh frames, through it. nil until then.
+	cluster *kv.Cluster
+
 	// Scale compresses sampled network latencies (0.1 runs a WAN
 	// topology ten times faster); 0 defaults to 1.
 	Scale float64
@@ -123,6 +128,18 @@ func (e *Engine) grow(id netsim.NodeID) int {
 		e.down = append(e.down, false)
 	}
 	return int(id) + 1
+}
+
+// Carry records the cluster built on the engine; kv.New calls it, under
+// the engine lock like every cluster interaction.
+func (e *Engine) Carry(c *kv.Cluster) { e.cluster = c }
+
+// release returns an undelivered payload's box to the cluster; with no
+// cluster it is left to the collector.
+func (e *Engine) release(payload any) {
+	if e.cluster != nil {
+		e.cluster.ReleaseMessage(payload)
+	}
 }
 
 // isLocal reports whether this process serves id (the client endpoint
@@ -190,7 +207,7 @@ func (e *Engine) drain() {
 		if i := uint(q.to + 1); i < uint(len(e.handlers)) && e.handlers[i] != nil && !e.down[i] {
 			e.handlers[i](q.from, q.payload)
 		} else {
-			kv.ReleaseMessage(q.payload)
+			e.release(q.payload)
 		}
 	}
 	e.runq = e.runq[:0]
@@ -289,13 +306,13 @@ func (e *Engine) Meter() netsim.TrafficMeter {
 }
 
 // discard empties a closed engine: run-queue message boxes go back to
-// the store's pools, and the time plane — waiting messages (their boxes
-// are left to the collector), pending timers and the closures and
+// the cluster's free lists, and the time plane — waiting messages (their
+// boxes are left to the collector), pending timers and the closures and
 // operation slots they pin — is dropped whole. Handles still held by
 // callers stop against the orphaned queue, harmlessly.
 func (e *Engine) discard() {
 	for _, q := range e.runq {
-		kv.ReleaseMessage(q.payload)
+		e.release(q.payload)
 	}
 	e.runq = nil
 	if e.tq.Pending() > 0 {

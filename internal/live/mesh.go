@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/kv"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -177,7 +176,7 @@ func (m *mesh) send(from, to netsim.NodeID, payload any) {
 		return
 	}
 	var ok bool
-	p.pend, ok = kv.MarshalMessage(p.pend, from, to, payload)
+	p.pend, ok = m.e.cluster.MarshalMessage(p.pend, from, to, payload)
 	if !ok {
 		panic(fmt.Sprintf("live: message %T to remote node %d has no wire form", payload, to))
 	}
@@ -242,33 +241,41 @@ func (m *mesh) acceptLoop() {
 	}
 }
 
-// readLoop decodes inbound frames and delivers each read's worth in
-// one engine-lock acquisition.
+// frame is one inbound frame as readLoop splits it: views of the read
+// buffer, which stay valid until deliverBatch returns.
+type frame struct {
+	kind byte
+	body []byte
+}
+
+// readLoop splits inbound frames off the connection and hands each
+// read's worth to deliverBatch, which decodes and delivers them in one
+// engine-lock acquisition: decoding fills the cluster's boxes, so it
+// runs under the lock. A corrupt frame, in its framing or its body,
+// drops the connection.
 func (m *mesh) readLoop(conn net.Conn) {
 	defer m.wg.Done()
 	defer conn.Close()
 	buf := make([]byte, 64<<10)
 	have := 0
-	var batch []queuedMsg
+	var batch []frame
 	for {
 		off := 0
 		for {
 			kind, body, n, err := wire.ReadFrame(buf[off:have])
 			if err != nil {
-				return // corrupt peer stream: drop the connection
+				return
 			}
 			if n == 0 {
 				break
 			}
-			from, to, payload, derr := kv.UnmarshalMessage(kind, body)
-			if derr != nil {
-				return
-			}
-			batch = append(batch, queuedMsg{to: to, from: from, payload: payload})
+			batch = append(batch, frame{kind: kind, body: body})
 			off += n
 		}
 		if len(batch) > 0 {
-			m.e.deliverBatch(batch)
+			if !m.e.deliverBatch(batch) {
+				return
+			}
 			batch = batch[:0]
 		}
 		if off > 0 {
@@ -287,13 +294,35 @@ func (m *mesh) readLoop(conn net.Conn) {
 	}
 }
 
-// deliverBatch runs a batch of inbound peer messages through the run
-// queue under one lock acquisition.
-func (e *Engine) deliverBatch(batch []queuedMsg) {
+// deliverBatch decodes one read's worth of inbound frames into the
+// cluster's boxes and runs them through the run queue under one lock
+// acquisition; the frames' views of the read buffer are not used after
+// it returns. It reports false when a frame body does not decode: then
+// no frame of the batch is delivered and the reader drops the
+// connection. An engine with no cluster yet has no handler to deliver
+// to, and drops the frames undecoded.
+func (e *Engine) deliverBatch(batch []frame) bool {
 	e.lock()
 	defer e.mu.Unlock()
-	e.runq = append(e.runq, batch...)
-	e.drain()
+	defer e.drain()
+	if e.cluster == nil {
+		return true
+	}
+	start := len(e.runq)
+	for _, f := range batch {
+		from, to, payload, err := e.cluster.UnmarshalMessage(f.kind, f.body)
+		if err != nil {
+			// The boxes the batch's earlier frames filled go back.
+			for i, q := range e.runq[start:] {
+				e.cluster.ReleaseMessage(q.payload)
+				e.runq[start+i] = queuedMsg{}
+			}
+			e.runq = e.runq[:start]
+			return false
+		}
+		e.enqueue(to, from, payload)
+	}
+	return true
 }
 
 // shutdown closes the mesh and joins its goroutines. The engine lock is

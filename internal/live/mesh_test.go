@@ -1,0 +1,88 @@
+package live
+
+import (
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/kv"
+	"repro/internal/netsim"
+	"repro/internal/wire"
+)
+
+// replicaReadFrame appends a peer frame carrying a replica read of key
+// from node 0 to node 1 (the field order of kv's replicaRead wire form,
+// pinned by its golden frames). With truncated set the body stops after
+// the request id: the frame is intact, its body does not decode.
+func replicaReadFrame(buf []byte, id uint64, key string, truncated bool) []byte {
+	const kindReplicaRead = 1
+	start := len(buf)
+	buf = wire.BeginFrame(buf, kindReplicaRead)
+	buf = wire.AppendVarint(buf, 0) // from
+	buf = wire.AppendVarint(buf, 1) // to
+	buf = wire.AppendUvarint(buf, id)
+	if !truncated {
+		buf = wire.AppendString(buf, key)
+		buf = wire.AppendBool(buf, false) // digest
+		buf = wire.AppendVarint(buf, 0)   // coordinator
+		buf = wire.AppendUvarint(buf, 0)  // ring seq
+	}
+	return wire.EndFrame(buf, start)
+}
+
+// TestMeshCorruptPeerFrame: the mesh decodes inbound frames under the
+// engine lock, a read's worth at a time. A frame whose body does not
+// decode drops its connection, and no frame of that read is delivered —
+// not even the valid one ahead of it; another connection's frames still
+// are.
+func TestMeshCorruptPeerFrame(t *testing.T) {
+	topo := netsim.SingleDC(3)
+	e, err := NewMesh(topo, 1, MeshConfig{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	cfg := kv.DefaultConfig()
+	cfg.ReadService = netsim.Constant(0) // a delivered read is served at once
+	cfg.HintReplayInterval = 0
+	var cl *kv.Cluster
+	e.Do(func() { cl = kv.New(topo, e, cfg) })
+	replicaReads := func() (n uint64) {
+		e.Do(func() { n = cl.Usage().ReplicaReads })
+		return n
+	}
+
+	bad, err := net.Dial("tcp", e.MeshAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	frames := replicaReadFrame(nil, 1, "k", false)
+	frames = replicaReadFrame(frames, 2, "", true)
+	if _, err := bad.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	// The reader closes the connection only after deliverBatch returned.
+	bad.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := bad.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("corrupt peer: read %d bytes, err %v; want the engine to close the connection", n, err)
+	}
+	if n := replicaReads(); n != 0 {
+		t.Fatalf("%d replica reads served from a read with a corrupt frame, want 0", n)
+	}
+
+	good, err := net.Dial("tcp", e.MeshAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	if _, err := good.Write(replicaReadFrame(nil, 3, "k", false)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); replicaReads() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("valid frame on a second connection: %d replica reads served, want 1", replicaReads())
+		}
+	}
+}

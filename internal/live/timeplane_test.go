@@ -150,7 +150,11 @@ func TestDirectTimerOrder(t *testing.T) {
 // recovers.
 func TestDirectEndpointTables(t *testing.T) {
 	e, _, log := newDirectEngine(t, 3)
-	e.deliverBatch([]queuedMsg{{to: 1 << 40, payload: "far"}, {to: -7, payload: "negative"}, {to: 2, payload: "ok"}})
+	e.Do(func() {
+		e.enqueue(1<<40, 0, "far")
+		e.enqueue(-7, 0, "negative")
+		e.enqueue(2, 0, "ok")
+	})
 	e.Do(func() {
 		e.Fail(9)
 		e.Recover(9)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/testutil"
 )
 
 // reservePort grabs an ephemeral localhost port. The tiny window between
@@ -246,9 +245,6 @@ func newServedStore(tb testing.TB) (*repro.Live, repro.Session, []string) {
 // oracle's ledger entry and the engines' cells for a write. The value
 // copy a caller makes before handing the store a buffer is in the bound.
 func TestServingAllocBudget(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	d, sess, keys := newServedStore(t)
 
 	var i, failed int
