@@ -6,7 +6,7 @@
 // receivers copy the value out and return the box before dispatching.
 // The boxes, and the coordinator contexts, recycle through free lists a
 // cluster owns (slices of pointers, popped to acquire and pushed to
-// release); a sync.Pool is checked the same way.
+// release).
 // Violations are memory-safety bugs of the worst kind — a box reused
 // while an alias is still live corrupts an unrelated in-flight message,
 // and the symptom appears far from the cause. The analyzer is
@@ -14,16 +14,15 @@
 //
 //   - use-after-release: any read of a variable after it was returned
 //     to its pool on some path;
-//   - double-release: a second Put of the same variable, including a
-//     Put of a loop-outer variable on every iteration;
+//   - double-release: a second release of the same variable, including
+//     a release of a loop-outer variable on every iteration;
 //   - escape: a pooled value captured by a `go` statement, or stored
 //     into a field/map/global and *then* released by the same function
 //     (the retained alias outlives the release).
 //
-// Release wrappers (a function that Puts its parameter, or resets it and
-// pushes it onto a free list) and acquire wrappers (a function returning
-// a value it took from a pool or popped off a free list) are discovered
-// per package, so helpers check the same as direct pool.Get/Put calls.
+// Release wrappers (a function that resets its parameter and pushes it
+// onto a free list) and acquire wrappers (a function returning a value
+// it popped off a free list) are discovered per package, not hard-coded.
 // Methods of a generic wrapper type count too — the kv message boxes are
 // box[T] with put (acquire) and take (release) — and because take
 // returns the message it copied out, a release is recognized wherever
@@ -41,7 +40,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "poolsafe",
-	Doc: "flag use-after-release, double-release and escapes of pooled values (free lists, sync.Pool): " +
+	Doc: "flag use-after-release, double-release and escapes of pooled values (free lists): " +
 		"a pooled box must be released exactly once and never retained past its delivery",
 	Run: run,
 }
@@ -60,8 +59,8 @@ func run(pass *analysis.Pass) {
 
 // wrapperSet records the package's pool helper functions.
 type wrapperSet struct {
-	acquire map[*types.Func]bool // returns a value taken from a pool
-	release map[*types.Func]int  // param index the function Puts
+	acquire map[*types.Func]bool // returns a value popped off a free list
+	release map[*types.Func]int  // param index the function pushes back
 }
 
 func wrappers(pass *analysis.Pass) *wrapperSet {
@@ -77,20 +76,17 @@ func wrappers(pass *analysis.Pass) *wrapperSet {
 				continue
 			}
 			sig := fn.Type().(*types.Signature)
-			// Acquire wrapper: returns a pointer it took from a pool, by
-			// (*sync.Pool).Get or off a free list of that pointer type —
-			// the kv box[T].put and the cluster's get*Ctx helpers.
+			// Acquire wrapper: returns a pointer it popped off a free list
+			// of that pointer type — the kv box[T].put and the cluster's
+			// get*Ctx helpers.
 			if sig.Results().Len() >= 1 {
-				if ptr, ok := sig.Results().At(0).Type().(*types.Pointer); ok &&
-					(callsPoolMethod(pass, fd.Body, "Get") || popsFreeList(pass, fd.Body, ptr)) {
+				if ptr, ok := sig.Results().At(0).Type().(*types.Pointer); ok && popsFreeList(pass, fd.Body, ptr) {
 					w.acquire[fn] = true
 				}
 			}
-			// Release wrapper: Puts one of its parameters, or resets one
-			// and pushes it onto a free list — box[T].take, put*Ctx.
-			if idx, ok := putsParam(pass, fd, sig); ok {
-				w.release[fn] = idx
-			} else if idx, ok := pushesParam(pass, fd, sig); ok {
+			// Release wrapper: resets one of its parameters and pushes it
+			// onto a free list — box[T].take, put*Ctx.
+			if idx, ok := pushesParam(pass, fd, sig); ok {
 				w.release[fn] = idx
 			}
 		}
@@ -106,50 +102,6 @@ func callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn.Origin()
 	}
 	return nil
-}
-
-func callsPoolMethod(pass *analysis.Pass, body *ast.BlockStmt, name string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := callee(pass.TypesInfo, call); fn != nil && fn.Name() == name {
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && analysis.IsSyncPool(sig.Recv().Type()) {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func putsParam(pass *analysis.Pass, fd *ast.FuncDecl, sig *types.Signature) (int, bool) {
-	idx, ok := -1, false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, okc := n.(*ast.CallExpr)
-		if !okc || len(call.Args) != 1 {
-			return true
-		}
-		fn := callee(pass.TypesInfo, call)
-		if fn == nil || fn.Name() != "Put" {
-			return true
-		}
-		if s, oks := fn.Type().(*types.Signature); !oks || s.Recv() == nil || !analysis.IsSyncPool(s.Recv().Type()) {
-			return true
-		}
-		id, okid := ast.Unparen(call.Args[0]).(*ast.Ident)
-		if !okid {
-			return true
-		}
-		obj := pass.TypesInfo.ObjectOf(id)
-		for i := 0; i < sig.Params().Len(); i++ {
-			if sig.Params().At(i) == obj {
-				idx, ok = i, true
-			}
-		}
-		return true
-	})
-	return idx, ok
 }
 
 // A free list is a slice of pointers whose top is the next value handed
@@ -420,7 +372,7 @@ func (c *checker) scanStmt(s ast.Stmt) {
 }
 
 // loopBody analyzes a loop body and flags releases of loop-outer
-// variables that are not reassigned first: such a Put runs on every
+// variables that are not reassigned first: such a release runs on every
 // iteration but the box was taken once.
 func (c *checker) loopBody(body *ast.BlockStmt, loopPos, loopEnd token.Pos) {
 	saved := c.state
@@ -441,7 +393,7 @@ func (c *checker) loopBody(body *ast.BlockStmt, loopPos, loopEnd token.Pos) {
 }
 
 // noteAssigned records plain assignments so a reacquired variable
-// (m := pool.Get... inside the loop) is not flagged by loopBody.
+// (m := xs.put(...) inside the loop) is not flagged by loopBody.
 func (c *checker) noteAssigned(s ast.Stmt, assigned map[*types.Var]bool) {
 	ast.Inspect(s, func(n ast.Node) bool {
 		if asg, ok := n.(*ast.AssignStmt); ok {
@@ -490,23 +442,15 @@ type releaseSite struct {
 	pos token.Pos
 }
 
-// releaseTarget recognizes pool.Put(v) and releaseWrapper(v) calls,
-// returning the released variable and its argument position.
+// releaseTarget recognizes releaseWrapper(v) calls, returning the
+// released variable and its argument position.
 func (c *checker) releaseTarget(call *ast.CallExpr) (*types.Var, int, bool) {
 	fn := callee(c.pass.TypesInfo, call)
 	if fn == nil {
 		return nil, 0, false
 	}
-	argIdx := -1
-	if fn.Name() == "Put" && len(call.Args) == 1 {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && analysis.IsSyncPool(sig.Recv().Type()) {
-			argIdx = 0
-		}
-	}
-	if i, ok := c.w.release[fn]; ok && i < len(call.Args) {
-		argIdx = i
-	}
-	if argIdx < 0 {
+	argIdx, ok := c.w.release[fn]
+	if !ok || argIdx >= len(call.Args) {
 		return nil, 0, false
 	}
 	id, ok := ast.Unparen(call.Args[argIdx]).(*ast.Ident)
@@ -541,30 +485,15 @@ func (c *checker) release(v *types.Var, pos token.Pos) {
 	st.releasedAt = pos
 }
 
-// isAcquire reports whether e produces a pooled value: pool.Get()
-// (possibly behind a type assertion) or an acquire-wrapper call.
+// isAcquire reports whether e produces a pooled value: an
+// acquire-wrapper call.
 func (c *checker) isAcquire(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = ast.Unparen(ta.X)
-	}
-	call, ok := e.(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	fn := callee(c.pass.TypesInfo, call)
-	if fn == nil {
-		return false
-	}
-	if c.w.acquire[fn] {
-		return true
-	}
-	if fn.Name() == "Get" {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && analysis.IsSyncPool(sig.Recv().Type()) {
-			return true
-		}
-	}
-	return false
+	return fn != nil && c.w.acquire[fn]
 }
 
 // checkUses walks e in evaluation order, reporting reads of released

@@ -1,7 +1,5 @@
 package pool
 
-import "sync"
-
 type holder struct{ last *msg }
 
 // Round trip: acquire, fill, release once. Clean.
@@ -33,16 +31,6 @@ func deferAfterRelease(key string) {
 	m := newMsg(key)
 	releaseMsg(m)
 	defer releaseMsg(m) // want `deferred release duplicates an earlier one`
-}
-
-// A sync.Pool's own Get and Put check the same as the wrappers.
-var msgPool = sync.Pool{New: func() any { return new(msg) }}
-
-func direct(key string) {
-	m := msgPool.Get().(*msg)
-	m.key = key
-	msgPool.Put(m)
-	msgPool.Put(m) // want `m is returned to its pool twice`
 }
 
 func storeThenRelease(h *holder, key string) {

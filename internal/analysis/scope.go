@@ -95,19 +95,6 @@ func PkgPathOf(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// IsSyncPool reports whether t is sync.Pool or *sync.Pool.
-func IsSyncPool(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
-}
-
 // ResultError reports whether a call's type carries an error: the index
 // of the error in the result tuple (or 0 for a bare error result) and
 // whether one exists.
