@@ -74,7 +74,6 @@ type RunOptions struct {
 	BatchSize    int     // >1 dispatches multi-key batches of this size
 	WarmupOps    uint64  // completions ignored before measurement starts
 	OpenLoopRate float64 // ops/s Poisson arrivals; 0 selects closed loop
-	NoPreload    bool    // skip loading the workload's records first
 }
 
 // opOptions is the resolved per-operation option set.

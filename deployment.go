@@ -276,9 +276,7 @@ func (c *client) Run(w Workload, o RunOptions) (*Metrics, error) {
 	done := make(chan struct{})
 	r.OnDone = func() { close(done) }
 	c.d.be.Do(func() {
-		if !o.NoPreload {
-			c.d.Cluster.Preload(w.RecordCount, r.Keys, r.Value())
-		}
+		c.d.Cluster.Preload(w.RecordCount, r.Keys, r.Value())
 		r.Start()
 	})
 	if err := c.d.be.awaitRun(done); err != nil {

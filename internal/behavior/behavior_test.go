@@ -202,19 +202,6 @@ func TestGenericRulesMapping(t *testing.T) {
 	}
 }
 
-func TestCustomRulesTakePrecedence(t *testing.T) {
-	custom := []Rule{{
-		Name:    "always-geo",
-		Applies: func(Features) bool { return true },
-		Policy:  Policy{Kind: PolicyGeo},
-	}}
-	rules := append(custom, GenericRules()...)
-	pol, rule := policyFor(Features{ReadRatio: 1}, rules)
-	if pol.Kind != PolicyGeo || rule != "always-geo" {
-		t.Errorf("custom rule ignored: %v via %s", pol, rule)
-	}
-}
-
 func TestBuildModelEndToEnd(t *testing.T) {
 	tl := BuildTimeline(syntheticTrace(), time.Second)
 	m, err := BuildModel(tl, DefaultOptions())

@@ -31,9 +31,8 @@ type Model struct {
 
 // Options tunes the modeling process.
 type Options struct {
-	KMin, KMax  int
-	CustomRules []Rule // take precedence over the generic rules
-	Seed        uint64
+	KMin, KMax int
+	Seed       uint64
 }
 
 // DefaultOptions explores 2..6 states.
@@ -65,7 +64,7 @@ func BuildModel(tl Timeline, opts Options) (*Model, error) {
 	src := stats.NewSource(opts.Seed).Stream("behavior.kmeans")
 	km, assign, score := SelectK(points, opts.KMin, opts.KMax, src)
 
-	rules := append(append([]Rule(nil), opts.CustomRules...), GenericRules()...)
+	rules := GenericRules()
 	m := &Model{PeriodLen: tl.PeriodLen, Norm: norm, KM: km, Silhouette: score, Assign: assign}
 	counts := make([]int, km.K)
 	for _, a := range assign {

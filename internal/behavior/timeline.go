@@ -7,9 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-// FeatureDim is the dimensionality of the feature vectors.
-const FeatureDim = 6
-
 // Features summarize one period of application behaviour — the
 // "predefined metrics collected per time period" of §III-C.
 type Features struct {

@@ -127,7 +127,7 @@ func runAutoscaleVariant(p Platform, v autoscaleVariant, seed uint64) AutoscaleO
 		cfg.WarmupDuration = 300 * time.Millisecond
 		fastRepair(cfg, 1024)
 	}, &monitor.Options{
-		Window: time.Second, Slots: 10, RankAlpha: 0.2, TopKeys: 64, LatencyWindowOps: 50_000,
+		Window: time.Second, Slots: 10, TopKeys: 64,
 	})
 	cl := rg.cl
 	rg.control(harmony.New(autoscaleAlpha, cl.RF()), 100*time.Millisecond)

@@ -40,18 +40,6 @@ var (
 	Bronze = Guarantee{Name: "bronze", Deadline: 2 * time.Second}
 )
 
-// CacheBound is the freshness bound of the coordinator read cache: the
-// maximum age at which a cached value of a key with Poisson write rate
-// lambda may be served while keeping the expected stale rate of cache
-// hits at or under alpha. It is the per-key analogue of the bounded-
-// staleness sessions below — a cache hit is a degenerate level-0 read
-// whose staleness probability 1−exp(−λ·age) must clear the same bound
-// the session would enforce. The formula lives in kv (the serving side
-// enforces it); this is its public, model-facing name.
-func CacheBound(alpha, lambda float64) time.Duration {
-	return kv.CacheBound(alpha, lambda)
-}
-
 // Tiers reports the guarantees a deployment can plausibly honor given
 // its observed propagation time: the deadline must exceed twice the
 // current T_p estimate.

@@ -87,7 +87,6 @@ func failedWrites(ops []BatchOp, lvl Level, err error, lat time.Duration) []Writ
 func (n *Node) admitBatchRead(m clientBatchRead) {
 	now := n.cluster.net.Now()
 	n.coordOps++
-	n.cluster.hooks.batchStarted(now, len(m.Keys), 0)
 
 	bctx := &batchReadCtx{
 		id: m.ID, rt: m.rt,
@@ -169,7 +168,6 @@ func (n *Node) replyBatchRead(rt opRoute, res []ReadResult) {
 func (n *Node) admitBatchWrite(m clientBatchWrite) {
 	now := n.cluster.net.Now()
 	n.coordOps++
-	n.cluster.hooks.batchStarted(now, 0, len(m.Ops))
 
 	bctx := &batchWriteCtx{
 		id: m.ID, rt: m.rt,

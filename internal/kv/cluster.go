@@ -175,9 +175,6 @@ type Config struct {
 	// messages. See hotcache.go. With HotCache unset nothing changes:
 	// no tracker, no cache, byte-identical transcripts.
 	HotCache bool
-	// HotCacheMaxAge caps every entry's freshness bound regardless of
-	// how cold the key's writes are (default 100 ms).
-	HotCacheMaxAge time.Duration
 	// HotSetSize bounds the hot set (default 16).
 	HotSetSize int
 	// HotSetEvalOps is how many observed operations elapse between
@@ -320,9 +317,6 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 		}
 	}
 	if cfg.HotCache {
-		if cfg.HotCacheMaxAge <= 0 {
-			cfg.HotCacheMaxAge = 100 * time.Millisecond
-		}
 		if cfg.HotSetSize <= 0 {
 			cfg.HotSetSize = 16
 		}
@@ -438,8 +432,8 @@ func (c *Cluster) eventsSince(seq uint64) []gossip.RingEvent {
 
 // ResetGossipView rewinds node id's membership view to ring-event
 // prefix seq, as if the node had been partitioned from all gossip since
-// that flip. It is a test and benchmark hook for manufacturing stale
-// coordinators deterministically (Config.Gossip only).
+// that flip. Only tests call it, to manufacture stale coordinators
+// deterministically (Config.Gossip only).
 func (c *Cluster) ResetGossipView(id netsim.NodeID, seq uint64) {
 	if !c.cfg.Gossip {
 		panic("kv: ResetGossipView without Config.Gossip")

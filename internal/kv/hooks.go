@@ -10,7 +10,8 @@ import (
 // optional; nil fields are skipped. The Harmony monitoring module is a
 // Hooks consumer — it sees exactly what a Cassandra-side agent could see
 // (request streams and acknowledgement timings), never the oracle's
-// ground truth.
+// ground truth. A multi-key batch fires the per-operation hooks once per
+// item.
 type Hooks struct {
 	// ReadStarted fires when a coordinator admits a read.
 	ReadStarted func(now time.Duration, key string)
@@ -25,10 +26,6 @@ type Hooks struct {
 	WriteAck func(now time.Duration, key string, rank int, delay time.Duration)
 	// WriteCompleted fires when the client-visible write finishes.
 	WriteCompleted func(now time.Duration, res WriteResult)
-	// BatchStarted fires once per admitted multi-key batch with its item
-	// counts; the per-item Read*/Write* hooks still fire for every item,
-	// so rate-based consumers need no batch awareness.
-	BatchStarted func(now time.Duration, reads, writes int)
 }
 
 // hookSet fans callbacks out to registered hooks.
@@ -70,14 +67,6 @@ func (hs hookSet) writeCompleted(now time.Duration, res WriteResult) {
 	for _, h := range hs {
 		if h.WriteCompleted != nil {
 			h.WriteCompleted(now, res)
-		}
-	}
-}
-
-func (hs hookSet) batchStarted(now time.Duration, reads, writes int) {
-	for _, h := range hs {
-		if h.BatchStarted != nil {
-			h.BatchStarted(now, reads, writes)
 		}
 	}
 }

@@ -62,10 +62,14 @@ func CacheBound(alpha, lambda float64) time.Duration {
 // Poisson write rate.
 const hotCacheAlpha = 0.10
 
+// hotCacheMaxAge caps every entry's freshness bound regardless of how
+// cold the key's writes are.
+const hotCacheMaxAge = 100 * time.Millisecond
+
 // hotKey is the tracker's per-key control state.
 type hotKey struct {
 	lambda   float64       // windowed write rate estimate, writes/sec
-	bound    time.Duration // freshness bound: min(HotCacheMaxAge, CacheBound(α, λ))
+	bound    time.Duration // freshness bound: min(hotCacheMaxAge, CacheBound(α, λ))
 	level    Level         // per-key read level override (SetHotKeyLevel)
 	hasLevel bool
 }
@@ -79,7 +83,6 @@ type hotKey struct {
 // set evolves identically run to run.
 type hotTracker struct {
 	alpha        float64
-	maxAge       time.Duration
 	size         int
 	evalOps      int
 	promoteShare float64
@@ -100,7 +103,6 @@ type hotTracker struct {
 func newHotTracker(cfg *Config, now time.Duration) *hotTracker {
 	return &hotTracker{
 		alpha:        hotCacheAlpha,
-		maxAge:       cfg.HotCacheMaxAge,
 		size:         cfg.HotSetSize,
 		evalOps:      cfg.HotSetEvalOps,
 		promoteShare: cfg.HotPromoteShare,
@@ -190,8 +192,8 @@ func (t *hotTracker) evaluate(now time.Duration) {
 		hk := t.hot[k]
 		hk.lambda = float64(writeCount[k]) / secs
 		hk.bound = CacheBound(t.alpha, hk.lambda)
-		if hk.bound > t.maxAge {
-			hk.bound = t.maxAge
+		if hk.bound > hotCacheMaxAge {
+			hk.bound = hotCacheMaxAge
 		}
 	}
 	t.resetWindow(now)

@@ -25,7 +25,7 @@ func hotConfig(seed uint64) kv.Config {
 // promote hammers key with ONE reads until the tracker promotes it and
 // the rotating coordinators fill and serve their caches, returning how
 // many of the reads were cache hits. Later evaluation windows contain
-// no writes, so the key's freshness bound settles at HotCacheMaxAge.
+// no writes, so the key's freshness bound settles at the 100 ms age cap.
 func (h *harness) promote(t *testing.T, key string, reads int) int {
 	t.Helper()
 	cached := 0
@@ -82,12 +82,11 @@ func TestHotCacheHitAndWriteInvalidation(t *testing.T) {
 }
 
 // TestHotCacheFreshnessExpiry: an entry older than the key's freshness
-// bound is evicted, not served — idle time beyond HotCacheMaxAge (the
+// bound is evicted, not served — idle time beyond the 100 ms age cap (the
 // bound when the key sees no writes) forces the next read back to the
 // replicas.
 func TestHotCacheFreshnessExpiry(t *testing.T) {
 	cfg := hotConfig(2)
-	cfg.HotCacheMaxAge = 50 * time.Millisecond
 	h := newHarness(netsim.SingleDC(3), cfg)
 	const key = "hot-expire"
 	if w := h.write(key, []byte("v1"), kv.All); w.Err != nil {
@@ -97,7 +96,7 @@ func TestHotCacheFreshnessExpiry(t *testing.T) {
 		t.Fatal("no cache hit before the idle gap")
 	}
 
-	h.eng.RunFor(200 * time.Millisecond) // > HotCacheMaxAge: every entry ages out
+	h.eng.RunFor(200 * time.Millisecond) // > the 100 ms age cap: every entry ages out
 
 	r := h.read(key, kv.One)
 	if r.Cached {

@@ -13,9 +13,15 @@ import (
 // a coordinator accepts it and every replica application, so experiments
 // can judge whether a read returned the latest data (Figure 1 semantics: a
 // read started at X_r is stale when it returns a version older than the
-// newest write with X_w ≤ X_r). It also measures true propagation times,
-// which the model-validation experiment compares against Harmony's
-// monitor-based estimates.
+// newest write with X_w ≤ X_r). The fig1 study compares Harmony's
+// stale-read prediction with these verdicts.
+//
+// It also keeps per-run truth the verdicts alone do not give. The
+// full-propagation histogram is what freshness.Compliance reads. The
+// per-rank delay histograms are the truth a calibration of the monitor's
+// ack-delay estimates (RankDelays) compares against. The overlap tally
+// counts reads fresh against acknowledged writes that missed an
+// in-flight one: Figure 1's wider stale window.
 //
 // The oracle is measurement infrastructure with global knowledge; nothing
 // in the adaptive tuners reads it.
@@ -237,9 +243,3 @@ func (o *Oracle) RankDelay(rank int) *stats.Histogram { return &o.rankDelays[ran
 
 // InFlight reports how many writes have not reached all their replicas.
 func (o *Oracle) InFlight() int { return len(o.pending) }
-
-// ResetVerdicts clears the stale/fresh tallies (the ledger itself is
-// kept); experiments call it between measurement phases.
-func (o *Oracle) ResetVerdicts() {
-	o.staleReads, o.freshReads, o.failedReads, o.overlapReads = 0, 0, 0, 0
-}

@@ -81,14 +81,3 @@ func TestOracleVisibleVsIssued(t *testing.T) {
 		t.Error("visible regressed")
 	}
 }
-
-func TestOracleResetVerdicts(t *testing.T) {
-	o := NewOracle(3)
-	o.Judge(ver(2), ver(2), ver(1))
-	o.ReadFailed()
-	o.ResetVerdicts()
-	stale, fresh, failed := o.Counts()
-	if stale != 0 || fresh != 0 || failed != 0 || o.StaleRate() != 0 {
-		t.Error("reset did not clear verdicts")
-	}
-}

@@ -11,6 +11,11 @@
 // verdicts as a stand-in for the client-side staleness probes a real
 // deployment would run — it feeds the autoscale controller's constraint
 // check, not the tuners' estimators.
+//
+// Arrival rates and the stale/cache feedback are windowed (Options).
+// The latency histograms, the key-popularity sketches and the Reads and
+// Writes counters are cumulative since New; nothing rotates or resets
+// them, and a reader that wants a window of them differences it itself.
 package monitor
 
 import (
@@ -26,30 +31,27 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Options tunes the monitor.
+// Options tunes the monitor's windowed rate estimates. The latency
+// histograms take no option: they are cumulative since New.
 type Options struct {
 	// Window is the sliding window for rate estimation.
 	Window time.Duration
 	// Slots subdivides the window.
 	Slots int
-	// RankAlpha is the EWMA weight of new propagation-delay samples.
-	RankAlpha float64
 	// TopKeys bounds the heavy-hitter sketches.
 	TopKeys int
-	// LatencyWindowOps bounds how many recent latency samples feed the
-	// histograms before they rotate (two generations are kept).
-	LatencyWindowOps uint64
 }
 
+// rankAlpha is the EWMA weight of new propagation-delay samples.
+const rankAlpha = 0.2
+
 // DefaultOptions returns the values used in the experiments: a 10-second
-// window, 20 slots, EWMA α 0.2, 128 tracked keys.
+// window, 20 slots, 128 tracked keys.
 func DefaultOptions() Options {
 	return Options{
-		Window:           10 * time.Second,
-		Slots:            20,
-		RankAlpha:        0.2,
-		TopKeys:          128,
-		LatencyWindowOps: 50_000,
+		Window:  10 * time.Second,
+		Slots:   20,
+		TopKeys: 128,
 	}
 }
 
@@ -84,8 +86,7 @@ type Monitor struct {
 	readKeys  *stats.HeavyHitters
 	distinct  *stats.DistinctCounter
 
-	reads, writes   uint64
-	staleObservable uint64 // reads the client itself could tell were failed
+	reads, writes uint64
 }
 
 // New returns a monitor for a store with replication factor rf.
@@ -108,7 +109,7 @@ func New(rf int, clock Clock, opts Options) *Monitor {
 		distinct:   stats.NewDistinctCounter(16),
 	}
 	for i := range m.rankEWMA {
-		m.rankEWMA[i].Alpha = opts.RankAlpha
+		m.rankEWMA[i].Alpha = rankAlpha
 	}
 	return m
 }
@@ -276,14 +277,4 @@ func (m *Monitor) profile() (top []KeyRate, tailKeys, tailReadShare, tailWriteRa
 	tailWriteRate = max(0, 1-topWriteShare) * globalWriteRate
 	tailKeys = max(1, m.distinct.Estimate()-float64(len(top)))
 	return top, tailKeys, tailReadShare, tailWriteRate
-}
-
-// Reset clears rate windows and sketches (kept propagation EWMAs: they
-// track slowly-varying infrastructure properties).
-func (m *Monitor) Reset() {
-	m.writeKeys.Reset()
-	m.readKeys.Reset()
-	m.distinct.Reset()
-	m.readLat.Reset()
-	m.writeLat.Reset()
 }

@@ -121,23 +121,6 @@ func TestProfileSharesAndTail(t *testing.T) {
 	}
 }
 
-func TestResetClearsSketches(t *testing.T) {
-	clock := &testClock{}
-	m := New(3, clock, DefaultOptions())
-	h := m.Hooks()
-	h.ReadStarted(0, "a")
-	h.WriteAck(0, "a", 1, time.Millisecond)
-	m.Reset()
-	snap := m.Snapshot()
-	if len(snap.TopKeys) != 0 && snap.TopKeys[0].ReadShare > 0 {
-		t.Error("reset did not clear read sketch")
-	}
-	// Propagation EWMAs survive reset by design.
-	if snap.RankDelays[0] == 0 {
-		t.Error("reset cleared propagation estimates (should persist)")
-	}
-}
-
 func TestBadOptionsFallBack(t *testing.T) {
 	clock := &testClock{}
 	m := New(3, clock, Options{}) // zero window must fall back to defaults

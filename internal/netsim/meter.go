@@ -30,9 +30,6 @@ func (m *TrafficMeter) BilledBytes() (interDC, interRegion uint64) {
 	return m.Bytes[InterDC], m.Bytes[InterRegion]
 }
 
-// Reset zeroes the meter.
-func (m *TrafficMeter) Reset() { *m = TrafficMeter{} }
-
 // Snapshot returns a copy of the meter.
 func (m *TrafficMeter) Snapshot() TrafficMeter { return *m }
 

@@ -123,7 +123,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		delete(s.conns, nc)
 		s.mu.Unlock()
 	}()
-	c := &conn{srv: s, done: make(chan struct{}, 1)}
+	c := &conn{srv: s, sess: s.sess, done: make(chan struct{}, 1)}
 	c.dispatch = c.issue
 	r := wire.NewRESPReader(nc)
 	w := wire.NewRESPWriter(nc)
@@ -185,10 +185,10 @@ type op struct {
 	puts []repro.PutOp
 	msg  string
 
-	// Level override captured at parse time (LEVEL SET is positional:
-	// it applies to the commands after it, pipelined or not).
-	lvlR, lvlW repro.Level
-	useLvl     bool
+	// sess is the connection's session when the op was parsed (LEVEL SET
+	// is positional: it applies to the commands after it, pipelined or
+	// not).
+	sess repro.Session
 
 	rr  repro.ReadResult
 	wr  repro.WriteResult
@@ -221,7 +221,10 @@ type conn struct {
 	done      chan struct{}
 	dispatch  func()
 
-	// Per-connection consistency override (LEVEL SET / LEVEL RESET).
+	// sess issues the connection's operations: the server's session, or
+	// a static one while a LEVEL SET override holds (ovr, with its levels
+	// kept for LEVEL to report).
+	sess       repro.Session
 	ovr        bool
 	ovrR, ovrW repro.Level
 
@@ -231,15 +234,15 @@ type conn struct {
 	haveLast bool
 }
 
-// push stores a parsed op in the batch's next slot, stamping the current
-// level override.
+// push stores a parsed op in the batch's next slot, stamping the
+// connection's current session.
 func (c *conn) push(o op) {
 	if c.n == len(c.ops) {
 		c.ops = append(c.ops, c.newSlot())
 	}
 	slot := c.ops[c.n]
 	c.n++
-	o.useLvl, o.lvlR, o.lvlW = c.ovr, c.ovrR, c.ovrW
+	o.sess = c.sess
 	o.done = slot.done
 	*slot = o
 }
@@ -364,9 +367,10 @@ func (c *conn) addLevelOp(args [][]byte) {
 			return
 		}
 		c.ovr, c.ovrR, c.ovrW = true, r, w
+		c.sess = c.srv.deploy.StaticSession(r, w)
 		c.push(op{kind: opSimple, msg: "OK"})
 	case len(args) == 2 && ciEqual(args[1], "RESET"):
-		c.ovr = false
+		c.ovr, c.sess = false, c.srv.sess
 		c.push(op{kind: opSimple, msg: "OK"})
 	case len(args) == 2 && ciEqual(args[1], "LAST"):
 		c.push(op{kind: opLevelLast})
@@ -413,37 +417,19 @@ func (c *conn) execute() {
 // engine lock (dispatch is the method value execute passes to Do, bound
 // once per connection).
 func (c *conn) issue() {
-	cl := c.srv.deploy.Cluster
-	sess := c.srv.sess
 	for _, o := range c.ops[:c.n] {
 		switch o.kind {
 		case opGet:
 			if o.key == "" {
 				continue // ECHO rides the opGet reply path, pre-resolved
 			}
-			if o.useLvl {
-				cl.Read(o.key, o.lvlR, o.done.read)
-			} else {
-				sess.Read(o.key, o.done.read)
-			}
+			o.sess.Read(o.key, o.done.read)
 		case opSet:
-			if o.useLvl {
-				cl.Write(o.key, o.val, o.lvlW, o.done.write)
-			} else {
-				sess.Write(o.key, o.val, o.done.write)
-			}
+			o.sess.Write(o.key, o.val, o.done.write)
 		case opDel, opMSet:
-			if o.useLvl {
-				cl.WriteBatch(o.puts, o.lvlW, o.done.writes)
-			} else {
-				sess.BatchWrite(o.puts, o.done.writes)
-			}
+			o.sess.BatchWrite(o.puts, o.done.writes)
 		case opMGet, opExists:
-			if o.useLvl {
-				cl.ReadBatch(o.keys, o.lvlR, o.done.reads)
-			} else {
-				sess.BatchRead(o.keys, o.done.reads)
-			}
+			o.sess.BatchRead(o.keys, o.done.reads)
 		case opInfo:
 			o.val = c.srv.renderInfo(o.val[:0])
 		case opLevelReport:

@@ -3,11 +3,13 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/wire"
@@ -329,6 +331,73 @@ func TestLevelExtension(t *testing.T) {
 	rc2.send("LEVEL")
 	if got := rc2.reply(); got != "[QUORUM,QUORUM]" {
 		t.Fatalf("second connection LEVEL: %q", got)
+	}
+}
+
+// TestLevelOverridePipelined: with one replica failed and detected, ALL
+// is unavailable and QUORUM is not, so each command's outcome shows the
+// level it ran at. In one pipelined write, only the commands between
+// LEVEL SET ALL ALL and LEVEL RESET may run at ALL.
+func TestLevelOverridePipelined(t *testing.T) {
+	topo := repro.SingleDC(3)
+	cfg := repro.ServingDefaults(topo)
+	cfg.DetectionDelay = 20 * time.Millisecond
+	deploy, err := repro.NewServing(topo, cfg, repro.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { deploy.Engine.Close() })
+	srv := New(deploy, deploy.StaticSession(repro.Quorum, repro.Quorum), repro.Quorum, repro.Quorum)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	rc := dialServer(t, srv.Addr())
+	rc.send("MSET", "a", "1", "b", "2")
+	if got := rc.reply(); got != "OK" {
+		t.Fatalf("MSET: %q", got)
+	}
+
+	deploy.Engine.Do(func() { deploy.Cluster.Fail(2) })
+	all := deploy.StaticClient(repro.All, repro.All)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		time.Sleep(3 * cfg.DetectionDelay)
+		if r := all.Get(context.Background(), "a"); errors.Is(r.Err, repro.ErrUnavailable) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the failed replica was never detected")
+		}
+	}
+
+	unavailable := "-ERR " + repro.ErrUnavailable.Error()
+	ops := func(v string) [][]string {
+		return [][]string{
+			{"GET", "a"}, {"SET", "c", v}, {"MGET", "a", "b"}, {"MSET", "d", v, "e", v}, {"DEL", "d"},
+		}
+	}
+	served := []string{"1", "OK", "[1,2]", "OK", ":1"}
+	refused := []string{unavailable, unavailable, "[(nil),(nil)]", unavailable, unavailable}
+	var cmds [][]string
+	var want []string
+	cmds, want = append(cmds, ops("x")...), append(want, served...)
+	cmds, want = append(cmds, []string{"LEVEL", "SET", "ALL", "ALL"}), append(want, "OK")
+	cmds, want = append(cmds, ops("y")...), append(want, refused...)
+	cmds, want = append(cmds, []string{"LEVEL", "RESET"}), append(want, "OK")
+	cmds, want = append(cmds, ops("z")...), append(want, served...)
+	for _, cmd := range cmds {
+		rc.w.Array(len(cmd))
+		for _, a := range cmd {
+			rc.w.BulkString(a)
+		}
+	}
+	if err := rc.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, cmd := range cmds {
+		if got := rc.reply(); got != want[i] {
+			t.Errorf("%d %v: %q, want %q", i, cmd, got, want[i])
+		}
 	}
 }
 

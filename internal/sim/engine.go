@@ -158,7 +158,6 @@ type Engine struct {
 	freeHead int32
 	seq      uint64
 	rng      *stats.Source
-	stopped  bool
 	fired    uint64
 
 	// The wheel. While it holds events, slot(now) ≤ scan ≤ the slot of
@@ -440,11 +439,10 @@ func (e *Engine) ScheduleCall(delay time.Duration, cb Callback, arg uint64, payl
 	return e.enqueue(e.now+delay, cb, arg, payload)
 }
 
-// Step fires the next event; it reports false when the queue is empty or
-// the engine is stopped.
+// Step fires the next event; it reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	slot, _ := e.next()
-	if slot == noIndex || e.stopped {
+	if slot == noIndex {
 		return false
 	}
 	e.fire(slot)
@@ -466,7 +464,7 @@ func (e *Engine) fire(slot int32) {
 	cb(arg, payload)
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -475,23 +473,17 @@ func (e *Engine) Run() {
 // RunUntil fires events with time ≤ t, then advances the clock to t.
 // Events scheduled for later remain queued.
 func (e *Engine) RunUntil(t time.Duration) {
-	for !e.stopped {
+	for {
 		slot, at := e.next()
 		if slot == noIndex || at > t {
 			break
 		}
 		e.fire(slot)
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }
 
 // RunFor advances the simulation by d of virtual time.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
-
-// Stop halts the engine; Run and RunUntil return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }

@@ -108,26 +108,6 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("events after Stop: %d", count)
-	}
-	if !e.Stopped() {
-		t.Error("Stopped() false after Stop")
-	}
-}
-
 func TestTimerStopAfterSlotReuse(t *testing.T) {
 	e := New(1)
 	fired := 0

@@ -6,17 +6,10 @@ import (
 	"time"
 )
 
-// IntGenerator produces non-negative integers drawn from some distribution
-// over [0, n); it is the contract used for key selection in workloads.
-type IntGenerator interface {
-	// Next draws the next value using src.
-	Next(src *Source) uint64
-}
-
 // Uniform draws uniformly from [0, N).
 type Uniform struct{ N uint64 }
 
-// Next implements IntGenerator.
+// Next draws the next value using src.
 func (u Uniform) Next(src *Source) uint64 { return src.Uint64N(u.N) }
 
 // ZipfTheta is the skew constant YCSB uses for its zipfian workloads.
@@ -49,10 +42,7 @@ func NewZipfian(items uint64, theta float64) *Zipfian {
 	return z
 }
 
-// Items reports the size of the domain.
-func (z *Zipfian) Items() uint64 { return z.items }
-
-// Next implements IntGenerator.
+// Next draws the next rank using src.
 func (z *Zipfian) Next(src *Source) uint64 {
 	u := src.Float64()
 	uz := u * z.zetan
@@ -88,7 +78,7 @@ func NewScrambledZipfian(items uint64, theta float64) *ScrambledZipfian {
 	return &ScrambledZipfian{z: NewZipfian(items, theta), items: items}
 }
 
-// Next implements IntGenerator.
+// Next draws the next item using src.
 func (s *ScrambledZipfian) Next(src *Source) uint64 {
 	return FNVHash64(s.z.Next(src)) % s.items
 }
@@ -110,7 +100,7 @@ func NewLatest(items uint64, theta float64) *Latest {
 // Advance tells the generator that n more records exist.
 func (l *Latest) Advance(n uint64) { l.horizon += n }
 
-// Next implements IntGenerator.
+// Next draws the next item using src.
 func (l *Latest) Next(src *Source) uint64 {
 	r := l.z.Next(src)
 	if r >= l.horizon {

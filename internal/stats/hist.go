@@ -21,7 +21,6 @@ type Histogram struct {
 	total  uint64
 	sum    int64
 	max    int64
-	min    int64
 }
 
 func histIndex(v int64) int {
@@ -64,9 +63,6 @@ func (h *Histogram) Record(d time.Duration) {
 	if v > h.max {
 		h.max = v
 	}
-	if h.total == 1 || v < h.min {
-		h.min = v
-	}
 }
 
 // Count reports the number of recorded observations.
@@ -82,14 +78,6 @@ func (h *Histogram) Mean() time.Duration {
 
 // Max reports the largest recorded value.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max) }
-
-// Min reports the smallest recorded value, or 0 when empty.
-func (h *Histogram) Min() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
-}
 
 // Quantile reports an estimate of the q-quantile (q in [0,1]) of the
 // recorded values; the estimate is the lower bound of the bucket holding
@@ -118,27 +106,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(h.max)
 }
-
-// Merge adds all observations of o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.total == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Reset forgets all observations.
-func (h *Histogram) Reset() { *h = Histogram{} }
 
 // String summarises the histogram for reports.
 func (h *Histogram) String() string {

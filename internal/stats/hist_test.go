@@ -25,9 +25,6 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Max() < 30*time.Millisecond || h.Max() > 31*time.Millisecond {
 		t.Errorf("max = %v", h.Max())
 	}
-	if h.Min() > 10*time.Millisecond {
-		t.Errorf("min = %v", h.Min())
-	}
 }
 
 func TestHistogramNegativeClamped(t *testing.T) {
@@ -59,31 +56,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		if got < want*0.93 {
 			t.Errorf("q%.2f too low: got %.0f want %.0f", q, got, want)
 		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 1; i <= 100; i++ {
-		a.Record(time.Duration(i) * time.Millisecond)
-	}
-	for i := 101; i <= 200; i++ {
-		b.Record(time.Duration(i) * time.Millisecond)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Errorf("merged count %d", a.Count())
-	}
-	if a.Max() < b.Max() {
-		t.Error("merge lost max")
-	}
-	if a.Min() > 2*time.Millisecond {
-		t.Errorf("merge lost min: %v", a.Min())
-	}
-	var empty Histogram
-	a.Merge(&empty) // must be a no-op
-	if a.Count() != 200 {
-		t.Error("merging empty changed count")
 	}
 }
 
@@ -120,14 +92,5 @@ func TestHistogramIndexRoundtripProperty(t *testing.T) {
 		return lo <= v && (i+1 >= len(Histogram{}.counts) || histLow(i+1) > v)
 	}, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Record(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Error("reset did not clear histogram")
 	}
 }

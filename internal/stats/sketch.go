@@ -208,10 +208,3 @@ func (d *DistinctCounter) Estimate() float64 {
 	}
 	return -float64(d.m) * math.Log(float64(zero)/float64(d.m))
 }
-
-// Reset clears the counter.
-func (d *DistinctCounter) Reset() {
-	for i := range d.bits {
-		d.bits[i] = 0
-	}
-}

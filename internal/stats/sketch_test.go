@@ -188,12 +188,3 @@ func TestDistinctCounterAccuracy(t *testing.T) {
 		}
 	}
 }
-
-func TestDistinctCounterReset(t *testing.T) {
-	d := NewDistinctCounter(12)
-	d.Observe("a")
-	d.Reset()
-	if d.Estimate() != 0 {
-		t.Error("reset did not clear counter")
-	}
-}

@@ -76,11 +76,6 @@ func (r *RateEstimator) Count(now time.Duration) float64 {
 	return sum
 }
 
-// Window reports the configured window length.
-func (r *RateEstimator) Window() time.Duration {
-	return r.slot * time.Duration(len(r.slots))
-}
-
 // EWMA is an exponentially weighted moving average. The zero value is an
 // empty average; the first observation initializes it.
 type EWMA struct {
@@ -88,9 +83,6 @@ type EWMA struct {
 	value float64
 	set   bool
 }
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA { return &EWMA{Alpha: alpha} }
 
 // Observe folds x into the average.
 func (e *EWMA) Observe(x float64) {
@@ -110,33 +102,3 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Set reports whether any observation has been folded in.
 func (e *EWMA) Set() bool { return e.set }
-
-// Welford tracks mean and variance online (Welford's algorithm). The zero
-// value is ready to use.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe folds x into the statistics.
-func (w *Welford) Observe(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the number of observations.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean reports the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance reports the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -60,7 +59,7 @@ func TestRateEstimatorPanicsOnBadConfig(t *testing.T) {
 }
 
 func TestEWMAConverges(t *testing.T) {
-	e := NewEWMA(0.5)
+	e := &EWMA{Alpha: 0.5}
 	if e.Set() {
 		t.Error("unset EWMA claims set")
 	}
@@ -77,41 +76,10 @@ func TestEWMAConverges(t *testing.T) {
 }
 
 func TestEWMABadAlphaFallsBack(t *testing.T) {
-	e := NewEWMA(0) // invalid; Observe must still smooth
+	e := &EWMA{Alpha: 0} // invalid; Observe must still smooth
 	e.Observe(100)
 	e.Observe(0)
 	if e.Value() >= 100 || e.Value() <= 0 {
 		t.Errorf("fallback alpha not applied: %f", e.Value())
-	}
-}
-
-func TestWelfordMatchesDirectComputation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	var w Welford
-	var xs []float64
-	for i := 0; i < 10000; i++ {
-		x := rng.NormFloat64()*3 + 7
-		xs = append(xs, x)
-		w.Observe(x)
-	}
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	var varSum float64
-	for _, x := range xs {
-		varSum += (x - mean) * (x - mean)
-	}
-	variance := varSum / float64(len(xs))
-
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Errorf("mean %f vs %f", w.Mean(), mean)
-	}
-	if math.Abs(w.Variance()-variance) > 1e-6 {
-		t.Errorf("variance %f vs %f", w.Variance(), variance)
-	}
-	if w.N() != 10000 {
-		t.Errorf("n = %d", w.N())
 	}
 }

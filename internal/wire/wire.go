@@ -27,9 +27,6 @@ const (
 	frameCRCBytes = 4 // CRC32 (IEEE) over version + kind + body
 )
 
-// FrameOverhead is the fixed per-frame framing cost in bytes.
-const FrameOverhead = frameLenBytes + frameHdrBytes + frameCRCBytes
-
 // Frame decode errors.
 var (
 	// ErrFrameCorrupt reports a checksum mismatch or impossible length.
