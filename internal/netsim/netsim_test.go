@@ -35,6 +35,43 @@ func TestLinkClassification(t *testing.T) {
 	}
 }
 
+// TestClassMatchesNames checks Class, which compares DC and region
+// indexes, against its definition over the names, for every pair of every
+// preset with the client and loopback pairs included.
+func TestClassMatchesNames(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		topo *Topology
+	}{
+		{"SingleDC", SingleDC(3)},
+		{"EC2TwoAZ", EC2TwoAZ(5)},
+		{"G5KTwoSites", G5KTwoSites(6)},
+		{"GeoRegions", GeoRegions(2, "eu", "us", "ap")},
+		{"twoDC", twoDCTopo()},
+	} {
+		name, topo := c.name, c.topo
+		ids := append([]NodeID{ClientID}, topo.Nodes()...)
+		for _, from := range ids {
+			for _, to := range ids {
+				want := IntraDC
+				switch {
+				case from == to:
+					want = Loopback
+				case from == ClientID || to == ClientID:
+				case topo.Node(from).DC == topo.Node(to).DC:
+				case topo.Node(from).Region == topo.Node(to).Region:
+					want = InterDC
+				default:
+					want = InterRegion
+				}
+				if got := topo.Class(from, to); got != want {
+					t.Errorf("%s: Class(%d, %d) = %v, want %v", name, from, to, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTopologyAccessors(t *testing.T) {
 	topo := twoDCTopo()
 	if topo.N() != 6 {

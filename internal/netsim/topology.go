@@ -6,6 +6,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -106,10 +107,15 @@ func DefaultLatencies() LatencyModel {
 // latency model between them.
 type Topology struct {
 	nodes   []NodeInfo
+	locs    []nodeLoc // per node, what Class compares
 	byDC    map[string][]NodeID
 	dcOrder []string // DC names in first-seen order
+	regions []string // region names in first-seen order
 	Latency LatencyModel
 }
+
+// nodeLoc is a node's DC and region as indexes into dcOrder and regions.
+type nodeLoc struct{ dc, region int32 }
 
 // NewTopology returns an empty topology with the default latency model.
 func NewTopology() *Topology {
@@ -128,6 +134,13 @@ func (t *Topology) AddNode(name, dc, region string) NodeID {
 		t.dcOrder = append(t.dcOrder, dc)
 	}
 	t.byDC[dc] = append(t.byDC[dc], id)
+	if !slices.Contains(t.regions, region) {
+		t.regions = append(t.regions, region)
+	}
+	t.locs = append(t.locs, nodeLoc{
+		dc:     int32(slices.Index(t.dcOrder, dc)),
+		region: int32(slices.Index(t.regions, region)),
+	})
 	return id
 }
 
@@ -186,11 +199,11 @@ func (t *Topology) Class(from, to NodeID) LinkClass {
 	if from == ClientID || to == ClientID {
 		return IntraDC
 	}
-	a, b := t.nodes[from], t.nodes[to]
+	a, b := t.locs[from], t.locs[to]
 	switch {
-	case a.DC == b.DC:
+	case a.dc == b.dc:
 		return IntraDC
-	case a.Region == b.Region:
+	case a.region == b.region:
 		return InterDC
 	default:
 		return InterRegion

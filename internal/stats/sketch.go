@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"cmp"
+	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -11,29 +14,64 @@ import (
 // monitor uses it to learn which keys absorb most writes and reads, the
 // input of the per-key stale-rate refinement.
 //
-// Entries live in stable slots of a dense slice with a map index over
-// it, and a binary min-heap of slot numbers orders them by (count, seq):
-// a hit is one map lookup, an increment and a sift down; a miss on a
-// full sketch evicts the heap's root. seq is unique, so the order is
-// total and the evicted slot is the one a scan of the slice for its
-// minimum would find — the heap changes what a miss costs (128 entries
-// compared per unseen key, which dominated monitor overhead on skewed
-// workloads), never which key leaves.
+// Entries live in stable slots of a dense slice. A new key appends a slot
+// while the sketch fills; on a full sketch it takes the slot of the entry
+// least in (count, seq) order, inheriting its count as the standard
+// overestimation. seq is unique, so that order is total and the victim is
+// the one a scan of the slice for its minimum would find.
+//
+// Two structures make every observation O(1). The index is an
+// open-addressed table of slot numbers (linear probing, backward-shift
+// deletion, so no tombstones) keyed by a hash each entry keeps; the hash
+// only finds slots, it never decides one. The order is Metwally's own
+// Stream-Summary: entries hang in doubly-linked buckets of equal count,
+// and the buckets in a list of ascending count. A hit moves its entry to
+// the tail of the count+1 bucket; a miss on a full sketch evicts the head
+// of the minimum bucket.
+//
+// The head of the minimum bucket is the (count, seq) minimum because a
+// bucket flagged sorted holds ascending seq, and a miss sorts the minimum
+// bucket first when its flag is clear. That happens about once per
+// bucket: once a bucket is the minimum, the only entries that join it are
+// newcomers, each carrying the largest seq so far (count 1 while the
+// sketch fills); a hit leaves for count+1, above it, and an evicting
+// newcomer joins min+1. A push that brings a seq smaller than the tail's
+// clears the flag, so exactness rests on the flag and only the cost on
+// this argument.
 type HeavyHitters struct {
 	capacity int
-	idx      map[string]int32
 	entries  []hhEntry
-	heap     []int32 // slot numbers, min (count, seq) at the root
-	pos      []int32 // slot → its index in heap
+	table    []int32 // slot+1 per index position, 0 empty; length a power of two
+	buckets  []hhBucket
+	min      int32   // bucket of the smallest count, none when empty
+	free     int32   // recycled buckets, linked through next
+	scratch  []int32 // slots of a bucket being sorted
+	seed     maphash.Seed
 	total    uint64
 	seq      uint64
 }
+
+// none is the nil slot or bucket in the sketch's int32 links.
+const none = -1
 
 type hhEntry struct {
 	key   string
 	count uint64
 	err   uint64 // overestimation bound
 	seq   uint64 // insertion order, deterministic eviction tie-break
+	hash  uint64 // the key's index hash
+
+	bucket     int32 // the bucket holding this entry
+	prev, next int32 // neighbouring slots in that bucket
+}
+
+// hhBucket is one count of the Stream-Summary: the list of the slots with
+// that count.
+type hhBucket struct {
+	count      uint64
+	head, tail int32 // slots
+	prev, next int32 // buckets of the next smaller and larger count
+	sorted     bool  // the slots are in ascending seq order
 }
 
 // NewHeavyHitters returns a sketch tracking up to capacity keys.
@@ -43,85 +81,183 @@ func NewHeavyHitters(capacity int) *HeavyHitters {
 	}
 	return &HeavyHitters{
 		capacity: capacity,
-		idx:      make(map[string]int32, capacity),
 		entries:  make([]hhEntry, 0, capacity),
-		heap:     make([]int32, 0, capacity),
-		pos:      make([]int32, 0, capacity),
+		table:    make([]int32, 1<<bits.Len(uint(4*capacity-1))),
+		buckets:  make([]hhBucket, 0, capacity),
+		min:      none,
+		free:     none,
+		scratch:  make([]int32, 0, capacity),
+		seed:     maphash.MakeSeed(),
 	}
 }
 
 // Observe feeds one occurrence of key.
 func (h *HeavyHitters) Observe(key string) {
 	h.total++
-	if i, ok := h.idx[key]; ok {
-		h.entries[i].count++
-		h.siftDown(int(h.pos[i]))
-		return
+	hash := maphash.String(h.seed, key)
+	mask := uint64(len(h.table) - 1)
+	for i := hash & mask; h.table[i] != 0; i = (i + 1) & mask {
+		s := h.table[i] - 1
+		if e := &h.entries[s]; e.hash == hash && e.key == key {
+			h.increment(s)
+			return
+		}
 	}
 	h.seq++
-	if n := len(h.entries); n < h.capacity {
-		h.idx[key] = int32(n)
-		h.entries = append(h.entries, hhEntry{key: key, count: 1, seq: h.seq})
-		h.heap = append(h.heap, int32(n))
-		h.pos = append(h.pos, int32(n))
-		h.siftUp(n)
+	if n := int32(len(h.entries)); int(n) < h.capacity {
+		h.entries = append(h.entries, hhEntry{key: key, count: 1, seq: h.seq, hash: hash})
+		b := h.min
+		if b == none || h.buckets[b].count != 1 {
+			b = h.newBucket(1, none)
+		}
+		h.push(b, n)
+		h.index(n)
 		return
 	}
-	// Evict the minimum-count key (oldest wins ties, which keeps the
-	// order free of string comparisons and the result deterministic);
-	// the newcomer inherits its count as the standard space-saving
-	// overestimation.
-	min := h.heap[0]
-	old := &h.entries[min]
-	delete(h.idx, old.key)
-	minCount := old.count
-	*old = hhEntry{key: key, count: minCount + 1, err: minCount, seq: h.seq}
-	h.idx[key] = min
-	h.siftDown(0)
-}
-
-// less orders two slots by (count, seq).
-func (h *HeavyHitters) less(a, b int32) bool {
-	x, y := &h.entries[a], &h.entries[b]
-	return x.count < y.count || (x.count == y.count && x.seq < y.seq)
-}
-
-// siftDown restores the heap below index i after its slot's count grew.
-func (h *HeavyHitters) siftDown(i int) {
-	heap, slot := h.heap, h.heap[i]
-	for {
-		c := 2*i + 1
-		if c >= len(heap) {
-			break
-		}
-		if c+1 < len(heap) && h.less(heap[c+1], heap[c]) {
-			c++
-		}
-		if !h.less(heap[c], slot) {
-			break
-		}
-		heap[i] = heap[c]
-		h.pos[heap[i]] = int32(i)
-		i = c
+	// Evict the minimum (count, seq) entry: the newcomer takes its slot,
+	// err = its count, and one increment from there, which also moves
+	// the slot out of the minimum bucket.
+	b := &h.buckets[h.min]
+	if !b.sorted {
+		h.sortBucket(h.min)
 	}
-	heap[i] = slot
-	h.pos[slot] = int32(i)
+	s := b.head
+	h.unindex(s)
+	e := &h.entries[s]
+	e.key, e.err, e.seq, e.hash = key, e.count, h.seq, hash
+	h.increment(s)
+	h.index(s)
 }
 
-// siftUp restores the heap above index i after a slot was appended.
-func (h *HeavyHitters) siftUp(i int) {
-	heap, slot := h.heap, h.heap[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(slot, heap[p]) {
-			break
+// increment adds one to slot s's count and moves it to the tail of the
+// bucket for its new count.
+func (h *HeavyHitters) increment(s int32) {
+	e := &h.entries[s]
+	e.count++
+	b := e.bucket
+	next := h.buckets[b].next
+	fits := next != none && h.buckets[next].count == e.count
+	if bk := &h.buckets[b]; bk.head == bk.tail { // s is alone in b
+		if !fits { // b itself becomes the count+1 bucket
+			bk.count, bk.sorted = e.count, true
+			return
 		}
-		heap[i] = heap[p]
-		h.pos[heap[i]] = int32(i)
-		i = p
+		h.freeBucket(b)
+		h.push(next, s)
+		return
 	}
-	heap[i] = slot
-	h.pos[slot] = int32(i)
+	if !fits {
+		next = h.newBucket(e.count, b)
+	}
+	if e.prev == none {
+		h.buckets[b].head = e.next
+	} else {
+		h.entries[e.prev].next = e.next
+	}
+	if e.next == none {
+		h.buckets[b].tail = e.prev
+	} else {
+		h.entries[e.next].prev = e.prev
+	}
+	h.push(next, s)
+}
+
+// push appends slot s at the tail of bucket b.
+func (h *HeavyHitters) push(b, s int32) {
+	bk, e := &h.buckets[b], &h.entries[s]
+	e.bucket, e.prev, e.next = b, bk.tail, none
+	if bk.tail == none {
+		bk.head, bk.sorted = s, true
+	} else {
+		t := &h.entries[bk.tail]
+		t.next = s
+		bk.sorted = bk.sorted && t.seq < e.seq
+	}
+	bk.tail = s
+}
+
+// newBucket links an empty bucket of the given count after bucket after
+// (at the front of the list when after is none) and returns it.
+func (h *HeavyHitters) newBucket(count uint64, after int32) int32 {
+	b := h.free
+	if b != none {
+		h.free = h.buckets[b].next
+	} else {
+		b = int32(len(h.buckets))
+		h.buckets = append(h.buckets, hhBucket{})
+	}
+	next := h.min
+	if after != none {
+		next = h.buckets[after].next
+		h.buckets[after].next = b
+	} else {
+		h.min = b
+	}
+	if next != none {
+		h.buckets[next].prev = b
+	}
+	h.buckets[b] = hhBucket{count: count, head: none, tail: none, prev: after, next: next}
+	return b
+}
+
+// freeBucket unlinks bucket b from the list and recycles it.
+func (h *HeavyHitters) freeBucket(b int32) {
+	bk := &h.buckets[b]
+	if bk.prev == none {
+		h.min = bk.next
+	} else {
+		h.buckets[bk.prev].next = bk.next
+	}
+	if bk.next != none {
+		h.buckets[bk.next].prev = bk.prev
+	}
+	bk.next, h.free = h.free, b
+}
+
+// sortBucket relinks bucket b's slots in ascending seq order.
+func (h *HeavyHitters) sortBucket(b int32) {
+	slots := h.scratch[:0]
+	for s := h.buckets[b].head; s != none; s = h.entries[s].next {
+		slots = append(slots, s)
+	}
+	slices.SortFunc(slots, func(x, y int32) int { return cmp.Compare(h.entries[x].seq, h.entries[y].seq) })
+	bk := &h.buckets[b]
+	bk.head, bk.tail = none, none
+	for _, s := range slots {
+		h.push(b, s)
+	}
+	h.scratch = slots
+}
+
+// index records slot s at the first free position of its probe sequence.
+func (h *HeavyHitters) index(s int32) {
+	mask := uint64(len(h.table) - 1)
+	i := h.entries[s].hash & mask
+	for h.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	h.table[i] = s + 1
+}
+
+// unindex removes slot s from the index and shifts the rest of its probe
+// cluster back, so every lookup still meets its key before an empty
+// position.
+func (h *HeavyHitters) unindex(s int32) {
+	mask := uint64(len(h.table) - 1)
+	i := h.entries[s].hash & mask
+	for h.table[i] != s+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; h.table[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically after i, in (i, j].
+		home := h.entries[h.table[j]-1].hash & mask
+		if (j-home)&mask >= (j-i)&mask {
+			h.table[i] = h.table[j]
+			i = j
+		}
+	}
+	h.table[i] = 0
 }
 
 // Total reports the stream length observed.
@@ -153,12 +289,13 @@ func (h *HeavyHitters) Top(n int) []KeyCount {
 	return out
 }
 
-// Reset clears the sketch.
+// Reset clears the sketch. seq runs on, so entries of the next life
+// still order after every earlier one.
 func (h *HeavyHitters) Reset() {
-	clear(h.idx)
+	clear(h.table)
 	h.entries = h.entries[:0]
-	h.heap = h.heap[:0]
-	h.pos = h.pos[:0]
+	h.buckets = h.buckets[:0]
+	h.min, h.free = none, none
 	h.total = 0
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"testing"
 )
@@ -83,11 +84,28 @@ func TestHeavyHittersReset(t *testing.T) {
 	}
 }
 
-// observeReference is Observe as it was before the heap: the eviction
-// victim found by scanning every entry for the minimum (count, seq). It
-// never touches heap or pos, so a sketch fed only through it is the
-// reference the heap-backed Observe must match slot for slot.
-func (h *HeavyHitters) observeReference(key string) {
+// scanSketch is the sketch before any index or order structure: a map
+// from key to slot, and on every miss of a full sketch a scan of all
+// entries for the minimum (count, seq). A scanSketch fed the same stream
+// is the reference HeavyHitters must match slot for slot.
+type scanSketch struct {
+	capacity   int
+	idx        map[string]int
+	entries    []scanEntry
+	total, seq uint64
+}
+
+type scanEntry struct {
+	key             string
+	count, err, seq uint64
+}
+
+func newScanSketch(capacity int) *scanSketch {
+	return &scanSketch{capacity: capacity, idx: make(map[string]int)}
+}
+
+// observeReference is Observe with the victim found by a scan.
+func (h *scanSketch) observeReference(key string) {
 	h.total++
 	if i, ok := h.idx[key]; ok {
 		h.entries[i].count++
@@ -95,8 +113,8 @@ func (h *HeavyHitters) observeReference(key string) {
 	}
 	h.seq++
 	if len(h.entries) < h.capacity {
-		h.idx[key] = int32(len(h.entries))
-		h.entries = append(h.entries, hhEntry{key: key, count: 1, seq: h.seq})
+		h.idx[key] = len(h.entries)
+		h.entries = append(h.entries, scanEntry{key: key, count: 1, seq: h.seq})
 		return
 	}
 	min := 0
@@ -109,40 +127,117 @@ func (h *HeavyHitters) observeReference(key string) {
 	old := &h.entries[min]
 	delete(h.idx, old.key)
 	minCount := old.count
-	*old = hhEntry{key: key, count: minCount + 1, err: minCount, seq: h.seq}
-	h.idx[key] = int32(min)
+	*old = scanEntry{key: key, count: minCount + 1, err: minCount, seq: h.seq}
+	h.idx[key] = min
 }
 
-// checkHeap verifies the heap order and the pos back-index.
-func (h *HeavyHitters) checkHeap(t *testing.T) {
+// reset is Reset: seq runs on.
+func (h *scanSketch) reset() {
+	clear(h.idx)
+	h.entries = h.entries[:0]
+	h.total = 0
+}
+
+// matchScan fails unless got holds want's entries slot for slot.
+func matchScan(t testing.TB, got *HeavyHitters, want *scanSketch, step int) {
 	t.Helper()
-	if len(h.heap) != len(h.entries) || len(h.pos) != len(h.entries) {
-		t.Fatalf("heap %d / pos %d entries for %d slots", len(h.heap), len(h.pos), len(h.entries))
+	if len(got.entries) != len(want.entries) || got.Total() != want.total {
+		t.Fatalf("step %d: %d entries, total %d; scan has %d, total %d", step, len(got.entries), got.Total(), len(want.entries), want.total)
 	}
-	for i, slot := range h.heap {
-		if h.pos[slot] != int32(i) {
-			t.Fatalf("pos[%d] = %d, slot sits at heap[%d]", slot, h.pos[slot], i)
+	for s, w := range want.entries {
+		e := &got.entries[s]
+		if (scanEntry{e.key, e.count, e.err, e.seq}) != w {
+			t.Fatalf("step %d slot %d: %+v, scan has %+v", step, s, *e, w)
 		}
-		if i > 0 && h.less(slot, h.heap[(i-1)/2]) {
-			t.Fatalf("heap[%d] orders before its parent", i)
+	}
+}
+
+// checkSummary verifies the Stream-Summary and the index: bucket counts
+// strictly ascend, each entry's count is its bucket's, the bucket and
+// entry links agree both ways, a bucket flagged sorted holds ascending
+// seq, every entry is found through the index at its own slot, and no
+// index position points at a dead entry.
+func (h *HeavyHitters) checkSummary(t testing.TB) {
+	t.Helper()
+	seen := make([]bool, len(h.entries))
+	prevB, n := int32(none), 0
+	for b := h.min; b != none; prevB, b = b, h.buckets[b].next {
+		bk := &h.buckets[b]
+		if bk.prev != prevB {
+			t.Fatalf("bucket %d: prev %d, reached from %d", b, bk.prev, prevB)
+		}
+		if prevB != none && h.buckets[prevB].count >= bk.count {
+			t.Fatalf("bucket %d: count %d after %d", b, bk.count, h.buckets[prevB].count)
+		}
+		if bk.head == none {
+			t.Fatalf("bucket %d (count %d) is empty", b, bk.count)
+		}
+		prevS := int32(none)
+		for s := bk.head; s != none; prevS, s = s, h.entries[s].next {
+			e := &h.entries[s]
+			if seen[s] {
+				t.Fatalf("slot %d linked twice", s)
+			}
+			seen[s] = true
+			n++
+			if e.bucket != b || e.prev != prevS || e.count != bk.count {
+				t.Fatalf("slot %d: bucket %d prev %d count %d, linked in bucket %d (count %d) after %d",
+					s, e.bucket, e.prev, e.count, b, bk.count, prevS)
+			}
+			if bk.sorted && prevS != none && h.entries[prevS].seq >= e.seq {
+				t.Fatalf("bucket %d flagged sorted: seq %d after %d", b, e.seq, h.entries[prevS].seq)
+			}
+		}
+		if bk.tail != prevS {
+			t.Fatalf("bucket %d: tail %d, last slot %d", b, bk.tail, prevS)
+		}
+	}
+	if n != len(h.entries) {
+		t.Fatalf("%d slots in buckets, %d entries", n, len(h.entries))
+	}
+	mask := uint64(len(h.table) - 1)
+	used := 0
+	for _, v := range h.table {
+		if v == 0 {
+			continue
+		}
+		if used++; int(v) > len(h.entries) {
+			t.Fatalf("index points at slot %d of %d", v-1, len(h.entries))
+		}
+	}
+	if used != len(h.entries) {
+		t.Fatalf("index holds %d positions, %d entries", used, len(h.entries))
+	}
+	for s := range h.entries {
+		e := &h.entries[s]
+		if e.hash != maphash.String(h.seed, e.key) {
+			t.Fatalf("slot %d: stale hash", s)
+		}
+		i := e.hash & mask
+		for h.table[i] != int32(s)+1 {
+			if h.table[i] == 0 {
+				t.Fatalf("slot %d (%q) not found through the index", s, e.key)
+			}
+			i = (i + 1) & mask
 		}
 	}
 }
 
 func TestHeavyHittersMatchesScan(t *testing.T) {
 	const ops = 200_000
-	for _, capacity := range []int{1, 2, 7, 128} {
+	for _, capacity := range []int{1, 2, 7, 64, 128} {
 		for _, space := range []uint64{3, 50, 1000, 100_000} {
 			t.Run(fmt.Sprintf("cap%d/keys%d", capacity, space), func(t *testing.T) {
 				keys := make([]string, space)
 				for i := range keys {
 					keys[i] = fmt.Sprintf("k%d", i)
 				}
-				got, want := NewHeavyHitters(capacity), NewHeavyHitters(capacity)
+				got, want := NewHeavyHitters(capacity), newScanSketch(capacity)
 				src := NewSource(uint64(capacity)*1_000_003 + space)
 				z := NewZipfian(space, ZipfTheta)
 				// Two lives of the same pair: Reset must leave a sketch
-				// that keeps matching (seq runs on, the heap starts empty).
+				// that keeps matching (seq runs on, the summary and the
+				// index start empty).
 				for life := 0; life < 2; life++ {
 					for i := 0; i < ops; i++ {
 						k := z.Next(src)
@@ -154,25 +249,53 @@ func TestHeavyHittersMatchesScan(t *testing.T) {
 						if i%997 != 0 && i < ops-1000 {
 							continue
 						}
-						if len(got.entries) != len(want.entries) {
-							t.Fatalf("life %d op %d: %d entries, scan has %d", life, i, len(got.entries), len(want.entries))
-						}
-						for s := range want.entries {
-							if got.entries[s] != want.entries[s] {
-								t.Fatalf("life %d op %d slot %d: %+v, scan has %+v", life, i, s, got.entries[s], want.entries[s])
-							}
-						}
-						got.checkHeap(t)
-					}
-					if got.Total() != want.Total() {
-						t.Fatalf("life %d: total %d, scan has %d", life, got.Total(), want.Total())
+						matchScan(t, got, want, life*ops+i)
+						got.checkSummary(t)
 					}
 					got.Reset()
-					want.Reset()
+					want.reset()
 				}
 			})
 		}
 	}
+}
+
+// FuzzHeavyHitters drives a small sketch and the scan reference with the
+// same stream. The first byte picks the capacity (1–16); every later byte
+// is one of 48 keys, or a Reset when it is 255. After every step the
+// entries must match the reference slot for slot and checkSummary must
+// pass.
+func FuzzHeavyHitters(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 3, 0, 0, 4, 5, 255, 6, 0, 7})
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 1, 2, 3})
+	zipf := []byte{7}
+	src, z := NewSource(1), NewZipfian(48, ZipfTheta)
+	for i := 0; i < 400; i++ {
+		zipf = append(zipf, byte(z.Next(src)))
+	}
+	f.Add(zipf)
+	keys := make([]string, 48)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := 1 + int(data[0]%16)
+		got, want := NewHeavyHitters(capacity), newScanSketch(capacity)
+		for i, b := range data[1:] {
+			if b == 255 {
+				got.Reset()
+				want.reset()
+			} else {
+				got.Observe(keys[int(b)%len(keys)])
+				want.observeReference(keys[int(b)%len(keys)])
+			}
+			matchScan(t, got, want, i)
+			got.checkSummary(t)
+		}
+	})
 }
 
 func TestDistinctCounterAccuracy(t *testing.T) {
