@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/storage"
@@ -16,9 +17,11 @@ import (
 type EngineKind = storage.Kind
 
 // ParseLevel parses a consistency level name: ONE, TWO, THREE, QUORUM,
-// ALL, LOCAL_QUORUM, EACH_QUORUM or K(n). Case-insensitive.
+// ALL, LOCAL_QUORUM, EACH_QUORUM or K(n) with n ≥ 1. Case-insensitive;
+// the whole string must be the name.
 func ParseLevel(s string) (Level, error) {
-	switch strings.ToUpper(s) {
+	up := strings.ToUpper(s)
+	switch up {
 	case "ONE":
 		return One, nil
 	case "TWO":
@@ -34,28 +37,43 @@ func ParseLevel(s string) (Level, error) {
 	case "EACH_QUORUM":
 		return EachQuorum, nil
 	}
-	var k int
-	if _, err := fmt.Sscanf(strings.ToUpper(s), "K(%d)", &k); err == nil && k > 0 {
-		return Count(k), nil
+	if n, ok := strings.CutPrefix(up, "K("); ok && strings.HasSuffix(n, ")") {
+		if k, err := strconv.Atoi(strings.TrimSuffix(n, ")")); err == nil && k > 0 {
+			return Count(k), nil
+		}
 	}
 	return Level{}, fmt.Errorf("repro: unknown consistency level %q", s)
 }
 
-// ParseTopology builds a preset topology by name: "g5k" (two Grid'5000
-// sites), "ec2" (two us-east-1 AZs), "single" (one datacenter) or
-// "geo" (three regions; n is split across them).
-func ParseTopology(name string, n int) (*Topology, error) {
+// ParseTopology builds a preset topology of n nodes by name for a store
+// of replication factor rf: "g5k" (two Grid'5000 sites), "ec2" (two
+// us-east-1 AZs), "single" (one datacenter) or "geo" (three regions; n
+// is split across them, so it needs n ≥ 3). rf must lie in 1..N, N the
+// topology's node count.
+func ParseTopology(name string, n, rf int) (*Topology, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("repro: topology %q needs at least one node, not %d", name, n)
+	}
+	var topo *Topology
 	switch name {
 	case "g5k":
-		return G5KTwoSites(n), nil
+		topo = G5KTwoSites(n)
 	case "ec2":
-		return EC2TwoAZ(n), nil
+		topo = EC2TwoAZ(n)
 	case "single":
-		return SingleDC(n), nil
+		topo = SingleDC(n)
 	case "geo":
-		return GeoRegions(n/3, "us-east", "eu-west", "ap-south"), nil
+		if n < 3 {
+			return nil, fmt.Errorf("repro: topology geo needs at least 3 nodes (one per region), not %d", n)
+		}
+		topo = GeoRegions(n/3, "us-east", "eu-west", "ap-south")
+	default:
+		return nil, fmt.Errorf("repro: unknown topology %q", name)
 	}
-	return nil, fmt.Errorf("repro: unknown topology %q", name)
+	if rf < 1 || rf > topo.N() {
+		return nil, fmt.Errorf("repro: replication factor %d outside 1..%d, the %s topology's node count", rf, topo.N(), name)
+	}
+	return topo, nil
 }
 
 // ParseEngine maps an engine name ("mem", "lsm") to its storage kind.
@@ -79,12 +97,12 @@ type ClientSpec struct {
 }
 
 // ParseClientSpec parses a level-or-tuner flag value: a level name
-// (see ParseLevel) or "harmony:<alpha>".
+// (see ParseLevel) or "harmony:<alpha>" with alpha a number in [0, 1].
 func ParseClientSpec(s string) (ClientSpec, error) {
 	if alphaStr, ok := strings.CutPrefix(s, "harmony:"); ok {
-		var alpha float64
-		if _, err := fmt.Sscanf(alphaStr, "%f", &alpha); err != nil {
-			return ClientSpec{}, fmt.Errorf("repro: bad harmony tolerance %q", alphaStr)
+		alpha, err := strconv.ParseFloat(alphaStr, 64)
+		if err != nil || !(alpha >= 0 && alpha <= 1) {
+			return ClientSpec{}, fmt.Errorf("repro: bad harmony tolerance %q (want a number in [0, 1])", alphaStr)
 		}
 		return ClientSpec{Harmony: true, Alpha: alpha}, nil
 	}

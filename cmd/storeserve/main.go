@@ -74,7 +74,7 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 
-	topo, err := repro.ParseTopology(*topoName, *nodes)
+	topo, err := repro.ParseTopology(*topoName, *nodes, *rf)
 	if err != nil {
 		fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 	gossipOn := flag.Bool("gossip", false, "disseminate membership through SWIM gossip: per-node views, suspicion, wrong-owner fallback (instead of atomic placement)")
 	flag.Parse()
 
-	topo, err := repro.ParseTopology(*topoName, *nodes)
+	topo, err := repro.ParseTopology(*topoName, *nodes, *rf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -219,7 +219,7 @@ func TestFacadeBehaviorPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := repro.BuildTimeline(col.Trace(), 50*time.Millisecond)
-	model, err := repro.BuildBehaviorModel(tl, repro.DefaultBehaviorOptions())
+	model, err := repro.BuildBehaviorModel(tl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,11 @@
 // deliberately conservative:
 //
 //   - hysteresis bands: a size change is enacted only after the
-//     recommendation persisted for UpStreak/DownStreak consecutive
-//     samples, and a scale-down additionally requires the smaller
-//     cluster to fit the observed load inflated by Headroom — a
-//     workload hovering at a threshold cannot flap the cluster;
+//     recommendation persisted for upStreak (join) or downStreak
+//     (decommission) consecutive samples, and a scale-down additionally
+//     requires the smaller cluster to fit the observed load inflated by
+//     headroom — a workload hovering at a threshold cannot flap the
+//     cluster;
 //   - cooldown: after an enacted change, no further change for
 //     Cooldown;
 //   - one change at a time: nothing is enacted while a membership
@@ -25,7 +26,7 @@
 //     — under gossip-disseminated membership — while live views still
 //     disagree about the ring (Store.MembershipConverged);
 //   - floor: the cluster never drops below RF+FailureBudget nodes, and
-//     never grows beyond MaxNodes;
+//     never grows beyond the candidate pool;
 //   - billing-granularity awareness: instances are billed in
 //     Pricing.BillingGranularity units (2013 EC2: whole hours), so a
 //     scale-down is deferred until the victim approaches the boundary
@@ -105,7 +106,7 @@ const (
 	ActionDeferBoundary
 	// ActionBlockedFloor: already at RF+FailureBudget.
 	ActionBlockedFloor
-	// ActionBlockedCeiling: already at MaxNodes.
+	// ActionBlockedCeiling: already at the candidate pool's size.
 	ActionBlockedCeiling
 	// ActionBlockedNoSpare: no joinable topology node (or the store
 	// rejected the request).
@@ -154,29 +155,28 @@ type Config struct {
 	// cost.Pricing.BillFor).
 	Pricing cost.Pricing
 	// Candidates is the orderable pool of topology nodes the cluster
-	// may occupy; spares are picked from it lowest-id first. Required.
+	// may occupy; spares are picked from it lowest-id first, and its
+	// size caps the cluster's. Required.
 	Candidates []netsim.NodeID
 	// Interval is the control period (default 1 s).
 	Interval time.Duration
 	// Cooldown is the minimum gap between enacted changes (default
 	// 3×Interval).
 	Cooldown time.Duration
-	// UpStreak / DownStreak are the hysteresis bands: consecutive
-	// samples the recommendation must persist before a join (default 2)
-	// or a decommission (default 4) is enacted.
-	UpStreak   int
-	DownStreak int
-	// Headroom inflates the observed load when judging whether a
-	// smaller cluster still fits (default 0.15 = 15% margin).
-	Headroom float64
-	// MaxNodes caps the cluster size (default len(Candidates)).
-	MaxNodes int
 	// BaseLatency is the network propagation baseline fed to the
 	// staleness model (default 1 ms).
 	BaseLatency time.Duration
-	// LogLimit bounds the retained decision log; 0 keeps everything.
-	LogLimit int
 }
+
+// The hysteresis bands: consecutive samples the recommendation must
+// persist before a join (upStreak) or a decommission (downStreak) is
+// enacted, and the margin (headroom, 15%) the observed load is inflated
+// by when judging whether a smaller cluster still fits.
+const (
+	upStreak   = 2
+	downStreak = 4
+	headroom   = 0.15
+)
 
 // withDefaults normalizes the zero-value knobs.
 func (cfg Config) withDefaults() Config {
@@ -185,18 +185,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 3 * cfg.Interval
-	}
-	if cfg.UpStreak <= 0 {
-		cfg.UpStreak = 2
-	}
-	if cfg.DownStreak <= 0 {
-		cfg.DownStreak = 4
-	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 0.15
-	}
-	if cfg.MaxNodes <= 0 {
-		cfg.MaxNodes = len(cfg.Candidates)
 	}
 	if cfg.BaseLatency <= 0 {
 		cfg.BaseLatency = time.Millisecond

@@ -70,6 +70,9 @@ func (c *Controller) loop() {
 	c.clock.Schedule(c.cfg.Interval, c.loop)
 }
 
+// ceiling is the largest legal cluster size: every candidate a member.
+func (c *Controller) ceiling() int { return len(c.cfg.Candidates) }
+
 // floor is the smallest legal cluster size.
 func (c *Controller) floor() int {
 	return c.cfg.Constraints.RF + c.cfg.Constraints.FailureBudget
@@ -118,24 +121,24 @@ func (c *Controller) Step() Decision {
 		d.Target = len(members)
 		d.Reason = "no load observed"
 		c.upStreak, c.downStreak = 0, 0
-		c.append(d)
+		c.log = append(c.log, d)
 		return d
 	}
 
-	plan, _ := provision.Optimize([]provision.NodeType{c.cfg.NodeType}, w, c.cfg.Constraints, c.cfg.MaxNodes)
+	plan, _ := provision.Optimize([]provision.NodeType{c.cfg.NodeType}, w, c.cfg.Constraints, c.ceiling())
 	d.Plan = plan
 	cur := len(members)
 	target := cur
 	bestEffort := false
 	if plan.Feasible {
 		target = plan.Nodes
-	} else if provision.Evaluate(c.cfg.NodeType, c.cfg.MaxNodes, w, c.cfg.Constraints).Verdict.ScalingHelps() {
+	} else if provision.Evaluate(c.cfg.NodeType, c.ceiling(), w, c.cfg.Constraints).Verdict.ScalingHelps() {
 		// No size within the ceiling satisfies everything, but at the
 		// ceiling the binding constraint is one more capacity would
 		// still ease (throughput, utilization, staleness): aim for the
 		// ceiling best-effort. Verdicts scaling cannot fix (level
 		// unreachable, degenerate inputs) hold instead.
-		target = c.cfg.MaxNodes
+		target = c.ceiling()
 		bestEffort = true
 	}
 	// Measured-staleness feedback: the model can call the current size
@@ -152,8 +155,8 @@ func (c *Controller) Step() Decision {
 	if target < c.floor() {
 		target = c.floor()
 	}
-	if target > c.cfg.MaxNodes {
-		target = c.cfg.MaxNodes
+	if target > c.ceiling() {
+		target = c.ceiling()
 	}
 	d.Target = target
 	switch {
@@ -168,10 +171,10 @@ func (c *Controller) Step() Decision {
 	switch {
 	case target == cur:
 		switch {
-		case rawTarget > target || (bestEffort && cur == c.cfg.MaxNodes):
+		case rawTarget > target || (bestEffort && cur == c.ceiling()):
 			// The pressure points past the ceiling; nothing to lease.
 			d.Action = ActionBlockedCeiling
-			d.Reason = fmt.Sprintf("at MaxNodes %d: %s", c.cfg.MaxNodes, why)
+			d.Reason = fmt.Sprintf("at the ceiling of %d candidates: %s", c.ceiling(), why)
 		case !plan.Feasible:
 			d.Reason = "holding: " + plan.Reason
 		case cur == c.floor() && provision.UnconstrainedSize(c.cfg.NodeType, w, c.cfg.Constraints) < cur:
@@ -199,7 +202,7 @@ func (c *Controller) Step() Decision {
 	default:
 		c.stepDown(&d, members)
 	}
-	c.append(d)
+	c.log = append(c.log, d)
 	return d
 }
 
@@ -207,9 +210,9 @@ func (c *Controller) Step() Decision {
 // pressure (the optimizer's reason, or the measured-staleness
 // violation).
 func (c *Controller) stepUp(d *Decision, why string) {
-	if c.upStreak < c.cfg.UpStreak {
+	if c.upStreak < upStreak {
 		d.Action = ActionDeferHysteresis
-		d.Reason = fmt.Sprintf("scale-up pressure %d/%d samples", c.upStreak, c.cfg.UpStreak)
+		d.Reason = fmt.Sprintf("scale-up pressure %d/%d samples", c.upStreak, upStreak)
 		return
 	}
 	spare := c.pickSpare()
@@ -238,19 +241,19 @@ func (c *Controller) stepDown(d *Decision, members []netsim.NodeID) {
 		d.Reason = fmt.Sprintf("at floor RF+failures = %d", c.floor())
 		return
 	}
-	if c.downStreak < c.cfg.DownStreak {
+	if c.downStreak < downStreak {
 		d.Action = ActionDeferHysteresis
-		d.Reason = fmt.Sprintf("scale-down pressure %d/%d samples", c.downStreak, c.cfg.DownStreak)
+		d.Reason = fmt.Sprintf("scale-down pressure %d/%d samples", c.downStreak, downStreak)
 		return
 	}
 	// The smaller cluster must fit the observed load inflated by the
 	// headroom margin — the scale-down leg of the hysteresis band.
 	infl := d.Workload
-	infl.OpsPerSecond *= 1 + c.cfg.Headroom
+	infl.OpsPerSecond *= 1 + headroom
 	if p := provision.Evaluate(c.cfg.NodeType, d.Members-1, infl, c.cfg.Constraints); !p.Feasible {
 		d.Action = ActionDeferHysteresis
 		d.Reason = fmt.Sprintf("headroom: %d nodes under %.0f%% margin: %s",
-			d.Members-1, 100*c.cfg.Headroom, p.Reason)
+			d.Members-1, 100*headroom, p.Reason)
 		return
 	}
 	victim, wait := c.pickVictim(d.At, members)
@@ -335,13 +338,4 @@ func (c *Controller) untilBoundary(id netsim.NodeID, now time.Duration) time.Dur
 		return 0
 	}
 	return rem
-}
-
-func (c *Controller) append(d Decision) {
-	c.log = append(c.log, d)
-	if lim := c.cfg.LogLimit; lim > 0 && len(c.log) > 2*lim {
-		// Fresh backing array: slices handed out by Log() before the
-		// trim must not be rewritten under their holders.
-		c.log = append([]Decision(nil), c.log[len(c.log)-lim:]...)
-	}
 }

@@ -204,7 +204,7 @@ func TestGenericRulesMapping(t *testing.T) {
 
 func TestBuildModelEndToEnd(t *testing.T) {
 	tl := BuildTimeline(syntheticTrace(), time.Second)
-	m, err := BuildModel(tl, DefaultOptions())
+	m, err := BuildModel(tl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestBuildModelEndToEnd(t *testing.T) {
 }
 
 func TestBuildModelRejectsTinyTimeline(t *testing.T) {
-	if _, err := BuildModel(Timeline{}, DefaultOptions()); err == nil {
+	if _, err := BuildModel(Timeline{}, 1); err == nil {
 		t.Error("empty timeline accepted")
 	}
 }

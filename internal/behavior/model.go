@@ -29,27 +29,16 @@ type Model struct {
 	Assign     []int // per-timeline-period state ids
 }
 
-// Options tunes the modeling process.
-type Options struct {
-	KMin, KMax int
-	Seed       uint64
-}
-
-// DefaultOptions explores 2..6 states.
-func DefaultOptions() Options { return Options{KMin: 2, KMax: 6, Seed: 1} }
+// minStates and maxStates bound the number of states BuildModel explores.
+const minStates, maxStates = 2, 6
 
 // BuildModel runs the offline modeling process of §III-C: normalize the
-// timeline's feature vectors, cluster them with k selected by silhouette
-// score, and associate each state with a policy via the rules engine.
-func BuildModel(tl Timeline, opts Options) (*Model, error) {
+// timeline's feature vectors, cluster them with k in [2, 6] selected by
+// silhouette score (k-means seeded from seed), and associate each state
+// with a policy via the rules engine.
+func BuildModel(tl Timeline, seed uint64) (*Model, error) {
 	if len(tl.Periods) < 2 {
 		return nil, fmt.Errorf("behavior: timeline too short (%d periods)", len(tl.Periods))
-	}
-	if opts.KMax <= 0 {
-		opts.KMax = 6
-	}
-	if opts.KMin < 2 {
-		opts.KMin = 2
 	}
 	points := make([][]float64, len(tl.Periods))
 	raw := make([][]float64, len(tl.Periods))
@@ -61,8 +50,8 @@ func BuildModel(tl Timeline, opts Options) (*Model, error) {
 		points[i] = norm.Apply(raw[i])
 	}
 
-	src := stats.NewSource(opts.Seed).Stream("behavior.kmeans")
-	km, assign, score := SelectK(points, opts.KMin, opts.KMax, src)
+	src := stats.NewSource(seed).Stream("behavior.kmeans")
+	km, assign, score := SelectK(points, minStates, maxStates, src)
 
 	rules := GenericRules()
 	m := &Model{PeriodLen: tl.PeriodLen, Norm: norm, KM: km, Silhouette: score, Assign: assign}

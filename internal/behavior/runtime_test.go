@@ -13,7 +13,7 @@ import (
 func buildTwoStateModel(t *testing.T) *Model {
 	t.Helper()
 	tl := BuildTimeline(syntheticTrace(), time.Second)
-	m, err := BuildModel(tl, DefaultOptions())
+	m, err := BuildModel(tl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

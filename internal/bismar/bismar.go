@@ -174,20 +174,10 @@ type LevelEval struct {
 // Tuner is the Bismar adaptive tuner: argmax-efficiency level selection.
 type Tuner struct {
 	Deploy Deployment
-	// MaxStale optionally caps the estimated stale rate of eligible
-	// levels (1 disables the cap; the metric alone already avoids very
-	// stale levels).
-	MaxStale float64
-	// PerKeyEstimator selects the refined stale estimator.
-	PerKeyEstimator bool
-
-	model Model
 }
 
 // New returns a Bismar tuner over a deployment.
-func New(dep Deployment) *Tuner {
-	return &Tuner{Deploy: dep, MaxStale: 1, model: Model{Deploy: dep}}
-}
+func New(dep Deployment) *Tuner { return &Tuner{Deploy: dep} }
 
 // Name implements core.Tuner.
 func (t *Tuner) Name() string { return "bismar" }
@@ -196,12 +186,13 @@ func (t *Tuner) Name() string { return "bismar" }
 // the efficiency-metric experiment (Exp B2).
 func (t *Tuner) Evaluate(snap monitor.Snapshot) []LevelEval {
 	rf := t.Deploy.RF
+	m := Model{Deploy: t.Deploy}
 	evals := make([]LevelEval, 0, rf)
-	costAll := t.model.CostPerMillionOps(rf, snap)
+	costAll := m.CostPerMillionOps(rf, snap)
 	for k := 1; k <= rf; k++ {
-		est := harmony.Estimator{RF: rf, WriteK: k, PerKey: t.PerKeyEstimator}
+		est := harmony.Estimator{RF: rf, WriteK: k}
 		stale := est.StaleRate(k, snap)
-		cpm := t.model.CostPerMillionOps(k, snap)
+		cpm := m.CostPerMillionOps(k, snap)
 		norm := 1.0
 		if costAll > 0 {
 			norm = cpm / costAll
@@ -221,16 +212,14 @@ func (t *Tuner) Evaluate(snap monitor.Snapshot) []LevelEval {
 	return evals
 }
 
-// Decide implements core.Tuner: the highest-efficiency level within the
-// staleness cap wins, applied symmetrically to reads and writes (the
-// configuration the paper's cost study sweeps).
+// Decide implements core.Tuner: the highest-efficiency level wins,
+// applied symmetrically to reads and writes (the configuration the
+// paper's cost study sweeps). The metric alone keeps very stale levels
+// out: their fresh share divides into a small efficiency.
 func (t *Tuner) Decide(snap monitor.Snapshot) core.Decision {
 	evals := t.Evaluate(snap)
-	best := evals[len(evals)-1] // ALL is always admissible
+	best := evals[len(evals)-1]
 	for _, e := range evals {
-		if 1-e.Fresh > t.MaxStale {
-			continue
-		}
 		if e.Efficiency > best.Efficiency {
 			best = e
 		}

@@ -120,16 +120,6 @@ func TestDecideAvoidsVeryStaleOneUnderPressure(t *testing.T) {
 	}
 }
 
-func TestMaxStaleCapFiltersLevels(t *testing.T) {
-	tn := New(testDeployment())
-	tn.MaxStale = 0.001
-	s := snap(2000, 1, 150, 300, 450, 600)
-	d := tn.Decide(s)
-	if d.EstimatedStaleRate > 0.001 {
-		t.Errorf("cap violated: %f", d.EstimatedStaleRate)
-	}
-}
-
 func TestLevelForNames(t *testing.T) {
 	if levelFor(1, 5).String() != "ONE" || levelFor(3, 5).String() != "QUORUM" ||
 		levelFor(5, 5).String() != "ALL" || levelFor(4, 5).String() != "K(4)" ||

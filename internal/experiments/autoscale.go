@@ -153,10 +153,6 @@ func runAutoscaleVariant(p Platform, v autoscaleVariant, seed uint64) AutoscaleO
 			Candidates:  rg.topo.Nodes(),
 			Interval:    150 * time.Millisecond,
 			Cooldown:    900 * time.Millisecond,
-			UpStreak:    2,
-			DownStreak:  4,
-			Headroom:    0.15,
-			MaxNodes:    p.Nodes,
 			BaseLatency: rg.topo.MeanLatency(0, netsim.NodeID(rg.topo.N()-1)),
 		})
 	}

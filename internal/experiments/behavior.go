@@ -90,9 +90,7 @@ func RunBehavior(p Platform, seed uint64) (behaviorOutcome, *Table) {
 	rg.cl.AddHooks(col.Hooks())
 	runDay(rg)
 	trace := col.Trace()
-	opts := behavior.DefaultOptions()
-	opts.Seed = rg.seed
-	model, err := behavior.BuildModel(behavior.BuildTimeline(trace, behaviorPeriod), opts)
+	model, err := behavior.BuildModel(behavior.BuildTimeline(trace, behaviorPeriod), rg.seed)
 	if err != nil {
 		panic("experiments: behavior: " + err.Error())
 	}

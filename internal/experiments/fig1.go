@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -56,18 +54,27 @@ func RunFig1Validation(seed uint64) ([]Fig1Row, *Table) {
 	return rows, t
 }
 
+// fig1Platform is the validation's deployment: ten Grid'5000 nodes over
+// two sites at RF rf, with the store's default node profile.
+func fig1Platform(rf int) Platform {
+	d := kv.DefaultConfig()
+	return Platform{
+		Name:          "fig1",
+		Build:         func() *netsim.Topology { return netsim.G5KTwoSites(10) },
+		RF:            rf,
+		ReadService:   d.ReadService,
+		WriteService:  d.WriteService,
+		CoordOverhead: d.CoordOverhead,
+		Concurrency:   d.Concurrency,
+	}
+}
+
 func runFig1Point(seed uint64, rf int, writeRate, readRate float64, readK int, duration time.Duration) Fig1Row {
-	eng := sim.New(seed)
-	topo := netsim.G5KTwoSites(10)
-	cfg := kv.DefaultConfig()
-	cfg.RF = rf
-	cfg.Seed = seed
-	cfg.ReadRepair = false // keep propagation purely asynchronous for the model check
-	cfg.GlobalRepairChance = 0
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(rf, tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
+	rg := newRig(fig1Platform(rf), seed, func(cfg *kv.Config) {
+		cfg.ReadRepair = false // keep propagation purely asynchronous for the model check
+		cfg.GlobalRepairChance = 0
+	}, nil)
+	eng, cl := rg.eng, rg.cl
 
 	const key = "fig1-key"
 	cl.Preload(1, func(uint64) string { return key }, make([]byte, 256))
@@ -106,7 +113,7 @@ func runFig1Point(seed uint64, rf int, writeRate, readRate float64, readK int, d
 	scheduleRead()
 	eng.RunUntil(duration + 5*time.Second)
 
-	snap := mon.Snapshot()
+	snap := rg.mon.Snapshot()
 	predicted := harmony.StaleProb(rf, readK, 1, snap.RankDelays, writeRate)
 	measured := 0.0
 	if totalReads > 0 {

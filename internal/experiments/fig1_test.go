@@ -39,3 +39,14 @@ func TestFig1ModelValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestFig1Golden pins the validation's table at seeds 1 and 7.
+func TestFig1Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment; skipped with -short")
+	}
+	for _, seed := range []uint64{1, 7} {
+		_, table := RunFig1Validation(seed)
+		checkGolden(t, "fig1", seed, table)
+	}
+}

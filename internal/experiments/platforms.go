@@ -19,7 +19,6 @@ type Platform struct {
 
 	Nodes       int
 	RF          int
-	PerDC       map[string]int
 	Threads     int
 	Records     uint64
 	Ops         uint64
@@ -40,7 +39,6 @@ type Platform struct {
 func (p Platform) Config(seed uint64) kv.Config {
 	cfg := kv.DefaultConfig()
 	cfg.RF = p.RF
-	cfg.PerDC = p.PerDC
 	cfg.ReadService = p.ReadService
 	cfg.WriteService = p.WriteService
 	cfg.CoordOverhead = p.CoordOverhead

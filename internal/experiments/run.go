@@ -18,8 +18,7 @@ type RunSpec struct {
 	Tuner    core.Tuner
 	Workload ycsb.Workload // zero value: heavy read-update over Platform.Records
 	Seed     uint64
-	Interval time.Duration // control period; 0 → 250 ms
-	WarmupPc float64       // fraction of ops treated as warmup; 0 → 0.1
+	WarmupPc float64 // fraction of ops treated as warmup; 0 → 0.1
 	Mutate   func(*kv.Config)
 	// MonitorOpts overrides the monitor configuration (ablations).
 	MonitorOpts *monitor.Options
@@ -27,6 +26,10 @@ type RunSpec struct {
 	// enforcement and similar middleware layers).
 	Wrap func(sess kv.Session, cl *kv.Cluster, clock ycsb.Clock) kv.Session
 }
+
+// runInterval is a run's control period: often relative to run length,
+// so scaled-down runs still exercise the control loop many times.
+const runInterval = 250 * time.Millisecond
 
 // RunResult carries everything the experiment tables need.
 type RunResult struct {
@@ -54,13 +57,7 @@ func Run(spec RunSpec) RunResult {
 		w.ValueSize = p.ValueBytes
 	}
 	rg := newRig(p, spec.Seed, spec.Mutate, spec.MonitorOpts)
-	interval := spec.Interval
-	if interval <= 0 {
-		// Re-evaluate often relative to run length so scaled-down runs
-		// still exercise the control loop many times.
-		interval = 250 * time.Millisecond
-	}
-	rg.control(spec.Tuner, interval)
+	rg.control(spec.Tuner, runInterval)
 	if spec.Wrap != nil {
 		rg.sess = spec.Wrap(rg.sess, rg.cl, rg.tr)
 	}

@@ -28,7 +28,8 @@ func smallPlatform(t *testing.T, study string) Platform {
 // worker-pool width and whatever harness the study's script stands on.
 // The values were computed on commit 43609a9, before the studies moved
 // onto the rig — behavior's on the commit that added it (PR 24); the
-// other five seed-1 values are listed in EXPERIMENTS.md.
+// other five seed-1 values are listed in EXPERIMENTS.md. fig1's were
+// computed on commit ad0d385, before it moved onto the rig.
 var goldenTables = map[string]string{
 	"recovery/1":     "e590f25f0d071278410f5e4b77053bf255e98ad2297278a803ec32757dc88ac8",
 	"recovery/7":     "efc61ae8ae4b839478f9448b3b96fa0df703c9a19bd269007f531ae9188ce7cb",
@@ -47,6 +48,8 @@ var goldenTables = map[string]string{
 	"storage/7":      "46a1bbcd52f95fa9f5926481bc86eddea856fc521dcc618b485db90e017e77e3",
 	"provisioning/7": "ab0ad59d8d67243ba9b92d9e00a3ed887ec4afbf944fcc2b59b8656fb6a52fd0",
 	"freshness/7":    "b0946615ed526b042ab3d62dcda8d431d6ee42eaff702f57e69fdfe311104dfa",
+	"fig1/1":         "5d6ca4f4cf8c2fc4b9ddc0097ee80580366bb574bc53f9bd5a46edf552f8201a",
+	"fig1/7":         "d6e5dc6c01fc0bd653a9345bc154cc05e4327c4d07ece3737dc0022421a83af9",
 }
 
 // checkGolden compares what one run of study at seed rendered with its
@@ -81,7 +84,8 @@ var sharedSeed7 = map[string]struct {
 // their shape tests share. The seed-1 entries are checked where that
 // run already happens: TestRecoveryStudyShape, TestElasticityStudy,
 // TestGossipStudy, TestHotKeyStudy, TestAutoscaleStudy and
-// TestBehaviorStudy hash the table whose outcomes they assert on.
+// TestBehaviorStudy hash the table whose outcomes they assert on;
+// TestFig1Golden checks both fig1 entries.
 // TestExpA_Grid5000Shape and TestExpCBismarShape also hash the seed-7
 // harmony and bismar tables.
 func TestStudyTablesGolden(t *testing.T) {

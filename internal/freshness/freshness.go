@@ -1,29 +1,18 @@
 // Package freshness implements the paper's third future-work direction
-// (§V): an eventually-consistent mode with guarantees on data freshness.
-// Two mechanisms are provided:
-//
-//   - Deadline enforcement: every write is audited with a background
-//     read at level ALL shortly before its convergence deadline; the
-//     audit piggybacks on the store's read-repair machinery, pushing the
-//     write to any replica that still misses it. Compliance is the
-//     fraction of writes fully propagated within the deadline.
-//
-//   - Bounded-staleness reads: a session whose reads choose the smallest
-//     level that keeps the estimated stale-read probability under the
-//     session's bound, given the current monitor snapshot — per-read
-//     freshness rather than per-period tuning.
-//
-// Guarantee tiers (gold/silver/bronze) map deadlines to what the network
-// topology can deliver.
+// (§V): an eventually-consistent mode with guarantees on data freshness,
+// by deadline enforcement. Every write is audited with a background read
+// at level ALL shortly before its convergence deadline; the audit
+// piggybacks on the store's read-repair machinery, pushing the write to
+// any replica that still misses it. Compliance is the fraction of writes
+// fully propagated within the deadline. The guarantee tiers
+// (gold/silver/bronze) name the deadlines.
 package freshness
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
 )
 
 // Guarantee is a named convergence deadline.
@@ -32,26 +21,12 @@ type Guarantee struct {
 	Deadline time.Duration
 }
 
-// The standard tiers. Gold is only achievable on low-latency topologies;
-// Tiers reports which tiers a deployment can honor.
+// The standard tiers. Gold is only achievable on low-latency topologies.
 var (
 	Gold   = Guarantee{Name: "gold", Deadline: 150 * time.Millisecond}
 	Silver = Guarantee{Name: "silver", Deadline: 500 * time.Millisecond}
 	Bronze = Guarantee{Name: "bronze", Deadline: 2 * time.Second}
 )
-
-// Tiers reports the guarantees a deployment can plausibly honor given
-// its observed propagation time: the deadline must exceed twice the
-// current T_p estimate.
-func Tiers(snap monitor.Snapshot) []Guarantee {
-	var out []Guarantee
-	for _, g := range []Guarantee{Gold, Silver, Bronze} {
-		if g.Deadline > 2*snap.PropagationTime() {
-			out = append(out, g)
-		}
-	}
-	return out
-}
 
 // Clock is the scheduling surface the enforcer needs.
 type Clock interface {
@@ -170,66 +145,6 @@ func Compliance(o *kv.Oracle, g Guarantee) float64 {
 		}
 	}
 	return lo
-}
-
-// BoundedSession is a session whose reads pick, per operation, the
-// smallest level whose estimated stale probability stays under Bound.
-type BoundedSession struct {
-	Cluster    *kv.Cluster
-	Monitor    *monitor.Monitor
-	Estimator  harmony.Estimator
-	Bound      float64
-	WriteLevel kv.Level
-}
-
-// NewBoundedSession builds a bounded-staleness session over a monitored
-// cluster.
-func NewBoundedSession(cl *kv.Cluster, mon *monitor.Monitor, bound float64) *BoundedSession {
-	return &BoundedSession{
-		Cluster:    cl,
-		Monitor:    mon,
-		Estimator:  harmony.Estimator{RF: cl.RF(), WriteK: 1},
-		Bound:      bound,
-		WriteLevel: kv.One,
-	}
-}
-
-// Read implements kv.Session.
-func (s *BoundedSession) Read(key string, cb func(kv.ReadResult)) {
-	s.Cluster.Read(key, kv.Count(s.boundedK()), cb)
-}
-
-// Write implements kv.Session.
-func (s *BoundedSession) Write(key string, value []byte, cb func(kv.WriteResult)) {
-	s.Cluster.Write(key, value, s.WriteLevel, cb)
-}
-
-// Delete implements kv.Session.
-func (s *BoundedSession) Delete(key string, cb func(kv.WriteResult)) {
-	s.Cluster.Delete(key, s.WriteLevel, cb)
-}
-
-// BatchRead implements kv.Session: the bound is evaluated once and the
-// whole batch reads at the chosen level.
-func (s *BoundedSession) BatchRead(keys []string, cb func([]kv.ReadResult)) {
-	s.Cluster.ReadBatch(keys, kv.Count(s.boundedK()), cb)
-}
-
-// BatchWrite implements kv.Session.
-func (s *BoundedSession) BatchWrite(ops []kv.BatchOp, cb func([]kv.WriteResult)) {
-	s.Cluster.WriteBatch(ops, s.WriteLevel, cb)
-}
-
-// boundedK picks the smallest read level whose estimated stale
-// probability stays under the bound.
-func (s *BoundedSession) boundedK() int {
-	snap := s.Monitor.Snapshot()
-	for cand := 1; cand <= s.Estimator.RF; cand++ {
-		if s.Estimator.StaleRate(cand, snap) <= s.Bound {
-			return cand
-		}
-	}
-	return s.Estimator.RF
 }
 
 // String describes the guarantee.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -15,7 +14,6 @@ type fixture struct {
 	eng *sim.Engine
 	tr  *netsim.Transport
 	cl  *kv.Cluster
-	mon *monitor.Monitor
 }
 
 func newFixture(seed uint64) *fixture {
@@ -26,10 +24,7 @@ func newFixture(seed uint64) *fixture {
 	cfg.Seed = seed
 	cfg.HintReplayInterval = 0
 	cfg.AntiEntropyInterval = 0
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	return &fixture{eng: eng, tr: tr, cl: cl, mon: mon}
+	return &fixture{eng: eng, tr: tr, cl: kv.New(topo, tr, cfg)}
 }
 
 func TestComplianceFromOracle(t *testing.T) {
@@ -50,21 +45,6 @@ func TestComplianceFromOracle(t *testing.T) {
 	tight := Guarantee{Name: "1us", Deadline: time.Microsecond}
 	if c := Compliance(f.cl.Oracle(), tight); c > 0.1 {
 		t.Errorf("microsecond compliance = %f", c)
-	}
-}
-
-func TestTiersFilterByPropagation(t *testing.T) {
-	snap := monitor.Snapshot{RankDelays: []time.Duration{time.Millisecond, 5 * time.Millisecond, 40 * time.Millisecond}}
-	tiers := Tiers(snap)
-	if len(tiers) != 3 {
-		t.Errorf("fast system should honor all tiers, got %v", tiers)
-	}
-	slow := monitor.Snapshot{RankDelays: []time.Duration{time.Millisecond, 100 * time.Millisecond, 400 * time.Millisecond}}
-	tiers = Tiers(slow)
-	for _, g := range tiers {
-		if g.Name == "gold" || g.Name == "silver" {
-			t.Errorf("slow system should not promise %s", g.Name)
-		}
 	}
 }
 
@@ -125,41 +105,6 @@ func TestEnforcerRepairsLaggards(t *testing.T) {
 		t.Errorf("audits = %d", audits)
 	}
 	_ = lagging
-}
-
-func TestBoundedSessionEscalatesUnderWrites(t *testing.T) {
-	f := newFixture(4)
-	var levels []kv.Level
-	f.cl.AddHooks(&kv.Hooks{ReadCompleted: func(_ time.Duration, r kv.ReadResult) {
-		levels = append(levels, r.Level)
-	}})
-	sess := NewBoundedSession(f.cl, f.mon, 0.02)
-
-	// Quiet phase: reads should run at ONE.
-	done := false
-	sess.Read("k", func(kv.ReadResult) { done = true })
-	for !done && f.eng.Step() {
-	}
-	if len(levels) == 0 || levels[0].Replicas(3) != 1 {
-		t.Fatalf("quiet read level: %v", levels)
-	}
-
-	// Hot-write phase: hammer one key, then read it.
-	for i := 0; i < 2000; i++ {
-		f.cl.Write("hot", []byte("v"), kv.One, func(kv.WriteResult) {})
-		if i%20 == 0 {
-			f.eng.RunFor(5 * time.Millisecond)
-		}
-	}
-	f.eng.RunFor(time.Second)
-	levels = nil
-	done = false
-	sess.Read("hot", func(kv.ReadResult) { done = true })
-	for !done && f.eng.Step() {
-	}
-	if len(levels) == 0 || levels[0].Replicas(3) == 1 {
-		t.Errorf("bounded session did not escalate under write pressure: %v", levels)
-	}
 }
 
 func TestGuaranteeString(t *testing.T) {

@@ -11,27 +11,19 @@ import (
 // Tuner is Harmony's adaptive consistency module: each control period it
 // estimates the stale-read rate for every candidate read level and picks
 // the smallest number of involved replicas whose estimate stays within
-// the application-tolerated rate Alpha. Writes stay at the configured
-// write level (ONE by default — the eventual-consistency side the paper
-// tunes reads against).
+// the application-tolerated rate Alpha. Writes stay at ONE, the
+// eventual-consistency side the paper tunes reads against.
 type Tuner struct {
 	// Alpha is the application-tolerated stale read rate, in [0, 1].
 	Alpha float64
 	// Estimator performs the probabilistic stale-rate computation.
 	Estimator Estimator
-	// WriteLevel is applied to all writes.
-	WriteLevel kv.Level
 }
 
 // New returns a Harmony tuner for replication factor rf with tolerated
-// stale rate alpha, writing at level ONE and using the aggregate
-// estimator, as in the paper.
+// stale rate alpha, using the aggregate estimator, as in the paper.
 func New(alpha float64, rf int) *Tuner {
-	return &Tuner{
-		Alpha:      alpha,
-		Estimator:  Estimator{RF: rf, WriteK: 1},
-		WriteLevel: kv.One,
-	}
+	return &Tuner{Alpha: alpha, Estimator: Estimator{RF: rf, WriteK: 1}}
 }
 
 // PerKey switches the tuner to the per-key refined estimator and returns
@@ -66,7 +58,7 @@ func (t *Tuner) Decide(snap monitor.Snapshot) core.Decision {
 	}
 	return core.Decision{
 		ReadLevel:          kv.Count(chosen),
-		WriteLevel:         t.WriteLevel,
+		WriteLevel:         kv.One,
 		EstimatedStaleRate: est,
 		Reason: fmt.Sprintf("P_stale(%d)=%.3f ≤ α=%.3f (λw=%.1f/s, Tp=%v)",
 			chosen, est, t.Alpha, snap.WriteRate, snap.PropagationTime()),

@@ -48,14 +48,16 @@ type Workload struct {
 
 // Constraints bound acceptable deployments.
 type Constraints struct {
-	RF             int
-	ReadLevel      int // replicas a read involves
-	WriteLevel     int
-	MaxStaleRate   float64
-	MinThroughput  float64 // ops/s the cluster must sustain
-	FailureBudget  int     // node failures to survive while meeting the level
-	MaxUtilization float64 // headroom cap, default 0.85
+	RF            int
+	ReadLevel     int // replicas a read involves
+	WriteLevel    int
+	MaxStaleRate  float64
+	MinThroughput float64 // ops/s the cluster must sustain
+	FailureBudget int     // node failures to survive while meeting the level
 }
+
+// maxUtil is the utilization headroom cap a deployment must stay under.
+const maxUtil = 0.85
 
 // Verdict classifies a plan evaluation: which constraint (if any)
 // rejected the candidate. Callers that react to infeasibility — the
@@ -151,10 +153,6 @@ func Evaluate(t NodeType, nodes int, w Workload, c Constraints) Plan {
 		p.Reason = "level unreachable after tolerated failures"
 		return p
 	}
-	maxUtil := c.MaxUtilization
-	if maxUtil <= 0 {
-		maxUtil = 0.85
-	}
 
 	// Capacity model: read and mutation stages, as in the store.
 	slots := float64(nodes * t.Concurrency)
@@ -215,10 +213,6 @@ func Evaluate(t NodeType, nodes int, w Workload, c Constraints) Plan {
 func UnconstrainedSize(t NodeType, w Workload, c Constraints) int {
 	if degenerate(t, w, c) != "" {
 		return 0
-	}
-	maxUtil := c.MaxUtilization
-	if maxUtil <= 0 {
-		maxUtil = 0.85
 	}
 	offered := math.Max(w.OpsPerSecond, c.MinThroughput)
 	readWork := w.ReadFraction * float64(c.ReadLevel) * t.ReadServiceMean.Seconds()

@@ -318,9 +318,17 @@ func TestLevelExtension(t *testing.T) {
 	if got := rc.reply(); got != "[QUORUM,QUORUM]" {
 		t.Fatalf("LEVEL after RESET: %q", got)
 	}
-	rc.send("LEVEL", "SET", "BOGUS", "ONE")
-	if got := rc.reply(); !strings.HasPrefix(got, "-ERR") {
-		t.Fatalf("LEVEL SET bogus: %q", got)
+	// A name is parsed whole: trailing bytes are refused, and a refused
+	// SET leaves the connection's levels as they were.
+	for _, bad := range []string{"BOGUS", "K(3)junk", "ONEx", "K(0)"} {
+		rc.send("LEVEL", "SET", bad, "ONE")
+		if got := rc.reply(); !strings.HasPrefix(got, "-ERR") {
+			t.Fatalf("LEVEL SET %s ONE: %q", bad, got)
+		}
+	}
+	rc.send("LEVEL")
+	if got := rc.reply(); got != "[QUORUM,QUORUM]" {
+		t.Fatalf("LEVEL after refused SETs: %q", got)
 	}
 
 	// The override is per connection: a second connection still sees the

@@ -61,7 +61,7 @@ func parityModel(t *testing.T, topo *repro.Topology, cfg repro.Config) *repro.Be
 			t.Fatal(err)
 		}
 	}
-	model, err := repro.BuildBehaviorModel(repro.BuildTimeline(col.Trace(), 50*time.Millisecond), repro.DefaultBehaviorOptions())
+	model, err := repro.BuildBehaviorModel(repro.BuildTimeline(col.Trace(), 50*time.Millisecond), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

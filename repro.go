@@ -219,7 +219,12 @@ type (
 	ProvisionWorkload = provision.Workload
 	// ProvisionPlan is one candidate deployment with its predictions.
 	ProvisionPlan = provision.Plan
-	// AutoscaleConfig parameterizes the autoscale controller.
+	// AutoscaleConfig parameterizes the autoscale controller: the node
+	// type, constraints and pricing it sizes with, the candidate pool
+	// (whose size caps the cluster's), the control period, cooldown and
+	// propagation baseline. Its hysteresis is fixed: 2 samples of
+	// pressure to join, 4 to decommission, and a 15% load margin the
+	// smaller cluster must fit.
 	AutoscaleConfig = autoscale.Config
 	// AutoscaleDecision is one control period's journal entry.
 	AutoscaleDecision = autoscale.Decision
@@ -255,7 +260,7 @@ func OptimizeProvision(catalog []NodeType, w ProvisionWorkload, c ProvisionConst
 }
 
 // NewHarmonyTuner returns the Harmony tuner: smallest read level whose
-// estimated stale-read rate stays under alpha (§III-A).
+// estimated stale-read rate stays under alpha, writes at ONE (§III-A).
 func NewHarmonyTuner(alpha float64, rf int) Tuner { return harmony.New(alpha, rf) }
 
 // NewHarmonyHotTuner returns the hot-key-aware Harmony tuner: the
@@ -281,8 +286,6 @@ type (
 	Timeline = behavior.Timeline
 	// BehaviorModel is the fitted state model with per-state policies.
 	BehaviorModel = behavior.Model
-	// BehaviorOptions tunes the modeling process.
-	BehaviorOptions = behavior.Options
 	// Features summarize one period of application behaviour.
 	Features = behavior.Features
 	// Policy is a state's consistency prescription.
@@ -294,11 +297,9 @@ func BuildTimeline(trace Trace, period time.Duration) Timeline {
 	return behavior.BuildTimeline(trace, period)
 }
 
-// BuildBehaviorModel clusters a timeline into application states and
+// BuildBehaviorModel clusters a timeline into two to six application
+// states (k-means seeded from seed, k chosen by silhouette score) and
 // associates each state with a consistency policy.
-func BuildBehaviorModel(tl Timeline, opts BehaviorOptions) (*BehaviorModel, error) {
-	return behavior.BuildModel(tl, opts)
+func BuildBehaviorModel(tl Timeline, seed uint64) (*BehaviorModel, error) {
+	return behavior.BuildModel(tl, seed)
 }
-
-// DefaultBehaviorOptions explores 2..6 states with the generic rules.
-func DefaultBehaviorOptions() BehaviorOptions { return behavior.DefaultOptions() }
