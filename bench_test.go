@@ -10,8 +10,9 @@
 // Two more time one Harmony replay, the unit of work every table
 // repeats: BenchmarkExpAHarmony at the scale the performance history was
 // recorded at, BenchmarkSimHarmonyReplay at the shape the repository
-// benchmark's sim-harmony workload times. BenchmarkServingOps times the
-// serve path under the RESP server: the store, engine and transport.
+// benchmark's sim-harmony workload times; BenchmarkSimHarmonySetup times
+// that workload's set-up. BenchmarkServingOps times the serve path under
+// the RESP server: the store, engine and transport.
 package repro_test
 
 import (
@@ -143,6 +144,26 @@ func BenchmarkStudy(b *testing.B) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSimHarmonySetup is the set-up the repository benchmark's
+// sim-harmony workload times as setup_s, at exactly benchmark/simrun.go's
+// shape: the 84-node cluster build, the 300 000-record preload and one
+// operation per client thread, under the replay's tuner. What to profile
+// when setup_s is the target (scripts/microbench.sh has the recipe).
+func BenchmarkSimHarmonySetup(b *testing.B) {
+	p := experiments.G5KHarmony().Scaled(0.1)
+	p.Threads = 400
+	p.Ops = uint64(p.Threads)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		experiments.Run(experiments.RunSpec{
+			Platform: p,
+			Tuner:    repro.NewHarmonyTuner(0.20, p.RF),
+			Seed:     uint64(i + 1),
+			WarmupPc: 0.1,
 		})
 	}
 }

@@ -130,7 +130,7 @@ func (n *Node) onAEPush(m aePush) {
 func (n *Node) applyAECells(cells []aeCell) {
 	for _, u := range cells {
 		if n.engine.Apply(u.Key, u.Cell) {
-			n.cluster.oracle.Applied(n.id, u.Cell.Version, n.cluster.net.Now())
+			n.cluster.oracle.Applied(n.id, u.Key, u.Cell.Version, n.cluster.net.Now())
 		}
 		n.cacheInvalidate(u.Key)
 	}

@@ -330,7 +330,7 @@ func (n *Node) onReplicaBatchWrite(m replicaBatchWrite) {
 		for j := range m.Idxs {
 			n.repWrites++
 			if n.engine.Apply(m.Keys[j], m.Cells[j]) {
-				n.cluster.oracle.Applied(n.id, m.Cells[j].Version, n.cluster.net.Now())
+				n.cluster.oracle.Applied(n.id, m.Keys[j], m.Cells[j].Version, n.cluster.net.Now())
 			}
 			n.cacheInvalidate(m.Keys[j])
 		}

@@ -771,11 +771,11 @@ func (c *Cluster) Preload(n uint64, key func(uint64) string, value []byte) {
 			c.oracle.writeEverywhere(k, v, len(replicas))
 			continue
 		}
-		c.oracle.WriteStarted(k, v, len(replicas), now)
-		c.oracle.WriteVisible(k, v)
+		id := c.oracle.WriteStarted(k, v, len(replicas), now)
+		c.oracle.WriteVisible(id, v)
 		for _, r := range replicas {
 			if !slices.Contains(refusers, r) {
-				c.oracle.Applied(r, v, now)
+				c.oracle.appliedAt(id, r, v, now)
 			}
 		}
 	}

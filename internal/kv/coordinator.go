@@ -92,6 +92,7 @@ type writeCtx struct {
 	item      int            // position in batch
 	timer     sim.Timer      // the request timeout (single writes; a batch holds its own)
 	version   storage.Version
+	ledger    int // the key's oracle ledger id
 	shipped   int // mutations sent to live replicas (hinted ones never ack)
 	ackCount  int
 	ackDC     map[string]int // per-DC tallies; nil unless req.perDC is set
@@ -453,7 +454,7 @@ func (n *Node) openWrite(ctx *writeCtx, value []byte, tombstone bool, now time.D
 	}
 
 	version := storage.Version{Timestamp: now, Seq: n.cluster.nextSeq()}
-	n.cluster.oracle.WriteStarted(ctx.key, version, len(replicas), now)
+	ctx.ledger = n.cluster.oracle.WriteStarted(ctx.key, version, len(replicas), now)
 	n.cluster.hooks.writeStarted(now, ctx.key, version, len(replicas))
 	if t := n.cluster.hot; t != nil {
 		t.observeWrite(ctx.key, now)
@@ -533,12 +534,12 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 	if n.cluster.remote != nil && n.cluster.remote[from] {
 		// A replica another process serves applies out of this oracle's
 		// sight; its acknowledgement is the only sign here that it did.
-		n.cluster.oracle.Applied(from, ctx.version, now)
+		n.cluster.oracle.appliedAt(ctx.ledger, from, ctx.version, now)
 	}
 
 	if !ctx.completed && ctx.req.satisfiedCounts(ctx.ackCount, ctx.ackDC) {
 		ctx.completed = true
-		n.cluster.oracle.WriteVisible(ctx.key, ctx.version)
+		n.cluster.oracle.WriteVisible(ctx.ledger, ctx.version)
 		res := WriteResult{
 			Key: ctx.key, Version: ctx.version, Level: ctx.level,
 			Latency: now - ctx.start, Acked: ctx.ackCount,

@@ -795,7 +795,7 @@ func (n *Node) onStreamChunk(m streamChunk) {
 			}
 			if n.engine.Apply(key, cell) {
 				n.streamedInCells++
-				n.cluster.oracle.Applied(n.id, cell.Version, n.cluster.net.Now())
+				n.cluster.oracle.Applied(n.id, key, cell.Version, n.cluster.net.Now())
 			}
 			n.cacheInvalidate(key)
 			off += size

@@ -558,7 +558,7 @@ func (n *Node) onReplicaWrite(m replicaWrite) {
 func (n *Node) applyReplicaWrite(m replicaWrite) {
 	n.repWrites++
 	if n.engine.Apply(m.Key, m.Cell) {
-		n.cluster.oracle.Applied(n.id, m.Cell.Version, n.cluster.net.Now())
+		n.cluster.oracle.Applied(n.id, m.Key, m.Cell.Version, n.cluster.net.Now())
 	}
 	n.cacheInvalidate(m.Key)
 	if m.Repair {

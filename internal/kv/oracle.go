@@ -2,8 +2,10 @@ package kv
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
+	"repro/internal/keytab"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -26,21 +28,27 @@ import (
 // The oracle is measurement infrastructure with global knowledge; nothing
 // in the adaptive tuners reads it.
 //
-// pending holds the writes that have not reached all their replicas yet:
-// an entry is made when a coordinator accepts the write and leaves when
-// the last replica applies it. In a multi-process deployment every
+// In-flight writes, the ones that have not reached all their replicas
+// yet, live in a slab: an entry is made when a coordinator accepts the
+// write and freed when the last replica applies it, and each key's
+// ledger heads the list of its own. In a multi-process deployment every
 // process has its own oracle, which ledgers the writes its own nodes
 // coordinate: the replicas it hosts report their applications directly,
 // and one another process serves counts as applied when its
 // acknowledgement reaches the coordinator (foldWriteAck) — so an entry
 // lives until the slowest replica has acknowledged, and one whose last
 // acknowledgement never arrives within the coordinator timeout stays. A
-// preloaded record never enters pending (writeEverywhere).
+// preloaded record never enters the slab (writeEverywhere).
+//
+// The per-key ledgers sit in a keytab table: a write costs one key probe
+// (WriteStarted, whose ledger id the coordinator keeps for the rest of
+// the write), a replica application one probe and a walk of the key's
+// short pending list, and nothing here is a Go map.
 type Oracle struct {
-	// latest carries both per-key high watermarks in one entry so the
-	// read-start snapshot (every single read) costs one map lookup.
-	latest  map[string]latestVersions
-	pending map[storage.Version]pendingWrite
+	keys     keytab.Table[keyLedger]
+	pending  []pendingWrite // the slab; entries link through next
+	free     int32          // first recycled slab entry + 1, 0 none
+	inFlight int
 
 	propagation stats.Histogram   // full-propagation times T_p
 	rankDelays  []stats.Histogram // delay until the i-th replica applied
@@ -52,16 +60,26 @@ type Oracle struct {
 	failedReads  uint64
 }
 
-// pendingWrite is a value-typed ledger entry; the applied replica set is
-// a bitset over node ids, so for clusters up to 256 nodes (every preset,
-// and then some) ledgering a write performs a single map insert and no
-// allocation. Larger ids spill into a lazily allocated overflow set so
-// correctness never depends on cluster size.
+// keyLedger is one key's pair of high watermarks and its in-flight
+// writes.
+type keyLedger struct {
+	issued  storage.Version // newest write accepted by a coordinator
+	visible storage.Version // newest write acknowledged to a client
+	pending int32           // first in-flight write in the slab + 1, 0 none
+}
+
+// pendingWrite is one in-flight write. The applied replica set is a
+// bitset over node ids, so for clusters up to 256 nodes (every preset,
+// and then some) ledgering a write allocates nothing once the slab has
+// grown. Larger ids spill into an overflow list so correctness never
+// depends on cluster size.
 type pendingWrite struct {
+	version  storage.Version
 	start    time.Duration
 	replicas int
-	applied  [4]uint64              // bitset of nodes that applied, ids 0..255
-	overflow map[netsim.NodeID]bool // nodes outside the bitset range
+	applied  [4]uint64       // bitset of nodes that applied, ids 0..255
+	overflow []netsim.NodeID // nodes outside the bitset range
+	next     int32           // the key's next in-flight write (or next free entry) + 1
 }
 
 func (p *pendingWrite) markApplied(node netsim.NodeID) bool {
@@ -73,13 +91,10 @@ func (p *pendingWrite) markApplied(node netsim.NodeID) bool {
 		p.applied[w] |= b
 		return true
 	}
-	if p.overflow[node] {
+	if slices.Contains(p.overflow, node) {
 		return false
 	}
-	if p.overflow == nil {
-		p.overflow = make(map[netsim.NodeID]bool, 1)
-	}
-	p.overflow[node] = true
+	p.overflow = append(p.overflow, node)
 	return true
 }
 
@@ -93,64 +108,61 @@ func (p *pendingWrite) appliedCount() int {
 
 // NewOracle returns an oracle for a store with replication factor rf.
 func NewOracle(rf int) *Oracle {
-	return &Oracle{
-		latest:     make(map[string]latestVersions),
-		pending:    make(map[storage.Version]pendingWrite),
-		rankDelays: make([]stats.Histogram, rf),
-	}
+	return &Oracle{rankDelays: make([]stats.Histogram, rf)}
 }
 
-// latestVersions is one key's pair of high watermarks.
-type latestVersions struct {
-	issued  storage.Version // newest write accepted by a coordinator
-	visible storage.Version // newest write acknowledged to a client
-}
-
-// WriteStarted ledgers a write accepted by a coordinator at time now.
-func (o *Oracle) WriteStarted(key string, v storage.Version, replicas int, now time.Duration) {
+// WriteStarted ledgers a write accepted by a coordinator at time now and
+// returns the key's ledger id, which WriteVisible takes. v must be new:
+// every write carries a version of its own.
+func (o *Oracle) WriteStarted(key string, v storage.Version, replicas int, now time.Duration) int {
 	o.writes++
-	if l := o.latest[key]; v.After(l.issued) {
+	id, _ := o.keys.Insert(key)
+	p := o.free
+	if p != 0 {
+		o.free = o.pending[p-1].next
+	} else {
+		o.pending = append(o.pending, pendingWrite{})
+		p = int32(len(o.pending))
+	}
+	l := o.keys.Val(id)
+	if v.After(l.issued) {
 		l.issued = v
-		o.latest[key] = l
 	}
-	o.pending[v] = pendingWrite{start: now, replicas: replicas}
+	o.pending[p-1] = pendingWrite{version: v, start: now, replicas: replicas,
+		overflow: o.pending[p-1].overflow[:0], next: l.pending}
+	l.pending = p
+	o.inFlight++
+	return id
 }
 
-// WriteVisible ledgers that the write was acknowledged to its client: it
-// is now part of the data a user expects subsequent reads to return.
-func (o *Oracle) WriteVisible(key string, v storage.Version) {
-	if l := o.latest[key]; v.After(l.visible) {
+// WriteVisible ledgers that the write of version v on ledger id (what
+// WriteStarted returned) was acknowledged to its client: it is now part
+// of the data a user expects subsequent reads to return.
+func (o *Oracle) WriteVisible(id int, v storage.Version) {
+	if l := o.keys.Val(id); v.After(l.visible) {
 		l.visible = v
-		o.latest[key] = l
 	}
 }
 
-// reserve sizes the per-key ledger for n more keys while it is still
-// empty (the load phase of a fresh store).
-func (o *Oracle) reserve(n int) {
-	if len(o.latest) == 0 {
-		o.latest = make(map[string]latestVersions, n)
-	}
-}
+// reserve sizes the per-key ledger for n more keys (the load phase of a
+// fresh store).
+func (o *Oracle) reserve(n int) { o.keys.Reserve(n) }
 
 // writeEverywhere ledgers a write that all of its replicas applied the
 // instant it was accepted and acknowledged (a preloaded record). It
 // leaves the ledger exactly as WriteStarted, WriteVisible and one
 // Applied per replica at the same instant would — both watermarks, the
 // write count, a zero delay at every rank and a zero propagation time —
-// without the entry ever passing through pending.
+// without the write ever passing through the slab.
 func (o *Oracle) writeEverywhere(key string, v storage.Version, replicas int) {
 	o.writes++
-	was := o.latest[key]
-	l := was
+	id, _ := o.keys.Insert(key)
+	l := o.keys.Val(id)
 	if v.After(l.issued) {
 		l.issued = v
 	}
 	if v.After(l.visible) {
 		l.visible = v
-	}
-	if l != was {
-		o.latest[key] = l
 	}
 	for rank := 0; rank < replicas && rank < len(o.rankDelays); rank++ {
 		o.rankDelays[rank].Record(0)
@@ -158,10 +170,27 @@ func (o *Oracle) writeEverywhere(key string, v storage.Version, replicas int) {
 	o.propagation.Record(0)
 }
 
-// Applied ledgers replica node applying version v of key at time now.
-func (o *Oracle) Applied(node netsim.NodeID, v storage.Version, now time.Duration) {
-	p, ok := o.pending[v]
-	if !ok || !p.markApplied(node) {
+// Applied ledgers replica node applying version v of key at time now. A
+// version the oracle has no write in flight for (a preloaded record, a
+// write already everywhere, another process's write) changes nothing.
+func (o *Oracle) Applied(node netsim.NodeID, key string, v storage.Version, now time.Duration) {
+	if id, ok := o.keys.Find(key); ok {
+		o.appliedAt(id, node, v, now)
+	}
+}
+
+// appliedAt is Applied on the key's ledger id.
+func (o *Oracle) appliedAt(id int, node netsim.NodeID, v storage.Version, now time.Duration) {
+	link := &o.keys.Val(id).pending
+	for *link != 0 && o.pending[*link-1].version != v {
+		link = &o.pending[*link-1].next
+	}
+	if *link == 0 {
+		return
+	}
+	i := *link
+	p := &o.pending[i-1]
+	if !p.markApplied(node) {
 		return
 	}
 	rank := p.appliedCount()
@@ -170,10 +199,9 @@ func (o *Oracle) Applied(node netsim.NodeID, v storage.Version, now time.Duratio
 	}
 	if rank >= p.replicas {
 		o.propagation.Record(now - p.start)
-		delete(o.pending, v)
-		return
+		*link, p.next, o.free = p.next, o.free, i
+		o.inFlight--
 	}
-	o.pending[v] = p
 }
 
 // Latest reports both of key's high watermarks in one lookup: the
@@ -182,15 +210,25 @@ func (o *Oracle) Applied(node netsim.NodeID, v storage.Version, now time.Duratio
 // which may not be client-visible yet). Coordinators snapshot the pair
 // when a read starts.
 func (o *Oracle) Latest(key string) (visible, issued storage.Version) {
-	l := o.latest[key]
+	id, ok := o.keys.Find(key)
+	if !ok {
+		return storage.Version{}, storage.Version{}
+	}
+	l := o.keys.Val(id)
 	return l.visible, l.issued
 }
 
 // LatestVisible reports the newest client-acknowledged version of key.
-func (o *Oracle) LatestVisible(key string) storage.Version { return o.latest[key].visible }
+func (o *Oracle) LatestVisible(key string) storage.Version {
+	visible, _ := o.Latest(key)
+	return visible
+}
 
 // LatestIssued reports the newest coordinator-accepted version of key.
-func (o *Oracle) LatestIssued(key string) storage.Version { return o.latest[key].issued }
+func (o *Oracle) LatestIssued(key string) storage.Version {
+	_, issued := o.Latest(key)
+	return issued
+}
 
 // Judge decides whether a read got stale data and tallies the verdict.
 // A read is stale when it returned a version older than the newest write
@@ -242,4 +280,4 @@ func (o *Oracle) Propagation() *stats.Histogram { return &o.propagation }
 func (o *Oracle) RankDelay(rank int) *stats.Histogram { return &o.rankDelays[rank-1] }
 
 // InFlight reports how many writes have not reached all their replicas.
-func (o *Oracle) InFlight() int { return len(o.pending) }
+func (o *Oracle) InFlight() int { return o.inFlight }

@@ -23,12 +23,12 @@ func preloadReference(c *Cluster, n uint64, key func(uint64) string, value []byt
 		k := key(i)
 		v := storage.Version{Timestamp: 0, Seq: c.nextSeq()}
 		replicas := c.strategy.Replicas(k)
-		c.oracle.WriteStarted(k, v, len(replicas), now)
-		c.oracle.WriteVisible(k, v)
+		id := c.oracle.WriteStarted(k, v, len(replicas), now)
+		c.oracle.WriteVisible(id, v)
 		cell := storage.Cell{Version: v, Value: value}
 		for _, r := range replicas {
 			if c.nodes[r].engine.Apply(k, cell) {
-				c.oracle.Applied(r, v, now)
+				c.oracle.Applied(r, k, v, now)
 			}
 		}
 	}
@@ -227,8 +227,8 @@ func equalStores(t *testing.T, tr preloadTrial, stage string, got, want *Cluster
 	}
 	// Everything above and whatever it leaves out: the pending entries
 	// with their applied sets, the write count, the verdict tallies.
-	if !reflect.DeepEqual(go_, wo) {
-		fail("oracle ledgers differ:\n got %+v\nwant %+v", go_, wo)
+	if d := diffOracleStates(go_.state(), wo.state()); d != "" {
+		fail("oracle ledgers differ: %s", d)
 	}
 }
 

@@ -36,11 +36,8 @@ func TestRebalancedTablesMatchWalk(t *testing.T) {
 	for _, step := range steps {
 		s := NewSimpleStrategy(New(step.members, 32, 11), 3)
 		for i := range s.Ring.vnodes {
-			var walk []netsim.NodeID
-			s.Ring.walkFrom(i, map[netsim.NodeID]bool{}, func(n netsim.NodeID) bool {
-				walk = append(walk, n)
-				return len(walk) < s.Factor
-			})
+			walk := refWalk(s.Ring, i)
+			walk = walk[:min(len(walk), s.Factor)]
 			if !nodesEqual(walk, s.table[i]) {
 				t.Fatalf("%s: entry %d: table %v vs walk %v", step.name, i, s.table[i], walk)
 			}

@@ -91,18 +91,19 @@ func (r *Ring) search(t Token) int {
 }
 
 // walkFrom visits distinct nodes clockwise starting at vnode index start
-// until visit returns false or all nodes have been seen.
-func (r *Ring) walkFrom(start int, seen map[netsim.NodeID]bool, visit func(netsim.NodeID) bool) {
-	for i := 0; i < len(r.vnodes); i++ {
-		vn := r.vnodes[(start+i)%len(r.vnodes)]
-		if seen[vn.node] {
+// until visit returns false or every member has been seen. seen is
+// scratch indexed by node id, at least as long as the largest member id.
+func (r *Ring) walkFrom(start int, seen []bool, visit func(netsim.NodeID) bool) {
+	clear(seen)
+	left := len(r.nodes)
+	for i := 0; i < len(r.vnodes) && left > 0; i++ {
+		n := r.vnodes[(start+i)%len(r.vnodes)].node
+		if seen[n] {
 			continue
 		}
-		seen[vn.node] = true
-		if !visit(vn.node) {
-			return
-		}
-		if len(seen) == len(r.nodes) {
+		seen[n] = true
+		left--
+		if !visit(n) {
 			return
 		}
 	}
@@ -137,28 +138,27 @@ type Strategy interface {
 // returned slice.
 
 // SimpleStrategy places replicas on the first RF distinct nodes clockwise
-// from the key's token, ignoring topology.
+// from the key's token, ignoring topology. Build it with NewSimpleStrategy.
 type SimpleStrategy struct {
 	Ring   *Ring
 	Factor int
 
-	table [][]netsim.NodeID // per-vnode replica lists; nil when zero-constructed
+	table [][]netsim.NodeID // per-vnode replica lists
 }
 
-// placements precomputes one replica list per start vnode using pick to
-// select from the clockwise distinct-node walk.
-func placements(r *Ring, pick func(walk []netsim.NodeID) []netsim.NodeID) [][]netsim.NodeID {
+// placements precomputes one replica list per start vnode. pick builds a
+// list from walk, which offers visit the distinct nodes clockwise from
+// that vnode one at a time; visit returns false once the list is full,
+// which ends the walk.
+func placements(r *Ring, pick func(walk func(visit func(netsim.NodeID) bool)) []netsim.NodeID) [][]netsim.NodeID {
 	table := make([][]netsim.NodeID, len(r.vnodes))
-	walk := make([]netsim.NodeID, 0, len(r.nodes))
-	seen := make(map[netsim.NodeID]bool, len(r.nodes))
+	top := netsim.NodeID(0)
+	for _, n := range r.nodes {
+		top = max(top, n)
+	}
+	seen := make([]bool, top+1)
 	for start := range r.vnodes {
-		walk = walk[:0]
-		clear(seen)
-		r.walkFrom(start, seen, func(n netsim.NodeID) bool {
-			walk = append(walk, n)
-			return true
-		})
-		table[start] = pick(walk)
+		table[start] = pick(func(visit func(netsim.NodeID) bool) { r.walkFrom(start, seen, visit) })
 	}
 	return table
 }
@@ -166,17 +166,17 @@ func placements(r *Ring, pick func(walk []netsim.NodeID) []netsim.NodeID) [][]ne
 // NewSimpleStrategy builds the strategy with its placement table.
 func NewSimpleStrategy(r *Ring, factor int) *SimpleStrategy {
 	s := &SimpleStrategy{Ring: r, Factor: factor}
-	s.table = placements(r, s.pick)
+	s.table = placements(r, func(walk func(func(netsim.NodeID) bool)) []netsim.NodeID {
+		out := make([]netsim.NodeID, 0, factor)
+		walk(func(n netsim.NodeID) bool {
+			if len(out) < factor {
+				out = append(out, n)
+			}
+			return len(out) < factor
+		})
+		return out
+	})
 	return s
-}
-
-// pick keeps the first Factor distinct nodes of a walk.
-func (s *SimpleStrategy) pick(walk []netsim.NodeID) []netsim.NodeID {
-	n := s.Factor
-	if n > len(walk) {
-		n = len(walk)
-	}
-	return append([]netsim.NodeID(nil), walk[:n]...)
 }
 
 // Replicas implements Strategy.
@@ -186,19 +186,6 @@ func (s *SimpleStrategy) Replicas(key string) []netsim.NodeID {
 
 // ReplicasAt implements Strategy.
 func (s *SimpleStrategy) ReplicasAt(t Token) []netsim.NodeID {
-	if s.table == nil {
-		// Zero-constructed strategy (tests): fall back to walking.
-		if len(s.Ring.vnodes) == 0 {
-			return nil
-		}
-		out := make([]netsim.NodeID, 0, s.Factor)
-		s.Ring.walkFrom(s.Ring.search(t), make(map[netsim.NodeID]bool, len(s.Ring.nodes)),
-			func(n netsim.NodeID) bool {
-				out = append(out, n)
-				return len(out) < s.Factor
-			})
-		return out
-	}
 	return s.table[s.Ring.search(t)]
 }
 
@@ -240,20 +227,18 @@ func NewNetworkTopologyStrategy(r *Ring, topo *netsim.Topology, perDC map[string
 	}
 	s := &NetworkTopologyStrategy{Ring: r, Topo: topo, PerDC: perDC, factor: total}
 	need := make(map[string]int, len(s.PerDC))
-	s.table = placements(s.Ring, func(walk []netsim.NodeID) []netsim.NodeID {
+	s.table = placements(s.Ring, func(walk func(func(netsim.NodeID) bool)) []netsim.NodeID {
 		for dc, n := range s.PerDC {
 			need[dc] = n
 		}
 		out := make([]netsim.NodeID, 0, s.factor)
-		for _, n := range walk {
-			if len(out) == s.factor {
-				break
-			}
+		walk(func(n netsim.NodeID) bool {
 			if dc := s.Topo.DCOf(n); need[dc] > 0 {
 				need[dc]--
 				out = append(out, n)
 			}
-		}
+			return len(out) < s.factor
+		})
 		return out
 	})
 	return s

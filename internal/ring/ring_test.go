@@ -2,10 +2,13 @@ package ring
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/netsim"
+	"repro/internal/stats"
 )
 
 func nodeIDs(n int) []netsim.NodeID {
@@ -27,7 +30,7 @@ func TestKeyTokenDeterministic(t *testing.T) {
 
 func TestSimpleStrategyProperties(t *testing.T) {
 	r := New(nodeIDs(10), 16, 7)
-	s := SimpleStrategy{Ring: r, Factor: 3}
+	s := NewSimpleStrategy(r, 3)
 	if s.RF() != 3 {
 		t.Errorf("RF = %d", s.RF())
 	}
@@ -57,22 +60,72 @@ func TestSimpleStrategyProperties(t *testing.T) {
 	}
 }
 
-// TestPlacementTableMatchesWalk pins that the precomputed placement
-// tables agree with a fresh ring walk for every key — the table is a pure
-// cache, not a semantic change.
-func TestPlacementTableMatchesWalk(t *testing.T) {
-	r := New(nodeIDs(10), 16, 7)
-	fast := NewSimpleStrategy(r, 3)
-	slow := SimpleStrategy{Ring: r, Factor: 3} // zero table: walking fallback
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("key%05d", i)
-		a, b := fast.Replicas(key), slow.Replicas(key)
-		if len(a) != len(b) {
-			t.Fatalf("key %s: table %v vs walk %v", key, a, b)
+// refWalk is the clockwise distinct-node walk over the whole ring from
+// vnode start, with nothing stopping it early: what the placement tables
+// are checked against.
+func refWalk(r *Ring, start int) []netsim.NodeID {
+	var walk []netsim.NodeID
+	seen := map[netsim.NodeID]bool{}
+	for i := range r.vnodes {
+		if n := r.vnodes[(start+i)%len(r.vnodes)].node; !seen[n] {
+			seen[n] = true
+			walk = append(walk, n)
 		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("key %s: table %v vs walk %v", key, a, b)
+	}
+	return walk
+}
+
+// TestPlacementTableMatchesWalk pins that the precomputed placement
+// tables, whose walks stop once a replica set is full, agree with picks
+// over refWalk at every vnode: the first RF nodes for SimpleStrategy, the
+// first per-DC quota for NetworkTopologyStrategy. Rings are random in
+// membership (sparse ids included), vnode count, seed and RF.
+func TestPlacementTableMatchesWalk(t *testing.T) {
+	rng := stats.NewSource(5)
+	for trial := 0; trial < 60; trial++ {
+		var members []netsim.NodeID
+		for id := 0; len(members) == 0 || id < 40; id++ {
+			if rng.IntN(3) == 0 {
+				members = append(members, netsim.NodeID(id))
+			}
+		}
+		r := New(members, 1+rng.IntN(24), rng.Uint64N(1000))
+		rf := 1 + rng.IntN(6) // may exceed the member count
+		s := NewSimpleStrategy(r, rf)
+		for i := range r.vnodes {
+			walk := refWalk(r, i)
+			want := walk[:min(rf, len(walk))]
+			if !slices.Equal(s.table[i], want) {
+				t.Fatalf("trial %d, %d members, rf %d, vnode %d: table %v, walk %v", trial, len(members), rf, i, s.table[i], walk)
+			}
+		}
+
+		topo := netsim.NewTopology()
+		topo.AddDC("dc1", "r", 1+rng.IntN(12))
+		topo.AddDC("dc2", "r", 1+rng.IntN(12))
+		perDC := map[string]int{}
+		for _, dc := range []string{"dc1", "dc2"} {
+			members := 0
+			for _, id := range topo.Nodes() {
+				if topo.DCOf(id) == dc {
+					members++
+				}
+			}
+			perDC[dc] = rng.IntN(min(members, 3) + 1)
+		}
+		r = New(topo.Nodes(), 1+rng.IntN(24), rng.Uint64N(1000))
+		nts := NewNetworkTopologyStrategy(r, topo, perDC)
+		for i := range r.vnodes {
+			need := maps.Clone(perDC)
+			var want []netsim.NodeID
+			for _, n := range refWalk(r, i) {
+				if dc := topo.DCOf(n); need[dc] > 0 {
+					need[dc]--
+					want = append(want, n)
+				}
+			}
+			if !slices.Equal(nts.table[i], want) {
+				t.Fatalf("trial %d, perDC %v, vnode %d: table %v, want %v", trial, perDC, i, nts.table[i], want)
 			}
 		}
 	}
@@ -80,7 +133,7 @@ func TestPlacementTableMatchesWalk(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	r := New(nodeIDs(8), 64, 3)
-	s := SimpleStrategy{Ring: r, Factor: 1}
+	s := NewSimpleStrategy(r, 1)
 	counts := make(map[netsim.NodeID]int)
 	const keys = 20000
 	for i := 0; i < keys; i++ {
@@ -95,8 +148,8 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingSeedChangesPlacement(t *testing.T) {
-	a := SimpleStrategy{Ring: New(nodeIDs(8), 16, 1), Factor: 1}
-	b := SimpleStrategy{Ring: New(nodeIDs(8), 16, 2), Factor: 1}
+	a := NewSimpleStrategy(New(nodeIDs(8), 16, 1), 1)
+	b := NewSimpleStrategy(New(nodeIDs(8), 16, 2), 1)
 	diff := 0
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i)
@@ -114,7 +167,7 @@ func TestRingSeedChangesPlacement(t *testing.T) {
 func TestWalkVisitsAllNodesOnce(t *testing.T) {
 	r := New(nodeIDs(6), 8, 1)
 	var visited []netsim.NodeID
-	r.walkFrom(r.search(KeyToken("somekey")), map[netsim.NodeID]bool{}, func(n netsim.NodeID) bool {
+	r.walkFrom(r.search(KeyToken("somekey")), make([]bool, 6), func(n netsim.NodeID) bool {
 		visited = append(visited, n)
 		return true
 	})
@@ -137,7 +190,7 @@ func TestPrimaryIsFirstWalkNode(t *testing.T) {
 	s := NewSimpleStrategy(r, 3)
 	for _, k := range sampleKeys(200) {
 		var first netsim.NodeID = -1
-		r.walkFrom(r.search(KeyToken(k)), map[netsim.NodeID]bool{}, func(n netsim.NodeID) bool { first = n; return false })
+		r.walkFrom(r.search(KeyToken(k)), make([]bool, 6), func(n netsim.NodeID) bool { first = n; return false })
 		if p := s.Replicas(k)[0]; p != first {
 			t.Fatalf("key %s: primary %d != first walk node %d", k, p, first)
 		}
@@ -183,7 +236,7 @@ func TestNetworkTopologyStrategyPanicsWhenDCThin(t *testing.T) {
 
 func TestRingSingleNode(t *testing.T) {
 	r := New(nodeIDs(1), 4, 1)
-	s := SimpleStrategy{Ring: r, Factor: 1}
+	s := NewSimpleStrategy(r, 1)
 	if got := s.Replicas("k"); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single-node ring: %v", got)
 	}

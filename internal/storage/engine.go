@@ -8,8 +8,10 @@
 //
 // Two engines implement the interface:
 //
-//   - MemEngine: the original volatile map with flush *accounting* only.
-//     Crash loses everything; Recover starts empty.
+//   - MemEngine: the original volatile engine with flush *accounting*
+//     only: one dense table of cells in insertion order behind an
+//     open-addressed index (internal/keytab), no Go map. Crash loses
+//     everything; Recover starts empty.
 //   - LSMEngine: a durable LSM-lite — append-only WAL, an in-memory
 //     memtable that flushes to immutable sorted runs, merge-reads across
 //     runs with tombstone handling, and size-tiered compaction. Each run
@@ -56,9 +58,8 @@ type Engine interface {
 	// superseded versions in older runs excluded).
 	Bytes() int64
 	// KeyCount reports the number of distinct resident keys, tombstones
-	// included (map iteration order is nondeterministic in Go, so
-	// deterministic sampling goes through the insertion-ordered key list
-	// instead).
+	// included; deterministic sampling walks them in insertion order
+	// through KeyAt.
 	KeyCount() int
 	// KeyAt returns the i-th key in insertion order.
 	KeyAt(i int) string
@@ -129,7 +130,7 @@ type RecoverStats struct {
 type Kind int
 
 const (
-	// Mem is the volatile map engine (the default): flush accounting
+	// Mem is the volatile table engine (the default): flush accounting
 	// only, a crash loses every write.
 	Mem Kind = iota
 	// LSM is the durable WAL + LSM-lite engine: a crash loses only the

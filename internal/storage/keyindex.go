@@ -6,10 +6,10 @@ import (
 	"repro/internal/ring"
 )
 
-// keyIndex tracks the first-insertion order of keys (deterministic
-// sampling), shared by both engines. Each key's ring token is learned at
-// insertion, so range-restricted snapshots (SnapshotRanges) filter by
-// token without rehashing the keyspace.
+// keyIndex tracks the LSM engine's first-insertion order of keys
+// (deterministic sampling; the mem engine's table keeps its own). Each
+// key's ring token is learned at insertion, so range-restricted snapshots
+// (SnapshotRanges) filter by token without rehashing the keyspace.
 type keyIndex struct {
 	list []string
 	toks []ring.Token // toks[i] == ring.KeyToken(list[i])

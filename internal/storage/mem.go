@@ -1,15 +1,22 @@
 package storage
 
-import "repro/internal/ring"
+import (
+	"repro/internal/keytab"
+	"repro/internal/ring"
+)
 
-// MemEngine is the volatile map engine: cells live in a flat map with
-// flush and size *accounting* only (nothing is written anywhere). It is
-// the original engine of the store and remains the default. Crash drops
-// every cell — a crashed node recovers an empty store and relies on
-// hinted handoff and anti-entropy to catch back up.
+// MemEngine is the volatile engine: one dense table of cells with flush
+// and size *accounting* only (nothing is written anywhere). It is the
+// original engine of the store and remains the default. Crash drops every
+// cell — a crashed node recovers an empty store and relies on hinted
+// handoff and anti-entropy to catch back up.
+//
+// The table (keytab) keeps each key's cell and ring token in insertion
+// order behind one open-addressed index: KeyAt is an entry, a
+// range-restricted snapshot filters the entries by token, and a write is
+// one probe that ends at the key or at the empty slot a new key takes.
 type MemEngine struct {
-	cells map[string]Cell
-	keys  keyIndex
+	cells keytab.Table[memCell]
 
 	memBytes   int64 // bytes resident in the memtable since last flush
 	totalBytes int64 // bytes resident overall (live data size)
@@ -18,23 +25,32 @@ type MemEngine struct {
 	stats      Stats
 }
 
+// memCell is one key's resident cell and the key's ring token, learned
+// when the key is inserted.
+type memCell struct {
+	tok  ring.Token
+	cell Cell
+}
+
 // NewMemEngine returns an empty engine with the given memtable flush
 // threshold (0 disables flush accounting).
 func NewMemEngine(flushLimit int64) *MemEngine {
-	return &MemEngine{cells: make(map[string]Cell), flushLimit: flushLimit}
+	return &MemEngine{flushLimit: flushLimit}
 }
 
 // Get returns the resident cell for key.
 func (e *MemEngine) Get(key string) (Cell, bool) {
 	e.stats.Reads++
-	c, ok := e.cells[key]
-	return c, ok
+	return e.Peek(key)
 }
 
 // Peek is Get without touching the read counters.
 func (e *MemEngine) Peek(key string) (Cell, bool) {
-	c, ok := e.cells[key]
-	return c, ok
+	i, ok := e.cells.Find(key)
+	if !ok {
+		return Cell{}, false
+	}
+	return e.cells.Val(i).cell, true
 }
 
 // Apply merges cell into the engine under last-write-wins and reports
@@ -47,25 +63,26 @@ func (e *MemEngine) ApplyAt(key string, tok ring.Token, c Cell) bool {
 }
 
 // apply is the one write path; tok is the key's token when placed is set
-// and hashed here, on first insertion only, when it is not.
+// and hashed here, on first insertion only, when it is not. A key the
+// table did not hold always takes the cell.
 func (e *MemEngine) apply(key string, tok ring.Token, placed bool, c Cell) bool {
 	e.stats.Writes++
-	old, exists := e.cells[key]
-	if exists && !c.Version.After(old.Version) {
+	i, exists := e.cells.Insert(key)
+	m := e.cells.Val(i)
+	if exists && !c.Version.After(m.cell.Version) {
 		e.stats.Rejected++
 		return false
 	}
-	if !exists {
+	delta := int64(c.Size())
+	if exists {
+		delta -= int64(m.cell.Size())
+	} else {
 		if !placed {
 			tok = ring.KeyToken(key)
 		}
-		e.keys.add(key, tok)
+		m.tok = tok
 	}
-	e.cells[key] = c
-	delta := int64(c.Size())
-	if exists {
-		delta -= int64(old.Size())
-	}
+	m.cell = c
 	e.totalBytes += delta
 	e.memBytes += int64(c.Size())
 	if e.flushLimit > 0 && e.memBytes >= e.flushLimit {
@@ -74,14 +91,9 @@ func (e *MemEngine) apply(key string, tok ring.Token, placed bool, c Cell) bool 
 	return true
 }
 
-// Reserve sizes the key index for n more keys and, while the engine is
-// still empty, the cell map too: a load of n records then grows nothing.
-func (e *MemEngine) Reserve(n int) {
-	e.keys.reserve(n)
-	if len(e.cells) == 0 {
-		e.cells = make(map[string]Cell, n)
-	}
-}
+// Reserve sizes the table for n more keys: a load of n records then
+// grows nothing.
+func (e *MemEngine) Reserve(n int) { e.cells.Reserve(n) }
 
 // Bytes reports the live data size in bytes.
 func (e *MemEngine) Bytes() int64 { return e.totalBytes }
@@ -90,10 +102,10 @@ func (e *MemEngine) Bytes() int64 { return e.totalBytes }
 func (e *MemEngine) Stats() Stats { return e.stats }
 
 // KeyCount reports the number of keys ever inserted.
-func (e *MemEngine) KeyCount() int { return e.keys.count() }
+func (e *MemEngine) KeyCount() int { return e.cells.Len() }
 
 // KeyAt returns the i-th key in insertion order.
-func (e *MemEngine) KeyAt(i int) string { return e.keys.at(i) }
+func (e *MemEngine) KeyAt(i int) string { return e.cells.Key(i) }
 
 // Flush accounts one memtable flush (no data moves anywhere).
 func (e *MemEngine) Flush() {
@@ -110,8 +122,7 @@ func (e *MemEngine) Flush() {
 func (e *MemEngine) Crash() {
 	e.crashed = true
 	e.stats.Crashes++
-	e.cells = make(map[string]Cell)
-	e.keys.reset()
+	e.cells.Reset()
 	e.memBytes, e.totalBytes = 0, 0
 }
 

@@ -11,9 +11,9 @@ package storage
 // normal last-write-wins path, so a stream is idempotent and can overlap
 // hints and anti-entropy without conflict.
 //
-// The key index remembers each key's ring token, so membership streams
-// ask for exactly the moved arcs (ring.Diff) and the engine walks only
-// those cells.
+// Both engines remember each key's ring token, so membership streams ask
+// for exactly the moved arcs (ring.Diff) and the engine walks only those
+// cells.
 
 import (
 	"slices"
@@ -57,6 +57,11 @@ func snapshotRanges(idx *keyIndex, peek func(string) (Cell, bool), ranges []ring
 			entries = append(entries, runEntry{key: k, cell: c})
 		}
 	}
+	return sortedSnapshot(entries)
+}
+
+// sortedSnapshot sorts entries by key into a snapshot.
+func sortedSnapshot(entries []runEntry) SnapshotIter {
 	slices.SortFunc(entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
 	return &memSnapshot{entries: entries}
 }
@@ -64,9 +69,16 @@ func snapshotRanges(idx *keyIndex, peek func(string) (Cell, bool), ranges []ring
 // SnapshotRanges returns a point-in-time iterator restricted to the
 // given token ranges: only resident cells whose key tokens fall inside
 // one of the arcs appear, in sorted key order. The cells are copied out
-// at the call, so later mutations do not leak into the stream. An empty range set yields an empty snapshot.
+// at the call, so later mutations do not leak into the stream. An empty
+// range set yields an empty snapshot.
 func (e *MemEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
-	return snapshotRanges(&e.keys, e.Peek, ranges)
+	var entries []runEntry
+	for i := range e.cells.Len() {
+		if m := e.cells.Val(i); ring.RangesContain(ranges, m.tok) {
+			entries = append(entries, runEntry{key: e.cells.Key(i), cell: m.cell})
+		}
+	}
+	return sortedSnapshot(entries)
 }
 
 // SnapshotRanges returns a point-in-time iterator restricted to the

@@ -17,6 +17,10 @@
 #   go test -run '^$' -bench SimHarmonyReplay -benchtime 3x -cpu 1 \
 #     -cpuprofile /tmp/cpu.prof -o /tmp/repro.test .
 #   go tool pprof -top /tmp/repro.test /tmp/cpu.prof
+# Its setup_s (the 84-node build, the 300 000-record preload and one
+# operation per client thread) is BenchmarkSimHarmonySetup:
+#   go test -run '^$' -bench SimHarmonySetup -benchtime 5x -cpu 1 \
+#     -cpuprofile /tmp/setup.prof -o /tmp/repro.test .
 #
 # The serve workloads time the store under the RESP server, which the
 # repository benchmark cannot profile; BenchmarkServingOps (root package)
