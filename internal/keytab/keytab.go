@@ -52,17 +52,8 @@ func (t *Table[V]) Find(key string) (int, bool) {
 	if len(t.slots) == 0 {
 		return 0, false
 	}
-	h := maphash.String(seed, key)
-	mask := uint64(len(t.slots) - 1)
-	for s := h & mask; ; s = (s + 1) & mask {
-		i := t.slots[s]
-		if i == 0 {
-			return 0, false
-		}
-		if e := &t.entries[i-1]; e.hash == h && e.key == key {
-			return int(i - 1), true
-		}
-	}
+	_, s := t.probe(key)
+	return int(t.slots[s]) - 1, t.slots[s] != 0
 }
 
 // Insert returns key's id, found reporting that key was already there.
@@ -72,17 +63,26 @@ func (t *Table[V]) Insert(key string) (id int, found bool) {
 	if 2*(len(t.entries)+1) > len(t.slots) {
 		t.index(2 * (len(t.entries) + 1))
 	}
-	h := maphash.String(seed, key)
-	mask := uint64(len(t.slots) - 1)
-	s := h & mask
-	for ; t.slots[s] != 0; s = (s + 1) & mask {
-		if e := &t.entries[t.slots[s]-1]; e.hash == h && e.key == key {
-			return int(t.slots[s] - 1), true
-		}
+	h, s := t.probe(key)
+	if t.slots[s] != 0 {
+		return int(t.slots[s]) - 1, true
 	}
 	t.entries = append(t.entries, entry[V]{hash: h, key: key})
 	t.slots[s] = int32(len(t.entries))
 	return len(t.entries) - 1, false
+}
+
+// probe hashes key and walks its probe sequence to the slot holding key
+// or to the empty slot that ends it.
+func (t *Table[V]) probe(key string) (h, s uint64) {
+	h = maphash.String(seed, key)
+	mask := uint64(len(t.slots) - 1)
+	for s = h & mask; t.slots[s] != 0; s = (s + 1) & mask {
+		if e := &t.entries[t.slots[s]-1]; e.hash == h && e.key == key {
+			break
+		}
+	}
+	return h, s
 }
 
 // Reserve makes room for n more keys: the entries and the index grow at

@@ -128,8 +128,7 @@ func (o *Oracle) WriteStarted(key string, v storage.Version, replicas int, now t
 	if v.After(l.issued) {
 		l.issued = v
 	}
-	o.pending[p-1] = pendingWrite{version: v, start: now, replicas: replicas,
-		overflow: o.pending[p-1].overflow[:0], next: l.pending}
+	o.pending[p-1] = pendingWrite{version: v, start: now, replicas: replicas, next: l.pending}
 	l.pending = p
 	o.inFlight++
 	return id
@@ -216,18 +215,6 @@ func (o *Oracle) Latest(key string) (visible, issued storage.Version) {
 	}
 	l := o.keys.Val(id)
 	return l.visible, l.issued
-}
-
-// LatestVisible reports the newest client-acknowledged version of key.
-func (o *Oracle) LatestVisible(key string) storage.Version {
-	visible, _ := o.Latest(key)
-	return visible
-}
-
-// LatestIssued reports the newest coordinator-accepted version of key.
-func (o *Oracle) LatestIssued(key string) storage.Version {
-	_, issued := o.Latest(key)
-	return issued
 }
 
 // Judge decides whether a read got stale data and tallies the verdict.

@@ -73,16 +73,13 @@ func TestOracleVisibleVsIssued(t *testing.T) {
 	id := o.WriteStarted("k", v1, 3, 0)
 	o.WriteVisible(id, v1)
 	o.WriteStarted("k", v2, 3, time.Millisecond) // issued, not yet visible
-	if o.LatestVisible("k") != v1 {
-		t.Errorf("visible = %v", o.LatestVisible("k"))
-	}
-	if o.LatestIssued("k") != v2 {
-		t.Errorf("issued = %v", o.LatestIssued("k"))
+	if visible, issued := o.Latest("k"); visible != v1 || issued != v2 {
+		t.Errorf("visible = %v, issued = %v", visible, issued)
 	}
 	// Acking an older version later must not regress the ledger.
 	o.WriteVisible(id, v2)
 	o.WriteVisible(id, v1)
-	if o.LatestVisible("k") != v2 {
+	if visible, _ := o.Latest("k"); visible != v2 {
 		t.Error("visible regressed")
 	}
 }
@@ -417,7 +414,7 @@ func FuzzOracle(f *testing.F) {
 				key := keys[arg()%len(keys)]
 				gv, gi := got.Latest(key)
 				wv, wi := want.Latest(key)
-				if gv != wv || gi != wi || got.LatestVisible(key) != wv || got.LatestIssued(key) != wi {
+				if gv != wv || gi != wi {
 					t.Fatalf("step %d: Latest(%q) = %v %v, want %v %v", step, key, gv, gi, wv, wi)
 				}
 				var returned storage.Version

@@ -130,7 +130,7 @@ func preloadRun(t *testing.T, tr preloadTrial, load preloadFunc, ops int) (*Clus
 		// the key's two watermarks differ when the load reaches it.
 		key := preloadKey(rng.Uint64N(uint64(tr.universe)))
 		c.Write(key, []byte("open"), All, func(WriteResult) {})
-		for !c.oracle.LatestIssued(key).After(c.oracle.LatestVisible(key)) && eng.Step() {
+		for visible, issued := c.oracle.Latest(key); !issued.After(visible) && eng.Step(); visible, issued = c.oracle.Latest(key) {
 		}
 	}
 	load(c, tr.first, func(i uint64) string { return preloadKey(i % tr.dup) }, make([]byte, 100))
