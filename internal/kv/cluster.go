@@ -762,7 +762,7 @@ func (c *Cluster) Preload(n uint64, key func(uint64) string, value []byte) {
 		}
 	}
 
-	c.oracle.reserve(len(keys))
+	c.oracle.keys.Reserve(len(keys))
 	for i := range keys {
 		k, v := keys[i], version(uint32(i))
 		replicas := c.strategy.ReplicasAt(toks[i])

@@ -143,10 +143,6 @@ func (o *Oracle) WriteVisible(id int, v storage.Version) {
 	}
 }
 
-// reserve sizes the per-key ledger for n more keys (the load phase of a
-// fresh store).
-func (o *Oracle) reserve(n int) { o.keys.Reserve(n) }
-
 // writeEverywhere ledgers a write that all of its replicas applied the
 // instant it was accepted and acknowledged (a preloaded record). It
 // leaves the ledger exactly as WriteStarted, WriteVisible and one

@@ -44,22 +44,6 @@ func (s *memSnapshot) Next() (string, Cell, bool) {
 	return e.key, e.cell, true
 }
 
-// snapshotRanges materializes, in sorted key order, the cells peek holds
-// for the keys of idx whose tokens fall inside one of the ranges: the
-// selected entries alone are sorted, never the whole keyspace.
-func snapshotRanges(idx *keyIndex, peek func(string) (Cell, bool), ranges []ring.Range) SnapshotIter {
-	var entries []runEntry
-	for i, k := range idx.list {
-		if !ring.RangesContain(ranges, idx.toks[i]) {
-			continue
-		}
-		if c, ok := peek(k); ok {
-			entries = append(entries, runEntry{key: k, cell: c})
-		}
-	}
-	return sortedSnapshot(entries)
-}
-
 // sortedSnapshot sorts entries by key into a snapshot.
 func sortedSnapshot(entries []runEntry) SnapshotIter {
 	slices.SortFunc(entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
@@ -84,11 +68,21 @@ func (e *MemEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
 // SnapshotRanges returns a point-in-time iterator restricted to the
 // given token ranges. The memtable is sealed into a run first
 // (Cassandra flushes before streaming); matching cells are then
-// materialized through the key index and Peek's newest-run-wins view.
+// materialized through the key index and Peek's newest-run-wins view,
+// and only the selected entries are sorted, never the whole keyspace.
 // An empty range set yields an empty snapshot (but still flushes).
 func (e *LSMEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
 	e.Flush()
-	return snapshotRanges(&e.keys, e.Peek, ranges)
+	var entries []runEntry
+	for i, k := range e.keys.list {
+		if !ring.RangesContain(ranges, e.keys.toks[i]) {
+			continue
+		}
+		if c, ok := e.Peek(k); ok {
+			entries = append(entries, runEntry{key: k, cell: c})
+		}
+	}
+	return sortedSnapshot(entries)
 }
 
 // EncodeCell appends the framed wire encoding of one (key, cell) pair to
