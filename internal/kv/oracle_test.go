@@ -203,16 +203,6 @@ type pendingState struct {
 	applied  []netsim.NodeID // ascending
 }
 
-func compareVersions(a, b storage.Version) int {
-	switch {
-	case a.After(b):
-		return 1
-	case b.After(a):
-		return -1
-	}
-	return 0
-}
-
 func (o *Oracle) state() oracleState {
 	st := oracleState{
 		keys:   make(map[string]keyState, o.keys.Len()),
@@ -235,7 +225,7 @@ func (o *Oracle) state() oracleState {
 			slices.Sort(applied)
 			ks.pending = append(ks.pending, pendingState{p.version, p.start, p.replicas, applied})
 		}
-		slices.SortFunc(ks.pending, func(a, b pendingState) int { return compareVersions(a.version, b.version) })
+		slices.SortFunc(ks.pending, byVersion)
 		st.keys[o.keys.Key(id)] = ks
 	}
 	return st
@@ -259,11 +249,15 @@ func (o *mapOracle) state() oracleState {
 		slices.Sort(applied)
 		ks := st.keys[p.key]
 		ks.pending = append(ks.pending, pendingState{v, p.start, p.replicas, applied})
-		slices.SortFunc(ks.pending, func(a, b pendingState) int { return compareVersions(a.version, b.version) })
 		st.keys[p.key] = ks
+	}
+	for _, ks := range st.keys {
+		slices.SortFunc(ks.pending, byVersion)
 	}
 	return st
 }
+
+func byVersion(a, b pendingState) int { return a.version.Compare(b.version) }
 
 // diffOracleStates names the first difference between two ledgers, or
 // returns "" when they are equal.
