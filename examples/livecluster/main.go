@@ -1,8 +1,9 @@
 // Live cluster: the same store and Harmony middleware running over wall
 // clock and goroutines instead of the simulator — what embedding the
 // library in a real service looks like. The unified Client API is
-// identical to the simulated one; latencies are compressed 10× so the
-// demo finishes quickly.
+// identical to the simulated one; the engine clock runs 10× faster than
+// the wall so the demo finishes quickly, and the latencies it prints are
+// in engine time, as a simulation would report them.
 package main
 
 import (
@@ -61,6 +62,9 @@ func main() {
 	}
 	wg.Wait()
 
+	// The controller ticks under the engine lock; read it there.
+	var decisions int
+	lv.Engine.Do(func() { decisions = len(ctl.Journal()) })
 	fmt.Printf("live adaptive run: %d reads, %.1f%% stale, %d control decisions\n",
-		total, 100*float64(stale)/float64(max(total, 1)), len(ctl.Journal()))
+		total, 100*float64(stale)/float64(max(total, 1)), decisions)
 }

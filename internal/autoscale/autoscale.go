@@ -3,7 +3,7 @@
 // rates, read fraction, per-key write pressure and the measured stale
 // rate from internal/monitor), feeds it to the provisioning optimizer
 // (internal/provision) and *enacts* the recommended cluster size through
-// the elastic-membership API (kv.Cluster.TryJoin/TryDecommission).
+// the elastic-membership API (kv.Cluster.Join/Decommission).
 //
 // Where Harmony and Bismar adapt the consistency *level* to the
 // workload, this controller adapts the *deployment*: scale up when the
@@ -70,8 +70,8 @@ type Store interface {
 	// the controller holds further changes until views converge; stores
 	// with atomic membership return true unconditionally.
 	MembershipConverged() bool
-	TryJoin(id netsim.NodeID) error
-	TryDecommission(id netsim.NodeID) error
+	Join(id netsim.NodeID) error
+	Decommission(id netsim.NodeID) error
 }
 
 // Sampler supplies workload observations. *monitor.Monitor implements

@@ -60,7 +60,7 @@ func (s *fakeStore) MembershipSettled() bool { return s.settled }
 
 func (s *fakeStore) MembershipConverged() bool { return s.converged == nil || *s.converged }
 
-func (s *fakeStore) TryJoin(id netsim.NodeID) error {
+func (s *fakeStore) Join(id netsim.NodeID) error {
 	if s.rejectOp {
 		return fmt.Errorf("rejected")
 	}
@@ -69,7 +69,7 @@ func (s *fakeStore) TryJoin(id netsim.NodeID) error {
 	return nil
 }
 
-func (s *fakeStore) TryDecommission(id netsim.NodeID) error {
+func (s *fakeStore) Decommission(id netsim.NodeID) error {
 	if s.rejectOp {
 		return fmt.Errorf("rejected")
 	}

@@ -221,7 +221,7 @@ func (c *Controller) stepUp(d *Decision, why string) {
 		d.Reason = "no joinable topology node"
 		return
 	}
-	if err := c.store.TryJoin(spare); err != nil {
+	if err := c.store.Join(spare); err != nil {
 		d.Action = ActionBlockedNoSpare
 		d.Reason = "join rejected: " + err.Error()
 		return
@@ -268,7 +268,7 @@ func (c *Controller) stepDown(d *Decision, members []netsim.NodeID) {
 		d.Reason = fmt.Sprintf("node %d's billed unit has %v left; decommissioning early saves nothing", victim, wait)
 		return
 	}
-	if err := c.store.TryDecommission(victim); err != nil {
+	if err := c.store.Decommission(victim); err != nil {
 		d.Action = ActionBlockedNoSpare
 		d.Reason = "decommission rejected: " + err.Error()
 		return

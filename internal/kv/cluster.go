@@ -16,19 +16,21 @@ import (
 )
 
 // Transport is what the store needs from its runtime: a clock, message
-// delivery between nodes, timer self-messages, deferred function
-// scheduling and one cancelable timer, ScheduleStopCall, which takes the
-// queue's own callback form (sim.Callback, bound once) and an integer
-// argument and so allocates nothing — the client guards. It is the
-// store's only seam to the outside world, and it has two
-// implementations over the same sim.Engine event queue, in which a
-// message on its way is itself the queue entry:
-// netsim.Transport runs the queue in virtual time (the zero-cost default
-// every simulation uses); the live engine steps it against the wall
-// clock under a mutex, and in its mesh form additionally carries
-// messages between OS processes over TCP using the cluster's
-// MarshalMessage/UnmarshalMessage wire hooks (wiremsg.go). Cluster code
-// cannot tell them apart.
+// delivery between nodes, timer self-messages, failure injection,
+// deferred function scheduling and one cancelable timer,
+// ScheduleStopCall, which takes the queue's own callback form
+// (sim.Callback, bound once) and an integer argument and so allocates
+// nothing — the client guards. It is the store's only seam to the outside
+// world, and there is one delivery model behind it: netsim.Transport,
+// whose sim.Engine event queue holds every message on its way as a queue
+// entry. The simulator steps that queue in virtual time (the zero-cost
+// default every simulation uses); the live engine embeds the same
+// transport and steps its queue against the wall clock under a mutex,
+// changing only where a zero-delay message waits (a run queue) and, in
+// its mesh form, carrying messages for nodes another OS process serves
+// over TCP using the cluster's MarshalMessage/UnmarshalMessage wire hooks
+// (wiremsg.go). Failures, partitions and the traffic meter are the
+// transport's under both, and cluster code cannot tell them apart.
 //
 // The clock contract is the simulator's under both: Now() advances
 // between deliveries, never inside a handler and never backwards, so
@@ -38,14 +40,10 @@ type Transport interface {
 	Send(from, to netsim.NodeID, payload any, size int)
 	SendLocal(id netsim.NodeID, payload any, delay time.Duration)
 	Register(id netsim.NodeID, h netsim.Handler)
-	Schedule(d time.Duration, fn func())
-	ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer
-}
-
-// failer is the optional failure-injection surface of a Transport.
-type failer interface {
 	Fail(id netsim.NodeID)
 	Recover(id netsim.NodeID)
+	Schedule(d time.Duration, fn func())
+	ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer
 }
 
 // hoster is the optional surface of a Transport that spans OS processes:
@@ -259,13 +257,8 @@ type Cluster struct {
 	// Elastic membership: at most one Join/Decommission is in flight at
 	// a time; warming holds the replicas read coordinators deprioritize
 	// until their post-join/post-restart catch-up window elapses.
-	pending         *membershipChange
-	membershipGen   uint64
-	membershipQueue []queuedChange
-	// draining counts scheduled-but-not-yet-run queue-drain events:
-	// while one is in flight the cluster is NOT settled, even at the
-	// instant the queue itself looks empty to a same-time observer.
-	draining      int
+	pending       *membershipChange
+	membershipGen uint64
 	warming       map[netsim.NodeID]bool
 	joins         uint64
 	decommissions uint64
@@ -612,9 +605,7 @@ func (c *Cluster) mustBeLive(id netsim.NodeID, op string) *Node {
 // after the configured detection delay. The node's state is preserved.
 func (c *Cluster) Fail(id netsim.NodeID) {
 	c.mustBeLive(id, "Fail").failed = true
-	if f, ok := c.net.(failer); ok {
-		f.Fail(id)
-	}
+	c.net.Fail(id)
 	c.net.Schedule(c.cfg.DetectionDelay, func() { c.down[id] = true })
 }
 
@@ -627,9 +618,7 @@ func (c *Cluster) Recover(id netsim.NodeID) {
 		panic(fmt.Sprintf("kv: Recover(%d) on a non-failed node (crashed=%v); Recover pairs with Fail", id, n.crashed))
 	}
 	n.failed = false
-	if f, ok := c.net.(failer); ok {
-		f.Recover(id)
-	}
+	c.net.Recover(id)
 	c.net.Schedule(c.cfg.DetectionDelay, func() { delete(c.down, id) })
 }
 
@@ -639,9 +628,7 @@ func (c *Cluster) Recover(id netsim.NodeID) {
 // failure detector marks it down after the detection delay.
 func (c *Cluster) Crash(id netsim.NodeID) {
 	n := c.mustBeLive(id, "Crash")
-	if f, ok := c.net.(failer); ok {
-		f.Fail(id)
-	}
+	c.net.Fail(id)
 	n.crash()
 	c.net.Schedule(c.cfg.DetectionDelay, func() { c.down[id] = true })
 }
@@ -663,9 +650,7 @@ func (c *Cluster) Restart(id netsim.NodeID) storage.RecoverStats {
 	if !c.nodes[id].crashed {
 		panic(fmt.Sprintf("kv: Restart(%d) on a non-crashed node (failed=%v); Restart pairs with Crash", id, c.nodes[id].failed))
 	}
-	if f, ok := c.net.(failer); ok {
-		f.Recover(id)
-	}
+	c.net.Recover(id)
 	rs := c.nodes[id].restart()
 	c.markWarming(id)
 	c.net.Schedule(c.cfg.DetectionDelay, func() { delete(c.down, id) })

@@ -146,32 +146,17 @@ func (c *Cluster) State(id netsim.NodeID) NodeState {
 // above). A node that was decommissioned earlier rejoins as a fresh
 // empty machine. Joining a current member, a node outside the topology,
 // or while another membership change is in flight returns an error and
-// changes nothing; TryJoin is the queueing variant automation should
-// drive.
+// changes nothing.
 func (c *Cluster) Join(id netsim.NodeID) error {
-	if err := c.validateJoin(id); err != nil {
-		return err
-	}
-	if c.pending != nil {
-		return fmt.Errorf("Join(%d): a membership change is in flight", id)
-	}
-	c.startJoin(id)
-	return nil
-}
-
-// validateJoin reports why a Join cannot be issued, or nil.
-func (c *Cluster) validateJoin(id netsim.NodeID) error {
 	if id < 0 || int(id) >= c.topo.N() {
 		return fmt.Errorf("Join(%d) outside topology (N=%d)", id, c.topo.N())
 	}
 	if old, ok := c.nodes[id]; ok && old.phase != phaseDecommissioned {
 		return fmt.Errorf("Join(%d): already a member (%v)", id, c.State(id))
 	}
-	return nil
-}
-
-// startJoin begins a validated join while no other change is in flight.
-func (c *Cluster) startJoin(id netsim.NodeID) {
+	if c.pending != nil {
+		return fmt.Errorf("Join(%d): a membership change is in flight", id)
+	}
 	if old, ok := c.nodes[id]; ok {
 		// The rejoin replaces the actor: bank the retiring incarnation's
 		// meters so Usage keeps billing the work it did, and release its
@@ -204,7 +189,7 @@ func (c *Cluster) startJoin(id netsim.NodeID) {
 		// Ablation: no snapshot streaming — flip at once and let hinted
 		// handoff, read repair and anti-entropy converge the empty node.
 		c.finishJoin(id)
-		return
+		return nil
 	}
 	var peers []netsim.NodeID
 	for _, p := range c.order {
@@ -214,7 +199,7 @@ func (c *Cluster) startJoin(id netsim.NodeID) {
 	}
 	if len(peers) == 0 {
 		c.finishJoin(id)
-		return
+		return nil
 	}
 	// The arcs the joiner will own under the post-join placement: the
 	// movements the membership change implies, filtered to ranges the
@@ -232,6 +217,7 @@ func (c *Cluster) startJoin(id netsim.NodeID) {
 	for _, p := range peers {
 		c.net.Send(id, p, streamRequest{Joiner: id, Ranges: owned}, msgOverhead)
 	}
+	return nil
 }
 
 // Decommission removes member id from the cluster. The leaver first
@@ -240,8 +226,7 @@ func (c *Cluster) startJoin(id netsim.NodeID) {
 // flips and the node leaves the ring (its actor drains in-flight work
 // but coordinates nothing new). Decommissioning below the replication
 // factor, a non-live node, or during another membership change returns
-// an error and changes nothing; TryDecommission is the queueing variant
-// automation should drive.
+// an error and changes nothing.
 func (c *Cluster) Decommission(id netsim.NodeID) error {
 	if err := c.validateDecommission(id); err != nil {
 		return err
@@ -249,7 +234,20 @@ func (c *Cluster) Decommission(id netsim.NodeID) error {
 	if c.pending != nil {
 		return fmt.Errorf("Decommission(%d): a membership change is in flight", id)
 	}
-	c.startDecommission(id)
+	n := c.nodes[id]
+	rest := make([]netsim.NodeID, 0, len(c.order)-1)
+	for _, m := range c.order {
+		if m != id {
+			rest = append(rest, m)
+		}
+	}
+	// validateDecommission has checked that the survivors carry the
+	// replication factor (total and per-DC), so buildStrategy cannot panic.
+	c.membershipGen++
+	c.pending = &membershipChange{join: false, id: id, gen: c.membershipGen, next: c.buildStrategy(rest)}
+	n.phase = phaseLeaving
+	c.armMembershipGuard(c.pending)
+	n.startDecommissionStream()
 	return nil
 }
 
@@ -288,136 +286,12 @@ func (c *Cluster) validateDecommission(id netsim.NodeID) error {
 	return nil
 }
 
-// startDecommission begins a validated decommission while no other
-// change is in flight.
-func (c *Cluster) startDecommission(id netsim.NodeID) {
-	n := c.nodes[id]
-	rest := make([]netsim.NodeID, 0, len(c.order)-1)
-	for _, m := range c.order {
-		if m != id {
-			rest = append(rest, m)
-		}
-	}
-	// validateDecommission has checked that the survivors carry the
-	// replication factor (total and per-DC), so buildStrategy cannot panic.
-	c.membershipGen++
-	c.pending = &membershipChange{join: false, id: id, gen: c.membershipGen, next: c.buildStrategy(rest)}
-	n.phase = phaseLeaving
-	c.armMembershipGuard(c.pending)
-	n.startDecommissionStream()
-}
-
-// A membership change issued while another is still in flight must not
-// race the placement flip. Join/Decommission refuse it with an error,
-// while TryJoin/TryDecommission queue the request
-// deterministically: FIFO, at most one queued change per node, drained
-// one at a time once the cluster settles (previous change flipped and
-// every warming window elapsed). Queued requests are re-validated at
-// drain time; a request the intervening changes made invalid (its node
-// crashed, left, or would under-replicate a DC) is dropped.
-
-// queuedChange is one deferred TryJoin/TryDecommission request.
-type queuedChange struct {
-	join bool
-	id   netsim.NodeID
-}
-
 // MembershipSettled reports whether the cluster is quiescent membership-
-// wise: no Join/Decommission in flight, none queued, no node still
-// inside its post-join/post-restart warming window, and no queue-drain
-// event in flight. The last clause closes a race: between a warming
-// window expiring and its zero-delay drain event popping the queue, a
-// same-instant observer must not see "settled" — the drain may be about
-// to start a change. Controllers pace one change at a time on this.
+// wise: no Join/Decommission in flight and no node still inside its
+// post-join/post-restart warming window. Controllers pace one change at
+// a time on this.
 func (c *Cluster) MembershipSettled() bool {
-	return c.pending == nil && len(c.membershipQueue) == 0 && len(c.warming) == 0 &&
-		c.draining == 0
-}
-
-// membershipIdle is MembershipSettled without the queue: the drain may
-// run exactly when it holds.
-func (c *Cluster) membershipIdle() bool {
 	return c.pending == nil && len(c.warming) == 0
-}
-
-// TryJoin is Join that queues: an invalid request returns an error,
-// and a valid one arriving while the cluster is unsettled is queued
-// (see queuedChange above). Returning nil means the join was started or
-// deterministically queued.
-func (c *Cluster) TryJoin(id netsim.NodeID) error {
-	if err := c.validateJoin(id); err != nil {
-		return err
-	}
-	if c.queuedChangeFor(id) {
-		return fmt.Errorf("Join(%d): a change for the node is already queued", id)
-	}
-	if !c.MembershipSettled() {
-		c.membershipQueue = append(c.membershipQueue, queuedChange{join: true, id: id})
-		return nil
-	}
-	c.startJoin(id)
-	return nil
-}
-
-// TryDecommission is Decommission that queues like TryJoin.
-func (c *Cluster) TryDecommission(id netsim.NodeID) error {
-	if err := c.validateDecommission(id); err != nil {
-		return err
-	}
-	if c.queuedChangeFor(id) {
-		return fmt.Errorf("Decommission(%d): a change for the node is already queued", id)
-	}
-	if !c.MembershipSettled() {
-		c.membershipQueue = append(c.membershipQueue, queuedChange{join: false, id: id})
-		return nil
-	}
-	c.startDecommission(id)
-	return nil
-}
-
-func (c *Cluster) queuedChangeFor(id netsim.NodeID) bool {
-	for _, q := range c.membershipQueue {
-		if q.id == id {
-			return true
-		}
-	}
-	return false
-}
-
-// drainMembershipQueue schedules the next queued change once the
-// cluster is idle. The zero-delay event (rather than a direct call)
-// keeps the start out of the flip/warmup handlers that trigger it, so
-// queued changes interleave with other same-time events exactly like
-// fresh Join/Decommission calls would.
-func (c *Cluster) drainMembershipQueue() {
-	if len(c.membershipQueue) == 0 || !c.membershipIdle() || c.draining > 0 {
-		return
-	}
-	// MembershipSettled reports false until the scheduled drain ran.
-	c.draining++
-	c.net.Schedule(0, c.runQueuedChange)
-}
-
-// runQueuedChange pops queued requests until one starts (dropping the
-// ones the intervening changes invalidated) or the queue empties.
-func (c *Cluster) runQueuedChange() {
-	c.draining--
-	if !c.membershipIdle() {
-		return // a fresh change beat the drain event; its finish re-drains
-	}
-	for len(c.membershipQueue) > 0 {
-		q := c.membershipQueue[0]
-		c.membershipQueue = c.membershipQueue[1:]
-		if q.join {
-			if c.validateJoin(q.id) == nil {
-				c.startJoin(q.id)
-				return
-			}
-		} else if c.validateDecommission(q.id) == nil {
-			c.startDecommission(q.id)
-			return
-		}
-	}
 }
 
 // armMembershipGuard forces the flip if streaming wedges (a stream peer
@@ -440,7 +314,7 @@ func (c *Cluster) armMembershipGuard(p *membershipChange) {
 }
 
 // finishJoin flips the placement: the cluster adopts the post-join
-// strategy startJoin built, the node joins the coordinator rotation and
+// strategy Join built, the node joins the coordinator rotation and
 // its background chains start. With WarmupDuration set it warms first.
 func (c *Cluster) finishJoin(id netsim.NodeID) {
 	p := c.pending
@@ -468,12 +342,10 @@ func (c *Cluster) finishJoin(id netsim.NodeID) {
 		c.net.SendLocal(id, gossipTick{epoch: n.epoch}, c.cfg.GossipInterval)
 		c.seedIntroducer(id)
 	}
-	// With warming enabled the window's expiry drains instead.
-	c.drainMembershipQueue()
 }
 
 // finishDecommission flips the placement: the cluster adopts the
-// post-removal strategy startDecommission built, the leaver leaves the
+// post-removal strategy Decommission built, the leaver leaves the
 // coordinator rotation, and its actor lingers only to drain.
 func (c *Cluster) finishDecommission(id netsim.NodeID) {
 	p := c.pending
@@ -500,7 +372,6 @@ func (c *Cluster) finishDecommission(id netsim.NodeID) {
 		}
 		c.seedIntroducer(id)
 	}
-	c.drainMembershipQueue()
 }
 
 // seedIntroducer applies the ring-event log's fresh suffix to the first
@@ -544,7 +415,6 @@ func (c *Cluster) markWarming(id netsim.NodeID) {
 		if n.epoch == epoch && n.phase == phaseWarming {
 			delete(c.warming, id)
 			n.phase = phaseLive
-			c.drainMembershipQueue()
 		}
 	})
 }

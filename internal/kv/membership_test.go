@@ -436,3 +436,33 @@ func TestJoinSurvivesStreamSourceFailure(t *testing.T) {
 		t.Fatalf("members = %d", got)
 	}
 }
+
+// TestMembershipValidation pins the non-panicking validation errors of
+// Join and Decommission.
+func TestMembershipValidation(t *testing.T) {
+	cfg := elasticConfig(34)
+	cfg.InitialMembers = []netsim.NodeID{0, 1, 2, 3}
+	h := newHarness(netsim.SingleDC(6), cfg)
+	h.eng.Run()
+	if err := h.cluster.Join(0); err == nil {
+		t.Error("Join of a member accepted")
+	}
+	if err := h.cluster.Join(9); err == nil {
+		t.Error("Join outside the topology accepted")
+	}
+	if err := h.cluster.Decommission(5); err == nil {
+		t.Error("Decommission of a non-member accepted")
+	}
+	// 4 members at RF 3: one decommission is legal, a second would
+	// under-replicate and must be rejected up front.
+	if err := h.cluster.Decommission(3); err != nil {
+		t.Fatalf("Decommission(3): %v", err)
+	}
+	h.eng.RunFor(5 * time.Second)
+	if err := h.cluster.Decommission(2); err == nil {
+		t.Error("Decommission below RF accepted")
+	}
+	if !h.cluster.MembershipSettled() {
+		t.Error("cluster not settled after the decommission")
+	}
+}

@@ -221,12 +221,10 @@ func (n *Node) crash() {
 	// timer (membership.go) keeps the membership change from wedging.
 	n.streamsIn = nil
 	// A crashed warming node is no longer converging; Restart re-arms
-	// its own warming window. If that emptied the warming set, queued
-	// membership changes may proceed.
+	// its own warming window.
 	if n.phase == phaseWarming {
 		n.phase = phaseLive
 		delete(n.cluster.warming, n.id)
-		n.cluster.drainMembershipQueue()
 	}
 }
 

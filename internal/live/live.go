@@ -1,16 +1,18 @@
 // Package live runs the same store nodes as the discrete-event simulator
-// but over wall-clock time and goroutines. A cluster-wide mutex
-// serializes handler execution (node logic is written for serialized
-// delivery), and everything that happens later — latency-sampled
-// deliveries, timer self-messages, scheduled functions, client guards —
-// is an entry of ONE time plane: an embedded sim.Engine event queue (the
-// simulator's slab, its timing wheel for what is due soon and its heap
-// for the timeouts seconds out; allocation-free, eagerly cancelable) that
-// whoever takes the engine lock steps up to the wall clock, with a single
-// runtime timer armed for the earliest entry so the queue also advances
-// while nobody is calling in. A waiting message is a queue entry and
-// nothing more — endpoints packed in the event's argument, the message
-// its payload — so this package keeps no slab of its own.
+// but over wall-clock time and goroutines. It has no transport of its
+// own: the Engine embeds the simulator's netsim.Transport — its endpoint
+// table, failure flags, partitions, traffic meter and latency sampling —
+// built over an event queue (sim.Engine) that whoever takes the engine
+// lock steps up to the wall clock, with a single runtime timer armed for
+// the earliest entry so the queue also advances while nobody is calling
+// in. A cluster-wide mutex serializes handler execution (node logic is
+// written for serialized delivery). A delayed message, timer, scheduled
+// function or client guard is an entry of that one time plane and runs
+// at its deadline, in (deadline, scheduling order) as in the simulator;
+// a failed node's self-messages still arrive (its clock is alive, its
+// network is not). What is live-only is where a message waits when it
+// is not on the time plane: the direct run queue and the TCP mesh
+// (mesh.go).
 //
 // The clock contract is the simulator's: time advances between events,
 // not inside a handler. Now() is the queue's clock — read from the wall
@@ -31,7 +33,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // clockEvery bounds how many run-queue deliveries share one clock
@@ -40,15 +41,15 @@ import (
 // operations instead of several per operation.
 const clockEvery = 64
 
-// Engine implements kv.Transport over real time.
+// Engine implements kv.Transport over real time: the embedded transport
+// over the time plane, stepped against the wall clock. Every method of
+// the transport — Send and Fail as much as Partition — runs under the
+// engine lock, inside Do or a handler; only Meter takes it itself.
 type Engine struct {
-	mu       sync.Mutex
-	topo     *netsim.Topology
-	rng      *stats.Source
-	handlers []netsim.Handler // indexed by NodeID+1, as in netsim.Transport
-	down     []bool           // indexed like handlers, always as long
-	meter    netsim.TrafficMeter
-	closed   bool
+	*netsim.Transport
+
+	mu     sync.Mutex
+	closed bool
 
 	// The time plane. clock reads the wall (time since start for New,
 	// since the Unix epoch for NewMesh); tq holds every pending event —
@@ -56,7 +57,6 @@ type Engine struct {
 	// one runtime timer, armed for armedAt.
 	clock   func() time.Duration
 	tq      *sim.Engine
-	dueCb   sim.Callback // pre-bound e.due, allocated once
 	timer   *time.Timer
 	armed   bool
 	armedAt time.Duration
@@ -76,36 +76,35 @@ type Engine struct {
 	// and encodes and decodes mesh frames, through it. nil until then.
 	cluster *kv.Cluster
 
-	// Scale compresses sampled network latencies (0.1 runs a WAN
-	// topology ten times faster); 0 defaults to 1.
+	// Scale is the rate of the engine clock against the wall: engine
+	// time is wall time ÷ Scale, so 0.1 runs a WAN topology ten times
+	// faster, every modeled latency, service time and timeout with it,
+	// and what the store measures (operation latencies, throughput) is
+	// engine time, comparable with the simulator's. 0 defaults to 1.
+	// Set it before the engine is used.
 	Scale float64
 }
 
-// queuedMsg is one run-queue entry.
+// queuedMsg is one run-queue entry; local marks a self-message. At five
+// words it is wider than the compiler keeps in registers, so the hot
+// path writes and reads it field by field rather than copying it whole.
 type queuedMsg struct {
 	to, from netsim.NodeID
 	payload  any
+	local    bool
 }
 
 // New returns a live engine over topo.
 func New(topo *netsim.Topology, seed uint64) *Engine {
 	start := time.Now()
-	e := &Engine{
-		topo:     topo,
-		rng:      stats.NewSource(seed).Stream("live"),
-		handlers: make([]netsim.Handler, topo.N()+1),
-		down:     make([]bool, topo.N()+1),
-		clock:    func() time.Duration { return time.Since(start) },
-		tq:       sim.New(seed),
-		Scale:    1,
+	tq := sim.New(seed)
+	return &Engine{
+		Transport: netsim.NewTransport(tq, topo),
+		clock:     func() time.Duration { return time.Since(start) },
+		tq:        tq,
+		Scale:     1,
 	}
-	e.dueCb = e.due
-	return e
 }
-
-// Now reports the engine clock. Like every Transport method it runs
-// under the engine lock.
-func (e *Engine) Now() time.Duration { return e.tq.Now() }
 
 // Register installs a node handler. It must run under the engine lock:
 // cluster construction happens inside Do, so this does not lock itself
@@ -115,19 +114,9 @@ func (e *Engine) Now() time.Duration { return e.tq.Now() }
 // never receives a message (its ticks and any stray deliveries are
 // dropped), the peer process serves it instead.
 func (e *Engine) Register(id netsim.NodeID, h netsim.Handler) {
-	if !e.isLocal(id) {
-		return
+	if e.isLocal(id) {
+		e.Transport.Register(id, h)
 	}
-	e.handlers[e.grow(id)] = h
-}
-
-// grow extends handlers and down to reach id (ClientID or above).
-func (e *Engine) grow(id netsim.NodeID) int {
-	for int(id)+1 >= len(e.handlers) {
-		e.handlers = append(e.handlers, nil)
-		e.down = append(e.down, false)
-	}
-	return int(id) + 1
 }
 
 // Carry records the cluster built on the engine; kv.New calls it, under
@@ -153,15 +142,26 @@ func (e *Engine) isLocal(id netsim.NodeID) bool {
 func (e *Engine) Remote(id netsim.NodeID) bool { return !e.isLocal(id) }
 
 // lock takes the engine lock and steps the time plane up to the wall
-// clock: due events run (functions inline, messages onto the run queue)
-// before the caller does anything, and Now() holds still until the next
-// step. RunUntil ignores a reading behind the queue's clock, which is
-// the monotone clamp.
+// clock: due events — functions, timers and delayed messages alike —
+// run in their order before the caller does anything, and Now() holds
+// still until the next step. RunUntil ignores a reading behind the
+// queue's clock, which is the monotone clamp.
 func (e *Engine) lock() {
 	e.mu.Lock()
 	if !e.closed {
-		e.tq.RunUntil(e.clock())
+		e.tq.RunUntil(e.wall())
 	}
+}
+
+// wall reads the clock source as engine time: wall time ÷ Scale. At
+// rate 1 the reading passes through exactly: NewMesh's readings, counted
+// from the Unix epoch, are past float64's integer precision.
+func (e *Engine) wall() time.Duration {
+	d := e.clock()
+	if s := e.Scale; s > 0 && s != 1 {
+		d = time.Duration(float64(d) / s)
+	}
+	return d
 }
 
 // Do runs fn holding the engine lock; external drivers (workloads, tests)
@@ -174,7 +174,7 @@ func (e *Engine) Do(fn func()) {
 }
 
 // fire is the runtime timer's callback: taking the lock runs whatever is
-// due, the drain delivers it.
+// due, the drain delivers what that queued.
 func (e *Engine) fire() {
 	e.lock()
 	defer e.mu.Unlock()
@@ -183,39 +183,44 @@ func (e *Engine) fire() {
 }
 
 // enqueue appends one delivery to the run queue.
-func (e *Engine) enqueue(to, from netsim.NodeID, payload any) {
-	e.runq = append(e.runq, queuedMsg{to: to, from: from, payload: payload})
+func (e *Engine) enqueue(to, from netsim.NodeID, payload any, local bool) {
+	e.runq = append(e.runq, queuedMsg{})
+	q := &e.runq[len(e.runq)-1]
+	q.to, q.from, q.payload, q.local = to, from, payload, local
 }
 
 // drain runs queued deliveries until the run queue is empty (handlers
 // may enqueue more), re-arms the runtime timer for the earliest pending
 // event and hands any staged peer frames to the mesh writers. Every
 // path that takes the engine lock drains before releasing it, so handler
-// execution stays serialized and non-reentrant.
+// execution stays serialized and non-reentrant. What the transport
+// refuses to deliver goes back to the cluster's free lists.
 func (e *Engine) drain() {
 	if e.closed {
 		e.discard()
 		return
 	}
 	for i := 0; i < len(e.runq); i++ {
-		q := e.runq[i]
-		e.runq[i] = queuedMsg{}
+		q := &e.runq[i]
+		to, from, payload, local := q.to, q.from, q.payload, q.local
+		q.payload = nil // the slot must not pin the box
 		if i%clockEvery == clockEvery-1 {
-			e.tq.RunUntil(e.clock())
+			e.tq.RunUntil(e.wall())
 		}
-		// A peer frame can name any id: bound it before indexing.
-		if i := uint(q.to + 1); i < uint(len(e.handlers)) && e.handlers[i] != nil && !e.down[i] {
-			e.handlers[i](q.from, q.payload)
-		} else {
-			e.release(q.payload)
+		if !e.Deliver(from, to, payload, local) {
+			e.release(payload)
 		}
 	}
 	e.runq = e.runq[:0]
 	if next, ok := e.tq.NextAt(); ok && !(e.armed && e.armedAt <= next) {
+		wait := next - e.tq.Now()
+		if s := e.Scale; s > 0 && s != 1 {
+			wait = time.Duration(float64(wait) * s)
+		}
 		if e.timer == nil {
-			e.timer = time.AfterFunc(next-e.tq.Now(), e.fire)
+			e.timer = time.AfterFunc(wait, e.fire)
 		} else {
-			e.timer.Reset(next - e.tq.Now())
+			e.timer.Reset(wait)
 		}
 		e.armed, e.armedAt = true, next
 	}
@@ -224,100 +229,53 @@ func (e *Engine) drain() {
 	}
 }
 
-// scale applies the latency compression to a delay.
-func (e *Engine) scale(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	if s := e.Scale; s > 0 {
-		return time.Duration(float64(d) * s)
-	}
-	return d
-}
-
-// deliverAfter queues a message on the time plane until the engine clock
-// has advanced by delay.
-func (e *Engine) deliverAfter(delay time.Duration, to, from netsim.NodeID, payload any) {
-	e.tq.ScheduleCall(delay, e.dueCb, netsim.Route(from, to, false), payload)
-}
-
-// due is the time-plane callback of every waiting message: it joins the
-// run queue behind what is already there.
-func (e *Engine) due(arg uint64, payload any) {
-	from, to, _ := netsim.Unroute(arg)
-	e.enqueue(to, from, payload)
-}
-
-// Send delivers payload after a sampled network delay (none in direct
-// mode). The caller must hold the engine lock (it always does: sends
-// originate inside handlers or Do blocks).
+// Send is the transport's, with live routing after Admit: in direct mode
+// a message for a node another process serves leaves over the mesh, and
+// any other goes on the run queue — a remote node with no mesh route
+// included, which Deliver then drops. The caller holds the engine lock
+// (it always does: sends originate inside handlers or Do blocks).
 func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
-	class := e.topo.Class(from, to)
-	e.meter.Count(class, size)
-	if e.mesh != nil && !e.isLocal(to) {
-		e.mesh.send(from, to, payload)
+	if !e.direct {
+		e.Transport.Send(from, to, payload, size)
 		return
 	}
-	if e.down[from+1] || e.down[to+1] {
-		e.meter.Dropped++
+	if _, ok := e.Admit(from, to, size); !ok {
 		return
 	}
-	if e.direct {
-		e.enqueue(to, from, payload)
+	if e.mesh != nil && !e.isLocal(to) && e.mesh.send(from, to, payload) {
 		return
 	}
-	e.deliverAfter(e.scale(e.topo.Latency.Law(class).Sample(e.rng)), to, from, payload)
+	e.enqueue(to, from, payload, false)
 }
 
 // SendLocal schedules a self-message (timer) on id; a zero delay goes
 // straight onto the run queue.
 func (e *Engine) SendLocal(id netsim.NodeID, payload any, delay time.Duration) {
-	if delay = e.scale(delay); delay == 0 {
-		e.enqueue(id, id, payload)
+	if delay <= 0 {
+		e.enqueue(id, id, payload, true)
 		return
 	}
-	e.deliverAfter(delay, id, id, payload)
+	e.Transport.SendLocal(id, payload, delay)
 }
 
-// Schedule runs fn under the engine lock after delay.
-func (e *Engine) Schedule(d time.Duration, fn func()) { e.tq.Schedule(e.scale(d), fn) }
-
-// ScheduleStopCall arms cb(arg) after d and returns the queue's
-// value-typed cancelable handle (same contract as the simulated
-// transport's; the client hot path arms one guard per operation through
-// it). Arming and stopping both run under the engine lock.
-func (e *Engine) ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer {
-	return e.tq.ScheduleCall(e.scale(d), cb, arg, nil)
-}
-
-// Fail drops traffic to and from id (kv.Cluster's failure injection uses
-// it through the failer interface). Like all cluster interactions it must
-// run under the engine lock (inside Do or a handler).
-func (e *Engine) Fail(id netsim.NodeID) { e.down[e.grow(id)] = true }
-
-// Recover reverses Fail; same locking contract as Fail.
-func (e *Engine) Recover(id netsim.NodeID) { e.down[e.grow(id)] = false }
-
-// Meter snapshots the traffic meter.
+// Meter snapshots the traffic meter under the engine lock.
 func (e *Engine) Meter() netsim.TrafficMeter {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.meter.Snapshot()
+	return e.Transport.Meter()
 }
 
 // discard empties a closed engine: run-queue message boxes go back to
 // the cluster's free lists, and the time plane — waiting messages (their
 // boxes are left to the collector), pending timers and the closures and
-// operation slots they pin — is dropped whole. Handles still held by
-// callers stop against the orphaned queue, harmlessly.
+// operation slots they pin — is cleared. Handles still held by callers
+// stop nothing.
 func (e *Engine) discard() {
 	for _, q := range e.runq {
 		e.release(q.payload)
 	}
 	e.runq = nil
-	if e.tq.Pending() > 0 {
-		e.tq = sim.New(0)
-	}
+	e.tq.Clear()
 }
 
 // Close stops delivering: pending work is discarded and anything sent or

@@ -166,20 +166,21 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 	}
 }
 
-// send stages one message for its owner process. Caller holds the
-// engine lock. Messages without a wire form must never be addressed to
-// a remote node — that is a routing bug, not an I/O condition.
-func (m *mesh) send(from, to netsim.NodeID, payload any) {
+// send stages one message for its owner process and reports whether
+// to has a route. Caller holds the engine lock. Messages without a wire
+// form must never be addressed to a remote node — that is a routing bug,
+// not an I/O condition.
+func (m *mesh) send(from, to netsim.NodeID, payload any) bool {
 	p := m.route[to]
 	if p == nil {
-		m.e.meter.Dropped++
-		return
+		return false
 	}
 	var ok bool
 	p.pend, ok = m.e.cluster.MarshalMessage(p.pend, from, to, payload)
 	if !ok {
 		panic(fmt.Sprintf("live: message %T to remote node %d has no wire form", payload, to))
 	}
+	return true
 }
 
 // flushLocked hands staged frames to the peer writers. Caller holds
@@ -320,7 +321,7 @@ func (e *Engine) deliverBatch(batch []frame) bool {
 			e.runq = e.runq[:start]
 			return false
 		}
-		e.enqueue(to, from, payload)
+		e.enqueue(to, from, payload, false)
 	}
 	return true
 }

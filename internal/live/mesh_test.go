@@ -3,6 +3,7 @@ package live
 import (
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,5 +85,70 @@ func TestMeshCorruptPeerFrame(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("valid frame on a second connection: %d replica reads served, want 1", replicaReads())
 		}
+	}
+}
+
+// TestMeshSendPassesAdmit: a send to a node another process serves takes
+// the transport's Admit like any other, so a partition in the sending
+// process cuts it — counted, and nothing reaches the peer — until Heal;
+// a send to a remote node the mesh has no route to is counted as dropped.
+// The peer process is a bare loopback listener.
+func TestMeshSendPassesAdmit(t *testing.T) {
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	topo := netsim.SingleDC(4)
+	// Node 0 lives behind the peer; node 3 is remote with no route.
+	e, err := NewMesh(topo, 1, MeshConfig{
+		Local: []netsim.NodeID{1, 2},
+		Peers: map[netsim.NodeID]string{0: peer.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	conn, err := peer.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cfg := kv.DefaultConfig()
+	cfg.ReadService = netsim.Constant(0)
+	cfg.WriteService = netsim.Constant(0)
+	cfg.CoordOverhead = netsim.Constant(0)
+	cfg.HintReplayInterval = 0
+	cfg.Coordinators = []netsim.NodeID{1, 2}
+	var cl *kv.Cluster
+	e.Do(func() { cl = kv.New(topo, e, cfg) })
+	key, _ := keyWhere(t, e, cl, func(r []netsim.NodeID) bool {
+		return slices.Contains(r, 0) && !slices.Contains(r, 3)
+	})
+	write := func() {
+		e.Do(func() { cl.Write(key, []byte("v"), kv.One, func(kv.WriteResult) {}) })
+	}
+	frame := make([]byte, 1)
+
+	e.Do(func() { e.Partition([]netsim.NodeID{1, 2}, []netsim.NodeID{0}) })
+	write()
+	if d := e.Meter().Dropped; d != 1 {
+		t.Fatalf("dropped = %d across the partition, want the replica write to node 0", d)
+	}
+	conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, _ := conn.Read(frame); n != 0 {
+		t.Fatal("a frame crossed the partition")
+	}
+
+	e.Do(func() { e.Heal() })
+	write()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(frame); n == 0 {
+		t.Fatalf("no frame reached the peer after Heal: %v", err)
+	}
+
+	e.Do(func() { e.Send(1, 3, "unrouted", 8) })
+	if d := e.Meter().Dropped; d != 2 {
+		t.Errorf("dropped = %d after a send with no route, want 2", d)
 	}
 }

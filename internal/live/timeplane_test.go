@@ -1,7 +1,10 @@
 package live
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,15 +44,14 @@ func newDirectEngine(t *testing.T, n int) (*Engine, *fakeClock, *[]string) {
 }
 
 // TestDirectTimerOrder pins how direct-mode timers order among
-// themselves and against run-queue deliveries: due events fire in
-// (deadline, scheduling order); a scheduled function runs at once, a
-// timer message joins the run queue behind what is already there; and
-// whatever the lock holder enqueues itself comes after them. The wanted
-// orders are what the hand-written wheel this replaced produced. The
-// queue underneath keeps short delays on a timing wheel and long ones in
-// a heap (split at 500 ms); the last case arms on both sides of the
-// split, and twice for one instant from either side, and wants plain
-// time order.
+// themselves and against run-queue deliveries: due events — scheduled
+// functions and timer messages alike — fire at their deadline in
+// (deadline, scheduling order), as in the simulator; what they send at
+// zero delay joins the run queue, and whatever the lock holder enqueues
+// itself comes after that. The queue underneath keeps short delays on a
+// timing wheel and long ones in a heap (split at 500 ms); the last case
+// arms on both sides of the split, and twice for one instant from either
+// side, and wants plain time order.
 func TestDirectTimerOrder(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -69,7 +71,7 @@ func TestDirectTimerOrder(t *testing.T) {
 				e.Schedule(10*ms, func() { rec("f4") })
 			},
 			at:   10 * ms,
-			want: []string{"f2", "f4", "m1", "m3"},
+			want: []string{"m1", "f2", "m3", "f4"},
 		},
 		{
 			name: "earlier deadline first, zero delay is the run queue",
@@ -92,7 +94,7 @@ func TestDirectTimerOrder(t *testing.T) {
 			},
 			at:   10 * ms,
 			then: func(e *Engine) { e.Send(1, 0, "caller", 0) },
-			want: []string{"B", "A", "t1", "from-A", "t2", "caller"},
+			want: []string{"B", "t1", "A", "t2", "from-A", "caller"},
 		},
 		{
 			name: "not yet due stays queued",
@@ -146,14 +148,14 @@ func TestDirectTimerOrder(t *testing.T) {
 // TestDirectEndpointTables: handlers and failure flags are slices indexed
 // by NodeID+1. A delivery to an id the table does not reach — a peer
 // frame can name any id — is dropped, not a panic; Fail and Recover take
-// ids past the table; a failed node neither receives nor sends until it
-// recovers.
+// ids past the table; a failed node neither receives nor sends network
+// messages until it recovers, but its own timers still reach it.
 func TestDirectEndpointTables(t *testing.T) {
 	e, _, log := newDirectEngine(t, 3)
 	e.Do(func() {
-		e.enqueue(1<<40, 0, "far")
-		e.enqueue(-7, 0, "negative")
-		e.enqueue(2, 0, "ok")
+		e.enqueue(1<<40, 0, "far", false)
+		e.enqueue(-7, 0, "negative", false)
+		e.enqueue(2, 0, "ok", false)
 	})
 	e.Do(func() {
 		e.Fail(9)
@@ -167,7 +169,31 @@ func TestDirectEndpointTables(t *testing.T) {
 		e.Recover(1)
 		e.Send(0, 1, "recovered", 0)
 	})
-	if want := []string{"ok", "recovered"}; !reflect.DeepEqual(*log, want) {
+	if want := []string{"ok", "timer-on-failed", "recovered"}; !reflect.DeepEqual(*log, want) {
+		t.Errorf("delivered %v, want %v", *log, want)
+	}
+}
+
+// TestDirectPartition: a partition cuts the direct path both ways,
+// counted as dropped; traffic outside it and self-messages still flow,
+// and Heal restores the link.
+func TestDirectPartition(t *testing.T) {
+	e, _, log := newDirectEngine(t, 3)
+	e.Do(func() {
+		e.Partition([]netsim.NodeID{0}, []netsim.NodeID{1})
+		e.Send(0, 1, "0->1", 0)
+		e.Send(1, 0, "1->0", 0)
+		e.Send(0, 2, "0->2", 0)
+		e.SendLocal(1, "timer-on-1", 0)
+	})
+	if d := e.Meter().Dropped; d != 2 {
+		t.Errorf("dropped = %d, want the two sends across the partition", d)
+	}
+	e.Do(func() {
+		e.Heal()
+		e.Send(0, 1, "healed", 0)
+	})
+	if want := []string{"0->2", "timer-on-1", "healed"}; !reflect.DeepEqual(*log, want) {
 		t.Errorf("delivered %v, want %v", *log, want)
 	}
 }
@@ -342,4 +368,132 @@ func TestCloseReleasesPendingWork(t *testing.T) {
 			t.Errorf("%d callbacks ran on work discarded by Close", completed)
 		}
 	})
+}
+
+// newClockedCluster builds a single-process serving deployment of four
+// nodes on a fake clock, every operation coordinated by node 0.
+func newClockedCluster(t *testing.T, cfg kv.Config) (*Engine, *fakeClock, *kv.Cluster) {
+	t.Helper()
+	topo := netsim.SingleDC(4)
+	e, err := NewMesh(topo, 1, MeshConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	clk := &fakeClock{}
+	e.clock = clk.now
+	cfg.Coordinators = []netsim.NodeID{0}
+	var cl *kv.Cluster
+	e.Do(func() { cl = kv.New(topo, e, cfg) })
+	return e, clk, cl
+}
+
+// advance moves the clock d forward in steps of at most step, letting
+// the engine run what falls due at each.
+func (c *fakeClock) advance(e *Engine, d, step time.Duration) {
+	for end := c.now() + d; c.now() < end; {
+		c.set(min(c.now()+step, end))
+		e.Do(func() {})
+	}
+}
+
+// keyWhere returns a key among k0…k999 whose replicas satisfy ok.
+func keyWhere(t *testing.T, e *Engine, cl *kv.Cluster, ok func(replicas []netsim.NodeID) bool) (key string, replicas []netsim.NodeID) {
+	t.Helper()
+	e.Do(func() {
+		for i := 0; i < 1000 && key == ""; i++ {
+			k := fmt.Sprintf("k%d", i)
+			if r := cl.Strategy().Replicas(k); ok(r) {
+				key, replicas = k, r
+			}
+		}
+	})
+	if key == "" {
+		t.Fatal("no key with the wanted replicas among k0…k999")
+	}
+	return key, replicas
+}
+
+// replicatedBy returns a key whose replicas include id.
+func replicatedBy(t *testing.T, e *Engine, cl *kv.Cluster, id netsim.NodeID) (key string, replicas []netsim.NodeID) {
+	t.Helper()
+	return keyWhere(t, e, cl, func(r []netsim.NodeID) bool { return slices.Contains(r, id) })
+}
+
+// TestFailedCoordinatorKeepsItsClock: Fail cuts a node's network, not its
+// clock. A coordinator failed and recovered must still run its
+// hint-replay tick afterwards: a hint it buffers for a replica that was
+// down is replayed once that replica recovers.
+func TestFailedCoordinatorKeepsItsClock(t *testing.T) {
+	const tick = 100 * time.Millisecond
+	cfg := kv.DefaultConfig()
+	cfg.ReadService = netsim.Constant(0)
+	cfg.WriteService = netsim.Constant(0)
+	cfg.CoordOverhead = netsim.Constant(0)
+	cfg.HintReplayInterval = tick
+	cfg.DetectionDelay = tick
+	e, clk, cl := newClockedCluster(t, cfg)
+	key, replicas := replicatedBy(t, e, cl, 0)
+	y := replicas[0]
+	if y == 0 {
+		y = replicas[1]
+	}
+
+	e.Do(func() { cl.Fail(0) })
+	clk.advance(e, 5*tick, tick/4)
+	e.Do(func() { cl.Recover(0) })
+	clk.advance(e, 2*tick, tick/4)
+
+	e.Do(func() { cl.Fail(y) })
+	clk.advance(e, 2*tick, tick/4)
+	var werr error = errors.New("write never completed")
+	e.Do(func() { cl.Write(key, []byte("v"), kv.One, func(r kv.WriteResult) { werr = r.Err }) })
+	if werr != nil {
+		t.Fatalf("write at ONE with one replica down: %v", werr)
+	}
+	e.Do(func() { cl.Recover(y) })
+	clk.advance(e, 5*tick, tick/4)
+
+	var replayed uint64
+	e.Do(func() { replayed = cl.Usage().HintsReplayed })
+	if replayed == 0 {
+		t.Error("no hint replayed: the coordinator's hint-replay tick died while it was failed")
+	}
+}
+
+// TestFailedNodeFinishesItsStageWork: a replica failed while its only
+// read slot is busy still completes the unit at its deadline, so after
+// Recover the stage serves again — a read it coordinates and serves
+// itself completes instead of waiting on a slot that never frees.
+func TestFailedNodeFinishesItsStageWork(t *testing.T) {
+	const ms = time.Millisecond
+	cfg := kv.DefaultConfig()
+	cfg.ReadService = netsim.Constant(ms)
+	cfg.WriteService = netsim.Constant(ms)
+	cfg.CoordOverhead = netsim.Constant(ms)
+	cfg.Concurrency = 1
+	cfg.HintReplayInterval = 0
+	cfg.DetectionDelay = 10 * ms
+	e, clk, cl := newClockedCluster(t, cfg)
+	key, _ := replicatedBy(t, e, cl, 0)
+
+	e.Do(func() {
+		for i := 0; i < 4; i++ {
+			cl.Read(key, kv.One, func(kv.ReadResult) {})
+		}
+	})
+	clk.advance(e, 3*ms/2, ms/2) // admitted; node 0 serves the first read
+	e.Do(func() { cl.Fail(0) })
+	clk.advance(e, 20*ms, ms)
+	e.Do(func() { cl.Recover(0) })
+	clk.advance(e, 20*ms, ms)
+
+	var got *kv.ReadResult
+	e.Do(func() { cl.Read(key, kv.One, func(r kv.ReadResult) { got = &r }) })
+	clk.advance(e, 50*ms, ms)
+	var res *kv.ReadResult
+	e.Do(func() { res = got })
+	if res == nil || res.Err != nil {
+		t.Fatalf("read after Recover = %+v, want it served: the node's read stage is wedged", res)
+	}
 }

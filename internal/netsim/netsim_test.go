@@ -180,8 +180,8 @@ func TestRouteSurvivesPacking(t *testing.T) {
 		{ClientID, last, false}, {last, ClientID, false}, {ClientID, ClientID, true},
 		{last, last, true}, {last, last, false}, {0, 0, false}, {0, last, false},
 	} {
-		if from, to, local := Unroute(Route(c.from, c.to, c.local)); from != c.from || to != c.to || local != c.local {
-			t.Errorf("Unroute(Route(%d, %d, %v)) = %d, %d, %v", c.from, c.to, c.local, from, to, local)
+		if from, to, local := unroute(route(c.from, c.to, c.local)); from != c.from || to != c.to || local != c.local {
+			t.Errorf("unroute(route(%d, %d, %v)) = %d, %d, %v", c.from, c.to, c.local, from, to, local)
 		}
 	}
 

@@ -15,12 +15,16 @@ type Handler func(from NodeID, payload any)
 // Transport delivers messages between topology nodes over the
 // discrete-event engine, sampling per-class latency laws, applying
 // partitions and node failures, and metering traffic for the cost
-// model. Handler and failure lookups are dense slices indexed by
-// NodeID+1 (ClientID is -1), and the partition check short-circuits
-// when nothing is configured. An in-flight message is one engine event and
-// nothing else: its endpoints ride packed in the event's argument (Route),
-// the message is the event's payload, so the transport keeps no slab of
-// its own and a delivery touches one slot.
+// model. It is the one delivery model of the store: the simulator steps
+// its engine in virtual time, the live engine (internal/live) steps the
+// same transport against the wall clock and only changes where a
+// zero-delay or cross-process message waits. Handler and failure
+// lookups are dense slices indexed by NodeID+1 (ClientID is -1), and the
+// partition check short-circuits when nothing is configured. An
+// in-flight message is one engine event and nothing else: its endpoints
+// ride packed in the event's argument (route), the message is the
+// event's payload, so the transport keeps no slab of its own and a
+// delivery touches one slot.
 type Transport struct {
 	eng   *sim.Engine
 	topo  *Topology
@@ -28,7 +32,7 @@ type Transport struct {
 	meter TrafficMeter
 
 	handlers []Handler // indexed by NodeID+1
-	down     []bool    // indexed by NodeID+1
+	down     []bool    // indexed by NodeID+1, always as long as handlers
 	downN    int       // number of nodes marked down
 
 	partition map[[2]NodeID]bool
@@ -52,14 +56,17 @@ func NewTransport(eng *sim.Engine, topo *Topology) *Transport {
 // slot maps a NodeID (ClientID = -1 included) onto its dense index.
 func slot(id NodeID) int { return int(id) + 1 }
 
-// Register installs the message handler for a node (or for ClientID).
-func (t *Transport) Register(id NodeID, h Handler) {
-	for int(id)+1 >= len(t.handlers) {
+// grow extends the endpoint tables to reach id and returns its slot.
+func (t *Transport) grow(id NodeID) int {
+	for slot(id) >= len(t.handlers) {
 		t.handlers = append(t.handlers, nil)
 		t.down = append(t.down, false)
 	}
-	t.handlers[slot(id)] = h
+	return slot(id)
 }
+
+// Register installs the message handler for a node (or for ClientID).
+func (t *Transport) Register(id NodeID, h Handler) { t.handlers[t.grow(id)] = h }
 
 // Topology returns the topology the transport runs over.
 func (t *Transport) Topology() *Topology { return t.topo }
@@ -72,16 +79,16 @@ func (t *Transport) Meter() TrafficMeter { return t.meter.Snapshot() }
 // network is not), which models a network-isolated rather than crashed
 // machine; crashed machines are modeled at the store layer.
 func (t *Transport) Fail(id NodeID) {
-	if !t.down[slot(id)] {
-		t.down[slot(id)] = true
+	if i := t.grow(id); !t.down[i] {
+		t.down[i] = true
 		t.downN++
 	}
 }
 
 // Recover clears the failure of id.
 func (t *Transport) Recover(id NodeID) {
-	if t.down[slot(id)] {
-		t.down[slot(id)] = false
+	if i := t.grow(id); t.down[i] {
+		t.down[i] = false
 		t.downN--
 	}
 }
@@ -102,10 +109,10 @@ func (t *Transport) Partition(a, b []NodeID) {
 // Heal removes all partitions.
 func (t *Transport) Heal() { t.partition = nil }
 
-// Route packs a message's endpoints into the one integer an engine event
+// route packs a message's endpoints into the one integer an engine event
 // carries: the dense indexes (NodeID+1, so ClientID is 0) of from and to,
 // and whether it is a self-message.
-func Route(from, to NodeID, local bool) uint64 {
+func route(from, to NodeID, local bool) uint64 {
 	arg := uint64(slot(from))<<32 | uint64(slot(to))<<1
 	if local {
 		arg |= 1
@@ -113,44 +120,63 @@ func Route(from, to NodeID, local bool) uint64 {
 	return arg
 }
 
-// Unroute is the inverse of Route.
-func Unroute(arg uint64) (from, to NodeID, local bool) {
+// unroute is the inverse of route.
+func unroute(arg uint64) (from, to NodeID, local bool) {
 	return NodeID(arg>>32) - 1, NodeID(uint32(arg)>>1) - 1, arg&1 != 0
 }
 
-// deliver hands a message to its destination handler; it is the engine
-// callback of every scheduled delivery.
+// deliver is the engine callback of every scheduled delivery.
 func (t *Transport) deliver(arg uint64, payload any) {
-	from, to, local := Unroute(arg)
-	if !local && t.downN > 0 && t.down[slot(to)] {
-		// Re-check failure at delivery: a node that died mid-flight does
-		// not receive the message.
-		t.meter.Dropped++
-		return
+	from, to, local := unroute(arg)
+	t.Deliver(from, to, payload, local)
+}
+
+// Deliver hands a message that has arrived to its destination handler
+// and reports whether one ran. to may be any id (a peer frame can name
+// one the tables do not reach). A network message to a failed node is
+// dropped — failure is re-checked at arrival, so a node that died while
+// the message was in flight does not receive it — and so is one to an
+// unregistered endpoint, both counted; a self-message (local) reaches
+// even a failed node, and one without a handler is not traffic and is
+// not counted.
+func (t *Transport) Deliver(from, to NodeID, payload any, local bool) bool {
+	if i := uint(slot(to)); i < uint(len(t.handlers)) && (local || t.downN == 0 || !t.down[i]) {
+		if h := t.handlers[i]; h != nil {
+			h(from, payload)
+			return true
+		}
 	}
-	if h := t.handlers[slot(to)]; h != nil {
-		h(from, payload)
-	} else if !local {
+	if !local {
 		t.meter.Dropped++
 	}
+	return false
+}
+
+// Admit is a network send's departure: it meters size bytes on the
+// from → to link class and reports whether the message leaves, which it
+// does not when either end is failed or a partition separates them
+// (counted as dropped).
+func (t *Transport) Admit(from, to NodeID, size int) (LinkClass, bool) {
+	class := t.topo.Class(from, to)
+	t.meter.Count(class, size)
+	if t.downN > 0 && (t.down[slot(from)] || t.down[slot(to)]) ||
+		len(t.partition) > 0 && t.partition[[2]NodeID{from, to}] {
+		t.meter.Dropped++
+		return class, false
+	}
+	return class, true
 }
 
 // Send delivers payload from → to after a sampled network delay. size is
-// the wire size in bytes, used for metering.
-// Messages to unregistered or failed endpoints are counted as dropped.
+// the wire size in bytes, used for metering. A message Admit refuses is
+// not delivered, nor is one Deliver drops on arrival.
 func (t *Transport) Send(from, to NodeID, payload any, size int) {
-	class := t.topo.Class(from, to)
-	t.meter.Count(class, size)
-	if t.downN > 0 && (t.down[slot(from)] || t.down[slot(to)]) {
-		t.meter.Dropped++
-		return
-	}
-	if len(t.partition) > 0 && t.partition[[2]NodeID{from, to}] {
-		t.meter.Dropped++
+	class, ok := t.Admit(from, to, size)
+	if !ok {
 		return
 	}
 	delay := t.topo.Latency.Law(class).Sample(t.rng)
-	t.eng.ScheduleCall(delay, t.deliverCb, Route(from, to, false), payload)
+	t.eng.ScheduleCall(delay, t.deliverCb, route(from, to, false), payload)
 }
 
 // SendLocal schedules a self-message on node id after delay, bypassing
@@ -158,7 +184,7 @@ func (t *Transport) Send(from, to NodeID, payload any, size int) {
 // logic uses; cancellation is expressed by the receiver ignoring stale
 // generations.
 func (t *Transport) SendLocal(id NodeID, payload any, delay time.Duration) {
-	t.eng.ScheduleCall(delay, t.deliverCb, Route(id, id, true), payload)
+	t.eng.ScheduleCall(delay, t.deliverCb, route(id, id, true), payload)
 }
 
 // Now reports the engine's virtual time.

@@ -268,6 +268,15 @@ func (e *Engine) enqueue(t time.Duration, cb Callback, arg uint64, payload any) 
 	return Timer{eng: e, slot: slot, gen: ev.gen}
 }
 
+// Clear drops every queued event without running it, releasing what the
+// events hold; handles to them stop nothing afterwards. The clock stays
+// where it is.
+func (e *Engine) Clear() {
+	for slot, _ := e.next(); slot != noIndex; slot, _ = e.next() {
+		Timer{eng: e, slot: slot, gen: e.events[slot].gen}.Stop()
+	}
+}
+
 // release returns an unqueued slot to the free list and invalidates
 // outstanding Timer handles to it.
 func (e *Engine) release(slot int32) {

@@ -127,6 +127,28 @@ func TestTimerStopAfterSlotReuse(t *testing.T) {
 	}
 }
 
+// TestClear: Clear drops near and far events unrun, keeps the clock, and
+// leaves the handles to them inert while the queue takes new events.
+func TestClear(t *testing.T) {
+	e := New(1)
+	e.RunFor(time.Second)
+	fired := 0
+	near := e.Schedule(time.Millisecond, func() { fired++ })
+	far := e.Schedule(time.Hour, func() { fired++ })
+	e.Clear()
+	if e.Pending() != 0 || e.Now() != time.Second {
+		t.Fatalf("after Clear: %d pending at %v, want 0 at 1s", e.Pending(), e.Now())
+	}
+	e.Schedule(time.Millisecond, func() { fired += 10 })
+	if near.Stop() || far.Stop() {
+		t.Error("Stop on a cleared event's handle reported a cancellation")
+	}
+	e.Run()
+	if fired != 10 {
+		t.Errorf("fired = %d, want 10: only the event scheduled after Clear runs", fired)
+	}
+}
+
 func TestZeroTimerInert(t *testing.T) {
 	var tm Timer
 	if tm.Stop() {

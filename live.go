@@ -18,9 +18,11 @@ type Live struct {
 	Engine *live.Engine
 }
 
-// NewLive builds a live deployment on topo. latencyScale compresses the
-// topology's latencies (0.1 runs a WAN topology ten times faster); pass 1
-// for real latencies.
+// NewLive builds a live deployment on topo. latencyScale is the rate of
+// the engine clock against the wall (0.1 runs a WAN topology, and every
+// modeled delay and timeout, ten times faster); pass 1 for real time.
+// Latencies, throughput and every other figure the deployment reports
+// are in engine time, comparable with a Sim's.
 func NewLive(topo *Topology, cfg Config, latencyScale float64) *Live {
 	eng := live.New(topo, cfg.Seed)
 	if latencyScale > 0 {
@@ -49,8 +51,8 @@ func (liveBackend) await(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
-// deadline deliberately bypasses the engine (whose timers are compressed
-// by the latency scale): a client deadline is a promise in real time, and
+// deadline deliberately bypasses the engine (whose clock runs at the
+// latency scale): a client deadline is a promise in real time, and
 // resolving a future touches no cluster state, so it needs no engine lock.
 func (liveBackend) deadline(d time.Duration, fail func()) {
 	time.AfterFunc(d, fail) //repolint:allow determinism live client deadlines are wall-clock promises, deliberately unscaled

@@ -129,7 +129,18 @@ func TestSimLiveParity(t *testing.T) {
 					if sr := b.StaleRate(); sr != 0 {
 						t.Errorf("%s: oracle stale rate = %f, want 0 at quorum", name, sr)
 					}
-				} else if len(ctl.Journal()) == 0 {
+					return log
+				}
+				// A live controller keeps ticking on the engine's timer
+				// goroutine after the last reply: read it under the lock.
+				decisions := 0
+				read := func() { decisions = len(ctl.Journal()) }
+				if lv, ok := b.(*repro.Live); ok {
+					lv.Engine.Do(read)
+				} else {
+					read()
+				}
+				if decisions == 0 {
 					t.Errorf("%s: controller never decided", name)
 				}
 				return log

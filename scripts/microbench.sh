@@ -5,9 +5,10 @@
 # numbers come from benchmark/run.sh alone.
 #
 # Usage: scripts/microbench.sh [bench-regexp] [package...]
-#   scripts/microbench.sh                        # all of kv, stats, sim
+#   scripts/microbench.sh                        # kv, stats, sim, netsim, live
 #   scripts/microbench.sh HeavyHitters ./internal/stats
 #   scripts/microbench.sh Engine ./internal/sim   # the event queue
+#   scripts/microbench.sh DirectSend ./internal/live  # a served message
 # To compare two commits, run it in each checkout and put the two outputs
 # side by side (or through benchstat, where installed).
 #
@@ -43,6 +44,6 @@ bench=${1:-.}
 shift || true
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
-  pkgs=(./internal/kv ./internal/stats ./internal/sim)
+  pkgs=(./internal/kv ./internal/stats ./internal/sim ./internal/netsim ./internal/live)
 fi
 exec go test -run '^$' -bench "$bench" -benchmem -count=5 -cpu 1 "${pkgs[@]}"
