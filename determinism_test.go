@@ -222,7 +222,7 @@ func crashDeterminismScenario(seed uint64, lsm bool) []string {
 			s.Cluster.Crash(victim)
 			record("crash node=%d", victim)
 		case 3:
-			rs := s.Cluster.Restart(victim)
+			rs, _ := s.Cluster.Recover(victim)
 			record("restart node=%d runs=%d runEntries=%d walRecords=%d torn=%v keys=%d",
 				victim, rs.RunsLoaded, rs.RunEntries, rs.WALRecords, rs.TornTail, rs.Keys)
 		}
@@ -347,7 +347,7 @@ func membershipDeterminismScenario(seed uint64, lsm bool) []string {
 			s.Cluster.Crash(1)
 			record("crash node=1")
 		case 4:
-			rs := s.Cluster.Restart(1)
+			rs, _ := s.Cluster.Recover(1)
 			record("restart node=1 runs=%d walRecords=%d torn=%v keys=%d",
 				rs.RunsLoaded, rs.WALRecords, rs.TornTail, rs.Keys)
 		case 5:
@@ -475,7 +475,7 @@ func gossipDeterminismScenario(seed uint64, lsm bool) []string {
 			s.Cluster.Fail(1)
 			record("fail node=1")
 		case 4:
-			rs := s.Cluster.Restart(2)
+			rs, _ := s.Cluster.Recover(2)
 			record("restart node=2 runs=%d walRecords=%d torn=%v keys=%d",
 				rs.RunsLoaded, rs.WALRecords, rs.TornTail, rs.Keys)
 		case 5:
@@ -624,7 +624,7 @@ func hotCacheDeterminismScenario(seed uint64, lsm bool) []string {
 			s.Cluster.Crash(1) // volatile state — including the cache — is lost
 			record("crash node=1")
 		case 5:
-			rs := s.Cluster.Restart(1)
+			rs, _ := s.Cluster.Recover(1)
 			record("restart node=1 runs=%d walRecords=%d torn=%v keys=%d",
 				rs.RunsLoaded, rs.WALRecords, rs.TornTail, rs.Keys)
 		case 6:

@@ -143,13 +143,13 @@ func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
 	load("steady", nil)
 	load("join", func() { must(cl.Join(joiner)); watchJoin() })
 	rg.settle(3 * time.Second) // streaming + warmup + view convergence
-	load("storm", func() { cl.Fail(stormNode) })
+	load("storm", func() { must(cl.Fail(stormNode)) })
 	rg.settle(2 * time.Second) // suspicions age into death verdicts
-	load("heal", func() { cl.Recover(stormNode) })
+	load("heal", func() { _, err := cl.Recover(stormNode); must(err) })
 	rg.settle(2 * time.Second) // refutation resurrects the node
 	load("flap", func() {
-		cl.Fail(flapNode)
-		tr.Schedule(750*time.Millisecond, func() { cl.Recover(flapNode) })
+		must(cl.Fail(flapNode))
+		tr.Schedule(750*time.Millisecond, func() { _, err := cl.Recover(flapNode); must(err) })
 	})
 	rg.settle(2 * time.Second)
 	load("settle", nil)

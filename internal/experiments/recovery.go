@@ -83,10 +83,12 @@ func runRecoveryVariant(p Platform, kind storage.Kind, seed uint64) recoveryOutc
 	}
 
 	load("steady")
-	rg.cl.Crash(victim)
+	must(rg.cl.Crash(victim))
 	rg.settle(2 * repairDetection) // detector converges; hints arm
 	load("outage")
-	out.Recover = rg.cl.Restart(victim)
+	var err error
+	out.Recover, err = rg.cl.Recover(victim)
+	must(err)
 	load("catch-up")
 	rg.settle(5 * time.Second) // hint replay + anti-entropy settle
 	load("converged")

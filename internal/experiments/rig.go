@@ -176,8 +176,8 @@ func (r *rig) studyPhase(name string, w ycsb.Workload, i, n int, during func()) 
 // would fire the events due now ahead of the next phase's first.
 func (r *rig) settle(d time.Duration) { r.eng.RunFor(d) }
 
-// must panics when the cluster refuses a script's membership change:
-// like a stall, that is a bug in the script.
+// must panics when the cluster refuses a script's membership change or
+// fault: like a stall, that is a bug in the script.
 func must(err error) {
 	if err != nil {
 		panic("experiments: " + err.Error())

@@ -125,13 +125,17 @@ func (n *Node) batchReadDone(bctx *batchReadCtx, i int, res ReadResult) {
 
 // onBatchReadResp folds one replica's batched response into every item
 // it answers for. Batched responses always carry data, so completion
-// never waits on a digest refetch.
+// never waits on a digest refetch. A position outside the batch (a
+// peer's frame is input, not a promise) answers for nothing.
 func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 	bctx, ok := n.batchReads[m.ID]
 	if !ok {
 		return
 	}
 	for _, it := range m.Items {
+		if uint(it.Idx) >= uint(len(bctx.items)) {
+			continue
+		}
 		ctx := bctx.items[it.Idx]
 		if ctx == nil {
 			continue // failed at admission or already finalized
@@ -256,13 +260,17 @@ func (n *Node) batchWriteDone(bctx *batchWriteCtx, i int, res WriteResult) {
 
 // onBatchWriteAck folds one replica's batched acknowledgement into every
 // item it covers, retiring the items it settles and the batch with its
-// last one (an item settles only once answered, so the reply is out).
+// last one (an item settles only once answered, so the reply is out). A
+// position outside the batch covers nothing.
 func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 	bctx, ok := n.batchWrites[m.ID]
 	if !ok {
 		return
 	}
 	for _, idx := range m.Idxs {
+		if uint(idx) >= uint(len(bctx.items)) {
+			continue
+		}
 		ctx := bctx.items[idx]
 		if ctx == nil {
 			continue

@@ -15,21 +15,23 @@ import (
 	"repro/internal/storage"
 )
 
-// Transport is what the store needs from its runtime: a clock, message
-// delivery between nodes, timer self-messages, failure injection,
-// deferred function scheduling and one cancelable timer,
+// Transport is what the store needs from its runtime, and all of it: a
+// clock, message delivery between nodes, timer self-messages, failure
+// injection, deferred function scheduling and one cancelable timer,
 // ScheduleStopCall, which takes the queue's own callback form
 // (sim.Callback, bound once) and an integer argument and so allocates
-// nothing — the client guards. It is the store's only seam to the outside
-// world, and there is one delivery model behind it: netsim.Transport,
-// whose sim.Engine event queue holds every message on its way as a queue
-// entry. The simulator steps that queue in virtual time (the zero-cost
-// default every simulation uses); the live engine embeds the same
-// transport and steps its queue against the wall clock under a mutex,
-// changing only where a zero-delay message waits (a run queue) and, in
-// its mesh form, carrying messages for nodes another OS process serves
-// over TCP using the cluster's MarshalMessage/UnmarshalMessage wire hooks
-// (wiremsg.go). Failures, partitions and the traffic meter are the
+// nothing — the client guards. Remote reports that another OS process
+// serves a node: its actor here is an idle twin, never registered.
+// Carry hands the transport the cluster as a netsim.Codec: a refused
+// message goes back to its free lists, and one for a remote node travels
+// in its wire form (wiremsg.go). There is one delivery model behind the
+// interface: netsim.Transport, whose sim.Engine event queue holds every
+// message on its way as a queue entry. The simulator steps that queue in
+// virtual time (the zero-cost default every simulation uses); the live
+// engine embeds the same transport and steps its queue against the wall
+// clock under a mutex, changing only where a zero-delay message waits (a
+// run queue) and, in its mesh form, carrying messages for remote nodes
+// over TCP. Failures, partitions and the traffic meter are the
 // transport's under both, and cluster code cannot tell them apart.
 //
 // The clock contract is the simulator's under both: Now() advances
@@ -40,25 +42,12 @@ type Transport interface {
 	Send(from, to netsim.NodeID, payload any, size int)
 	SendLocal(id netsim.NodeID, payload any, delay time.Duration)
 	Register(id netsim.NodeID, h netsim.Handler)
+	Remote(id netsim.NodeID) bool
+	Carry(c netsim.Codec)
 	Fail(id netsim.NodeID)
 	Recover(id netsim.NodeID)
 	Schedule(d time.Duration, fn func())
 	ScheduleStopCall(d time.Duration, cb sim.Callback, arg uint64) sim.Timer
-}
-
-// hoster is the optional surface of a Transport that spans OS processes:
-// Remote reports that another process serves the node, so its actor here
-// is an idle twin that never receives a message.
-type hoster interface {
-	Remote(id netsim.NodeID) bool
-}
-
-// carrier is the optional surface of a Transport that handles payloads
-// outside the cluster's handlers: it encodes and decodes mesh frames and
-// returns undelivered messages, and so needs the cluster whose boxes
-// they travel in (MarshalMessage, UnmarshalMessage, ReleaseMessage).
-type carrier interface {
-	Carry(c *Cluster)
 }
 
 // TargetPolicy selects which replicas serve a read.
@@ -95,7 +84,7 @@ type Config struct {
 
 	// Storage backend. Engine selects the per-node engine:
 	// storage.Mem (default) keeps the volatile map; storage.LSM runs the
-	// durable WAL + LSM-lite engine, making Crash/Restart meaningful.
+	// durable WAL + LSM-lite engine, making Crash/Recover meaningful.
 	Engine storage.Kind
 	// WALSyncBytes is the LSM WAL sync cadence: the log syncs once the
 	// unsynced tail reaches this many bytes (a crash loses at most that
@@ -132,11 +121,11 @@ type Config struct {
 	// cluster).
 	InitialMembers []netsim.NodeID
 	// WarmupDuration is the warming window after a Join flip or a
-	// Restart: the node serves writes but read coordinators deprioritize
-	// it (it is excluded from read quorums whenever enough converged
-	// replicas are live) until the window elapses. 0 disables warming —
-	// the node counts as fully live at once, the pre-elasticity
-	// behaviour.
+	// crashed node's Recover: the node serves writes but read
+	// coordinators deprioritize it (it is excluded from read quorums
+	// whenever enough converged replicas are live) until the window
+	// elapses. 0 disables warming — the node counts as fully live at
+	// once, the pre-elasticity behaviour.
 	WarmupDuration time.Duration
 	// StreamChunkBytes is the snapshot-stream chunk budget for Join and
 	// Decommission range transfers; 0 defaults to 16 KiB.
@@ -250,9 +239,6 @@ type Cluster struct {
 	strategy ring.Strategy
 	oracle   *Oracle
 	hooks    hookSet
-	// remote marks, by node id, the nodes another process serves; nil
-	// over a Transport that cannot span processes (every simulation).
-	remote []bool
 
 	// Elastic membership: at most one Join/Decommission is in flight at
 	// a time; warming holds the replicas read coordinators deprioritize
@@ -331,6 +317,7 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 	}
 	c.guardCb = c.guardFired
 	c.opFree = noOp
+	c.wireNodes = topo.N()
 	if cfg.HotCache {
 		c.hot = newHotTracker(&cfg, net.Now())
 	}
@@ -361,18 +348,12 @@ func New(topo *netsim.Topology, net Transport, cfg Config) *Cluster {
 		c.nodes[id] = n
 		c.order = append(c.order, id)
 		c.allNodes = append(c.allNodes, id)
-		net.Register(id, n.Handle)
-	}
-	net.Register(netsim.ClientID, c.handleClientReply)
-	if h, ok := net.(hoster); ok {
-		c.remote = make([]bool, topo.N())
-		for id := range c.remote {
-			c.remote[id] = h.Remote(netsim.NodeID(id))
+		if !net.Remote(id) { // the peer process serves a remote node
+			net.Register(id, n.Handle)
 		}
 	}
-	if cr, ok := net.(carrier); ok {
-		cr.Carry(c)
-	}
+	net.Register(netsim.ClientID, c.handleClientReply)
+	net.Carry(c)
 
 	// Stagger background tasks so they do not synchronize.
 	for i, id := range c.order {
@@ -423,27 +404,6 @@ func (c *Cluster) eventsSince(seq uint64) []gossip.RingEvent {
 	return c.ringEvents[seq:]
 }
 
-// ResetGossipView rewinds node id's membership view to ring-event
-// prefix seq, as if the node had been partitioned from all gossip since
-// that flip. Only tests call it, to manufacture stale coordinators
-// deterministically (Config.Gossip only).
-func (c *Cluster) ResetGossipView(id netsim.NodeID, seq uint64) {
-	if !c.cfg.Gossip {
-		panic("kv: ResetGossipView without Config.Gossip")
-	}
-	if seq > uint64(len(c.ringEvents)) {
-		panic(fmt.Sprintf("kv: ResetGossipView(%d, %d) beyond the event log (%d)", id, seq, len(c.ringEvents)))
-	}
-	n := c.nodes[id]
-	if n == nil || n.gs == nil {
-		panic(fmt.Sprintf("kv: ResetGossipView(%d) on a node without gossip state", id))
-	}
-	// rewind (not a fresh state) keeps the dissemination meters — a
-	// bench that rewinds views every iteration still accumulates its
-	// retry counts.
-	n.gs.rewind(n, seq)
-}
-
 // GossipStatus reports viewer's current liveness claim about subject
 // (gossip.Left when gossip is disabled or the viewer has no agent — an
 // unknown node is unroutable either way).
@@ -468,7 +428,7 @@ func (c *Cluster) ViewAgreement() float64 {
 	total, agree := 0, 0
 	for _, id := range c.order {
 		n := c.nodes[id]
-		if n.failed || n.crashed || n.gs == nil {
+		if n.fault != faultNone || n.gs == nil {
 			continue
 		}
 		total++
@@ -564,97 +524,83 @@ func (c *Cluster) engineOptions(id netsim.NodeID) storage.Options {
 	return opts
 }
 
-// Two distinct failure modes, injectable independently:
+// Two failure modes, injected by three verbs in any order:
 //
-//   - Fail/Recover is a NETWORK failure: the transport drops the node's
-//     traffic, but the process keeps running and its state — engine
-//     contents, buffered hints, queued work — is fully PRESERVED. A
-//     recovered node serves exactly what it held when it was cut off.
-//   - Crash/Restart is a PROCESS failure: traffic drops the same way,
-//     but the node additionally LOSES its volatile state (for MemEngine
-//     that is every write; for the LSM engine, the memtable and the
-//     un-fsynced WAL tail). Restart rebuilds from durable state (WAL
-//     replay + sorted runs) and catches up via hinted handoff and
-//     anti-entropy.
+//   - Fail is a NETWORK failure: the transport drops the node's
+//     traffic, but its state — engine contents, buffered hints, queued
+//     work — is PRESERVED; a recovered node serves what it held.
+//   - Crash is a PROCESS failure: traffic drops the same way, and the
+//     node LOSES its volatile state (every write on MemEngine; the
+//     memtable and the un-fsynced WAL tail on LSM).
+//   - Recover ends either.
 //
-// A node is in exactly one of three states — live, failed or crashed —
-// and the four methods enforce the transitions (live→failed→live via
-// Fail/Recover, live→crashed→live via Crash/Restart), panicking on any
-// other sequence: mispairing them would desynchronize the transport's
-// boolean down flag and the failure detector from the actor's state
-// (e.g. Restart-ing a node that was also Failed would silently heal the
-// partition). TestFailPreservesStateCrashLosesIt pins this contract.
+// The rule: a node's fault is one field ordered none < failed <
+// crashed. Fail and Crash raise it and leave a node already at least as
+// faulted as it is; the first fault cuts the network and schedules the
+// detector's flip, and crashing a failed node only loses its process
+// state. Recover lowers any fault to none. An id that is no member (no
+// actor, bootstrapping or decommissioned) and carries no fault is
+// refused with ErrNotMember. TestFaultTransitions and FuzzFaults pin it.
 
-// mustBeLive panics unless node id is a member that is neither failed
-// nor crashed.
-func (c *Cluster) mustBeLive(id netsim.NodeID, op string) *Node {
+// faulty returns node id for a fault transition, or ErrNotMember.
+func (c *Cluster) faulty(id netsim.NodeID) (*Node, error) {
 	n := c.nodes[id]
-	switch {
-	case n == nil || n.phase == phaseDecommissioned || n.phase == phaseBootstrapping:
-		panic(fmt.Sprintf("kv: %s(%d) on a non-member node", op, id))
-	case n.failed:
-		panic(fmt.Sprintf("kv: %s(%d) on a failed node; Recover it first", op, id))
-	case n.crashed:
-		panic(fmt.Sprintf("kv: %s(%d) on a crashed node; Restart it first", op, id))
+	if n == nil || n.fault == faultNone && !c.IsMember(id) {
+		return nil, ErrNotMember
 	}
-	return n
+	return n, nil
 }
 
-// Fail injects a network-level node failure: the transport drops its
-// traffic at once and the cluster-wide failure detector marks it down
-// after the configured detection delay. The node's state is preserved.
-func (c *Cluster) Fail(id netsim.NodeID) {
-	c.mustBeLive(id, "Fail").failed = true
-	c.net.Fail(id)
-	c.net.Schedule(c.cfg.DetectionDelay, func() { c.down[id] = true })
+// inject raises node id's fault to f: the transport drops its traffic at
+// once, and the failure detector marks it down after DetectionDelay.
+func (c *Cluster) inject(id netsim.NodeID, f fault) error {
+	n, err := c.faulty(id)
+	if err != nil || n.fault >= f {
+		return err
+	}
+	first := n.fault == faultNone
+	n.fault = f
+	if first {
+		c.net.Fail(id)
+	}
+	if f == faultCrashed {
+		n.crash()
+	}
+	if first {
+		c.net.Schedule(c.cfg.DetectionDelay, func() { c.down[id] = true })
+	}
+	return nil
 }
 
-// Recover reverses Fail after the detection delay. Recovering a node
-// that is not failed (live, or crashed — use Restart) is a contract
-// violation.
-func (c *Cluster) Recover(id netsim.NodeID) {
-	n := c.nodes[id]
-	if !n.failed {
-		panic(fmt.Sprintf("kv: Recover(%d) on a non-failed node (crashed=%v); Recover pairs with Fail", id, n.crashed))
+// Fail injects a network-level node failure.
+func (c *Cluster) Fail(id netsim.NodeID) error { return c.inject(id, faultFailed) }
+
+// Crash kills the node process: it loses its engine's volatile state,
+// coordinator contexts, queued stage work and buffered hints.
+func (c *Cluster) Crash(id netsim.NodeID) error { return c.inject(id, faultCrashed) }
+
+// Recover ends node id's fault: traffic flows again at once, and the
+// detector marks the node up after DetectionDelay. A crashed node first
+// recovers its engine's durable state, which the stats report (LSM
+// reloads sorted runs and replays the fsynced WAL prefix; MemEngine
+// restarts empty), converges through hinted handoff and anti-entropy,
+// and re-enters service through the warming window a joining node uses
+// (Config.WarmupDuration).
+func (c *Cluster) Recover(id netsim.NodeID) (storage.RecoverStats, error) {
+	var rs storage.RecoverStats
+	n, err := c.faulty(id)
+	if err != nil || n.fault == faultNone {
+		return rs, err
 	}
-	n.failed = false
+	crashed := n.fault == faultCrashed
+	n.fault = faultNone
 	c.net.Recover(id)
-	c.net.Schedule(c.cfg.DetectionDelay, func() { delete(c.down, id) })
-}
-
-// Crash kills the node process: traffic drops like Fail, and the node
-// loses its volatile state — engine memtable past the last durability
-// point, coordinator contexts, queued stage work, buffered hints. The
-// failure detector marks it down after the detection delay.
-func (c *Cluster) Crash(id netsim.NodeID) {
-	n := c.mustBeLive(id, "Crash")
-	c.net.Fail(id)
-	n.crash()
-	c.net.Schedule(c.cfg.DetectionDelay, func() { c.down[id] = true })
-}
-
-// Restart reverses Crash: the engine recovers its durable state (the
-// LSM engine reloads sorted runs and replays the fsynced WAL prefix;
-// MemEngine restarts empty), traffic flows again at once, and the
-// detector marks the node up after the detection delay. The node then
-// converges through hinted handoff and anti-entropy like any lagging
-// replica. With Config.WarmupDuration set, it re-enters service through
-// the same warming state a joining node uses: it takes writes at once
-// but read coordinators deprioritize it until the window elapses, so a
-// replaying replica is not counted as fully live. The returned stats
-// report what the engine recovered.
-func (c *Cluster) Restart(id netsim.NodeID) storage.RecoverStats {
-	if c.nodes[id] == nil {
-		panic(fmt.Sprintf("kv: Restart(%d) on a non-member node", id))
+	if crashed {
+		rs = n.restart()
+		c.markWarming(id)
 	}
-	if !c.nodes[id].crashed {
-		panic(fmt.Sprintf("kv: Restart(%d) on a non-crashed node (failed=%v); Restart pairs with Crash", id, c.nodes[id].failed))
-	}
-	c.net.Recover(id)
-	rs := c.nodes[id].restart()
-	c.markWarming(id)
 	c.net.Schedule(c.cfg.DetectionDelay, func() { delete(c.down, id) })
-	return rs
+	return rs, nil
 }
 
 // Close releases node engine resources (file-backed WALs under the live

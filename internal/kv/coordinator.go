@@ -531,7 +531,7 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 		ctx.ackDC[n.cluster.topo.DCOf(from)]++
 	}
 	n.cluster.hooks.writeAck(now, ctx.key, ctx.ackCount, now-ctx.start)
-	if n.cluster.remote != nil && n.cluster.remote[from] {
+	if n.cluster.net.Remote(from) {
 		// A replica another process serves applies out of this oracle's
 		// sight; its acknowledgement is the only sign here that it did.
 		n.cluster.oracle.appliedAt(ctx.ledger, from, ctx.version, now)
@@ -566,7 +566,7 @@ func (n *Node) armTimeout(id reqID, write bool) sim.Timer {
 // when the timer fires has no other reference left, so it returns to
 // its free list here.
 func (n *Node) timeoutFired(arg uint64, _ any) {
-	if n.crashed {
+	if n.fault == faultCrashed {
 		return // a dead process handles nothing
 	}
 	id, write := reqID(arg>>1), arg&1 != 0

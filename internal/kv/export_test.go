@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/ring"
 )
 
@@ -27,4 +29,25 @@ func (n *Node) RouteStrategy() ring.Strategy {
 		return n.gs.strategy
 	}
 	return n.cluster.strategy
+}
+
+// ResetGossipView rewinds node id's membership view to ring-event
+// prefix seq, as if the node had been partitioned from all gossip since
+// that flip, to manufacture stale coordinators deterministically
+// (Config.Gossip only).
+func (c *Cluster) ResetGossipView(id netsim.NodeID, seq uint64) {
+	if !c.cfg.Gossip {
+		panic("kv: ResetGossipView without Config.Gossip")
+	}
+	if seq > uint64(len(c.ringEvents)) {
+		panic(fmt.Sprintf("kv: ResetGossipView(%d, %d) beyond the event log (%d)", id, seq, len(c.ringEvents)))
+	}
+	n := c.nodes[id]
+	if n == nil || n.gs == nil {
+		panic(fmt.Sprintf("kv: ResetGossipView(%d) on a node without gossip state", id))
+	}
+	// rewind (not a fresh state) keeps the dissemination meters — a
+	// bench that rewinds views every iteration still accumulates its
+	// retry counts.
+	n.gs.rewind(n, seq)
 }

@@ -123,9 +123,9 @@ func (c *Cluster) State(id netsim.NodeID) NodeState {
 	switch {
 	case !ok:
 		return StateNotMember
-	case n.crashed:
+	case n.fault == faultCrashed:
 		return StateCrashed
-	case n.failed:
+	case n.fault == faultFailed:
 		return StateFailed
 	case n.phase == phaseBootstrapping:
 		return StateBootstrapping
@@ -174,7 +174,9 @@ func (c *Cluster) Join(id netsim.NodeID) error {
 	if !containsNode(c.allNodes, id) {
 		c.allNodes = append(c.allNodes, id)
 	}
-	c.net.Register(id, n.Handle)
+	if !c.net.Remote(id) {
+		c.net.Register(id, n.Handle)
+	}
 
 	c.membershipGen++
 	c.pending = &membershipChange{
@@ -193,7 +195,7 @@ func (c *Cluster) Join(id netsim.NodeID) error {
 	}
 	var peers []netsim.NodeID
 	for _, p := range c.order {
-		if pn := c.nodes[p]; !pn.failed && !pn.crashed {
+		if c.nodes[p].fault == faultNone {
 			peers = append(peers, p)
 		}
 	}
@@ -259,10 +261,8 @@ func (c *Cluster) validateDecommission(id netsim.NodeID) error {
 	switch {
 	case !ok || n.phase == phaseDecommissioned || n.phase == phaseBootstrapping:
 		return fmt.Errorf("Decommission(%d): not a member", id)
-	case n.failed:
-		return fmt.Errorf("Decommission(%d): node is failed; Recover it first", id)
-	case n.crashed:
-		return fmt.Errorf("Decommission(%d): node is crashed; Restart it first", id)
+	case n.fault != faultNone:
+		return fmt.Errorf("Decommission(%d): node is %v; Recover it first", id, c.State(id))
 	case n.phase != phaseLive:
 		return fmt.Errorf("Decommission(%d): node is %v; wait for it to settle", id, c.State(id))
 	}
@@ -384,7 +384,7 @@ func (c *Cluster) seedIntroducer(changed netsim.NodeID) {
 			continue
 		}
 		n := c.nodes[id]
-		if n.gs == nil || n.failed || n.crashed {
+		if n.gs == nil || n.fault != faultNone {
 			continue
 		}
 		n.applyRingEvents(c.eventsSince(n.gs.view.RingSeq()))
@@ -396,7 +396,7 @@ func (c *Cluster) seedIntroducer(changed netsim.NodeID) {
 // coordinators deprioritize it until the window elapses. A no-op when
 // WarmupDuration is 0 (warming disabled) or when the node is not plainly
 // live — in particular, a node whose decommission completed while it was
-// crashed must stay decommissioned through Restart, not resurrect into
+// crashed must stay decommissioned through Recover, not resurrect into
 // the member states.
 func (c *Cluster) markWarming(id netsim.NodeID) {
 	if c.cfg.WarmupDuration <= 0 {
@@ -466,7 +466,7 @@ func (s *streamIn) complete() bool { return s.done && s.chunks >= s.expect }
 // at the same event and exactly one of them ships each range.
 func (c *Cluster) rangeSourceFor(r ring.Range) netsim.NodeID {
 	for _, rep := range c.strategy.ReplicasAt(r.End) {
-		if n, ok := c.nodes[rep]; ok && !n.failed && !n.crashed && n.phase != phaseDecommissioned {
+		if n, ok := c.nodes[rep]; ok && n.fault == faultNone && n.phase != phaseDecommissioned {
 			return rep
 		}
 	}

@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -227,7 +228,7 @@ func TestWarmingExcludedFromReads(t *testing.T) {
 		victim := h.cluster.Strategy().Replicas("hot")[0]
 		h.cluster.Crash(victim)
 		h.eng.RunFor(2 * time.Second)
-		h.cluster.Restart(victim) // MemEngine: comes back empty
+		h.cluster.Recover(victim) // MemEngine: comes back empty
 		h.eng.RunFor(2 * time.Second)
 		for i := 0; i < 12; i++ { // rotate coordinators past the victim
 			if r := h.read("hot", kv.One); !r.Exists {
@@ -257,7 +258,7 @@ func TestWarmingStillServesQuorumWhenNeeded(t *testing.T) {
 	h.eng.Run()
 	h.cluster.Crash(1)
 	h.eng.RunFor(2 * time.Second)
-	h.cluster.Restart(1)
+	h.cluster.Recover(1)
 	h.eng.RunFor(2 * time.Second)
 	// ALL must still reach 3 replicas, warming included.
 	if r := h.read("hot", kv.All); r.Err != nil {
@@ -285,7 +286,9 @@ func TestMembershipContract(t *testing.T) {
 	refused("Join of a member", h.cluster.Join(0))
 	refused("Join outside the topology", h.cluster.Join(9))
 	refused("Decommission below RF", h.cluster.Decommission(2))
-	mustPanic(t, "Fail of a non-member", func() { h.cluster.Fail(4) })
+	if err := h.cluster.Fail(4); !errors.Is(err, kv.ErrNotMember) {
+		t.Fatalf("Fail of a non-member: %v, want ErrNotMember", err)
+	}
 
 	h.join(3)
 	refused("concurrent Join", h.cluster.Join(4))
@@ -404,7 +407,7 @@ func TestRestartOfDecommissionedStaysDecommissioned(t *testing.T) {
 	if s := h.cluster.State(3); s != kv.StateCrashed {
 		t.Fatalf("state = %v, want crashed", s)
 	}
-	h.cluster.Restart(3)
+	h.cluster.Recover(3)
 	h.eng.RunFor(2 * time.Second)
 	if s := h.cluster.State(3); s != kv.StateDecommissioned {
 		t.Fatalf("restart resurrected a decommissioned node: %v", s)

@@ -88,6 +88,8 @@ type boxes struct {
 
 	readCtxs  []*readCtx
 	writeCtxs []*writeCtx
+
+	wireNodes int // the topology's size: the codec decodes node ids in [0, wireNodes)
 }
 
 // reqID identifies one client operation across the cluster.
@@ -197,6 +199,9 @@ func (m *replicaBatchRead) wire(c *wireCodec) *replicaBatchRead {
 	c.id(&m.ID)
 	c.ints(&m.Idxs)
 	c.strs(&m.Keys)
+	if c.dec && len(m.Keys) != len(m.Idxs) {
+		c.fail() // the replica walks positions and keys side by side
+	}
 	c.node(&m.Coord)
 	c.uvarint(&m.RingSeq)
 	return m
@@ -244,6 +249,9 @@ func (m *replicaBatchWrite) wire(c *wireCodec) *replicaBatchWrite {
 	c.strs(&m.Keys)
 	for i := range wireList(c, &m.Cells) {
 		c.cell(&m.Cells[i])
+	}
+	if c.dec && (len(m.Keys) != len(m.Idxs) || len(m.Cells) != len(m.Idxs)) {
+		c.fail()
 	}
 	c.node(&m.Coord)
 	c.uvarint(&m.RingSeq)
@@ -363,6 +371,9 @@ func (m *aeOffer) wire(c *wireCodec) *aeOffer {
 	c.strs(&m.Keys)
 	for i := range wireList(c, &m.Versions) {
 		c.version(&m.Versions[i])
+	}
+	if c.dec && len(m.Versions) != len(m.Keys) {
+		c.fail() // the answering replica walks keys and versions side by side
 	}
 	c.node(&m.From)
 	return m
@@ -602,4 +613,6 @@ const (
 	ErrDeadline = storeError("kv: operation deadline exceeded")
 	// ErrCanceled: the operation's context was canceled before issue.
 	ErrCanceled = storeError("kv: operation canceled")
+	// ErrNotMember: Fail, Crash or Recover named no ring member.
+	ErrNotMember = storeError("kv: node is not a member")
 )

@@ -78,16 +78,13 @@ type Node struct {
 	engine  storage.Engine
 	rng     *stats.Source
 
-	// Failure-injection state machine: a node is live, failed (network
-	// cut, state intact) or crashed — never both at once; Cluster.Fail/
-	// Recover/Crash/Restart enforce the transitions. While crashed the
-	// actor processes no messages; epoch stamps the node's self-messages
-	// (work completions, admission continuations, background ticks) so
-	// ones scheduled before a crash cannot resurrect pre-crash work
-	// after a restart.
-	failed  bool
-	crashed bool
-	epoch   uint32
+	// Failure injection (Cluster.Fail, Crash, Recover; see cluster.go).
+	// While crashed the actor processes no messages; epoch stamps the
+	// node's self-messages (work completions, admission continuations,
+	// background ticks) so ones scheduled before a crash cannot
+	// resurrect pre-crash work after a restart.
+	fault fault
+	epoch uint32
 
 	// Membership phase (orthogonal to the failure leg; see
 	// membership.go) plus the snapshot-streaming state of an in-flight
@@ -179,6 +176,15 @@ func newNode(id netsim.NodeID, c *Cluster) *Node {
 	return n
 }
 
+// fault is a node's failure-injection state, ordered by severity.
+type fault uint8
+
+const (
+	faultNone    fault = iota
+	faultFailed        // network cut, state intact
+	faultCrashed       // process dead, volatile state lost
+)
+
 // Engine exposes the node's storage engine (tests and anti-entropy).
 func (n *Node) Engine() storage.Engine { return n.engine }
 
@@ -189,7 +195,6 @@ func (n *Node) Engine() storage.Engine { return n.engine }
 // may still reference them; the GC reclaims them), and their request
 // timeouts are canceled with them.
 func (n *Node) crash() {
-	n.crashed = true
 	n.epoch++
 	n.engine.Crash()
 	n.readStage.reset()
@@ -220,7 +225,7 @@ func (n *Node) crash() {
 	// In-flight inbound streams die with the process; the senders' guard
 	// timer (membership.go) keeps the membership change from wedging.
 	n.streamsIn = nil
-	// A crashed warming node is no longer converging; Restart re-arms
+	// A crashed warming node is no longer converging; Recover re-arms
 	// its own warming window.
 	if n.phase == phaseWarming {
 		n.phase = phaseLive
@@ -232,7 +237,6 @@ func (n *Node) crash() {
 // state, and the background tick chains (anti-entropy, hint replay) are
 // restarted under the new epoch — the pre-crash chains died with it.
 func (n *Node) restart() storage.RecoverStats {
-	n.crashed = false
 	rs := n.engine.Recover()
 	n.scheduleAE()
 	n.scheduleHintTick()
@@ -248,7 +252,7 @@ func (n *Node) restart() storage.RecoverStats {
 // ReleaseMessage returns an undelivered message's pooled box to the
 // cluster's free list (a no-op for unpooled kinds): crashed nodes dispose
 // of their self-messages through it so an outage does not leak boxes, and
-// the live engine returns what it drops or discards through it.
+// the transport returns what it refuses through it (netsim.Codec).
 func (b *boxes) ReleaseMessage(payload any) {
 	switch m := payload.(type) {
 	case *workDone:
@@ -432,7 +436,7 @@ func (n *Node) CoordOps() uint64 { return n.coordOps }
 // actor. Pooled message boxes are taken (copied out and recycled) before
 // dispatch, so a box never outlives one delivery.
 func (n *Node) Handle(from netsim.NodeID, payload any) {
-	if n.crashed {
+	if n.fault == faultCrashed {
 		// A dead process handles nothing. Only local self-messages get
 		// here (the transport drops network traffic to down nodes);
 		// their pooled boxes still need returning.

@@ -9,8 +9,9 @@ import (
 )
 
 // wireBenchBoxes are the probe's own boxes: WireBenchRoundTrip runs
-// outside any cluster, so it recycles through these instead.
-var wireBenchBoxes boxes
+// outside any cluster, so it recycles through these instead, and decodes
+// node ids up to its own message's.
+var wireBenchBoxes = boxes{wireNodes: 3}
 
 // WireBenchRoundTrip drives one representative message through the full
 // inter-process codec path — box a replica write, marshal it into a

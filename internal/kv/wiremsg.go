@@ -93,9 +93,10 @@ func (b *boxes) MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) 
 // UnmarshalMessage decodes one frame body produced by MarshalMessage
 // into the cluster's pooled box (or a value) Node.Handle dispatches on.
 // Keys and values are copied out of body — the caller may reuse its read
-// buffer as soon as UnmarshalMessage returns.
+// buffer as soon as UnmarshalMessage returns. A truncated body, or one
+// naming a node outside the topology anywhere, is refused.
 func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload any, err error) {
-	c := wireCodec{data: body, dec: true}
+	c := wireCodec{data: body, dec: true, nodes: b.wireNodes}
 	c.node(&from)
 	c.node(&to)
 	switch kind {
@@ -134,7 +135,7 @@ func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID
 	}
 	if c.err {
 		b.ReleaseMessage(payload)
-		return 0, 0, nil, fmt.Errorf("kv: truncated wire message kind %d", kind)
+		return 0, 0, nil, fmt.Errorf("kv: malformed wire message kind %d", kind)
 	}
 	return from, to, payload, nil
 }
@@ -148,16 +149,17 @@ func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID
 // into its box) and returns it, so each dispatch below is one expression.
 // The first failed read latches err and empties data, every later read
 // leaves its field zero, and the decoder checks once at the end instead
-// of after every field.
+// of after every field. A node id outside [0, nodes) is a failed read.
 //
 // The codec must stay on its caller's stack (it is made once per
 // message): field lists are called on concrete types only, never through
 // an interface or a func value, which would make it escape.
 type wireCodec struct {
-	buf  []byte // encoding: the frame under construction
-	data []byte // decoding: the unread rest of the frame body
-	dec  bool
-	err  bool
+	buf   []byte // encoding: the frame under construction
+	data  []byte // decoding: the unread rest of the frame body
+	nodes int    // decoding: the node-id bound
+	dec   bool
+	err   bool
 }
 
 // open begins a frame of the given kind addressed from→to; the field
@@ -246,7 +248,12 @@ func (c *wireCodec) int(p *int) {
 	*p = int(v)
 }
 
-func (c *wireCodec) node(p *netsim.NodeID) { c.int((*int)(p)) }
+func (c *wireCodec) node(p *netsim.NodeID) {
+	c.int((*int)(p))
+	if c.dec && (*p < 0 || int(*p) >= c.nodes) {
+		c.fail()
+	}
+}
 
 func (c *wireCodec) version(p *storage.Version) {
 	c.varint((*int64)(&p.Timestamp))

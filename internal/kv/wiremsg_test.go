@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -9,12 +10,14 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/ring"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-// testBoxes are the codec tests' own boxes, as a cluster owns its set.
-var testBoxes boxes
+// testBoxes are the codec tests' own boxes, as a cluster owns its set:
+// their topology has 16 nodes, so every id of the table decodes.
+var testBoxes = boxes{wireNodes: 16}
 
 // roundTrip marshals payload as a frame, reads it back and decodes it.
 func roundTrip(t *testing.T, from, to netsim.NodeID, payload any) any {
@@ -218,11 +221,129 @@ func TestWireDecodeBomb(t *testing.T) {
 	}
 }
 
+// nodeFields returns the node-id fields of a message: the struct fields
+// of type netsim.NodeID, settable when payload is a pointer.
+func nodeFields(payload any) []reflect.Value {
+	v := reflect.ValueOf(payload)
+	if v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	var out []reflect.Value
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Type() == reflect.TypeOf(netsim.NodeID(0)) {
+			out = append(out, v.Field(i))
+		}
+	}
+	return out
+}
+
+// TestWireRefusesHostileBodies: a node id is input from the mesh socket,
+// and the replica that answers a request routes its reply by the id the
+// request names. A replicaRead naming coordinator 1<<20 used to decode
+// cleanly and panic the replica's send (Topology.Class, index out of
+// range). Every kind is refused with an out-of-range id in either frame
+// address or in any node field of its body. Lists a handler walks side
+// by side must line up: a batch whose positions, keys and cells differ
+// in length, or an anti-entropy offer with fewer versions than keys,
+// used to decode and panic the replica that indexed one by the other.
+func TestWireRefusesHostileBodies(t *testing.T) {
+	refused := func(what string, from, to netsim.NodeID, payload any) {
+		t.Helper()
+		buf, ok := testBoxes.MarshalMessage(nil, from, to, payload)
+		if !ok {
+			t.Fatalf("%s: no wire form", what)
+		}
+		kind, body, _, err := wire.ReadFrame(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, decoded, err := testBoxes.UnmarshalMessage(kind, body); err == nil {
+			t.Errorf("%s decoded cleanly: %+v", what, deref(decoded))
+			testBoxes.ReleaseMessage(decoded)
+		}
+	}
+	for i, tc := range wireCases() {
+		fields := len(nodeFields(tc.payload))
+		testBoxes.ReleaseMessage(tc.payload)
+		// Every refusal marshals a fresh payload: marshalling consumes it.
+		for _, bad := range []netsim.NodeID{-1, 16, 1 << 20} {
+			refused(fmt.Sprintf("%s from %d", tc.name, bad), bad, 11, wireCases()[i].payload)
+			refused(fmt.Sprintf("%s to %d", tc.name, bad), 3, bad, wireCases()[i].payload)
+			for j := 0; j < fields; j++ {
+				payload := wireCases()[i].payload
+				if reflect.ValueOf(payload).Kind() != reflect.Pointer {
+					p := reflect.New(reflect.TypeOf(payload))
+					p.Elem().Set(reflect.ValueOf(payload))
+					nodeFields(p.Interface())[j].SetInt(int64(bad))
+					payload = p.Elem().Interface()
+				} else {
+					nodeFields(payload)[j].SetInt(int64(bad))
+				}
+				refused(fmt.Sprintf("%s body node field %d = %d", tc.name, j, bad), 3, 11, payload)
+			}
+		}
+	}
+	refused("batch read with more positions than keys", 3, 11,
+		&replicaBatchRead{ID: 8, Idxs: []int{0, 1}, Keys: []string{"a"}, Coord: 0})
+	refused("batch write with more keys than cells", 3, 11,
+		&replicaBatchWrite{ID: 9, Idxs: []int{0, 1}, Keys: []string{"a", "b"}, Cells: []storage.Cell{testCell(1, "v")}, Coord: 2})
+	refused("anti-entropy offer with more keys than versions", 3, 11,
+		aeOffer{Keys: []string{"a", "b"}, Versions: []storage.Version{{Seq: 1}}, From: 2})
+}
+
+// TestBatchPositionsOutsideTheBatch: a batched read response or write
+// acknowledgement naming positions outside the coordinator's batch (a
+// peer's frame decodes any int there) used to index past the batch's
+// items and panic the coordinator. They answer for nothing, and the
+// batch completes from its genuine replies.
+func TestBatchPositionsOutsideTheBatch(t *testing.T) {
+	topo := netsim.SingleDC(3)
+	eng := sim.New(1)
+	tr := netsim.NewTransport(eng, topo)
+	cfg := DefaultConfig()
+	cfg.HintReplayInterval, cfg.AntiEntropyInterval = 0, 0
+	cl := New(topo, tr, cfg)
+	// inFlight steps the engine until a coordinator holds batch id and
+	// returns that coordinator.
+	inFlight := func(id reqID, write bool) netsim.NodeID {
+		for eng.Step() {
+			for nid, n := range cl.nodes {
+				if _, ok := n.batchReads[id]; ok && !write {
+					return nid
+				}
+				if _, ok := n.batchWrites[id]; ok && write {
+					return nid
+				}
+			}
+		}
+		t.Fatalf("batch %d never reached a coordinator", id)
+		return 0
+	}
+
+	var writes []WriteResult
+	cl.WriteBatch([]BatchOp{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}}, All,
+		func(r []WriteResult) { writes = r })
+	coord := inFlight(cl.nextID, true)
+	tr.Deliver(1, coord, &replicaBatchWriteAck{ID: cl.nextID, Idxs: []int{2, -1, 1 << 30}, From: 1}, false)
+	var reads []ReadResult
+	cl.ReadBatch([]string{"a", "b"}, All, func(r []ReadResult) { reads = r })
+	coord = inFlight(cl.nextID, false)
+	tr.Deliver(1, coord, &replicaBatchReadResp{ID: cl.nextID, Items: []batchReadItem{{Idx: 2}, {Idx: -1}}, From: 1}, false)
+	eng.Run()
+	if len(writes) != 2 || writes[0].Err != nil || writes[1].Err != nil {
+		t.Fatalf("batch write: %+v", writes)
+	}
+	if len(reads) != 2 || !reads[0].Exists || !reads[1].Exists {
+		t.Fatalf("batch read: %+v", reads)
+	}
+}
+
 // FuzzUnmarshalMessage feeds arbitrary frame bodies to the decoder the
 // mesh read loop runs on peer input. It must never panic; a body that
-// decodes cleanly must re-marshal to a frame that decodes to an equal
-// message (the codec's two directions agree on every input, not just on
-// the round-trip table); and every decoded payload is released.
+// decodes cleanly names only nodes of the topology, and must re-marshal
+// to a frame that decodes to an equal message (the codec's two
+// directions agree on every input, not just on the round-trip table);
+// and every decoded payload is released.
 func FuzzUnmarshalMessage(f *testing.F) {
 	for _, tc := range wireCases() {
 		buf, _ := testBoxes.MarshalMessage(nil, 3, 11, tc.payload)
@@ -238,6 +359,15 @@ func FuzzUnmarshalMessage(f *testing.F) {
 		from, to, payload, err := testBoxes.UnmarshalMessage(kind, body)
 		if err != nil {
 			return
+		}
+		ids := []int64{int64(from), int64(to)}
+		for _, f := range nodeFields(payload) {
+			ids = append(ids, f.Int())
+		}
+		for _, id := range ids {
+			if id < 0 || id >= int64(testBoxes.wireNodes) {
+				t.Fatalf("decoded %T names node %d outside [0, %d)", payload, id, testBoxes.wireNodes)
+			}
 		}
 		want := deref(payload) // marshalling consumes a pooled payload
 		buf, ok := testBoxes.MarshalMessage(nil, from, to, payload)

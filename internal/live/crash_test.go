@@ -64,7 +64,7 @@ func TestLiveLSMFileWALCrashRestart(t *testing.T) {
 	eng.Do(func() { cl.Crash(victim) })
 	time.Sleep(100 * time.Millisecond)
 	var rs storage.RecoverStats
-	eng.Do(func() { rs = cl.Restart(victim) })
+	eng.Do(func() { rs, _ = cl.Recover(victim) })
 	if rs.WALRecords == 0 && rs.RunsLoaded == 0 {
 		t.Fatalf("file-backed restart recovered nothing: %+v", rs)
 	}

@@ -12,7 +12,8 @@
 // a failed node's self-messages still arrive (its clock is alive, its
 // network is not). What is live-only is where a message waits when it
 // is not on the time plane: the direct run queue and the TCP mesh
-// (mesh.go).
+// (mesh.go). A refused message, and one on the run queue at Close, goes
+// back through the transport to the store it carries (netsim.Codec).
 //
 // The clock contract is the simulator's: time advances between events,
 // not inside a handler. Now() is the queue's clock — read from the wall
@@ -30,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/kv"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -71,11 +71,6 @@ type Engine struct {
 	localSet []bool
 	mesh     *mesh
 
-	// cluster is the store built on this engine (Carry): payloads are
-	// its pooled boxes, so the engine returns what it does not deliver,
-	// and encodes and decodes mesh frames, through it. nil until then.
-	cluster *kv.Cluster
-
 	// Scale is the rate of the engine clock against the wall: engine
 	// time is wall time ÷ Scale, so 0.1 runs a WAN topology ten times
 	// faster, every modeled latency, service time and timeout with it,
@@ -106,40 +101,13 @@ func New(topo *netsim.Topology, seed uint64) *Engine {
 	}
 }
 
-// Register installs a node handler. It must run under the engine lock:
-// cluster construction happens inside Do, so this does not lock itself
-// (the mutex is not reentrant). In a multi-process deployment the
-// cluster constructs actors for every ring member, but only the nodes
-// this process serves are registered: a remote node's idle local twin
-// never receives a message (its ticks and any stray deliveries are
-// dropped), the peer process serves it instead.
-func (e *Engine) Register(id netsim.NodeID, h netsim.Handler) {
-	if e.isLocal(id) {
-		e.Transport.Register(id, h)
-	}
+// Remote reports that another process serves id (the client endpoint and
+// out-of-range ids are local): kv registers no handler for its idle local
+// twin (whose ticks and any stray deliveries are dropped), and counts its
+// applications by its acknowledgements.
+func (e *Engine) Remote(id netsim.NodeID) bool {
+	return e.localSet != nil && id >= 0 && int(id) < len(e.localSet) && !e.localSet[id]
 }
-
-// Carry records the cluster built on the engine; kv.New calls it, under
-// the engine lock like every cluster interaction.
-func (e *Engine) Carry(c *kv.Cluster) { e.cluster = c }
-
-// release returns an undelivered payload's box to the cluster; with no
-// cluster it is left to the collector.
-func (e *Engine) release(payload any) {
-	if e.cluster != nil {
-		e.cluster.ReleaseMessage(payload)
-	}
-}
-
-// isLocal reports whether this process serves id (the client endpoint
-// and out-of-range ids count as local).
-func (e *Engine) isLocal(id netsim.NodeID) bool {
-	return e.localSet == nil || id < 0 || int(id) >= len(e.localSet) || e.localSet[id]
-}
-
-// Remote reports that another process serves id (kv counts such a
-// replica's applications by its acknowledgements).
-func (e *Engine) Remote(id netsim.NodeID) bool { return !e.isLocal(id) }
 
 // lock takes the engine lock and steps the time plane up to the wall
 // clock: due events — functions, timers and delayed messages alike —
@@ -193,8 +161,7 @@ func (e *Engine) enqueue(to, from netsim.NodeID, payload any, local bool) {
 // may enqueue more), re-arms the runtime timer for the earliest pending
 // event and hands any staged peer frames to the mesh writers. Every
 // path that takes the engine lock drains before releasing it, so handler
-// execution stays serialized and non-reentrant. What the transport
-// refuses to deliver goes back to the cluster's free lists.
+// execution stays serialized and non-reentrant.
 func (e *Engine) drain() {
 	if e.closed {
 		e.discard()
@@ -207,9 +174,7 @@ func (e *Engine) drain() {
 		if i%clockEvery == clockEvery-1 {
 			e.tq.RunUntil(e.wall())
 		}
-		if !e.Deliver(from, to, payload, local) {
-			e.release(payload)
-		}
+		e.Deliver(from, to, payload, local)
 	}
 	e.runq = e.runq[:0]
 	if next, ok := e.tq.NextAt(); ok && !(e.armed && e.armedAt <= next) {
@@ -240,9 +205,10 @@ func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
 		return
 	}
 	if _, ok := e.Admit(from, to, size); !ok {
+		e.Release(payload)
 		return
 	}
-	if e.mesh != nil && !e.isLocal(to) && e.mesh.send(from, to, payload) {
+	if e.mesh != nil && e.Remote(to) && e.mesh.send(from, to, payload) {
 		return
 	}
 	e.enqueue(to, from, payload, false)
@@ -266,13 +232,13 @@ func (e *Engine) Meter() netsim.TrafficMeter {
 }
 
 // discard empties a closed engine: run-queue message boxes go back to
-// the cluster's free lists, and the time plane — waiting messages (their
+// the carried store, and the time plane — waiting messages (their
 // boxes are left to the collector), pending timers and the closures and
 // operation slots they pin — is cleared. Handles still held by callers
 // stop nothing.
 func (e *Engine) discard() {
 	for _, q := range e.runq {
-		e.release(q.payload)
+		e.Release(q.payload)
 	}
 	e.runq = nil
 	e.tq.Clear()

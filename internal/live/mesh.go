@@ -176,7 +176,7 @@ func (m *mesh) send(from, to netsim.NodeID, payload any) bool {
 		return false
 	}
 	var ok bool
-	p.pend, ok = m.e.cluster.MarshalMessage(p.pend, from, to, payload)
+	p.pend, ok = m.e.Codec().MarshalMessage(p.pend, from, to, payload)
 	if !ok {
 		panic(fmt.Sprintf("live: message %T to remote node %d has no wire form", payload, to))
 	}
@@ -296,26 +296,27 @@ func (m *mesh) readLoop(conn net.Conn) {
 }
 
 // deliverBatch decodes one read's worth of inbound frames into the
-// cluster's boxes and runs them through the run queue under one lock
-// acquisition; the frames' views of the read buffer are not used after
-// it returns. It reports false when a frame body does not decode: then
-// no frame of the batch is delivered and the reader drops the
-// connection. An engine with no cluster yet has no handler to deliver
-// to, and drops the frames undecoded.
+// carried store's boxes and runs them through the run queue under one
+// lock acquisition; the frames' views of the read buffer are not used
+// after it returns. It reports false when a frame body does not decode:
+// then no frame of the batch is delivered and the reader drops the
+// connection. An engine that carries no store yet has no handler to
+// deliver to, and drops the frames undecoded.
 func (e *Engine) deliverBatch(batch []frame) bool {
 	e.lock()
 	defer e.mu.Unlock()
 	defer e.drain()
-	if e.cluster == nil {
+	codec := e.Codec()
+	if codec == nil {
 		return true
 	}
 	start := len(e.runq)
 	for _, f := range batch {
-		from, to, payload, err := e.cluster.UnmarshalMessage(f.kind, f.body)
+		from, to, payload, err := codec.UnmarshalMessage(f.kind, f.body)
 		if err != nil {
 			// The boxes the batch's earlier frames filled go back.
 			for i, q := range e.runq[start:] {
-				e.cluster.ReleaseMessage(q.payload)
+				codec.ReleaseMessage(q.payload)
 				e.runq[start+i] = queuedMsg{}
 			}
 			e.runq = e.runq[:start]

@@ -13,10 +13,11 @@ import (
 )
 
 // replicaReadFrame appends a peer frame carrying a replica read of key
-// from node 0 to node 1 (the field order of kv's replicaRead wire form,
-// pinned by its golden frames). With truncated set the body stops after
-// the request id: the frame is intact, its body does not decode.
-func replicaReadFrame(buf []byte, id uint64, key string, truncated bool) []byte {
+// from node 0 to node 1 for coordinator coord (the field order of kv's
+// replicaRead wire form, pinned by its golden frames). With truncated set
+// the body stops after the request id: the frame is intact, its body
+// does not decode.
+func replicaReadFrame(buf []byte, id uint64, key string, coord int64, truncated bool) []byte {
 	const kindReplicaRead = 1
 	start := len(buf)
 	buf = wire.BeginFrame(buf, kindReplicaRead)
@@ -26,8 +27,8 @@ func replicaReadFrame(buf []byte, id uint64, key string, truncated bool) []byte 
 	if !truncated {
 		buf = wire.AppendString(buf, key)
 		buf = wire.AppendBool(buf, false) // digest
-		buf = wire.AppendVarint(buf, 0)   // coordinator
-		buf = wire.AppendUvarint(buf, 0)  // ring seq
+		buf = wire.AppendVarint(buf, coord)
+		buf = wire.AppendUvarint(buf, 0) // ring seq
 	}
 	return wire.EndFrame(buf, start)
 }
@@ -36,7 +37,9 @@ func replicaReadFrame(buf []byte, id uint64, key string, truncated bool) []byte 
 // engine lock, a read's worth at a time. A frame whose body does not
 // decode drops its connection, and no frame of that read is delivered —
 // not even the valid one ahead of it; another connection's frames still
-// are.
+// are. A CRC-valid frame naming a coordinator outside the topology does
+// not decode either: delivered, the replica's reply to it panicked the
+// reader's goroutine, and with it the process.
 func TestMeshCorruptPeerFrame(t *testing.T) {
 	topo := netsim.SingleDC(3)
 	e, err := NewMesh(topo, 1, MeshConfig{Listen: "127.0.0.1:0"})
@@ -59,8 +62,8 @@ func TestMeshCorruptPeerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	frames := replicaReadFrame(nil, 1, "k", false)
-	frames = replicaReadFrame(frames, 2, "", true)
+	frames := replicaReadFrame(nil, 1, "k", 0, false)
+	frames = replicaReadFrame(frames, 2, "", 0, true)
 	if _, err := bad.Write(frames); err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +76,28 @@ func TestMeshCorruptPeerFrame(t *testing.T) {
 		t.Fatalf("%d replica reads served from a read with a corrupt frame, want 0", n)
 	}
 
+	foreign, err := net.Dial("tcp", e.MeshAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foreign.Close()
+	if _, err := foreign.Write(replicaReadFrame(nil, 4, "k", 1<<20, false)); err != nil {
+		t.Fatal(err)
+	}
+	foreign.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := foreign.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("foreign coordinator: read %d bytes, err %v; want the engine to close the connection", n, err)
+	}
+	if n := replicaReads(); n != 0 {
+		t.Fatalf("%d replica reads served for a coordinator outside the topology, want 0", n)
+	}
+
 	good, err := net.Dial("tcp", e.MeshAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if _, err := good.Write(replicaReadFrame(nil, 3, "k", false)); err != nil {
+	if _, err := good.Write(replicaReadFrame(nil, 3, "k", 0, false)); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); replicaReads() != 1; time.Sleep(time.Millisecond) {

@@ -198,6 +198,49 @@ func TestDirectPartition(t *testing.T) {
 	}
 }
 
+// countingCodec is a carried store that records what the engine hands
+// back; it frames nothing.
+type countingCodec struct{ released []any }
+
+func (c *countingCodec) ReleaseMessage(payload any) { c.released = append(c.released, payload) }
+
+func (*countingCodec) MarshalMessage(buf []byte, _, _ netsim.NodeID, _ any) ([]byte, bool) {
+	return buf, false
+}
+
+func (*countingCodec) UnmarshalMessage(byte, []byte) (netsim.NodeID, netsim.NodeID, any, error) {
+	return 0, 0, nil, nil
+}
+
+// TestDirectReleasesRefused: on the direct path a refused message goes
+// back to the carried store through the transport, whether Admit refuses
+// it at departure or the destination fails before the run queue reaches
+// it; a delivered one is not released.
+func TestDirectReleasesRefused(t *testing.T) {
+	e, _, log := newDirectEngine(t, 3)
+	codec := &countingCodec{}
+	e.Do(func() {
+		e.Carry(codec)
+		e.Fail(1)
+		e.Send(0, 1, "departure", 0)
+		e.Recover(1)
+	})
+	e.Do(func() {
+		e.Send(0, 1, "arrival", 0)
+		e.Fail(1) // before the drain delivers it
+	})
+	e.Do(func() {
+		e.Recover(1)
+		e.Send(0, 1, "delivered", 0)
+	})
+	if want := []any{"departure", "arrival"}; !reflect.DeepEqual(codec.released, want) {
+		t.Errorf("released %v, want %v", codec.released, want)
+	}
+	if want := []string{"delivered"}; !reflect.DeepEqual(*log, want) {
+		t.Errorf("delivered %v, want %v", *log, want)
+	}
+}
+
 // TestStaleGuardHandleSparesNewTenant: a guard's slot is recycled when
 // it fires; stopping the old handle afterwards must not cancel the guard
 // that now lives in the slot.

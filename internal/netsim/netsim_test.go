@@ -167,6 +167,55 @@ func TestTransportFailsMidFlight(t *testing.T) {
 	}
 }
 
+// countingCodec is a carried store that records what the transport hands
+// back; it frames nothing.
+type countingCodec struct{ released []any }
+
+func (c *countingCodec) ReleaseMessage(payload any) { c.released = append(c.released, payload) }
+
+func (*countingCodec) MarshalMessage(buf []byte, _, _ NodeID, _ any) ([]byte, bool) {
+	return buf, false
+}
+
+func (*countingCodec) UnmarshalMessage(byte, []byte) (NodeID, NodeID, any, error) {
+	return 0, 0, nil, nil
+}
+
+// TestTransportReleasesRefused: a message the transport refuses goes back
+// to the carried store whether it is refused at departure (either end
+// failed) or on arrival (the destination failed in flight, or has no
+// handler); a delivered one is the handler's and is not released.
+func TestTransportReleasesRefused(t *testing.T) {
+	eng := sim.New(1)
+	tr := NewTransport(eng, twoDCTopo())
+	codec := &countingCodec{}
+	tr.Carry(codec)
+	if tr.Codec() != codec || tr.Remote(1) {
+		t.Fatal("Carry/Codec/Remote")
+	}
+	var got []any
+	tr.Register(1, func(_ NodeID, payload any) { got = append(got, payload) })
+	tr.Fail(1)
+	tr.Send(0, 1, "departure", 10)
+	tr.Recover(1)
+	tr.Send(0, 1, "arrival", 10)
+	tr.Fail(1)
+	eng.Run()
+	tr.Recover(1)
+	tr.Send(0, 1, "delivered", 10)
+	tr.Send(0, 2, "no handler", 10)
+	eng.Run()
+	want := []any{"departure", "arrival", "no handler"}
+	if len(codec.released) != len(want) || len(got) != 1 || got[0] != "delivered" {
+		t.Fatalf("released %v and delivered %v, want %v and [delivered]", codec.released, got, want)
+	}
+	for i := range want {
+		if codec.released[i] != want[i] {
+			t.Fatalf("released %v, want %v", codec.released, want)
+		}
+	}
+}
+
 // TestRouteSurvivesPacking: an in-flight message's endpoints ride packed
 // in the engine event's integer argument; the client pseudo-node (-1) and
 // the largest id of a 256-node topology must come back out as they went

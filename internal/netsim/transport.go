@@ -12,6 +12,15 @@ import (
 // needs no locking.
 type Handler func(from NodeID, payload any)
 
+// Codec is the store a transport carries (kv.Cluster): a refused message
+// goes back to its pools through ReleaseMessage, and a transport that
+// spans processes frames the rest with Marshal/UnmarshalMessage.
+type Codec interface {
+	ReleaseMessage(payload any)
+	MarshalMessage(buf []byte, from, to NodeID, payload any) ([]byte, bool)
+	UnmarshalMessage(kind byte, body []byte) (from, to NodeID, payload any, err error)
+}
+
 // Transport delivers messages between topology nodes over the
 // discrete-event engine, sampling per-class latency laws, applying
 // partitions and node failures, and metering traffic for the cost
@@ -24,7 +33,8 @@ type Handler func(from NodeID, payload any)
 // in-flight message is one engine event and nothing else: its endpoints
 // ride packed in the event's argument (route), the message is the
 // event's payload, so the transport keeps no slab of its own and a
-// delivery touches one slot.
+// delivery touches one slot. A message refused at departure or on
+// arrival has one fate: its box goes back to the carried Codec.
 type Transport struct {
 	eng   *sim.Engine
 	topo  *Topology
@@ -36,6 +46,8 @@ type Transport struct {
 	downN    int       // number of nodes marked down
 
 	partition map[[2]NodeID]bool
+
+	codec Codec // the store carried (Carry); nil until then
 
 	deliverCb sim.Callback // pre-bound t.deliver, allocated once
 }
@@ -73,6 +85,22 @@ func (t *Transport) Topology() *Topology { return t.topo }
 
 // Meter returns a snapshot of the traffic meter.
 func (t *Transport) Meter() TrafficMeter { return t.meter.Snapshot() }
+
+// Carry records the store built on the transport; kv.New calls it.
+func (t *Transport) Carry(c Codec) { t.codec = c }
+
+// Codec returns the carried store, nil before Carry.
+func (t *Transport) Codec() Codec { return t.codec }
+
+// Remote reports whether another process serves id: never, in one process.
+func (t *Transport) Remote(NodeID) bool { return false }
+
+// Release returns a refused message's box to the carried store, if any.
+func (t *Transport) Release(payload any) {
+	if t.codec != nil {
+		t.codec.ReleaseMessage(payload)
+	}
+}
 
 // Fail marks a node down: messages to and from it are dropped until
 // Recover. The node's local timers keep firing (its clock is alive, its
@@ -131,25 +159,25 @@ func (t *Transport) deliver(arg uint64, payload any) {
 	t.Deliver(from, to, payload, local)
 }
 
-// Deliver hands a message that has arrived to its destination handler
-// and reports whether one ran. to may be any id (a peer frame can name
-// one the tables do not reach). A network message to a failed node is
-// dropped — failure is re-checked at arrival, so a node that died while
-// the message was in flight does not receive it — and so is one to an
-// unregistered endpoint, both counted; a self-message (local) reaches
-// even a failed node, and one without a handler is not traffic and is
-// not counted.
-func (t *Transport) Deliver(from, to NodeID, payload any, local bool) bool {
+// Deliver hands a message that has arrived to its destination handler.
+// to may be any id (a peer frame can name one the tables do not reach).
+// A network message to a failed node is dropped — failure is re-checked
+// at arrival, so a node that died while the message was in flight does
+// not receive it — and so is one to an unregistered endpoint, both
+// counted; a self-message (local) reaches even a failed node, and one
+// without a handler is not traffic and is not counted. A dropped
+// message's box goes back to the carried store.
+func (t *Transport) Deliver(from, to NodeID, payload any, local bool) {
 	if i := uint(slot(to)); i < uint(len(t.handlers)) && (local || t.downN == 0 || !t.down[i]) {
 		if h := t.handlers[i]; h != nil {
 			h(from, payload)
-			return true
+			return
 		}
 	}
 	if !local {
 		t.meter.Dropped++
 	}
-	return false
+	t.Release(payload)
 }
 
 // Admit is a network send's departure: it meters size bytes on the
@@ -169,10 +197,11 @@ func (t *Transport) Admit(from, to NodeID, size int) (LinkClass, bool) {
 
 // Send delivers payload from → to after a sampled network delay. size is
 // the wire size in bytes, used for metering. A message Admit refuses is
-// not delivered, nor is one Deliver drops on arrival.
+// released, not delivered, as is one Deliver drops on arrival.
 func (t *Transport) Send(from, to NodeID, payload any, size int) {
 	class, ok := t.Admit(from, to, size)
 	if !ok {
+		t.Release(payload)
 		return
 	}
 	delay := t.topo.Latency.Law(class).Sample(t.rng)

@@ -130,7 +130,7 @@ func Count(k int) Level { return kv.Count(k) }
 // Storage engines (Config.Engine). EngineMem is the volatile map engine
 // (the default): Cluster.Crash loses everything it held. EngineLSM is
 // the durable WAL + LSM-lite engine: a crash loses only the un-fsynced
-// WAL tail, and Cluster.Restart replays the rest before hinted handoff
+// WAL tail, and Cluster.Recover replays the rest before hinted handoff
 // and anti-entropy close the gap. Config.WALSyncBytes, Config.MaxRuns
 // and Config.WALDir tune it. The WAL runs the same code in memory and on
 // a file; a WALDir makes the live engine pay real file I/O for WAL syncs
@@ -140,7 +140,7 @@ const (
 	EngineLSM = storage.LSM
 )
 
-// RecoverStats reports what a node's engine rebuilt on Cluster.Restart.
+// RecoverStats reports what a node's engine rebuilt on Cluster.Recover.
 type RecoverStats = storage.RecoverStats
 
 // NodeState is a node's combined membership/failure status (Sim.State,
