@@ -215,6 +215,31 @@ func writeLine(w kv.WriteResult) string {
 	return fmt.Sprintf("put %s err=%v lat=%v ver=%v acked=%d", w.Key, w.Err, w.Latency, w.Version, w.Acked)
 }
 
+// usageLine is a transcript's Usage line: named counters, so a field
+// added to Usage does not move a pinned hash unless the line names it.
+// It names every field but StreamInChunks.
+func usageLine(u kv.Usage) string {
+	return fmt.Sprintf("usage nodes=%d busy=%v stored=%d repReads=%d repWrites=%d coordOps=%d repairs=%d "+
+		"hintsReplayed=%d hintsDropped=%d ae=%d flushed=%d dropped=%d "+
+		"crashes=%d walReplays=%d walBytes=%d walSyncs=%d lostWAL=%d compactions=%d compacted=%d "+
+		"joins=%d decommissions=%d streamChunks=%d streamedCells=%d streamedBytes=%d streamInCells=%d snapshotCells=%d "+
+		"gossipRounds=%d suspicions=%d dead=%d ringEvents=%d notOwner=%d wrongOwnerRetries=%d warmViolations=%d "+
+		"cacheHits=%d cacheMisses=%d cacheFills=%d cacheInvalidations=%d cacheExpired=%d cacheRingEvicted=%d "+
+		"cacheStaleServed=%d hotPromotions=%d hotDemotions=%d hotKeys=%d",
+		u.Nodes, u.BusyTime, u.StoredBytes, u.ReplicaReads, u.ReplicaWrites, u.CoordOps, u.ReadRepairs,
+		u.HintsReplayed, u.HintsDropped, u.AERounds, u.FlushedBytes, u.DroppedMuts,
+		u.Crashes, u.WALReplays, u.WALBytes, u.WALSyncs, u.LostWALRecords, u.Compactions, u.CompactedBytes,
+		u.Joins, u.Decommissions, u.StreamChunks, u.StreamedCells, u.StreamedBytes, u.StreamInCells, u.StreamSnapshotCells,
+		u.GossipRounds, u.GossipSuspicions, u.GossipDeadDeclared, u.GossipEvents, u.NotOwnerReplies, u.WrongOwnerRetries, u.WarmViolations,
+		u.CacheHits, u.CacheMisses, u.CacheFills, u.CacheInvalidations, u.CacheExpired, u.CacheRingEvicted,
+		u.CacheStaleServed, u.HotPromotions, u.HotDemotions, u.HotKeysNow)
+}
+
+// meterLine is a transcript's traffic-meter line.
+func meterLine(m netsim.TrafficMeter) string {
+	return fmt.Sprintf("meter msgs=%v bytes=%v dropped=%d", m.Messages, m.Bytes, m.Dropped)
+}
+
 // TestStaleRingNotOwnerFallback: coordinators on a maximally stale
 // (pre-join) ring still meet quorum within the deadline for every
 // operation shape — the displaced replica's notOwner refusal advances
@@ -229,14 +254,14 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 		want string
 		run  func(t *testing.T, h *harness, key string) []string
 	}{
-		{"read", "1217240fdc2ebe9d612501ea829f5675b3b638f2df97cca96ad0a8fff687d329", func(t *testing.T, h *harness, key string) []string {
+		{"read", "af72518b1dff3c136a839cefffcfffbf3a31b354055e8faa584c697c11336007", func(t *testing.T, h *harness, key string) []string {
 			r := h.read(key, kv.Quorum)
 			if r.Err != nil || string(r.Value) != "v0" {
 				t.Fatalf("stale-ring read: err=%v value=%q", r.Err, r.Value)
 			}
 			return []string{readLine(r)}
 		}},
-		{"write", "011678f4254cf0ec06a56ef858dadaa5a1313527d9c901472245bb82c23da304", func(t *testing.T, h *harness, key string) []string {
+		{"write", "14236e6e045a48f50f3c2a0d828a869473437e8f863c5c265f905de076541a10", func(t *testing.T, h *harness, key string) []string {
 			w := h.write(key, []byte("v1"), kv.Quorum)
 			if w.Err != nil {
 				t.Fatalf("stale-ring write: %v", w.Err)
@@ -246,7 +271,7 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 		// All-level: quorum target selection may skip the displaced
 		// replica entirely; All guarantees the stale coordinator contacts
 		// it and gets refused.
-		{"batch-read", "aeca122de126cddd0e60bb4e26ff8d18584f028a97ddf5bf06aebe77b72ee012", func(t *testing.T, h *harness, key string) []string {
+		{"batch-read", "799bb93e9ee49cb853e3a926b50f2b6d2d1bb302cd3fe1caaa1cddd17e0ebf91", func(t *testing.T, h *harness, key string) []string {
 			var lines []string
 			for _, r := range h.batchRead([]string{key, gkey(0), gkey(1)}, kv.All) {
 				if r.Err != nil || !r.Exists {
@@ -256,7 +281,7 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 			}
 			return lines
 		}},
-		{"batch-write", "9925484680778ce3efd8880411efbf149c05e0af09d1954f8d9f1f03fbb1dbfe", func(t *testing.T, h *harness, key string) []string {
+		{"batch-write", "8fae398e6425b2490696a315b914683440873dfcf37e1952f6a7d2f225a24fc9", func(t *testing.T, h *harness, key string) []string {
 			var lines []string
 			ops := []kv.BatchOp{{Key: key, Value: []byte("v1")}, {Key: gkey(0), Value: []byte("v1")}}
 			for _, w := range h.batchWrite(ops, kv.Quorum) {
@@ -293,9 +318,7 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 					t.Error("retried write never reached the new owner")
 				}
 			}
-			m := h.tr.Meter()
-			lines = append(lines, fmt.Sprintf("usage %+v", h.cluster.Usage()),
-				fmt.Sprintf("meter msgs=%v bytes=%v dropped=%d", m.Messages, m.Bytes, m.Dropped))
+			lines = append(lines, usageLine(h.cluster.Usage()), meterLine(h.tr.Meter()))
 			sum := sha256.New()
 			for _, l := range lines {
 				sum.Write([]byte(l + "\n"))

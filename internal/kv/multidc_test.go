@@ -134,9 +134,7 @@ func TestMultiDCJoinDecommission(t *testing.T) {
 		}
 		lines = append(lines, readLine(r))
 	}
-	m := h.tr.Meter()
-	lines = append(lines, fmt.Sprintf("usage %+v", h.cluster.Usage()),
-		fmt.Sprintf("meter msgs=%v bytes=%v dropped=%d", m.Messages, m.Bytes, m.Dropped))
+	lines = append(lines, usageLine(h.cluster.Usage()), meterLine(h.tr.Meter()))
 	for _, rp := range h.cluster.Strategy().Ranges() {
 		lines = append(lines, fmt.Sprintf("range %v", rp))
 	}
@@ -144,8 +142,11 @@ func TestMultiDCJoinDecommission(t *testing.T) {
 	for _, l := range lines {
 		sum.Write([]byte(l + "\n"))
 	}
-	const want = "72c6a11aebca2b697cac9e1f215914ad59c3a60611b1195c47c8249c954d74ec"
+	const want = "2a8e9323f8f279153818538f2fb400e63c7de952440c6b8db5e44ae78c25b47f"
 	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		for _, l := range lines {
+			t.Log(l)
+		}
 		t.Errorf("transcript hash = %s, want %s", got, want)
 	}
 }
