@@ -17,13 +17,14 @@ import (
 // produced by the seed implementation of the discrete-event core. The
 // fast-path overhaul (indexed event heap, pooled delivery, message
 // pooling) must preserve bit-for-bit determinism: the same seed must keep
-// producing this exact transcript. If a deliberate semantic change
-// invalidates the hash, regenerate it with
+// producing this exact transcript. Only its meter line has moved since:
+// once, when metered sizes became wire frame lengths. If a deliberate
+// semantic change invalidates the hash, regenerate it with
 //
 //	REPRO_PRINT_TRANSCRIPT=1 go test -run TestDeterminismTranscript -v
 //
 // and update the constant with an explanation in the commit message.
-const determinismHash = "bc0df52f3d0db485e52d95bae68b90dc07d25bdbb8c49608c0e36004e03d91ed"
+const determinismHash = "2dd3b14fecd9cae5d3f1fbeddccfb76b897d77cc5c0c88daba8c9122f72d9668"
 
 // determinismScenario drives a mixed workload that crosses every hot
 // path: single reads/writes/deletes at levels ONE and QUORUM, multi-key

@@ -53,13 +53,9 @@ func (n *Node) antiEntropyRound() {
 		keys = append(keys, k)
 		versions = append(versions, cell.Version)
 	}
-	size := msgOverhead
-	for _, k := range keys {
-		size += len(k) + 16
-	}
 	cost := n.cluster.cfg.ReadService.Sample(n.rng)
 	n.submitRead(cost, func() {
-		n.cluster.net.Send(n.id, peer, aeOffer{Keys: keys, Versions: versions, From: n.id}, size)
+		n.cluster.net.Send(n.id, peer, aeOffer{Keys: keys, Versions: versions, From: n.id})
 	})
 }
 
@@ -85,19 +81,16 @@ func (n *Node) onAEOffer(m aeOffer) {
 	n.submitRead(cost, func() {
 		var updates []aeCell
 		var want []string
-		size := msgOverhead
 		for i, key := range m.Keys {
 			local, ok := n.engine.Peek(key)
 			switch {
 			case !ok || m.Versions[i].After(local.Version):
 				want = append(want, key)
-				size += len(key)
 			case local.Version.After(m.Versions[i]):
 				updates = append(updates, aeCell{Key: key, Cell: local})
-				size += len(key) + len(local.Value) + 16
 			}
 		}
-		n.cluster.net.Send(n.id, m.From, aeReply{Updates: updates, Want: want, From: n.id}, size)
+		n.cluster.net.Send(n.id, m.From, aeReply{Updates: updates, Want: want, From: n.id})
 	})
 }
 
@@ -110,14 +103,12 @@ func (n *Node) onAEReply(m aeReply) {
 			return
 		}
 		var push []aeCell
-		size := msgOverhead
 		for _, key := range m.Want {
 			if cell, ok := n.engine.Peek(key); ok {
 				push = append(push, aeCell{Key: key, Cell: cell})
-				size += len(key) + len(cell.Value) + 16
 			}
 		}
-		n.cluster.net.Send(n.id, m.From, aePush{Updates: push}, size)
+		n.cluster.net.Send(n.id, m.From, aePush{Updates: push})
 	})
 }
 

@@ -33,11 +33,7 @@ func (c *Cluster) ReadBatch(keys []string, lvl Level, cb func([]ReadResult)) {
 	}
 	rt, op := c.newOp(lvl)
 	op.keys, op.brcb = keys, cb
-	size := msgOverhead
-	for _, k := range keys {
-		size += len(k)
-	}
-	c.net.Send(netsim.ClientID, coord, clientBatchRead{ID: id, Keys: keys, Level: lvl, rt: rt}, size)
+	c.net.Send(netsim.ClientID, coord, clientBatchRead{ID: id, Keys: keys, Level: lvl, rt: rt})
 	c.armOp(rt)
 }
 
@@ -57,11 +53,7 @@ func (c *Cluster) WriteBatch(ops []BatchOp, lvl Level, cb func([]WriteResult)) {
 	}
 	rt, op := c.newOp(lvl)
 	op.bops, op.bwcb = ops, cb
-	size := msgOverhead
-	for _, o := range ops {
-		size += len(o.Key) + len(o.Value)
-	}
-	c.net.Send(netsim.ClientID, coord, clientBatchWrite{ID: id, Ops: ops, Level: lvl, rt: rt}, size)
+	c.net.Send(netsim.ClientID, coord, clientBatchWrite{ID: id, Ops: ops, Level: lvl, rt: rt})
 	c.armOp(rt)
 }
 
@@ -159,11 +151,7 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 // replyBatchRead ships a whole batch's results to the client endpoint in
 // one message.
 func (n *Node) replyBatchRead(rt opRoute, res []ReadResult) {
-	size := msgOverhead
-	for _, r := range res {
-		size += len(r.Value)
-	}
-	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchReadReply{rt: rt, res: res}, size)
+	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchReadReply{rt: rt, res: res})
 }
 
 // admitBatchWrite versions and fans out a batch whose admission work is
@@ -233,18 +221,11 @@ func (n *Node) reqFor(reqs []replicaReq, to netsim.NodeID, id reqID, write bool)
 // sendReqs sends a batch's grouped replica requests in first-use order.
 func (n *Node) sendReqs(reqs []replicaReq) {
 	for _, r := range reqs {
-		size := msgOverhead
-		if w := r.write; w != nil {
-			for j := range w.Keys {
-				size += len(w.Keys[j]) + len(w.Cells[j].Value)
-			}
-			n.cluster.net.Send(n.id, r.to, w, size)
-			continue
+		if r.write != nil {
+			n.cluster.net.Send(n.id, r.to, r.write)
+		} else {
+			n.cluster.net.Send(n.id, r.to, r.read)
 		}
-		for _, k := range r.read.Keys {
-			size += len(k)
-		}
-		n.cluster.net.Send(n.id, r.to, r.read, size)
 	}
 }
 
@@ -291,7 +272,7 @@ func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 // replyBatchWrite ships a whole batch's results to the client endpoint
 // in one message.
 func (n *Node) replyBatchWrite(rt opRoute, res []WriteResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchWriteReply{rt: rt, res: res}, msgOverhead)
+	n.cluster.net.Send(n.id, netsim.ClientID, clientBatchWriteReply{rt: rt, res: res})
 }
 
 // onReplicaBatchRead serves every item of a batched read in one work
@@ -309,15 +290,12 @@ func (n *Node) onReplicaBatchRead(m replicaBatchRead) {
 	}
 	n.submitRead(cost, func() {
 		items := make([]batchReadItem, len(m.Idxs))
-		size := msgOverhead
 		for j, idx := range m.Idxs {
 			n.repReads++
 			cell, ok := n.engine.Get(m.Keys[j])
 			items[j] = batchReadItem{Idx: idx, Cell: cell, Exists: ok}
-			size += len(cell.Value)
 		}
-		n.cluster.net.Send(n.id, m.Coord,
-			&replicaBatchReadResp{ID: m.ID, Items: items, From: n.id}, size)
+		n.cluster.net.Send(n.id, m.Coord, &replicaBatchReadResp{ID: m.ID, Items: items, From: n.id})
 	})
 }
 
@@ -343,6 +321,6 @@ func (n *Node) onReplicaBatchWrite(m replicaBatchWrite) {
 			n.cacheInvalidate(m.Keys[j])
 		}
 		ack := &replicaBatchWriteAck{ID: m.ID, Idxs: m.Idxs, From: n.id}
-		n.cluster.net.Send(n.id, m.Coord, ack, msgOverhead+8*len(m.Idxs))
+		n.cluster.net.Send(n.id, m.Coord, ack)
 	})
 }

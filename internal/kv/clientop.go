@@ -127,8 +127,7 @@ func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
 	}
 	rt, op := c.newOp(lvl)
 	op.key, op.rcb = key, cb
-	c.net.Send(netsim.ClientID, coord, c.clientReads.put(clientRead{ID: id, Key: key, Level: lvl, rt: rt}),
-		msgOverhead+len(key))
+	c.net.Send(netsim.ClientID, coord, c.clientReads.put(clientRead{ID: id, Key: key, Level: lvl, rt: rt}))
 	c.armOp(rt)
 }
 
@@ -155,7 +154,6 @@ func (c *Cluster) write(key string, value []byte, lvl Level, tombstone bool, cb 
 	rt, op := c.newOp(lvl)
 	op.key, op.wcb = key, cb
 	c.net.Send(netsim.ClientID, coord,
-		c.clientWrites.put(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}),
-		msgOverhead+len(key)+len(value))
+		c.clientWrites.put(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}))
 	c.armOp(rt)
 }

@@ -23,8 +23,10 @@ import (
 // nothing — the client guards. Remote reports that another OS process
 // serves a node: its actor here is an idle twin, never registered.
 // Carry hands the transport the cluster as a netsim.Codec: a refused
-// message goes back to its free lists, and one for a remote node travels
-// in its wire form (wiremsg.go). There is one delivery model behind the
+// message goes back to its free lists, one for a remote node travels in
+// its wire form (wiremsg.go), and every network send is metered at the
+// codec's MessageSize — so Send takes no size, and no send site writes
+// one. There is one delivery model behind the
 // interface: netsim.Transport, whose sim.Engine event queue holds every
 // message on its way as a queue entry. The simulator steps that queue in
 // virtual time (the zero-cost default every simulation uses); the live
@@ -39,7 +41,7 @@ import (
 // every timestamp one handler takes is the same instant.
 type Transport interface {
 	Now() time.Duration
-	Send(from, to netsim.NodeID, payload any, size int)
+	Send(from, to netsim.NodeID, payload any)
 	SendLocal(id netsim.NodeID, payload any, delay time.Duration)
 	Register(id netsim.NodeID, h netsim.Handler)
 	Remote(id netsim.NodeID) bool

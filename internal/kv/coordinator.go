@@ -239,7 +239,7 @@ func (n *Node) askReplicas(ctx *readCtx, to []netsim.NodeID, digest bool, reqs [
 			continue
 		}
 		rr := n.cluster.replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: digest && i > 0, Coord: n.id, RingSeq: n.ringSeq()})
-		n.cluster.net.Send(n.id, t, rr, msgOverhead+len(ctx.key))
+		n.cluster.net.Send(n.id, t, rr)
 	}
 	return reqs
 }
@@ -331,7 +331,7 @@ func (n *Node) tryCompleteRead(ctx *readCtx) {
 			if ctx.ackDC != nil {
 				ctx.ackDC[n.cluster.topo.DCOf(ctx.best.From)]--
 			}
-			n.cluster.net.Send(n.id, ctx.best.From, rr, msgOverhead+len(ctx.key))
+			n.cluster.net.Send(n.id, ctx.best.From, rr)
 			return
 		}
 		ctx.bestData = ctx.best
@@ -420,7 +420,7 @@ func (n *Node) finalizeRead(ctx *readCtx) {
 
 func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
 	msg := n.cluster.replicaWrites.put(replicaWrite{Key: key, Cell: cell, Coord: n.id, Repair: true})
-	n.cluster.net.Send(n.id, to, msg, msgOverhead+len(key)+len(cell.Value))
+	n.cluster.net.Send(n.id, to, msg)
 }
 
 // admitWrite versions and fans out a write whose admission work is done.
@@ -497,7 +497,7 @@ func (n *Node) shipWrite(ctx *writeCtx, replicas []netsim.NodeID, reqs []replica
 			continue
 		}
 		w := n.cluster.replicaWrites.put(replicaWrite{ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq()})
-		n.cluster.net.Send(n.id, r, w, msgOverhead+len(ctx.key)+len(ctx.cell.Value))
+		n.cluster.net.Send(n.id, r, w)
 	}
 	return reqs
 }
@@ -662,12 +662,11 @@ func (n *Node) writeDone(ctx *writeCtx, res WriteResult) {
 // replyRead ships the result back to the client endpoint over the
 // network, so client-visible latency includes the return hop.
 func (n *Node) replyRead(rt opRoute, res ReadResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientReadReplies.put(clientReadReply{rt: rt, res: res}),
-		msgOverhead+len(res.Value))
+	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientReadReplies.put(clientReadReply{rt: rt, res: res}))
 }
 
 func (n *Node) replyWrite(rt opRoute, res WriteResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientWriteReplies.put(clientWriteReply{rt: rt, res: res}), msgOverhead)
+	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientWriteReplies.put(clientWriteReply{rt: rt, res: res}))
 }
 
 // pickTargets selects which replicas a read contacts: enough to satisfy

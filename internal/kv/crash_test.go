@@ -3,6 +3,9 @@ package kv_test
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -397,4 +400,51 @@ func FuzzFaults(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWALBytesAreFileBytes: on LSM engines over file WALs, Usage.WALBytes
+// is exactly the bytes the WAL files received. Every record syncs (one
+// write at the watermark) and no memtable flushes (a flush rewinds the
+// watermark, and later syncs overwrite), so each file's length is the
+// bytes written to it.
+func TestWALBytesAreFileBytes(t *testing.T) {
+	const nodes = 4
+	cfg := quietConfig(41)
+	cfg.Engine = storage.LSM
+	cfg.WALDir = t.TempDir()
+	cfg.WALSyncBytes = 0
+	cfg.FlushLimit = 0
+	h := newHarness(netsim.SingleDC(nodes), cfg)
+	t.Cleanup(func() {
+		if err := h.cluster.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	for i := 0; i < 40; i++ {
+		if w := h.write(key(i), []byte(strings.Repeat("v", i)), kv.All); w.Err != nil {
+			t.Fatal(w.Err)
+		}
+	}
+	done := false
+	h.cluster.Delete(key(3), kv.All, func(kv.WriteResult) { done = true })
+	h.eng.Run()
+	if !done {
+		t.Fatal("delete never completed")
+	}
+
+	var written int64
+	for id := 0; id < nodes; id++ {
+		fi, err := os.Stat(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%d.log", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += fi.Size()
+	}
+	u := h.cluster.Usage()
+	if u.FlushedBytes != 0 || u.WALSyncs == 0 {
+		t.Fatalf("flushed %d bytes over %d syncs; the test needs syncs and no flush", u.FlushedBytes, u.WALSyncs)
+	}
+	if u.WALBytes != uint64(written) {
+		t.Errorf("Usage.WALBytes = %d, the WAL files hold %d bytes", u.WALBytes, written)
+	}
 }

@@ -35,10 +35,6 @@ import (
 // correctly anywhere (last-write-wins), and a stale read target is
 // exactly the quorum-overlap risk the staleness oracle measures.
 
-// gossipUpdateSize approximates one piggybacked rumor or ring event on
-// the wire in bytes.
-const gossipUpdateSize = 16
-
 // Protocol parameters no deployment, experiment or test ever varied.
 const (
 	// gossipPiggyback caps the rumors piggybacked per message; each
@@ -208,7 +204,7 @@ func (n *Node) onGossipTick() {
 			TargetInc:    gs.view.Incarnation(peer),
 			Updates:      gs.view.Updates(gossipPiggyback),
 		}
-		c.net.Send(n.id, peer, ping, msgOverhead+gossipUpdateSize*len(ping.Updates))
+		c.net.Send(n.id, peer, ping)
 		gs.awaitSeq, gs.awaitTarget = gs.probeSeq, peer
 		c.net.SendLocal(n.id, gossipProbeTimeout{Seq: gs.probeSeq, Target: peer, epoch: n.epoch},
 			c.cfg.GossipInterval/2)
@@ -249,7 +245,7 @@ func (n *Node) onGossipPing(m gossipPing) {
 		Updates:      gs.view.Updates(gossipPiggyback),
 		Events:       events,
 	}
-	c.net.Send(n.id, m.From, ack, msgOverhead+gossipUpdateSize*(len(ack.Updates)+len(ack.Events)))
+	c.net.Send(n.id, m.From, ack)
 }
 
 // onGossipAck completes a probe round on the prober.
@@ -274,8 +270,7 @@ func (n *Node) onGossipAck(m gossipAck) {
 	// The responder is behind on ring events: bridge it forward.
 	if m.RingSeq < gs.view.RingSeq() {
 		ev := n.eventsForCoord(m.RingSeq)
-		n.cluster.net.Send(n.id, m.From, gossipEvents{From: n.id, Events: ev},
-			msgOverhead+gossipUpdateSize*len(ev))
+		n.cluster.net.Send(n.id, m.From, gossipEvents{From: n.id, Events: ev})
 	}
 }
 
@@ -322,11 +317,7 @@ func (n *Node) refuse(m notOwner, coord netsim.NodeID, coordSeq uint64) {
 	n.gs.notOwnerReplies++
 	m.From = n.id
 	m.Events = n.eventsForCoord(coordSeq)
-	size := msgOverhead + len(m.Key) + gossipUpdateSize*len(m.Events)
-	for _, k := range m.Keys {
-		size += len(k)
-	}
-	n.cluster.net.Send(n.id, coord, m, size)
+	n.cluster.net.Send(n.id, coord, m)
 }
 
 // refuseForeign is the replica-side split of a batched request, made

@@ -254,14 +254,14 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 		want string
 		run  func(t *testing.T, h *harness, key string) []string
 	}{
-		{"read", "af72518b1dff3c136a839cefffcfffbf3a31b354055e8faa584c697c11336007", func(t *testing.T, h *harness, key string) []string {
+		{"read", "c94cb60e3248bbb45d055447414fd7fd68efc47e0a5b2361c54804e4832a2a3f", func(t *testing.T, h *harness, key string) []string {
 			r := h.read(key, kv.Quorum)
 			if r.Err != nil || string(r.Value) != "v0" {
 				t.Fatalf("stale-ring read: err=%v value=%q", r.Err, r.Value)
 			}
 			return []string{readLine(r)}
 		}},
-		{"write", "14236e6e045a48f50f3c2a0d828a869473437e8f863c5c265f905de076541a10", func(t *testing.T, h *harness, key string) []string {
+		{"write", "66af0c3afa10ed027ccaaf37d0c0b2cf924e114308aad4242f26cc046a3d33cb", func(t *testing.T, h *harness, key string) []string {
 			w := h.write(key, []byte("v1"), kv.Quorum)
 			if w.Err != nil {
 				t.Fatalf("stale-ring write: %v", w.Err)
@@ -271,7 +271,7 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 		// All-level: quorum target selection may skip the displaced
 		// replica entirely; All guarantees the stale coordinator contacts
 		// it and gets refused.
-		{"batch-read", "799bb93e9ee49cb853e3a926b50f2b6d2d1bb302cd3fe1caaa1cddd17e0ebf91", func(t *testing.T, h *harness, key string) []string {
+		{"batch-read", "449162b73636fdc34edbef70c7f45b25e4d90f63cfcafc5449ae9c22e87f3cd3", func(t *testing.T, h *harness, key string) []string {
 			var lines []string
 			for _, r := range h.batchRead([]string{key, gkey(0), gkey(1)}, kv.All) {
 				if r.Err != nil || !r.Exists {
@@ -281,7 +281,7 @@ func TestStaleRingNotOwnerFallback(t *testing.T) {
 			}
 			return lines
 		}},
-		{"batch-write", "8fae398e6425b2490696a315b914683440873dfcf37e1952f6a7d2f225a24fc9", func(t *testing.T, h *harness, key string) []string {
+		{"batch-write", "9169e7c8879007c29fd1c64291da3750984888589684ace84c432ac3a77c2c04", func(t *testing.T, h *harness, key string) []string {
 			var lines []string
 			ops := []kv.BatchOp{{Key: key, Value: []byte("v1")}, {Key: gkey(0), Value: []byte("v1")}}
 			for _, w := range h.batchWrite(ops, kv.Quorum) {

@@ -217,7 +217,7 @@ func (c *Cluster) Join(id netsim.NodeID) error {
 	n.joinPending = len(peers)
 	n.streamsIn = make(map[netsim.NodeID]*streamIn, len(peers))
 	for _, p := range peers {
-		c.net.Send(id, p, streamRequest{Joiner: id, Ranges: owned}, msgOverhead)
+		c.net.Send(id, p, streamRequest{Joiner: id, Ranges: owned})
 	}
 	return nil
 }
@@ -623,15 +623,14 @@ func (n *Node) sendStream(to netsim.NodeID, out *chunker, needAck bool) {
 			n.streamChunksOut++
 			n.streamedOutCells += uint64(cnt)
 			n.streamedOutBytes += uint64(len(data))
-			c.net.Send(n.id, to, streamChunk{From: n.id, Data: data, Count: cnt},
-				msgOverhead+len(data))
+			c.net.Send(n.id, to, streamChunk{From: n.id, Data: data, Count: cnt})
 		})
 	}
 	nChunks, cells := len(out.chunks), out.cells
 	n.submitRead(c.cfg.CoordOverhead.Sample(n.rng), func() {
 		c.net.Send(n.id, to, streamDone{
 			From: n.id, Chunks: nChunks, Cells: cells, Bytes: total, NeedAck: needAck,
-		}, msgOverhead)
+		})
 	})
 }
 
@@ -697,7 +696,7 @@ func (n *Node) streamProgress(peer netsim.NodeID, st *streamIn) {
 	delete(n.streamsIn, peer)
 	if st.ackTo >= 0 {
 		// Decommission handoff: tell the leaver this range landed.
-		n.cluster.net.Send(n.id, st.ackTo, streamAck{From: n.id}, msgOverhead)
+		n.cluster.net.Send(n.id, st.ackTo, streamAck{From: n.id})
 		return
 	}
 	// Join bootstrap: one source down, flip when the last completes.

@@ -95,12 +95,6 @@ type boxes struct {
 // reqID identifies one client operation across the cluster.
 type reqID uint64
 
-// msgOverhead approximates the wire framing of every message in bytes.
-const msgOverhead = 64
-
-// digestSize approximates a read digest (version + checksum) in bytes.
-const digestSize = 16
-
 // opRoute says how a result finds its way back to the issuing client: a
 // slot in the cluster's pooled op slab (clientop.go); gen catches replies
 // that outlive a timed-out, recycled slot.

@@ -142,7 +142,7 @@ func TestMultiDCJoinDecommission(t *testing.T) {
 	for _, l := range lines {
 		sum.Write([]byte(l + "\n"))
 	}
-	const want = "2a8e9323f8f279153818538f2fb400e63c7de952440c6b8db5e44ae78c25b47f"
+	const want = "884ebdbbf4f045720713b0c2d68af49ac354ab45568faed020159a7435444bb9"
 	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
 		for _, l := range lines {
 			t.Log(l)

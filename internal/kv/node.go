@@ -568,7 +568,7 @@ func (n *Node) applyReplicaWrite(m replicaWrite) {
 		return
 	}
 	ack := n.cluster.replicaWriteAcks.put(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
-	n.cluster.net.Send(n.id, m.Coord, ack, msgOverhead)
+	n.cluster.net.Send(n.id, m.Coord, ack)
 }
 
 // onReplicaRead serves a read after read service time, unless this
@@ -591,16 +591,13 @@ func (n *Node) serveReplicaRead(m replicaRead) {
 		ID: m.ID, Key: m.Key, Cell: cell, Exists: ok,
 		Digest: m.Digest, From: n.id,
 	})
-	size := msgOverhead + digestSize
-	if !m.Digest {
-		size = msgOverhead + len(cell.Value)
+	if m.Digest {
 		// Full data responses carry the value; digests only the
 		// version. The coordinator re-fetches data when the digest
 		// turns out newer.
-	} else {
 		resp.Cell.Value = nil
 	}
-	n.cluster.net.Send(n.id, m.Coord, resp, size)
+	n.cluster.net.Send(n.id, m.Coord, resp)
 }
 
 // maxHintsPerNode bounds a node's hint buffer; hints past it are dropped
@@ -642,7 +639,7 @@ func (n *Node) replayHints() {
 		}
 		for _, h := range entries {
 			msg := n.cluster.replicaWrites.put(replicaWrite{Key: h.key, Cell: h.cell, Coord: n.id, Repair: false, Hint: true})
-			n.cluster.net.Send(n.id, target, msg, msgOverhead+len(h.key)+len(h.cell.Value))
+			n.cluster.net.Send(n.id, target, msg)
 			n.hintsReplayed++
 		}
 		n.hintCount -= len(entries)

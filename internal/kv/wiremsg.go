@@ -8,16 +8,23 @@ import (
 	"repro/internal/wire"
 )
 
-// Cross-process wire form of the replica-facing message set. A
-// multi-process deployment runs the full cluster actor set in every
-// process but serves only its local nodes; messages addressed to a node
-// owned by a peer process are encoded here, framed by internal/wire and
-// shipped over a TCP mesh (internal/live). Client messages (they route
-// replies through a process-local op slab), self-messages (they carry
-// engine-internal pointers) and gossip messages (multi-process
-// membership is static for now) never cross a process boundary, so they
-// have no wire form — MarshalMessage reports them unencodable and the
-// mesh treats sending one as a programming error.
+// Cross-process wire form of the replica-facing message set, and the
+// size of every message the store sends. A multi-process deployment runs
+// the full cluster actor set in every process but serves only its local
+// nodes; messages addressed to a node owned by a peer process are
+// encoded here, framed by internal/wire and shipped over a TCP mesh
+// (internal/live). Client messages (they route replies through a
+// process-local op slab), self-messages (they carry engine-internal
+// pointers) and gossip messages (multi-process membership is static for
+// now) never cross a process boundary, so they have no wire form —
+// MarshalMessage reports them unencodable and the mesh treats sending
+// one as a programming error.
+//
+// The codec is also the one owner of a message's size. The transport
+// meters every network send through MessageSize, which walks the same
+// field list MarshalMessage encodes, so the bill prices the bytes a
+// frame holds; only the kinds without a wire form keep a size written
+// by hand, all of them in declaredSize.
 
 // Wire kinds of the cross-process message set. Values are part of the
 // peer protocol, as is the field order of each kind's wire method
@@ -49,19 +56,40 @@ const (
 func (b *boxes) MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) ([]byte, bool) {
 	start := len(buf)
 	c := wireCodec{buf: buf}
+	if !c.message(from, to, payload) {
+		return buf, false
+	}
+	b.ReleaseMessage(payload)
+	return wire.EndFrame(c.buf, start), true
+}
+
+// MessageSize is the bytes a message puts on the wire, which the
+// transport meters: for a kind with a wire form, the length of the frame
+// MarshalMessage would write (the same field walk, counting instead of
+// appending — nothing is encoded, checksummed or allocated), and for any
+// other kind its declaredSize. It leaves payload untouched.
+func (*boxes) MessageSize(from, to netsim.NodeID, payload any) int {
+	c := wireCodec{size: true}
+	if !c.message(from, to, payload) {
+		return declaredSize(payload)
+	}
+	return c.n
+}
+
+// message walks payload's frame — header, addresses, then its kind's
+// field list — and reports whether the kind has a wire form. It is the
+// one encode switch: MarshalMessage appends what it walks, MessageSize
+// counts it.
+func (c *wireCodec) message(from, to netsim.NodeID, payload any) bool {
 	switch m := payload.(type) {
 	case *replicaRead:
 		m.wire(c.open(wireReplicaRead, from, to))
-		b.replicaReads.take(m)
 	case *replicaReadResp:
 		m.wire(c.open(wireReplicaReadResp, from, to))
-		b.replicaReadResps.take(m)
 	case *replicaWrite:
 		m.wire(c.open(wireReplicaWrite, from, to))
-		b.replicaWrites.take(m)
 	case *replicaWriteAck:
 		m.wire(c.open(wireReplicaWriteAck, from, to))
-		b.replicaWriteAcks.take(m)
 	case *replicaBatchRead:
 		m.wire(c.open(wireReplicaBatchRead, from, to))
 	case *replicaBatchReadResp:
@@ -85,9 +113,54 @@ func (b *boxes) MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) 
 	case streamAck:
 		m.wire(c.open(wireStreamAck, from, to))
 	default:
-		return buf, false
+		return false
 	}
-	return wire.EndFrame(c.buf, start), true
+	return true
+}
+
+// declaredSize is the metered size of a kind with no wire form yet —
+// client requests and replies, gossip and notOwner (ROADMAP item 8b) —
+// and the one place such sizes are written: a flat 64-byte envelope plus
+// the keys and values carried and 16 bytes per gossip rumor or ring
+// event. A payload that is no kv message meters nothing.
+func declaredSize(payload any) int {
+	const envelope, rumor = 64, 16
+	n := envelope
+	switch m := payload.(type) {
+	case *clientRead:
+		n += len(m.Key)
+	case *clientWrite:
+		n += len(m.Key) + len(m.Value)
+	case *clientReadReply:
+		n += len(m.res.Value)
+	case *clientWriteReply, clientBatchWriteReply:
+	case clientBatchRead:
+		for _, k := range m.Keys {
+			n += len(k)
+		}
+	case clientBatchWrite:
+		for _, o := range m.Ops {
+			n += len(o.Key) + len(o.Value)
+		}
+	case clientBatchReadReply:
+		for _, r := range m.res {
+			n += len(r.Value)
+		}
+	case gossipPing:
+		n += rumor * len(m.Updates)
+	case gossipAck:
+		n += rumor * (len(m.Updates) + len(m.Events))
+	case gossipEvents:
+		n += rumor * len(m.Events)
+	case notOwner:
+		n += len(m.Key) + rumor*len(m.Events)
+		for _, k := range m.Keys {
+			n += len(k)
+		}
+	default:
+		return 0
+	}
+	return n
 }
 
 // UnmarshalMessage decodes one frame body produced by MarshalMessage
@@ -140,13 +213,15 @@ func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID
 	return from, to, payload, nil
 }
 
-// wireCodec walks a message's field list in one of two directions. A
+// wireCodec walks a message's field list in one of three modes. A
 // kind's wire method (messages.go) names each field once, in protocol
-// order, by handing the codec a pointer to it: encoding (dec unset)
-// appends the field to buf, decoding overwrites it with the next field
-// of data — so the two directions cannot disagree on order or form. The
-// method walks its receiver in place (a pooled kind decodes straight
-// into its box) and returns it, so each dispatch below is one expression.
+// order, by handing the codec a pointer to it: encoding appends the
+// field to buf, decoding (dec) overwrites it with the next field of
+// data, and sizing (size) adds the field's encoded length to n — so no
+// two modes can disagree on order or form, and a sized message is
+// exactly as long as its frame. The method walks its receiver in place
+// (a pooled kind decodes straight into its box) and returns it, so each
+// dispatch is one expression.
 // The first failed read latches err and empties data, every later read
 // leaves its field zero, and the decoder checks once at the end instead
 // of after every field. A node id outside [0, nodes) is a failed read.
@@ -158,14 +233,20 @@ type wireCodec struct {
 	buf   []byte // encoding: the frame under construction
 	data  []byte // decoding: the unread rest of the frame body
 	nodes int    // decoding: the node-id bound
+	n     int    // sizing: the frame's length so far
 	dec   bool
+	size  bool
 	err   bool
 }
 
 // open begins a frame of the given kind addressed from→to; the field
 // list walked next is the rest of its body.
 func (c *wireCodec) open(kind byte, from, to netsim.NodeID) *wireCodec {
-	c.buf = wire.BeginFrame(c.buf, kind)
+	if c.size {
+		c.n += wire.FrameOverhead
+	} else {
+		c.buf = wire.BeginFrame(c.buf, kind)
+	}
 	c.node(&from)
 	c.node(&to)
 	return c
@@ -189,55 +270,70 @@ func (c *wireCodec) advance(n int) {
 }
 
 func (c *wireCodec) uvarint(p *uint64) {
-	if !c.dec {
+	switch {
+	case c.size:
+		c.n += wire.UvarintLen(*p)
+	case !c.dec:
 		c.buf = wire.AppendUvarint(c.buf, *p)
-		return
+	default:
+		v, n := wire.Uvarint(c.data)
+		*p = v
+		c.advance(n)
 	}
-	v, n := wire.Uvarint(c.data)
-	*p = v
-	c.advance(n)
 }
 
 func (c *wireCodec) varint(p *int64) {
-	if !c.dec {
+	switch {
+	case c.size:
+		c.n += wire.VarintLen(*p)
+	case !c.dec:
 		c.buf = wire.AppendVarint(c.buf, *p)
-		return
+	default:
+		v, n := wire.Varint(c.data)
+		*p = v
+		c.advance(n)
 	}
-	v, n := wire.Varint(c.data)
-	*p = v
-	c.advance(n)
 }
 
 func (c *wireCodec) flag(p *bool) {
-	if !c.dec {
+	switch {
+	case c.size:
+		c.n++
+	case !c.dec:
 		c.buf = wire.AppendBool(c.buf, *p)
-		return
+	default:
+		v, n := wire.Bool(c.data)
+		*p = v
+		c.advance(n)
 	}
-	v, n := wire.Bool(c.data)
-	*p = v
-	c.advance(n)
 }
 
 // bytes copies a length-prefixed field out of the body; an empty field
 // decodes to nil.
 func (c *wireCodec) bytes(p *[]byte) {
-	if !c.dec {
+	switch {
+	case c.size:
+		c.n += wire.UvarintLen(uint64(len(*p))) + len(*p)
+	case !c.dec:
 		c.buf = wire.AppendBytes(c.buf, *p)
-		return
+	default:
+		v, n := wire.Bytes(c.data)
+		*p = append([]byte(nil), v...)
+		c.advance(n)
 	}
-	v, n := wire.Bytes(c.data)
-	*p = append([]byte(nil), v...)
-	c.advance(n)
 }
 
 func (c *wireCodec) str(p *string) {
-	if !c.dec {
+	switch {
+	case c.size:
+		c.n += wire.UvarintLen(uint64(len(*p))) + len(*p)
+	case !c.dec:
 		c.buf = wire.AppendString(c.buf, *p)
-		return
+	default:
+		v, n := wire.Bytes(c.data)
+		*p = string(v)
+		c.advance(n)
 	}
-	v, n := wire.Bytes(c.data)
-	*p = string(v)
-	c.advance(n)
 }
 
 func (c *wireCodec) id(p *reqID) { c.uvarint((*uint64)(p)) }

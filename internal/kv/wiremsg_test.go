@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gossip"
 	"repro/internal/netsim"
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -125,15 +126,24 @@ func TestWireMessageRoundTrips(t *testing.T) {
 // change the peer protocol: every golden frame was produced by running
 // this same table through MarshalMessage at the parent commit (98c1fa3,
 // the hand-written per-kind encoders), and a process of either build
-// must decode the other's frames for a 3-process cluster to roll.
+// must decode the other's frames for a 3-process cluster to roll. The
+// size the transport meters each message at is its frame's length, and
+// sizing allocates nothing.
 func TestWireFramesGolden(t *testing.T) {
 	for _, tc := range wireCases() {
+		size := testBoxes.MessageSize(3, 11, tc.payload) // before marshalling consumes it
+		if allocs := testing.AllocsPerRun(10, func() { testBoxes.MessageSize(3, 11, tc.payload) }); allocs != 0 {
+			t.Errorf("%s: sizing allocates %.0f times", tc.name, allocs)
+		}
 		buf, ok := testBoxes.MarshalMessage(nil, 3, 11, tc.payload)
 		if !ok {
 			t.Fatalf("%s: no wire form", tc.name)
 		}
 		if got := hex.EncodeToString(buf); got != tc.golden {
 			t.Errorf("%s frame\n got %s\nwant %s", tc.name, got, tc.golden)
+		}
+		if size != len(buf) {
+			t.Errorf("%s: sized at %d bytes, frame of %d", tc.name, size, len(buf))
 		}
 	}
 }
@@ -147,6 +157,38 @@ func TestWireMessageNoForm(t *testing.T) {
 	} {
 		if _, ok := testBoxes.MarshalMessage(nil, 0, 1, payload); ok {
 			t.Fatalf("MarshalMessage(%T) claimed a wire form", payload)
+		}
+	}
+}
+
+// TestDeclaredSizes: a kind without a wire form is metered at the size
+// its send site declared before sizes were measured — a 64-byte envelope,
+// its keys and values, 16 bytes per rumor or ring event — and a payload
+// that is no network message at nothing.
+func TestDeclaredSizes(t *testing.T) {
+	two := []gossip.Update{{}, {}}
+	events := []gossip.RingEvent{{}, {}, {}}
+	for _, c := range []struct {
+		payload any
+		want    int
+	}{
+		{&clientRead{Key: "abc"}, 64 + 3},
+		{&clientWrite{Key: "ab", Value: []byte("xyz")}, 64 + 5},
+		{&clientReadReply{res: ReadResult{Key: "ignored", Value: []byte("four")}}, 64 + 4},
+		{&clientWriteReply{res: WriteResult{Key: "ignored"}}, 64},
+		{clientBatchRead{Keys: []string{"a", "bc"}}, 64 + 3},
+		{clientBatchWrite{Ops: []BatchOp{{Key: "a", Value: []byte("xy")}, {Key: "bc", Delete: true}}}, 64 + 5},
+		{clientBatchReadReply{res: []ReadResult{{Value: []byte("v")}, {Value: []byte("vw")}}}, 64 + 3},
+		{clientBatchWriteReply{res: []WriteResult{{Key: "ignored"}}}, 64},
+		{gossipPing{Updates: two}, 64 + 2*16},
+		{gossipAck{Updates: two, Events: events}, 64 + 5*16},
+		{gossipEvents{Events: events}, 64 + 3*16},
+		{notOwner{Key: "k", Keys: []string{"a", "bc"}, Events: events[:1]}, 64 + 1 + 3 + 16},
+		{aeTick{}, 0},
+		{"not a message", 0},
+	} {
+		if got := testBoxes.MessageSize(0, 1, c.payload); got != c.want {
+			t.Errorf("MessageSize(%T) = %d, want %d", c.payload, got, c.want)
 		}
 	}
 }
@@ -340,10 +382,10 @@ func TestBatchPositionsOutsideTheBatch(t *testing.T) {
 
 // FuzzUnmarshalMessage feeds arbitrary frame bodies to the decoder the
 // mesh read loop runs on peer input. It must never panic; a body that
-// decodes cleanly names only nodes of the topology, and must re-marshal
-// to a frame that decodes to an equal message (the codec's two
-// directions agree on every input, not just on the round-trip table);
-// and every decoded payload is released.
+// decodes cleanly names only nodes of the topology, is sized at exactly
+// the length of the frame it re-marshals to, and that frame decodes to
+// an equal message (the codec's three modes agree on every input, not
+// just on the round-trip table); and every decoded payload is released.
 func FuzzUnmarshalMessage(f *testing.F) {
 	for _, tc := range wireCases() {
 		buf, _ := testBoxes.MarshalMessage(nil, 3, 11, tc.payload)
@@ -370,9 +412,13 @@ func FuzzUnmarshalMessage(f *testing.F) {
 			}
 		}
 		want := deref(payload) // marshalling consumes a pooled payload
+		size := testBoxes.MessageSize(from, to, payload)
 		buf, ok := testBoxes.MarshalMessage(nil, from, to, payload)
 		if !ok {
 			t.Fatalf("decoded %T has no wire form", payload)
+		}
+		if size != len(buf) {
+			t.Fatalf("decoded %T sized at %d bytes, re-marshalled frame of %d", payload, size, len(buf))
 		}
 		kind2, body2, _, err := wire.ReadFrame(buf)
 		if err != nil || kind2 != kind {
@@ -419,5 +465,24 @@ func BenchmarkWireRoundTripLoopback(b *testing.B) {
 			b.Fatal(err)
 		}
 		testBoxes.replicaWrites.take(payload.(*replicaWrite))
+	}
+}
+
+// BenchmarkMessageSize measures what the transport adds to every network
+// send: sizing a replica read and a full-data read response by their
+// field walks, and a client read by its declared size.
+func BenchmarkMessageSize(b *testing.B) {
+	cell := testCell(12345, "value-bytes")
+	for _, payload := range []any{
+		&replicaRead{ID: 42, Key: "key:12345678", Coord: 3, RingSeq: 9},
+		&replicaReadResp{ID: 42, Key: "key:12345678", Cell: cell, Exists: true, From: 2},
+		&clientRead{ID: 42, Key: "key:12345678"},
+	} {
+		b.Run(fmt.Sprintf("%T", payload)[4:], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				testBoxes.MessageSize(1, 2, payload)
+			}
+		})
 	}
 }

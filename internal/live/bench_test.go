@@ -25,7 +25,7 @@ func BenchmarkDirectSend(b *testing.B) {
 	payload := &struct{ a, b uint64 }{1, 2}
 	send := func() {
 		for i := 0; i < 64; i++ {
-			e.Send(netsim.NodeID(i%3), netsim.NodeID((i+1)%3), payload, 64)
+			e.Send(netsim.NodeID(i%3), netsim.NodeID((i+1)%3), payload)
 		}
 	}
 	b.ReportAllocs()

@@ -199,12 +199,12 @@ func (e *Engine) drain() {
 // any other goes on the run queue — a remote node with no mesh route
 // included, which Deliver then drops. The caller holds the engine lock
 // (it always does: sends originate inside handlers or Do blocks).
-func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
+func (e *Engine) Send(from, to netsim.NodeID, payload any) {
 	if !e.direct {
-		e.Transport.Send(from, to, payload, size)
+		e.Transport.Send(from, to, payload)
 		return
 	}
-	if _, ok := e.Admit(from, to, size); !ok {
+	if _, ok := e.Admit(from, to, payload); !ok {
 		e.Release(payload)
 		return
 	}

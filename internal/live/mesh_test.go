@@ -1,9 +1,13 @@
 package live
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,8 +170,169 @@ func TestMeshSendPassesAdmit(t *testing.T) {
 		t.Fatalf("no frame reached the peer after Heal: %v", err)
 	}
 
-	e.Do(func() { e.Send(1, 3, "unrouted", 8) })
+	e.Do(func() { e.Send(1, 3, "unrouted") })
 	if d := e.Meter().Dropped; d != 2 {
 		t.Errorf("dropped = %d after a send with no route, want 2", d)
+	}
+}
+
+// countingProxy forwards one peer connection's bytes to the process the
+// mesh means to reach and counts them: the frame bytes a mesh writer put
+// on the wire, read from the test's side of the socket.
+type countingProxy struct {
+	ln net.Listener
+	n  atomic.Int64
+	wg sync.WaitGroup
+}
+
+func newCountingProxy(t *testing.T) *countingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &countingProxy{ln: ln}
+}
+
+// forward accepts the one connection the mesh dialled and copies it to
+// target until either end closes.
+func (p *countingProxy) forward(t *testing.T, target string) {
+	t.Helper()
+	src, err := p.ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := net.Dial("tcp", target)
+	if err != nil {
+		src.Close()
+		t.Fatal(err)
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer src.Close()
+		defer dst.Close()
+		buf := make([]byte, 32<<10)
+		for {
+			n, err := src.Read(buf)
+			p.n.Add(int64(n))
+			if n > 0 {
+				if _, werr := dst.Write(buf[:n]); werr != nil {
+					return
+				}
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// TestMeshMeterIsFrameBytes: the traffic meter prices a message at the
+// length of the frame the mesh writes for it. Two processes each serve
+// one site of a two-site topology, so every inter-site message crosses
+// the mesh and nothing else is inter-site: after reads, writes, a delete
+// and batches at ALL from both sides, the two meters' inter-DC bytes
+// equal the bytes counted between the processes, exactly.
+func TestMeshMeterIsFrameBytes(t *testing.T) {
+	topo := netsim.G5KTwoSites(4) // nodes 0, 1 in one site; 2, 3 in the other
+	sites := [2][]netsim.NodeID{{0, 1}, {2, 3}}
+	var proxies [2]*countingProxy
+	var engines [2]*Engine
+	var clusters [2]*kv.Cluster
+	for i := range proxies {
+		proxies[i] = newCountingProxy(t)
+	}
+	defer func() { // engines first: closing them ends the proxies' copies
+		for i, p := range proxies {
+			if engines[i] != nil {
+				engines[i].Close()
+			}
+			p.ln.Close()
+		}
+		for _, p := range proxies {
+			p.wg.Wait()
+		}
+	}()
+	for i, local := range sites {
+		other := proxies[1-i].ln.Addr().String()
+		peers := map[netsim.NodeID]string{}
+		for _, id := range sites[1-i] {
+			peers[id] = other
+		}
+		e, err := NewMesh(topo, 1, MeshConfig{Local: local, Listen: "127.0.0.1:0", Peers: peers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	for i, p := range proxies {
+		p.forward(t, engines[i].MeshAddr())
+	}
+	for i, e := range engines {
+		cfg := kv.DefaultConfig()
+		cfg.ReadService = netsim.Constant(0)
+		cfg.WriteService = netsim.Constant(0)
+		cfg.CoordOverhead = netsim.Constant(0)
+		cfg.HintReplayInterval = 0
+		cfg.AntiEntropyInterval = 0
+		cfg.Coordinators = sites[i]
+		e.Do(func() { clusters[i] = kv.New(topo, e, cfg) })
+	}
+
+	done := make(chan error, 64)
+	check := func(err error) { done <- err }
+	for round := 0; round < 2; round++ {
+		for i, e := range engines {
+			cl := clusters[i]
+			key := func(j int) string { return fmt.Sprintf("site%d-%d", i, j) }
+			e.Do(func() {
+				for j := 0; j < 8; j++ {
+					value := []byte(strings.Repeat("v", j*(round+1)))
+					if round == 0 {
+						cl.Write(key(j), value, kv.All, func(r kv.WriteResult) { check(r.Err) })
+					} else {
+						cl.Read(key(j), kv.All, func(r kv.ReadResult) { check(r.Err) })
+					}
+				}
+			})
+		}
+		for range 2 * 8 {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, e := range engines {
+		cl := clusters[i]
+		e.Do(func() {
+			cl.Delete(fmt.Sprintf("site%d-0", i), kv.All, func(r kv.WriteResult) { check(r.Err) })
+			cl.WriteBatch([]kv.BatchOp{{Key: "b1", Value: []byte("x")}, {Key: "b2", Delete: true}}, kv.All,
+				func(rs []kv.WriteResult) { check(rs[0].Err) })
+			cl.ReadBatch([]string{"site0-1", "site1-1", "b1"}, kv.All, func(rs []kv.ReadResult) { check(rs[0].Err) })
+		})
+	}
+	for range 2 * 3 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	metered := func() (n int64) {
+		for _, e := range engines {
+			m := e.Meter()
+			n += int64(m.Bytes[netsim.InterDC] + m.Bytes[netsim.InterRegion])
+		}
+		return n
+	}
+	wrote := func() int64 { return proxies[0].n.Load() + proxies[1].n.Load() }
+	// Late acks and digests may still be in flight; every metered frame
+	// reaches the proxies, so wait for the two counts to meet.
+	deadline := time.Now().Add(10 * time.Second)
+	for metered() != wrote() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if m, w := metered(), wrote(); m == 0 || m != w {
+		t.Fatalf("meters priced %d inter-site bytes, the mesh wrote %d", m, w)
 	}
 }

@@ -78,7 +78,7 @@ func TestDirectTimerOrder(t *testing.T) {
 			arm: func(e *Engine, rec func(string)) {
 				e.SendLocal(0, "late", 10*ms)
 				e.SendLocal(1, "early", 5*ms)
-				e.Send(0, 1, "now1", 0)
+				e.Send(0, 1, "now1")
 				e.SendLocal(0, "now2", 0)
 			},
 			at:   10 * ms,
@@ -88,12 +88,12 @@ func TestDirectTimerOrder(t *testing.T) {
 			name: "timer cascade queues behind timer messages, ahead of the caller's",
 			arm: func(e *Engine, rec func(string)) {
 				e.SendLocal(0, "t1", 10*ms)
-				e.Schedule(10*ms, func() { rec("A"); e.Send(0, 1, "from-A", 0) })
+				e.Schedule(10*ms, func() { rec("A"); e.Send(0, 1, "from-A") })
 				e.SendLocal(1, "t2", 10*ms)
 				e.Schedule(5*ms, func() { rec("B") })
 			},
 			at:   10 * ms,
-			then: func(e *Engine) { e.Send(1, 0, "caller", 0) },
+			then: func(e *Engine) { e.Send(1, 0, "caller") },
 			want: []string{"B", "t1", "A", "t2", "from-A", "caller"},
 		},
 		{
@@ -161,13 +161,13 @@ func TestDirectEndpointTables(t *testing.T) {
 		e.Fail(9)
 		e.Recover(9)
 		e.Fail(1)
-		e.Send(0, 1, "to-failed", 0)
-		e.Send(1, 2, "from-failed", 0)
+		e.Send(0, 1, "to-failed")
+		e.Send(1, 2, "from-failed")
 		e.SendLocal(1, "timer-on-failed", 0)
 	})
 	e.Do(func() {
 		e.Recover(1)
-		e.Send(0, 1, "recovered", 0)
+		e.Send(0, 1, "recovered")
 	})
 	if want := []string{"ok", "timer-on-failed", "recovered"}; !reflect.DeepEqual(*log, want) {
 		t.Errorf("delivered %v, want %v", *log, want)
@@ -181,9 +181,9 @@ func TestDirectPartition(t *testing.T) {
 	e, _, log := newDirectEngine(t, 3)
 	e.Do(func() {
 		e.Partition([]netsim.NodeID{0}, []netsim.NodeID{1})
-		e.Send(0, 1, "0->1", 0)
-		e.Send(1, 0, "1->0", 0)
-		e.Send(0, 2, "0->2", 0)
+		e.Send(0, 1, "0->1")
+		e.Send(1, 0, "1->0")
+		e.Send(0, 2, "0->2")
 		e.SendLocal(1, "timer-on-1", 0)
 	})
 	if d := e.Meter().Dropped; d != 2 {
@@ -191,7 +191,7 @@ func TestDirectPartition(t *testing.T) {
 	}
 	e.Do(func() {
 		e.Heal()
-		e.Send(0, 1, "healed", 0)
+		e.Send(0, 1, "healed")
 	})
 	if want := []string{"0->2", "timer-on-1", "healed"}; !reflect.DeepEqual(*log, want) {
 		t.Errorf("delivered %v, want %v", *log, want)
@@ -212,6 +212,8 @@ func (*countingCodec) UnmarshalMessage(byte, []byte) (netsim.NodeID, netsim.Node
 	return 0, 0, nil, nil
 }
 
+func (*countingCodec) MessageSize(netsim.NodeID, netsim.NodeID, any) int { return 0 }
+
 // TestDirectReleasesRefused: on the direct path a refused message goes
 // back to the carried store through the transport, whether Admit refuses
 // it at departure or the destination fails before the run queue reaches
@@ -222,16 +224,16 @@ func TestDirectReleasesRefused(t *testing.T) {
 	e.Do(func() {
 		e.Carry(codec)
 		e.Fail(1)
-		e.Send(0, 1, "departure", 0)
+		e.Send(0, 1, "departure")
 		e.Recover(1)
 	})
 	e.Do(func() {
-		e.Send(0, 1, "arrival", 0)
+		e.Send(0, 1, "arrival")
 		e.Fail(1) // before the drain delivers it
 	})
 	e.Do(func() {
 		e.Recover(1)
-		e.Send(0, 1, "delivered", 0)
+		e.Send(0, 1, "delivered")
 	})
 	if want := []any{"departure", "arrival"}; !reflect.DeepEqual(codec.released, want) {
 		t.Errorf("released %v, want %v", codec.released, want)

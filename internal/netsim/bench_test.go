@@ -23,7 +23,7 @@ func BenchmarkTransportSend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Send(0, 1, payload, 128)
+		tr.Send(0, 1, payload)
 		eng.Step()
 	}
 }

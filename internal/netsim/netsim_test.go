@@ -111,7 +111,10 @@ func TestTransportDelivery(t *testing.T) {
 	tr.Register(1, func(from NodeID, payload any) {
 		gotFrom, gotPayload, at = from, payload, eng.Now()
 	})
-	tr.Send(0, 1, "hi", 100)
+	tr.Send(0, 1, "no store: counted, no bytes")
+	eng.Run()
+	tr.Carry(&countingCodec{})
+	tr.Send(0, 1, "hi")
 	eng.Run()
 	if gotFrom != 0 || gotPayload != "hi" {
 		t.Fatalf("delivery wrong: from=%v payload=%v", gotFrom, gotPayload)
@@ -120,8 +123,8 @@ func TestTransportDelivery(t *testing.T) {
 		t.Error("delivery had no latency")
 	}
 	m := tr.Meter()
-	if m.Messages[IntraDC] != 1 || m.Bytes[IntraDC] != 100 {
-		t.Errorf("meter = %+v", m)
+	if m.Messages[IntraDC] != 2 || m.Bytes[IntraDC] != 2 {
+		t.Errorf("meter = %+v, want two messages and the carried codec's 2 bytes", m)
 	}
 }
 
@@ -131,7 +134,7 @@ func TestTransportDropsToDownNode(t *testing.T) {
 	delivered := false
 	tr.Register(1, func(NodeID, any) { delivered = true })
 	tr.Fail(1)
-	tr.Send(0, 1, "x", 10)
+	tr.Send(0, 1, "x")
 	eng.Run()
 	if delivered {
 		t.Error("message delivered to failed node")
@@ -140,7 +143,7 @@ func TestTransportDropsToDownNode(t *testing.T) {
 		t.Errorf("dropped = %d", tr.Meter().Dropped)
 	}
 	tr.Recover(1)
-	tr.Send(0, 1, "y", 10)
+	tr.Send(0, 1, "y")
 	eng.Run()
 	if !delivered {
 		t.Error("message not delivered after recovery")
@@ -152,8 +155,8 @@ func TestTransportFailsMidFlight(t *testing.T) {
 	tr := NewTransport(eng, twoDCTopo())
 	var got []any
 	tr.Register(4, func(_ NodeID, payload any) { got = append(got, payload) })
-	tr.Send(0, 4, "x", 10)        // inter-region: tens of ms in flight
-	tr.Send(4, 4, "loopback", 10) // a network message even to itself
+	tr.Send(0, 4, "x")        // inter-region: tens of ms in flight
+	tr.Send(4, 4, "loopback") // a network message even to itself
 	tr.SendLocal(4, "timer", 50*time.Microsecond)
 	eng.Schedule(time.Microsecond, func() { tr.Fail(4) })
 	eng.Run()
@@ -168,7 +171,7 @@ func TestTransportFailsMidFlight(t *testing.T) {
 }
 
 // countingCodec is a carried store that records what the transport hands
-// back; it frames nothing.
+// back; it frames nothing, and sizes a string payload at its length.
 type countingCodec struct{ released []any }
 
 func (c *countingCodec) ReleaseMessage(payload any) { c.released = append(c.released, payload) }
@@ -179,6 +182,11 @@ func (*countingCodec) MarshalMessage(buf []byte, _, _ NodeID, _ any) ([]byte, bo
 
 func (*countingCodec) UnmarshalMessage(byte, []byte) (NodeID, NodeID, any, error) {
 	return 0, 0, nil, nil
+}
+
+func (*countingCodec) MessageSize(_, _ NodeID, payload any) int {
+	s, _ := payload.(string)
+	return len(s)
 }
 
 // TestTransportReleasesRefused: a message the transport refuses goes back
@@ -196,14 +204,14 @@ func TestTransportReleasesRefused(t *testing.T) {
 	var got []any
 	tr.Register(1, func(_ NodeID, payload any) { got = append(got, payload) })
 	tr.Fail(1)
-	tr.Send(0, 1, "departure", 10)
+	tr.Send(0, 1, "departure")
 	tr.Recover(1)
-	tr.Send(0, 1, "arrival", 10)
+	tr.Send(0, 1, "arrival")
 	tr.Fail(1)
 	eng.Run()
 	tr.Recover(1)
-	tr.Send(0, 1, "delivered", 10)
-	tr.Send(0, 2, "no handler", 10)
+	tr.Send(0, 1, "delivered")
+	tr.Send(0, 2, "no handler")
 	eng.Run()
 	want := []any{"departure", "arrival", "no handler"}
 	if len(codec.released) != len(want) || len(got) != 1 || got[0] != "delivered" {
@@ -247,11 +255,11 @@ func TestRouteSurvivesPacking(t *testing.T) {
 		tr.Register(id, func(from NodeID, payload any) { got = append(got, arrival{id, from, payload}) })
 	}
 	topo.Latency.IntraDC = Constant(time.Millisecond)
-	tr.Send(ClientID, last, "request", 10)
+	tr.Send(ClientID, last, "request")
 	eng.Run()
-	tr.Send(last, ClientID, "reply", 10)
+	tr.Send(last, ClientID, "reply")
 	eng.Run()
-	tr.Send(0, last, "peer", 10)
+	tr.Send(0, last, "peer")
 	eng.Run()
 	tr.SendLocal(last, "timer", time.Millisecond)
 	eng.Run()
@@ -277,13 +285,13 @@ func TestTransportPartitionAndHeal(t *testing.T) {
 	count := 0
 	tr.Register(2, func(NodeID, any) { count++ })
 	tr.Partition([]NodeID{0, 1}, []NodeID{2, 3})
-	tr.Send(0, 2, "x", 10)
+	tr.Send(0, 2, "x")
 	eng.Run()
 	if count != 0 {
 		t.Error("partitioned message delivered")
 	}
 	tr.Heal()
-	tr.Send(0, 2, "y", 10)
+	tr.Send(0, 2, "y")
 	eng.Run()
 	if count != 1 {
 		t.Error("message not delivered after heal")

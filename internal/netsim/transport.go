@@ -13,12 +13,16 @@ import (
 type Handler func(from NodeID, payload any)
 
 // Codec is the store a transport carries (kv.Cluster): a refused message
-// goes back to its pools through ReleaseMessage, and a transport that
-// spans processes frames the rest with Marshal/UnmarshalMessage.
+// goes back to its pools through ReleaseMessage, a transport that spans
+// processes frames the rest with Marshal/UnmarshalMessage, and every
+// network send is metered at MessageSize — for a kind with a wire form,
+// the length of the frame MarshalMessage writes for it. The size takes
+// the addresses because the frame carries them as varints.
 type Codec interface {
 	ReleaseMessage(payload any)
 	MarshalMessage(buf []byte, from, to NodeID, payload any) ([]byte, bool)
 	UnmarshalMessage(kind byte, body []byte) (from, to NodeID, payload any, err error)
+	MessageSize(from, to NodeID, payload any) int
 }
 
 // Transport delivers messages between topology nodes over the
@@ -180,12 +184,17 @@ func (t *Transport) Deliver(from, to NodeID, payload any, local bool) {
 	t.Release(payload)
 }
 
-// Admit is a network send's departure: it meters size bytes on the
-// from → to link class and reports whether the message leaves, which it
-// does not when either end is failed or a partition separates them
-// (counted as dropped).
-func (t *Transport) Admit(from, to NodeID, size int) (LinkClass, bool) {
+// Admit is a network send's departure: it meters payload on the
+// from → to link class, at the size the carried codec gives it (a
+// transport that carries no store counts the message and no bytes), and
+// reports whether the message leaves, which it does not when either end
+// is failed or a partition separates them (counted as dropped).
+func (t *Transport) Admit(from, to NodeID, payload any) (LinkClass, bool) {
 	class := t.topo.Class(from, to)
+	size := 0
+	if t.codec != nil {
+		size = t.codec.MessageSize(from, to, payload)
+	}
 	t.meter.Count(class, size)
 	if t.downN > 0 && (t.down[slot(from)] || t.down[slot(to)]) ||
 		len(t.partition) > 0 && t.partition[[2]NodeID{from, to}] {
@@ -195,11 +204,11 @@ func (t *Transport) Admit(from, to NodeID, size int) (LinkClass, bool) {
 	return class, true
 }
 
-// Send delivers payload from → to after a sampled network delay. size is
-// the wire size in bytes, used for metering. A message Admit refuses is
-// released, not delivered, as is one Deliver drops on arrival.
-func (t *Transport) Send(from, to NodeID, payload any, size int) {
-	class, ok := t.Admit(from, to, size)
+// Send delivers payload from → to after a sampled network delay,
+// metered by Admit. A message Admit refuses is released, not delivered,
+// as is one Deliver drops on arrival.
+func (t *Transport) Send(from, to NodeID, payload any) {
+	class, ok := t.Admit(from, to, payload)
 	if !ok {
 		t.Release(payload)
 		return

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 )
 
 // FrameVersion is the peer-protocol version stamped into every frame; a
@@ -26,6 +27,10 @@ const (
 	frameHdrBytes = 2 // version byte + kind byte
 	frameCRCBytes = 4 // CRC32 (IEEE) over version + kind + body
 )
+
+// FrameOverhead is what a frame adds around its body: the length,
+// version and kind ahead of it and the CRC behind it.
+const FrameOverhead = frameLenBytes + frameHdrBytes + frameCRCBytes
 
 // Frame decode errors.
 var (
@@ -99,6 +104,10 @@ func AppendUvarint(buf []byte, x uint64) []byte {
 	return append(buf, byte(x))
 }
 
+// UvarintLen is len(AppendUvarint(nil, x)): one byte per started seven
+// bits.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // Uvarint decodes a LEB128 value from the head of data.
 func Uvarint(data []byte) (x uint64, n int) {
 	var shift uint
@@ -122,6 +131,9 @@ func Uvarint(data []byte) (x uint64, n int) {
 func AppendVarint(buf []byte, x int64) []byte {
 	return AppendUvarint(buf, uint64(x)<<1^uint64(x>>63))
 }
+
+// VarintLen is len(AppendVarint(nil, x)).
+func VarintLen(x int64) int { return UvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Varint decodes a zigzag-encoded value from the head of data.
 func Varint(data []byte) (x int64, n int) {

@@ -7,10 +7,30 @@ import (
 	"testing"
 )
 
+// frame builds one complete frame of kind around body.
+func frame(kind byte, body string) []byte {
+	buf := BeginFrame(nil, kind)
+	buf = append(buf, body...)
+	return EndFrame(buf, 0)
+}
+
+// framesOf concatenates one single-byte-body frame per kind.
+func framesOf(kinds ...byte) []byte {
+	var buf []byte
+	for i, k := range kinds {
+		start := len(buf)
+		buf = BeginFrame(buf, k)
+		buf = append(buf, byte('a'+i))
+		buf = EndFrame(buf, start)
+	}
+	return buf
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	buf := BeginFrame(nil, 7)
-	buf = append(buf, "hello frame"...)
-	buf = EndFrame(buf, 0)
+	buf := frame(7, "hello frame")
+	if len(buf) != FrameOverhead+len("hello frame") {
+		t.Fatalf("frame of %d bytes, want FrameOverhead + body = %d", len(buf), FrameOverhead+len("hello frame"))
+	}
 
 	kind, body, n, err := ReadFrame(buf)
 	if err != nil {
@@ -28,9 +48,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameIncomplete(t *testing.T) {
-	buf := BeginFrame(nil, 3)
-	buf = append(buf, "payload"...)
-	buf = EndFrame(buf, 0)
+	buf := frame(3, "payload")
 	for cut := 0; cut < len(buf); cut++ {
 		kind, body, n, err := ReadFrame(buf[:cut])
 		if err != nil || n != 0 || kind != 0 || body != nil {
@@ -40,9 +58,7 @@ func TestFrameIncomplete(t *testing.T) {
 }
 
 func TestFrameCorrupt(t *testing.T) {
-	buf := BeginFrame(nil, 3)
-	buf = append(buf, "payload"...)
-	buf = EndFrame(buf, 0)
+	buf := frame(3, "payload")
 
 	flipped := append([]byte(nil), buf...)
 	flipped[6] ^= 0x40 // body byte
@@ -60,13 +76,7 @@ func TestFrameCorrupt(t *testing.T) {
 }
 
 func TestFrameMultiple(t *testing.T) {
-	var buf []byte
-	for i := 0; i < 3; i++ {
-		start := len(buf)
-		buf = BeginFrame(buf, byte(i+1))
-		buf = append(buf, byte('a'+i))
-		buf = EndFrame(buf, start)
-	}
+	buf := framesOf(1, 2, 3)
 	off := 0
 	for i := 0; i < 3; i++ {
 		kind, body, n, err := ReadFrame(buf[off:])
@@ -84,20 +94,26 @@ func TestFrameMultiple(t *testing.T) {
 }
 
 func TestVarintRoundTrip(t *testing.T) {
-	uvals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 - 1, 1<<64 - 1}
+	uvals := []uint64{0, 1, 127, 128, 300, 1<<14 - 1, 1 << 14, 1 << 20, 1<<56 - 1, 1 << 56, 1<<63 - 1, 1 << 63, 1<<64 - 1}
 	for _, v := range uvals {
 		buf := AppendUvarint(nil, v)
 		got, n := Uvarint(buf)
 		if n != len(buf) || got != v {
 			t.Fatalf("uvarint %d: got %d n=%d", v, got, n)
 		}
+		if l := UvarintLen(v); l != len(buf) {
+			t.Fatalf("UvarintLen(%d) = %d, encoded in %d", v, l, len(buf))
+		}
 	}
-	ivals := []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), 1<<63 - 1, -1 << 63}
+	ivals := []int64{0, 1, -1, 63, -64, 64, -65, 1 << 40, -(1 << 40), 1<<63 - 1, -1 << 63}
 	for _, v := range ivals {
 		buf := AppendVarint(nil, v)
 		got, n := Varint(buf)
 		if n != len(buf) || got != v {
 			t.Fatalf("varint %d: got %d n=%d", v, got, n)
+		}
+		if l := VarintLen(v); l != len(buf) {
+			t.Fatalf("VarintLen(%d) = %d, encoded in %d", v, l, len(buf))
 		}
 	}
 }
@@ -136,6 +152,35 @@ func TestBytesAndBool(t *testing.T) {
 	if v || n != 1 {
 		t.Fatalf("Bool = %v n=%d", v, n)
 	}
+}
+
+// FuzzReadFrame feeds the frame reader arbitrary input, seeded with the
+// round-trip tests' frames. It must never panic, never claim more bytes
+// than it was given, consume nothing when it refuses or waits for more,
+// and any frame it accepts must re-encode byte for byte through
+// BeginFrame and EndFrame.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(frame(7, "hello frame"))
+	f.Add(frame(3, "payload"))
+	f.Add(frame(1, ""))
+	f.Add(framesOf(1, 2, 3))
+	f.Add(frame(3, "payload")[:5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, body, n, err := ReadFrame(data)
+		if n < 0 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		if err != nil || n == 0 {
+			if n != 0 || body != nil {
+				t.Fatalf("refused or incomplete frame (err %v) consumed %d bytes, body %q", err, n, body)
+			}
+			return
+		}
+		re := EndFrame(append(BeginFrame(nil, kind), body...), 0)
+		if !bytes.Equal(re, data[:n]) {
+			t.Fatalf("accepted frame %x re-encodes as %x", data[:n], re)
+		}
+	})
 }
 
 func BenchmarkFrameEncode(b *testing.B) {
