@@ -35,7 +35,10 @@ import (
 // it is pooled) and give it one dispatch line in Node.Handle. If it
 // crosses processes it also gets a field-list method (wire, see the codec
 // in wiremsg.go) and a kind constant with one dispatch line in each of
-// MarshalMessage and UnmarshalMessage.
+// wireCodec.message and UnmarshalMessage; the field list is then also
+// the size the transport meters it at. A network kind without a wire
+// form declares its size in one place instead, declaredSize; a
+// self-message needs neither.
 
 // box recycles the boxes of one pooled message kind through a LIFO free
 // list. put and take are the whole lifecycle: whoever receives a *T takes

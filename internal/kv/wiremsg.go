@@ -345,6 +345,10 @@ func (c *wireCodec) int(p *int) {
 }
 
 func (c *wireCodec) node(p *netsim.NodeID) {
+	if c.size { // every message sizes two or three ids: skip a call
+		c.n += wire.VarintLen(int64(*p))
+		return
+	}
 	c.int((*int)(p))
 	if c.dec && (*p < 0 || int(*p) >= c.nodes) {
 		c.fail()

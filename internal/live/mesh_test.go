@@ -280,7 +280,7 @@ func TestMeshMeterIsFrameBytes(t *testing.T) {
 		e.Do(func() { clusters[i] = kv.New(topo, e, cfg) })
 	}
 
-	done := make(chan error, 64)
+	done := make(chan error, 2*8) // a slot per operation in flight: callbacks run under the engine lock and must not block
 	check := func(err error) { done <- err }
 	for round := 0; round < 2; round++ {
 		for i, e := range engines {
