@@ -476,15 +476,18 @@ var sizeSink int
 // field walks, and a client read by its declared size.
 func BenchmarkMessageSize(b *testing.B) {
 	cell := testCell(12345, "value-bytes")
-	for _, payload := range []any{
-		&replicaRead{ID: 42, Key: "key:12345678", Coord: 3, RingSeq: 9},
-		&replicaReadResp{ID: 42, Key: "key:12345678", Cell: cell, Exists: true, From: 2},
-		&clientRead{ID: 42, Key: "key:12345678"},
+	for _, c := range []struct {
+		name    string
+		payload any
+	}{
+		{"replicaRead", &replicaRead{ID: 42, Key: "key:12345678", Coord: 3, RingSeq: 9}},
+		{"replicaReadResp", &replicaReadResp{ID: 42, Key: "key:12345678", Cell: cell, Exists: true, From: 2}},
+		{"clientRead", &clientRead{ID: 42, Key: "key:12345678"}},
 	} {
-		b.Run(fmt.Sprintf("%T", payload)[4:], func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sizeSink = testBoxes.MessageSize(1, 2, payload)
+				sizeSink = testBoxes.MessageSize(1, 2, c.payload)
 			}
 		})
 	}
