@@ -17,9 +17,8 @@ import (
 // produced by the seed implementation of the discrete-event core. The
 // fast-path overhaul (indexed event heap, pooled delivery, message
 // pooling) must preserve bit-for-bit determinism: the same seed must keep
-// producing this exact transcript. Only its meter line has moved since:
-// once, when metered sizes became wire frame lengths. If a deliberate
-// semantic change invalidates the hash, regenerate it with
+// producing this exact transcript. If a deliberate semantic change
+// invalidates the hash, regenerate it with
 //
 //	REPRO_PRINT_TRANSCRIPT=1 go test -run TestDeterminismTranscript -v
 //

@@ -26,14 +26,10 @@ func smallPlatform(t *testing.T, study string) Platform {
 // study on its default preset at testScale, by "study/seed": a table is
 // a pure function of (study, platform, scale, seed), whatever the
 // worker-pool width and whatever harness the study's script stands on.
-// The values were computed on commit 43609a9, before the studies moved
-// onto the rig — behavior's on the commit that added it (PR 24); the
-// other five seed-1 values are listed in EXPERIMENTS.md. fig1's were
-// computed on commit ad0d385, before it moved onto the rig. The entries
-// whose tables print a bill (autoscale/1, autoscale/7, elasticity/1,
-// bismar/7) were re-pinned once, when the traffic meter began pricing
-// wire frame lengths instead of hand-written message sizes; only their
-// bill columns moved.
+// The values were first computed on commit 43609a9, before the studies
+// moved onto the rig — behavior's on the commit that added it (PR 24);
+// the other five seed-1 values are listed in EXPERIMENTS.md. fig1's were
+// computed on commit ad0d385, before it moved onto the rig.
 var goldenTables = map[string]string{
 	"recovery/1":     "e590f25f0d071278410f5e4b77053bf255e98ad2297278a803ec32757dc88ac8",
 	"recovery/7":     "efc61ae8ae4b839478f9448b3b96fa0df703c9a19bd269007f531ae9188ce7cb",
