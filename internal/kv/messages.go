@@ -36,9 +36,10 @@ import (
 // crosses processes it also gets a field-list method (wire, see the codec
 // in wiremsg.go) and a kind constant with one dispatch line in each of
 // wireCodec.message and UnmarshalMessage; the field list is then also
-// the size the transport meters it at. A network kind without a wire
-// form declares its size in one place instead, declaredSize; a
-// self-message needs neither.
+// the size the transport meters it at, once wiresize.go is regenerated
+// (go test -run TestMessageSizeGenerated ./internal/kv -regen). A network
+// kind without a wire form declares its size in one place instead,
+// declaredSize; a self-message needs neither.
 
 // box recycles the boxes of one pooled message kind through a LIFO free
 // list. put and take are the whole lifecycle: whoever receives a *T takes

@@ -20,11 +20,12 @@ import (
 // MarshalMessage reports them unencodable and the mesh treats sending
 // one as a programming error.
 //
-// The codec is also the one owner of a message's size. The transport
-// meters every network send through MessageSize, which walks the same
-// field list MarshalMessage encodes, so the bill prices the bytes a
-// frame holds; only the kinds without a wire form keep a size written
-// by hand, all of them in declaredSize.
+// The field lists are also the one definition of a message's size. The
+// transport meters every network send through MessageSize, whose size
+// methods (wiresize.go) are generated from the same field lists the
+// codec walks, so the bill prices the bytes a frame holds; only the
+// kinds without a wire form keep a size written by hand, all of them in
+// declaredSize.
 
 // Wire kinds of the cross-process message set. Values are part of the
 // peer protocol, as is the field order of each kind's wire method
@@ -63,23 +64,10 @@ func (b *boxes) MarshalMessage(buf []byte, from, to netsim.NodeID, payload any) 
 	return wire.EndFrame(c.buf, start), true
 }
 
-// MessageSize is the bytes a message puts on the wire, which the
-// transport meters: for a kind with a wire form, the length of the frame
-// MarshalMessage would write (the same field walk, counting instead of
-// appending — nothing is encoded, checksummed or allocated), and for any
-// other kind its declaredSize. It leaves payload untouched.
-func (*boxes) MessageSize(from, to netsim.NodeID, payload any) int {
-	c := wireCodec{size: true}
-	if !c.message(from, to, payload) {
-		return declaredSize(payload)
-	}
-	return c.n
-}
-
-// message walks payload's frame — header, addresses, then its kind's
-// field list — and reports whether the kind has a wire form. It is the
-// one encode switch: MarshalMessage appends what it walks, MessageSize
-// counts it.
+// message encodes payload's frame — header, addresses, then its kind's
+// field list — and reports whether the kind has a wire form. The size
+// generator (wiresize_test.go) reads this switch for the kinds
+// MessageSize dispatches on.
 func (c *wireCodec) message(from, to netsim.NodeID, payload any) bool {
 	switch m := payload.(type) {
 	case *replicaRead:
@@ -213,15 +201,15 @@ func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID
 	return from, to, payload, nil
 }
 
-// wireCodec walks a message's field list in one of three modes. A
-// kind's wire method (messages.go) names each field once, in protocol
-// order, by handing the codec a pointer to it: encoding appends the
-// field to buf, decoding (dec) overwrites it with the next field of
-// data, and sizing (size) adds the field's encoded length to n — so no
-// two modes can disagree on order or form, and a sized message is
-// exactly as long as its frame. The method walks its receiver in place
-// (a pooled kind decodes straight into its box) and returns it, so each
-// dispatch is one expression.
+// wireCodec walks a message's field list in one of two modes. A kind's
+// wire method (messages.go) names each field once, in protocol order, by
+// handing the codec a pointer to it: encoding appends the field to buf,
+// and decoding (dec) overwrites it with the next field of data — so the
+// two modes cannot disagree on order or form. The size methods
+// generated from the same lists (wiresize.go) count what encoding would
+// append. The method walks its receiver in place (a pooled kind decodes
+// straight into its box) and returns it, so each dispatch is one
+// expression.
 // The first failed read latches err and empties data, every later read
 // leaves its field zero, and the decoder checks once at the end instead
 // of after every field. A node id outside [0, nodes) is a failed read.
@@ -233,20 +221,14 @@ type wireCodec struct {
 	buf   []byte // encoding: the frame under construction
 	data  []byte // decoding: the unread rest of the frame body
 	nodes int    // decoding: the node-id bound
-	n     int    // sizing: the frame's length so far
 	dec   bool
-	size  bool
 	err   bool
 }
 
 // open begins a frame of the given kind addressed from→to; the field
 // list walked next is the rest of its body.
 func (c *wireCodec) open(kind byte, from, to netsim.NodeID) *wireCodec {
-	if c.size {
-		c.n += wire.FrameOverhead
-	} else {
-		c.buf = wire.BeginFrame(c.buf, kind)
-	}
+	c.buf = wire.BeginFrame(c.buf, kind)
 	c.node(&from)
 	c.node(&to)
 	return c
@@ -270,70 +252,55 @@ func (c *wireCodec) advance(n int) {
 }
 
 func (c *wireCodec) uvarint(p *uint64) {
-	switch {
-	case c.size:
-		c.n += wire.UvarintLen(*p)
-	case !c.dec:
+	if !c.dec {
 		c.buf = wire.AppendUvarint(c.buf, *p)
-	default:
-		v, n := wire.Uvarint(c.data)
-		*p = v
-		c.advance(n)
+		return
 	}
+	v, n := wire.Uvarint(c.data)
+	*p = v
+	c.advance(n)
 }
 
 func (c *wireCodec) varint(p *int64) {
-	switch {
-	case c.size:
-		c.n += wire.VarintLen(*p)
-	case !c.dec:
+	if !c.dec {
 		c.buf = wire.AppendVarint(c.buf, *p)
-	default:
-		v, n := wire.Varint(c.data)
-		*p = v
-		c.advance(n)
+		return
 	}
+	v, n := wire.Varint(c.data)
+	*p = v
+	c.advance(n)
 }
 
 func (c *wireCodec) flag(p *bool) {
-	switch {
-	case c.size:
-		c.n++
-	case !c.dec:
+	if !c.dec {
 		c.buf = wire.AppendBool(c.buf, *p)
-	default:
-		v, n := wire.Bool(c.data)
-		*p = v
-		c.advance(n)
+		return
 	}
+	v, n := wire.Bool(c.data)
+	*p = v
+	c.advance(n)
 }
 
 // bytes copies a length-prefixed field out of the body; an empty field
 // decodes to nil.
 func (c *wireCodec) bytes(p *[]byte) {
-	switch {
-	case c.size:
-		c.n += wire.UvarintLen(uint64(len(*p))) + len(*p)
-	case !c.dec:
+	if !c.dec {
 		c.buf = wire.AppendBytes(c.buf, *p)
-	default:
-		v, n := wire.Bytes(c.data)
-		*p = append([]byte(nil), v...)
-		c.advance(n)
+		return
 	}
+	v, n := wire.Bytes(c.data)
+	*p = append([]byte(nil), v...)
+	c.advance(n)
 }
 
 func (c *wireCodec) str(p *string) {
-	switch {
-	case c.size:
-		c.n += wire.UvarintLen(uint64(len(*p))) + len(*p)
-	case !c.dec:
+	if !c.dec {
 		c.buf = wire.AppendString(c.buf, *p)
-	default:
-		v, n := wire.Bytes(c.data)
-		*p = string(v)
-		c.advance(n)
+		return
 	}
+	v, n := wire.Bytes(c.data)
+	*p = string(v)
+	c.advance(n)
 }
 
 func (c *wireCodec) id(p *reqID) { c.uvarint((*uint64)(p)) }
@@ -345,10 +312,6 @@ func (c *wireCodec) int(p *int) {
 }
 
 func (c *wireCodec) node(p *netsim.NodeID) {
-	if c.size { // every message sizes two or three ids: skip a call
-		c.n += wire.VarintLen(int64(*p))
-		return
-	}
 	c.int((*int)(p))
 	if c.dec && (*p < 0 || int(*p) >= c.nodes) {
 		c.fail()

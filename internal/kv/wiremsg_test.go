@@ -51,6 +51,11 @@ func testCell(ts int64, val string) storage.Cell {
 	return c
 }
 
+// boxed returns a box of b holding v.
+func boxed[T any](b *box[T], v T) *T {
+	return b.put(v)
+}
+
 // wireCase is one row of the wire test table: a payload in the shape
 // senders hand to the transport and its frame (from 3 to 11) as the
 // commit before the field-list codec marshalled it.
@@ -66,13 +71,13 @@ func wireCases() []wireCase {
 	cell := testCell(12345, "value-bytes")
 	tomb := testCell(999, "")
 	return []wireCase{
-		{"replicaRead", testBoxes.replicaReads.put(replicaRead{ID: 42, Key: "k1", Digest: true, Coord: 3, RingSeq: 9}),
+		{"replicaRead", boxed(&testBoxes.replicaReads, replicaRead{ID: 42, Key: "k1", Digest: true, Coord: 3, RingSeq: 9}),
 			"0000000f010106162a026b3101060922312f60"},
-		{"replicaReadResp", testBoxes.replicaReadResps.put(replicaReadResp{ID: 42, Key: "k1", Cell: cell, Exists: true, Digest: false, From: 2}),
+		{"replicaReadResp", boxed(&testBoxes.replicaReadResps, replicaReadResp{ID: 42, Key: "k1", Cell: cell, Exists: true, Digest: false, From: 2}),
 			"00000020010206162a026b31f2c00107000b76616c75652d6279746573010004139ae62f"},
-		{"replicaWrite", testBoxes.replicaWrites.put(replicaWrite{ID: 7, Key: "k2", Cell: tomb, Coord: 1, Repair: true, Hint: true, RingSeq: 4}),
+		{"replicaWrite", boxed(&testBoxes.replicaWrites, replicaWrite{ID: 7, Key: "k2", Cell: tomb, Coord: 1, Repair: true, Hint: true, RingSeq: 4}),
 			"000000150103061607026b32ce0f0701000201010447d38623"},
-		{"replicaWriteAck", testBoxes.replicaWriteAcks.put(replicaWriteAck{ID: 7, Key: "k2", Version: cell.Version, From: 5}),
+		{"replicaWriteAck", boxed(&testBoxes.replicaWriteAcks, replicaWriteAck{ID: 7, Key: "k2", Version: cell.Version, From: 5}),
 			"000000110104061607026b32f2c001070a1f49b34c"},
 		{"replicaBatchRead", &replicaBatchRead{ID: 8, Idxs: []int{0, 2}, Keys: []string{"a", "b"}, Coord: 0, RingSeq: 2},
 			"0000001301050616080200040201610162000276479b57"},
@@ -144,6 +149,140 @@ func TestWireFramesGolden(t *testing.T) {
 		}
 		if size != len(buf) {
 			t.Errorf("%s: sized at %d bytes, frame of %d", tc.name, size, len(buf))
+		}
+	}
+}
+
+// sizeProbe is one point of TestMessageSizeAtFieldBoundaries' grid: the
+// value every field of its type takes in one message.
+type sizeProbe struct {
+	u    uint64        // ids, sequence numbers, ring tokens
+	i    int64         // timestamps, positions and counts
+	node netsim.NodeID // frame addresses and node fields
+	str  string        // keys
+	val  []byte        // values and stream data
+	n    int           // list length; -1 is a nil list
+	flag bool          // every flag; a set flag makes the cell a tombstone
+}
+
+func (p sizeProbe) cell() storage.Cell {
+	c := storage.Cell{Version: storage.Version{Timestamp: time.Duration(p.i), Seq: p.u}, Tombstone: p.flag}
+	if !p.flag {
+		c.Value = p.val
+	}
+	return c
+}
+
+// list returns p's list of elem: nil, or n copies.
+func list[T any](p sizeProbe, elem T) []T {
+	if p.n < 0 {
+		return nil
+	}
+	out := make([]T, p.n)
+	for i := range out {
+		out[i] = elem
+	}
+	return out
+}
+
+// sizeProbeKinds build one message of every wire kind from a probe.
+var sizeProbeKinds = []func(p sizeProbe) any{
+	func(p sizeProbe) any {
+		return boxed(&testBoxes.replicaReads, replicaRead{ID: reqID(p.u), Key: p.str, Digest: p.flag, Coord: p.node, RingSeq: p.u})
+	},
+	func(p sizeProbe) any {
+		return boxed(&testBoxes.replicaReadResps, replicaReadResp{ID: reqID(p.u), Key: p.str, Cell: p.cell(), Exists: p.flag, Digest: p.flag, From: p.node})
+	},
+	func(p sizeProbe) any {
+		return boxed(&testBoxes.replicaWrites, replicaWrite{ID: reqID(p.u), Key: p.str, Cell: p.cell(), Coord: p.node, Repair: p.flag, Hint: p.flag, RingSeq: p.u})
+	},
+	func(p sizeProbe) any {
+		return boxed(&testBoxes.replicaWriteAcks, replicaWriteAck{ID: reqID(p.u), Key: p.str, Version: p.cell().Version, From: p.node})
+	},
+	func(p sizeProbe) any {
+		return &replicaBatchRead{ID: reqID(p.u), Idxs: list(p, int(p.i)), Keys: list(p, p.str), Coord: p.node, RingSeq: p.u}
+	},
+	func(p sizeProbe) any {
+		return &replicaBatchReadResp{ID: reqID(p.u), Items: list(p, batchReadItem{Idx: int(p.i), Cell: p.cell(), Exists: p.flag}), From: p.node}
+	},
+	func(p sizeProbe) any {
+		return &replicaBatchWrite{ID: reqID(p.u), Idxs: list(p, int(p.i)), Keys: list(p, p.str), Cells: list(p, p.cell()), Coord: p.node, RingSeq: p.u}
+	},
+	func(p sizeProbe) any {
+		return &replicaBatchWriteAck{ID: reqID(p.u), Idxs: list(p, int(p.i)), From: p.node}
+	},
+	func(p sizeProbe) any {
+		return aeOffer{Keys: list(p, p.str), Versions: list(p, p.cell().Version), From: p.node}
+	},
+	func(p sizeProbe) any {
+		return aeReply{Updates: list(p, aeCell{Key: p.str, Cell: p.cell()}), Want: list(p, p.str), From: p.node}
+	},
+	func(p sizeProbe) any { return aePush{Updates: list(p, aeCell{Key: p.str, Cell: p.cell()})} },
+	func(p sizeProbe) any {
+		return streamRequest{Joiner: p.node, Ranges: list(p, ring.Range{Start: ring.Token(p.u), End: ring.Token(p.u / 2)})}
+	},
+	func(p sizeProbe) any { return streamChunk{From: p.node, Data: p.val, Count: int(p.i)} },
+	func(p sizeProbe) any {
+		return streamDone{From: p.node, Chunks: int(p.i), Cells: int(p.i), Bytes: int(p.i), NeedAck: p.flag}
+	},
+	func(p sizeProbe) any { return streamAck{From: p.node} },
+}
+
+// sizeProbes is the grid TestMessageSizeAtFieldBoundaries sizes every
+// kind at: unsigned varints either side of each byte step and at the
+// maximum, negative and extreme signed ones, node ids either side of a
+// zigzag byte step, empty and 200-byte keys and values, nil, empty,
+// one- and many-element lists, and tombstones.
+func sizeProbes() []sizeProbe {
+	long := string(make([]byte, 200))
+	var probes []sizeProbe
+	for _, u := range []uint64{0, 127, 128, 16383, 16384, ^uint64(0)} {
+		for _, i := range []int64{0, 63, 64, 16383, 16384, -1, -64, -65, -1 << 63, 1<<63 - 1} {
+			for _, node := range []netsim.NodeID{0, 63, 64, 8191, 8192} {
+				for _, str := range []string{"", long} {
+					for _, val := range [][]byte{nil, {}, []byte(long)} {
+						for _, n := range []int{-1, 0, 1, 5} {
+							for _, flag := range []bool{false, true} {
+								probes = append(probes, sizeProbe{u: u, i: i, node: node, str: str, val: val, n: n, flag: flag})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return probes
+}
+
+// TestMessageSizeAtFieldBoundaries: for every wire kind, the generated
+// size equals the marshalled frame's length at every point of the
+// boundary grid, the frame addresses stepping across a zigzag byte
+// boundary too. TestWireFramesGolden sizes one message per kind; this
+// reaches the edges the fuzzer finds only when it runs.
+func TestMessageSizeAtFieldBoundaries(t *testing.T) {
+	kinds := map[byte]bool{}
+	for _, p := range sizeProbes() {
+		from, to := p.node, 63+netsim.NodeID(p.n&1)
+		for _, build := range sizeProbeKinds {
+			payload := build(p)
+			size := testBoxes.MessageSize(from, to, payload)
+			buf, ok := testBoxes.MarshalMessage(nil, from, to, payload)
+			if !ok {
+				t.Fatalf("%T has no wire form", payload)
+			}
+			if size != len(buf) {
+				t.Fatalf("%T %+v %d->%d: sized at %d bytes, frame of %d", payload, p, from, to, size, len(buf))
+			}
+			kind, _, _, err := wire.ReadFrame(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds[kind] = true
+		}
+	}
+	for k := wireReplicaRead; k <= wireStreamAck; k++ {
+		if !kinds[k] {
+			t.Errorf("wire kind %d never sized", k)
 		}
 	}
 }
@@ -446,7 +585,7 @@ func BenchmarkWireRoundTripLoopback(b *testing.B) {
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := testBoxes.replicaWrites.put(replicaWrite{
+		w := boxed(&testBoxes.replicaWrites, replicaWrite{
 			ID: reqID(i), Key: "key:12345678",
 			Cell:  storage.Cell{Version: storage.Version{Timestamp: time.Duration(i), Seq: 1}, Value: value},
 			Coord: 1, RingSeq: 3,
@@ -472,17 +611,23 @@ func BenchmarkWireRoundTripLoopback(b *testing.B) {
 var sizeSink int
 
 // BenchmarkMessageSize measures what the transport adds to every network
-// send: sizing a replica read and a full-data read response by their
-// field walks, and a client read by its declared size.
+// send: sizing the four per-replica kinds and a four-item batch write by
+// their generated size methods, and a client read by its declared size.
 func BenchmarkMessageSize(b *testing.B) {
 	cell := testCell(12345, "value-bytes")
+	const key = "key:12345678"
+	keys := []string{key, key, key, key}
 	for _, c := range []struct {
 		name    string
 		payload any
 	}{
-		{"replicaRead", &replicaRead{ID: 42, Key: "key:12345678", Coord: 3, RingSeq: 9}},
-		{"replicaReadResp", &replicaReadResp{ID: 42, Key: "key:12345678", Cell: cell, Exists: true, From: 2}},
-		{"clientRead", &clientRead{ID: 42, Key: "key:12345678"}},
+		{"replicaRead", &replicaRead{ID: 42, Key: key, Coord: 3, RingSeq: 9}},
+		{"replicaReadResp", &replicaReadResp{ID: 42, Key: key, Cell: cell, Exists: true, From: 2}},
+		{"replicaWrite", &replicaWrite{ID: 42, Key: key, Cell: cell, Coord: 3, RingSeq: 9}},
+		{"replicaWriteAck", &replicaWriteAck{ID: 42, Key: key, Version: cell.Version, From: 2}},
+		{"replicaBatchWrite", &replicaBatchWrite{ID: 42, Idxs: []int{0, 1, 2, 3}, Keys: keys,
+			Cells: []storage.Cell{cell, cell, cell, cell}, Coord: 3, RingSeq: 9}},
+		{"clientRead", &clientRead{ID: 42, Key: key}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
