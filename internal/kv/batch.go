@@ -106,8 +106,8 @@ func (n *Node) admitBatchRead(m clientBatchRead) {
 
 // batchReadDone records one item's client-visible result and ships the
 // batch's reply once every item has one.
-func (n *Node) batchReadDone(bctx *batchReadCtx, i int, res ReadResult) {
-	bctx.results[i] = res
+func (n *Node) batchReadDone(bctx *batchReadCtx, i int, res *ReadResult) {
+	bctx.results[i] = *res
 	bctx.pending--
 	if bctx.pending == 0 && !bctx.delivered {
 		bctx.delivered = true
@@ -124,7 +124,8 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 	if !ok {
 		return
 	}
-	for _, it := range m.Items {
+	for i := range m.Items {
+		it := &m.Items[i]
 		if uint(it.Idx) >= uint(len(bctx.items)) {
 			continue
 		}
@@ -132,8 +133,8 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 		if ctx == nil {
 			continue // failed at admission or already finalized
 		}
-		resp := replicaReadResp{ID: m.ID, Key: ctx.key, Cell: it.Cell, Exists: it.Exists, From: m.From}
-		if n.foldRead(ctx, resp) && ctx.finished() {
+		a := readAnswer{From: m.From, Cell: it.Cell, Exists: it.Exists}
+		if n.foldRead(ctx, &a) && ctx.finished() {
 			bctx.items[it.Idx] = nil
 			n.finalizeRead(ctx)
 			n.cluster.putReadCtx(ctx)
@@ -230,8 +231,8 @@ func (n *Node) sendReqs(reqs []replicaReq) {
 }
 
 // batchWriteDone is the write counterpart of batchReadDone.
-func (n *Node) batchWriteDone(bctx *batchWriteCtx, i int, res WriteResult) {
-	bctx.results[i] = res
+func (n *Node) batchWriteDone(bctx *batchWriteCtx, i int, res *WriteResult) {
+	bctx.results[i] = *res
 	bctx.pending--
 	if bctx.pending == 0 && !bctx.delivered {
 		bctx.delivered = true

@@ -127,7 +127,9 @@ func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
 	}
 	rt, op := c.newOp(lvl)
 	op.key, op.rcb = key, cb
-	c.net.Send(netsim.ClientID, coord, c.clientReads.put(clientRead{ID: id, Key: key, Level: lvl, rt: rt}))
+	m := c.clientReads.put()
+	m.ID, m.Key, m.Level, m.rt = id, key, lvl, rt
+	c.net.Send(netsim.ClientID, coord, m)
 	c.armOp(rt)
 }
 
@@ -153,7 +155,8 @@ func (c *Cluster) write(key string, value []byte, lvl Level, tombstone bool, cb 
 	}
 	rt, op := c.newOp(lvl)
 	op.key, op.wcb = key, cb
-	c.net.Send(netsim.ClientID, coord,
-		c.clientWrites.put(clientWrite{ID: id, Key: key, Value: value, Level: lvl, tombstone: tombstone, rt: rt}))
+	m := c.clientWrites.put()
+	m.ID, m.Key, m.Value, m.Level, m.tombstone, m.rt = id, key, value, lvl, tombstone, rt
+	c.net.Send(netsim.ClientID, coord, m)
 	c.armOp(rt)
 }

@@ -28,18 +28,28 @@ type readCtx struct {
 	issuedAtStart  storage.Version
 
 	targets   []netsim.NodeID
-	responses []replicaReadResp // one per distinct responder, arrival order
+	responses []readAnswer // one per distinct responder, arrival order
 	ackTotal  int
 	ackDC     map[string]int // per-DC tallies; nil unless req.perDC is set
 
-	best      replicaReadResp // freshest version seen (data or digest)
-	bestData  replicaReadResp // freshest response carrying the value
+	best      readAnswer // freshest version seen (data or digest)
+	bestData  readAnswer // freshest answer carrying the value
 	haveBest  bool
 	haveData  bool
 	completed bool // the consistency level was satisfied
 	delivered bool // the client received a reply
 	awaitData bool
 	retries   int // wrong-owner re-plans consumed (gossip mode)
+}
+
+// readAnswer is what a read context keeps of one replica's answer, single
+// read or batch item alike: who answered, with which cell (only its
+// version for a digest), and whether the replica holds the key at all.
+type readAnswer struct {
+	From   netsim.NodeID
+	Cell   storage.Cell
+	Exists bool
+	Digest bool
 }
 
 // findResp returns the index of from's response, or -1.
@@ -58,7 +68,7 @@ func (ctx *readCtx) dropResp(from netsim.NodeID) {
 	if i := ctx.findResp(from); i >= 0 {
 		last := len(ctx.responses) - 1
 		ctx.responses[i] = ctx.responses[last]
-		ctx.responses[last] = replicaReadResp{}
+		ctx.responses[last] = readAnswer{}
 		ctx.responses = ctx.responses[:last]
 	}
 }
@@ -125,7 +135,7 @@ func (b *boxes) getReadCtx() *readCtx {
 
 func (b *boxes) putReadCtx(ctx *readCtx) {
 	for i := range ctx.responses {
-		ctx.responses[i] = replicaReadResp{}
+		ctx.responses[i] = readAnswer{}
 	}
 	*ctx = readCtx{targets: ctx.targets[:0], responses: ctx.responses[:0]}
 	b.readCtxs = append(b.readCtxs, ctx)
@@ -180,7 +190,7 @@ func (n *Node) coordRead(m clientRead) {
 	if n.cacheServe(m) {
 		return
 	}
-	n.coordWork(coordExec{kind: execRead, cr: m})
+	n.coordWork(&coordExec{kind: execRead, cr: m})
 }
 
 // admitRead plans and fans out a read whose admission work is done.
@@ -213,7 +223,7 @@ func (n *Node) openRead(ctx *readCtx, now time.Duration) bool {
 	targets, ok := n.pickTargets(replicas, ctx.req, ctx.targets)
 	ctx.targets = targets
 	if !ok {
-		n.readDone(ctx, ReadResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
+		n.readDone(ctx, &ReadResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
 		n.cluster.oracle.ReadFailed()
 		n.cluster.putReadCtx(ctx)
 		return false
@@ -238,7 +248,8 @@ func (n *Node) askReplicas(ctx *readCtx, to []netsim.NodeID, digest bool, reqs [
 			r.read.Keys = append(r.read.Keys, ctx.key)
 			continue
 		}
-		rr := n.cluster.replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: digest && i > 0, Coord: n.id, RingSeq: n.ringSeq()})
+		rr := n.cluster.replicaReads.put()
+		rr.ID, rr.Key, rr.Digest, rr.Coord, rr.RingSeq = ctx.id, ctx.key, digest && i > 0, n.id, n.ringSeq()
 		n.cluster.net.Send(n.id, t, rr)
 	}
 	return reqs
@@ -261,10 +272,15 @@ func (n *Node) replanRead(ctx *readCtx, reqs []replicaReq) []replicaReq {
 	return n.askReplicas(ctx, ctx.targets[planned:], false, reqs)
 }
 
-// onReadResp folds one replica response into the read context.
-func (n *Node) onReadResp(m replicaReadResp) {
+// onReadResp folds one replica response, copied out of its box, into the
+// read context.
+func (n *Node) onReadResp(m *replicaReadResp) {
 	ctx, ok := n.reads[m.ID]
-	if !ok || !n.foldRead(ctx, m) {
+	if !ok {
+		return
+	}
+	a := readAnswer{From: m.From, Cell: m.Cell, Exists: m.Exists, Digest: m.Digest}
+	if !n.foldRead(ctx, &a) {
 		return
 	}
 	if ctx.finished() {
@@ -278,11 +294,11 @@ func (n *Node) onReadResp(m replicaReadResp) {
 // foldRead folds one replica's answer into ctx — single read or batch
 // item — and completes the client-visible read once the level is
 // satisfied. It reports false for a replica that already answered.
-func (n *Node) foldRead(ctx *readCtx, m replicaReadResp) bool {
+func (n *Node) foldRead(ctx *readCtx, m *readAnswer) bool {
 	if ctx.findResp(m.From) >= 0 {
 		return false
 	}
-	ctx.responses = append(ctx.responses, m)
+	ctx.responses = append(ctx.responses, *m)
 	ctx.ackTotal++
 	if ctx.ackDC != nil {
 		ctx.ackDC[n.cluster.topo.DCOf(m.From)]++
@@ -290,11 +306,11 @@ func (n *Node) foldRead(ctx *readCtx, m replicaReadResp) bool {
 
 	if m.Exists {
 		if !ctx.haveBest || m.Cell.Version.After(ctx.best.Cell.Version) {
-			ctx.best = m
+			ctx.best = *m
 			ctx.haveBest = true
 		}
 		if !m.Digest && (!ctx.haveData || m.Cell.Version.After(ctx.bestData.Cell.Version)) {
-			ctx.bestData = m
+			ctx.bestData = *m
 			ctx.haveData = true
 		}
 	}
@@ -325,7 +341,8 @@ func (n *Node) tryCompleteRead(ctx *readCtx) {
 		if ctx.best.Digest {
 			// Freshest version known only by digest: fetch its data.
 			ctx.awaitData = true
-			rr := n.cluster.replicaReads.put(replicaRead{ID: ctx.id, Key: ctx.key, Digest: false, Coord: n.id, RingSeq: n.ringSeq()})
+			rr := n.cluster.replicaReads.put()
+			rr.ID, rr.Key, rr.Coord, rr.RingSeq = ctx.id, ctx.key, n.id, n.ringSeq()
 			ctx.dropResp(ctx.best.From) // allow the refetch response in
 			ctx.ackTotal--
 			if ctx.ackDC != nil {
@@ -369,8 +386,8 @@ func (n *Node) deliverRead(ctx *readCtx) {
 	if ctx.haveData {
 		n.cacheFill(ctx.key, ctx.bestData.Cell)
 	}
-	n.cluster.hooks.readCompleted(now, res)
-	n.readDone(ctx, res)
+	n.cluster.hooks.readCompleted(now, &res)
+	n.readDone(ctx, &res)
 }
 
 // finalizeRead performs read repair; callers discard the context.
@@ -419,7 +436,8 @@ func (n *Node) finalizeRead(ctx *readCtx) {
 }
 
 func (n *Node) sendRepair(to netsim.NodeID, key string, cell storage.Cell) {
-	msg := n.cluster.replicaWrites.put(replicaWrite{Key: key, Cell: cell, Coord: n.id, Repair: true})
+	msg := n.cluster.replicaWrites.put()
+	msg.Key, msg.Cell, msg.Coord, msg.Repair = key, cell, n.id, true
 	n.cluster.net.Send(n.id, to, msg)
 }
 
@@ -448,7 +466,7 @@ func (n *Node) openWrite(ctx *writeCtx, value []byte, tombstone bool, now time.D
 	replicas := n.routeReplicas(ctx.key)
 	ctx.req = ctx.level.resolve(replicas, n.cluster.topo, n.cluster.topo.DCOf(n.id))
 	if !n.routeReachable(replicas, ctx.req) {
-		n.writeDone(ctx, WriteResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
+		n.writeDone(ctx, &WriteResult{Err: ErrUnavailable, Key: ctx.key, Level: ctx.level})
 		n.cluster.putWriteCtx(ctx)
 		return nil, false
 	}
@@ -496,7 +514,8 @@ func (n *Node) shipWrite(ctx *writeCtx, replicas []netsim.NodeID, reqs []replica
 			q.write.Cells = append(q.write.Cells, ctx.cell)
 			continue
 		}
-		w := n.cluster.replicaWrites.put(replicaWrite{ID: ctx.id, Key: ctx.key, Cell: ctx.cell, Coord: n.id, RingSeq: n.ringSeq()})
+		w := n.cluster.replicaWrites.put()
+		w.ID, w.Key, w.Cell, w.Coord, w.RingSeq = ctx.id, ctx.key, ctx.cell, n.id, n.ringSeq()
 		n.cluster.net.Send(n.id, r, w)
 	}
 	return reqs
@@ -544,8 +563,8 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 			Key: ctx.key, Version: ctx.version, Level: ctx.level,
 			Latency: now - ctx.start, Acked: ctx.ackCount,
 		}
-		n.cluster.hooks.writeCompleted(now, res)
-		n.writeDone(ctx, res)
+		n.cluster.hooks.writeCompleted(now, &res)
+		n.writeDone(ctx, &res)
 	}
 }
 
@@ -619,8 +638,8 @@ func (n *Node) expireWrite(ctx *writeCtx) {
 		Err: ErrTimeout, Key: ctx.key, Level: ctx.level,
 		Latency: n.cluster.cfg.Timeout, Acked: ctx.ackCount,
 	}
-	n.cluster.hooks.writeCompleted(n.cluster.net.Now(), res)
-	n.writeDone(ctx, res)
+	n.cluster.hooks.writeCompleted(n.cluster.net.Now(), &res)
+	n.writeDone(ctx, &res)
 }
 
 // expireRead fails a still-undelivered read context with ErrTimeout and
@@ -634,8 +653,8 @@ func (n *Node) expireRead(ctx *readCtx) {
 			Latency: n.cluster.cfg.Timeout, Replicas: len(ctx.targets),
 		}
 		n.cluster.oracle.ReadFailed()
-		n.cluster.hooks.readCompleted(n.cluster.net.Now(), res)
-		n.readDone(ctx, res)
+		n.cluster.hooks.readCompleted(n.cluster.net.Now(), &res)
+		n.readDone(ctx, &res)
 	}
 	ctx.awaitData = false
 	n.finalizeRead(ctx)
@@ -643,7 +662,7 @@ func (n *Node) expireRead(ctx *readCtx) {
 
 // readDone routes a context's client-visible result: into its batch's
 // collector, or back to the client.
-func (n *Node) readDone(ctx *readCtx, res ReadResult) {
+func (n *Node) readDone(ctx *readCtx, res *ReadResult) {
 	if ctx.batch != nil {
 		n.batchReadDone(ctx.batch, ctx.item, res)
 		return
@@ -651,7 +670,7 @@ func (n *Node) readDone(ctx *readCtx, res ReadResult) {
 	n.replyRead(ctx.rt, res)
 }
 
-func (n *Node) writeDone(ctx *writeCtx, res WriteResult) {
+func (n *Node) writeDone(ctx *writeCtx, res *WriteResult) {
 	if ctx.batch != nil {
 		n.batchWriteDone(ctx.batch, ctx.item, res)
 		return
@@ -661,12 +680,16 @@ func (n *Node) writeDone(ctx *writeCtx, res WriteResult) {
 
 // replyRead ships the result back to the client endpoint over the
 // network, so client-visible latency includes the return hop.
-func (n *Node) replyRead(rt opRoute, res ReadResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientReadReplies.put(clientReadReply{rt: rt, res: res}))
+func (n *Node) replyRead(rt opRoute, res *ReadResult) {
+	m := n.cluster.clientReadReplies.put()
+	m.rt, m.res = rt, *res
+	n.cluster.net.Send(n.id, netsim.ClientID, m)
 }
 
-func (n *Node) replyWrite(rt opRoute, res WriteResult) {
-	n.cluster.net.Send(n.id, netsim.ClientID, n.cluster.clientWriteReplies.put(clientWriteReply{rt: rt, res: res}))
+func (n *Node) replyWrite(rt opRoute, res *WriteResult) {
+	m := n.cluster.clientWriteReplies.put()
+	m.rt, m.res = rt, *res
+	n.cluster.net.Send(n.id, netsim.ClientID, m)
 }
 
 // pickTargets selects which replicas a read contacts: enough to satisfy

@@ -39,10 +39,10 @@ func (hs hookSet) readStarted(now time.Duration, key string) {
 	}
 }
 
-func (hs hookSet) readCompleted(now time.Duration, res ReadResult) {
+func (hs hookSet) readCompleted(now time.Duration, res *ReadResult) {
 	for _, h := range hs {
 		if h.ReadCompleted != nil {
-			h.ReadCompleted(now, res)
+			h.ReadCompleted(now, *res)
 		}
 	}
 }
@@ -63,10 +63,10 @@ func (hs hookSet) writeAck(now time.Duration, key string, rank int, delay time.D
 	}
 }
 
-func (hs hookSet) writeCompleted(now time.Duration, res WriteResult) {
+func (hs hookSet) writeCompleted(now time.Duration, res *WriteResult) {
 	for _, h := range hs {
 		if h.WriteCompleted != nil {
-			h.WriteCompleted(now, res)
+			h.WriteCompleted(now, *res)
 		}
 	}
 }

@@ -372,8 +372,8 @@ func (n *Node) cacheServe(m clientRead) bool {
 	if res.Stale {
 		rc.staleServed++
 	}
-	n.cluster.hooks.readCompleted(now, res)
-	n.replyRead(m.rt, res)
+	n.cluster.hooks.readCompleted(now, &res)
+	n.replyRead(m.rt, &res)
 	return true
 }
 

@@ -50,17 +50,17 @@ import (
 // kind ever in flight at once.
 type box[T any] struct{ free []*T }
 
-// put returns a box holding v.
-func (b *box[T]) put(v T) *T {
-	var p *T
+// put returns an empty box for the sender to fill in place. Filled field
+// by field, a message is never built in a temporary and then copied into
+// its box; take leaves every recycled box zeroed, so nothing is cleared
+// here.
+func (b *box[T]) put() *T {
 	if n := len(b.free) - 1; n >= 0 {
-		p = b.free[n]
+		p := b.free[n]
 		b.free = b.free[:n]
-	} else {
-		p = new(T)
+		return p
 	}
-	*p = v
-	return p
+	return new(T)
 }
 
 // take copies the message out of its box and recycles the box, zeroed so

@@ -281,22 +281,22 @@ func (b *boxes) ReleaseMessage(payload any) {
 // submitRead enqueues closure-carried read-stage work; submitWrite
 // enqueues mutation-stage work.
 func (n *Node) submitRead(cost time.Duration, fn func()) {
-	n.submit(&n.readStage, work{cost: cost, fn: fn})
+	n.submit(&n.readStage, &work{cost: cost, fn: fn})
 }
 
 func (n *Node) submitWrite(cost time.Duration, fn func()) {
-	n.submit(&n.writeStage, work{cost: cost, fn: fn})
+	n.submit(&n.writeStage, &work{cost: cost, fn: fn})
 }
 
-func (n *Node) submit(st *stage, w work) {
+func (n *Node) submit(st *stage, w *work) {
 	if w.cost == 0 && st.busy < st.conc {
 		st.done++
-		n.perform(&w)
+		n.perform(w)
 		return
 	}
 	w.enqueued = n.cluster.net.Now()
 	if st.busy >= st.conc {
-		st.queue = append(st.queue, w)
+		st.queue = append(st.queue, *w)
 		if q := st.qlen(); q > st.peak {
 			st.peak = q
 		}
@@ -305,11 +305,13 @@ func (n *Node) submit(st *stage, w work) {
 	n.run(st, w)
 }
 
-func (n *Node) run(st *stage, w work) {
+func (n *Node) run(st *stage, w *work) {
 	st.busy++
 	st.busyTime += w.cost
 	st.done++
-	n.cluster.net.SendLocal(n.id, n.cluster.workDones.put(workDone{st: st, w: w, epoch: n.epoch}), w.cost)
+	d := n.cluster.workDones.put()
+	d.st, d.w, d.epoch = st, *w, n.epoch
+	n.cluster.net.SendLocal(n.id, d, w.cost)
 }
 
 // workDone is the self-message marking completion of a work unit. epoch
@@ -344,15 +346,17 @@ const (
 // operation: it delays the admission e carries by a sampled cost without
 // contending for read/mutation slots (Cassandra's request stage is
 // rarely the bottleneck). A zero sample admits at once.
-func (n *Node) coordWork(e coordExec) {
+func (n *Node) coordWork(e *coordExec) {
 	cost := n.cluster.cfg.CoordOverhead.Sample(n.rng)
 	n.coordBusy += cost
 	if cost == 0 {
-		n.admit(&e)
+		n.admit(e)
 		return
 	}
 	e.epoch = n.epoch
-	n.cluster.net.SendLocal(n.id, n.cluster.coordExecs.put(e), cost)
+	x := n.cluster.coordExecs.put()
+	*x = *e
+	n.cluster.net.SendLocal(n.id, x, cost)
 }
 
 func (n *Node) admit(e *coordExec) {
@@ -371,9 +375,9 @@ func (n *Node) admit(e *coordExec) {
 func (n *Node) perform(w *work) {
 	switch w.kind {
 	case workReplicaRead:
-		n.serveReplicaRead(w.rr)
+		n.serveReplicaRead(&w.rr)
 	case workReplicaWrite:
-		n.applyReplicaWrite(w.rw)
+		n.applyReplicaWrite(&w.rw)
 	default:
 		w.fn()
 	}
@@ -397,7 +401,7 @@ func (n *Node) finishWork(st *stage, w *work) {
 			st.dropped++
 			continue
 		}
-		n.run(st, next)
+		n.run(st, &next)
 	}
 	// Reclaim the consumed prefix: reset when drained, compact when the
 	// dead head outgrows the live tail.
@@ -456,11 +460,11 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 	case *clientRead:
 		n.coordRead(n.cluster.clientReads.take(m))
 	case *clientWrite:
-		n.coordWork(coordExec{kind: execWrite, cw: n.cluster.clientWrites.take(m)})
+		n.coordWork(&coordExec{kind: execWrite, cw: n.cluster.clientWrites.take(m)})
 	case clientBatchRead:
-		n.coordWork(coordExec{kind: execBatchRead, br: m})
+		n.coordWork(&coordExec{kind: execBatchRead, br: m})
 	case clientBatchWrite:
-		n.coordWork(coordExec{kind: execBatchWrite, bw: m})
+		n.coordWork(&coordExec{kind: execBatchWrite, bw: m})
 
 	case *replicaWrite:
 		n.onReplicaWrite(n.cluster.replicaWrites.take(m))
@@ -469,7 +473,8 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 	case *replicaRead:
 		n.onReplicaRead(n.cluster.replicaReads.take(m))
 	case *replicaReadResp:
-		n.onReadResp(n.cluster.replicaReadResps.take(m))
+		v := n.cluster.replicaReadResps.take(m)
+		n.onReadResp(&v)
 	case *replicaBatchWrite:
 		n.onReplicaBatchWrite(*m)
 	case *replicaBatchWriteAck:
@@ -553,11 +558,11 @@ func (n *Node) onReplicaWrite(m replicaWrite) {
 		return
 	}
 	cost := n.cluster.cfg.WriteService.Sample(n.rng)
-	n.submit(&n.writeStage, work{cost: cost, kind: workReplicaWrite, rw: m})
+	n.submit(&n.writeStage, &work{cost: cost, kind: workReplicaWrite, rw: m})
 }
 
 // applyReplicaWrite is the mutation-stage work of onReplicaWrite.
-func (n *Node) applyReplicaWrite(m replicaWrite) {
+func (n *Node) applyReplicaWrite(m *replicaWrite) {
 	n.repWrites++
 	if n.engine.Apply(m.Key, m.Cell) {
 		n.cluster.oracle.Applied(n.id, m.Key, m.Cell.Version, n.cluster.net.Now())
@@ -567,7 +572,8 @@ func (n *Node) applyReplicaWrite(m replicaWrite) {
 		n.readRepairs++
 		return
 	}
-	ack := n.cluster.replicaWriteAcks.put(replicaWriteAck{ID: m.ID, Key: m.Key, Version: m.Cell.Version, From: n.id})
+	ack := n.cluster.replicaWriteAcks.put()
+	ack.ID, ack.Key, ack.Version, ack.From = m.ID, m.Key, m.Cell.Version, n.id
 	n.cluster.net.Send(n.id, m.Coord, ack)
 }
 
@@ -580,17 +586,15 @@ func (n *Node) onReplicaRead(m replicaRead) {
 		return
 	}
 	cost := n.cluster.cfg.ReadService.Sample(n.rng)
-	n.submit(&n.readStage, work{cost: cost, kind: workReplicaRead, rr: m})
+	n.submit(&n.readStage, &work{cost: cost, kind: workReplicaRead, rr: m})
 }
 
 // serveReplicaRead is the read-stage work of onReplicaRead.
-func (n *Node) serveReplicaRead(m replicaRead) {
+func (n *Node) serveReplicaRead(m *replicaRead) {
 	n.repReads++
-	cell, ok := n.engine.Get(m.Key)
-	resp := n.cluster.replicaReadResps.put(replicaReadResp{
-		ID: m.ID, Key: m.Key, Cell: cell, Exists: ok,
-		Digest: m.Digest, From: n.id,
-	})
+	resp := n.cluster.replicaReadResps.put()
+	resp.ID, resp.Key, resp.Digest, resp.From = m.ID, m.Key, m.Digest, n.id
+	resp.Cell, resp.Exists = n.engine.Get(m.Key)
 	if m.Digest {
 		// Full data responses carry the value; digests only the
 		// version. The coordinator re-fetches data when the digest
@@ -638,7 +642,8 @@ func (n *Node) replayHints() {
 			continue
 		}
 		for _, h := range entries {
-			msg := n.cluster.replicaWrites.put(replicaWrite{Key: h.key, Cell: h.cell, Coord: n.id, Repair: false, Hint: true})
+			msg := n.cluster.replicaWrites.put()
+			msg.Key, msg.Cell, msg.Coord, msg.Hint = h.key, h.cell, n.id, true
 			n.cluster.net.Send(n.id, target, msg)
 			n.hintsReplayed++
 		}

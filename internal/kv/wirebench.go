@@ -23,7 +23,8 @@ var wireBenchBoxes = boxes{wireNodes: 3}
 // it from one goroutine at a time.
 func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 	b := &wireBenchBoxes
-	w := b.replicaWrites.put(replicaWrite{
+	w := b.replicaWrites.put()
+	*w = replicaWrite{
 		ID:  reqID(seq),
 		Key: "key:12345678",
 		Cell: storage.Cell{
@@ -32,7 +33,7 @@ func WireBenchRoundTrip(buf []byte, seq uint64, value []byte) ([]byte, error) {
 		},
 		Coord:   1,
 		RingSeq: 3,
-	})
+	}
 	buf, ok := b.MarshalMessage(buf[:0], 1, 2, w)
 	if !ok {
 		return buf, errors.New("replica write has no wire form")

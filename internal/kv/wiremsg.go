@@ -162,13 +162,13 @@ func (b *boxes) UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID
 	c.node(&to)
 	switch kind {
 	case wireReplicaRead:
-		payload = b.replicaReads.put(replicaRead{}).wire(&c)
+		payload = b.replicaReads.put().wire(&c)
 	case wireReplicaReadResp:
-		payload = b.replicaReadResps.put(replicaReadResp{}).wire(&c)
+		payload = b.replicaReadResps.put().wire(&c)
 	case wireReplicaWrite:
-		payload = b.replicaWrites.put(replicaWrite{}).wire(&c)
+		payload = b.replicaWrites.put().wire(&c)
 	case wireReplicaWriteAck:
-		payload = b.replicaWriteAcks.put(replicaWriteAck{}).wire(&c)
+		payload = b.replicaWriteAcks.put().wire(&c)
 	case wireReplicaBatchRead:
 		payload = new(replicaBatchRead).wire(&c)
 	case wireReplicaBatchReadResp:

@@ -53,7 +53,9 @@ func testCell(ts int64, val string) storage.Cell {
 
 // boxed returns a box of b holding v.
 func boxed[T any](b *box[T], v T) *T {
-	return b.put(v)
+	p := b.put()
+	*p = v
+	return p
 }
 
 // wireCase is one row of the wire test table: a payload in the shape
