@@ -40,7 +40,7 @@ func RunAblationDigestReads(p Platform, seed uint64) ([2]RunResult, *Table) {
 	for i, digest := range []bool{true, false} {
 		r := results[i]
 		perOp := float64(r.Traffic.Bytes[netsim.InterDC]+r.Traffic.Bytes[netsim.InterRegion]) /
-			float64(r.Metrics.Ops)
+			float64(r.DrivenOps)
 		t.Add(fmt.Sprint(digest), fmt.Sprintf("%.0f", r.Metrics.Throughput()),
 			fmt.Sprintf("%.0f", perOp), r.Metrics.ReadLat.Mean().Round(10*time.Microsecond))
 	}

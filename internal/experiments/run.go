@@ -31,7 +31,10 @@ type RunSpec struct {
 // so scaled-down runs still exercise the control loop many times.
 const runInterval = 250 * time.Millisecond
 
-// RunResult carries everything the experiment tables need.
+// RunResult carries everything the experiment tables need. Metrics
+// covers the measured operations only; Usage and Traffic count the whole
+// run, warm-up included, so a per-operation figure divides them by
+// DrivenOps.
 type RunResult struct {
 	Spec         RunSpec
 	Metrics      *ycsb.Metrics
@@ -40,6 +43,7 @@ type RunResult struct {
 	AvgReadK     float64
 	Usage        kv.Usage
 	Traffic      netsim.TrafficMeter
+	DrivenOps    uint64 // every operation the run completed, warm-up included
 	Cluster      *kv.Cluster
 	Monitor      *monitor.Monitor
 	Events       uint64 // discrete events fired by the engine over the run
@@ -85,6 +89,7 @@ func Run(spec RunSpec) RunResult {
 		AvgReadK:     win.AvgReadK,
 		Usage:        total.Usage,
 		Traffic:      total.Traffic,
+		DrivenOps:    ph.Ops,
 		Cluster:      rg.cl,
 		Monitor:      rg.mon,
 		Events:       rg.eng.Events(),
@@ -93,16 +98,17 @@ func Run(spec RunSpec) RunResult {
 
 // BillAtPaperScale extrapolates a measured run to the paper's operation
 // count: the workload's duration at the measured throughput, the metered
-// billed traffic scaled per-op, and the paper's dataset (replicated)
-// prorated over that duration.
+// billed traffic scaled per-op — the whole run's bytes over the whole
+// run's operations, warm-up included on both sides — and the paper's
+// dataset (replicated) prorated over that duration.
 func BillAtPaperScale(p Platform, pricing cost.Pricing, res RunResult, paperOps uint64) (cost.Bill, cost.Usage) {
 	thr := res.Metrics.Throughput()
-	if thr <= 0 {
+	if thr <= 0 || res.DrivenOps == 0 {
 		return cost.Bill{}, cost.Usage{}
 	}
 	duration := time.Duration(float64(paperOps) / thr * float64(time.Second))
-	perOpDC := float64(res.Traffic.Bytes[netsim.InterDC]) / float64(res.Metrics.Ops)
-	perOpRegion := float64(res.Traffic.Bytes[netsim.InterRegion]) / float64(res.Metrics.Ops)
+	perOpDC := float64(res.Traffic.Bytes[netsim.InterDC]) / float64(res.DrivenOps)
+	perOpRegion := float64(res.Traffic.Bytes[netsim.InterRegion]) / float64(res.DrivenOps)
 	u := cost.Usage{
 		Nodes:            p.Nodes,
 		Duration:         duration,

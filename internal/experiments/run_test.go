@@ -37,8 +37,9 @@ func TestBillAtPaperScaleExtrapolation(t *testing.T) {
 	var traffic netsim.TrafficMeter
 	traffic.Count(netsim.InterDC, 1000)
 	res := RunResult{
-		Metrics: &ycsb.Metrics{Ops: 100, End: time.Second},
-		Traffic: traffic,
+		Metrics:   &ycsb.Metrics{Ops: 100, End: time.Second},
+		Traffic:   traffic,
+		DrivenOps: 100,
 	}
 	res.Metrics.Start = 0
 	// 100 ops/s measured; paper ops 1000 → 10 s duration, 10 kB billed.
@@ -54,6 +55,21 @@ func TestBillAtPaperScaleExtrapolation(t *testing.T) {
 	}
 	if bill.Total() <= 0 {
 		t.Error("zero bill")
+	}
+
+	// With a warm-up the meter also holds the warm-up's bytes: 25 warm-up
+	// operations ahead of the 100 measured ones sent 1250 bytes, still
+	// 10 per operation, so the bill is unchanged. Dividing by the
+	// measured operations alone would bill 12.5 kB.
+	var warm netsim.TrafficMeter
+	warm.Count(netsim.InterDC, 1250)
+	res.Traffic, res.DrivenOps = warm, 125
+	warmBill, warmUsage := BillAtPaperScale(p, Pricing().PerSecond(), res, 1000)
+	if math.Abs(warmUsage.InterDCBytes-10000) > 1e-6 {
+		t.Errorf("with warm-up: interDC bytes = %f, want 10000", warmUsage.InterDCBytes)
+	}
+	if warmBill != bill {
+		t.Errorf("with warm-up: bill %+v, want %+v", warmBill, bill)
 	}
 }
 
