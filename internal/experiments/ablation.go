@@ -7,13 +7,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/harmony"
 	"repro/internal/kv"
-	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/ycsb"
 )
 
-// Ablations for the design choices DESIGN.md calls out. Each returns a
-// rendered table; benches assert their orderings.
+// Ablations of the store's and the tuner's design choices, each against
+// the paper's default. Each returns a rendered table; the study audit in
+// EXPERIMENTS.md names the test or golden that holds each one's claim.
 
 // RunAblationDigestReads compares QUORUM reads with and without digest
 // reads: digests trade a little latency risk (mismatch refetches) for a
@@ -80,51 +80,6 @@ func RunAblationReadRepair(p Platform, seed uint64) *Table {
 		t.Add(variants[i].name, pct(res.Metrics.StaleRate()), res.Usage.ReadRepairs,
 			fmt.Sprintf("%.0f", res.Metrics.Throughput()))
 	}
-	return t
-}
-
-// RunAblationMonitorWindow sweeps the monitor's rate-estimation window:
-// short windows adapt faster but flap levels; long windows lag behind
-// workload shifts.
-func RunAblationMonitorWindow(p Platform, seed uint64) *Table {
-	windows := []time.Duration{2 * time.Second, 10 * time.Second, 30 * time.Second}
-	specs := make([]RunSpec, len(windows))
-	for i, window := range windows {
-		opts := monitor.DefaultOptions()
-		opts.Window = window
-		specs[i] = RunSpec{
-			Platform:    p,
-			Tuner:       harmony.New(0.20, p.RF),
-			Seed:        seed,
-			MonitorOpts: &opts,
-		}
-	}
-	t := NewTable("Ablation: monitor window (harmony α=20%, "+p.Name+")",
-		"window", "level changes", "avg read k", "stale reads", "throughput(op/s)")
-	for i, res := range RunAll(specs) {
-		t.Add(windows[i], res.LevelChanges, fmt.Sprintf("%.2f", res.AvgReadK),
-			pct(res.Metrics.StaleRate()), fmt.Sprintf("%.0f", res.Metrics.Throughput()))
-	}
-	return t
-}
-
-// RunAblationBillingGranularity contrasts 2013 whole-hour instance
-// billing with per-second billing on the per-level bills of Exp B1.
-func RunAblationBillingGranularity(rows []ExpB1Row) *Table {
-	hourly := Pricing()
-	t := NewTable("Ablation: instance billing granularity (Exp B1 usages)",
-		"level", "duration", "$ hourly-rounded", "$ per-second", "hourly/per-second")
-	for _, r := range rows {
-		hb := hourly.BillFor(r.Usage)
-		ratio := 0.0
-		if r.Bill.Total() > 0 {
-			ratio = hb.Total() / r.Bill.Total()
-		}
-		t.Add(r.Level.String(), r.Usage.Duration.Round(time.Second),
-			fmt.Sprintf("%.3f", hb.Total()), fmt.Sprintf("%.3f", r.Bill.Total()),
-			fmt.Sprintf("%.2f", ratio))
-	}
-	t.Note("hour rounding inflates short runs' bills and quantizes level differences; Bismar decides on smooth costs")
 	return t
 }
 

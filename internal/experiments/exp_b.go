@@ -42,8 +42,8 @@ func symmetricLevels(rf int) []kv.Level {
 // RunExpB1 reproduces the per-level cost study: the heavy read-update
 // workload at every symmetric consistency level, billed at the paper's
 // operation count with the 2013 us-east-1 catalog (per-second instance
-// billing so level differences are not quantized away; the hourly-rounding
-// view is the billing-granularity ablation).
+// billing: whole-hour rounding would bill every level's sub-hour run the
+// same).
 func RunExpB1(p Platform, seed uint64) ([]ExpB1Row, *Table) {
 	pricing := Pricing().PerSecond()
 	levels := symmetricLevels(p.RF)

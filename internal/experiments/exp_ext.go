@@ -8,76 +8,12 @@ import (
 	"repro/internal/freshness"
 	"repro/internal/kv"
 	"repro/internal/netsim"
-	"repro/internal/power"
 	"repro/internal/provision"
 	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
 
 // Extension experiments for the paper's §V future-work directions.
-
-// scaledLaw slows a latency law by a constant factor (CPU frequency
-// scaling applied to service times).
-type scaledLaw struct {
-	inner  netsim.Law
-	factor float64
-}
-
-func (l scaledLaw) Sample(src *stats.Source) time.Duration {
-	return time.Duration(float64(l.inner.Sample(src)) * l.factor)
-}
-
-func (l scaledLaw) Mean() time.Duration {
-	return time.Duration(float64(l.inner.Mean()) * l.factor)
-}
-
-// RunExtPower reproduces the Ext-1 series: energy per consistency level
-// under each CPU governor. Governors slow service times by their
-// frequency ratio and change the power curve; energy integrates the
-// measured per-node utilization.
-func RunExtPower(p Platform, seed uint64) *Table {
-	model := power.DefaultModel()
-	type cell struct {
-		lvl kv.Level
-		g   power.Governor
-	}
-	var cells []cell
-	specs := []RunSpec{}
-	for _, lvl := range []kv.Level{kv.One, kv.Quorum, kv.All} {
-		for _, g := range []power.Governor{power.Performance, power.OnDemand, power.Powersave} {
-			slow := model.ServiceSlowdown(g, 0.5)
-			cells = append(cells, cell{lvl, g})
-			specs = append(specs, RunSpec{
-				Platform: p,
-				Tuner:    core.StaticTuner{Read: lvl, Write: lvl},
-				Seed:     seed,
-				Mutate: func(c *kv.Config) {
-					c.ReadService = scaledLaw{c.ReadService, slow}
-					c.WriteService = scaledLaw{c.WriteService, slow}
-				},
-			})
-		}
-	}
-	t := NewTable("Ext-1 (§V): power consumption per consistency level — "+p.Name,
-		"level", "governor", "throughput(op/s)", "avg util", "avg W/node", "total J", "J/op")
-	for i, res := range RunAll(specs) {
-		lvl, g := cells[i].lvl, cells[i].g
-		elapsed := res.Metrics.Elapsed()
-		var usages []power.NodeUsage
-		var utilSum float64
-		for _, id := range res.Cluster.Topology().Nodes() {
-			u := res.Cluster.Node(id).Utilization(elapsed)
-			utilSum += u
-			usages = append(usages, power.NodeUsage{Utilization: u, Elapsed: elapsed})
-		}
-		rep := power.ClusterEnergy(model, g, usages, res.Metrics.Ops)
-		t.Add(lvl.String(), g.String(), fmt.Sprintf("%.0f", res.Metrics.Throughput()),
-			pct(utilSum/float64(len(usages))), fmt.Sprintf("%.1f", rep.AvgWatts),
-			fmt.Sprintf("%.0f", rep.Joules), fmt.Sprintf("%.3f", rep.JoulesPer))
-	}
-	t.Note("stronger levels keep nodes busy longer per operation: more joules per op at equal workload")
-	return t
-}
 
 // RunExtProvisioning reproduces the Ext-2 series: the optimizer's
 // cheapest plan per constraint set, validated by simulating the chosen
@@ -147,7 +83,7 @@ func simulatePlan(plan provision.Plan, w provision.Workload, c provision.Constra
 // enforcement overhead per guarantee tier, with writes at ONE.
 func RunExtFreshness(p Platform, seed uint64) *Table {
 	t := NewTable("Ext-3 (§V): freshness deadline guarantees — "+p.Name,
-		"guarantee", "compliance (no audit)", "compliance (enforced)", "audits", "lagging found", "throughput(op/s)")
+		"guarantee", "compliance (no audit)", "compliance (enforced)", "audits", "throughput(op/s)")
 
 	guarantees := []freshness.Guarantee{freshness.Gold, freshness.Silver, freshness.Bronze}
 	// Two runs per guarantee — bare baseline and enforced — fanned out as
@@ -177,8 +113,8 @@ func RunExtFreshness(p Platform, seed uint64) *Table {
 		base, res := results[2*i], results[2*i+1]
 		baseCompliance := freshness.Compliance(base.Cluster.Oracle(), g)
 		compliance := freshness.Compliance(res.Cluster.Oracle(), g)
-		_, audits, lagging := enforcers[i].Stats()
-		t.Add(g.String(), pct(baseCompliance), pct(compliance), audits, lagging,
+		_, audits := enforcers[i].Stats()
+		t.Add(g.String(), pct(baseCompliance), pct(compliance), audits,
 			fmt.Sprintf("%.0f", res.Metrics.Throughput()))
 	}
 	t.Note("audit reads repair laggard replicas before the deadline; compliance is the oracle-measured fraction of writes fully propagated in time")

@@ -20,8 +20,6 @@ type RunSpec struct {
 	Seed     uint64
 	WarmupPc float64 // fraction of ops treated as warmup; 0 → 0.1
 	Mutate   func(*kv.Config)
-	// MonitorOpts overrides the monitor configuration (ablations).
-	MonitorOpts *monitor.Options
 	// Wrap, when set, wraps the session the workload drives (freshness
 	// enforcement and similar middleware layers).
 	Wrap func(sess kv.Session, cl *kv.Cluster, clock ycsb.Clock) kv.Session
@@ -32,9 +30,9 @@ type RunSpec struct {
 const runInterval = 250 * time.Millisecond
 
 // RunResult carries everything the experiment tables need. Metrics
-// covers the measured operations only; Usage and Traffic count the whole
-// run, warm-up included, so a per-operation figure divides them by
-// DrivenOps.
+// covers the measured operations only; Usage and Traffic count the
+// driven load, warm-up included and the preload not, so a per-operation
+// figure divides them by DrivenOps.
 type RunResult struct {
 	Spec         RunSpec
 	Metrics      *ycsb.Metrics
@@ -60,7 +58,7 @@ func Run(spec RunSpec) RunResult {
 		w = ycsb.HeavyReadUpdate(p.Records)
 		w.ValueSize = p.ValueBytes
 	}
-	rg := newRig(p, spec.Seed, spec.Mutate, spec.MonitorOpts)
+	rg := newRig(p, spec.Seed, spec.Mutate, nil)
 	rg.control(spec.Tuner, runInterval)
 	if spec.Wrap != nil {
 		rg.sess = spec.Wrap(rg.sess, rg.cl, rg.tr)
@@ -80,15 +78,14 @@ func Run(spec RunSpec) RunResult {
 	win := rg.drive(runner, ph)
 	rg.ctl.Stop()
 
-	total := rg.read()
 	return RunResult{
 		Spec:         spec,
 		Metrics:      win.Metrics,
 		Journal:      rg.ctl.Journal(),
 		LevelChanges: rg.ctl.LevelChanges(),
 		AvgReadK:     win.AvgReadK,
-		Usage:        total.Usage,
-		Traffic:      total.Traffic,
+		Usage:        win.Usage,
+		Traffic:      win.Traffic,
 		DrivenOps:    ph.Ops,
 		Cluster:      rg.cl,
 		Monitor:      rg.mon,
@@ -98,8 +95,8 @@ func Run(spec RunSpec) RunResult {
 
 // BillAtPaperScale extrapolates a measured run to the paper's operation
 // count: the workload's duration at the measured throughput, the metered
-// billed traffic scaled per-op — the whole run's bytes over the whole
-// run's operations, warm-up included on both sides — and the paper's
+// billed traffic scaled per-op — the driven load's bytes over its
+// operations, warm-up included on both sides — and the paper's
 // dataset (replicated) prorated over that duration.
 func BillAtPaperScale(p Platform, pricing cost.Pricing, res RunResult, paperOps uint64) (cost.Bill, cost.Usage) {
 	thr := res.Metrics.Throughput()

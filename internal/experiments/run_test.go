@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/netsim"
+	"repro/internal/storage"
 	"repro/internal/ycsb"
 )
 
@@ -70,6 +71,35 @@ func TestBillAtPaperScaleExtrapolation(t *testing.T) {
 	}
 	if warmBill != bill {
 		t.Errorf("with warm-up: bill %+v, want %+v", warmBill, bill)
+	}
+}
+
+// TestRunUsageExcludesPreload: Run's Usage counts the driven load alone.
+// What the cluster metered over its life, less Run's Usage, is what a
+// rig that only preloads the same records meters — on the LSM, whose
+// preload writes WALs, fsyncs and compacts.
+func TestRunUsageExcludesPreload(t *testing.T) {
+	p := EC2Cost().Scaled(0.002)
+	lsm := func(cfg *kv.Config) {
+		cfg.Engine = storage.LSM
+		cfg.FlushLimit = 64 << 10
+		cfg.WALSyncBytes = 4 << 10
+	}
+	r := Run(RunSpec{Platform: p, Tuner: core.StaticTuner{Read: kv.Quorum, Write: kv.Quorum}, Seed: 7, Mutate: lsm})
+
+	w := ycsb.HeavyReadUpdate(p.Records)
+	w.ValueSize = p.ValueBytes
+	rg := newRig(p, 7, lsm, nil)
+	rg.preload(w)
+	want := rg.cl.Usage()
+	if want.WALBytes == 0 || want.WALSyncs == 0 {
+		t.Fatalf("the preload metered no WAL traffic: %+v", want)
+	}
+	got := counters{Usage: r.Cluster.Usage()}.since(counters{Usage: r.Usage}).Usage
+	// The gauges are readings, not counts: since keeps the later one.
+	got.Nodes, got.StoredBytes, got.HotKeysNow = want.Nodes, want.StoredBytes, want.HotKeysNow
+	if got != want {
+		t.Errorf("cluster total less Run's Usage:\n%+v\nwant the preload's:\n%+v", got, want)
 	}
 }
 

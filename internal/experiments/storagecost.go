@@ -36,9 +36,9 @@ import (
 // StorageCostEngine is one engine's measured rates and model outcomes.
 type StorageCostEngine struct {
 	Engine storage.Kind
-	Ops    uint64
 
-	// Measured per-operation I/O rates (cluster-wide counters / ops).
+	// Measured per-operation I/O rates: the driven load's cluster-wide
+	// counters over its operations, the preload on neither side.
 	WALBytesPerOp       float64
 	FsyncsPerOp         float64
 	CompactedBytesPerOp float64
@@ -116,8 +116,8 @@ func RunStorageCost(p Platform, scale float64, seed uint64) (*StorageCostResult,
 	// Leg 2: price every level per engine under both catalogs.
 	for i, kind := range kinds {
 		r := runs[i]
-		e := StorageCostEngine{Engine: kind, Ops: r.Metrics.Ops}
-		e.WALBytesPerOp, e.FsyncsPerOp, e.CompactedBytesPerOp = bismar.IOPerOp(r.Usage, r.Metrics.Ops)
+		e := StorageCostEngine{Engine: kind}
+		e.WALBytesPerOp, e.FsyncsPerOp, e.CompactedBytesPerOp = bismar.IOPerOp(r.Usage, r.DrivenOps)
 
 		dep := DeploymentFor(p)
 		dep.WALBytesPerOp = e.WALBytesPerOp

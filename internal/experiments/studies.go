@@ -64,10 +64,10 @@ var Studies = []Study{
 			_, t := RunFig1Validation(seed)
 			return []*Table{t}
 		}},
-	{"cost", "Exp B1 (§IV-B): the bill per consistency level, and the same usages under whole-hour billing",
+	{"cost", "Exp B1 (§IV-B): the bill per consistency level",
 		[]Preset{ec2Cost, g5kCost}, func(p Platform, scale float64, seed uint64) []*Table {
-			rows, t := RunExpB1(p.Scaled(scale), seed)
-			return []*Table{t, RunAblationBillingGranularity(rows)}
+			_, t := RunExpB1(p.Scaled(scale), seed)
+			return []*Table{t}
 		}},
 	{"efficiency", "Exp B2 (§IV-B): consistency-cost efficiency sampled over access patterns and levels",
 		[]Preset{g5kCost, ec2Cost}, func(p Platform, scale float64, seed uint64) []*Table {
@@ -78,10 +78,6 @@ var Studies = []Study{
 		[]Preset{g5kCost, ec2Cost}, func(p Platform, scale float64, seed uint64) []*Table {
 			_, t := RunExpC(p, scale, seed)
 			return []*Table{t}
-		}},
-	{"power", "Ext-1 (§V): energy per consistency level under each CPU governor",
-		[]Preset{ec2Harmony, g5kHarmony}, func(p Platform, scale float64, seed uint64) []*Table {
-			return []*Table{RunExtPower(p.Scaled(scale), seed)}
 		}},
 	{"provisioning", "Ext-2 (§V): the optimizer's cheapest plan per constraint set, predicted against simulated",
 		nil, func(_ Platform, _ float64, seed uint64) []*Table {
@@ -99,10 +95,6 @@ var Studies = []Study{
 	{"readrepair", "Ablation: read repair and the global repair chance at level ONE",
 		[]Preset{ec2Harmony, g5kHarmony}, func(p Platform, scale float64, seed uint64) []*Table {
 			return []*Table{RunAblationReadRepair(p.Scaled(scale), seed)}
-		}},
-	{"window", "Ablation: the monitor's rate-estimation window under Harmony α=20%",
-		[]Preset{g5kHarmony, ec2Harmony}, func(p Platform, scale float64, seed uint64) []*Table {
-			return []*Table{RunAblationMonitorWindow(p.Scaled(scale), seed)}
 		}},
 	{"perkey", "Ablation: Harmony's aggregate estimator against the per-key refinement, α=20%",
 		[]Preset{g5kHarmony, ec2Harmony}, func(p Platform, scale float64, seed uint64) []*Table {

@@ -27,9 +27,9 @@ func smallPlatform(t *testing.T, study string) Platform {
 // a pure function of (study, platform, scale, seed), whatever the
 // worker-pool width and whatever harness the study's script stands on.
 // The values were first computed on commit 43609a9, before the studies
-// moved onto the rig — behavior's on the commit that added it (PR 24);
-// the other five seed-1 values are listed in EXPERIMENTS.md. fig1's were
-// computed on commit ad0d385, before it moved onto the rig.
+// moved onto the rig — behavior's on the commit that added it, fig1's on
+// commit ad0d385, before it moved onto the rig. EXPERIMENTS.md lists the
+// entries that moved since, and why, and those added later.
 var goldenTables = map[string]string{
 	"recovery/1":     "e590f25f0d071278410f5e4b77053bf255e98ad2297278a803ec32757dc88ac8",
 	"recovery/7":     "efc61ae8ae4b839478f9448b3b96fa0df703c9a19bd269007f531ae9188ce7cb",
@@ -45,9 +45,11 @@ var goldenTables = map[string]string{
 	"behavior/7":     "40bee873faca16ce3f49799cc7512773f935d2ee5a8b09f3de266259f15dbae4",
 	"bismar/7":       "f20ef5823b8f2851d1f29d38a6925a5310dbff0f61c07092e11d8fae59c099f1",
 	"harmony/7":      "f02ebf991cf0b10f95603917a2ecdabb5eb491e5a1c763efda32c8d07a571b1a",
-	"storage/7":      "46a1bbcd52f95fa9f5926481bc86eddea856fc521dcc618b485db90e017e77e3",
+	"storage/7":      "6f6f64a6d86d28a6aed113ae0c124dd112a2d3a91c77e8960a21f00bf6d47def",
 	"provisioning/7": "ab0ad59d8d67243ba9b92d9e00a3ed887ec4afbf944fcc2b59b8656fb6a52fd0",
-	"freshness/7":    "b0946615ed526b042ab3d62dcda8d431d6ee42eaff702f57e69fdfe311104dfa",
+	"freshness/7":    "e11ed6fff7d420ed6c585a0ab636ab3b482fcacf7b16cf4211904376ccc8db7c",
+	"targets/7":      "c01b447a08f08089965342b7acb55963f52950d8b0b023df5294c445527e748f",
+	"readrepair/7":   "120d6a76a7dcfe4b58876c580bcaeaf76679fab92ebbeadeb1fa0f8ad15fe1cb",
 	"fig1/1":         "5d6ca4f4cf8c2fc4b9ddc0097ee80580366bb574bc53f9bd5a46edf552f8201a",
 	"fig1/7":         "d6e5dc6c01fc0bd653a9345bc154cc05e4327c4d07ece3737dc0022421a83af9",
 }
@@ -93,7 +95,7 @@ func TestStudyTablesGolden(t *testing.T) {
 		t.Skip("heavy experiments; skipped with -short")
 	}
 	for _, study := range []string{"recovery", "elasticity", "gossip", "hotkey", "autoscale",
-		"behavior", "bismar", "harmony", "storage", "provisioning", "freshness"} {
+		"behavior", "bismar", "harmony", "storage", "provisioning", "freshness", "targets", "readrepair"} {
 		s, err := FindStudy(study)
 		if err != nil {
 			t.Fatal(err)
@@ -115,9 +117,20 @@ func TestStudyTablesGolden(t *testing.T) {
 	}
 }
 
+// claimTests names, for each study without a goldenTables entry, the
+// test that asserts the claim its table supports (EXPERIMENTS.md's study
+// audit lists both kinds of check).
+var claimTests = map[string]func(*testing.T){
+	"cost":       TestExpB1CostShape,
+	"efficiency": TestExpB2MetricShape,
+	"digest":     TestAblationDigestReadsCutsTraffic,
+	"perkey":     TestAblationPerKeyHoldsLowerLevels,
+}
+
 // TestStudiesRegistry: every study is listed once under a name of its
-// own, every preset builds a deployment the store accepts, and a name
-// the registry does not know is an error rather than a default.
+// own, is checked by a golden table or a named claim test, and every
+// preset builds a deployment the store accepts; a name the registry
+// does not know is an error rather than a default.
 func TestStudiesRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range Studies {
@@ -128,6 +141,9 @@ func TestStudiesRegistry(t *testing.T) {
 			t.Errorf("study %s registered twice", s.Name)
 		}
 		seen[s.Name] = true
+		if _, pinned := goldenTables[s.Name+"/7"]; !pinned && claimTests[s.Name] == nil {
+			t.Errorf("study %s has neither a goldenTables entry nor a claim test: nothing would catch its table regressing", s.Name)
+		}
 
 		presets := map[string]bool{}
 		for _, name := range s.PresetNames() {
@@ -154,6 +170,11 @@ func TestStudiesRegistry(t *testing.T) {
 		}
 		if _, err := s.Platform("no-such-platform"); err == nil {
 			t.Errorf("%s: an unknown preset name must be an error", s.Name)
+		}
+	}
+	for name := range claimTests {
+		if !seen[name] {
+			t.Errorf("claimTests names %s, which is not a study", name)
 		}
 	}
 	if _, err := FindStudy("no-such-study"); err == nil {

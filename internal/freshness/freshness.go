@@ -45,9 +45,8 @@ type Enforcer struct {
 	// leaving time for the repair to land.
 	AuditMargin time.Duration
 
-	writes  uint64
-	audits  uint64
-	repairs uint64 // audits that found at least one divergent replica
+	writes uint64
+	audits uint64
 }
 
 // NewEnforcer wraps inner with deadline auditing.
@@ -71,15 +70,13 @@ func (e *Enforcer) Write(key string, value []byte, cb func(kv.WriteResult)) {
 			if delay < 0 {
 				delay = 0
 			}
-			e.Clock.Schedule(delay, func() { e.audit(key, res) })
+			e.Clock.Schedule(delay, func() { e.audit(key) })
 		}
 		cb(res)
 	})
 }
 
-// Delete implements kv.Session. Tombstones are not audited: the audit
-// compares the returned version against the write's, and a deleted key
-// reads back with a zero version regardless of propagation.
+// Delete implements kv.Session. Tombstones are not audited.
 func (e *Enforcer) Delete(key string, cb func(kv.WriteResult)) { e.Inner.Delete(key, cb) }
 
 // BatchRead implements kv.Session.
@@ -100,30 +97,25 @@ func (e *Enforcer) BatchWrite(ops []kv.BatchOp, cb func([]kv.WriteResult)) {
 				if delay < 0 {
 					delay = 0
 				}
-				key, w := ops[i].Key, r
-				e.Clock.Schedule(delay, func() { e.audit(key, w) })
+				key := ops[i].Key
+				e.Clock.Schedule(delay, func() { e.audit(key) })
 			}
 		}
 		cb(res)
 	})
 }
 
-func (e *Enforcer) audit(key string, w kv.WriteResult) {
+func (e *Enforcer) audit(key string) {
 	e.audits++
-	e.Cluster.Read(key, kv.All, func(res kv.ReadResult) {
-		// The ALL read compared every replica's version; read repair
-		// (always on for contacted replicas) pushed the freshest cell to
-		// any replica that answered with an older one. A version still
-		// older than the audited write means some replica lagged.
-		if res.Err == nil && w.Version.After(res.Version) {
-			e.repairs++
-		}
-	})
+	// The ALL read compares every replica's version; read repair (always
+	// on for contacted replicas) pushes the freshest cell to any replica
+	// that answered with an older one.
+	e.Cluster.Read(key, kv.All, func(kv.ReadResult) {})
 }
 
 // Stats reports enforcement counters.
-func (e *Enforcer) Stats() (writes, audits, lagging uint64) {
-	return e.writes, e.audits, e.repairs
+func (e *Enforcer) Stats() (writes, audits uint64) {
+	return e.writes, e.audits
 }
 
 // Compliance measures deadline compliance from the oracle's propagation

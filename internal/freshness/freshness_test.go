@@ -57,7 +57,7 @@ func TestEnforcerAuditsWrites(t *testing.T) {
 		enf.Write(fmt.Sprintf("k%d", i), []byte("v"), func(kv.WriteResult) { done++ })
 	}
 	f.eng.Run()
-	writes, audits, _ := enf.Stats()
+	writes, audits := enf.Stats()
 	if writes != 50 || done != 50 {
 		t.Fatalf("writes = %d done = %d", writes, done)
 	}
@@ -100,11 +100,9 @@ func TestEnforcerRepairsLaggards(t *testing.T) {
 	if !ok || cell.Version != wres.Version {
 		t.Errorf("audit did not repair laggard: %v want %v", cell.Version, wres.Version)
 	}
-	_, audits, lagging := enf.Stats()
-	if audits != 1 {
+	if _, audits := enf.Stats(); audits != 1 {
 		t.Errorf("audits = %d", audits)
 	}
-	_ = lagging
 }
 
 func TestGuaranteeString(t *testing.T) {

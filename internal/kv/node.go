@@ -415,16 +415,6 @@ func (n *Node) finishWork(st *stage, w *work) {
 	}
 }
 
-// Utilization reports the fraction of elapsed time the node's stage slots
-// were busy, given the elapsed duration of the measurement.
-func (n *Node) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	busy := n.readStage.busyTime + n.writeStage.busyTime
-	return float64(busy) / (float64(elapsed) * float64(n.readStage.conc+n.writeStage.conc))
-}
-
 // BusyTime reports the cumulative service time executed by the node.
 func (n *Node) BusyTime() time.Duration {
 	return n.readStage.busyTime + n.writeStage.busyTime + n.coordBusy
