@@ -46,7 +46,7 @@ var goldenTables = map[string]string{
 	"bismar/7":       "f20ef5823b8f2851d1f29d38a6925a5310dbff0f61c07092e11d8fae59c099f1",
 	"harmony/7":      "f02ebf991cf0b10f95603917a2ecdabb5eb491e5a1c763efda32c8d07a571b1a",
 	"storage/7":      "6f6f64a6d86d28a6aed113ae0c124dd112a2d3a91c77e8960a21f00bf6d47def",
-	"provisioning/7": "ab0ad59d8d67243ba9b92d9e00a3ed887ec4afbf944fcc2b59b8656fb6a52fd0",
+	"provisioning/7": "8dafd756327d26f4a3930920900bd58b68110947102c30b3106c460de4699c81",
 	"freshness/7":    "e11ed6fff7d420ed6c585a0ab636ab3b482fcacf7b16cf4211904376ccc8db7c",
 	"targets/7":      "c01b447a08f08089965342b7acb55963f52950d8b0b023df5294c445527e748f",
 	"readrepair/7":   "120d6a76a7dcfe4b58876c580bcaeaf76679fab92ebbeadeb1fa0f8ad15fe1cb",

@@ -89,8 +89,7 @@ func durableRuns() (runs []run, seq uint64) {
 	return runs, seq
 }
 
-// BenchmarkLSMCompact measures one size-tiered merge of durableRuns,
-// sealing the merged run's index included.
+// BenchmarkLSMCompact measures one size-tiered merge of durableRuns.
 func BenchmarkLSMCompact(b *testing.B) {
 	runs, _ := durableRuns()
 	e := NewLSMEngine(Options{})
@@ -114,6 +113,8 @@ func BenchmarkLSMGet(b *testing.B) {
 	runs, seq := durableRuns()
 	e := NewLSMEngine(Options{})
 	e.runs = runs
+	e.Crash() // Recover loads the runs into the resident table
+	e.Recover()
 	val := make([]byte, 256)
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, i := range rng.Perm(len(runs[0].entries))[:1750] {

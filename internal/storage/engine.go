@@ -6,18 +6,18 @@
 // property anti-entropy and hinted handoff rely on, whichever engine
 // holds the data.
 //
-// Two engines implement the interface:
+// Both engines answer every read from one resident table: each key's
+// newest cell and ring token, in insertion order behind one
+// open-addressed index (internal/keytab), no Go map. They differ in what
+// a write leaves behind:
 //
-//   - MemEngine: the original volatile engine with flush *accounting*
-//     only: one dense table of cells in insertion order behind an
-//     open-addressed index (internal/keytab), no Go map. Crash loses
-//     everything; Recover starts empty.
-//   - LSMEngine: a durable LSM-lite — append-only WAL, an in-memory
-//     memtable that flushes to immutable sorted runs, merge-reads across
-//     runs with tombstone handling, and size-tiered compaction. Each run
-//     answers point lookups through a hash index built once when it is
-//     sealed. Crash loses only the un-fsynced WAL tail; Recover reloads
-//     the runs and replays the durable WAL prefix.
+//   - MemEngine: the original volatile engine, with flush *accounting*
+//     only. Crash loses everything; Recover starts empty.
+//   - LSMEngine: a durable LSM-lite — an append-only WAL, a memtable (the
+//     keys written since the last flush) that flushes to immutable sorted
+//     runs, tombstones, and size-tiered compaction. Crash loses the
+//     resident table and the un-fsynced WAL tail; Recover rebuilds the
+//     table from the runs and replays the durable WAL prefix.
 //
 // The WAL is one code path over a segment, a file live and a byte slice
 // in simulation. Engine holds what the store calls, plus Flush.
@@ -70,8 +70,8 @@ type Engine interface {
 	// invariant (ascending by end token, at most one wrapping arc and
 	// that one first — the shape ring.Diff emits); an empty range set
 	// yields an empty snapshot. The LSM engine seals its memtable first;
-	// the mem engine copies its cells out. Mutations after the call do
-	// not appear.
+	// both copy the selected cells out. Mutations after the call do not
+	// appear.
 	SnapshotRanges(ranges []ring.Range) SnapshotIter
 
 	// Stats reports the engine's operation and durability counters.
@@ -166,8 +166,9 @@ type Options struct {
 	// it in memory (simulation). Either way the log runs the same code:
 	// one recycled segment, truncated at open, rewound (not cut) by
 	// every memtable flush, so it holds the size of the longest log one
-	// memtable generation wrote. The file backs crash recovery within
-	// this process only; no later process reads it.
+	// memtable generation wrote. The sorted runs stay in memory, so the
+	// file backs crash recovery within this process only; no later
+	// process reads it.
 	Path string
 }
 

@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/ring"
 )
@@ -12,96 +13,62 @@ type runEntry struct {
 	cell Cell
 }
 
+// sortEntries sorts duplicate-free entries by key.
+func sortEntries(entries []runEntry) {
+	slices.SortFunc(entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
+}
+
 // run is an immutable sorted run sealed from a memtable flush (or built
-// by compaction). Runs are "on disk": they survive Crash. entries stay
-// in key order for compaction's merge; point lookups go through slots, an
-// open-addressed hash index built once by sealRun: slots[i] holds an
-// entry index + 1, 0 marks an empty slot, and a key's home slot is its
-// ring token times a 64-bit Fibonacci constant, shifted down to the
-// table's bits, with linear probing past collisions. The table has a
-// power-of-two slot count of at least twice the entries (load ≤ 1/2), so
-// every probe ends at an empty slot. Its memory is 4 B × slots, 8–16 B
-// per entry: 512 KiB for a 40 000-entry run.
+// by compaction): its entries in key order and their byte total. Runs
+// are "on disk": they survive Crash. Nothing reads a run but compaction
+// and Recover; the resident table answers every read.
 type run struct {
 	entries []runEntry
-	slots   []int32
-	shift   uint8 // 64 - log2(len(slots))
 	bytes   int64
 }
 
-// fibMul spreads a token over the slot table: the top bits of the
-// product are the home slot (Fibonacci hashing, 2^64 / φ).
-const fibMul = 0x9E3779B97F4A7C15
-
-// sealRun seals sorted, duplicate-free entries into a run: it sums their
-// bytes and builds the hash index. Every run is built here, so no run
-// without an index exists.
+// sealRun seals sorted, duplicate-free entries into a run, summing their
+// bytes.
 func sealRun(entries []runEntry) run {
-	bits := uint8(1)
-	for 1<<bits < 2*len(entries) {
-		bits++
-	}
-	r := run{entries: entries, slots: make([]int32, 1<<bits), shift: 64 - bits}
-	mask := len(r.slots) - 1
+	r := run{entries: entries}
 	for i := range entries {
-		s := r.home(ring.KeyToken(entries[i].key))
-		for r.slots[s] != 0 {
-			s = (s + 1) & mask
-		}
-		r.slots[s] = int32(i + 1)
 		r.bytes += int64(entries[i].cell.Size())
 	}
 	return r
-}
-
-// home is tok's first slot.
-func (r *run) home(tok ring.Token) int { return int(uint64(tok) * fibMul >> r.shift) }
-
-// find probes the index from tok's home slot (tok is ring.KeyToken(key))
-// until it reaches key, a hit only on full-key equality, or an empty slot.
-func (r *run) find(key string, tok ring.Token) (Cell, bool) {
-	mask := len(r.slots) - 1
-	for s := r.home(tok); ; s = (s + 1) & mask {
-		i := r.slots[s]
-		if i == 0 {
-			return Cell{}, false
-		}
-		if ent := &r.entries[i-1]; ent.key == key {
-			return ent.cell, true
-		}
-	}
 }
 
 // LSMEngine is the durable LSM-lite engine: an append-only WAL ahead of
 // an in-memory memtable, immutable sorted runs sealed by flushes, and
 // size-tiered compaction merging runs once enough accumulate.
 //
-// Reads merge across the memtable and the runs newest-first. Because
-// Apply enforces last-write-wins against the resident version before
-// admitting a cell, a memtable entry always supersedes every run entry
-// for its key, and a newer run's entry always supersedes an older run's —
-// so the first hit in memtable → newest run → ... → oldest run order is
-// the resident cell.
+// Every read is one probe of the resident table the mem engine reads
+// too: each key's newest cell, whichever layer holds it (Bitcask's
+// keydir). The memtable is the ids of the keys written since the last
+// flush, each marked in inMem; a flush copies their cells out and sorts
+// them by key into a run. Because Apply enforces last-write-wins against
+// the resident cell, a newer run's entry for a key always supersedes an
+// older run's.
 //
-// Crash drops the memtable and the un-fsynced WAL tail; the runs and the
-// fsynced WAL prefix survive. Recover reloads the runs and replays that
-// prefix, stopping at the first torn or corrupt record (consistent-prefix
-// recovery); whatever was lost past the durability point comes back via
-// hinted handoff and anti-entropy, exactly like a lagging replica.
+// Crash drops the resident table, the memtable and the un-fsynced WAL
+// tail; the runs and the fsynced WAL prefix survive. Recover rebuilds the
+// table from the runs, oldest first, and replays that prefix, stopping at
+// the first torn or corrupt record (consistent-prefix recovery); whatever
+// was lost past the durability point comes back via hinted handoff and
+// anti-entropy, exactly like a lagging replica.
 //
 // Tombstones flow through WAL, memtable, runs and compaction like any
 // other cell: compaction keeps them even when they win (no GC grace
 // tracking here), so a late out-of-order write older than the deletion
 // still loses — the property that keeps replica application commutative.
 type LSMEngine struct {
-	opts Options
-	wal  wal
-	mem  map[string]Cell
-	runs []run // oldest first
-	keys keyIndex
+	resident
+	opts   Options
+	wal    wal
+	memIDs []int32 // the memtable: ids of the keys written since the last flush
+	inMem  []bool  // inMem[id]: the memtable holds id; one mark per resident key
+	runs   []run   // oldest first
 
 	memBytes    int64
-	totalBytes  int64
 	pendingRecs uint64 // records appended since the last sync
 	replaying   bool   // Recover replay in flight: skip re-counting writes
 	crashed     bool   // Crash happened; Recover has not run yet
@@ -121,34 +88,13 @@ func NewLSMEngine(opts Options) *LSMEngine {
 	if err != nil {
 		panic(err.Error())
 	}
-	return &LSMEngine{opts: opts, wal: wal{seg: seg}, mem: make(map[string]Cell)}
+	return &LSMEngine{opts: opts, wal: wal{seg: seg}}
 }
 
-// Get returns the resident cell for key via merge-read.
+// Get returns the resident cell for key.
 func (e *LSMEngine) Get(key string) (Cell, bool) {
 	e.stats.Reads++
 	return e.Peek(key)
-}
-
-// Peek is Get without touching the read counters. A memtable hit, or a
-// miss with no runs below it, never hashes the key.
-func (e *LSMEngine) Peek(key string) (Cell, bool) {
-	if c, ok := e.mem[key]; ok || len(e.runs) == 0 {
-		return c, ok
-	}
-	return e.lookup(key, ring.KeyToken(key))
-}
-
-// lookup is the merge-read below the memtable: the newest run holding key
-// has its resident cell. tok is ring.KeyToken(key), hashed once by the
-// caller for every run's index.
-func (e *LSMEngine) lookup(key string, tok ring.Token) (Cell, bool) {
-	for i := len(e.runs) - 1; i >= 0; i-- {
-		if c, ok := e.runs[i].find(key, tok); ok {
-			return c, true
-		}
-	}
-	return Cell{}, false
 }
 
 // Apply merges cell into the engine under last-write-wins: the accepted
@@ -160,43 +106,28 @@ func (e *LSMEngine) ApplyAt(key string, tok ring.Token, c Cell) bool {
 	return e.apply(key, tok, true, c)
 }
 
-// apply is the one write path; tok is the key's token when placed is set
-// and hashed here, at most once, when the runs must be probed or the key
-// is new.
+// apply is the one write path: one table probe decides last-write-wins,
+// and an accepted cell is WAL-logged and joins the memtable.
 func (e *LSMEngine) apply(key string, tok ring.Token, placed bool, c Cell) bool {
 	if !e.replaying {
 		e.stats.Writes++
 	}
-	old, inMem := e.mem[key]
-	exists := inMem
-	if !inMem && len(e.runs) > 0 {
-		if !placed {
-			tok, placed = ring.KeyToken(key), true
-		}
-		old, exists = e.lookup(key, tok)
-	}
-	if exists && !c.Version.After(old.Version) {
+	id, delta, ok := e.put(key, tok, placed, c)
+	if !ok {
 		if !e.replaying {
 			e.stats.Rejected++
 		}
 		return false
 	}
 	e.logRecord(key, c)
-	e.mem[key] = c
-	if !exists {
-		if !placed {
-			tok = ring.KeyToken(key)
-		}
-		e.keys.add(key, tok)
+	if id == len(e.inMem) { // a new key
+		e.inMem = append(e.inMem, false)
 	}
-	delta := int64(c.Size())
-	if exists {
-		delta -= int64(old.Size())
-	}
-	e.totalBytes += delta
-	if inMem {
+	if e.inMem[id] {
 		e.memBytes += delta
 	} else {
+		e.inMem[id] = true
+		e.memIDs = append(e.memIDs, int32(id))
 		e.memBytes += int64(c.Size())
 	}
 	if e.opts.FlushLimit > 0 && e.memBytes >= e.opts.FlushLimit {
@@ -229,18 +160,12 @@ func (e *LSMEngine) sync() {
 	e.pendingRecs = 0
 }
 
-// Reserve sizes the key index for n more keys. The memtable is bounded
-// by FlushLimit and keeps its buckets across flushes, so it is sized only
-// when it never flushes and is still empty.
+// Reserve sizes the resident table and its memtable marks for n more
+// keys.
 func (e *LSMEngine) Reserve(n int) {
-	e.keys.reserve(n)
-	if e.opts.FlushLimit <= 0 && len(e.mem) == 0 {
-		e.mem = make(map[string]Cell, n)
-	}
+	e.cells.Reserve(n)
+	e.inMem = slices.Grow(e.inMem, n)
 }
-
-// Bytes reports the live (resident) data size in bytes.
-func (e *LSMEngine) Bytes() int64 { return e.totalBytes }
 
 // Stats reports the engine counters plus the current run shape.
 func (e *LSMEngine) Stats() Stats {
@@ -252,33 +177,23 @@ func (e *LSMEngine) Stats() Stats {
 	return s
 }
 
-// KeyCount reports the number of distinct keys resident.
-func (e *LSMEngine) KeyCount() int { return e.keys.count() }
-
-// KeyAt returns the i-th key in insertion order (post-recovery the order
-// is rebuild order: run entries oldest-run-first, then WAL replay).
-func (e *LSMEngine) KeyAt(i int) string { return e.keys.at(i) }
-
 // Flush seals the memtable into an immutable sorted run, rewinds the
 // WAL (the run is durable now) and triggers size-tiered compaction when
 // enough runs piled up.
 func (e *LSMEngine) Flush() {
-	if len(e.mem) == 0 {
+	if len(e.memIDs) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(e.mem))
-	for k := range e.mem {
-		keys = append(keys, k)
+	entries := make([]runEntry, len(e.memIDs))
+	for i, id := range e.memIDs {
+		entries[i] = runEntry{key: e.cells.Key(int(id)), cell: e.cells.Val(int(id)).cell}
+		e.inMem[id] = false
 	}
-	sort.Strings(keys)
-	entries := make([]runEntry, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, runEntry{key: k, cell: e.mem[k]})
-	}
+	sortEntries(entries)
 	e.runs = append(e.runs, sealRun(entries))
 	e.stats.Flushes++
 	e.stats.FlushedBytes += uint64(e.memBytes)
-	clear(e.mem)
+	e.memIDs = e.memIDs[:0]
 	e.memBytes = 0
 	e.wal.reset()
 	e.pendingRecs = 0
@@ -348,29 +263,29 @@ func mergeRuns(runs []run) run {
 	}
 }
 
-// Crash kills the process: the memtable and the un-fsynced WAL tail are
-// lost; the sorted runs and the fsynced WAL prefix survive. The engine
-// is unusable until Recover.
+// Crash kills the process: the resident table, the memtable and the
+// un-fsynced WAL tail are lost; the sorted runs and the fsynced WAL
+// prefix survive. The engine is unusable until Recover.
 func (e *LSMEngine) Crash() {
 	e.crashed = true
 	e.stats.Crashes++
 	e.stats.LostRecords += e.pendingRecs
 	e.pendingRecs = 0
 	e.wal.crash()
-	e.mem = make(map[string]Cell)
-	e.memBytes, e.totalBytes = 0, 0
-	e.keys.reset()
+	e.reset()
+	e.memIDs, e.inMem = e.memIDs[:0], e.inMem[:0]
+	e.memBytes = 0
 }
 
-// Recover rebuilds the engine from durable state: the key index and size
-// accounting are recomputed from the runs, then the durable WAL prefix is
-// replayed record by record into a fresh memtable/WAL, stopping at the
-// first torn or corrupt record. Replayed mutations go through the normal
-// Apply path (minus the operation counters), so they are re-logged and
-// re-synced — the recovered state is durable again when Recover returns.
-// Recover is only meaningful after Crash; on a running engine it is a
-// no-op (re-running it would duplicate the key index and discard the
-// durable WAL).
+// Recover rebuilds the engine from durable state: the runs' entries go
+// into the resident table oldest run first, under last-write-wins, then
+// the durable WAL prefix is replayed record by record into a fresh
+// memtable/WAL, stopping at the first torn or corrupt record. Replayed
+// mutations go through the normal Apply path (minus the operation
+// counters), so they are re-logged and re-synced — the recovered state is
+// durable again when Recover returns. Recover is only meaningful after
+// Crash; on a running engine it is a no-op (re-running it would discard
+// the durable WAL).
 func (e *LSMEngine) Recover() RecoverStats {
 	if !e.crashed {
 		return RecoverStats{}
@@ -378,24 +293,13 @@ func (e *LSMEngine) Recover() RecoverStats {
 	e.crashed = false
 	e.stats.Replays++
 	rs := RecoverStats{RunsLoaded: len(e.runs)}
-
-	// Rebuild index and accounting from the runs (oldest first: the
-	// resident winner per key is the newest run's entry).
-	winners := make(map[string]Cell)
 	for i := range e.runs {
 		rs.RunEntries += len(e.runs[i].entries)
 		for _, ent := range e.runs[i].entries {
-			if old, ok := winners[ent.key]; !ok {
-				e.keys.add(ent.key, ring.KeyToken(ent.key))
-				winners[ent.key] = ent.cell
-			} else if ent.cell.Version.After(old.Version) {
-				winners[ent.key] = ent.cell
-			}
+			e.put(ent.key, 0, false, ent.cell)
 		}
 	}
-	for _, c := range winners {
-		e.totalBytes += int64(c.Size())
-	}
+	e.inMem = append(e.inMem, make([]bool, e.cells.Len())...)
 
 	// Replay the durable WAL prefix through the normal apply path.
 	log := e.wal.durable()
@@ -417,7 +321,7 @@ func (e *LSMEngine) Recover() RecoverStats {
 	}
 	e.replaying = false
 	e.sync()
-	rs.Keys = e.keys.count()
+	rs.Keys = e.cells.Len()
 	return rs
 }
 

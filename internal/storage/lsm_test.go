@@ -2,10 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
-	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -216,82 +215,280 @@ func TestLSMFileWAL(t *testing.T) {
 	}
 }
 
-// sortedFind is the binary search over a run's sorted entries that point
-// lookups used before runs had a hash index: the reference run.find must
-// agree with.
-func sortedFind(entries []runEntry, key string) (Cell, bool) {
-	i := sort.Search(len(entries), func(i int) bool { return entries[i].key >= key })
-	if i < len(entries) && entries[i].key == key {
-		return entries[i].cell, true
-	}
-	return Cell{}, false
+// lsmState is what the LSM model keeps of one moment: the resident cells
+// and byte total, the memtable's keys and bytes, and the WAL appends,
+// bytes and syncs since the last flush.
+type lsmState struct {
+	cells                       map[string]Cell
+	total                       int64
+	mem                         map[string]bool
+	memBytes                    int64
+	walRecs, walBytes, walSyncs uint64
 }
 
-// TestRunIndexMatchesSortedSearch: a sealed run's hash index answers what
-// a binary search over its entries answers. Every present key returns its
-// own cell; absent keys below, between and above the entries miss. Sizes
-// cover 0, 1, 2^k and 2^k+1 entries. The chain cases pick every key to
-// share one or two home slots at the table's end, so hits and misses walk
-// one probe chain that wraps past the last slot. A find whose probe ends
-// at the table's last slot instead of wrapping to slot 0 passes every
-// other test in the package and fails the chain cases.
-func TestRunIndexMatchesSortedSearch(t *testing.T) {
-	check := func(t *testing.T, present, absent []string) run {
-		t.Helper()
-		sort.Strings(present)
-		entries := make([]runEntry, len(present))
-		for i, k := range present {
-			entries[i] = runEntry{key: k, cell: Cell{Version: Version{Seq: uint64(i + 1)}, Value: []byte(k)}}
-		}
-		r := sealRun(entries)
-		for _, k := range append(append([]string(nil), present...), absent...) {
-			got, gok := r.find(k, ring.KeyToken(k))
-			want, wok := sortedFind(entries, k)
-			if gok != wok || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d entries, key %q: index %+v %v, sorted search %+v %v", len(entries), k, got, gok, want, wok)
+func (s lsmState) clone() lsmState {
+	s.cells, s.mem = maps.Clone(s.cells), maps.Clone(s.mem)
+	return s
+}
+
+// lsmModel is the LSM engine as Go maps: the live state, the runs (one
+// map each, oldest first) and the durable state — the state at the last
+// sync or flush, which Crash + Recover must bring back.
+type lsmModel struct {
+	opts    Options
+	live    lsmState
+	durable lsmState
+	order   []string
+	runs    []map[string]Cell
+	stats   Stats
+
+	pendingRecs uint64
+	unsynced    int64 // bytes appended since the last sync
+	crashed     bool
+}
+
+func newLSMModel(opts Options) *lsmModel {
+	m := &lsmModel{opts: opts}
+	m.live = lsmState{cells: map[string]Cell{}, mem: map[string]bool{}}
+	m.durable = m.live.clone()
+	return m
+}
+
+func (m *lsmModel) apply(key string, c Cell) bool {
+	m.stats.Writes++
+	s := &m.live
+	old, ok := s.cells[key]
+	if ok && !c.Version.After(old.Version) {
+		m.stats.Rejected++
+		return false
+	}
+	if !ok {
+		m.order = append(m.order, key)
+	}
+	delta := int64(c.Size())
+	if ok {
+		delta -= int64(old.Size())
+	}
+	s.cells[key] = c
+	s.total += delta
+	if s.mem[key] {
+		s.memBytes += delta
+	} else {
+		s.mem[key] = true
+		s.memBytes += int64(c.Size())
+	}
+	n := uint64(len(appendWALRecord(nil, key, c)))
+	m.stats.WALAppends++
+	m.stats.WALBytes += n
+	s.walRecs++
+	s.walBytes += n
+	m.pendingRecs++
+	m.unsynced += int64(n)
+	if m.opts.SyncBytes <= 0 || m.unsynced >= m.opts.SyncBytes {
+		m.stats.WALSyncs++
+		s.walSyncs++
+		m.pendingRecs, m.unsynced = 0, 0
+		m.durable = s.clone()
+	}
+	if m.opts.FlushLimit > 0 && s.memBytes >= m.opts.FlushLimit {
+		m.flush()
+	}
+	return true
+}
+
+func (m *lsmModel) flush() {
+	s := &m.live
+	if len(s.mem) == 0 {
+		return
+	}
+	r := map[string]Cell{}
+	for k := range s.mem {
+		r[k] = s.cells[k]
+	}
+	m.runs = append(m.runs, r)
+	m.stats.Flushes++
+	m.stats.FlushedBytes += uint64(s.memBytes)
+	s.mem, s.memBytes = map[string]bool{}, 0
+	s.walRecs, s.walBytes, s.walSyncs = 0, 0, 0
+	m.pendingRecs, m.unsynced = 0, 0
+	m.durable = s.clone()
+	maxRuns := m.opts.MaxRuns
+	if maxRuns <= 0 {
+		maxRuns = 4
+	}
+	if len(m.runs) >= maxRuns && len(m.runs) > 1 {
+		merged := map[string]Cell{}
+		for _, r := range m.runs {
+			for k, c := range r {
+				m.stats.CompactedBytes += uint64(c.Size())
+				if old, ok := merged[k]; !ok || c.Version.After(old.Version) {
+					merged[k] = c
+				}
 			}
 		}
-		return r
+		m.runs = []map[string]Cell{merged}
+		m.stats.Compactions++
 	}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025} {
-		var present, absent []string
-		for i := 0; i < n; i++ {
-			k := fmt.Sprintf("k%05d", 2*i+1)
-			present = append(present, k)
-			absent = append(absent, fmt.Sprintf("k%05d", 2*i), k+"\x00") // between, and just above each
+	m.stats.Runs, m.stats.RunEntries = len(m.runs), 0
+	for _, r := range m.runs {
+		m.stats.RunEntries += len(r)
+	}
+}
+
+func (m *lsmModel) crash() {
+	m.stats.Crashes++
+	m.stats.LostRecords += m.pendingRecs
+	m.pendingRecs, m.unsynced = 0, 0
+	m.live = lsmState{cells: map[string]Cell{}, mem: map[string]bool{}}
+	m.order = nil
+	m.crashed = true
+}
+
+// FuzzLSMEngine drives LSMEngine and lsmModel with the same calls. The
+// first two bytes set the options: a flush limit of up to 255 bytes (0
+// disables it), MaxRuns 0–4 and a sync cadence of 0, 50, 100 or 150 bytes.
+// Each later byte picks Apply, ApplyAt, Get, Flush, Reserve, Crash,
+// Recover or SnapshotRanges and the bytes after it the arguments: one of
+// 24 keys and a version whose timestamp and sequence collide often, so
+// replacements, refusals, equal versions and tombstones all occur. After
+// every call the results, every key's cell, KeyAt order, Stats and Bytes
+// must match the model and the resident table's index invariants must
+// hold; a Recover after Crash must bring back exactly the model's durable
+// state, the state at the last sync or flush.
+func FuzzLSMEngine(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 2, 3, 0, 1, 1, 2, 2, 3, 1, 5, 6, 2, 1, 3, 0, 1})
+	f.Add([]byte{90, 8, 0, 3, 40, 0, 5, 9, 9, 2, 5, 1, 1, 5, 3, 6, 0, 5, 2, 2, 3, 3, 3, 5, 6})
+	f.Add([]byte{200, 17, 0, 0, 1, 1, 1, 0, 2, 1, 1, 4, 7, 3, 9, 0, 3, 2, 2, 1, 9, 9, 9, 5, 6, 1, 3, 4, 5, 6})
+	f.Add([]byte{60, 11, 0, 0, 0, 1, 7, 0, 2, 12, 1, 3, 17, 5, 6, 0, 4, 9, 3, 5, 6, 7, 1, 2})
+	keys := make([]string, 24)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%02d", i)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
 		}
-		absent = append(absent, "", "a", "k", fmt.Sprintf("k%05d", 2*n+2), "z") // below and above all
-		t.Run(fmt.Sprintf("sorted/%d", n), func(t *testing.T) { check(t, present, absent) })
-	}
-	for _, n := range []int{2, 4, 5, 9, 17} {
-		shape := sealRun(make([]runEntry, n)) // a table sized for n entries
-		last := len(shape.slots) - 1
-		for _, homes := range [][]int{{last}, {last - 1, last}} {
-			// n keys homed round-robin on homes, then two absent keys
-			// homed on each, which must walk the chain to its empty end.
-			var present, absent []string
-			for i := 0; len(present)+len(absent) < n+2*len(homes); i++ {
-				k := fmt.Sprintf("c%06d", i)
-				if picked := len(present) + len(absent); shape.home(ring.KeyToken(k)) != homes[picked%len(homes)] {
-					continue
+		opts := Options{FlushLimit: int64(data[0]), MaxRuns: int(data[1] % 5), SyncBytes: int64(data[1]/5%4) * 50}
+		data = data[2:]
+		e := NewLSMEngine(opts)
+		m := newLSMModel(opts)
+		arg := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		same := func(a, b Cell) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+		for step := 0; len(data) > 0; step++ {
+			op := arg() % 8
+			if m.crashed && op != 5 && op != 6 {
+				continue // the engine is unusable until Recover
+			}
+			switch op {
+			case 0, 1, 2:
+				key, b := keys[arg()%len(keys)], arg()
+				c := Cell{Version: Version{Timestamp: time.Duration(b % 8), Seq: uint64(b / 8 % 4)}, Value: []byte(key[:b%6])}
+				if b%7 == 0 {
+					c.Value, c.Tombstone = nil, true
 				}
-				if len(present) < n {
-					present = append(present, k)
+				var got bool
+				if op == 2 {
+					got = e.ApplyAt(key, ring.KeyToken(key), c)
 				} else {
-					absent = append(absent, k)
+					got = e.Apply(key, c)
 				}
-			}
-			t.Run(fmt.Sprintf("chain/%d/homes=%d", n, len(homes)), func(t *testing.T) {
-				r := check(t, present, absent)
-				// The chain is n occupied slots from the first home,
-				// wrapping past the last slot, then an empty one.
-				mask := len(r.slots) - 1
-				for j := 0; j <= n; j++ {
-					if occupied := r.slots[(homes[0]+j)&mask] != 0; occupied != (j < n) {
-						t.Fatalf("slot %d after home %d: occupied=%v; slots %v", j, homes[0], occupied, r.slots)
+				if want := m.apply(key, c); got != want {
+					t.Fatalf("step %d: apply(%s, %v) = %v, want %v", step, key, c.Version, got, want)
+				}
+			case 3:
+				key := keys[arg()%len(keys)]
+				c, ok := e.Get(key)
+				m.stats.Reads++
+				if w, wok := m.live.cells[key]; ok != wok || !same(c, w) {
+					t.Fatalf("step %d: Get(%s) = %v %v, want %v %v", step, key, c, ok, w, wok)
+				}
+			case 4:
+				if arg()%2 == 0 {
+					e.Flush()
+					m.flush()
+				} else {
+					e.Reserve(arg())
+				}
+			case 5:
+				e.Crash()
+				m.crash()
+			case 6:
+				rs := e.Recover()
+				if !m.crashed {
+					if rs != (RecoverStats{}) {
+						t.Fatalf("step %d: Recover on a running engine = %+v", step, rs)
+					}
+					break
+				}
+				d := m.durable
+				want := RecoverStats{RunsLoaded: len(m.runs), RunEntries: m.stats.RunEntries,
+					WALRecords: d.walRecs, WALBytes: d.walBytes, Keys: len(d.cells)}
+				if rs != want {
+					t.Fatalf("step %d: Recover = %+v, want %+v", step, rs, want)
+				}
+				m.crashed = false
+				m.stats.Replays++
+				m.stats.WALAppends += d.walRecs
+				m.stats.WALBytes += d.walBytes
+				m.stats.WALSyncs += d.walSyncs
+				m.live = d.clone()
+				// Recovery order is rebuild order (runs oldest first, then
+				// the WAL): the model adopts it once it holds the same keys.
+				m.order = m.order[:0]
+				for i := range e.KeyCount() {
+					m.order = append(m.order, e.KeyAt(i))
+				}
+				if len(m.order) != len(d.cells) {
+					t.Fatalf("step %d: recovered %d keys, want %d", step, len(m.order), len(d.cells))
+				}
+			case 7:
+				lo, hi := ring.KeyToken(keys[arg()%len(keys)]), ring.KeyToken(keys[arg()%len(keys)])
+				ranges := []ring.Range{{Start: lo, End: hi}}
+				if lo == hi {
+					ranges = nil
+				}
+				it := e.SnapshotRanges(ranges)
+				m.flush()
+				var want []string
+				for k := range m.live.cells {
+					if ring.RangesContain(ranges, ring.KeyToken(k)) {
+						want = append(want, k)
 					}
 				}
-			})
+				slices.Sort(want)
+				for _, k := range want {
+					gk, gc, ok := it.Next()
+					if !ok || gk != k || !same(gc, m.live.cells[k]) {
+						t.Fatalf("step %d: snapshot streamed %q %v %v, want %q %v", step, gk, gc, ok, k, m.live.cells[k])
+					}
+				}
+				if gk, _, ok := it.Next(); ok {
+					t.Fatalf("step %d: snapshot streamed extra key %q", step, gk)
+				}
+			}
+			if err := e.cells.Verify(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if e.Stats() != m.stats || e.Bytes() != m.live.total || e.KeyCount() != len(m.order) {
+				t.Fatalf("step %d: stats %+v bytes %d keys %d, want %+v %d %d",
+					step, e.Stats(), e.Bytes(), e.KeyCount(), m.stats, m.live.total, len(m.order))
+			}
+			for i, key := range m.order {
+				if e.KeyAt(i) != key {
+					t.Fatalf("step %d: KeyAt(%d) = %s, want %s", step, i, e.KeyAt(i), key)
+				}
+				w, wok := m.live.cells[key]
+				if c, ok := e.Peek(key); !ok || !wok || !same(c, w) {
+					t.Fatalf("step %d: Peek(%s) = %v %v, want %v %v", step, key, c, ok, w, wok)
+				}
+			}
 		}
-	}
+	})
 }

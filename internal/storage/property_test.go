@@ -172,7 +172,7 @@ func mergeRunsReference(runs []run) run {
 // TestMergeRunsEqualsMapSortMerge: on 1–8 random sorted runs that
 // overwrite each other — version ties across runs, out-of-order versions
 // and tombstones included — the linear merge yields the reference's
-// entries, byte count and index exactly.
+// entries and byte count exactly.
 func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(func(seed uint64) bool {

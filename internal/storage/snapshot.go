@@ -15,12 +15,7 @@ package storage
 // for exactly the moved arcs (ring.Diff) and the engine walks only those
 // cells.
 
-import (
-	"slices"
-	"strings"
-
-	"repro/internal/ring"
-)
+import "repro/internal/ring"
 
 // SnapshotIter walks a consistent point-in-time snapshot of an engine in
 // sorted key order. Next returns ok=false when the snapshot is
@@ -44,45 +39,14 @@ func (s *memSnapshot) Next() (string, Cell, bool) {
 	return e.key, e.cell, true
 }
 
-// sortedSnapshot sorts entries by key into a snapshot.
-func sortedSnapshot(entries []runEntry) SnapshotIter {
-	slices.SortFunc(entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
-	return &memSnapshot{entries: entries}
-}
-
-// SnapshotRanges returns a point-in-time iterator restricted to the
-// given token ranges: only resident cells whose key tokens fall inside
-// one of the arcs appear, in sorted key order. The cells are copied out
-// at the call, so later mutations do not leak into the stream. An empty
-// range set yields an empty snapshot.
-func (e *MemEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
-	var entries []runEntry
-	for i := range e.cells.Len() {
-		if m := e.cells.Val(i); ring.RangesContain(ranges, m.tok) {
-			entries = append(entries, runEntry{key: e.cells.Key(i), cell: m.cell})
-		}
-	}
-	return sortedSnapshot(entries)
-}
-
-// SnapshotRanges returns a point-in-time iterator restricted to the
-// given token ranges. The memtable is sealed into a run first
-// (Cassandra flushes before streaming); matching cells are then
-// materialized through the key index and Peek's newest-run-wins view,
-// and only the selected entries are sorted, never the whole keyspace.
-// An empty range set yields an empty snapshot (but still flushes).
+// SnapshotRanges seals the memtable into a run first (Cassandra flushes
+// before streaming), then walks the resident table like the mem engine:
+// only the selected cells are copied and sorted, never the whole
+// keyspace. An empty range set yields an empty snapshot (but still
+// flushes).
 func (e *LSMEngine) SnapshotRanges(ranges []ring.Range) SnapshotIter {
 	e.Flush()
-	var entries []runEntry
-	for i, k := range e.keys.list {
-		if !ring.RangesContain(ranges, e.keys.toks[i]) {
-			continue
-		}
-		if c, ok := e.Peek(k); ok {
-			entries = append(entries, runEntry{key: k, cell: c})
-		}
-	}
-	return sortedSnapshot(entries)
+	return e.resident.SnapshotRanges(ranges)
 }
 
 // EncodeCell appends the framed wire encoding of one (key, cell) pair to
