@@ -175,7 +175,7 @@ const crashDeterminismHashMem = "cf7ce4b70038e29e11fe96398e68aaa7c2c1eea2885e2fc
 
 // crashDeterminismHashLSM pins the same scenario on the LSM engine
 // (WAL replay + run reload on restart are part of the transcript).
-const crashDeterminismHashLSM = "ccb322473dba01fb73c56853c4d2d75cf6bce17eed3caa2a40e6641cae851eb4"
+const crashDeterminismHashLSM = "2375f613c4a31c7b8d4db1eb65d31005558928871cab0506363cd46bb68da5f0"
 
 // crashDeterminismScenario is determinismScenario's sibling for the
 // crash/restart path: a replica crashes mid-run (losing volatile state),

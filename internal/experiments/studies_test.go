@@ -31,8 +31,8 @@ func smallPlatform(t *testing.T, study string) Platform {
 // commit ad0d385, before it moved onto the rig. EXPERIMENTS.md lists the
 // entries that moved since, and why, and those added later.
 var goldenTables = map[string]string{
-	"recovery/1":     "e590f25f0d071278410f5e4b77053bf255e98ad2297278a803ec32757dc88ac8",
-	"recovery/7":     "efc61ae8ae4b839478f9448b3b96fa0df703c9a19bd269007f531ae9188ce7cb",
+	"recovery/1":     "aea4a53d467bf8396c98bbdfbc43193bcf25d544bca498294d8213940f94b532",
+	"recovery/7":     "fe192cd65a48b1a43dc81ebaa915132cde057bafe6817584841b35519d34b830",
 	"elasticity/1":   "e9d4a5ff63c8bd8dd29723980d3148e4f32a8f92489eee6073b0c523bb9bdc52",
 	"elasticity/7":   "44b0086196b892d67b8a009385e6652cc48fe861b3bd670b7a41c0d69a273843",
 	"gossip/1":       "8c921978cb97daea55a9061b5eb2babde6fd30c9e9334f5bf9800e7a47da0598",
@@ -45,7 +45,7 @@ var goldenTables = map[string]string{
 	"behavior/7":     "40bee873faca16ce3f49799cc7512773f935d2ee5a8b09f3de266259f15dbae4",
 	"bismar/7":       "f20ef5823b8f2851d1f29d38a6925a5310dbff0f61c07092e11d8fae59c099f1",
 	"harmony/7":      "f02ebf991cf0b10f95603917a2ecdabb5eb491e5a1c763efda32c8d07a571b1a",
-	"storage/7":      "6f6f64a6d86d28a6aed113ae0c124dd112a2d3a91c77e8960a21f00bf6d47def",
+	"storage/7":      "d7464c02a1fa14b713210303d7393a2a636684795fbd0d1aa820a19ba8b733d9",
 	"provisioning/7": "8dafd756327d26f4a3930920900bd58b68110947102c30b3106c460de4699c81",
 	"freshness/7":    "e11ed6fff7d420ed6c585a0ab636ab3b482fcacf7b16cf4211904376ccc8db7c",
 	"targets/7":      "c01b447a08f08089965342b7acb55963f52950d8b0b023df5294c445527e748f",

@@ -93,7 +93,8 @@ type Config struct {
 	// tail; on a file WAL the whole tail is one write + one fdatasync).
 	// 0 syncs every record.
 	WALSyncBytes int64
-	// MaxRuns triggers LSM size-tiered compaction; 0 defaults to 4.
+	// MaxRuns is the LSM's tier fan-in (storage.Options.MaxRuns): that
+	// many runs of one tier merge into one; 0 defaults to 4.
 	MaxRuns int
 	// WALDir, when set, backs each node's WAL with a real file
 	// (wal-<node>.log, one recycled segment: see storage.Options.Path) so

@@ -30,7 +30,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // in the shape serve-write-durable gives one replica: 256-byte values
 // over 40 000 keys, a sync every 16 KiB, a memtable flush every MiB, so
 // one op carries its share of the write + fdatasync per sync window, of
-// the segment rewind per flush and of a compaction every fourth flush.
+// the segment rewind per flush and of the compactions the flushes trigger.
 func BenchmarkFileWALApply(b *testing.B) {
 	e := NewLSMEngine(Options{
 		FlushLimit: 1 << 20, SyncBytes: 16 << 10,
@@ -89,7 +89,8 @@ func durableRuns() (runs []run, seq uint64) {
 	return runs, seq
 }
 
-// BenchmarkLSMCompact measures one size-tiered merge of durableRuns.
+// BenchmarkLSMCompact measures one full merge of durableRuns, the merge
+// the space bound triggers.
 func BenchmarkLSMCompact(b *testing.B) {
 	runs, _ := durableRuns()
 	e := NewLSMEngine(Options{})
@@ -97,7 +98,7 @@ func BenchmarkLSMCompact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.runs = append(e.runs[:0], runs...) // runs are immutable: every merge reads the same input
-		e.compact()
+		e.compact(len(e.runs))
 	}
 	if len(e.runs) != 1 || len(e.runs[0].entries) != len(runs[0].entries) {
 		b.Fatalf("compaction left %d runs, %d entries", len(e.runs), len(e.runs[0].entries))

@@ -15,9 +15,11 @@
 //     only. Crash loses everything; Recover starts empty.
 //   - LSMEngine: a durable LSM-lite — an append-only WAL, a memtable (the
 //     keys written since the last flush) that flushes to immutable sorted
-//     runs, tombstones, and size-tiered compaction. Crash loses the
-//     resident table and the un-fsynced WAL tail; Recover rebuilds the
-//     table from the runs and replays the durable WAL prefix.
+//     runs, tombstones, and universal compaction: all runs merge once
+//     they hold twice the live bytes, and otherwise MaxRuns runs of one
+//     tier merge into one of the next. Crash loses the resident table and
+//     the un-fsynced WAL tail; Recover rebuilds the table from the runs
+//     and replays the durable WAL prefix.
 //
 // The WAL is one code path over a segment, a file live and a byte slice
 // in simulation. Engine holds what the store calls, plus Flush.
@@ -158,8 +160,10 @@ type Options struct {
 	// fdatasync for the whole window). 0 syncs every record (nothing is
 	// ever lost to a crash).
 	SyncBytes int64
-	// MaxRuns triggers size-tiered compaction when the number of sorted
-	// runs reaches it; 0 defaults to 4.
+	// MaxRuns is the LSM's tier fan-in: once the newest MaxRuns runs
+	// share a tier, a flush merges them into one run of the next tier
+	// (every run merges once they hold twice the live bytes). 0 defaults
+	// to 4; below 2 it is 2.
 	MaxRuns int
 	// Path, when set, puts the LSM WAL's segment in a real file (the
 	// live engine maps WAL latencies to real I/O this way); empty keeps

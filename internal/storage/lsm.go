@@ -19,13 +19,18 @@ func sortEntries(entries []runEntry) {
 }
 
 // run is an immutable sorted run sealed from a memtable flush (or built
-// by compaction): its entries in key order and their byte total. Runs
-// are "on disk": they survive Crash. Nothing reads a run but compaction
-// and Recover; the resident table answers every read.
+// by compaction): its entries in key order, their byte total and its
+// tier. Runs are "on disk": they survive Crash. Nothing reads a run but
+// compaction and Recover; the resident table answers every read.
 type run struct {
 	entries []runEntry
 	bytes   int64
+	tier    int // 0 for a flushed run; a merge's output sits one above its highest input
 }
+
+// spaceFactor bounds the runs' space amplification: once the runs hold
+// this many times the live bytes, a flush merges them all.
+const spaceFactor = 2
 
 // sealRun seals sorted, duplicate-free entries into a run, summing their
 // bytes.
@@ -39,7 +44,11 @@ func sealRun(entries []runEntry) run {
 
 // LSMEngine is the durable LSM-lite engine: an append-only WAL ahead of
 // an in-memory memtable, immutable sorted runs sealed by flushes, and
-// size-tiered compaction merging runs once enough accumulate.
+// RocksDB's universal compaction scaled down (see Flush). No read
+// touches a run, so compaction buys only space and a shorter Recover: it
+// merges every run once they hold spaceFactor times the live bytes, and
+// otherwise keeps the run count logarithmic in flushes by merging
+// MaxRuns runs of one tier into one run of the next.
 //
 // Every read is one probe of the resident table the mem engine reads
 // too: each key's newest cell, whichever layer holds it (Bitcask's
@@ -84,6 +93,7 @@ func NewLSMEngine(opts Options) *LSMEngine {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 4
 	}
+	opts.MaxRuns = max(opts.MaxRuns, 2)
 	seg, err := openSegment(opts.Path)
 	if err != nil {
 		panic(err.Error())
@@ -177,9 +187,12 @@ func (e *LSMEngine) Stats() Stats {
 	return s
 }
 
-// Flush seals the memtable into an immutable sorted run, rewinds the
-// WAL (the run is durable now) and triggers size-tiered compaction when
-// enough runs piled up.
+// Flush seals the memtable into an immutable sorted run of tier 0,
+// rewinds the WAL (the run is durable now) and compacts: every run into
+// one once they hold spaceFactor times the live bytes, else the newest
+// MaxRuns runs into one of the next tier for as long as they share a
+// tier. Tiers never rise toward the newest run, so a suffix shares a
+// tier when its two ends do.
 func (e *LSMEngine) Flush() {
 	if len(e.memIDs) == 0 {
 		return
@@ -197,25 +210,36 @@ func (e *LSMEngine) Flush() {
 	e.memBytes = 0
 	e.wal.reset()
 	e.pendingRecs = 0
-	if len(e.runs) >= e.opts.MaxRuns {
-		e.compact()
+	var runBytes int64
+	for i := range e.runs {
+		runBytes += e.runs[i].bytes
+	}
+	if runBytes >= spaceFactor*e.totalBytes {
+		e.compact(len(e.runs))
+	}
+	k := e.opts.MaxRuns
+	for len(e.runs) >= k && e.runs[len(e.runs)-k].tier == e.runs[len(e.runs)-1].tier {
+		e.compact(k)
 	}
 }
 
-// compact merges every run into one, keeping only the newest version per
-// key (size-tiered full merge — one tier, sized for this repo).
-// Tombstones survive the merge when they win; see the type comment.
-func (e *LSMEngine) compact() {
-	if len(e.runs) <= 1 {
+// compact merges the newest n runs into one run a tier above the highest
+// of them, keeping only the newest version per key. Tombstones survive
+// the merge when they win; see the type comment.
+func (e *LSMEngine) compact(n int) {
+	if n <= 1 {
 		return
 	}
+	in := e.runs[len(e.runs)-n:]
 	var inBytes int64
-	for i := range e.runs {
-		inBytes += e.runs[i].bytes
+	tier := 0
+	for i := range in {
+		inBytes += in[i].bytes
+		tier = max(tier, in[i].tier)
 	}
-	merged := mergeRuns(e.runs)
-	e.runs = e.runs[:0]
-	e.runs = append(e.runs, merged)
+	merged := mergeRuns(in)
+	merged.tier = tier + 1
+	e.runs = append(e.runs[:len(e.runs)-n], merged)
 	e.stats.Compactions++
 	e.stats.CompactedBytes += uint64(inBytes)
 }
@@ -223,8 +247,9 @@ func (e *LSMEngine) compact() {
 // mergeRuns k-way merges sorted runs (oldest first) into one run holding
 // the winning cell per key: among entries of one key a later run's cell
 // replaces an earlier one's only when its version is strictly After. The
-// runs are few (MaxRuns), so each step scans the run heads linearly
-// rather than keeping a heap.
+// runs are few (MaxRuns for a tier merge, under MaxRuns per tier for a
+// full one), so each step scans the run heads linearly rather than
+// keeping a heap.
 func mergeRuns(runs []run) run {
 	total := 0
 	for i := range runs {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"maps"
+	"math/rand/v2"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -48,6 +49,8 @@ func TestLSMFlushSealsRuns(t *testing.T) {
 
 func TestLSMMergeReadNewestWins(t *testing.T) {
 	e := NewLSMEngine(Options{FlushLimit: 0, MaxRuns: 8})
+	var seq uint64
+	fill(e, 8, &seq) // live filler keys keep the runs under the space bound
 	e.Apply("k", Cell{Version: Version{Timestamp: 1, Seq: 1}, Value: []byte("old")})
 	e.Flush() // "old" now lives in a run
 	e.Apply("k", Cell{Version: Version{Timestamp: 2, Seq: 2}, Value: []byte("mid")})
@@ -61,8 +64,13 @@ func TestLSMMergeReadNewestWins(t *testing.T) {
 	if e.Stats().Runs != 2 {
 		t.Fatalf("runs = %d", e.Stats().Runs)
 	}
-	if e.Bytes() != int64(c.Size()) {
-		t.Fatalf("Bytes() = %d, want resident size %d", e.Bytes(), c.Size())
+	want := int64(c.Size())
+	for i := 0; i < 8; i++ {
+		f, _ := e.Peek(fmt.Sprintf("k%03d", i))
+		want += int64(f.Size())
+	}
+	if e.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want resident size %d", e.Bytes(), want)
 	}
 }
 
@@ -215,6 +223,99 @@ func TestLSMFileWAL(t *testing.T) {
 	}
 }
 
+// runShapeErr checks the two bounds compaction keeps after every flush.
+// Space: the runs hold under twice the live bytes, or they are one run.
+// Count: at most 1 + (MaxRuns-1)·(1+⌊log_MaxRuns Flushes⌋) runs, the
+// oldest run (which a full merge may have built) plus fewer than MaxRuns
+// in each tier the flushes can have filled.
+func runShapeErr(e *LSMEngine) error {
+	st := e.Stats()
+	var runBytes int64
+	for i := range e.runs {
+		runBytes += e.runs[i].bytes
+	}
+	if st.Runs > 1 && runBytes >= 2*e.Bytes() {
+		return fmt.Errorf("%d runs hold %d bytes against %d live", st.Runs, runBytes, e.Bytes())
+	}
+	k := e.opts.MaxRuns
+	if bound := 1 + (k-1)*tiers(k, st.Flushes); st.Runs > bound {
+		return fmt.Errorf("%d runs after %d flushes, bound %d", st.Runs, st.Flushes, bound)
+	}
+	return nil
+}
+
+// tiers is how many tiers that many flushes can fill at fan-in k,
+// 1+⌊log_k flushes⌋.
+func tiers(k int, flushes uint64) int {
+	n := 1
+	for f := uint64(k); f <= flushes; f *= uint64(k) {
+		n++
+	}
+	return n
+}
+
+// TestLSMWriteAmplification drives serve-write-durable's shape scaled
+// down (a live set about ten memtables, 256 B values, default MaxRuns)
+// with two streams, uniform overwrites and inserts only, checking
+// runShapeErr after every flush and bounding the bytes compaction
+// rewrites per flushed byte. Under overwrites the bound is 3; merging all
+// runs whenever MaxRuns of them exist rewrites the whole live set every
+// third flush, over 4. An inserted byte is rewritten once per tier it
+// climbs, so under inserts the bound is the tiers above tier 0. Read,
+// write and space cost trade against each other, so the test logs all
+// three.
+func TestLSMWriteAmplification(t *testing.T) {
+	const flushLimit, keys = 64 << 10, 2400
+	val := make([]byte, 256)
+	for _, tc := range []struct {
+		name   string
+		key    func(i int, rng *rand.Rand) int
+		ops    int
+		maxAmp func(flushes uint64) float64
+	}{
+		{"overwrite", func(i int, rng *rand.Rand) int { return rng.IntN(keys) }, 100_000,
+			func(uint64) float64 { return 3 }},
+		{"insert", func(i int, _ *rand.Rand) int { return keys + i }, 40_000,
+			func(flushes uint64) float64 { return float64(tiers(4, flushes) - 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewLSMEngine(Options{FlushLimit: flushLimit})
+			rng := rand.New(rand.NewPCG(1, 2))
+			var seq uint64
+			apply := func(k int) {
+				seq++
+				flushes := e.stats.Flushes
+				e.Apply(fmt.Sprintf("user%08d", k), Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val})
+				if e.stats.Flushes != flushes {
+					if err := runShapeErr(e); err != nil {
+						t.Fatalf("op %d: %v", seq, err)
+					}
+				}
+			}
+			for k := range keys {
+				apply(k)
+			}
+			base := e.Stats()
+			maxSpace := 0.0
+			for i := range tc.ops {
+				apply(tc.key(i, rng))
+				var runBytes int64
+				for j := range e.runs {
+					runBytes += e.runs[j].bytes
+				}
+				maxSpace = max(maxSpace, float64(runBytes)/float64(e.Bytes()))
+			}
+			st := e.Stats()
+			writeAmp := float64(st.CompactedBytes-base.CompactedBytes) / float64(st.FlushedBytes-base.FlushedBytes)
+			t.Logf("read: 0 run probes per Get; write: %.2f compacted B per flushed B over %d flushes, %d compactions; space: runs at most %.2f× live, %d runs at the end",
+				writeAmp, st.Flushes-base.Flushes, st.Compactions-base.Compactions, maxSpace, st.Runs)
+			if bound := tc.maxAmp(st.Flushes); writeAmp > bound {
+				t.Fatalf("compaction rewrote %.2f bytes per flushed byte, bound %.0f", writeAmp, bound)
+			}
+		})
+	}
+}
+
 // lsmState is what the LSM model keeps of one moment: the resident cells
 // and byte total, the memtable's keys and bytes, and the WAL appends,
 // bytes and syncs since the last flush.
@@ -231,6 +332,12 @@ func (s lsmState) clone() lsmState {
 	return s
 }
 
+// lsmRun is one run of the model: its cells and its tier.
+type lsmRun struct {
+	cells map[string]Cell
+	tier  int
+}
+
 // lsmModel is the LSM engine as Go maps: the live state, the runs (one
 // map each, oldest first) and the durable state — the state at the last
 // sync or flush, which Crash + Recover must bring back.
@@ -239,7 +346,7 @@ type lsmModel struct {
 	live    lsmState
 	durable lsmState
 	order   []string
-	runs    []map[string]Cell
+	runs    []lsmRun // oldest first
 	stats   Stats
 
 	pendingRecs uint64
@@ -301,9 +408,9 @@ func (m *lsmModel) flush() {
 	if len(s.mem) == 0 {
 		return
 	}
-	r := map[string]Cell{}
+	r := lsmRun{cells: map[string]Cell{}}
 	for k := range s.mem {
-		r[k] = s.cells[k]
+		r.cells[k] = s.cells[k]
 	}
 	m.runs = append(m.runs, r)
 	m.stats.Flushes++
@@ -312,27 +419,58 @@ func (m *lsmModel) flush() {
 	s.walRecs, s.walBytes, s.walSyncs = 0, 0, 0
 	m.pendingRecs, m.unsynced = 0, 0
 	m.durable = s.clone()
-	maxRuns := m.opts.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = 4
-	}
-	if len(m.runs) >= maxRuns && len(m.runs) > 1 {
-		merged := map[string]Cell{}
-		for _, r := range m.runs {
-			for k, c := range r {
-				m.stats.CompactedBytes += uint64(c.Size())
-				if old, ok := merged[k]; !ok || c.Version.After(old.Version) {
-					merged[k] = c
-				}
-			}
-		}
-		m.runs = []map[string]Cell{merged}
-		m.stats.Compactions++
-	}
+	m.compact()
 	m.stats.Runs, m.stats.RunEntries = len(m.runs), 0
 	for _, r := range m.runs {
-		m.stats.RunEntries += len(r)
+		m.stats.RunEntries += len(r.cells)
 	}
+}
+
+// compact is the engine's policy restated: every run into one once the
+// runs hold twice the live bytes, else the newest MaxRuns (0 means 4, at
+// least 2) into one run a tier up for as long as all of them share a
+// tier.
+func (m *lsmModel) compact() {
+	var runBytes int64
+	for _, r := range m.runs {
+		for _, c := range r.cells {
+			runBytes += int64(c.Size())
+		}
+	}
+	if len(m.runs) > 1 && runBytes >= 2*m.live.total {
+		m.merge(len(m.runs))
+	}
+	fanIn := m.opts.MaxRuns
+	if fanIn <= 0 {
+		fanIn = 4
+	}
+	fanIn = max(fanIn, 2)
+	for len(m.runs) >= fanIn {
+		newest := m.runs[len(m.runs)-fanIn:]
+		for _, r := range newest {
+			if r.tier != newest[0].tier {
+				return
+			}
+		}
+		m.merge(fanIn)
+	}
+}
+
+// merge replaces the newest n runs by one holding each key's newest
+// cell, a tier above the highest of them.
+func (m *lsmModel) merge(n int) {
+	merged := lsmRun{cells: map[string]Cell{}}
+	for _, r := range m.runs[len(m.runs)-n:] {
+		merged.tier = max(merged.tier, r.tier+1)
+		for k, c := range r.cells {
+			m.stats.CompactedBytes += uint64(c.Size())
+			if old, ok := merged.cells[k]; !ok || c.Version.After(old.Version) {
+				merged.cells[k] = c
+			}
+		}
+	}
+	m.runs = append(m.runs[:len(m.runs)-n], merged)
+	m.stats.Compactions++
 }
 
 func (m *lsmModel) crash() {
@@ -353,8 +491,9 @@ func (m *lsmModel) crash() {
 // replacements, refusals, equal versions and tombstones all occur. After
 // every call the results, every key's cell, KeyAt order, Stats and Bytes
 // must match the model and the resident table's index invariants must
-// hold; a Recover after Crash must bring back exactly the model's durable
-// state, the state at the last sync or flush.
+// hold; after every flush the runs must keep runShapeErr's space and
+// count bounds; a Recover after Crash must bring back exactly the model's
+// durable state, the state at the last sync or flush.
 func FuzzLSMEngine(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 0, 1, 1, 2, 2, 3, 1, 5, 6, 2, 1, 3, 0, 1})
 	f.Add([]byte{90, 8, 0, 3, 40, 0, 5, 9, 9, 2, 5, 1, 1, 5, 3, 6, 0, 5, 2, 2, 3, 3, 3, 5, 6})
@@ -382,6 +521,7 @@ func FuzzLSMEngine(f *testing.F) {
 		}
 		same := func(a, b Cell) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
 		for step := 0; len(data) > 0; step++ {
+			flushes := m.stats.Flushes
 			op := arg() % 8
 			if m.crashed && op != 5 && op != 6 {
 				continue // the engine is unusable until Recover
@@ -475,6 +615,11 @@ func FuzzLSMEngine(f *testing.F) {
 			}
 			if err := e.cells.Verify(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
+			}
+			if m.stats.Flushes != flushes {
+				if err := runShapeErr(e); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 			}
 			if e.Stats() != m.stats || e.Bytes() != m.live.total || e.KeyCount() != len(m.order) {
 				t.Fatalf("step %d: stats %+v bytes %d keys %d, want %+v %d %d",
