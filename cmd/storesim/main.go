@@ -32,7 +32,7 @@ func main() {
 	theta := flag.Float64("theta", 0.99, "zipfian skew")
 	zipf := flag.Bool("zipf", true, "scrambled-zipfian key popularity (false: uniform; skew set by -theta)")
 	hotcache := flag.Bool("hotcache", false, "hot-key fast path: deterministic hot-set tracker + freshness-bounded coordinator read cache")
-	engine := flag.String("engine", "mem", "storage engine: mem (volatile map) or lsm (WAL + sorted runs)")
+	engine := flag.String("engine", "mem", "storage engine: mem (volatile map) or lsm (WAL + runs)")
 	gossipOn := flag.Bool("gossip", false, "disseminate membership through SWIM gossip: per-node views, suspicion, wrong-owner fallback (instead of atomic placement)")
 	flag.Parse()
 

@@ -585,7 +585,7 @@ func (c *Cluster) Crash(id netsim.NodeID) error { return c.inject(id, faultCrash
 // Recover ends node id's fault: traffic flows again at once, and the
 // detector marks the node up after DetectionDelay. A crashed node first
 // recovers its engine's durable state, which the stats report (LSM
-// reloads sorted runs and replays the fsynced WAL prefix; MemEngine
+// reloads its runs and replays the fsynced WAL prefix; MemEngine
 // restarts empty), converges through hinted handoff and anti-entropy,
 // and re-enters service through the warming window a joining node uses
 // (Config.WarmupDuration).

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 )
@@ -59,41 +59,37 @@ func BenchmarkFileWALApply(b *testing.B) {
 	}
 }
 
-// durableRuns builds the runs one serve-write-durable replica holds
-// just before a compaction: the previous compaction's 40 000-entry run
-// under three fresh 3 500-entry memtable runs that overwrite it, 256 B
-// values. seq is the last version stamped.
-func durableRuns() (runs []run, seq uint64) {
+// durableRuns builds, in one engine, the runs a serve-write-durable
+// replica holds just before a compaction: a 40 000-entry run under three
+// fresh 3 500-entry memtable runs that overwrite it, 256 B values, each
+// run in write order. seq is the last version stamped.
+func durableRuns() (e *LSMEngine, seq uint64) {
 	const records = 40_000
+	e = NewLSMEngine(Options{SyncBytes: 1 << 30, MaxRuns: 8})
 	val := make([]byte, 256)
 	rng := rand.New(rand.NewPCG(3, 4))
-	cell := func() Cell {
+	apply := func(i int) {
 		seq++
-		return Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val}
+		e.Apply(fmt.Sprintf("user%08d", i), Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val})
 	}
-	entries := make([][]runEntry, 4)
-	for i := 0; i < records; i++ {
-		entries[0] = append(entries[0], runEntry{key: fmt.Sprintf("user%08d", i), cell: cell()})
+	for i := range records {
+		apply(i)
 	}
-	for r := 1; r < len(entries); r++ {
-		picks := rng.Perm(records)[:3500]
-		sort.Ints(picks) // run 0 is in key order, so index order is key order
-		for _, i := range picks {
-			entries[r] = append(entries[r], runEntry{key: entries[0][i].key, cell: cell()})
+	e.Flush()
+	for range 3 {
+		for _, i := range rng.Perm(records)[:3500] {
+			apply(i)
 		}
+		e.Flush()
 	}
-	runs = make([]run, len(entries))
-	for r := range entries {
-		runs[r] = sealRun(entries[r])
-	}
-	return runs, seq
+	return e, seq
 }
 
 // BenchmarkLSMCompact measures one full merge of durableRuns, the merge
 // the space bound triggers.
 func BenchmarkLSMCompact(b *testing.B) {
-	runs, _ := durableRuns()
-	e := NewLSMEngine(Options{})
+	e, _ := durableRuns()
+	runs := slices.Clone(e.runs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,17 +101,50 @@ func BenchmarkLSMCompact(b *testing.B) {
 	}
 }
 
+// BenchmarkLSMFlush measures one flush of a 1 MiB memtable of 256 B
+// cells over a 40 000-key resident set, serve-write-durable's replica
+// shape: the memtable's cells copied out into a run. The runs stay
+// under the space bound and MaxRuns, so no flush compacts.
+func BenchmarkLSMFlush(b *testing.B) {
+	const records = 40_000
+	e := NewLSMEngine(Options{SyncBytes: 1 << 30, MaxRuns: 64})
+	val := make([]byte, 256)
+	rng := rand.New(rand.NewPCG(7, 8))
+	var seq uint64
+	apply := func(i int) {
+		seq++
+		e.Apply(fmt.Sprintf("user%08d", i), Cell{Version: Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val})
+	}
+	for i := range records {
+		apply(i)
+	}
+	e.Flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e.runs = e.runs[:1]
+		for e.memBytes < 1<<20 {
+			apply(rng.IntN(records))
+		}
+		b.StartTimer()
+		e.Flush()
+	}
+	b.StopTimer()
+	if st := e.Stats(); st.Compactions != 0 || st.Runs != 2 {
+		b.Fatalf("flush left %d runs after %d compactions", st.Runs, st.Compactions)
+	}
+}
+
 // BenchmarkLSMGet measures Get at serve-write-durable's steady shape:
 // durableRuns under a memtable half way to its flush (1 750 overwrites).
-// hit-oldest reads keys only the compacted run holds, so every layer is
-// probed; hit-newest keys the newest run holds and the memtable does not;
-// miss keys of the same length that no layer holds.
+// hit-oldest reads keys whose resident cell the oldest run holds,
+// hit-newest keys whose resident cell the newest run holds, miss keys of
+// the same length that no layer holds. Each is one probe of the resident
+// table; no read touches a run.
 func BenchmarkLSMGet(b *testing.B) {
-	runs, seq := durableRuns()
-	e := NewLSMEngine(Options{})
-	e.runs = runs
-	e.Crash() // Recover loads the runs into the resident table
-	e.Recover()
+	e, seq := durableRuns()
+	runs := e.runs
 	val := make([]byte, 256)
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, i := range rng.Perm(len(runs[0].entries))[:1750] {
@@ -155,38 +184,6 @@ func BenchmarkLSMGet(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkMergeRead measures Get across a populated memtable plus
-// three sorted runs — the read amplification of the LSM-lite layout,
-// memtable-hit and run-probe paths both in the mix.
-func BenchmarkMergeRead(b *testing.B) {
-	e := NewLSMEngine(Options{FlushLimit: 0, SyncBytes: 1 << 20, MaxRuns: 64})
-	const records = 4096
-	var seq uint64
-	for r := 0; r < 4; r++ {
-		for i := r; i < records; i += 4 { // striped: each layer holds 1/4 of the keys
-			seq++
-			e.Apply(fmt.Sprintf("user%08d", i), Cell{
-				Version: Version{Timestamp: time.Duration(seq), Seq: seq},
-				Value:   make([]byte, 128),
-			})
-		}
-		if r < 3 {
-			e.Flush() // three sealed runs; the last stripe stays in the memtable
-		}
-	}
-	keys := make([]string, records)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("user%08d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := e.Get(keys[i%records]); !ok {
-			b.Fatal("miss")
-		}
 	}
 }
 

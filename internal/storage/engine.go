@@ -14,12 +14,13 @@
 //   - MemEngine: the original volatile engine, with flush *accounting*
 //     only. Crash loses everything; Recover starts empty.
 //   - LSMEngine: a durable LSM-lite — an append-only WAL, a memtable (the
-//     keys written since the last flush) that flushes to immutable sorted
-//     runs, tombstones, and universal compaction: all runs merge once
-//     they hold twice the live bytes, and otherwise MaxRuns runs of one
-//     tier merge into one of the next. Crash loses the resident table and
-//     the un-fsynced WAL tail; Recover rebuilds the table from the runs
-//     and replays the durable WAL prefix.
+//     keys written since the last flush) that flushes to immutable runs
+//     in write order, tombstones, and universal compaction, which merges
+//     runs by resident-table id: all runs merge once they hold twice the
+//     live bytes, and otherwise MaxRuns runs of one tier merge into one
+//     of the next. Crash loses the resident table and the un-fsynced WAL
+//     tail; Recover sorts each run by key, rebuilds the table from the
+//     runs and replays the durable WAL prefix.
 //
 // The WAL is one code path over a segment, a file live and a byte slice
 // in simulation. Engine holds what the store calls, plus Flush.
@@ -79,7 +80,7 @@ type Engine interface {
 	// Stats reports the engine's operation and durability counters.
 	Stats() Stats
 	// Flush forces a durability point: the LSM engine seals its memtable
-	// into a sorted run; the mem engine only accounts the flush.
+	// into a run; the mem engine only accounts the flush.
 	Flush()
 	// Crash simulates a process kill: volatile state is dropped. The
 	// engine must not be used again until Recover.
@@ -112,7 +113,7 @@ type Stats struct {
 	WALBytes       uint64 // bytes appended to the WAL
 	WALSyncs       uint64 // durability points: one write + one fdatasync each on the file WAL
 	LostRecords    uint64 // un-fsynced records dropped by crashes
-	Runs           int    // resident sorted runs
+	Runs           int    // resident runs
 	RunEntries     int    // entries across resident runs (superseded included)
 	Compactions    uint64
 	CompactedBytes uint64 // bytes rewritten by compaction
@@ -120,7 +121,7 @@ type Stats struct {
 
 // RecoverStats reports what one Recover call rebuilt.
 type RecoverStats struct {
-	RunsLoaded int    // durable sorted runs found
+	RunsLoaded int    // durable runs found
 	RunEntries int    // entries across those runs
 	WALRecords uint64 // records replayed from the durable WAL prefix
 	WALBytes   uint64 // bytes of WAL replayed
@@ -170,9 +171,9 @@ type Options struct {
 	// it in memory (simulation). Either way the log runs the same code:
 	// one recycled segment, truncated at open, rewound (not cut) by
 	// every memtable flush, so it holds the size of the longest log one
-	// memtable generation wrote. The sorted runs stay in memory, so the
-	// file backs crash recovery within this process only; no later
-	// process reads it.
+	// memtable generation wrote. The runs stay in memory, so the file
+	// backs crash recovery within this process only; no later process
+	// reads it.
 	Path string
 }
 

@@ -7,10 +7,12 @@ import (
 	"repro/internal/ring"
 )
 
-// runEntry is one key's cell inside an immutable sorted run.
+// runEntry is one key's cell inside an immutable run, with the key's id
+// in the resident table.
 type runEntry struct {
 	key  string
 	cell Cell
+	id   int32
 }
 
 // sortEntries sorts duplicate-free entries by key.
@@ -18,10 +20,11 @@ func sortEntries(entries []runEntry) {
 	slices.SortFunc(entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
 }
 
-// run is an immutable sorted run sealed from a memtable flush (or built
-// by compaction): its entries in key order, their byte total and its
-// tier. Runs are "on disk": they survive Crash. Nothing reads a run but
-// compaction and Recover; the resident table answers every read.
+// run is an immutable run sealed from a memtable flush (or built by
+// compaction): its entries in write order (a merge's in the order its
+// inputs first hold each key), their byte total and its tier. Runs are
+// "on disk": they survive Crash. Nothing reads a run but compaction and
+// Recover; the resident table answers every read.
 type run struct {
 	entries []runEntry
 	bytes   int64
@@ -32,8 +35,7 @@ type run struct {
 // this many times the live bytes, a flush merges them all.
 const spaceFactor = 2
 
-// sealRun seals sorted, duplicate-free entries into a run, summing their
-// bytes.
+// sealRun seals duplicate-free entries into a run, summing their bytes.
 func sealRun(entries []runEntry) run {
 	r := run{entries: entries}
 	for i := range entries {
@@ -43,7 +45,7 @@ func sealRun(entries []runEntry) run {
 }
 
 // LSMEngine is the durable LSM-lite engine: an append-only WAL ahead of
-// an in-memory memtable, immutable sorted runs sealed by flushes, and
+// an in-memory memtable, immutable runs sealed by flushes, and
 // RocksDB's universal compaction scaled down (see Flush). No read
 // touches a run, so compaction buys only space and a shorter Recover: it
 // merges every run once they hold spaceFactor times the live bytes, and
@@ -53,17 +55,19 @@ func sealRun(entries []runEntry) run {
 // Every read is one probe of the resident table the mem engine reads
 // too: each key's newest cell, whichever layer holds it (Bitcask's
 // keydir). The memtable is the ids of the keys written since the last
-// flush, each marked in inMem; a flush copies their cells out and sorts
-// them by key into a run. Because Apply enforces last-write-wins against
-// the resident cell, a newer run's entry for a key always supersedes an
-// older run's.
+// flush, each marked in inMem; a flush copies their cells out, in that
+// order and with their ids, into a run. No write compares keys: a merge
+// meets a key's entries by id. Because Apply enforces last-write-wins
+// against the resident cell, a newer run's entry for a key always
+// supersedes an older run's.
 //
 // Crash drops the resident table, the memtable and the un-fsynced WAL
 // tail; the runs and the fsynced WAL prefix survive. Recover rebuilds the
-// table from the runs, oldest first, and replays that prefix, stopping at
-// the first torn or corrupt record (consistent-prefix recovery); whatever
-// was lost past the durability point comes back via hinted handoff and
-// anti-entropy, exactly like a lagging replica.
+// table from the runs, oldest first and each sorted by key, and replays
+// that prefix, stopping at the first torn or corrupt record
+// (consistent-prefix recovery); whatever was lost past the durability
+// point comes back via hinted handoff and anti-entropy, exactly like a
+// lagging replica.
 //
 // Tombstones flow through WAL, memtable, runs and compaction like any
 // other cell: compaction keeps them even when they win (no GC grace
@@ -76,6 +80,7 @@ type LSMEngine struct {
 	memIDs []int32 // the memtable: ids of the keys written since the last flush
 	inMem  []bool  // inMem[id]: the memtable holds id; one mark per resident key
 	runs   []run   // oldest first
+	pos    []int32 // merge scratch indexed by id, all zero between merges; see mergeRuns
 
 	memBytes    int64
 	pendingRecs uint64 // records appended since the last sync
@@ -187,7 +192,7 @@ func (e *LSMEngine) Stats() Stats {
 	return s
 }
 
-// Flush seals the memtable into an immutable sorted run of tier 0,
+// Flush seals the memtable into an immutable run of tier 0,
 // rewinds the WAL (the run is durable now) and compacts: every run into
 // one once they hold spaceFactor times the live bytes, else the newest
 // MaxRuns runs into one of the next tier for as long as they share a
@@ -199,10 +204,9 @@ func (e *LSMEngine) Flush() {
 	}
 	entries := make([]runEntry, len(e.memIDs))
 	for i, id := range e.memIDs {
-		entries[i] = runEntry{key: e.cells.Key(int(id)), cell: e.cells.Val(int(id)).cell}
+		entries[i] = runEntry{key: e.cells.Key(int(id)), cell: e.cells.Val(int(id)).cell, id: id}
 		e.inMem[id] = false
 	}
-	sortEntries(entries)
 	e.runs = append(e.runs, sealRun(entries))
 	e.stats.Flushes++
 	e.stats.FlushedBytes += uint64(e.memBytes)
@@ -237,60 +241,55 @@ func (e *LSMEngine) compact(n int) {
 		inBytes += in[i].bytes
 		tier = max(tier, in[i].tier)
 	}
-	merged := mergeRuns(in)
+	if n := e.cells.Len(); len(e.pos) < n {
+		e.pos = append(e.pos, make([]int32, n-len(e.pos))...)
+	}
+	merged := mergeRuns(in, e.pos)
 	merged.tier = tier + 1
 	e.runs = append(e.runs[:len(e.runs)-n], merged)
 	e.stats.Compactions++
 	e.stats.CompactedBytes += uint64(inBytes)
 }
 
-// mergeRuns k-way merges sorted runs (oldest first) into one run holding
-// the winning cell per key: among entries of one key a later run's cell
-// replaces an earlier one's only when its version is strictly After. The
-// runs are few (MaxRuns for a tier merge, under MaxRuns per tier for a
-// full one), so each step scans the run heads linearly rather than
-// keeping a heap.
-func mergeRuns(runs []run) run {
+// mergeRuns merges runs (oldest first) into one run holding the winning
+// cell per key, comparing no keys: entries meet by id. pos is scratch
+// indexed by id, zero on entry and again on return. A counting pass marks
+// every id (-1) and sizes the output exactly; then one pass, oldest run
+// first, gives an id's first entry the next place in the output (pos
+// holds place+1) and lets a later entry replace it only when its version
+// is strictly After. Walking the output clears the marks.
+func mergeRuns(runs []run, pos []int32) run {
 	total := 0
 	for i := range runs {
-		total += len(runs[i].entries)
+		for j := range runs[i].entries {
+			if id := runs[i].entries[j].id; pos[id] == 0 {
+				pos[id] = -1
+				total++
+			}
+		}
 	}
 	merged := make([]runEntry, 0, total)
-	pos := make([]int, len(runs))
-	for {
-		// The smallest head key; on a tie the oldest run holds it first.
-		first := -1
-		for i := range runs {
-			if pos[i] == len(runs[i].entries) {
-				continue
-			}
-			if first < 0 || runs[i].entries[pos[i]].key < runs[first].entries[pos[first]].key {
-				first = i
-			}
-		}
-		if first < 0 {
-			return sealRun(merged)
-		}
-		win := runs[first].entries[pos[first]]
-		pos[first]++
-		for i := first + 1; i < len(runs); i++ {
-			if pos[i] == len(runs[i].entries) {
-				continue
-			}
-			if ent := &runs[i].entries[pos[i]]; ent.key == win.key {
-				if ent.cell.Version.After(win.cell.Version) {
-					win.cell = ent.cell
-				}
-				pos[i]++
+	for i := range runs {
+		for j := range runs[i].entries {
+			ent := &runs[i].entries[j]
+			switch p := pos[ent.id]; {
+			case p < 0:
+				pos[ent.id] = int32(len(merged)) + 1
+				merged = append(merged, *ent)
+			case ent.cell.Version.After(merged[p-1].cell.Version):
+				merged[p-1].cell = ent.cell
 			}
 		}
-		merged = append(merged, win)
 	}
+	for i := range merged {
+		pos[merged[i].id] = 0
+	}
+	return sealRun(merged)
 }
 
 // Crash kills the process: the resident table, the memtable and the
-// un-fsynced WAL tail are lost; the sorted runs and the fsynced WAL
-// prefix survive. The engine is unusable until Recover.
+// un-fsynced WAL tail are lost; the runs and the fsynced WAL prefix
+// survive. The engine is unusable until Recover.
 func (e *LSMEngine) Crash() {
 	e.crashed = true
 	e.stats.Crashes++
@@ -303,14 +302,17 @@ func (e *LSMEngine) Crash() {
 }
 
 // Recover rebuilds the engine from durable state: the runs' entries go
-// into the resident table oldest run first, under last-write-wins, then
-// the durable WAL prefix is replayed record by record into a fresh
-// memtable/WAL, stopping at the first torn or corrupt record. Replayed
-// mutations go through the normal Apply path (minus the operation
-// counters), so they are re-logged and re-synced — the recovered state is
-// durable again when Recover returns. Recover is only meaningful after
-// Crash; on a running engine it is a no-op (re-running it would discard
-// the durable WAL).
+// into the resident table oldest run first, under last-write-wins, each
+// run sorted by key first and each entry taking its key's new id. That
+// sort, the only one a run sees, makes the rebuilt KeyAt order (which
+// anti-entropy samples) depend on the runs' contents alone, not on the
+// order flushes and merges left them in. Then the durable WAL prefix is
+// replayed record by record into a fresh memtable/WAL, stopping at the
+// first torn or corrupt record. Replayed mutations go through the normal
+// Apply path (minus the operation counters), so they are re-logged and
+// re-synced — the recovered state is durable again when Recover returns.
+// Recover is only meaningful after Crash; on a running engine it is a
+// no-op (re-running it would discard the durable WAL).
 func (e *LSMEngine) Recover() RecoverStats {
 	if !e.crashed {
 		return RecoverStats{}
@@ -319,9 +321,12 @@ func (e *LSMEngine) Recover() RecoverStats {
 	e.stats.Replays++
 	rs := RecoverStats{RunsLoaded: len(e.runs)}
 	for i := range e.runs {
-		rs.RunEntries += len(e.runs[i].entries)
-		for _, ent := range e.runs[i].entries {
-			e.put(ent.key, 0, false, ent.cell)
+		entries := e.runs[i].entries
+		rs.RunEntries += len(entries)
+		sortEntries(entries)
+		for j := range entries {
+			id, _, _ := e.put(entries[j].key, 0, false, entries[j].cell)
+			entries[j].id = int32(id)
 		}
 	}
 	e.inMem = append(e.inMem, make([]bool, e.cells.Len())...)

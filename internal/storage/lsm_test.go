@@ -223,16 +223,20 @@ func TestLSMFileWAL(t *testing.T) {
 	}
 }
 
-// runShapeErr checks the two bounds compaction keeps after every flush.
-// Space: the runs hold under twice the live bytes, or they are one run.
-// Count: at most 1 + (MaxRuns-1)·(1+⌊log_MaxRuns Flushes⌋) runs, the
-// oldest run (which a full merge may have built) plus fewer than MaxRuns
-// in each tier the flushes can have filled.
+// runShapeErr checks the bounds flushes and compaction keep after every
+// flush. Space: the runs hold under twice the live bytes, or they are one
+// run, and no run's entries carry spare capacity. Count: at most
+// 1 + (MaxRuns-1)·(1+⌊log_MaxRuns Flushes⌋) runs, the oldest run (which a
+// full merge may have built) plus fewer than MaxRuns in each tier the
+// flushes can have filled.
 func runShapeErr(e *LSMEngine) error {
 	st := e.Stats()
 	var runBytes int64
 	for i := range e.runs {
 		runBytes += e.runs[i].bytes
+		if ents := e.runs[i].entries; cap(ents) != len(ents) {
+			return fmt.Errorf("run %d holds %d entries in a capacity of %d", i, len(ents), cap(ents))
+		}
 	}
 	if st.Runs > 1 && runBytes >= 2*e.Bytes() {
 		return fmt.Errorf("%d runs hold %d bytes against %d live", st.Runs, runBytes, e.Bytes())
@@ -257,13 +261,13 @@ func tiers(k int, flushes uint64) int {
 // TestLSMWriteAmplification drives serve-write-durable's shape scaled
 // down (a live set about ten memtables, 256 B values, default MaxRuns)
 // with two streams, uniform overwrites and inserts only, checking
-// runShapeErr after every flush and bounding the bytes compaction
-// rewrites per flushed byte. Under overwrites the bound is 3; merging all
-// runs whenever MaxRuns of them exist rewrites the whole live set every
-// third flush, over 4. An inserted byte is rewritten once per tier it
-// climbs, so under inserts the bound is the tiers above tier 0. Read,
-// write and space cost trade against each other, so the test logs all
-// three.
+// runShapeErr (spare run capacity included) after every flush and
+// bounding the bytes compaction rewrites per flushed byte. Under
+// overwrites the bound is 3; merging all runs whenever MaxRuns of them
+// exist rewrites the whole live set every third flush, over 4. An
+// inserted byte is rewritten once per tier it climbs, so under inserts
+// the bound is the tiers above tier 0. Read, write and space cost trade
+// against each other, so the test logs all three.
 func TestLSMWriteAmplification(t *testing.T) {
 	const flushLimit, keys = 64 << 10, 2400
 	val := make([]byte, 256)
@@ -317,18 +321,19 @@ func TestLSMWriteAmplification(t *testing.T) {
 }
 
 // lsmState is what the LSM model keeps of one moment: the resident cells
-// and byte total, the memtable's keys and bytes, and the WAL appends,
-// bytes and syncs since the last flush.
+// and byte total, the memtable's keys and bytes, and the WAL's keys in
+// log order, appends, bytes and syncs since the last flush.
 type lsmState struct {
 	cells                       map[string]Cell
 	total                       int64
 	mem                         map[string]bool
 	memBytes                    int64
+	walKeys                     []string
 	walRecs, walBytes, walSyncs uint64
 }
 
 func (s lsmState) clone() lsmState {
-	s.cells, s.mem = maps.Clone(s.cells), maps.Clone(s.mem)
+	s.cells, s.mem, s.walKeys = maps.Clone(s.cells), maps.Clone(s.mem), slices.Clone(s.walKeys)
 	return s
 }
 
@@ -387,6 +392,7 @@ func (m *lsmModel) apply(key string, c Cell) bool {
 	n := uint64(len(appendWALRecord(nil, key, c)))
 	m.stats.WALAppends++
 	m.stats.WALBytes += n
+	s.walKeys = append(s.walKeys, key)
 	s.walRecs++
 	s.walBytes += n
 	m.pendingRecs++
@@ -416,7 +422,7 @@ func (m *lsmModel) flush() {
 	m.stats.Flushes++
 	m.stats.FlushedBytes += uint64(s.memBytes)
 	s.mem, s.memBytes = map[string]bool{}, 0
-	s.walRecs, s.walBytes, s.walSyncs = 0, 0, 0
+	s.walKeys, s.walRecs, s.walBytes, s.walSyncs = nil, 0, 0, 0
 	m.pendingRecs, m.unsynced = 0, 0
 	m.durable = s.clone()
 	m.compact()
@@ -473,6 +479,32 @@ func (m *lsmModel) merge(n int) {
 	m.stats.Compactions++
 }
 
+// recoveryOrder is the key order Recover rebuilds: each key where it
+// first appears among the runs, oldest first and each in key order, then
+// among the WAL's keys in log order.
+func recoveryOrder(runs []lsmRun, walKeys []string) []string {
+	var order []string
+	seen := map[string]bool{}
+	add := func(keys []string) {
+		for _, k := range keys {
+			if !seen[k] {
+				seen[k] = true
+				order = append(order, k)
+			}
+		}
+	}
+	for _, r := range runs {
+		keys := make([]string, 0, len(r.cells))
+		for k := range r.cells {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		add(keys)
+	}
+	add(walKeys)
+	return order
+}
+
 func (m *lsmModel) crash() {
 	m.stats.Crashes++
 	m.stats.LostRecords += m.pendingRecs
@@ -493,12 +525,14 @@ func (m *lsmModel) crash() {
 // must match the model and the resident table's index invariants must
 // hold; after every flush the runs must keep runShapeErr's space and
 // count bounds; a Recover after Crash must bring back exactly the model's
-// durable state, the state at the last sync or flush.
+// durable state, the state at the last sync or flush, in the key order
+// the model computes (recoveryOrder).
 func FuzzLSMEngine(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 0, 1, 1, 2, 2, 3, 1, 5, 6, 2, 1, 3, 0, 1})
 	f.Add([]byte{90, 8, 0, 3, 40, 0, 5, 9, 9, 2, 5, 1, 1, 5, 3, 6, 0, 5, 2, 2, 3, 3, 3, 5, 6})
 	f.Add([]byte{200, 17, 0, 0, 1, 1, 1, 0, 2, 1, 1, 4, 7, 3, 9, 0, 3, 2, 2, 1, 9, 9, 9, 5, 6, 1, 3, 4, 5, 6})
 	f.Add([]byte{60, 11, 0, 0, 0, 1, 7, 0, 2, 12, 1, 3, 17, 5, 6, 0, 4, 9, 3, 5, 6, 7, 1, 2})
+	f.Add([]byte("00010000000%&")) // a run flushed out of key order, then Crash and Recover
 	keys := make([]string, 24)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%02d", i)
@@ -579,12 +613,7 @@ func FuzzLSMEngine(f *testing.F) {
 				m.stats.WALBytes += d.walBytes
 				m.stats.WALSyncs += d.walSyncs
 				m.live = d.clone()
-				// Recovery order is rebuild order (runs oldest first, then
-				// the WAL): the model adopts it once it holds the same keys.
-				m.order = m.order[:0]
-				for i := range e.KeyCount() {
-					m.order = append(m.order, e.KeyAt(i))
-				}
+				m.order = recoveryOrder(m.runs, d.walKeys)
 				if len(m.order) != len(d.cells) {
 					t.Fatalf("step %d: recovered %d keys, want %d", step, len(m.order), len(d.cells))
 				}

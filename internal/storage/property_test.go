@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/keytab"
 	"repro/internal/ring"
 )
 
@@ -144,16 +146,16 @@ func TestEnginesAgreeAfterCrashRecovery(t *testing.T) {
 	agree("post-recovery")
 }
 
-// mergeRunsReference is the compaction merge as it was before the linear
-// k-way merge: every entry into a map of winners (oldest run first, a
-// later entry replacing the winner only when strictly After), then all
-// keys re-sorted. Kept as the oracle mergeRuns must equal.
+// mergeRunsReference is the compaction merge by key: every entry into a
+// map of winners (oldest run first, a later entry replacing the winner
+// only when strictly After), then all keys sorted. Kept as the oracle the
+// id merge must equal once its output is sorted by key.
 func mergeRunsReference(runs []run) run {
-	winners := make(map[string]Cell)
+	winners := make(map[string]runEntry)
 	for i := range runs {
 		for _, ent := range runs[i].entries {
-			if old, ok := winners[ent.key]; !ok || ent.cell.Version.After(old.Version) {
-				winners[ent.key] = ent.cell
+			if old, ok := winners[ent.key]; !ok || ent.cell.Version.After(old.cell.Version) {
+				winners[ent.key] = ent
 			}
 		}
 	}
@@ -164,16 +166,20 @@ func mergeRunsReference(runs []run) run {
 	sort.Strings(keys)
 	merged := make([]runEntry, 0, len(keys))
 	for _, k := range keys {
-		merged = append(merged, runEntry{key: k, cell: winners[k]})
+		merged = append(merged, winners[k])
 	}
 	return sealRun(merged)
 }
 
-// TestMergeRunsEqualsMapSortMerge: on 1–8 random sorted runs that
-// overwrite each other — version ties across runs, out-of-order versions
-// and tombstones included — the linear merge yields the reference's
-// entries and byte count exactly.
+// TestMergeRunsEqualsMapSortMerge: on 1–8 random runs that overwrite each
+// other, each in a shuffled (write) order, their keys given ids by one
+// keytab.Table — version ties across runs, out-of-order versions and
+// tombstones included — the id merge, sorted by key, yields the
+// reference's entries and byte count exactly, with no spare capacity,
+// and leaves its scratch (shared by every case) all zero.
 func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
+	var ids keytab.Table[struct{}]
+	var pos []int32
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 11))
@@ -181,7 +187,7 @@ func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 		runs := make([]run, 1+rng.IntN(8))
 		for r := range runs {
 			var entries []runEntry
-			for k := 0; k < universe; k++ { // ascending: the run comes out sorted
+			for k := 0; k < universe; k++ {
 				if rng.IntN(3) == 0 {
 					continue
 				}
@@ -193,13 +199,26 @@ func TestMergeRunsEqualsMapSortMerge(t *testing.T) {
 				if rng.IntN(5) == 0 {
 					c.Tombstone, c.Value = true, nil
 				}
-				entries = append(entries, runEntry{key: fmt.Sprintf("key%03d", k), cell: c})
+				key := fmt.Sprintf("key%03d", k)
+				id, _ := ids.Insert(key)
+				entries = append(entries, runEntry{key: key, cell: c, id: int32(id)})
 			}
 			runs[r] = sealRun(entries)
 		}
-		got, want := mergeRuns(runs), mergeRunsReference(runs)
-		if !reflect.DeepEqual(got, want) {
-			t.Logf("seed %d:\n got %d bytes %+v\nwant %d bytes %+v", seed, got.bytes, got.entries, want.bytes, want.entries)
+		for r := range runs {
+			rng.Shuffle(len(runs[r].entries), func(i, j int) {
+				runs[r].entries[i], runs[r].entries[j] = runs[r].entries[j], runs[r].entries[i]
+			})
+		}
+		if n := ids.Len(); len(pos) < n {
+			pos = append(pos, make([]int32, n-len(pos))...)
+		}
+		got, want := mergeRuns(runs, pos), mergeRunsReference(runs)
+		spare := cap(got.entries) - len(got.entries)
+		sortEntries(got.entries)
+		if !reflect.DeepEqual(got, want) || spare != 0 || slices.ContainsFunc(pos, func(p int32) bool { return p != 0 }) {
+			t.Logf("seed %d:\n got %d bytes %+v (%d spare)\nwant %d bytes %+v\nscratch %v",
+				seed, got.bytes, got.entries, spare, want.bytes, want.entries, pos)
 			return false
 		}
 		return true

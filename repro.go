@@ -131,9 +131,11 @@ func Count(k int) Level { return kv.Count(k) }
 // (the default): Cluster.Crash loses everything it held. EngineLSM is
 // the durable WAL + LSM-lite engine: a crash loses only the un-fsynced
 // WAL tail, and Cluster.Recover replays the rest before hinted handoff
-// and anti-entropy close the gap. Config.WALSyncBytes, Config.MaxRuns
-// (the compaction fan-in; a full merge waits until the runs hold twice
-// the live bytes) and Config.WALDir tune it. The WAL runs the same code
+// and anti-entropy close the gap. Its flushes write runs in write order
+// and its compactions merge them by key id, so no write sorts; Recover
+// sorts each run once. Config.WALSyncBytes, Config.MaxRuns (the
+// compaction fan-in; a full merge waits until the runs hold twice the
+// live bytes) and Config.WALDir tune it. The WAL runs the same code
 // in memory and on a file; a WALDir makes the live engine pay real file
 // I/O for WAL syncs (one write + one fdatasync per sync window).
 const (
